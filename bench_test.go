@@ -475,9 +475,8 @@ func BenchmarkBatchDistances(b *testing.B) {
 
 // clusterBench builds a public Database over a generated street world with
 // one entity dataset, for the clustering and churn benchmarks.
-// OBS_TRACE_SAMPLE, when set, becomes Options.TraceSampleRate, so the
-// tracing-overhead protocol behind BENCH_trace.json is one env sweep over
-// the same benchmark.
+// OBS_TRACE_SAMPLE, when set, becomes Options.TraceSampleRate, so tracing
+// overhead is measured as one env sweep over the same benchmark.
 func clusterBench(b *testing.B, nObst, nPts int) (*obstacles.Database, float64) {
 	b.Helper()
 	world := dataset.Generate(dataset.DefaultConfig(9, nObst))
@@ -575,17 +574,19 @@ func BenchmarkAblationGraphCacheDBSCAN(b *testing.B) {
 				b.Fatal(err)
 			}
 			eps := clusterEps(world.Universe(), nPts)
-			basePages := db.ObstacleTreeStats().PageAccesses
+			var pages uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				var qs obstacles.QueryStats
 				if _, err := db.Cluster(bctx, "P", obstacles.ClusterOptions{
 					Algorithm: obstacles.DBSCAN, Eps: eps, MinPts: 4,
-				}); err != nil {
+				}, obstacles.WithStats(&qs)); err != nil {
 					b.Fatal(err)
 				}
+				pages += qs.PageAccesses
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(db.ObstacleTreeStats().PageAccesses-basePages)/float64(b.N), "obst-pages/op")
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 		})
 	}
 }
@@ -621,8 +622,7 @@ func BenchmarkAblationIncrementalCP(b *testing.B) {
 }
 
 // BenchmarkConcurrentQueries measures aggregate query throughput over one
-// shared Database at 1, 4 and 16 goroutines — the baseline recorded in
-// BENCH_api.json. The workload alternates k-NN and range queries through
+// shared Database at 1, 4 and 16 goroutines. The workload alternates k-NN and range queries through
 // the public context-first API; all goroutines share the warm page buffers
 // and the visibility-graph cache. ns/op is wall time per query; the
 // queries/sec metric is the aggregate throughput the API redesign exists

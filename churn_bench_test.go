@@ -12,8 +12,7 @@ import (
 )
 
 // BenchmarkChurnMix measures query throughput under the dynamic-update
-// workload — the baseline recorded in BENCH_updates.json. Workers over one
-// shared Database run the mixed k-NN + range workload of
+// workload. Workers over one shared Database run the mixed k-NN + range workload of
 // BenchmarkConcurrentQueries, but a fraction of operations (the update mix)
 // mutate the database in place instead: point churn (InsertPoints +
 // DeletePoints keeping the live count steady) alternating with obstacle

@@ -59,6 +59,27 @@ type ClusterOptions struct {
 	MaxIterations int
 }
 
+// validate rejects options no algorithm can run with, wrapping
+// ErrInvalidArgument.
+func (o ClusterOptions) validate() error {
+	switch o.Algorithm {
+	case DBSCAN:
+		if o.Eps <= 0 {
+			return fmt.Errorf("%w: DBSCAN needs Eps > 0, got %v", ErrInvalidArgument, o.Eps)
+		}
+		if o.MinPts < 0 {
+			return fmt.Errorf("%w: DBSCAN needs MinPts >= 1 (or 0 for the default), got %d", ErrInvalidArgument, o.MinPts)
+		}
+	case KMedoids:
+		if o.K < 1 {
+			return fmt.Errorf("%w: KMedoids needs K >= 1, got %d", ErrInvalidArgument, o.K)
+		}
+	default:
+		return fmt.Errorf("%w: unknown clustering algorithm %v", ErrInvalidArgument, o.Algorithm)
+	}
+	return nil
+}
+
 // Clustering is the result of Database.Cluster.
 type Clustering struct {
 	// Assignments maps every entity id of the dataset (the index used by
@@ -142,6 +163,11 @@ func (db *Database) clusterAt(v *dbVersion, ctx context.Context, dataset string,
 	if err != nil {
 		return nil, err
 	}
+	// Validated before the session opens: every exit past newSessionAt must
+	// go through record, or the verb span is never ended.
+	if err := copts.validate(); err != nil {
+		return nil, err
+	}
 	// Ids can be sparse after DeletePoints: cluster the compacted live
 	// points, then map the assignments back to id-indexed form (deleted ids
 	// report NoiseCluster).
@@ -158,23 +184,15 @@ func (db *Database) clusterAt(v *dbVersion, ctx context.Context, dataset string,
 	var st core.Stats
 	oracle := sessionOracle{sess: sess, ps: ps, st: &st, liveIDs: liveIDs, idToIdx: idToIdx}
 	var res *cluster.Result
-	switch copts.Algorithm {
+	switch copts.Algorithm { // validate admitted only these two
 	case DBSCAN:
-		if copts.Eps <= 0 {
-			return nil, fmt.Errorf("obstacles: DBSCAN needs Eps > 0, got %v", copts.Eps)
-		}
 		minPts := copts.MinPts
 		if minPts == 0 {
 			minPts = 4
 		}
 		res, err = cluster.DBSCAN(pts, oracle, copts.Eps, minPts)
 	case KMedoids:
-		if copts.K < 1 {
-			return nil, fmt.Errorf("obstacles: KMedoids needs K >= 1, got %d", copts.K)
-		}
 		res, err = cluster.KMedoids(pts, oracle, copts.K, copts.MaxIterations)
-	default:
-		return nil, fmt.Errorf("obstacles: unknown clustering algorithm %v", copts.Algorithm)
 	}
 	db.record(VerbCluster, &cfg, sess, st, start, err)
 	if err != nil {

@@ -29,7 +29,6 @@
 // CLI view of the batching win:
 //
 //	obschurn -db /tmp/churn.obs -workers 4 -ops 2000
-//	obschurn -db /tmp/churn.obs -workers 4 -ops 2000 -legacy   # fsync per commit
 //
 // -debug-addr serves the database's observability endpoints — /metrics
 // (Prometheus text), /debug/vars, /debug/pprof/ — on the given address for
@@ -62,7 +61,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 		dbPath   = flag.String("db", "", "churn a durable database file at this path instead of in memory (created if missing; updates commit through the WAL)")
 		workers  = flag.Int("workers", 0, "with -db: run N parallel durable mutators (pure update workload) and report commit latency percentiles")
-		legacy   = flag.Bool("legacy", false, "with -db: fsync-per-commit legacy mode (GroupCommitMaxBatch=-1), the pre-group-commit baseline")
 		debug    = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address for the run's duration")
 		autoRec  = flag.Bool("auto-recover", false, "with -db: retry in-place recovery automatically if a durable fault degrades the database mid-run")
 	)
@@ -72,9 +70,6 @@ func main() {
 		fatal(fmt.Errorf("-workers requires -db (it measures durable commit batching)"))
 	}
 	dopts := obstacles.DefaultOptions()
-	if *legacy {
-		dopts.GroupCommitMaxBatch = -1
-	}
 	dopts.DebugAddr = *debug
 	dopts.AutoRecover = *autoRec
 	world := dataset.Generate(dataset.DefaultConfig(*seed, *nObst))
@@ -105,7 +100,7 @@ func main() {
 		}
 	}
 	if *workers > 0 {
-		runDurableMutators(db, *workers, *ops, *seed, world.Universe(), *legacy)
+		runDurableMutators(db, *workers, *ops, *seed, world.Universe())
 		return
 	}
 	universe := world.Universe()
@@ -178,10 +173,9 @@ func main() {
 // runDurableMutators drives N goroutines of pure durable point churn —
 // insert one, occasionally delete an old one — measuring per-commit
 // acknowledgment latency, and prints throughput, p50/p99 latency and the
-// group-commit counters. This is the CLI view of the batching win: compare
-// a run against the same file with -legacy (fsync per commit) to see
-// fsyncs drop well below commits and throughput rise.
-func runDurableMutators(db *obstacles.Database, workers, ops int, seed int64, universe float64, legacy bool) {
+// group-commit counters. This is the CLI view of the batching win: with
+// several workers, fsyncs stay well below commits.
+func runDurableMutators(db *obstacles.Database, workers, ops int, seed int64, universe float64) {
 	before := db.PersistStats()
 	var wg sync.WaitGroup
 	var workerErr atomic.Value
@@ -237,16 +231,12 @@ func runDurableMutators(db *obstacles.Database, workers, ops int, seed int64, un
 	after := db.PersistStats()
 	commits := after.Commits - before.Commits
 	fsyncs := after.Fsyncs - before.Fsyncs
-	mode := "group commit"
-	if legacy {
-		mode = "fsync-per-commit"
-	}
 	// A zero-op run (or a fresh handle) has no fsyncs yet; don't print NaN.
 	perFsync := 0.0
 	if fsyncs > 0 {
 		perFsync = float64(commits) / float64(fsyncs)
 	}
-	fmt.Printf("\n%d durable commits by %d workers in %v (%s)\n", commits, workers, elapsed, mode)
+	fmt.Printf("\n%d durable commits by %d workers in %v (group commit)\n", commits, workers, elapsed)
 	fmt.Printf("throughput:     %.1f commits/sec\n", float64(commits)/elapsed.Seconds())
 	fmt.Printf("commit latency: p50 %v, p99 %v\n", pct(0.50), pct(0.99))
 	fmt.Printf("fsyncs:         %d (%.2f commits/fsync; largest batch %d, %d grouped fsyncs)\n",

@@ -316,10 +316,6 @@ func scrub(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !rep.Checksummed {
-		fmt.Printf("%s: v1 file without page checksums — nothing to scrub (rewrite via obsstore backup to upgrade)\n", *path)
-		return nil
-	}
 	fmt.Printf("scrubbed %s: %d pages scanned (%d live) in %s\n", *path, rep.Scanned, rep.Live, rep.Duration.Round(time.Millisecond))
 	if len(rep.CorruptFree) > 0 {
 		fmt.Printf("  %d corrupt free page(s) quarantined: %v\n", len(rep.Quarantined), rep.CorruptFree)

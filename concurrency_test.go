@@ -512,21 +512,6 @@ func TestSeqMatchesBatchVerbs(t *testing.T) {
 	if !pairsEqual(cps, streamedPairs) {
 		t.Errorf("Closest stream %v != ClosestPairs %v", streamedPairs, cps)
 	}
-
-	// Deprecated pull-style wrappers still work and agree.
-	it, err := db.NearestIterator("shops", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(nn); i++ {
-		nb, ok := it.Next()
-		if !ok {
-			t.Fatalf("deprecated iterator exhausted at %d: %v", i, it.Err())
-		}
-		if nb != nn[i] {
-			t.Fatalf("deprecated iterator diverged at %d: %v != %v", i, nb, nn[i])
-		}
-	}
 }
 
 // TestPerQueryStatsIsolation runs two queries of very different cost

@@ -51,14 +51,25 @@ func inventory(t *testing.T, db *Database) map[Point]bool {
 	return set
 }
 
+// openAbsorbing opens a durable database whose committer absorbs stragglers
+// for up to window before each fsync even when no contention has been
+// observed yet, so a test gets multi-commit batches deterministically instead
+// of depending on commits happening to overlap an fsync. window must be set
+// before the first mutator runs.
+func openAbsorbing(path string, opts Options, window time.Duration, hooks openHooks) (*Database, error) {
+	db, err := openWithHooks(path, opts, hooks)
+	if err == nil {
+		db.store.maxDelay = window
+	}
+	return db, err
+}
+
 // TestDurableGroupCommitBatches pins the headline behavior: N concurrent
 // mutators commit durably with far fewer fsyncs than commits, and every
 // acknowledged insert survives a clean close and reopen.
 func TestDurableGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "group.obs")
-	opts := DefaultOptions()
-	opts.GroupCommitMaxDelay = 500 * time.Microsecond
-	db, err := Open(path, opts)
+	db, err := openAbsorbing(path, DefaultOptions(), 500*time.Microsecond, openHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +148,7 @@ func TestCrashRecoveryBatchedCommits(t *testing.T) {
 	path := filepath.Join(dir, "batch.obs")
 	opts := DefaultOptions()
 	opts.WALCheckpointBytes = -1 // the test owns every WAL boundary
-	opts.GroupCommitMaxDelay = 500 * time.Microsecond
-	db, err := Open(path, opts)
+	db, err := openAbsorbing(path, opts, 500*time.Microsecond, openHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +378,7 @@ func TestDurableCommitterFsyncFault(t *testing.T) {
 	var fault *syncFaultFile
 	opts := DefaultOptions()
 	opts.WALCheckpointBytes = -1
-	opts.GroupCommitMaxDelay = 200 * time.Microsecond
-	db, err = openWithHooks(path, opts, openHooks{
+	db, err = openAbsorbing(path, opts, 200*time.Microsecond, openHooks{
 		wrapWAL: func(f wal.File) wal.File {
 			fault = &syncFaultFile{File: f, fail: 12}
 			return fault
@@ -545,65 +554,6 @@ func TestDurableDeltaBytesIndependentOfObstacles(t *testing.T) {
 	}
 	if d := bigObst - smallObst; d > 16<<10 {
 		t.Fatalf("obstacle-add WAL bytes scale with |O|: %d at 100, %d at 2000", smallObst, bigObst)
-	}
-}
-
-// TestDurableLegacyFsyncPerCommit pins the negative-knob escape hatch: each
-// commit pays its own fsync under the update lock, no batches form, and the
-// file round-trips.
-func TestDurableLegacyFsyncPerCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.obs")
-	opts := DefaultOptions()
-	opts.GroupCommitMaxBatch = -1
-	db, err := Open(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddObstacleRects(R(200, 200, 240, 240)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddDataset("P", setupPts(10)); err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 4, 10
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := db.InsertPoints("P", wpt(w, i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	st := db.PersistStats()
-	if st.Fsyncs != st.Commits || st.GroupCommits != 0 || st.MaxBatch > 1 {
-		t.Fatalf("legacy mode batched: %+v", st)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	inv := inventory(t, back)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i++ {
-			if !inv[wpt(w, i)] {
-				t.Fatalf("legacy insert (%d,%d) lost", w, i)
-			}
-		}
 	}
 }
 

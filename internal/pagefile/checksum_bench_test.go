@@ -1,71 +1,61 @@
 package pagefile
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 )
 
-// BenchmarkPageIO measures the raw per-page cost of the checksummed v2
-// format against the bare v1 format (same storage, format field forced
-// down), isolating what the CRC trailer costs on the write and read paths.
-// The v2 write computes a CRC32-Castagnoli over the page and issues one
-// pwrite of page+trailer; the v2 read verifies it. Numbers recorded in
-// BENCH_recover.json — the acceptance bar is <= 5% overhead on writes.
+// BenchmarkPageIO measures the raw per-page cost of the checksummed page
+// format: a write computes a CRC32-Castagnoli over the page and issues one
+// pwrite of page+trailer; a read verifies it.
 func BenchmarkPageIO(b *testing.B) {
 	const pageSize = 4096
-	for _, version := range []int{1, 2} {
-		fs, _, _, err := OpenFileStorage(filepath.Join(b.TempDir(), "bench.pf"), pageSize)
-		if err != nil {
+	fs, _, _, err := OpenFileStorage(filepath.Join(b.TempDir(), "bench.pf"), pageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	const pages = 256
+	data := make([]byte, pageSize)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	for id := PageID(1); id <= pages; id++ {
+		if err := fs.WritePage(id, data); err != nil {
 			b.Fatal(err)
 		}
-		if version == 1 {
-			fs.setFormat(pageSize, 1)
-		}
-		defer fs.Close()
-		const pages = 256
-		data := make([]byte, pageSize)
-		for i := range data {
-			data[i] = byte(i * 31)
-		}
-		for id := PageID(1); id <= pages; id++ {
-			if err := fs.WritePage(id, data); err != nil {
+	}
+	b.Run("op=write", func(b *testing.B) {
+		b.SetBytes(pageSize)
+		for i := 0; i < b.N; i++ {
+			if err := fs.WritePage(PageID(1+i%pages), data); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.Run(fmt.Sprintf("op=write/version=%d", version), func(b *testing.B) {
-			b.SetBytes(pageSize)
-			for i := 0; i < b.N; i++ {
-				if err := fs.WritePage(PageID(1+i%pages), data); err != nil {
+	})
+	b.Run("op=read", func(b *testing.B) {
+		b.SetBytes(pageSize)
+		dst := make([]byte, pageSize)
+		for i := 0; i < b.N; i++ {
+			if err := fs.ReadPage(PageID(1+i%pages), dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The realistic unit: a checkpoint-style burst of page writes
+	// followed by one fsync, which dominates — per-page CRC is CPU noise
+	// next to the device flush.
+	b.Run("op=writeback64", func(b *testing.B) {
+		b.SetBytes(64 * pageSize)
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 64; j++ {
+				if err := fs.WritePage(PageID(1+(i*64+j)%pages), data); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("op=read/version=%d", version), func(b *testing.B) {
-			b.SetBytes(pageSize)
-			dst := make([]byte, pageSize)
-			for i := 0; i < b.N; i++ {
-				if err := fs.ReadPage(PageID(1+i%pages), dst); err != nil {
-					b.Fatal(err)
-				}
+			if err := fs.Sync(); err != nil {
+				b.Fatal(err)
 			}
-		})
-		// The realistic unit: a checkpoint-style burst of page writes
-		// followed by one fsync, which dominates. This is where the <= 5%
-		// acceptance bar applies — per-page CRC is CPU noise next to the
-		// device flush.
-		b.Run(fmt.Sprintf("op=writeback64/version=%d", version), func(b *testing.B) {
-			b.SetBytes(64 * pageSize)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 64; j++ {
-					if err := fs.WritePage(PageID(1+(i*64+j)%pages), data); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := fs.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

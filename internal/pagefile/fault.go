@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// ErrInjectedFault is the default error produced by an Injector rule (and
-// by the legacy FaultStorage wrapper) when it fires.
+// ErrInjectedFault is the default error produced by an Injector rule when
+// it fires.
 var ErrInjectedFault = errors.New("pagefile: injected fault")
 
 // FaultOp names one class of physical operation an Injector can fail. The
@@ -248,57 +248,4 @@ func ParseFaultSpec(spec string) ([]FaultRule, error) {
 		return nil, fmt.Errorf("pagefile: empty fault spec")
 	}
 	return rules, nil
-}
-
-// FaultStorage wraps a Storage and fails WritePage calls according to an
-// Injector — historically a disk that dies after N writes, now any
-// programmed pattern. Reads and allocation are unaffected (inject below,
-// with FileStorage.SetInjector, to fault those). The crash-recovery tests
-// wrap the durable backend with it (at every N in turn) and verify that
-// reopening the file recovers exactly the committed state.
-type FaultStorage struct {
-	inner  Storage
-	inj    *Injector
-	writes atomic.Int64
-}
-
-// NewFaultStorage returns a wrapper whose first failAfter WritePage calls
-// succeed and all later ones fail with ErrInjectedFault.
-func NewFaultStorage(inner Storage, failAfter int64) *FaultStorage {
-	return NewFaultStorageWith(inner, NewInjector(FaultRule{Op: OpPageWrite, After: failAfter}))
-}
-
-// NewFaultStorageWith returns a wrapper driven by a caller-programmed
-// injector (only OpPageWrite rules apply at this layer).
-func NewFaultStorageWith(inner Storage, inj *Injector) *FaultStorage {
-	return &FaultStorage{inner: inner, inj: inj}
-}
-
-// Writes returns the number of WritePage calls attempted so far.
-func (f *FaultStorage) Writes() int64 { return f.writes.Load() }
-
-// PageSize implements Storage.
-func (f *FaultStorage) PageSize() int { return f.inner.PageSize() }
-
-// NumPages implements Storage.
-func (f *FaultStorage) NumPages() int { return f.inner.NumPages() }
-
-// Allocate implements Storage.
-func (f *FaultStorage) Allocate() (PageID, error) { return f.inner.Allocate() }
-
-// Free implements Storage.
-func (f *FaultStorage) Free(id PageID) error { return f.inner.Free(id) }
-
-// ReadPage implements Storage.
-func (f *FaultStorage) ReadPage(id PageID, dst []byte) error {
-	return f.inner.ReadPage(id, dst)
-}
-
-// WritePage implements Storage, failing when the injector fires.
-func (f *FaultStorage) WritePage(id PageID, data []byte) error {
-	n := f.writes.Add(1)
-	if inj := f.inj.Check(OpPageWrite); inj != nil {
-		return fmt.Errorf("%w: write %d to page %d", inj.Err, n, id)
-	}
-	return f.inner.WritePage(id, data)
 }

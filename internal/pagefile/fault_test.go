@@ -2,7 +2,9 @@ package pagefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -82,26 +84,6 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 }
 
-func TestFaultStorageLegacyCompat(t *testing.T) {
-	mem := NewMemStorage(64)
-	fst := NewFaultStorage(mem, 2)
-	id1, _ := mem.Allocate()
-	id2, _ := mem.Allocate()
-	data := bytes.Repeat([]byte{1}, 64)
-	if err := fst.WritePage(id1, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := fst.WritePage(id2, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := fst.WritePage(id1, data); !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("third write: %v", err)
-	}
-	if fst.Writes() != 3 {
-		t.Fatalf("Writes = %d", fst.Writes())
-	}
-}
-
 func openTestStorage(t *testing.T) *FileStorage {
 	t.Helper()
 	fs, _, created, err := OpenFileStorage(filepath.Join(t.TempDir(), "t.obs"), 128)
@@ -117,9 +99,6 @@ func openTestStorage(t *testing.T) *FileStorage {
 
 func TestChecksumRoundTripAndCorruption(t *testing.T) {
 	fs := openTestStorage(t)
-	if !fs.Checksums() || fs.Version() != 2 {
-		t.Fatalf("fresh file: version %d checksums %v", fs.Version(), fs.Checksums())
-	}
 	id, _ := fs.Allocate()
 	data := bytes.Repeat([]byte{0xab}, 128)
 	if err := fs.WritePage(id, data); err != nil {
@@ -213,50 +192,36 @@ func TestInjectedReadAndSyncFaults(t *testing.T) {
 	}
 }
 
-func TestVersion1FilesReadable(t *testing.T) {
+// TestVersion1FilesRefused: the retired packed-page format (version 1, no
+// CRC trailers) must be refused with the typed error, never misread as the
+// current layout — and refusing must not write a byte to the file.
+func TestVersion1FilesRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.obs")
-	// Craft a version-1 file the way the pre-checksum code laid it out:
-	// superblock at offset 0, pages packed at PageSize stride.
-	fs, _, _, err := OpenFileStorage(path, 128)
+	// A version-1 file as the pre-checksum code laid it out: superblock at
+	// offset 0, one page packed at PageSize stride right behind it.
+	img := make([]byte, 2*128)
+	copy(img, v1Superblock(Superblock{PageSize: 128, Next: 2}))
+	copy(img[128:], bytes.Repeat([]byte{0x42}, 128))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, _, _, err := OpenFileStorage(path, 0)
+	if !errors.Is(err, ErrUnsupportedVersion) {
+		if err == nil {
+			fs.Close()
+		}
+		t.Fatalf("open of a v1 file = %v, want ErrUnsupportedVersion", err)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.Close()
-	// Rewrite the superblock as version 1 on a fresh (empty) file.
-	writeV1Superblock(t, path, Superblock{Version: 1, PageSize: 128, Next: 1})
-
-	fs, sb, created, err := OpenFileStorage(path, 0)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(after, img) {
+		t.Fatal("refused open modified the v1 file")
 	}
-	defer fs.Close()
-	if created || sb.Version != 1 || fs.Checksums() {
-		t.Fatalf("v1 open: created=%v version=%d checksums=%v", created, sb.Version, fs.Checksums())
-	}
-	id, _ := fs.Allocate()
-	data := bytes.Repeat([]byte{0x42}, 128)
-	if err := fs.WritePage(id, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 128)
-	if err := fs.ReadPage(id, got); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 round trip: %v", err)
-	}
-	// No checksums to verify against; corruption passes silently.
-	if err := fs.VerifyPage(id); err != nil {
-		t.Fatalf("v1 verify: %v", err)
-	}
-	// The version must survive a superblock rewrite (WriteSuperblock stamps
-	// the file's own version, never the caller's).
-	if err := fs.WriteSuperblock(Superblock{Version: 2, Next: 2}); err != nil {
-		t.Fatal(err)
-	}
-	sb2, err := fs.ReadSuperblock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb2.Version != 1 {
-		t.Fatalf("superblock rewrite flipped version to %d", sb2.Version)
+	// The refusal released the flock: the file can be opened again.
+	if _, _, _, err := OpenFileStorage(path, 0); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("second open = %v, want ErrUnsupportedVersion again", err)
 	}
 }
 
@@ -366,16 +331,11 @@ func TestTxStorageDetach(t *testing.T) {
 	}
 }
 
-// writeV1Superblock stamps a version-1 superblock at offset 0, simulating a
-// database created before page checksums existed.
-func writeV1Superblock(t *testing.T, path string, sb Superblock) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(EncodeSuperblock(sb), 0); err != nil {
-		t.Fatal(err)
-	}
+// v1Superblock encodes sb the way the pre-checksum format did: the current
+// layout with the version field set to 1 (and the CRC recomputed over it).
+func v1Superblock(sb Superblock) []byte {
+	b := EncodeSuperblock(sb)
+	binary.LittleEndian.PutUint32(b[8:12], 1)
+	binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[:60], crcTable))
+	return b
 }

@@ -12,16 +12,12 @@ import (
 )
 
 // Superblock is the fixed-size header at offset 0 of a durable page file.
-// It records the format version, the page size, the allocation frontier,
-// the commit sequence number, and the roots of the two catalog blob chains.
-// The free list itself lives inside the state blob (it is unbounded), so
-// the superblock always fits well within one page.
+// It records the page size, the allocation frontier, the commit sequence
+// number, and the roots of the two catalog blob chains; the encoding adds
+// the format version (always superVersion). The free list itself lives
+// inside the state blob (it is unbounded), so the superblock always fits
+// well within one page.
 type Superblock struct {
-	// Version is the on-disk format: 1 is the original layout (pages packed
-	// at PageSize stride, no per-page checksums), 2 appends an 8-byte CRC
-	// trailer to every page. Zero encodes as version 1; FileStorage always
-	// stamps the file's actual version on write.
-	Version   int
 	PageSize  int
 	Next      PageID // lowest never-allocated page id
 	Seq       uint64 // commit sequence number
@@ -39,17 +35,15 @@ type BlobRef struct {
 
 const (
 	superMagic = "OBSDBF1\n"
-	// superVersion1 is the original format: page id N at byte offset
-	// N*PageSize, no page checksums. superVersion2 widens the on-disk page
-	// slot to PageSize+pageTrailerSize, storing a CRC over each page's
-	// content in the trailer; existing version-1 files keep their layout
-	// (and stay writable), new files are created at version 2.
-	superVersion1 = 1
-	superVersion2 = 2
+	// superVersion is the one supported on-disk format: every page slot is
+	// PageSize+pageTrailerSize bytes, the trailer storing a CRC over the
+	// page's content. (Version 1 packed pages at PageSize stride with no
+	// checksums; it is refused at open, see ErrUnsupportedVersion.)
+	superVersion = 2
 	// superblockSize is the encoded size: magic(8) + version(4) + pageSize(4)
 	// + next(4) + seq(8) + 2*blobRef(16) + crc(4).
 	superblockSize = 8 + 4 + 4 + 4 + 8 + 2*16 + 4
-	// pageTrailerSize is the version-2 per-page trailer: content CRC (4),
+	// pageTrailerSize is the per-page trailer: content CRC (4),
 	// a written flag (1), and 3 reserved zero bytes.
 	pageTrailerSize = 8
 	pageFlagWritten = 1
@@ -59,6 +53,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadSuperblock reports a missing or corrupt superblock on open.
 var ErrBadSuperblock = errors.New("pagefile: bad superblock")
+
+// ErrUnsupportedVersion reports a structurally valid superblock whose format
+// version this build cannot read. The file is left untouched.
+var ErrUnsupportedVersion = errors.New("pagefile: unsupported file format version")
 
 // ErrFileLocked reports that another process (or another handle in this
 // process) already has the database file open. Two live handles would both
@@ -72,9 +70,6 @@ var ErrFileLocked = errors.New("pagefile: database file is locked by another han
 //
 //	var corrupt pagefile.ErrCorruptPage
 //	if errors.As(err, &corrupt) { quarantine(corrupt.ID) }
-//
-// Only version-2 files detect corruption; version-1 files have no page
-// checksums.
 type ErrCorruptPage struct {
 	ID PageID
 }
@@ -97,16 +92,11 @@ func getBlobRef(b []byte) BlobRef {
 	}
 }
 
-// EncodeSuperblock serializes sb with a trailing CRC. A zero Version
-// encodes as version 1, the format every pre-checksum file carries.
+// EncodeSuperblock serializes sb with a trailing CRC.
 func EncodeSuperblock(sb Superblock) []byte {
-	version := sb.Version
-	if version == 0 {
-		version = superVersion1
-	}
 	b := make([]byte, superblockSize)
 	copy(b[0:8], superMagic)
-	binary.LittleEndian.PutUint32(b[8:12], uint32(version))
+	binary.LittleEndian.PutUint32(b[8:12], superVersion)
 	binary.LittleEndian.PutUint32(b[12:16], uint32(sb.PageSize))
 	binary.LittleEndian.PutUint32(b[16:20], uint32(sb.Next))
 	binary.LittleEndian.PutUint64(b[20:28], sb.Seq)
@@ -116,8 +106,9 @@ func EncodeSuperblock(sb Superblock) []byte {
 	return b
 }
 
-// DecodeSuperblock parses and validates a superblock image. Versions 1
-// (no page checksums) and 2 (checksummed pages) are accepted.
+// DecodeSuperblock parses and validates a superblock image: damage is
+// ErrBadSuperblock, an intact image of any other format version is
+// ErrUnsupportedVersion.
 func DecodeSuperblock(b []byte) (Superblock, error) {
 	if len(b) < superblockSize {
 		return Superblock{}, fmt.Errorf("%w: %d bytes", ErrBadSuperblock, len(b))
@@ -125,15 +116,13 @@ func DecodeSuperblock(b []byte) (Superblock, error) {
 	if string(b[0:8]) != superMagic {
 		return Superblock{}, fmt.Errorf("%w: bad magic %q", ErrBadSuperblock, b[0:8])
 	}
-	v := binary.LittleEndian.Uint32(b[8:12])
-	if v != superVersion1 && v != superVersion2 {
-		return Superblock{}, fmt.Errorf("%w: version %d", ErrBadSuperblock, v)
-	}
 	if got, want := crc32.Checksum(b[:60], crcTable), binary.LittleEndian.Uint32(b[60:64]); got != want {
 		return Superblock{}, fmt.Errorf("%w: checksum mismatch", ErrBadSuperblock)
 	}
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != superVersion {
+		return Superblock{}, fmt.Errorf("%w: file is version %d, this build reads version %d", ErrUnsupportedVersion, v, superVersion)
+	}
 	return Superblock{
-		Version:   int(v),
 		PageSize:  int(binary.LittleEndian.Uint32(b[12:16])),
 		Next:      PageID(binary.LittleEndian.Uint32(b[16:20])),
 		Seq:       binary.LittleEndian.Uint64(b[20:28]),
@@ -155,10 +144,9 @@ type AllocOp struct {
 
 // FileStorage is a Storage over a real file: page id N lives at byte offset
 // N*stride (the superblock occupies the page-0 slot), read and written with
-// pread/pwrite. In the version-2 format the stride is PageSize plus an
-// 8-byte trailer holding a CRC over the page content, computed on every
-// write and verified on every read (a mismatch returns ErrCorruptPage);
-// version-1 files keep the original packed layout with no checksums.
+// pread/pwrite. The stride is PageSize plus an 8-byte trailer holding a CRC
+// over the page content, computed on every write and verified on every read
+// (a mismatch returns ErrCorruptPage).
 // Allocation state — the frontier and the free list — is kept in memory and
 // persisted by the durability layer: the frontier in the superblock and
 // commit deltas, the free list in the catalog's state blob at checkpoints
@@ -174,7 +162,6 @@ type FileStorage struct {
 	f           *os.File
 	path        string
 	pageSize    int
-	version     int
 	stride      int64
 	next        PageID
 	free        []PageID
@@ -184,7 +171,7 @@ type FileStorage struct {
 	// inj, when set, injects programmed faults into page reads, page writes
 	// and data-file fsyncs (see Injector); nil in production.
 	inj atomic.Pointer[Injector]
-	// bufs pools stride-sized scratch buffers for checksummed IO.
+	// bufs pools stride-sized scratch buffers for page IO.
 	bufs sync.Pool
 	// io counts physical operations on the data file; updated with atomics
 	// so ReadPage/WritePage stay lock-free with respect to allocation.
@@ -216,10 +203,10 @@ func (fs *FileStorage) IO() FileIO {
 
 // OpenFileStorage opens (creating if needed) the page file at path and
 // returns it with its superblock and whether the file was freshly created.
-// For an existing file the superblock's page size (and format version) win;
-// pageSize (when non-zero) must then agree. For a new file pageSize selects
-// the page size (0 means DefaultPageSize), the current (checksummed) format
-// is used, and a fresh superblock is written and synced.
+// For an existing file the superblock's page size wins; pageSize (when
+// non-zero) must then agree, and a file of another format version is refused
+// with ErrUnsupportedVersion. For a new file pageSize selects the page size
+// (0 means DefaultPageSize) and a fresh superblock is written and synced.
 func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -243,9 +230,9 @@ func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool,
 			f.Close()
 			return nil, Superblock{}, false, fmt.Errorf("pagefile: page size %d smaller than superblock", pageSize)
 		}
-		fs.setFormat(pageSize, superVersion2)
+		fs.setPageSize(pageSize)
 		fs.next = 1
-		sb := Superblock{Version: superVersion2, PageSize: pageSize, Next: 1}
+		sb := Superblock{PageSize: pageSize, Next: 1}
 		if err := fs.WriteSuperblock(sb); err != nil {
 			f.Close()
 			return nil, Superblock{}, false, err
@@ -270,40 +257,29 @@ func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool,
 		f.Close()
 		return nil, Superblock{}, false, fmt.Errorf("pagefile: file %s has page size %d, options ask for %d", path, sb.PageSize, pageSize)
 	}
-	fs.setFormat(sb.PageSize, sb.Version)
+	fs.setPageSize(sb.PageSize)
 	fs.next = sb.Next
 	return fs, sb, false, nil
 }
 
-func (fs *FileStorage) setFormat(pageSize, version int) {
+func (fs *FileStorage) setPageSize(pageSize int) {
 	fs.pageSize = pageSize
-	fs.version = version
-	fs.stride = int64(pageSize)
-	if version >= superVersion2 {
-		fs.stride += pageTrailerSize
-	}
+	fs.stride = int64(pageSize) + pageTrailerSize
 	fs.bufs.New = func() any {
 		b := make([]byte, fs.stride)
 		return &b
 	}
 }
 
-// Version returns the file's on-disk format version.
-func (fs *FileStorage) Version() int { return fs.version }
-
-// Checksums reports whether the file's format carries per-page checksums.
-func (fs *FileStorage) Checksums() bool { return fs.version >= superVersion2 }
-
 // SetInjector installs (or, with nil, removes) a fault injector on the
 // file's page reads, page writes and fsyncs. Chaos-testing hook.
 func (fs *FileStorage) SetInjector(j *Injector) { fs.inj.Store(j) }
 
 // WriteSuperblock overwrites the on-disk superblock (no fsync; callers sync
-// explicitly at checkpoint boundaries). The file's page size and format
-// version are stamped on, so callers cannot accidentally flip the format.
+// explicitly at checkpoint boundaries). The file's page size is stamped on,
+// so callers cannot accidentally flip it.
 func (fs *FileStorage) WriteSuperblock(sb Superblock) error {
 	sb.PageSize = fs.pageSize
-	sb.Version = fs.version
 	fs.io.writes.Add(1)
 	_, err := fs.f.WriteAt(EncodeSuperblock(sb), 0)
 	return err
@@ -479,9 +455,8 @@ func (fs *FileStorage) Free(id PageID) error {
 // ReadPage implements Storage with pread. Reads past the end of the file
 // return zeroed pages: allocation grows the file lazily, so a page can be
 // allocated (and its zero image sit in the transactional overlay) before
-// any byte of it reaches disk. On a checksummed file the page's CRC trailer
-// is verified and a mismatch — or a half-written (torn) page — returns
-// ErrCorruptPage.
+// any byte of it reaches disk. The page's CRC trailer is verified and a
+// mismatch — or a half-written (torn) page — returns ErrCorruptPage.
 func (fs *FileStorage) ReadPage(id PageID, dst []byte) error {
 	if id == InvalidPage {
 		return fmt.Errorf("%w: read %d", ErrPageNotFound, id)
@@ -489,29 +464,10 @@ func (fs *FileStorage) ReadPage(id PageID, dst []byte) error {
 	if inj := fs.inj.Load().Check(OpPageRead); inj != nil {
 		return fmt.Errorf("%w: read of page %d", inj.Err, id)
 	}
-	fs.io.reads.Add(1)
-	if fs.version < superVersion2 {
-		n, err := fs.f.ReadAt(dst[:fs.pageSize], int64(id)*fs.stride)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			for i := n; i < fs.pageSize; i++ {
-				dst[i] = 0
-			}
-			return nil
-		}
-		return err
-	}
 	bufp := fs.bufs.Get().(*[]byte)
 	defer fs.bufs.Put(bufp)
 	buf := *bufp
-	n, err := fs.f.ReadAt(buf, int64(id)*fs.stride)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-	} else if err != nil {
-		return err
-	}
-	if err := fs.verifyBuf(id, buf); err != nil {
+	if err := fs.readVerified(id, buf); err != nil {
 		return err
 	}
 	if buf[fs.pageSize+4] == 0 {
@@ -553,18 +509,19 @@ func (fs *FileStorage) verifyBuf(id PageID, buf []byte) error {
 
 // VerifyPage checks a page's on-disk checksum without copying it out,
 // returning ErrCorruptPage on a mismatch. Unwritten (all-zero) pages
-// verify clean. On a version-1 file it is a no-op: there is nothing to
-// verify against.
+// verify clean.
 func (fs *FileStorage) VerifyPage(id PageID) error {
 	if id == InvalidPage {
 		return fmt.Errorf("%w: verify %d", ErrPageNotFound, id)
 	}
-	if fs.version < superVersion2 {
-		return nil
-	}
 	bufp := fs.bufs.Get().(*[]byte)
 	defer fs.bufs.Put(bufp)
-	buf := *bufp
+	return fs.readVerified(id, *bufp)
+}
+
+// readVerified preads page id's on-disk image (content plus trailer) into the
+// stride-sized buf, zero-filling past the end of the file, and verifies it.
+func (fs *FileStorage) readVerified(id PageID, buf []byte) error {
 	fs.io.reads.Add(1)
 	n, err := fs.f.ReadAt(buf, int64(id)*fs.stride)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -577,9 +534,8 @@ func (fs *FileStorage) VerifyPage(id PageID) error {
 	return fs.verifyBuf(id, buf)
 }
 
-// WritePage implements Storage with pwrite, growing the file as needed. On
-// a checksummed file the content CRC is computed and written with the page
-// in one pwrite.
+// WritePage implements Storage with pwrite, growing the file as needed. The
+// content CRC is computed and written with the page in one pwrite.
 func (fs *FileStorage) WritePage(id PageID, data []byte) error {
 	if id == InvalidPage {
 		return fmt.Errorf("%w: write %d", ErrPageNotFound, id)
@@ -592,15 +548,6 @@ func (fs *FileStorage) WritePage(id PageID, data []byte) error {
 		return fmt.Errorf("%w: write of page %d", inj.Err, id)
 	}
 	fs.io.writes.Add(1)
-	if fs.version < superVersion2 {
-		if inj != nil {
-			torn := min(inj.Torn, len(data))
-			_, _ = fs.f.WriteAt(data[:torn], int64(id)*fs.stride)
-			return fmt.Errorf("%w: torn write of page %d (%d of %d bytes)", inj.Err, id, torn, len(data))
-		}
-		_, err := fs.f.WriteAt(data, int64(id)*fs.stride)
-		return err
-	}
 	bufp := fs.bufs.Get().(*[]byte)
 	defer fs.bufs.Put(bufp)
 	buf := *bufp

@@ -112,9 +112,7 @@ func TestFileStorageAllocState(t *testing.T) {
 func TestSuperblockRejectsDamage(t *testing.T) {
 	sb := Superblock{PageSize: 4096, Next: 9, Seq: 3, State: BlobRef{Root: 5, Len: 100, CRC: 1}}
 	b := EncodeSuperblock(sb)
-	want := sb
-	want.Version = 1 // a zero Version encodes as the original format
-	if got, err := DecodeSuperblock(b); err != nil || got != want {
+	if got, err := DecodeSuperblock(b); err != nil || got != sb {
 		t.Fatalf("round trip: %+v, %v", got, err)
 	}
 	b[20] ^= 0xff
@@ -214,29 +212,34 @@ func TestTxStorageFreeDropsDirty(t *testing.T) {
 	}
 }
 
-func TestFaultStorageKillsWritesAfterN(t *testing.T) {
-	mem := NewMemStorage(64)
-	fst := NewFaultStorage(mem, 3)
+func TestInjectorKillsPageWritesAfterN(t *testing.T) {
+	fs, _, _, err := OpenFileStorage(filepath.Join(t.TempDir(), "kill.obs"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	inj := NewInjector(FaultRule{Op: OpPageWrite, After: 3})
+	fs.SetInjector(inj)
 	ids := make([]PageID, 5)
 	for i := range ids {
-		ids[i], _ = fst.Allocate()
+		ids[i], _ = fs.Allocate()
 	}
 	data := make([]byte, 64)
 	for i := 0; i < 3; i++ {
-		if err := fst.WritePage(ids[i], data); err != nil {
+		if err := fs.WritePage(ids[i], data); err != nil {
 			t.Fatalf("write %d failed early: %v", i, err)
 		}
 	}
-	if err := fst.WritePage(ids[3], data); !errors.Is(err, ErrInjectedFault) {
+	if err := fs.WritePage(ids[3], data); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("write 4 = %v, want ErrInjectedFault", err)
 	}
-	if err := fst.WritePage(ids[4], data); !errors.Is(err, ErrInjectedFault) {
+	if err := fs.WritePage(ids[4], data); !errors.Is(err, ErrInjectedFault) {
 		t.Fatal("fault did not persist")
 	}
-	if err := fst.ReadPage(ids[0], data); err != nil {
+	if err := fs.ReadPage(ids[0], data); err != nil {
 		t.Fatalf("reads must survive the fault: %v", err)
 	}
-	if fst.Writes() != 5 {
-		t.Fatalf("Writes = %d", fst.Writes())
+	if inj.Ops(OpPageWrite) != 5 || inj.Injected(OpPageWrite) != 2 {
+		t.Fatalf("page writes seen/failed = %d/%d, want 5/2", inj.Ops(OpPageWrite), inj.Injected(OpPageWrite))
 	}
 }

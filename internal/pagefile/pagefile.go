@@ -18,8 +18,9 @@
 //     recovers by replaying committed WAL records over the checkpointed
 //     file.
 //
-// FaultStorage wraps any backend and kills writes after a configurable
-// budget, driving the crash-recovery and fault-injection tests.
+// An Injector installed on a FileStorage (SetInjector) fails programmed
+// reads, writes and fsyncs, driving the crash-recovery and fault-injection
+// tests.
 package pagefile
 
 import (

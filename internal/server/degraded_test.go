@@ -160,3 +160,45 @@ func TestScrubEndpoint(t *testing.T) {
 		t.Fatalf("in-memory scrub code %q (%s)", e.Code, raw)
 	}
 }
+
+// TestClusterEngineErrorIs500: a clustering request whose arguments are fine
+// but whose engine run fails (here: every data-file page read faults) is the
+// server's problem, not the client's. It must answer 500 internal, not be
+// classified as a bad request because its message starts with "obstacles:".
+func TestClusterEngineErrorIs500(t *testing.T) {
+	inj := pagefile.NewInjector()
+	world := dataset.Generate(dataset.DefaultConfig(7, 60))
+	db, err := obstacles.Open(filepath.Join(t.TempDir(), "test.obs"),
+		obstacles.Options{Chaos: inj, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.AddObstacleRects(world.Rects...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("P", world.Entities(world.EntityRand(1), 150)); err != nil {
+		t.Fatal(err)
+	}
+	// Write every page back to the data file, so reads that miss the small
+	// LRU buffers reach the (about to be faulty) device.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db, Config{}))
+	defer ts.Close()
+
+	req := ClusterRequest{Algorithm: "dbscan", Eps: 400, MinPts: 3}
+	if st, raw := post(t, ts.URL+"/v1/datasets/P/cluster", req); st != 200 {
+		t.Fatalf("healthy cluster: %d %s", st, raw)
+	}
+	inj.Add(pagefile.FaultRule{Op: pagefile.OpPageRead})
+	st, raw := post(t, ts.URL+"/v1/datasets/P/cluster", req)
+	if st != 500 {
+		t.Fatalf("cluster over a faulting device: %d %s, want 500", st, raw)
+	}
+	if e := wireErr(t, raw); e.Code != CodeInternal {
+		t.Fatalf("cluster over a faulting device: code %q, want %q", e.Code, CodeInternal)
+	}
+	inj.Clear() // let Close checkpoint cleanly
+}

@@ -434,6 +434,8 @@ func (s *Server) writeErr(w http.ResponseWriter, route string, err error) int {
 		status, code = 499, CodeCanceled // nginx's client-closed-request
 	case errors.Is(err, obstacles.ErrInvalidPolygon):
 		status, code = http.StatusBadRequest, CodeInvalidPolygon
+	case errors.Is(err, obstacles.ErrInvalidArgument):
+		status, code = http.StatusBadRequest, CodeInvalidArgument
 	case errors.As(err, &de):
 		// Degraded mode: reads still work, so only mutations land here. The
 		// Retry-After is honest — the supervisor's next scheduled attempt.
@@ -607,10 +609,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
 	}
 	cl, err := s.db.Cluster(r.Context(), name, copts)
 	if err != nil {
-		if strings.Contains(err.Error(), "obstacles:") && !errors.Is(err, context.DeadlineExceeded) &&
-			!errors.Is(err, context.Canceled) && !errors.Is(err, obstacles.ErrDatabaseClosed) {
-			return badRequest("%v", err)
-		}
 		return err
 	}
 	return encode(w, ClusterResponse{

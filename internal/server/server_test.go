@@ -382,6 +382,15 @@ func TestStructuredErrors(t *testing.T) {
 		{"bad k", 400, CodeBadRequest, func() (int, []byte) {
 			return post(t, ts.URL+"/v1/datasets/P/nearest", NearestRequest{K: 0})
 		}},
+		{"bad cluster eps", 400, CodeInvalidArgument, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/datasets/P/cluster", ClusterRequest{Algorithm: "dbscan", Eps: 0})
+		}},
+		{"bad cluster k", 400, CodeInvalidArgument, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/datasets/P/cluster", ClusterRequest{Algorithm: "kmedoids", K: 0})
+		}},
+		{"bad cluster minpts", 400, CodeInvalidArgument, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/datasets/P/cluster", ClusterRequest{Eps: 50, MinPts: -1})
+		}},
 		{"bad timeout", 400, CodeBadRequest, func() (int, []byte) {
 			return post(t, ts.URL+"/v1/distance?timeout=bogus", DistanceRequest{})
 		}},

@@ -369,3 +369,32 @@ func TestDurableMutationTraceSpans(t *testing.T) {
 		t.Errorf("no fsync span in mutation trace")
 	}
 }
+
+// TestRejectedClusterLeavesNoOpenSpan: a /cluster request the library rejects
+// for a bad eps must not leave its verb span open — the recorded trace is
+// complete, and nothing stays in the in-flight registry behind /debug/active.
+func TestRejectedClusterLeavesNoOpenSpan(t *testing.T) {
+	db := newTracingTestDB(t)
+	defer db.Close()
+	ts := httptest.NewServer(New(db, Config{}))
+	defer ts.Close()
+
+	body, _ := json.Marshal(ClusterRequest{Algorithm: "dbscan", Eps: 0})
+	resp, err := http.Post(ts.URL+"/v1/datasets/P/cluster", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cluster with eps 0: %d %s", resp.StatusCode, raw)
+	}
+	snap := fetchTrace(t, ts.URL, resp.Header.Get("Obs-Trace-Id"))
+	for _, sp := range flattenSpans(snap.Spans) {
+		if sp.Open {
+			t.Errorf("span %q still open in the recorded trace", sp.Name)
+		}
+	}
+	if active := db.TraceRecorder().Active(); len(active) != 0 {
+		t.Fatalf("%d trace(s) left in flight after a rejected request: %+v", len(active), active)
+	}
+}

@@ -40,6 +40,10 @@ const (
 	// CodeInvalidPolygon (400): an obstacle polygon with fewer than three
 	// vertices or degenerate area (obstacles.ErrInvalidPolygon).
 	CodeInvalidPolygon = "invalid_polygon"
+	// CodeInvalidArgument (400): a well-formed request whose argument the
+	// library rejected as out of range (obstacles.ErrInvalidArgument), e.g.
+	// a clustering eps <= 0.
+	CodeInvalidArgument = "invalid_argument"
 	// CodeDeadlineExceeded (504): the request's deadline (the ?timeout=
 	// parameter, or the server default) expired before the query finished.
 	CodeDeadlineExceeded = "deadline_exceeded"

@@ -11,7 +11,7 @@ import (
 )
 
 // TestAppendGroupRoundTrip writes one group of three commits (pages, two
-// deltas, a meta) and replays it: the group must come back as a single
+// deltas, one bare member) and replays it: the group must come back as a single
 // transaction carrying the deduplicated pages, the deltas in commit order,
 // the last member's sequence number, and a correct End offset — and the
 // whole group must have cost exactly one fsync.
@@ -31,7 +31,7 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	group := []BatchTx{
 		{Seq: 1, Pages: []Page{{ID: 4, Data: v1}}, Delta: []byte("delta-1")},
 		{Seq: 2, Pages: []Page{{ID: 4, Data: v2}, {ID: 9, Data: v9}}, Delta: []byte("delta-2")},
-		{Seq: 3, Meta: []byte("meta-3")},
+		{Seq: 3},
 	}
 	if err := l.AppendGroup(group); err != nil {
 		t.Fatal(err)
@@ -71,9 +71,6 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	}
 	if len(g.Deltas) != 2 || string(g.Deltas[0]) != "delta-1" || string(g.Deltas[1]) != "delta-2" {
 		t.Fatalf("deltas = %q", g.Deltas)
-	}
-	if string(g.Meta) != "meta-3" {
-		t.Fatalf("meta = %q", g.Meta)
 	}
 	if g.End != l.Size() {
 		t.Fatalf("End = %d, size %d", g.End, l.Size())

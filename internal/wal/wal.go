@@ -1,17 +1,17 @@
 // Package wal implements the write-ahead log of the durable storage
 // backend. A Log is an append-only file of CRC-protected records grouped
-// into transactions: any number of page-image, metadata and catalog-delta
-// records followed by one commit record.
+// into transactions: any number of page-image and catalog-delta records
+// followed by one commit record.
 //
 // Commits reach the disk in groups: AppendGroup writes a whole batch of
 // member commits as one WAL transaction — deduplicated page images, every
 // member's catalog delta in order, one shared commit record — then flushes
 // and fsyncs once. This is the group-commit primitive that lets N
 // concurrent mutators share one fsync (and one image per hot page). A
-// commit is durable exactly when the AppendGroup (or legacy Commit) call
-// that covered it returns. The Log is safe for concurrent use: every
-// method serializes on an internal mutex, so a committer goroutine can
-// append groups while other goroutines read Size.
+// commit is durable exactly when the AppendGroup call that covered it
+// returns. The Log is safe for concurrent use: every method serializes on
+// an internal mutex, so a committer goroutine can append groups while other
+// goroutines read Size.
 //
 // Recovery is redo-only: Replay scans the log from the start and hands each
 // fully committed transaction to the caller, which re-applies the page
@@ -36,10 +36,10 @@ import (
 	"time"
 )
 
-// Record types.
+// Record types. Type 2 carried a full superblock image in a retired format;
+// Replay treats it like any other unknown type.
 const (
 	recPage   = 1 // payload: page id (u32) + page image
-	recMeta   = 2 // payload: opaque metadata blob (the superblock image)
 	recCommit = 3 // payload: transaction sequence number (u64)
 	recDelta  = 4 // payload: opaque catalog delta blob
 )
@@ -79,7 +79,6 @@ type Page struct {
 type Tx struct {
 	Seq    uint64
 	Pages  []Page
-	Meta   []byte   // nil when the transaction carried no metadata record
 	Deltas [][]byte // the catalog deltas of the group's commits, in order
 	// End is the byte offset just past this transaction's commit record —
 	// the crash-cut boundary at which replaying a prefix of the log
@@ -88,17 +87,15 @@ type Tx struct {
 }
 
 // BatchTx is one member commit of a group append: its commit sequence
-// number plus the records it carries. Meta and Delta are optional.
+// number plus the records it carries. Delta is optional.
 type BatchTx struct {
 	Seq   uint64
 	Pages []Page
-	Meta  []byte
 	Delta []byte
 }
 
 // Log is an append-only write-ahead log. Appends are buffered; AppendGroup
-// (and the single-transaction Commit) flush and fsync. All methods are safe
-// for concurrent use.
+// flushes and fsyncs. All methods are safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	f    File
@@ -199,13 +196,6 @@ func (l *Log) appendPageRecord(id uint32, data []byte) error {
 	return nil
 }
 
-// appendCommitRecord buffers a commit record. Callers hold l.mu.
-func (l *Log) appendCommitRecord(seq uint64) error {
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], seq)
-	return l.appendRecord(recCommit, payload[:])
-}
-
 // sync flushes the buffered records and fsyncs; on success every buffered
 // transaction becomes durable at once. Callers hold l.mu.
 func (l *Log) sync() error {
@@ -278,45 +268,15 @@ func (l *Log) AppendGroup(txs []BatchTx) error {
 		}
 	}
 	for _, tx := range txs {
-		if tx.Meta != nil {
-			if err := l.appendRecord(recMeta, tx.Meta); err != nil {
-				return err
-			}
-		}
 		if tx.Delta != nil {
 			if err := l.appendRecord(recDelta, tx.Delta); err != nil {
 				return err
 			}
 		}
 	}
-	if err := l.appendCommitRecord(txs[len(txs)-1].Seq); err != nil {
-		return err
-	}
-	return l.sync()
-}
-
-// AppendPage buffers a page-image record for the current transaction.
-// Deprecated in favor of AppendGroup for commit paths; retained for
-// single-transaction callers and tests.
-func (l *Log) AppendPage(id uint32, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendPageRecord(id, data)
-}
-
-// AppendMeta buffers a metadata record for the current transaction.
-func (l *Log) AppendMeta(meta []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendRecord(recMeta, meta)
-}
-
-// Commit appends the commit record for the buffered transaction, flushes,
-// and fsyncs — AppendGroup for a batch of one built record-by-record.
-func (l *Log) Commit(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.appendCommitRecord(seq); err != nil {
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], txs[len(txs)-1].Seq)
+	if err := l.appendRecord(recCommit, seq[:]); err != nil {
 		return err
 	}
 	return l.sync()
@@ -377,8 +337,6 @@ scan:
 				ID:   binary.LittleEndian.Uint32(payload[:4]),
 				Data: payload[4:],
 			})
-		case recMeta:
-			tx.Meta = payload
 		case recDelta:
 			tx.Deltas = append(tx.Deltas, payload)
 		case recCommit:

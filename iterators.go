@@ -113,6 +113,7 @@ func (db *Database) closestAt(v *dbVersion, ctx context.Context, dataset1, datas
 		sess := db.newSessionAt(ctx, v, VerbClosestStream)
 		it, err := sess.ClosestPairIterator(s, t)
 		if err != nil {
+			db.record(VerbClosestStream, &cfg, sess, core.Stats{}, start, err)
 			yield(Pair{}, err)
 			return
 		}
@@ -142,132 +143,4 @@ func (db *Database) closestAt(v *dbVersion, ctx context.Context, dataset1, datas
 			emitted++
 		}
 	}
-}
-
-// NearestIterator reports entities in ascending order of obstructed
-// distance without a predeclared k.
-//
-// Deprecated: use Nearest, the range-over-func form. This wrapper drives
-// the same machinery with a background context. It pins the generation
-// current when it was created until Stop or exhaustion — call Stop when
-// abandoning one early so its snapshot's pages can be reclaimed.
-type NearestIterator struct {
-	db       *Database
-	v        *dbVersion
-	inner    *core.NNIterator
-	released bool
-}
-
-// NearestIterator starts an incremental nearest-neighbor search on the
-// dataset around q. The iterator reads the generation current at this call:
-// later mutations are invisible to it and never interrupt it.
-//
-// Deprecated: use Nearest.
-func (db *Database) NearestIterator(dataset string, q Point) (*NearestIterator, error) {
-	v := db.pin()
-	ps, err := v.dataset(dataset)
-	if err != nil {
-		db.unpin(v)
-		return nil, err
-	}
-	sess := db.engine.NewSessionAt(context.Background(), v.obst)
-	return &NearestIterator{db: db, v: v, inner: sess.NearestIterator(ps, q)}, nil
-}
-
-func (it *NearestIterator) release() {
-	if !it.released {
-		it.released = true
-		it.db.unpin(it.v)
-	}
-}
-
-// Next returns the next entity by obstructed distance; ok is false when the
-// dataset is exhausted or an error occurred (check Err).
-func (it *NearestIterator) Next() (Neighbor, bool) {
-	r, ok := it.inner.Next()
-	if !ok {
-		it.release()
-		return Neighbor{}, false
-	}
-	return Neighbor{ID: r.ID, Point: r.Pt, Distance: r.Dist}, true
-}
-
-// Err returns the first error encountered, if any.
-func (it *NearestIterator) Err() error { return it.inner.Err() }
-
-// Stop releases the iterator's pinned snapshot and publishes an abandoned
-// iterator's work to the engine's cumulative counters; exhausting the
-// iterator does the same automatically.
-func (it *NearestIterator) Stop() {
-	it.inner.Stop()
-	it.release()
-}
-
-// ClosestPairIterator reports pairs in ascending order of obstructed
-// distance without a predeclared k.
-//
-// Deprecated: use Closest, the range-over-func form. This wrapper drives
-// the same machinery with a background context. It pins the generation
-// current when it was created until Stop or exhaustion — call Stop when
-// abandoning one early so its snapshot's pages can be reclaimed.
-type ClosestPairIterator struct {
-	db       *Database
-	v        *dbVersion
-	inner    *core.CPIterator
-	released bool
-}
-
-// ClosestPairIterator starts an incremental closest-pair search between the
-// two datasets. The iterator reads the generation current at this call:
-// later mutations are invisible to it and never interrupt it.
-//
-// Deprecated: use Closest.
-func (db *Database) ClosestPairIterator(dataset1, dataset2 string) (*ClosestPairIterator, error) {
-	v := db.pin()
-	s, err := v.dataset(dataset1)
-	if err != nil {
-		db.unpin(v)
-		return nil, err
-	}
-	t, err := v.dataset(dataset2)
-	if err != nil {
-		db.unpin(v)
-		return nil, err
-	}
-	sess := db.engine.NewSessionAt(context.Background(), v.obst)
-	inner, err := sess.ClosestPairIterator(s, t)
-	if err != nil {
-		db.unpin(v)
-		return nil, err
-	}
-	return &ClosestPairIterator{db: db, v: v, inner: inner}, nil
-}
-
-func (it *ClosestPairIterator) release() {
-	if !it.released {
-		it.released = true
-		it.db.unpin(it.v)
-	}
-}
-
-// Next returns the next pair by obstructed distance; ok is false when the
-// pairs are exhausted or an error occurred (check Err).
-func (it *ClosestPairIterator) Next() (Pair, bool) {
-	p, ok := it.inner.Next()
-	if !ok {
-		it.release()
-		return Pair{}, false
-	}
-	return Pair{ID1: p.SID, ID2: p.TID, Distance: p.Dist}, true
-}
-
-// Err returns the first error encountered, if any.
-func (it *ClosestPairIterator) Err() error { return it.inner.Err() }
-
-// Stop releases the iterator's pinned snapshot and publishes an abandoned
-// iterator's work to the engine's cumulative counters; exhausting the
-// iterator does the same automatically.
-func (it *ClosestPairIterator) Stop() {
-	it.inner.Stop()
-	it.release()
 }

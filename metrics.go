@@ -409,15 +409,6 @@ func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st
 	}
 }
 
-// countMutation is deferred first by every mutator (so it runs last, after
-// the commit is acknowledged) and counts the mutation once it has fully
-// succeeded.
-func (db *Database) countMutation(op string, errp *error) {
-	if *errp == nil {
-		db.tel.mutations[op].Inc()
-	}
-}
-
 // logSlowQuery emits one structured record for a query at or over
 // Options.SlowQueryThreshold: the verb, wall time, the work the query
 // performed, and the span trace of its lifecycle.

@@ -1,0 +1,215 @@
+package obstacles
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/pagefile"
+)
+
+// mutationFootprint is everything a mutation may legitimately move. A
+// rejected mutation must leave all of it exactly as it was.
+type mutationFootprint struct {
+	Generation    uint64
+	WALBytes      int64
+	Seq           uint64
+	Commits       uint64
+	Mutations     map[string]uint64
+	Invalidations uint64
+	Obstacles     int
+	Entities      int
+}
+
+func footprint(t *testing.T, db *Database) mutationFootprint {
+	t.Helper()
+	s := db.Snapshot()
+	defer s.Close()
+	n, err := db.DatasetLen("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, m := db.PersistStats(), db.Metrics()
+	if m.Commit.Commits != ps.Commits {
+		t.Fatalf("commit counters disagree: metrics %d, PersistStats %d", m.Commit.Commits, ps.Commits)
+	}
+	return mutationFootprint{
+		Generation:    s.Generation(),
+		WALBytes:      ps.WALBytes,
+		Seq:           ps.Seq,
+		Commits:       ps.Commits,
+		Mutations:     m.Mutations,
+		Invalidations: db.GraphCacheStats().Invalidations,
+		Obstacles:     db.NumObstacles(),
+		Entities:      n,
+	}
+}
+
+// TestRejectedMutationChangesNothing pins the one property the shared commit
+// protocol (Database.mutate) can silently break: a mutation rejected by
+// validation — or by a degraded handle — must not bump the generation,
+// publish a version, stage a commit, count as a mutation, or invalidate a
+// cached graph. Every mutator is driven through every rejection that applies
+// to it.
+func TestRejectedMutationChangesNothing(t *testing.T) {
+	inj := pagefile.NewInjector()
+	opts := DefaultOptions()
+	opts.WALCheckpointBytes = -1 // WALBytes only moves when a commit lands
+	opts.Chaos = inj
+	db, err := Open(filepath.Join(t.TempDir(), "reject.obs"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	obstIDs, err := db.AddObstacleRects(R(20, -10, 30, 10), R(60, -10, 70, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("P", []Point{Pt(0, 0), Pt(50, 0), Pt(100, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the graph cache across both obstacles: an obstacle mutation that
+	// wrongly went through would show up as an invalidation.
+	if _, err := db.ObstructedDistances(ctx, Pt(0, 0), []Point{Pt(100, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	sliver, err := NewPolygon([]Point{Pt(0, 50), Pt(5, 50), Pt(10, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rejections := []struct {
+		name string
+		do   func() error
+	}{
+		{"InsertPoints/unknown dataset", func() error { _, err := db.InsertPoints("nope", Pt(1, 1)); return err }},
+		{"DeletePoints/unknown dataset", func() error { return db.DeletePoints("nope", 0) }},
+		{"DeletePoints/unknown id", func() error { return db.DeletePoints("P", 0, 99) }},
+		{"DeletePoints/duplicate id", func() error { return db.DeletePoints("P", 1, 1) }},
+		{"AddObstacles/invalid polygon", func() error { _, err := db.AddObstacles(RectPolygon(R(200, 200, 210, 210)), sliver); return err }},
+		{"AddObstacles/zero polygon", func() error { _, err := db.AddObstacles(Polygon{}); return err }},
+		{"AddObstacleRects/empty rect", func() error { _, err := db.AddObstacleRects(R(200, 200, 210, 210), Rect{MinX: 1, MaxX: 0}); return err }},
+		{"RemoveObstacles/unknown id", func() error { return db.RemoveObstacles(obstIDs[0], 99) }},
+		{"RemoveObstacles/duplicate id", func() error { return db.RemoveObstacles(obstIDs[1], obstIDs[1]) }},
+		{"AddDataset/duplicate name", func() error { return db.AddDataset("P", []Point{Pt(7, 7)}) }},
+	}
+	for _, tc := range rejections {
+		before := footprint(t, db)
+		if err := tc.do(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if errors.Is(err, ErrDegraded) {
+			t.Fatalf("%s: handle degraded: %v", tc.name, err)
+		}
+		if after := footprint(t, db); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: rejected mutation left a trace:\n before %+v\n after  %+v", tc.name, before, after)
+		}
+	}
+
+	// Poison the handle: the next WAL fsync fails, and the insert riding it
+	// reports the degraded error.
+	inj.Add(pagefile.FaultRule{Op: pagefile.OpWALSync})
+	if _, err := db.InsertPoints("P", Pt(2, 2)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("insert over a failing fsync = %v, want ErrDegraded", err)
+	}
+	degraded := []struct {
+		name string
+		do   func() error
+	}{
+		{"InsertPoints", func() error { _, err := db.InsertPoints("P", Pt(3, 3)); return err }},
+		{"DeletePoints", func() error { return db.DeletePoints("P", 0) }},
+		{"AddObstacles", func() error { _, err := db.AddObstacleRects(R(200, 200, 210, 210)); return err }},
+		{"RemoveObstacles", func() error { return db.RemoveObstacles(obstIDs[0]) }},
+		{"AddDataset", func() error { return db.AddDataset("Q", []Point{Pt(7, 7)}) }},
+	}
+	for _, tc := range degraded {
+		before := footprint(t, db)
+		if err := tc.do(); !errors.Is(err, ErrDegraded) {
+			t.Errorf("%s on a degraded handle = %v, want ErrDegraded", tc.name, err)
+		}
+		if after := footprint(t, db); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s on a degraded handle left a trace:\n before %+v\n after  %+v", tc.name, before, after)
+		}
+	}
+	if db.HasDataset("Q") {
+		t.Error("degraded AddDataset installed its dataset")
+	}
+	inj.Clear() // let Close release the files without tripping the rule again
+}
+
+// TestRejectedClusterLeavesNoActiveTrace is the embedded-use regression test
+// for query exits that skipped record: with every query traced, a Cluster
+// call rejected for its arguments must not strand its trace in the flight
+// recorder's in-flight registry (the store behind /debug/active).
+func TestRejectedClusterLeavesNoActiveTrace(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TraceSampleRate = 1
+	db := cityDB(t, opts)
+	defer db.Close()
+	if err := db.AddDataset("P", []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, copts := range []ClusterOptions{
+		{Algorithm: DBSCAN, Eps: 0},
+		{Algorithm: KMedoids, K: 0},
+		{Algorithm: ClusterAlgorithm(42)},
+	} {
+		if _, err := db.Cluster(ctx, "P", copts); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("Cluster(%+v) = %v, want ErrInvalidArgument", copts, err)
+		}
+	}
+	// The filtered-kNN path's early exits go through record too: a blocked
+	// query point (inside the first building) answers empty, not stranded.
+	if nn, err := db.NearestNeighbors(ctx, "P", Pt(20, 20), 2, WithFilter(func(Neighbor) bool { return true })); err != nil || len(nn) != 0 {
+		t.Errorf("filtered kNN from inside an obstacle = %v, %v", nn, err)
+	}
+	if active := db.TraceRecorder().Active(); len(active) != 0 {
+		t.Fatalf("%d trace(s) stranded in flight: %+v", len(active), active)
+	}
+}
+
+// TestOpenRefusesVersion1File: a data file in the retired version-1 layout
+// must be refused with the typed error rather than misread, and the refusal
+// must leave its bytes alone.
+func TestOpenRefusesVersion1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.obs")
+	db, err := Open(path, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img := stampSuperblockVersion(t, path, 1)
+	if _, err := Open(path, Options{}); !errors.Is(err, pagefile.ErrUnsupportedVersion) {
+		t.Fatalf("Open of a version-1 file = %v, want pagefile.ErrUnsupportedVersion", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, img) {
+		t.Fatal("refused Open modified the file")
+	}
+}
+
+// stampSuperblockVersion rewrites the format-version field of the data
+// file's superblock (magic 8 bytes, then the version; CRC over the first 60
+// bytes at offset 60) and returns the resulting file image.
+func stampSuperblockVersion(t *testing.T, path string, version uint32) []byte {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[8:12], version)
+	binary.LittleEndian.PutUint32(img[60:64], crc32.Checksum(img[:60], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}

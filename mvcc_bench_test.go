@@ -11,8 +11,7 @@ import (
 	obstacles "repro"
 )
 
-// BenchmarkMVCCReadMix measures read throughput under a write mix — the
-// numbers recorded in BENCH_mvcc.json. mode=mvcc is the engine as shipped:
+// BenchmarkMVCCReadMix measures read throughput under a write mix. mode=mvcc is the engine as shipped:
 // mutators copy the pages they touch and publish a new generation, readers
 // pin and never block. mode=drain re-imposes the retired discipline at the
 // harness level with an external RWMutex — every read holds the read side,

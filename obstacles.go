@@ -31,9 +31,6 @@ type Options struct {
 	// of a naive per-pair visibility check; slower, but useful as a
 	// cross-check and for heavily overlapping obstacle sets.
 	NaiveVisibility bool
-	// InsertLoad builds trees by repeated R* insertion instead of STR bulk
-	// loading; slower to build, exercise for dynamic workloads.
-	InsertLoad bool
 	// GraphCacheSize is the number of expanded visibility-graph states the
 	// engine retains for reuse across batch-distance queries, clustering
 	// neighborhoods and join seeds (default 8; negative disables caching).
@@ -46,25 +43,6 @@ type Options struct {
 	// until an explicit Checkpoint or Close). Ignored by in-memory
 	// databases.
 	WALCheckpointBytes int64
-	// GroupCommitMaxBatch caps how many commits one WAL fsync may cover
-	// when concurrent mutators batch (default 64; 0 selects the default).
-	// Negative selects fsync-per-commit legacy mode: every mutator writes
-	// and fsyncs its own commit while still holding the update lock — the
-	// pre-group-commit protocol, useful as a baseline and for minimum
-	// single-writer latency jitter. Ignored by in-memory databases.
-	GroupCommitMaxBatch int
-	// GroupCommitMaxDelay bounds the committer's absorb window: how long
-	// it may keep collecting straggler commits before fsyncing a batch.
-	// The window always ends early once the queue quiesces (no new commit
-	// arrives between polls), so this is a cap, not a fixed delay. The
-	// default 0 is adaptive: the cap is half the measured fsync cost, and
-	// the committer only waits at all once concurrent commits have been
-	// observed — a lone writer never waits. A positive value replaces the
-	// adaptive cap and makes the committer willing to absorb even before
-	// contention is observed (useful on lightly loaded boxes where
-	// commits rarely overlap an fsync); negative selects fsync-per-commit
-	// legacy mode. Ignored by in-memory databases.
-	GroupCommitMaxDelay time.Duration
 	// DebugAddr, when non-empty, starts an HTTP debug listener on the
 	// address (e.g. "localhost:6060") for the database's lifetime. It
 	// serves the full telemetry registry in the Prometheus text exposition
@@ -119,8 +97,7 @@ func DefaultOptions() Options {
 }
 
 // validate rejects out-of-range option values with a descriptive error.
-// Zero values mean "use the default" and pass; anything else out of range is
-// a caller bug that used to be silently coerced to the paper's defaults.
+// Zero values mean "use the default" and pass.
 func (o Options) validate() error {
 	if o.PageSize < 0 {
 		return fmt.Errorf("obstacles: Options.PageSize %d is negative; use 0 for the default (%d)", o.PageSize, pagefile.DefaultPageSize)
@@ -154,9 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WALCheckpointBytes == 0 {
 		o.WALCheckpointBytes = 4 << 20
-	}
-	if o.GroupCommitMaxBatch == 0 {
-		o.GroupCommitMaxBatch = 64
 	}
 	if o.RecoverBackoff == 0 {
 		o.RecoverBackoff = 500 * time.Millisecond
@@ -199,33 +173,6 @@ type Pair struct {
 // and no medoid can serve it, so it becomes a noise singleton rather than
 // poisoning a cluster's cost.
 var Unreachable = math.Inf(1)
-
-// TreeStats reports page-level I/O counters of one R-tree. The counters are
-// process-global and shared by all queries; prefer WithStats for per-query
-// measurement under concurrency.
-type TreeStats struct {
-	// PageAccesses counts reads that missed the LRU buffer — the metric the
-	// paper's experiments plot.
-	PageAccesses uint64
-	// LogicalReads counts all node reads, including buffer hits.
-	LogicalReads uint64
-	// BufferHits counts reads served by the buffer.
-	BufferHits uint64
-	// Pages is the current size of the tree in pages.
-	Pages int
-}
-
-// ErrConcurrentUpdate was reported by incremental streams overtaken by a
-// mutation before the database became multi-versioned. Every read path —
-// one-shot verbs, Nearest/Closest streams, and the deprecated iterator
-// wrappers — now pins a consistent snapshot generation at start and is never
-// invalidated by concurrent InsertPoints, DeletePoints, AddObstacles or
-// RemoveObstacles.
-//
-// Deprecated: no API returns this error anymore. It remains exported only so
-// code written against the pre-MVCC contract (errors.Is checks on stream
-// errors) keeps compiling; such checks can simply be deleted.
-var ErrConcurrentUpdate = errors.New("obstacles: concurrent update invalidated this query")
 
 // Database holds one obstacle set and any number of named point datasets,
 // all indexed by R*-trees over simulated disk pages with LRU buffers. It is
@@ -466,6 +413,11 @@ func (db *Database) publishVersion() {
 // sliver that can never block a segment yet still costs every query.
 var ErrInvalidPolygon = errors.New("obstacles: invalid obstacle polygon")
 
+// ErrInvalidArgument is the typed error wrapped when a query argument is out
+// of range for the verb (for Cluster: a non-positive Eps, K below 1, an
+// unknown algorithm) — the caller's mistake, as opposed to an engine failure.
+var ErrInvalidArgument = errors.New("obstacles: invalid argument")
+
 // validatePolygons rejects degenerate obstacles with a typed error instead
 // of silently indexing them.
 func validatePolygons(polys []Polygon) error {
@@ -493,7 +445,7 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	obstSet, err := core.NewObstacleSet(opts.treeOptions(), polys, !opts.InsertLoad)
+	obstSet, err := core.NewObstacleSet(opts.treeOptions(), polys, true)
 	if err != nil {
 		return nil, fmt.Errorf("obstacles: building obstacle index: %w", err)
 	}
@@ -550,6 +502,64 @@ func (db *Database) treeOptions() rtree.Options {
 	return o
 }
 
+// mutate is the one commit protocol every mutator runs; its steps are
+// order-sensitive:
+//
+//  1. Take updateMu (mutators serialize; queries never take it) and fail
+//     fast when the handle is degraded: degraded reads must keep answering
+//     exactly the last published generation.
+//  2. prepare (optional) validates the call against the live sets and does
+//     any work that can still fail without a trace. An error here rejects the
+//     mutation with no effect: no generation bump, no new version, no commit.
+//  3. apply changes the live sets. Even when it fails part-way the sets have
+//     moved, so the generation is bumped, the new version is published
+//     (before staging, so the COW pages it frees reach this commit's delta)
+//     and the commit is staged into the group-commit queue — all still under
+//     updateMu, which is what makes queue order = sequence order = WAL order.
+//  4. Release updateMu, then park on the staged ticket until a committer's
+//     shared fsync acknowledges it, and checkpoint if the WAL has grown past
+//     its threshold. In-memory databases stage nothing and skip this.
+//  5. Count the mutation once it is acknowledged.
+//
+// ctx is consulted for trace propagation only: a span it carries records the
+// commit stages (stage, park, and — when this mutator leads its fsync batch —
+// wal-append and fsync) as children. The mutation runs to completion once
+// started.
+func (db *Database) mutate(ctx context.Context, op string, obstChanged bool, prepare, apply func() error) error {
+	var tk *commitTicket
+	err := func() error {
+		db.updateMu.Lock()
+		defer db.updateMu.Unlock()
+		if err := db.degradedCheckLocked(); err != nil {
+			return err
+		}
+		if prepare != nil {
+			if err := prepare(); err != nil {
+				return err
+			}
+		}
+		err := apply()
+		db.gen.Add(1)
+		db.publishVersion()
+		if db.store != nil {
+			var stageErr error
+			if tk, stageErr = db.stageCommitLocked(obstChanged, telemetry.SpanFromContext(ctx)); err == nil {
+				err = stageErr
+			}
+		}
+		return err
+	}()
+	if tk != nil {
+		if ackErr := db.awaitCommit(tk); err == nil {
+			err = ackErr
+		}
+	}
+	if err == nil {
+		db.tel.mutations[op].Inc()
+	}
+	return err
+}
+
 // AddDataset indexes a named point dataset. Entity i gets ID int64(i);
 // later InsertPoints/DeletePoints calls may make the id space sparse and
 // reuse freed ids. For an in-memory database the dataset is built outside
@@ -561,83 +571,56 @@ func (db *Database) AddDataset(name string, pts []Point) error {
 	return db.AddDatasetContext(context.Background(), name, pts)
 }
 
-// AddDatasetContext is AddDataset with a caller context. The context is
-// consulted for trace propagation only (a span carried by ctx records the
-// build and commit stages as children); the build and commit themselves run
-// to completion once started.
-func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Point) (err error) {
-	defer db.countMutation(OpAddDataset, &err)
-	db.mu.RLock()
-	_, exists := db.datasets[name]
-	db.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("obstacles: dataset %q already exists", name)
+// AddDatasetContext is AddDataset with a caller context, consulted for trace
+// propagation only (see mutate).
+func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Point) error {
+	errExists := fmt.Errorf("obstacles: dataset %q already exists", name)
+	if db.HasDataset(name) {
+		return errExists
 	}
-	if db.store != nil {
-		return db.addDatasetDurable(telemetry.SpanFromContext(ctx), name, pts)
-	}
-	ps, err := core.NewPointSet(db.treeOptions(), pts, !db.opts.InsertLoad)
-	if err != nil {
-		return fmt.Errorf("obstacles: building dataset %q: %w", name, err)
-	}
-	sizeBuffer(ps.Tree(), db.opts.BufferFraction)
-	db.updateMu.Lock()
-	defer db.updateMu.Unlock()
-	db.mu.Lock()
-	if _, exists := db.datasets[name]; exists {
-		db.mu.Unlock()
-		return fmt.Errorf("obstacles: dataset %q already exists", name)
-	}
-	ps.EnableCOW()
-	db.datasets[name] = ps
-	db.mu.Unlock()
-	db.gen.Add(1)
-	db.publishVersion()
-	return nil
-}
-
-// addDatasetDurable builds and commits a dataset under the update lock.
-// The duplicate re-check happens before the build (adds serialize here, so
-// no racing build can slip past it), and a failed build frees every page
-// it allocated — otherwise the orphaned tree pages would be committed into
-// the file with nothing referencing them, a permanent leak. The commit is
-// staged under the lock and awaited after releasing it, like every other
-// mutator, so a dataset build can share its fsync with concurrent commits.
-func (db *Database) addDatasetDurable(sp *telemetry.Span, name string, pts []Point) (err error) {
-	db.updateMu.Lock()
-	var tk *commitTicket
-	defer db.awaitCommit(&err, &tk)
-	defer db.updateMu.Unlock()
-	if err = db.degradedCheckLocked(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	_, exists := db.datasets[name]
-	db.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("obstacles: dataset %q already exists", name)
-	}
-	ps, err := core.NewPointSet(db.treeOptions(), pts, !db.opts.InsertLoad)
-	if err != nil {
-		// Every page dirtied since the last stage belongs to this failed
-		// build (mutators stage before releasing updateMu), so freeing the
-		// dirty set rolls the allocation back. The alloc/free churn nets
-		// out through the next commit's delta ops.
-		for _, w := range db.store.tx.CaptureDirty() {
-			_ = db.store.tx.Free(w.ID)
+	var ps *core.PointSet
+	build := func() (err error) {
+		if ps, err = core.NewPointSet(db.treeOptions(), pts, true); err != nil {
+			return fmt.Errorf("obstacles: building dataset %q: %w", name, err)
 		}
-		return fmt.Errorf("obstacles: building dataset %q: %w", name, err)
+		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		return nil
 	}
-	sizeBuffer(ps.Tree(), db.opts.BufferFraction)
-	db.mu.Lock()
-	ps.EnableCOW()
-	db.datasets[name] = ps
-	db.mu.Unlock()
-	db.noteDatasetDirty(name)
-	db.gen.Add(1)
-	db.publishVersion()
-	db.stageCommit(&err, &tk, false, sp)
-	return err
+	if db.store == nil {
+		if err := build(); err != nil {
+			return err
+		}
+	}
+	return db.mutate(ctx, OpAddDataset, false, func() error {
+		// Adds serialize here, so no racing add can slip past this re-check.
+		if db.HasDataset(name) {
+			return errExists
+		}
+		if db.store == nil {
+			return nil
+		}
+		err := build()
+		if err != nil {
+			// A failed durable build frees every page it allocated —
+			// otherwise the orphaned tree pages would be committed into the
+			// file with nothing referencing them, a permanent leak. Every
+			// page dirtied since the last stage belongs to this build
+			// (mutators stage before releasing updateMu), so freeing the
+			// dirty set rolls the allocation back; the alloc/free churn nets
+			// out through the next commit's delta ops.
+			for _, w := range db.store.tx.CaptureDirty() {
+				_ = db.store.tx.Free(w.ID)
+			}
+		}
+		return err
+	}, func() error {
+		db.mu.Lock()
+		ps.EnableCOW()
+		db.datasets[name] = ps
+		db.mu.Unlock()
+		db.noteDatasetDirty(name)
+		return nil
+	})
 }
 
 // Datasets returns the names of the datasets added so far, sorted.
@@ -665,8 +648,8 @@ func (db *Database) HasDataset(name string) bool {
 	return ok
 }
 
-// DatasetLen returns the number of entities in a dataset. Unlike the old
-// API, an unknown name is an error rather than a silent zero.
+// DatasetLen returns the number of entities in a dataset; an unknown name is
+// an error.
 func (db *Database) DatasetLen(name string) (int, error) {
 	ps, err := db.currentVersion().dataset(name)
 	if err != nil {
@@ -701,9 +684,7 @@ func (db *Database) InsertPoints(name string, pts ...Point) ([]int64, error) {
 }
 
 // InsertPointsContext is InsertPoints with a caller context, consulted for
-// trace propagation only: a span carried by ctx records the commit stages
-// (stage, park, and — when this mutator leads its fsync batch — wal-append
-// and fsync) as children.
+// trace propagation only (see mutate).
 func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ...Point) (ids []int64, err error) {
 	ps, err := db.dataset(name)
 	if err != nil {
@@ -712,31 +693,22 @@ func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ..
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	db.updateMu.Lock()
-	var tk *commitTicket
-	defer db.countMutation(OpInsertPoints, &err) // declared first: counts after the commit resolves
-	defer db.awaitCommit(&err, &tk)              // runs after the unlock: parks on the shared fsync
-	defer db.updateMu.Unlock()
-	if err = db.degradedCheckLocked(); err != nil {
-		return nil, err
-	}
-	// Re-resolve under the lock: in-place recovery swaps the dataset map, and
-	// a write into a pre-swap tree would land on a detached overlay and be
-	// silently lost.
-	if ps, err = db.dataset(name); err != nil {
-		return nil, err
-	}
-	defer db.stageCommit(&err, &tk, false, telemetry.SpanFromContext(ctx))
-	defer db.publishVersion()
-	defer db.gen.Add(1)
-	ps.BeginEpoch()
-	db.noteDatasetDirty(name)
-	ids, err = ps.Insert(pts)
-	if err != nil {
-		return ids, err
-	}
-	sizeBuffer(ps.Tree(), db.opts.BufferFraction)
-	return ids, nil
+	err = db.mutate(ctx, OpInsertPoints, false, func() (err error) {
+		// Re-resolve under the lock: in-place recovery swaps the dataset map,
+		// and a write into a pre-swap tree would land on a detached overlay
+		// and be silently lost.
+		ps, err = db.dataset(name)
+		return err
+	}, func() (err error) {
+		ps.BeginEpoch()
+		db.noteDatasetDirty(name)
+		if ids, err = ps.Insert(pts); err != nil {
+			return err
+		}
+		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		return nil
+	})
+	return ids, err
 }
 
 // DeletePoints removes entities from a dataset by id (the ids returned by
@@ -748,8 +720,8 @@ func (db *Database) DeletePoints(name string, ids ...int64) error {
 }
 
 // DeletePointsContext is DeletePoints with a caller context, consulted for
-// trace propagation only (see InsertPointsContext).
-func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ...int64) (err error) {
+// trace propagation only (see mutate).
+func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ...int64) error {
 	ps, err := db.dataset(name)
 	if err != nil {
 		return err
@@ -757,40 +729,33 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 	if len(ids) == 0 {
 		return nil
 	}
-	db.updateMu.Lock()
-	var tk *commitTicket
-	defer db.countMutation(OpDeletePoints, &err)
-	defer db.awaitCommit(&err, &tk)
-	defer db.updateMu.Unlock()
-	if err = db.degradedCheckLocked(); err != nil {
-		return err
-	}
-	// Re-resolve under the lock (see InsertPointsContext).
-	if ps, err = db.dataset(name); err != nil {
-		return err
-	}
-	seen := make(map[int64]bool, len(ids))
-	for _, id := range ids {
-		if !ps.Alive(id) {
-			return fmt.Errorf("obstacles: dataset %q has no entity %d", name, id)
-		}
-		if seen[id] {
-			return fmt.Errorf("obstacles: duplicate entity id %d in delete", id)
-		}
-		seen[id] = true
-	}
-	defer db.stageCommit(&err, &tk, false, telemetry.SpanFromContext(ctx))
-	defer db.publishVersion()
-	defer db.gen.Add(1)
-	ps.BeginEpoch()
-	db.noteDatasetDirty(name)
-	for _, id := range ids {
-		if err := ps.Delete(id); err != nil {
+	return db.mutate(ctx, OpDeletePoints, false, func() (err error) {
+		// Re-resolve under the lock (see InsertPointsContext).
+		if ps, err = db.dataset(name); err != nil {
 			return err
 		}
-	}
-	sizeBuffer(ps.Tree(), db.opts.BufferFraction)
-	return nil
+		seen := make(map[int64]bool, len(ids))
+		for _, id := range ids {
+			if !ps.Alive(id) {
+				return fmt.Errorf("obstacles: dataset %q has no entity %d", name, id)
+			}
+			if seen[id] {
+				return fmt.Errorf("obstacles: duplicate entity id %d in delete", id)
+			}
+			seen[id] = true
+		}
+		return nil
+	}, func() error {
+		ps.BeginEpoch()
+		db.noteDatasetDirty(name)
+		for _, id := range ids {
+			if err := ps.Delete(id); err != nil {
+				return err
+			}
+		}
+		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		return nil
+	})
 }
 
 // AddObstacles indexes new obstacles and returns their assigned ids (ids
@@ -807,7 +772,7 @@ func (db *Database) AddObstacles(polys ...Polygon) ([]int64, error) {
 }
 
 // AddObstaclesContext is AddObstacles with a caller context, consulted for
-// trace propagation only (see InsertPointsContext).
+// trace propagation only (see mutate).
 func (db *Database) AddObstaclesContext(ctx context.Context, polys ...Polygon) (ids []int64, err error) {
 	if err := validatePolygons(polys); err != nil {
 		return nil, err
@@ -815,29 +780,21 @@ func (db *Database) AddObstaclesContext(ctx context.Context, polys ...Polygon) (
 	if len(polys) == 0 {
 		return nil, nil
 	}
-	db.updateMu.Lock()
-	var tk *commitTicket
-	defer db.countMutation(OpAddObstacles, &err)
-	defer db.awaitCommit(&err, &tk)
-	defer db.updateMu.Unlock()
-	if err = db.degradedCheckLocked(); err != nil {
-		return nil, err
-	}
-	defer db.stageCommit(&err, &tk, true, telemetry.SpanFromContext(ctx))
-	defer db.publishVersion()
-	defer db.gen.Add(1)
-	db.obstSet.BeginEpoch()
-	ids, err = db.obstSet.Add(polys)
-	for _, id := range ids {
-		pg := db.obstSet.Polygon(id)
-		db.engine.InvalidateObstacleRegion(pg.Bounds())
-		db.noteObstacleAdd(id, pg.Vertices())
-	}
-	if err != nil {
-		return ids, err
-	}
-	sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
-	return ids, nil
+	err = db.mutate(ctx, OpAddObstacles, true, nil, func() (err error) {
+		db.obstSet.BeginEpoch()
+		ids, err = db.obstSet.Add(polys)
+		for _, id := range ids {
+			pg := db.obstSet.Polygon(id)
+			db.engine.InvalidateObstacleRegion(pg.Bounds())
+			db.noteObstacleAdd(id, pg.Vertices())
+		}
+		if err != nil {
+			return err
+		}
+		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
+		return nil
+	})
+	return ids, err
 }
 
 // AddObstacleRects is AddObstacles for rectangular obstacles (the paper's
@@ -847,7 +804,7 @@ func (db *Database) AddObstacleRects(rects ...Rect) ([]int64, error) {
 }
 
 // AddObstacleRectsContext is AddObstacleRects with a caller context,
-// consulted for trace propagation only (see InsertPointsContext).
+// consulted for trace propagation only (see mutate).
 func (db *Database) AddObstacleRectsContext(ctx context.Context, rects ...Rect) ([]int64, error) {
 	polys := make([]Polygon, len(rects))
 	for i, r := range rects {
@@ -869,43 +826,36 @@ func (db *Database) RemoveObstacles(ids ...int64) error {
 }
 
 // RemoveObstaclesContext is RemoveObstacles with a caller context, consulted
-// for trace propagation only (see InsertPointsContext).
-func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) (err error) {
+// for trace propagation only (see mutate).
+func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	db.updateMu.Lock()
-	var tk *commitTicket
-	defer db.countMutation(OpRemoveObstacles, &err)
-	defer db.awaitCommit(&err, &tk)
-	defer db.updateMu.Unlock()
-	if err = db.degradedCheckLocked(); err != nil {
-		return err
-	}
-	seen := make(map[int64]bool, len(ids))
-	for _, id := range ids {
-		if !db.obstSet.Alive(id) {
-			return fmt.Errorf("obstacles: no obstacle with id %d", id)
+	return db.mutate(ctx, OpRemoveObstacles, true, func() error {
+		seen := make(map[int64]bool, len(ids))
+		for _, id := range ids {
+			if !db.obstSet.Alive(id) {
+				return fmt.Errorf("obstacles: no obstacle with id %d", id)
+			}
+			if seen[id] {
+				return fmt.Errorf("obstacles: duplicate obstacle id %d in remove", id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			return fmt.Errorf("obstacles: duplicate obstacle id %d in remove", id)
+		return nil
+	}, func() error {
+		db.obstSet.BeginEpoch()
+		for _, id := range ids {
+			mbr, err := db.obstSet.Remove(id)
+			if err != nil {
+				return err
+			}
+			db.engine.InvalidateObstacleRegion(mbr)
+			db.noteObstacleRemove(id)
 		}
-		seen[id] = true
-	}
-	defer db.stageCommit(&err, &tk, true, telemetry.SpanFromContext(ctx))
-	defer db.publishVersion()
-	defer db.gen.Add(1)
-	db.obstSet.BeginEpoch()
-	for _, id := range ids {
-		mbr, err := db.obstSet.Remove(id)
-		if err != nil {
-			return err
-		}
-		db.engine.InvalidateObstacleRegion(mbr)
-		db.noteObstacleRemove(id)
-	}
-	sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
-	return nil
+		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
+		return nil
+	})
 }
 
 // CacheStats reports visibility-graph cache traffic: hits and misses on
@@ -982,11 +932,9 @@ func (db *Database) nearestNeighborsAt(v *dbVersion, ctx context.Context, datase
 	// blocked query point returns no neighbors, exactly like the
 	// unfiltered path (the stream would otherwise drain every entity at
 	// distance Unreachable).
-	if inside, err := sess.InsideObstacle(q); err != nil {
+	if inside, err := sess.InsideObstacle(q); err != nil || inside {
+		db.record(VerbNearestNeighbors, &cfg, sess, core.Stats{}, start, err)
 		return nil, err
-	} else if inside {
-		db.record(VerbNearestNeighbors, &cfg, sess, core.Stats{Candidates: 0}, start, nil)
-		return nil, nil
 	}
 	it := sess.NearestIterator(ps, q)
 	var out []Neighbor
@@ -1079,6 +1027,7 @@ func (db *Database) closestPairsAt(v *dbVersion, ctx context.Context, dataset1, 
 	}
 	it, err := sess.ClosestPairIterator(s, t)
 	if err != nil {
+		db.record(VerbClosestPairs, &cfg, sess, core.Stats{}, start, err)
 		return nil, err
 	}
 	var out []Pair
@@ -1154,47 +1103,6 @@ func (db *Database) InsideObstacle(p Point) (bool, error) {
 func (db *Database) insideObstacleAt(v *dbVersion, p Point) (bool, error) {
 	sess := db.engine.NewSessionAt(context.Background(), v.obst)
 	return sess.InsideObstacle(p)
-}
-
-// ObstacleTreeStats returns the I/O counters of the obstacle R-tree
-// (process-global; see WithStats for per-query counters).
-func (db *Database) ObstacleTreeStats() TreeStats {
-	db.mu.RLock()
-	o := db.obstSet
-	db.mu.RUnlock()
-	return treeStats(o.Tree())
-}
-
-// DatasetTreeStats returns the I/O counters of a dataset's R-tree
-// (process-global; see WithStats for per-query counters).
-func (db *Database) DatasetTreeStats(name string) (TreeStats, error) {
-	ps, err := db.dataset(name)
-	if err != nil {
-		return TreeStats{}, err
-	}
-	return treeStats(ps.Tree()), nil
-}
-
-// ResetStats zeroes all global I/O counters (buffers stay warm). Counters
-// zeroed while queries are in flight lose those queries' traffic; per-query
-// measurement should use WithStats instead.
-func (db *Database) ResetStats() {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.obstSet.Tree().PageFile().ResetStats()
-	for _, ps := range db.datasets {
-		ps.Tree().PageFile().ResetStats()
-	}
-}
-
-func treeStats(t *rtree.Tree) TreeStats {
-	st := t.PageFile().Stats()
-	return TreeStats{
-		PageAccesses: st.PhysicalReads,
-		LogicalReads: st.LogicalReads,
-		BufferHits:   st.BufferHits,
-		Pages:        t.PageFile().NumPages(),
-	}
 }
 
 func toNeighbors(rs []core.Result) []Neighbor {

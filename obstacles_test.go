@@ -160,24 +160,16 @@ func TestIteratorsPublic(t *testing.T) {
 	if err := db.AddDataset("shops", pts); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NearestIterator("shops", Pt(50, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
 	count, prev := 0, -1.0
-	for {
-		nb, ok := it.Next()
-		if !ok {
-			break
+	for nb, err := range db.Nearest(ctx, "shops", Pt(50, 50)) {
+		if err != nil {
+			t.Fatal(err)
 		}
 		if nb.Distance < prev {
 			t.Error("iterator not ascending")
 		}
 		prev = nb.Distance
 		count++
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
 	}
 	if count != len(pts) {
 		t.Errorf("iterator count = %d", count)
@@ -186,24 +178,16 @@ func TestIteratorsPublic(t *testing.T) {
 	if err := db.AddDataset("depots", []Point{Pt(95, 5), Pt(5, 50)}); err != nil {
 		t.Fatal(err)
 	}
-	cpIt, err := db.ClosestPairIterator("shops", "depots")
-	if err != nil {
-		t.Fatal(err)
-	}
 	count, prev = 0, -1.0
-	for {
-		p, ok := cpIt.Next()
-		if !ok {
-			break
+	for p, err := range db.Closest(ctx, "shops", "depots") {
+		if err != nil {
+			t.Fatal(err)
 		}
 		if p.Distance < prev {
 			t.Error("pair iterator not ascending")
 		}
 		prev = p.Distance
 		count++
-	}
-	if cpIt.Err() != nil {
-		t.Fatal(cpIt.Err())
 	}
 	if count != len(pts)*2 {
 		t.Errorf("pair iterator count = %d, want %d", count, len(pts)*2)
@@ -215,32 +199,27 @@ func TestStatsPublic(t *testing.T) {
 	if err := db.AddDataset("shops", []Point{Pt(5, 5), Pt(95, 95)}); err != nil {
 		t.Fatal(err)
 	}
-	db.ResetStats()
 	// (35, 35) is a street crossing; a point inside a building would be
 	// rejected before touching the dataset tree.
-	if _, err := db.NearestNeighbors(ctx, "shops", Pt(35, 35), 1); err != nil {
+	var qs QueryStats
+	if _, err := db.NearestNeighbors(ctx, "shops", Pt(35, 35), 1, WithStats(&qs)); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := db.DatasetTreeStats("shops")
-	if err != nil {
+	if qs.LogicalReads == 0 {
+		t.Error("no tree reads recorded")
+	}
+	if qs.LogicalReads != qs.PageAccesses+qs.BufferHits {
+		t.Errorf("reads %d != misses %d + hits %d", qs.LogicalReads, qs.PageAccesses, qs.BufferHits)
+	}
+	// The counters are per query: a second query starts from zero instead of
+	// accumulating (what the removed process-global counters needed a reset
+	// for).
+	var again QueryStats
+	if _, err := db.NearestNeighbors(ctx, "shops", Pt(35, 35), 1, WithStats(&again)); err != nil {
 		t.Fatal(err)
 	}
-	if ds.LogicalReads == 0 {
-		t.Error("no dataset tree reads recorded")
-	}
-	os := db.ObstacleTreeStats()
-	if os.LogicalReads == 0 {
-		t.Error("no obstacle tree reads recorded")
-	}
-	if os.Pages == 0 || ds.Pages == 0 {
-		t.Error("page counts missing")
-	}
-	db.ResetStats()
-	if db.ObstacleTreeStats().LogicalReads != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-	if _, err := db.DatasetTreeStats("nope"); err == nil {
-		t.Error("stats for unknown dataset should fail")
+	if again.LogicalReads != qs.LogicalReads {
+		t.Errorf("repeat query read %d nodes, first read %d", again.LogicalReads, qs.LogicalReads)
 	}
 }
 
@@ -285,19 +264,24 @@ func TestNewDatabaseValidation(t *testing.T) {
 	}
 }
 
-func TestInsertLoadOption(t *testing.T) {
-	opts := DefaultOptions()
-	opts.InsertLoad = true
-	db := cityDB(t, opts)
-	if err := db.AddDataset("p", []Point{Pt(5, 5), Pt(95, 95), Pt(5, 95)}); err != nil {
+// TestInsertBuiltTree: a dataset tree grown by repeated R* insertion (an
+// empty AddDataset, then InsertPoints) answers like a bulk-loaded one.
+func TestInsertBuiltTree(t *testing.T) {
+	db := cityDB(t, DefaultOptions())
+	if err := db.AddDataset("p", nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range []Point{Pt(5, 5), Pt(95, 95), Pt(5, 95)} {
+		if _, err := db.InsertPoints("p", p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	nn, err := db.NearestNeighbors(ctx, "p", Pt(6, 6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nn) != 1 || nn[0].ID != 0 {
-		t.Errorf("NN with insert-loaded trees = %v", nn)
+		t.Errorf("NN over an insert-built tree = %v", nn)
 	}
 }
 

@@ -3,6 +3,7 @@ package obstacles
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -46,8 +47,8 @@ type PersistStats struct {
 	Commits, Checkpoints uint64
 	// Fsyncs counts WAL fsyncs issued by the commit path. Group commit
 	// batches concurrent mutators into shared fsyncs, so under contention
-	// Fsyncs is much smaller than Commits; with a single writer (or in
-	// fsync-per-commit legacy mode) the two advance together.
+	// Fsyncs is much smaller than Commits; with a single writer the two
+	// advance together.
 	Fsyncs uint64
 	// GroupCommits counts fsyncs that covered two or more commits.
 	GroupCommits uint64
@@ -93,7 +94,6 @@ type commitTicket struct {
 type durableStore struct {
 	path string
 	fs   *pagefile.FileStorage
-	st   pagefile.Storage // fs, possibly fault-wrapped by tests
 	tx   *pagefile.TxStorage
 	// log is the live write-ahead log. An atomic pointer because in-place
 	// recovery swaps in a fresh log under the updateMu write side while
@@ -101,17 +101,16 @@ type durableStore struct {
 	// gauge) may be sampling it.
 	log atomic.Pointer[wal.Log]
 	// hooks are the file wrappers this store was opened with, retained so
-	// in-place recovery re-wraps the fresh WAL handle and storage the same
-	// way.
+	// in-place recovery re-wraps the fresh WAL handle the same way.
 	hooks openHooks
 	// tel is the owning Database's telemetry (set right after construction,
 	// before any commit or checkpoint can run).
 	tel *dbMetrics
 
-	// Commit-pipeline configuration, immutable after Open.
-	maxBatch       int
+	// Commit-pipeline configuration, immutable once mutators run. maxDelay
+	// caps the committer's absorb window (see drainQueue); zero, the only
+	// value outside tests, is adaptive.
 	maxDelay       time.Duration
-	legacy         bool // fsync-per-commit under the update lock
 	autoCheckpoint int64
 
 	// The fields below are guarded by Database.updateMu: only mutators
@@ -179,11 +178,13 @@ type durableStore struct {
 	fsyncSpan atomic.Pointer[telemetry.Span]
 }
 
-// openHooks lets tests interpose fault-injection wrappers between the
-// database and its files.
+// maxCommitBatch caps how many commits one WAL fsync may cover.
+const maxCommitBatch = 64
+
+// openHooks lets tests interpose a fault-injection wrapper between the
+// database and its WAL file (the data file takes an Options.Chaos injector).
 type openHooks struct {
-	wrapStorage func(pagefile.Storage) pagefile.Storage
-	wrapWAL     func(wal.File) wal.File
+	wrapWAL func(wal.File) wal.File
 }
 
 // Open opens (creating if missing) a durable Database stored in the file at
@@ -200,7 +201,7 @@ type openHooks struct {
 // AddDataset) is durable before it returns: the mutation's dirty pages and
 // catalog delta are staged to a commit queue, and a committer batches
 // queued commits from concurrent mutators into one WAL write and one fsync
-// (group commit; see Options.GroupCommitMaxBatch/GroupCommitMaxDelay).
+// (group commit; see mutate and drainQueue).
 // Close checkpoints and releases the files; Checkpoint bounds the WAL and
 // recovery time.
 //
@@ -213,16 +214,6 @@ type openHooks struct {
 // an error wrapping pagefile.ErrFileLocked.
 func Open(path string, opts Options) (*Database, error) {
 	return openWithHooks(path, opts, openHooks{})
-}
-
-// replayEvent is the catalog payload of one WAL transaction seen during
-// recovery, in commit order: a full superblock image (legacy
-// fsync-per-commit files logged one per commit) and/or the incremental
-// deltas of a commit group.
-type replayEvent struct {
-	seq    uint64
-	meta   []byte
-	deltas [][]byte
 }
 
 func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error) {
@@ -266,113 +257,13 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		return nil, err
 	}
 
-	// Redo pass: apply every committed page image to the data file and
-	// collect the catalog events (superblock metas from legacy files,
-	// incremental deltas otherwise) in commit order. The torn tail past
-	// the last commit record is truncated by Replay.
-	pageSize := sb.PageSize
-	var (
-		events   []replayEvent
-		logged   = make(map[pagefile.PageID]struct{})
-		replayed = 0
-		lastSeq  uint64
-	)
-	err = log.Replay(func(tx wal.Tx) error {
-		for _, p := range tx.Pages {
-			if len(p.Data) != pageSize {
-				return fmt.Errorf("wal page %d has %d bytes, page size is %d", p.ID, len(p.Data), pageSize)
-			}
-			if err := fs.WritePage(pagefile.PageID(p.ID), p.Data); err != nil {
-				return err
-			}
-			logged[pagefile.PageID(p.ID)] = struct{}{}
-		}
-		ev := replayEvent{seq: tx.Seq}
-		if tx.Meta != nil {
-			ev.meta = append([]byte(nil), tx.Meta...)
-		}
-		for _, d := range tx.Deltas {
-			ev.deltas = append(ev.deltas, append([]byte(nil), d...))
-		}
-		events = append(events, ev)
-		replayed++
-		lastSeq = tx.Seq
-		return nil
-	})
+	rs, err := redo(fs, log, sb, math.MaxUint64)
 	if err != nil {
-		return fail(fmt.Errorf("obstacles: replaying WAL for %s: %w", path, err))
+		return fail(fmt.Errorf("obstacles: recovering %s: %w", path, err))
 	}
+	state, obst := rs.state, rs.obst
 
-	// Legacy files carry a full superblock per commit; the last one wins
-	// and the deltas (if any) that follow it are applied on top.
-	deltaStart := 0
-	for i, ev := range events {
-		if ev.meta != nil {
-			nsb, err := pagefile.DecodeSuperblock(ev.meta)
-			if err != nil {
-				return fail(fmt.Errorf("obstacles: recovering superblock: %w", err))
-			}
-			sb = nsb
-			deltaStart = i + 1
-		}
-	}
-
-	// Load the checkpoint catalog. A root of zero means the file was
-	// created but never checkpointed: start from an empty state.
-	state := &catalog.State{}
-	var obst *catalog.Obstacles
-	if sb.State.Root != pagefile.InvalidPage {
-		blob, err := catalog.ReadBlob(fs, sb.State)
-		if err != nil {
-			return fail(fmt.Errorf("obstacles: reading state catalog: %w", err))
-		}
-		if state, err = catalog.DecodeState(blob); err != nil {
-			return fail(err)
-		}
-	}
-	if sb.Obstacles.Root != pagefile.InvalidPage {
-		blob, err := catalog.ReadBlob(fs, sb.Obstacles)
-		if err != nil {
-			return fail(fmt.Errorf("obstacles: reading obstacle catalog: %w", err))
-		}
-		if obst, err = catalog.DecodeObstacles(blob); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Fold the replayed deltas into the checkpoint state. Groups whose
-	// (last) sequence number is at or below the superblock's are already
-	// inside the blobs — a crash between a checkpoint's superblock write
-	// and its WAL truncation leaves exactly that overlap, and checkpoints
-	// only run with the queue drained, so a group never straddles the
-	// boundary — and must be skipped to keep recovery idempotent.
-	next := sb.Next
-	obstDeltaSeen := false
-	for _, ev := range events[deltaStart:] {
-		if ev.seq <= sb.Seq {
-			continue
-		}
-		for _, raw := range ev.deltas {
-			d, err := catalog.DecodeDelta(raw)
-			if err != nil {
-				return fail(fmt.Errorf("obstacles: decoding group %d delta: %w", ev.seq, err))
-			}
-			if obst, err = d.Apply(state, obst); err != nil {
-				return fail(fmt.Errorf("obstacles: applying group %d delta: %w", ev.seq, err))
-			}
-			next = d.Next
-			if d.Obst != nil {
-				obstDeltaSeen = true
-			}
-		}
-	}
-	fs.SetAllocState(next, state.PageFree)
-
-	var st pagefile.Storage = fs
-	if hooks.wrapStorage != nil {
-		st = hooks.wrapStorage(fs)
-	}
-	tx := pagefile.NewTxStorage(st)
+	tx := pagefile.NewTxStorage(fs)
 	topts := rtree.Options{PageSize: opts.PageSize, Storage: tx}
 
 	var obstSet *core.ObstacleSet
@@ -395,44 +286,27 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		eng.EnableGraphCache(opts.GraphCacheSize)
 	}
 	db := &Database{
-		opts:     opts,
-		engine:   eng,
-		obstSet:  obstSet,
-		datasets: make(map[string]*core.PointSet),
+		opts:    opts,
+		engine:  eng,
+		obstSet: obstSet,
 	}
 	db.tel = newDBMetrics(db)
 	db.gen.Store(state.Generation)
-	for _, ds := range state.Datasets {
-		tree, err := rtree.Attach(topts, ds.Tree.Root, ds.Tree.Height, ds.Tree.Size)
-		if err != nil {
-			return fail(fmt.Errorf("obstacles: attaching dataset %q: %w", ds.Name, err))
-		}
-		set, err := core.AttachPointSet(tree, ds.IDBound)
-		if err != nil {
-			return fail(fmt.Errorf("obstacles: recovering dataset %q: %w", ds.Name, err))
-		}
-		sizeBuffer(tree, opts.BufferFraction)
-		db.datasets[ds.Name] = set
+	if db.datasets, err = attachDatasets(topts, state, opts.BufferFraction); err != nil {
+		return fail(err)
 	}
 	db.initVersions()
-	seq := sb.Seq
-	if lastSeq > seq {
-		seq = lastSeq
-	}
+	seq := max(sb.Seq, rs.lastSeq)
 	db.store = &durableStore{
 		path:           path,
 		fs:             fs,
-		st:             st,
 		tx:             tx,
 		hooks:          hooks,
-		maxBatch:       opts.GroupCommitMaxBatch,
-		maxDelay:       opts.GroupCommitMaxDelay,
-		legacy:         opts.GroupCommitMaxBatch < 0 || opts.GroupCommitMaxDelay < 0,
 		autoCheckpoint: opts.WALCheckpointBytes,
 		super:          sb,
 		seq:            seq,
-		obstDirty:      obst == nil || obstDeltaSeen,
-		logged:         logged,
+		obstDirty:      obst == nil || rs.obstChanged,
+		logged:         rs.logged,
 		dirtyDatasets:  make(map[string]struct{}),
 		leaderTok:      make(chan struct{}, 1),
 		autoRecover:    opts.AutoRecover,
@@ -442,11 +316,7 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 	db.store.durableSeq = seq
 	db.store.tel = db.tel
 	db.installWALHook(log)
-	if db.store.legacy {
-		db.store.maxBatch = 1
-		db.store.maxDelay = 0
-	}
-	if created || replayed > 0 || sb.State.Root == pagefile.InvalidPage {
+	if created || rs.replayed > 0 || sb.State.Root == pagefile.InvalidPage {
 		// A fresh file checkpoints the empty state so a crash right after
 		// Open reopens it; a replayed file finishes recovery with a full
 		// checkpoint, folding the WAL's deltas into fresh catalog blobs
@@ -465,6 +335,134 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		db.startRecovery()
 	}
 	return db, nil
+}
+
+// redoState is the durable state redo reconstructs from the data file and
+// the WAL.
+type redoState struct {
+	// state is the checkpoint catalog with every replayed delta folded in
+	// (empty for a file that never checkpointed); obst the obstacle catalog,
+	// nil when no obstacle blob exists yet.
+	state *catalog.State
+	obst  *catalog.Obstacles
+	// logged is the set of pages with images in the WAL.
+	logged map[pagefile.PageID]struct{}
+	// replayed counts the WAL transactions applied; lastSeq is the sequence
+	// number of the last one (zero when none).
+	replayed int
+	lastSeq  uint64
+	// obstChanged reports that a folded delta changed the obstacle set, so
+	// the checkpointed obstacle blob is stale.
+	obstChanged bool
+}
+
+// redo is the recovery pass shared by Open and in-place recovery. It applies
+// every committed page image to the data file (Replay truncates the torn
+// tail past the last commit record), loads the checkpoint catalog sb points
+// at, folds the replayed catalog deltas into it in commit order, and installs
+// the resulting allocation state. Transactions above maxSeq are skipped:
+// in-place recovery passes the last acknowledged sequence number so commits
+// whose callers were told they failed are not resurrected.
+func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq uint64) (*redoState, error) {
+	type group struct {
+		seq    uint64
+		deltas [][]byte
+	}
+	var groups []group
+	rs := &redoState{state: &catalog.State{}, logged: make(map[pagefile.PageID]struct{})}
+	err := log.Replay(func(tx wal.Tx) error {
+		if tx.Seq > maxSeq {
+			return nil
+		}
+		for _, p := range tx.Pages {
+			if len(p.Data) != sb.PageSize {
+				return fmt.Errorf("wal page %d has %d bytes, page size is %d", p.ID, len(p.Data), sb.PageSize)
+			}
+			if err := fs.WritePage(pagefile.PageID(p.ID), p.Data); err != nil {
+				return err
+			}
+			rs.logged[pagefile.PageID(p.ID)] = struct{}{}
+		}
+		g := group{seq: tx.Seq}
+		for _, d := range tx.Deltas {
+			g.deltas = append(g.deltas, append([]byte(nil), d...))
+		}
+		groups = append(groups, g)
+		rs.replayed++
+		rs.lastSeq = tx.Seq
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replaying WAL: %w", err)
+	}
+
+	// Load the checkpoint catalog. A root of zero means the file was
+	// created but never checkpointed: start from an empty state.
+	if sb.State.Root != pagefile.InvalidPage {
+		blob, err := catalog.ReadBlob(fs, sb.State)
+		if err != nil {
+			return nil, fmt.Errorf("reading state catalog: %w", err)
+		}
+		if rs.state, err = catalog.DecodeState(blob); err != nil {
+			return nil, err
+		}
+	}
+	if sb.Obstacles.Root != pagefile.InvalidPage {
+		blob, err := catalog.ReadBlob(fs, sb.Obstacles)
+		if err != nil {
+			return nil, fmt.Errorf("reading obstacle catalog: %w", err)
+		}
+		if rs.obst, err = catalog.DecodeObstacles(blob); err != nil {
+			return nil, err
+		}
+	}
+
+	// Fold the replayed deltas into the checkpoint state. Groups whose
+	// (last) sequence number is at or below the superblock's are already
+	// inside the blobs — a crash between a checkpoint's superblock write
+	// and its WAL truncation leaves exactly that overlap, and checkpoints
+	// only run with the queue drained, so a group never straddles the
+	// boundary — and must be skipped to keep recovery idempotent.
+	next := sb.Next
+	for _, g := range groups {
+		if g.seq <= sb.Seq {
+			continue
+		}
+		for _, raw := range g.deltas {
+			d, err := catalog.DecodeDelta(raw)
+			if err != nil {
+				return nil, fmt.Errorf("decoding group %d delta: %w", g.seq, err)
+			}
+			if rs.obst, err = d.Apply(rs.state, rs.obst); err != nil {
+				return nil, fmt.Errorf("applying group %d delta: %w", g.seq, err)
+			}
+			next = d.Next
+			if d.Obst != nil {
+				rs.obstChanged = true
+			}
+		}
+	}
+	fs.SetAllocState(next, rs.state.PageFree)
+	return rs, nil
+}
+
+// attachDatasets re-attaches every dataset the recovered catalog names to its
+// tree pages, rebuilding the point sets by scanning leaves.
+func attachDatasets(topts rtree.Options, state *catalog.State, bufferFraction float64) (map[string]*core.PointSet, error) {
+	sets := make(map[string]*core.PointSet, len(state.Datasets))
+	for _, ds := range state.Datasets {
+		tree, err := rtree.Attach(topts, ds.Tree.Root, ds.Tree.Height, ds.Tree.Size)
+		if err != nil {
+			return nil, fmt.Errorf("obstacles: attaching dataset %q: %w", ds.Name, err)
+		}
+		set, err := core.AttachPointSet(tree, ds.IDBound)
+		if err != nil {
+			return nil, fmt.Errorf("obstacles: recovering dataset %q: %w", ds.Name, err)
+		}
+		sizeBuffer(tree, bufferFraction)
+		sets[ds.Name] = set
+	}
+	return sets, nil
 }
 
 // installWALHook makes the log report every commit-path fsync's syscall
@@ -580,31 +578,12 @@ func (s *durableStore) brokenErr() error {
 	return s.broken
 }
 
-// stageCommit is deferred by every mutator while it still holds the update
-// lock: it stages the mutation's commit (dirty pages + catalog delta) into
-// the group-commit queue and hands back the ticket the mutator parks on
-// after unlocking. When the mutation itself succeeded but staging failed,
-// the staging error is surfaced instead.
-func (db *Database) stageCommit(errp *error, tkp **commitTicket, obstChanged bool, sp *telemetry.Span) {
-	if db.store == nil {
-		return
-	}
-	tk, err := db.stageCommitLocked(obstChanged, sp)
-	if err != nil && *errp == nil {
-		*errp = err
-	}
-	*tkp = tk
-}
-
-// awaitCommit is deferred by every mutator so that it runs after the update
-// lock is released: it parks on the staged ticket until a committer has
-// made the commit durable (sharing the fsync with every other commit in the
-// batch), then runs the auto-checkpoint if the WAL crossed its threshold.
-func (db *Database) awaitCommit(errp *error, tkp **commitTicket) {
-	if db.store == nil || *tkp == nil {
-		return
-	}
-	tk := *tkp
+// awaitCommit is the parked half of the commit protocol (see mutate): called
+// after the update lock is released, it waits on the staged ticket until a
+// committer has made the commit durable (sharing the fsync with every other
+// commit in the batch), then runs the auto-checkpoint if the WAL crossed its
+// threshold.
+func (db *Database) awaitCommit(tk *commitTicket) error {
 	start := time.Now()
 	err := db.store.awaitTicket(tk)
 	db.tel.ackSeconds.ObserveDuration(time.Since(start))
@@ -618,12 +597,10 @@ func (db *Database) awaitCommit(errp *error, tkp **commitTicket) {
 		}
 	}
 	if err != nil {
-		if *errp == nil {
-			*errp = err
-		}
-		return
+		return err
 	}
 	db.maybeAutoCheckpoint(tk.span)
+	return nil
 }
 
 // stageCommitLocked builds the commit for everything the current mutation
@@ -632,10 +609,6 @@ func (db *Database) awaitCommit(errp *error, tkp **commitTicket) {
 // ops, touched dataset metas, obstacle ops) — assigns it the next sequence
 // number, and enqueues it. Callers hold the updateMu write side, which is
 // what orders staging: queue order equals sequence order equals WAL order.
-//
-// In fsync-per-commit legacy mode the commit is written and fsynced inline
-// instead (the pre-group-commit protocol: the mutator holds the update lock
-// through its own fsync), and no ticket is returned.
 func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*commitTicket, error) {
 	s := db.store
 	if s.closed {
@@ -674,13 +647,6 @@ func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*co
 	}
 	s.tel.stageSeconds.ObserveDuration(time.Since(stageStart))
 	sp.ChildDur("stage", stageStart, time.Since(stageStart))
-	if s.legacy {
-		s.writeBatch([]*commitTicket{tk}, tk)
-		if tk.err == nil && s.autoCheckpoint > 0 && s.log.Load().Size() >= s.autoCheckpoint {
-			s.lastCheckpointErr = db.checkpointLocked()
-		}
-		return nil, tk.err
-	}
 	s.qmu.Lock()
 	s.queue = append(s.queue, tk)
 	s.qmu.Unlock()
@@ -709,14 +675,19 @@ func (db *Database) dirtyDatasetMetas() []catalog.DatasetMeta {
 		if !ok {
 			continue
 		}
-		t := ps.Tree()
-		metas = append(metas, catalog.DatasetMeta{
-			Name:    name,
-			Tree:    catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
-			IDBound: ps.IDBound(),
-		})
+		metas = append(metas, datasetMeta(name, ps))
 	}
 	return metas
+}
+
+// datasetMeta is the catalog record locating one dataset's tree.
+func datasetMeta(name string, ps *core.PointSet) catalog.DatasetMeta {
+	t := ps.Tree()
+	return catalog.DatasetMeta{
+		Name:    name,
+		Tree:    catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
+		IDBound: ps.IDBound(),
+	}
 }
 
 // obstacleDeltaLocked snapshots the obstacle-set header plus the obstacle
@@ -777,10 +748,10 @@ func (s *durableStore) awaitTicket(tk *commitTicket) error {
 	}
 }
 
-// takeBatch moves up to maxBatch-len(batch) queued tickets onto batch.
+// takeBatch moves up to maxCommitBatch-len(batch) queued tickets onto batch.
 func (s *durableStore) takeBatch(batch []*commitTicket) []*commitTicket {
 	s.qmu.Lock()
-	take := s.maxBatch - len(batch)
+	take := maxCommitBatch - len(batch)
 	if take > len(s.queue) {
 		take = len(s.queue)
 	}
@@ -795,7 +766,7 @@ func (s *durableStore) takeBatch(batch []*commitTicket) []*commitTicket {
 	return batch
 }
 
-// drainQueue empties the commit queue in batches of at most maxBatch,
+// drainQueue empties the commit queue in batches of at most maxCommitBatch,
 // writing and fsyncing each. Callers hold the leader token.
 //
 // With wait=true the committer absorbs imminent arrivals before fsyncing:
@@ -804,12 +775,12 @@ func (s *durableStore) takeBatch(batch []*commitTicket) []*commitTicket {
 // per straggler — the failure mode that makes naive group commit degrade
 // back to fsync-per-commit. The committer therefore polls the queue until
 // it quiesces (one poll window passes with no new arrival — every mutator
-// in its commit cycle is now parked in this batch), bounded by
-// GroupCommitMaxDelay or, by default, half the measured fsync cost:
-// spending a fraction of an fsync of latency to share the whole fsync is a
-// win. The wait is gated on observed contention — a lone writer (batch of
-// one following a batch of one) never waits at all. The checkpoint path
-// drains with wait=false.
+// in its commit cycle is now parked in this batch), bounded by half the
+// measured fsync cost (or by maxDelay, when a test forces a window): spending
+// a fraction of an fsync of latency to share the whole fsync is a win. The
+// wait is gated on observed contention — a lone writer (batch of one
+// following a batch of one) never waits at all. The checkpoint path drains
+// with wait=false.
 func (s *durableStore) drainQueue(wait bool, lead *commitTicket) {
 	for {
 		batch := s.takeBatch(nil)
@@ -817,12 +788,12 @@ func (s *durableStore) drainQueue(wait bool, lead *commitTicket) {
 			return
 		}
 		// Wait when contention is evident (this or the previous batch had
-		// company) or when the caller opted into a fixed delay — on a
-		// lightly scheduled box the fsync syscall may monopolize the only
-		// CPU, so overlap alone cannot always bootstrap batching, and the
-		// yield-polls below are what hand waiting mutators the CPU.
+		// company) or when a test forced a fixed delay — on a lightly
+		// scheduled box the fsync syscall may monopolize the only CPU, so
+		// overlap alone cannot always bootstrap batching, and the yield-polls
+		// below are what hand waiting mutators the CPU.
 		contended := len(batch) > 1 || s.lastBatch.Load() > 1 || s.maxDelay > 0
-		if wait && contended && len(batch) < s.maxBatch {
+		if wait && contended && len(batch) < maxCommitBatch {
 			budget := s.maxDelay
 			if budget == 0 {
 				budget = time.Duration(s.fsyncEWMA.Load()) * time.Microsecond / 2
@@ -832,7 +803,7 @@ func (s *durableStore) drainQueue(wait bool, lead *commitTicket) {
 			// straight to the re-staging mutators we are waiting for.
 			// Quiesce = several consecutive yields with no arrival.
 			idle := 0
-			for deadline := time.Now().Add(budget); idle < 4 && len(batch) < s.maxBatch && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(budget); idle < 4 && len(batch) < maxCommitBatch && time.Now().Before(deadline); {
 				runtime.Gosched()
 				before := len(batch)
 				batch = s.takeBatch(batch)
@@ -902,14 +873,8 @@ func (s *durableStore) writeBatch(batch []*commitTicket, lead *commitTicket) {
 			s.batchMax = len(batch)
 		}
 		s.durableSeq = batch[len(batch)-1].tx.Seq
-	} else if s.broken == nil {
-		s.broken = err
-		select {
-		case s.degradedCh <- struct{}{}:
-		default:
-		}
-	}
-	if err != nil {
+	} else {
+		s.poisonLocked(err)
 		err = &DegradedError{Cause: s.broken, Recovery: s.recoveryStatsLocked()}
 	}
 	s.cmu.Unlock()
@@ -924,6 +889,13 @@ func (s *durableStore) writeBatch(batch []*commitTicket, lead *commitTicket) {
 // in-memory state unrecoverable, and wakes the recovery supervisor.
 func (s *durableStore) poison(err error) {
 	s.cmu.Lock()
+	s.poisonLocked(err)
+	s.cmu.Unlock()
+}
+
+// poisonLocked is poison for callers holding s.cmu. Only the first error is
+// kept.
+func (s *durableStore) poisonLocked(err error) {
 	if s.broken == nil {
 		s.broken = err
 		select {
@@ -931,7 +903,6 @@ func (s *durableStore) poison(err error) {
 		default:
 		}
 	}
-	s.cmu.Unlock()
 }
 
 // flushCommitsLocked drains the commit queue and waits out any in-flight
@@ -1045,7 +1016,7 @@ func (db *Database) checkpointLocked() error {
 		if oldObst, err = catalog.BlobChain(s.tx, s.super.Obstacles); err != nil {
 			return fmt.Errorf("obstacles: checkpoint reading old obstacle chain: %w", err)
 		}
-		data := db.encodeObstacles()
+		data := encodeObstacleSet(db.obstSet)
 		for len(newObstPages) < catalog.BlobPages(pageSize, len(data)) {
 			id, err := allocClean()
 			if err != nil {
@@ -1161,22 +1132,14 @@ func (db *Database) datasetMetas() []catalog.DatasetMeta {
 	defer db.mu.RUnlock()
 	metas := make([]catalog.DatasetMeta, 0, len(db.datasets))
 	for name, ps := range db.datasets {
-		t := ps.Tree()
-		metas = append(metas, catalog.DatasetMeta{
-			Name:    name,
-			Tree:    catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
-			IDBound: ps.IDBound(),
-		})
+		metas = append(metas, datasetMeta(name, ps))
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
 	return metas
 }
 
-// encodeObstacles serializes the live obstacle polygons and tree location.
-func (db *Database) encodeObstacles() []byte {
-	return encodeObstacleSet(db.obstSet)
-}
-
+// encodeObstacleSet serializes an obstacle set's live polygons and tree
+// location.
 func encodeObstacleSet(o *core.ObstacleSet) []byte {
 	t := o.Tree()
 	polys := make(map[int64][]geom.Point)

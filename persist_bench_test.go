@@ -185,24 +185,3 @@ func BenchmarkDurableChurnParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkDurableChurnLegacy is the fsync-per-commit baseline the group
-// committer replaces (Options.GroupCommitMaxBatch < 0): every mutator holds
-// the update lock through its own fsync, so adding writers cannot help.
-func BenchmarkDurableChurnLegacy(b *testing.B) {
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rects, pts := benchWorld(1000, 2000)
-			path := filepath.Join(b.TempDir(), "churn.obs")
-			buildDurable(b, path, rects, pts)
-			opts := DefaultOptions()
-			opts.GroupCommitMaxBatch = -1
-			db, err := Open(path, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			churnLoopParallel(b, db, workers)
-		})
-	}
-}

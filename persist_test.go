@@ -618,7 +618,7 @@ func TestFaultInjectionCheckpoint(t *testing.T) {
 	for n := int64(0); ; n++ {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fault.obs")
-		// Create the file cleanly, then reopen with the fault wrapper.
+		// Create the file cleanly, then reopen with the fault injector armed.
 		db, err := Open(path, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -626,15 +626,11 @@ func TestFaultInjectionCheckpoint(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var fault *pagefile.FaultStorage
+		fault := pagefile.NewInjector(pagefile.FaultRule{Op: pagefile.OpPageWrite, After: n})
 		opts := DefaultOptions()
 		opts.WALCheckpointBytes = -1
-		db, err = openWithHooks(path, opts, openHooks{
-			wrapStorage: func(st pagefile.Storage) pagefile.Storage {
-				fault = pagefile.NewFaultStorage(st, n)
-				return fault
-			},
-		})
+		opts.Chaos = fault
+		db, err = Open(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -642,7 +638,7 @@ func TestFaultInjectionCheckpoint(t *testing.T) {
 		final := states[len(states)-1]
 
 		cperr := db.Checkpoint()
-		exhausted := fault.Writes() > n
+		exhausted := fault.Ops(pagefile.OpPageWrite) > n
 		if exhausted && cperr == nil {
 			t.Fatalf("n=%d: checkpoint succeeded despite exhausted write budget", n)
 		}

@@ -6,10 +6,9 @@ import (
 	"repro/internal/core"
 )
 
-// QueryStats reports the work one query performed — the per-query
-// replacement for the process-global ResetStats/TreeStats pattern, valid
-// even while other queries run concurrently. Collect it by passing
-// WithStats(&qs) to any query verb.
+// QueryStats reports the work one query performed, valid even while other
+// queries run concurrently. Collect it by passing WithStats(&qs) to any
+// query verb.
 type QueryStats struct {
 	// PageAccesses counts R-tree page reads that missed the LRU buffers —
 	// the metric the paper's experiments plot — summed over the obstacle

@@ -11,8 +11,7 @@ import (
 	"repro/internal/pagefile"
 )
 
-// recoverScales are the two worlds the self-healing benchmarks run at; the
-// numbers recorded in BENCH_recover.json.
+// recoverScales are the two worlds the self-healing benchmarks run at.
 var recoverScales = []struct{ nObst, nPts int }{
 	{2000, 4000},
 	{8000, 16000},

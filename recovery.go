@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -217,7 +216,6 @@ func (db *Database) recoverLocked() error {
 	if err != nil {
 		return fmt.Errorf("obstacles: recovery reading superblock: %w", err)
 	}
-	pageSize := sb.PageSize
 
 	// Redo pass, as Open does — with one extra piece of knowledge a cold
 	// open lacks: the last seq whose commit fsync was acknowledged to a
@@ -227,94 +225,14 @@ func (db *Database) recoverLocked() error {
 	s.cmu.Lock()
 	ackSeq := s.durableSeq
 	s.cmu.Unlock()
-	var (
-		events  []replayEvent
-		logged  = make(map[pagefile.PageID]struct{})
-		lastSeq uint64
-	)
-	err = nlog.Replay(func(tx wal.Tx) error {
-		if tx.Seq > ackSeq {
-			return nil
-		}
-		for _, p := range tx.Pages {
-			if len(p.Data) != pageSize {
-				return fmt.Errorf("wal page %d has %d bytes, page size is %d", p.ID, len(p.Data), pageSize)
-			}
-			if err := s.fs.WritePage(pagefile.PageID(p.ID), p.Data); err != nil {
-				return err
-			}
-			logged[pagefile.PageID(p.ID)] = struct{}{}
-		}
-		ev := replayEvent{seq: tx.Seq}
-		if tx.Meta != nil {
-			ev.meta = append([]byte(nil), tx.Meta...)
-		}
-		for _, d := range tx.Deltas {
-			ev.deltas = append(ev.deltas, append([]byte(nil), d...))
-		}
-		events = append(events, ev)
-		lastSeq = tx.Seq
-		return nil
-	})
+	rs, err := redo(s.fs, nlog, sb, ackSeq)
 	if err != nil {
-		return fmt.Errorf("obstacles: recovery replaying WAL: %w", err)
+		return fmt.Errorf("obstacles: recovery: %w", err)
 	}
-	deltaStart := 0
-	for i, ev := range events {
-		if ev.meta != nil {
-			nsb, err := pagefile.DecodeSuperblock(ev.meta)
-			if err != nil {
-				return fmt.Errorf("obstacles: recovery decoding superblock: %w", err)
-			}
-			sb = nsb
-			deltaStart = i + 1
-		}
-	}
+	state, obst := rs.state, rs.obst
 
-	state := &catalog.State{}
-	var obst *catalog.Obstacles
-	if sb.State.Root != pagefile.InvalidPage {
-		blob, err := catalog.ReadBlob(s.fs, sb.State)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery reading state catalog: %w", err)
-		}
-		if state, err = catalog.DecodeState(blob); err != nil {
-			return err
-		}
-	}
-	if sb.Obstacles.Root != pagefile.InvalidPage {
-		blob, err := catalog.ReadBlob(s.fs, sb.Obstacles)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery reading obstacle catalog: %w", err)
-		}
-		if obst, err = catalog.DecodeObstacles(blob); err != nil {
-			return err
-		}
-	}
-	next := sb.Next
-	for _, ev := range events[deltaStart:] {
-		if ev.seq <= sb.Seq {
-			continue
-		}
-		for _, raw := range ev.deltas {
-			d, err := catalog.DecodeDelta(raw)
-			if err != nil {
-				return fmt.Errorf("obstacles: recovery decoding group %d delta: %w", ev.seq, err)
-			}
-			if obst, err = d.Apply(state, obst); err != nil {
-				return fmt.Errorf("obstacles: recovery applying group %d delta: %w", ev.seq, err)
-			}
-			next = d.Next
-		}
-	}
-	s.fs.SetAllocState(next, state.PageFree)
-
-	var st pagefile.Storage = s.fs
-	if s.hooks.wrapStorage != nil {
-		st = s.hooks.wrapStorage(s.fs)
-	}
-	ntx := pagefile.NewTxStorage(st)
-	topts := rtree.Options{PageSize: pageSize, Storage: ntx}
+	ntx := pagefile.NewTxStorage(s.fs)
+	topts := rtree.Options{PageSize: sb.PageSize, Storage: ntx}
 
 	// Rebuild the obstacle set at a generation strictly above every epoch
 	// the old in-memory state ever published, so pinned readers (and the
@@ -345,19 +263,12 @@ func (db *Database) recoverLocked() error {
 	sizeBuffer(obstSet.Tree(), db.opts.BufferFraction)
 	obstSet.EnableCOW()
 
-	nds := make(map[string]*core.PointSet, len(state.Datasets))
-	for _, ds := range state.Datasets {
-		tree, err := rtree.Attach(topts, ds.Tree.Root, ds.Tree.Height, ds.Tree.Size)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery attaching dataset %q: %w", ds.Name, err)
-		}
-		set, err := core.AttachPointSet(tree, ds.IDBound)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery rebuilding dataset %q: %w", ds.Name, err)
-		}
-		sizeBuffer(tree, db.opts.BufferFraction)
+	nds, err := attachDatasets(topts, state, db.opts.BufferFraction)
+	if err != nil {
+		return err
+	}
+	for _, set := range nds {
 		set.EnableCOW()
-		nds[ds.Name] = set
 	}
 
 	// Swap. From here the new state is live: the fresh log is installed, the
@@ -373,16 +284,13 @@ func (db *Database) recoverLocked() error {
 	db.engine.ReplaceObstacles(obstSet)
 	db.gen.Add(1)
 
-	seq := sb.Seq
-	if lastSeq > seq {
-		seq = lastSeq
-	}
-	s.st, s.tx = st, ntx
+	seq := max(sb.Seq, rs.lastSeq)
+	s.tx = ntx
 	s.log.Store(nlog)
 	db.installWALHook(nlog)
 	s.super = sb
 	s.seq = seq
-	s.logged = logged
+	s.logged = rs.logged
 	s.dirtyDatasets = make(map[string]struct{})
 	s.obstAdds, s.obstRemoves = nil, nil
 	s.obstDirty = true

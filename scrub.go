@@ -13,8 +13,8 @@ import (
 
 // ScrubReport is the result of one Scrub pass over the data file.
 type ScrubReport struct {
-	// Checksummed reports whether the file carries per-page checksums
-	// (format v2). A v1 file has nothing to verify; the report is empty.
+	// Checksummed reports that the pass verified per-page checksums; always
+	// true for a completed pass (every supported file carries them).
 	Checksummed bool `json:"checksummed"`
 	// Scanned is the number of pages verified; Live how many of them are
 	// reachable from the live trees and catalog blobs.
@@ -50,15 +50,11 @@ const scrubBatch = 256
 // each checkpoint — so the report is the alarm); corrupt pages on the free
 // list are quarantined so they are never handed to fresh data. Works on a
 // degraded database (it only reads, and quarantining touches no device
-// state). On a v1 file (no checksums) it returns immediately with
-// Checksummed=false.
+// state).
 func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 	s := db.store
 	if s == nil {
 		return ScrubReport{}, ErrNotPersistent
-	}
-	if s.fs.Version() < 2 {
-		return ScrubReport{}, nil
 	}
 	start := time.Now()
 	rep := ScrubReport{Checksummed: true}

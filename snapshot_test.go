@@ -246,14 +246,6 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 
 	s := db.Snapshot()
 	defer s.Close()
-	it, err := db.NearestIterator("P", Pt(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Stop()
-	if _, ok := it.Next(); !ok {
-		t.Fatal(it.Err())
-	}
 	next, stop := iterPull(db.Nearest(ctx, "P", Pt(9, 9)))
 	defer stop()
 	if _, _, ok := next(); !ok {
@@ -299,7 +291,6 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 			break
 		}
 	}
-	it.Stop()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -57,27 +57,6 @@
 //		Algorithm: obstacles.DBSCAN, Eps: 500, MinPts: 4,
 //	})
 //
-// # Migrating from the pre-context API
-//
-// Query verbs gained a leading context.Context and trailing options:
-//
-//	db.Range("p", q, r)            ->  db.Range(ctx, "p", q, r)
-//	db.NearestNeighbors("p", q, k) ->  db.NearestNeighbors(ctx, "p", q, k)
-//	db.DistanceJoin("s", "t", d)   ->  db.DistanceJoin(ctx, "s", "t", d)
-//	db.ClosestPairs("s", "t", k)   ->  db.ClosestPairs(ctx, "s", "t", k)
-//	db.ObstructedDistance(a, b)    ->  db.ObstructedDistance(ctx, a, b)
-//	db.ObstructedPath(a, b)        ->  db.ObstructedPath(ctx, a, b)
-//	db.ObstructedDistances(q, ts)  ->  db.ObstructedDistances(ctx, q, ts)
-//	db.DistanceMatrix(pts)         ->  db.DistanceMatrix(ctx, pts)
-//	db.Cluster("p", copts)         ->  db.Cluster(ctx, "p", copts)
-//	db.DatasetLen("p")             ->  n, err := db.DatasetLen("p") (unknown name errors; see HasDataset)
-//	db.NearestIterator("p", q)     ->  for nb, err := range db.Nearest(ctx, "p", q)
-//	db.ClosestPairIterator(s, t)   ->  for p, err := range db.Closest(ctx, s, t)
-//	db.ResetStats + TreeStats      ->  db.Range(ctx, ..., obstacles.WithStats(&qs))
-//
-// The old iterator structs remain as deprecated wrappers; the global
-// ResetStats/TreeStats counters remain for whole-process accounting.
-//
 // See the examples directory for complete programs.
 package obstacles
 

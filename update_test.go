@@ -157,8 +157,7 @@ func TestAddRemoveObstacles(t *testing.T) {
 // started before a mutation commits finishes without error and yields
 // exactly the answer set of the generation it pinned — the mutation neither
 // interrupts it nor leaks into it — while a stream started afterwards sees
-// the new state. (Before multi-versioning, mutations failed open streams
-// with ErrConcurrentUpdate; that error is retired.)
+// the new state.
 func TestStreamsSurviveConcurrentUpdate(t *testing.T) {
 	db := cityDB(t, DefaultOptions())
 	pts := []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95), Pt(5, 95), Pt(45, 45)}
@@ -250,69 +249,6 @@ func TestStreamsSurviveConcurrentUpdate(t *testing.T) {
 		if gotPairs[i] != wantPairs[i] {
 			t.Fatalf("Closest pair %d: got %+v, want %+v", i, gotPairs[i], wantPairs[i])
 		}
-	}
-
-	// Deprecated wrappers pin at creation the same way.
-	want = want[:0]
-	for nb, err := range db.Nearest(ctx, "p", q) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, nb)
-	}
-	it, err := db.NearestIterator("p", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = got[:0]
-	mutated := false
-	for {
-		nb, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, nb)
-		if !mutated {
-			mutated = true
-			if _, err := db.InsertPoints("p", Pt(2, 2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("wrapper Err = %v, want iterator to survive the update", err)
-	}
-	sameNeighbors("NearestIterator across update", got, want)
-
-	wantPairs = wantPairs[:0]
-	for p, err := range db.Closest(ctx, "p", "q") {
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPairs = append(wantPairs, p)
-	}
-	cit, err := db.ClosestPairIterator("p", "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cit.Next(); !ok {
-		t.Fatal(cit.Err())
-	}
-	if _, err := db.InsertPoints("q", Pt(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	n := 1
-	for {
-		if _, ok := cit.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if err := cit.Err(); err != nil {
-		t.Fatalf("pair wrapper Err = %v, want iterator to survive the update", err)
-	}
-	if n != len(wantPairs) {
-		t.Fatalf("pair wrapper emitted %d pairs, pinned generation has %d", n, len(wantPairs))
 	}
 }
 
@@ -752,83 +688,6 @@ func TestChurnMatchesRebuild(t *testing.T) {
 	for id := range w.livePts {
 		if int(id) >= len(cl.Assignments) {
 			t.Fatalf("live id %d beyond assignments (%d)", id, len(cl.Assignments))
-		}
-	}
-}
-
-// TestDeprecatedIteratorParity pins the deprecated pull-style wrappers to
-// the range-over-func sequences they forward to, so session-layer changes
-// cannot silently diverge them.
-func TestDeprecatedIteratorParity(t *testing.T) {
-	db := cityDB(t, DefaultOptions())
-	pts := []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95), Pt(5, 95), Pt(45, 45), Pt(95, 5)}
-	if err := db.AddDataset("p", pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddDataset("q", []Point{Pt(50, 95), Pt(5, 50), Pt(95, 50)}); err != nil {
-		t.Fatal(err)
-	}
-
-	q := Pt(48, 3)
-	var seq []Neighbor
-	for nb, err := range db.Nearest(ctx, "p", q) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = append(seq, nb)
-	}
-	it, err := db.NearestIterator("p", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old []Neighbor
-	for {
-		nb, ok := it.Next()
-		if !ok {
-			break
-		}
-		old = append(old, nb)
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != len(seq) || len(old) != len(pts) {
-		t.Fatalf("wrapper emitted %d, sequence %d, dataset has %d", len(old), len(seq), len(pts))
-	}
-	for i := range old {
-		if old[i].ID != seq[i].ID || math.Abs(old[i].Distance-seq[i].Distance) > 1e-12 {
-			t.Fatalf("neighbor %d: wrapper %+v, sequence %+v", i, old[i], seq[i])
-		}
-	}
-
-	var seqPairs []Pair
-	for p, err := range db.Closest(ctx, "p", "q") {
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqPairs = append(seqPairs, p)
-	}
-	cit, err := db.ClosestPairIterator("p", "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oldPairs []Pair
-	for {
-		p, ok := cit.Next()
-		if !ok {
-			break
-		}
-		oldPairs = append(oldPairs, p)
-	}
-	if err := cit.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(oldPairs) != len(seqPairs) {
-		t.Fatalf("wrapper emitted %d pairs, sequence %d", len(oldPairs), len(seqPairs))
-	}
-	for i := range oldPairs {
-		if oldPairs[i] != seqPairs[i] {
-			t.Fatalf("pair %d: wrapper %+v, sequence %+v", i, oldPairs[i], seqPairs[i])
 		}
 	}
 }
