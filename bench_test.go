@@ -298,8 +298,10 @@ func BenchmarkFig22OCPK(b *testing.B) {
 }
 
 // BenchmarkAblationSweepVsNaive compares the [SS84] rotational plane sweep
-// against the naive all-obstacles visibility construction on local graphs
-// of growing size (DESIGN.md ablation #1).
+// against the naive all-obstacles visibility pass on local graphs of growing
+// size (DESIGN.md ablation #1). Build computes no visibility, so each
+// iteration expands every vertex reachable from the query point: the fully
+// materialised graph, one pass per node.
 func BenchmarkAblationSweepVsNaive(b *testing.B) {
 	lab := benchLab(b, benchObstacles)
 	for _, pct := range []float64{0.25, 0.5, 1} {
@@ -317,15 +319,62 @@ func BenchmarkAblationSweepVsNaive(b *testing.B) {
 		for _, sweep := range []bool{true, false} {
 			name := fmt.Sprintf("e=%g%%/obstacles=%d/sweep=%v", pct, len(obs), sweep)
 			b.Run(name, func(b *testing.B) {
+				var m visgraph.Metrics
 				for i := 0; i < b.N; i++ {
-					g := visgraph.Build(visgraph.Options{UseSweep: sweep}, obs)
-					if g.NumNodes() == 0 && len(obs) > 0 {
-						b.Fatal("empty graph")
+					g := visgraph.Build(visgraph.Options{UseSweep: sweep, Metrics: &m}, obs)
+					g.Expand(g.AddTerminal(q), math.Inf(1), func(visgraph.NodeID, float64) bool { return true })
+					if g.NumEdges() == 0 && len(obs) > 0 {
+						b.Fatal("no edges materialised")
 					}
 				}
+				b.ReportMetric(float64(m.Sweeps)/float64(b.N), "sweeps/op")
 			})
 		}
 	}
+}
+
+// BenchmarkObstructedPathLong is the in-process twin of the benchmark's
+// route_long workload: shortest paths between uniform points 800-1600 units
+// apart on the default world (seed 1, |O| = 1000), one large local graph per
+// query. sweeps/op is where the time goes: against nodes/op (what eager
+// construction swept) it shows what laziness saves, against settled/op how
+// many settled nodes were already up to date.
+func BenchmarkObstructedPathLong(b *testing.B) {
+	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
+	db, err := obstacles.NewDatabaseFromRects(world.Rects, obstacles.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(2))
+	pairs := make([][2]geom.Point, 64)
+	for i, a := range world.UniformPoints(rng, len(pairs)) {
+		for {
+			l, th := 800+800*rng.Float64(), rng.Float64()*2*math.Pi
+			c := geom.Pt(a.X+l*math.Cos(th), a.Y+l*math.Sin(th))
+			if inside, err := db.InsideObstacle(c); err != nil {
+				b.Fatal(err)
+			} else if !inside && c.X >= 0 && c.Y >= 0 && c.X <= world.Universe() && c.Y <= world.Universe() {
+				pairs[i] = [2]geom.Point{a, c}
+				break
+			}
+		}
+	}
+	var sweeps, settled, nodes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var qs obstacles.QueryStats
+		pq := pairs[i%len(pairs)]
+		if _, _, err := db.ObstructedPath(bctx, pq[0], pq[1], obstacles.WithStats(&qs)); err != nil {
+			b.Fatal(err)
+		}
+		sweeps += qs.Sweeps
+		settled += qs.SettledNodes
+		nodes += uint64(qs.GraphNodes)
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
 // BenchmarkAblationHilbertSeeds compares ODJ with and without the Hilbert

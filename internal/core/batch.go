@@ -238,9 +238,6 @@ func (s *Session) batchExpand(g *visgraph.Graph, source geom.Point, prep *batchP
 		// target at once (Dijkstra settles in ascending distance order, so a
 		// settled target's distance is exact in the current graph).
 		st.DistComputations++
-		if n, m := g.NumNodes(), g.NumEdges(); n > st.GraphNodes {
-			st.GraphNodes, st.GraphEdges = n, m
-		}
 		for _, idxs := range prep.nodeIdx {
 			for _, i := range idxs {
 				if !final[i] {
@@ -266,6 +263,9 @@ func (s *Session) batchExpand(g *visgraph.Graph, source geom.Point, prep *batchP
 				return !hit || unsettled > 0
 			})
 		})
+		if n, m := g.NumNodes(), g.NumEdges(); n > st.GraphNodes {
+			st.GraphNodes, st.GraphEdges = n, m
+		}
 		if err := s.err(); err != nil {
 			return err
 		}

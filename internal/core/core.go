@@ -524,19 +524,21 @@ type Stats struct {
 	// metric (for kNN: Euclidean kNNs absent from the obstructed kNN set).
 	FalseHits int
 	// GraphNodes and GraphEdges describe the (largest) visibility graph
-	// the query worked on. With the engine's graph cache enabled these
-	// count the shared cached graph — whose obstacles accrete across
+	// the query worked on; GraphEdges counts materialised edges, those at
+	// the nodes some search expanded (adjacency is lazy), not the full
+	// visibility graph's. With the engine's graph cache enabled these count
+	// the shared cached graph — whose obstacles and adjacency accrete across
 	// queries — not a per-query local graph, so they are history-dependent
 	// there.
 	GraphNodes, GraphEdges int
 	// DistComputations counts invocations of the obstructed distance
 	// computation (Fig 8).
 	DistComputations int
-	// SettledNodes, Expansions and GraphBuilds are this query's own
-	// visibility-graph work (Dijkstra-settled nodes, Dijkstra runs, graph
-	// constructions) — per-query counters, valid under concurrency, unlike
-	// the engine-wide cumulative Metrics.
-	SettledNodes, Expansions, GraphBuilds uint64
+	// SettledNodes, Expansions, GraphBuilds and Sweeps are this query's own
+	// visibility-graph work (settled nodes, searches, graph constructions,
+	// per-node visibility passes) — per-query counters, valid under
+	// concurrency, unlike the engine-wide cumulative Metrics.
+	SettledNodes, Expansions, GraphBuilds, Sweeps uint64
 	// IO is this query's R-tree page traffic across the obstacle tree and
 	// every dataset tree it touched (PhysicalReads are the paper's "page
 	// accesses").
@@ -554,6 +556,7 @@ func (st *Stats) Merge(rst Stats) {
 	st.SettledNodes += rst.SettledNodes
 	st.Expansions += rst.Expansions
 	st.GraphBuilds += rst.GraphBuilds
+	st.Sweeps += rst.Sweeps
 	st.IO = st.IO.Add(rst.IO)
 	if rst.GraphNodes > st.GraphNodes {
 		st.GraphNodes, st.GraphEdges = rst.GraphNodes, rst.GraphEdges
@@ -616,7 +619,7 @@ func (e *Engine) ReplaceObstacles(o *ObstacleSet) {
 }
 
 // Metrics returns the cumulative visibility-graph work counters of every
-// query run so far (graph builds, Dijkstra expansions, settled nodes),
+// query run so far (graph builds, searches, settled nodes, sweeps),
 // merged from all sessions. Per-query counters live in each query's Stats.
 func (e *Engine) Metrics() visgraph.Metrics { return e.totals.snapshot() }
 

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/telemetry"
+)
+
+// standardWorld is the default evaluation world (|O| = 1000 street MBRs) and
+// pairs of uniform points 800-1600 units apart in it, the shape of the
+// benchmark's route_long workload.
+func standardWorld(tb testing.TB, pairs int) (*Engine, [][2]geom.Point) {
+	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
+	obst, err := NewObstacleSet(testTreeOpts(), world.Polys, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := NewEngine(obst, DefaultEngineOptions())
+	rng := world.EntityRand(9)
+	var out [][2]geom.Point
+	for len(out) < pairs {
+		pts := world.UniformPoints(rng, 2)
+		if d := pts[0].Dist(pts[1]); d >= 800 && d <= 1600 {
+			out = append(out, [2]geom.Point{pts[0], pts[1]})
+		}
+	}
+	return eng, out
+}
+
+// TestObstructedPathOneSearchPerIteration: the route comes out of the final
+// Fig 8 iteration's search, so a path query runs one search per iteration
+// (each iteration grows the graph at most once) and no more searches than
+// the distance query over the same pair; and every sweep the query made is
+// attributed, to a dijkstra span or to one of the two terminals.
+func TestObstructedPathOneSearchPerIteration(t *testing.T) {
+	eng, pairs := standardWorld(t, 6)
+	for _, pq := range pairs {
+		s := eng.NewSession(context.Background())
+		root := telemetry.NewTrace().Root("path")
+		s.SetSpan(root)
+		path, d, st, err := s.ObstructedPath(pq[0], pq[1])
+		root.End()
+		if err != nil || math.IsInf(d, 1) {
+			t.Fatalf("path %v: d=%v err=%v", pq, d, err)
+		}
+		var searches, grows, sweeps uint64
+		for _, sp := range root.Trace().Snapshot().Spans[0].Children {
+			switch sp.Name {
+			case "dijkstra":
+				searches++
+				sweeps += sp.Attrs["sweeps"].(uint64)
+			case "graph-grow":
+				grows++
+			}
+		}
+		if st.Expansions != searches || searches < grows || searches > grows+1 {
+			t.Errorf("path %v: %d searches (%d under dijkstra spans) for %d graph growths", pq, st.Expansions, searches, grows)
+		}
+		if st.Sweeps != sweeps+2 {
+			t.Errorf("path %v: %d sweeps, %d of them inside dijkstra spans, want all but the two terminals'", pq, st.Sweeps, sweeps)
+		}
+		if int(st.Sweeps) >= st.GraphNodes {
+			t.Errorf("path %v: swept %d of %d nodes: the search was not goal-directed or not lazy", pq, st.Sweeps, st.GraphNodes)
+		}
+		sum := 0.0
+		for i := 1; i < len(path); i++ {
+			sum += path[i-1].Dist(path[i])
+		}
+		if !path[0].Eq(pq[0]) || !path[len(path)-1].Eq(pq[1]) || math.Abs(sum-d) > 1e-9*d {
+			t.Errorf("path %v: runs %v..%v, legs sum to %v, length %v", pq, path[0], path[len(path)-1], sum, d)
+		}
+		dd, dst, err := eng.NewSession(context.Background()).ObstructedDistance(pq[0], pq[1])
+		if err != nil || math.Abs(dd-d) > 1e-9*d || dst.Expansions != st.Expansions {
+			t.Errorf("path %v: length %v in %d searches, distance %v in %d (err %v)", pq, d, st.Expansions, dd, dst.Expansions, err)
+		}
+	}
+}
+
+// sweepBudgetCtx is canceled once the session it governs has made budget
+// sweeps: cancellation that lands at a point in the session's work, wherever
+// the polls happen to fall.
+type sweepBudgetCtx struct {
+	context.Context
+	s      *Session
+	budget uint64
+	since  time.Time // when cancellation was first reported
+}
+
+func (c *sweepBudgetCtx) Err() error {
+	if met, _ := c.s.Work(); met.Sweeps < c.budget {
+		return nil
+	}
+	if c.since.IsZero() {
+		c.since = time.Now()
+	}
+	return context.Canceled
+}
+
+// TestCancelMidPathIsPrompt: a settle can cost a whole sweep (~0.2 ms on this
+// world), so a search must notice cancellation before its next sweep, not 64
+// settles later. The exact form of "returns within a few milliseconds" is that
+// no sweep runs after cancellation; the wall-clock bound is loose on purpose
+// (CI runs this under -race on shared runners) and only catches gross stalls.
+func TestCancelMidPathIsPrompt(t *testing.T) {
+	eng, pairs := standardWorld(t, 8)
+	// The pair whose route takes the most work.
+	var a, b geom.Point
+	var whole Stats
+	for _, pq := range pairs {
+		_, _, st, err := eng.NewSession(context.Background()).ObstructedPath(pq[0], pq[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Sweeps > whole.Sweeps {
+			a, b, whole = pq[0], pq[1], st
+		}
+	}
+	if whole.Sweeps < 40 {
+		t.Fatalf("the longest route takes %d sweeps; want a query worth canceling", whole.Sweeps)
+	}
+	for _, budget := range []uint64{whole.Sweeps / 4, whole.Sweeps / 2, whole.Sweeps - 5} {
+		ctx := &sweepBudgetCtx{Context: context.Background(), budget: budget}
+		ctx.s = eng.NewSession(ctx)
+		_, _, st, err := ctx.s.ObstructedPath(a, b)
+		late := time.Since(ctx.since)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d of %d sweeps: err = %v", budget, whole.Sweeps, err)
+		}
+		if st.Sweeps != budget {
+			t.Errorf("canceled after %d of %d sweeps: %d more ran", budget, whole.Sweeps, st.Sweeps-budget)
+		}
+		if late > 100*time.Millisecond {
+			t.Errorf("canceled after %d of %d sweeps: returned %v later", budget, whole.Sweeps, late)
+		}
+	}
+}

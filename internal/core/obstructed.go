@@ -13,7 +13,9 @@ import (
 // so the range is iteratively enlarged to the latest provisional distance
 // and newly discovered obstacles are folded into the graph. The distance is
 // monotonically non-decreasing across iterations; the loop stops when an
-// enlargement discovers no new obstacle.
+// enlargement discovers no new obstacle. Each iteration is one goal-directed
+// search from np to nq, and the last one's route is still g.Path(nq) when
+// the loop returns a finite distance.
 //
 // center must be the point of one of the two nodes (the paper centers ranges
 // at the query point): any path of length L from it stays inside the disk of
@@ -79,91 +81,67 @@ func (s *Session) obstructedDistance(g *visgraph.Graph, np, nq visgraph.NodeID, 
 	}
 }
 
-// ObstructedPath returns a shortest obstacle-avoiding path from a to b as a
-// point sequence (bending only at obstacle vertices, per [LW79]) together
-// with its length. The path is nil and the length +Inf when b is
-// unreachable. The graph is grown by the same iterative enlargement as
-// ObstructedDistance before the final path is extracted.
-func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st Stats, _ error) {
-	w := s.snap()
-	defer s.finishCall(&st, w)
+// pairSearch computes dO(a, b) from scratch: it builds a local visibility
+// graph with the obstacles in the Euclidean range dE(a, b) around a (as in
+// Fig 7) and runs the iterative enlargement from a's node to b's (returned,
+// with the graph, for the route). The distance is +Inf when b is unreachable
+// from a, including when either point lies strictly inside an obstacle (g is
+// nil then).
+func (s *Session) pairSearch(a, b geom.Point, st *Stats) (g *visgraph.Graph, nb visgraph.NodeID, d float64, err error) {
 	st.Candidates = 1
 	for _, p := range [2]geom.Point{a, b} {
 		inside, err := s.InsideObstacle(p)
 		if err != nil {
-			return nil, 0, st, err
+			return nil, 0, 0, err
 		}
 		if inside {
 			st.FalseHits = 1
-			return nil, math.Inf(1), st, nil
+			return nil, 0, math.Inf(1), nil
 		}
 	}
 	r := a.Dist(b)
 	obs, err := s.relevantObstacles(a, r)
 	if err != nil {
-		return nil, 0, st, err
+		return nil, 0, 0, err
 	}
-	g := s.buildGraph(obs)
+	g = s.buildGraph(obs)
 	na := g.AddTerminal(a)
-	nb := g.AddTerminal(b)
+	nb = g.AddTerminal(b)
 	st.DistComputations = 1
-	d, err := s.obstructedDistance(g, nb, na, a, r)
-	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
-	if err != nil {
-		return nil, 0, st, err
-	}
-	if math.IsInf(d, 1) {
-		st.FalseHits = 1
-		return nil, d, st, nil
-	}
-	st.Results = 1
-	var nodes []visgraph.NodeID
-	var dist float64
-	s.dijkstra(func() { nodes, dist = g.ShortestPath(na, nb) })
-	if err := s.err(); err != nil {
-		return nil, 0, st, err
-	}
-	path := make([]geom.Point, len(nodes))
-	for i, n := range nodes {
-		path[i] = g.Point(n)
-	}
-	return path, dist, st, nil
-}
-
-// ObstructedDistance computes dO(a, b) from scratch: it builds a local
-// visibility graph with the obstacles in the Euclidean range dE(a, b) around
-// a (as in Fig 7) and runs the iterative enlargement. It returns +Inf when b
-// is unreachable from a, including when either point lies strictly inside an
-// obstacle.
-func (s *Session) ObstructedDistance(a, b geom.Point) (_ float64, st Stats, _ error) {
-	w := s.snap()
-	defer s.finishCall(&st, w)
-	st.Candidates = 1
-	for _, p := range [2]geom.Point{a, b} {
-		inside, err := s.InsideObstacle(p)
-		if err != nil {
-			return 0, st, err
-		}
-		if inside {
-			st.FalseHits = 1
-			return math.Inf(1), st, nil
-		}
-	}
-	r := a.Dist(b)
-	obs, err := s.relevantObstacles(a, r)
-	if err != nil {
-		return 0, st, err
-	}
-	g := s.buildGraph(obs)
-	na := g.AddTerminal(a)
-	nb := g.AddTerminal(b)
-	st.DistComputations = 1
-	d, err := s.obstructedDistance(g, nb, na, a, r)
+	d, err = s.obstructedDistance(g, na, nb, a, r)
 	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
 	if err == nil && !math.IsInf(d, 1) {
 		st.Results = 1
 	} else if err == nil {
 		st.FalseHits = 1
 	}
+	return g, nb, d, err
+}
+
+// ObstructedPath returns a shortest obstacle-avoiding path from a to b as a
+// point sequence (bending only at obstacle vertices, per [LW79]) together
+// with its length. The path is nil and the length +Inf when b is
+// unreachable. The path is the one the final search of the iterative
+// enlargement found.
+func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st Stats, _ error) {
+	w := s.snap()
+	defer s.finishCall(&st, w)
+	g, nb, d, err := s.pairSearch(a, b, &st)
+	if err != nil || math.IsInf(d, 1) {
+		return nil, d, st, err
+	}
+	nodes := g.Path(nb)
+	path := make([]geom.Point, len(nodes))
+	for i, n := range nodes {
+		path[i] = g.Point(n)
+	}
+	return path, d, st, nil
+}
+
+// ObstructedDistance computes dO(a, b); +Inf when b is unreachable from a.
+func (s *Session) ObstructedDistance(a, b geom.Point) (_ float64, st Stats, _ error) {
+	w := s.snap()
+	defer s.finishCall(&st, w)
+	_, _, d, err := s.pairSearch(a, b, &st)
 	return d, st, err
 }

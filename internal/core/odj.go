@@ -103,17 +103,19 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 		}
 		nq := g.AddTerminal(q)
 		added = append(added, nq)
+		st.DistComputations++
+		s.dijkstra(func() {
+			g.Expand(nq, dist, func(n visgraph.NodeID, d float64) bool {
+				if pid, ok := remaining[n]; ok {
+					out = append(out, makePair(seedsFromS, seed, pid, d))
+					delete(remaining, n)
+				}
+				return len(remaining) > 0
+			})
+		})
 		if n, m := g.NumNodes(), g.NumEdges(); n > st.GraphNodes {
 			st.GraphNodes, st.GraphEdges = n, m
 		}
-		st.DistComputations++
-		g.Expand(nq, dist, func(n visgraph.NodeID, d float64) bool {
-			if pid, ok := remaining[n]; ok {
-				out = append(out, makePair(seedsFromS, seed, pid, d))
-				delete(remaining, n)
-			}
-			return len(remaining) > 0
-		})
 		if release != nil {
 			// A cached graph must return to an obstacles-only state before
 			// the next query can reuse it.

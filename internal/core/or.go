@@ -60,19 +60,22 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 		remaining[g.AddEntity(c.pt)] = c
 	}
 	nq := g.AddTerminal(q)
-	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
 	st.DistComputations = 1
 	// Step 4: one bounded expansion removes all false hits; entities are
 	// reported the first time they are dequeued, duplicates are skipped
 	// inside Expand.
 	var out []Result
-	g.Expand(nq, radius, func(n visgraph.NodeID, d float64) bool {
-		if c, ok := remaining[n]; ok {
-			out = append(out, Result{ID: c.id, Pt: c.pt, Dist: d})
-			delete(remaining, n)
-		}
-		return len(remaining) > 0
+	s.dijkstra(func() {
+		g.Expand(nq, radius, func(n visgraph.NodeID, d float64) bool {
+			if c, ok := remaining[n]; ok {
+				out = append(out, Result{ID: c.id, Pt: c.pt, Dist: d})
+				delete(remaining, n)
+			}
+			return len(remaining) > 0
+		})
 	})
+	// Read after the search: the search is what materialises edges.
+	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
 	if err := s.err(); err != nil {
 		return nil, st, err
 	}

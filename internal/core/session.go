@@ -59,27 +59,32 @@ func (s *Session) SetSpan(sp *telemetry.Span) { s.span = sp }
 // Span returns the session's trace span (nil when tracing is off).
 func (s *Session) Span() *telemetry.Span { return s.span }
 
-// buildGraph constructs a visibility graph over the obstacles, recording a
-// "graph-build" span — the single chokepoint every query verb builds
-// graphs through.
+// buildGraph starts a visibility graph over the obstacles (nodes and
+// boundary edges only: visibility is computed by the searches that follow),
+// recording a "graph-build" span — the single chokepoint every query verb
+// builds graphs through.
 func (s *Session) buildGraph(obs []visgraph.Obstacle) *visgraph.Graph {
 	defer s.span.StartSpan("graph-build")()
 	return visgraph.Build(s.graphOptions(), obs)
 }
 
-// dijkstra runs one Dijkstra expansion under a "dijkstra" child span whose
-// settled-node delta is recorded as the span's work attribute — the
-// chokepoint all three expansion paths (Fig 8 enlargement, path extraction,
-// batch multi-target settling) time themselves through.
+// dijkstra runs one graph search under a "dijkstra" child span whose
+// settled-node and visibility-sweep deltas are recorded as the span's work
+// attributes (the sweeps are where a search's time goes: adjacency is
+// computed at the nodes it expands) — the chokepoint every search path
+// (Fig 8 enlargement, batch multi-target settling, the bounded expansions of
+// range and join) times itself through.
 func (s *Session) dijkstra(run func()) {
 	if s.span == nil {
 		run()
 		return
 	}
 	sp := s.span.StartChild("dijkstra")
-	before := s.met.SettledNodes
+	before := s.met
 	run()
-	sp.SetAttr("settled_nodes", s.met.SettledNodes-before)
+	d := s.met.Sub(before)
+	sp.SetAttr("settled_nodes", d.SettledNodes)
+	sp.SetAttr("sweeps", d.Sweeps)
 	sp.End()
 }
 
@@ -155,9 +160,11 @@ func (s *Session) snap() workSnap { return workSnap{met: s.met, io: s.io} }
 // finishCall folds the work performed since the snapshot into st and
 // publishes the session's counters to the engine totals.
 func (s *Session) finishCall(st *Stats, w workSnap) {
-	st.SettledNodes += s.met.SettledNodes - w.met.SettledNodes
-	st.Expansions += s.met.Expansions - w.met.Expansions
-	st.GraphBuilds += s.met.Builds - w.met.Builds
+	d := s.met.Sub(w.met)
+	st.SettledNodes += d.SettledNodes
+	st.Expansions += d.Expansions
+	st.GraphBuilds += d.Builds
+	st.Sweeps += d.Sweeps
 	st.IO = st.IO.Add(s.io.Sub(w.io))
 	s.mergeTotals()
 }
@@ -166,11 +173,7 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 // cumulative counters. Idempotent; called after each one-shot query and when
 // iterators finish.
 func (s *Session) mergeTotals() {
-	d := visgraph.Metrics{
-		SettledNodes: s.met.SettledNodes - s.merged.SettledNodes,
-		Expansions:   s.met.Expansions - s.merged.Expansions,
-		Builds:       s.met.Builds - s.merged.Builds,
-	}
+	d := s.met.Sub(s.merged)
 	s.merged = s.met
 	s.e.totals.add(d)
 }
@@ -181,7 +184,7 @@ func (s *Session) Work() (visgraph.Metrics, pagefile.Stats) { return s.met, s.io
 // workTotals is the engine's cumulative work ledger, merged from sessions
 // with atomics so concurrent queries never contend on more than a few adds.
 type workTotals struct {
-	settled, expansions, builds atomic.Uint64
+	settled, expansions, builds, sweeps atomic.Uint64
 }
 
 func (t *workTotals) add(m visgraph.Metrics) {
@@ -194,6 +197,9 @@ func (t *workTotals) add(m visgraph.Metrics) {
 	if m.Builds != 0 {
 		t.builds.Add(m.Builds)
 	}
+	if m.Sweeps != 0 {
+		t.sweeps.Add(m.Sweeps)
+	}
 }
 
 func (t *workTotals) snapshot() visgraph.Metrics {
@@ -201,6 +207,7 @@ func (t *workTotals) snapshot() visgraph.Metrics {
 		SettledNodes: t.settled.Load(),
 		Expansions:   t.expansions.Load(),
 		Builds:       t.builds.Load(),
+		Sweeps:       t.sweeps.Load(),
 	}
 }
 
@@ -208,6 +215,7 @@ func (t *workTotals) reset() {
 	t.settled.Store(0)
 	t.expansions.Store(0)
 	t.builds.Store(0)
+	t.sweeps.Store(0)
 }
 
 // relevantObstacles returns the obstacles whose polygons intersect the disk

@@ -169,9 +169,51 @@ func TestTraceSpanTree(t *testing.T) {
 	if findSpan(verb.Children, "graph-build") == nil {
 		t.Errorf("no graph-build span under the engine span")
 	}
-	if findSpan(verb.Children, "dijkstra") == nil {
-		t.Errorf("no dijkstra span under the engine span")
+	checkSearchSpan(t, verb)
+
+	// A range request's bounded expansion goes through the same chokepoint.
+	body, _ = json.Marshal(RangeRequest{Q: Pt{q.X, q.Y}, Radius: 2500})
+	resp, err = http.Post(ts.URL+"/v1/datasets/P/range", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("range: %d %s", resp.StatusCode, raw)
+	}
+	var nr NeighborsResponse
+	decodeInto(t, raw, &nr)
+	if len(nr.Neighbors) == 0 {
+		t.Fatal("range request found nothing: it never reached the search")
+	}
+	snap = fetchTrace(t, ts.URL, resp.Header.Get("Obs-Trace-Id"))
+	if len(snap.Spans) != 1 {
+		t.Fatalf("want a single root span, got %+v", snap.Spans)
+	}
+	verb = findSpan(snap.Spans[0].Children, obstacles.VerbRange)
+	if verb == nil {
+		t.Fatalf("no %q engine span under the root", obstacles.VerbRange)
+	}
+	if search := checkSearchSpan(t, verb); search.Attrs["sweeps"] == float64(0) {
+		t.Errorf("a radius-2500 expansion swept no vertex: %+v", search.Attrs)
+	}
+}
+
+// checkSearchSpan: adjacency is computed inside searches, so the engine span
+// must hold a dijkstra child, and the span that carries the time also carries
+// the sweep count.
+func checkSearchSpan(t *testing.T, verb *telemetry.SpanSnapshot) *telemetry.SpanSnapshot {
+	t.Helper()
+	search := findSpan(verb.Children, "dijkstra")
+	if search == nil {
+		t.Fatalf("no dijkstra span under the %q span", verb.Name)
+	}
+	for _, attr := range []string{"settled_nodes", "sweeps"} {
+		if _, ok := search.Attrs[attr]; !ok {
+			t.Errorf("dijkstra span missing %q attr: %+v", attr, search.Attrs)
+		}
+	}
+	return search
 }
 
 // TestCoalesceRiderTraceLink: when concurrent nearest requests coalesce,

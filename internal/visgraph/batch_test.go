@@ -110,6 +110,7 @@ func TestGraphCountersConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	rects := disjointRects(rng, 8, 100)
 	g := buildWith(true, rects)
+	materialise(g)
 	baseNodes, baseEdges := g.NumNodes(), g.NumEdges()
 	if baseNodes != 4*len(rects) {
 		t.Fatalf("vertex nodes = %d, want %d", baseNodes, 4*len(rects))

@@ -1,138 +1,202 @@
 package visgraph
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 )
 
-// pqItem is a priority-queue element for Dijkstra's algorithm [D59].
+// slot is one node's state in the current search.
+type slot struct {
+	gen    uint32 // the search best, parent and done belong to
+	done   bool   // settled: best is final
+	parent NodeID
+	best   float64
+}
+
+// pqItem is a priority-queue element: dist is the length of the best known
+// path from the source, key what the queue orders by — dist itself for
+// Dijkstra's algorithm [D59], dist plus the Euclidean distance to the target
+// for A*.
 type pqItem struct {
-	node NodeID
-	dist float64
+	node      NodeID
+	dist, key float64
 }
 
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+// before orders the queue: smallest key first; among equal keys the item
+// nearer the target (larger dist; equal in a Dijkstra search), then the
+// smaller node id, so the settling order depends on the graph's edge set and
+// not on the order its edges were materialised in.
+func (a pqItem) before(b pqItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.dist != b.dist {
+		return a.dist > b.dist
+	}
+	return a.node < b.node
 }
 
-// interruptEvery is how many settled nodes pass between Interrupt polls: a
-// large enough stride that polling is free, small enough that cancellation
-// lands within microseconds on real graphs.
+// minHeap is a binary heap of pqItems; typed, so pushes do not box.
+type minHeap []pqItem
+
+func (h *minHeap) push(it pqItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *minHeap) pop() pqItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
+// interruptEvery is how many settled nodes pass between Interrupt polls on
+// materialised adjacency: a large enough stride that polling is free, small
+// enough that cancellation lands within microseconds on real graphs. Nodes
+// whose adjacency is still to be computed poll before doing so.
 const interruptEvery = 64
+
+// search is the one shortest-path loop. It settles nodes in ascending
+// distance from source while the distance does not exceed bound, calling
+// visit (when non-nil) on each; visit returns false to stop. Duplicates in
+// the queue are skipped on dequeue, as in Fig 5 of the paper. A settled
+// node's adjacency is brought up to date (complete) before it is relaxed,
+// which is the only place obstacle-vertex visibility is ever computed.
+//
+// With a target (not Invalid) the search is A* under the Euclidean lower
+// bound — consistent, so settled distances are still exact — and stops at the
+// target, returning its distance; parents of the settled nodes stay in the
+// graph's scratch for Path. In every other case (no target, target not
+// reached within bound, visit stopped the search, Options.Interrupt fired)
+// it returns +Inf; callers that wire Interrupt check their context after
+// every search.
+func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID, dist float64) bool) float64 {
+	m := g.opts.Metrics
+	if m != nil {
+		m.Expansions++
+	}
+	if g.gen++; g.gen == 0 { // wrapped: no slot may look current
+		clear(g.slots)
+		g.gen = 1
+	}
+	for len(g.slots) < len(g.nodes) {
+		g.slots = append(g.slots, slot{})
+	}
+	g.slots[source] = slot{gen: g.gen, parent: Invalid}
+	g.queue = append(g.queue[:0], pqItem{node: source})
+	sinceCheck := 0
+	for len(g.queue) > 0 {
+		it := g.queue.pop()
+		u := it.node
+		if g.slots[u].done {
+			continue
+		}
+		g.slots[u].done = true
+		if m != nil {
+			m.SettledNodes++
+		}
+		if visit != nil && !visit(u, it.dist) {
+			break
+		}
+		if u == target {
+			return it.dist
+		}
+		sinceCheck++
+		if stale := int(g.nodes[u].seen) != len(g.edges); stale || sinceCheck >= interruptEvery {
+			sinceCheck = 0
+			if g.opts.Interrupt != nil && g.opts.Interrupt() {
+				break
+			}
+			if stale {
+				g.complete(u)
+			}
+		}
+		for _, he := range g.nodes[u].adj {
+			s := &g.slots[he.To]
+			if s.gen != g.gen {
+				*s = slot{gen: g.gen, best: math.Inf(1)}
+			}
+			d := it.dist + he.Weight
+			if s.done || d > bound || d >= s.best {
+				continue
+			}
+			s.best, s.parent = d, u
+			key := d
+			if target != Invalid {
+				// The lower bound is the same Dist that weighs the edges, so
+				// the triangle inequality that makes it consistent holds in
+				// floating point as well as it does for the edges themselves.
+				key += g.nodes[he.To].pt.Dist(g.nodes[target].pt)
+			}
+			g.queue.push(pqItem{node: he.To, dist: d, key: key})
+		}
+	}
+	return math.Inf(1)
+}
 
 // Expand runs Dijkstra's algorithm from source, visiting settled nodes in
 // ascending distance order while the distance does not exceed bound. The
 // visit callback returns false to stop the expansion. This is the traversal
 // the OR algorithm uses to refine all candidates with a single expansion
-// around the query point (Fig 5 of the paper); duplicates in the queue are
-// skipped on dequeue, exactly as described there. When Options.Interrupt
-// fires, the expansion aborts mid-flight; the caller is responsible for
-// noticing (sessions check their context after every expansion).
+// around the query point (Fig 5 of the paper). When Options.Interrupt fires,
+// the expansion aborts mid-flight; the caller is responsible for noticing
+// (sessions check their context after every expansion).
 func (g *Graph) Expand(source NodeID, bound float64, visit func(n NodeID, dist float64) bool) {
-	if g.opts.Metrics != nil {
-		g.opts.Metrics.Expansions++
-	}
-	settled := make([]bool, len(g.nodes))
-	best := make([]float64, len(g.nodes))
-	for i := range best {
-		best[i] = math.Inf(1)
-	}
-	best[source] = 0
-	sinceCheck := 0
-	q := pq{{node: source, dist: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
-		if settled[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		if g.opts.Metrics != nil {
-			g.opts.Metrics.SettledNodes++
-		}
-		if sinceCheck++; sinceCheck >= interruptEvery {
-			sinceCheck = 0
-			if g.opts.Interrupt != nil && g.opts.Interrupt() {
-				return
-			}
-		}
-		if !visit(it.node, it.dist) {
-			return
-		}
-		for _, he := range g.nodes[it.node].adj {
-			if settled[he.To] {
-				continue
-			}
-			d := it.dist + he.Weight
-			if d <= bound && d < best[he.To] {
-				best[he.To] = d
-				heap.Push(&q, pqItem{node: he.To, dist: d})
-			}
-		}
-	}
+	g.search(source, Invalid, bound, visit)
+}
+
+// ObstructedDist returns the shortest obstructed distance between two nodes
+// (+Inf when disconnected, or when Options.Interrupt fired).
+func (g *Graph) ObstructedDist(from, to NodeID) float64 {
+	return g.search(from, to, math.Inf(1), nil)
 }
 
 // ShortestPath returns a shortest node sequence from source to target and
 // its length; the path is nil and the length +Inf when target is
 // unreachable.
 func (g *Graph) ShortestPath(source, target NodeID) ([]NodeID, float64) {
-	if source == target {
-		return []NodeID{source}, 0
+	d := g.search(source, target, math.Inf(1), nil)
+	return g.Path(target), d
+}
+
+// Path returns the node sequence from the most recent search's source to
+// target, nil when that search did not settle target. The Fig 8 loop searches
+// once per enlargement and wants the route of the last search only. Valid
+// until the graph is next searched or changed.
+func (g *Graph) Path(target NodeID) []NodeID {
+	if int(target) >= len(g.slots) || g.slots[target].gen != g.gen || !g.slots[target].done {
+		return nil
 	}
-	if g.opts.Metrics != nil {
-		g.opts.Metrics.Expansions++
+	var path []NodeID
+	for n := target; n != Invalid; n = g.slots[n].parent {
+		path = append(path, n)
 	}
-	parent := make(map[NodeID]NodeID, len(g.nodes))
-	settled := make(map[NodeID]bool, len(g.nodes))
-	dist := make(map[NodeID]float64, len(g.nodes))
-	sinceCheck := 0
-	q := pq{{node: source, dist: 0}}
-	parent[source] = Invalid
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
-		if settled[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		if g.opts.Metrics != nil {
-			g.opts.Metrics.SettledNodes++
-		}
-		if sinceCheck++; sinceCheck >= interruptEvery {
-			sinceCheck = 0
-			if g.opts.Interrupt != nil && g.opts.Interrupt() {
-				return nil, math.Inf(1)
-			}
-		}
-		if it.node == target {
-			var path []NodeID
-			for n := target; n != Invalid; n = parent[n] {
-				path = append(path, n)
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path, it.dist
-		}
-		for _, he := range g.nodes[it.node].adj {
-			if settled[he.To] {
-				continue
-			}
-			d := it.dist + he.Weight
-			if old, ok := dist[he.To]; !ok || d < old {
-				dist[he.To] = d
-				parent[he.To] = it.node
-				heap.Push(&q, pqItem{node: he.To, dist: d})
-			}
-		}
-	}
-	return nil, math.Inf(1)
+	slices.Reverse(path)
+	return path
 }

@@ -75,7 +75,7 @@ func (g *Graph) sweepVisible(p geom.Point, self NodeID, includeEntities bool) []
 			continue
 		}
 		// Remove open edges incident to w lying clockwise of the ray p->w.
-		for _, ei := range g.incidentOf(c.id) {
+		for _, ei := range g.nodes[c.id].incident {
 			other := g.edgeOther(int(ei), c.id)
 			if geom.Orientation(p, w, g.nodes[other].pt) == -1 {
 				st.remove(int(ei))
@@ -129,7 +129,7 @@ func (g *Graph) sweepVisible(p geom.Point, self NodeID, includeEntities bool) []
 		}
 
 		// Insert open edges incident to w lying counter-clockwise of p->w.
-		for _, ei := range g.incidentOf(c.id) {
+		for _, ei := range g.nodes[c.id].incident {
 			e := &g.edges[ei]
 			if e.a == self || e.b == self {
 				continue
@@ -166,14 +166,6 @@ func (c candSlice) Less(i, j int) bool {
 	return c[i].id < c[j].id
 }
 func (c candSlice) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-
-// incidentOf returns the boundary edges incident to node id.
-func (g *Graph) incidentOf(id NodeID) []int32 {
-	if int(id) >= len(g.incident) {
-		return nil
-	}
-	return g.incident[id]
-}
 
 // edgeOther returns the endpoint of edge ei that is not n.
 func (g *Graph) edgeOther(ei int, n NodeID) NodeID {

@@ -224,6 +224,10 @@ func TestSweepEdgesAreTrulyVisible(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			g.AddTerminal(freePoint(rng, rects, 100))
 		}
+		materialise(g)
+		if g.NumEdges() == 0 {
+			t.Fatalf("scene %d: no edges to check", scene)
+		}
 		for u := range g.nodes {
 			if !g.nodes[u].alive {
 				continue
@@ -314,6 +318,7 @@ func TestDeleteEntityRestoresGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	rects := disjointRects(rng, 6, 100)
 	g := buildWith(true, rects)
+	materialise(g)
 	nodesBefore := g.NumNodes()
 	edgesBefore := g.NumEdges()
 	for i := 0; i < 10; i++ {

@@ -81,6 +81,7 @@ type dbMetrics struct {
 	pageAccesses     *telemetry.Counter
 	settledNodes     *telemetry.Counter
 	graphBuilds      *telemetry.Counter
+	graphSweeps      *telemetry.Counter
 	falseHits        *telemetry.Counter
 	candidates       *telemetry.Counter
 	results          *telemetry.Counter
@@ -160,6 +161,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 	m.pageAccesses = reg.Counter("obstacles_query_page_accesses_total", "R-tree page reads that missed the LRU buffers, summed over all queries.")
 	m.settledNodes = reg.Counter("obstacles_query_settled_nodes_total", "Dijkstra-settled visibility-graph nodes, summed over all queries.")
 	m.graphBuilds = reg.Counter("obstacles_query_graph_builds_total", "Visibility-graph constructions, summed over all queries.")
+	m.graphSweeps = reg.Counter("obstacles_graph_sweeps_total", "Per-node visibility passes (rotational sweeps), summed over all queries.")
 	m.falseHits = reg.Counter("obstacles_query_false_hits_total", "Euclidean candidates eliminated by the obstructed metric.")
 	m.candidates = reg.Counter("obstacles_query_candidates_total", "Euclidean candidates examined.")
 	m.results = reg.Counter("obstacles_query_results_total", "Qualifying answers produced by the engine.")
@@ -374,6 +376,7 @@ func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st
 	m.pageAccesses.Add(io.PhysicalReads)
 	m.settledNodes.Add(met.SettledNodes)
 	m.graphBuilds.Add(met.Builds)
+	m.graphSweeps.Add(met.Sweeps)
 	if st.FalseHits > 0 {
 		m.falseHits.Add(uint64(st.FalseHits))
 	}
@@ -473,9 +476,9 @@ type Metrics struct {
 	// verbs that have served nothing yet.
 	Queries map[string]VerbMetrics
 	// Engine-wide work counters, summed over every query since open.
-	PageAccesses, SettledNodes, GraphBuilds uint64
-	FalseHits, Candidates, Results          uint64
-	DistComputations                        uint64
+	PageAccesses, SettledNodes, GraphBuilds, GraphSweeps uint64
+	FalseHits, Candidates, Results                       uint64
+	DistComputations                                     uint64
 	// SlowQueries counts queries at or over Options.SlowQueryThreshold.
 	SlowQueries uint64
 	// Mutations has one entry per op constant (OpInsertPoints, ...),
@@ -520,6 +523,7 @@ func (db *Database) Metrics() Metrics {
 		PageAccesses:     m.pageAccesses.Value(),
 		SettledNodes:     m.settledNodes.Value(),
 		GraphBuilds:      m.graphBuilds.Value(),
+		GraphSweeps:      m.graphSweeps.Value(),
 		FalseHits:        m.falseHits.Value(),
 		Candidates:       m.candidates.Value(),
 		Results:          m.results.Value(),

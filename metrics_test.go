@@ -78,8 +78,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Queries[VerbRange].Latency.Sum <= 0 {
 		t.Error("range latency sum should be positive")
 	}
-	if m.SettledNodes == 0 || m.GraphBuilds == 0 {
-		t.Errorf("work counters empty: settled=%d builds=%d", m.SettledNodes, m.GraphBuilds)
+	if m.SettledNodes == 0 || m.GraphBuilds == 0 || m.GraphSweeps == 0 {
+		t.Errorf("work counters empty: settled=%d builds=%d sweeps=%d", m.SettledNodes, m.GraphBuilds, m.GraphSweeps)
 	}
 	if m.Mutations[OpAddDataset] != 1 {
 		t.Errorf("add_dataset mutations = %d, want 1", m.Mutations[OpAddDataset])
@@ -345,6 +345,9 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 	if _, ok := samples["obstacles_graph_cache_hit_rate"]; !ok {
 		t.Error("scrape missing obstacles_graph_cache_hit_rate")
+	}
+	if samples["obstacles_graph_sweeps_total"] <= 0 {
+		t.Errorf("obstacles_graph_sweeps_total = %v after a range query, want > 0", samples["obstacles_graph_sweeps_total"])
 	}
 	if samples[`obstacles_mutations_total{op="add_dataset"}`] != 1 {
 		t.Error("scrape missing the add_dataset mutation")

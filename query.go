@@ -29,15 +29,20 @@ type QueryStats struct {
 	// DistComputations counts obstructed-distance computations (Fig 8).
 	DistComputations int
 	// GraphNodes and GraphEdges describe the largest visibility graph the
-	// query worked on.
+	// query worked on. GraphEdges counts materialised edges only: visibility
+	// is computed at the nodes a search expands, so a graph holds the edges
+	// its searches needed, not the full visibility graph's.
 	GraphNodes, GraphEdges int
-	// SettledNodes counts Dijkstra-settled visibility-graph nodes — the
-	// dominant refinement cost.
+	// SettledNodes counts visibility-graph nodes settled by searches.
 	SettledNodes uint64
-	// Expansions counts Dijkstra runs.
+	// Expansions counts graph searches (Dijkstra or A* runs).
 	Expansions uint64
-	// GraphBuilds counts visibility-graph constructions.
+	// GraphBuilds counts visibility-graph constructions (nodes only).
 	GraphBuilds uint64
+	// Sweeps counts per-node visibility passes — the dominant refinement
+	// cost: one per node a search expands for the first time, one per query
+	// or data point added to a graph.
+	Sweeps uint64
 	// Elapsed is the query's wall-clock duration.
 	Elapsed time.Duration
 }
@@ -124,6 +129,7 @@ func (cfg *queryConfig) record(sess *core.Session, st core.Stats, start time.Tim
 		SettledNodes:     met.SettledNodes,
 		Expansions:       met.Expansions,
 		GraphBuilds:      met.Builds,
+		Sweeps:           met.Sweeps,
 		Elapsed:          time.Since(start),
 	}
 }
