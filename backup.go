@@ -34,13 +34,14 @@ func (db *Database) Backup(ctx context.Context, path string) error {
 // database file at path. See Database.Backup; the only difference is that
 // the generation copied is the one this snapshot pinned, however old.
 func (s *Snapshot) Backup(ctx context.Context, path string) error {
-	if err := s.guard(); err != nil {
+	v, err := s.version()
+	if err != nil {
 		return err
 	}
 	if s.db.store == nil {
 		return ErrNotPersistent
 	}
-	if err := s.db.backupTo(ctx, s.v, path); err != nil {
+	if err := s.db.backupTo(ctx, v, path); err != nil {
 		return fmt.Errorf("obstacles: backup to %s: %w", path, err)
 	}
 	return nil

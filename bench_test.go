@@ -61,6 +61,12 @@ func entitySet(b *testing.B, lab *expt.Lab, card int) *core.PointSet {
 	return P
 }
 
+// session starts a background-context session on the lab's engine: one per
+// benchmarked query.
+func session(lab *expt.Lab) *core.Session {
+	return lab.Engine().NewSession(context.Background())
+}
+
 // runQueries executes fn once per iteration, cycling through the workload,
 // and reports per-op page-access metrics for the involved trees.
 func runQueries(b *testing.B, lab *expt.Lab, sets []*core.PointSet, fn func(q geom.Point) error) {
@@ -96,7 +102,7 @@ func BenchmarkFig13ORCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
 			P := entitySet(b, lab, int(ratio*benchObstacles))
 			runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-				_, _, err := lab.Engine().Range(P, q, radius)
+				_, _, err := session(lab).Range(P, q, radius)
 				return err
 			})
 		})
@@ -112,7 +118,7 @@ func BenchmarkFig14ORRange(b *testing.B) {
 		b.Run(fmt.Sprintf("e=%g%%", pct), func(b *testing.B) {
 			radius := lab.ERadius(pct)
 			runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-				_, _, err := lab.Engine().Range(P, q, radius)
+				_, _, err := session(lab).Range(P, q, radius)
 				return err
 			})
 		})
@@ -127,7 +133,7 @@ func BenchmarkFig15ORFalseHits(b *testing.B) {
 	run := func(b *testing.B, P *core.PointSet, radius float64) {
 		var fh, res int
 		runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-			_, st, err := lab.Engine().Range(P, q, radius)
+			_, st, err := session(lab).Range(P, q, radius)
 			fh += st.FalseHits
 			res += st.Results
 			return err
@@ -155,7 +161,7 @@ func BenchmarkFig16ONNCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
 			P := entitySet(b, lab, int(ratio*benchObstacles))
 			runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-				_, _, err := lab.Engine().NearestNeighbors(P, q, expt.ONNFixedK)
+				_, _, err := session(lab).NearestNeighbors(P, q, expt.ONNFixedK)
 				return err
 			})
 		})
@@ -170,7 +176,7 @@ func BenchmarkFig17ONNK(b *testing.B) {
 	for _, k := range expt.KGrid {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-				_, _, err := lab.Engine().NearestNeighbors(P, q, k)
+				_, _, err := session(lab).NearestNeighbors(P, q, k)
 				return err
 			})
 		})
@@ -185,7 +191,7 @@ func BenchmarkFig18ONNFalseHits(b *testing.B) {
 	run := func(b *testing.B, P *core.PointSet, k int) {
 		var fh int
 		runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-			_, st, err := lab.Engine().NearestNeighbors(P, q, k)
+			_, st, err := session(lab).NearestNeighbors(P, q, k)
 			fh += st.FalseHits
 			return err
 		})
@@ -238,7 +244,7 @@ func BenchmarkFig19ODJCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("Sratio=%g", ratio), func(b *testing.B) {
 			S := entitySet(b, lab, int(ratio*benchObstacles))
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {
-				_, _, err := lab.Engine().DistanceJoin(S, T, dist)
+				_, _, err := session(lab).DistanceJoin(S, T, dist)
 				return err
 			})
 		})
@@ -256,7 +262,7 @@ func BenchmarkFig20ODJRange(b *testing.B) {
 		b.Run(fmt.Sprintf("e=%g%%", pct), func(b *testing.B) {
 			dist := lab.ERadius(pct)
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {
-				_, _, err := lab.Engine().DistanceJoin(S, T, dist)
+				_, _, err := session(lab).DistanceJoin(S, T, dist)
 				return err
 			})
 		})
@@ -272,7 +278,7 @@ func BenchmarkFig21OCPCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("Sratio=%g", ratio), func(b *testing.B) {
 			S := entitySet(b, lab, int(ratio*benchObstacles))
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {
-				_, _, err := lab.Engine().ClosestPairs(S, T, expt.OCPFixedK)
+				_, _, err := session(lab).ClosestPairs(S, T, expt.OCPFixedK)
 				return err
 			})
 		})
@@ -290,7 +296,7 @@ func BenchmarkFig22OCPK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			k := k
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {
-				_, _, err := lab.Engine().ClosestPairs(S, T, k)
+				_, _, err := session(lab).ClosestPairs(S, T, k)
 				return err
 			})
 		})
@@ -392,7 +398,7 @@ func BenchmarkAblationHilbertSeeds(b *testing.B) {
 				NoHilbertSeeds: !hilbert,
 			})
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {
-				_, _, err := eng.DistanceJoin(S, T, dist)
+				_, _, err := eng.NewSession(context.Background()).DistanceJoin(S, T, dist)
 				return err
 			})
 		})
@@ -456,7 +462,7 @@ func BenchmarkAblationBufferFraction(b *testing.B) {
 				b.Fatal(err)
 			}
 			runQueries(b, lab, []*core.PointSet{P}, func(q geom.Point) error {
-				_, _, err := lab.Engine().Range(P, q, radius)
+				_, _, err := session(lab).Range(P, q, radius)
 				return err
 			})
 		})
@@ -502,12 +508,12 @@ func BenchmarkBatchDistances(b *testing.B) {
 					q := queries[i%len(queries)]
 					targets := targetSets[i%len(queries)]
 					if batch {
-						if _, _, err := eng.BatchDistances(q, targets); err != nil {
+						if _, _, err := eng.NewSession(context.Background()).BatchDistances(q, targets); err != nil {
 							b.Fatal(err)
 						}
 					} else {
 						for _, p := range targets {
-							if _, err := eng.ObstructedDistance(q, p); err != nil {
+							if _, _, err := eng.NewSession(context.Background()).ObstructedDistance(q, p); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -650,14 +656,14 @@ func BenchmarkAblationIncrementalCP(b *testing.B) {
 	const k = 16
 	b.Run("batch-OCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := lab.Engine().ClosestPairs(S, T, k); err != nil {
+			if _, _, err := session(lab).ClosestPairs(S, T, k); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("incremental-iOCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it, err := lab.Engine().ClosestPairIterator(S, T)
+			it, err := session(lab).ClosestPairIterator(S, T)
 			if err != nil {
 				b.Fatal(err)
 			}

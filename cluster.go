@@ -1,9 +1,7 @@
 package obstacles
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -144,46 +142,26 @@ func (o sessionOracle) EuclideanRange(i int, r float64) ([]int, error) {
 	return out, nil
 }
 
-// Cluster groups the entities of a dataset by obstructed distance: entities
-// on opposite sides of an obstacle wall cluster apart even when they are
-// Euclidean-close. Neighborhoods and medoid assignments are computed with
-// the batch multi-source distance engine (one visibility-graph expansion
-// per source over cached graphs), not per-pair distance calls. Clustering
-// jobs can run long; cancel ctx to abort one mid-flight with ctx.Err().
-func (db *Database) Cluster(ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.clusterAt(v, ctx, dataset, copts, opts...)
-}
-
-func (db *Database) clusterAt(v *dbVersion, ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	ps, err := v.dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	// Validated before the session opens: every exit past newSessionAt must
-	// go through record, or the verb span is never ended.
-	if err := copts.validate(); err != nil {
-		return nil, err
-	}
+// cluster runs the clustering job over the query's dataset and session,
+// returning the engine-level counters aggregated across the oracle calls.
+func (qr query) cluster(copts ClusterOptions) (*Clustering, core.Stats, error) {
+	ps := qr.sets[0]
 	// Ids can be sparse after DeletePoints: cluster the compacted live
 	// points, then map the assignments back to id-indexed form (deleted ids
 	// report NoiseCluster).
 	liveIDs := ps.Live(nil)
 	pts := make([]geom.Point, len(liveIDs))
-	for i, id := range liveIDs {
-		pts[i] = ps.Point(id)
-	}
 	idToIdx := make(map[int64]int, len(liveIDs))
 	for i, id := range liveIDs {
+		pts[i] = ps.Point(id)
 		idToIdx[id] = i
 	}
-	sess := db.newSessionAt(ctx, v, VerbCluster)
-	var st core.Stats
-	oracle := sessionOracle{sess: sess, ps: ps, st: &st, liveIDs: liveIDs, idToIdx: idToIdx}
-	var res *cluster.Result
+	var (
+		st  core.Stats
+		res *cluster.Result
+		err error
+	)
+	oracle := sessionOracle{sess: qr.sess, ps: ps, st: &st, liveIDs: liveIDs, idToIdx: idToIdx}
 	switch copts.Algorithm { // validate admitted only these two
 	case DBSCAN:
 		minPts := copts.MinPts
@@ -194,12 +172,9 @@ func (db *Database) clusterAt(v *dbVersion, ctx context.Context, dataset string,
 	case KMedoids:
 		res, err = cluster.KMedoids(pts, oracle, copts.K, copts.MaxIterations)
 	}
-	db.record(VerbCluster, &cfg, sess, st, start, err)
 	if err != nil {
-		return nil, fmt.Errorf("obstacles: clustering %q: %w", dataset, err)
+		return nil, st, err
 	}
-	// Map compact clustering indexes back to entity ids. After deletions the
-	// id space is sparse; deleted ids report NoiseCluster.
 	assignments := res.Assignments
 	if int64(len(liveIDs)) != ps.IDBound() {
 		assignments = make([]int, ps.IDBound())
@@ -223,44 +198,5 @@ func (db *Database) clusterAt(v *dbVersion, ctx context.Context, dataset string,
 		Medoids:     medoids,
 		Cost:        res.Cost,
 		NoiseCount:  res.NoiseCount,
-	}, nil
-}
-
-// ObstructedDistances returns the obstructed distance from q to every
-// target, Unreachable for targets no obstacle-avoiding path can reach. One
-// shared visibility graph serves the whole batch (one Dijkstra expansion
-// per range-enlargement round), which is substantially cheaper than calling
-// ObstructedDistance once per target.
-func (db *Database) ObstructedDistances(ctx context.Context, q Point, targets []Point, opts ...QueryOption) ([]float64, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.obstructedDistancesAt(v, ctx, q, targets, opts...)
-}
-
-func (db *Database) obstructedDistancesAt(v *dbVersion, ctx context.Context, q Point, targets []Point, opts ...QueryOption) ([]float64, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	sess := db.newSessionAt(ctx, v, VerbBatchDistances)
-	d, st, err := sess.BatchDistances(q, targets)
-	db.record(VerbBatchDistances, &cfg, sess, st, start, err)
-	return d, err
-}
-
-// DistanceMatrix returns the full symmetric obstructed-distance matrix of
-// pts (Unreachable off-diagonal entries for sealed-off pairs, zero on the
-// diagonal — by definition, even for a point strictly inside an obstacle,
-// where the pair APIs report Unreachable).
-func (db *Database) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryOption) ([][]float64, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.distanceMatrixAt(v, ctx, pts, opts...)
-}
-
-func (db *Database) distanceMatrixAt(v *dbVersion, ctx context.Context, pts []Point, opts ...QueryOption) ([][]float64, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	sess := db.newSessionAt(ctx, v, VerbDistanceMatrix)
-	m, st, err := sess.DistanceMatrix(pts)
-	db.record(VerbDistanceMatrix, &cfg, sess, st, start, err)
-	return m, err
+	}, st, nil
 }

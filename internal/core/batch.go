@@ -491,15 +491,10 @@ func (cs CacheStats) HitRate() float64 {
 	return float64(cs.Hits) / float64(total)
 }
 
-// NewGraphCache returns a cache of at most capacity expanded graphs over e's
-// obstacle set, starting at the set's current generation.
-func NewGraphCache(e *Engine, capacity int) *GraphCache {
-	return NewGraphCacheAt(e, capacity, e.obstacles.Generation())
-}
-
-// NewGraphCacheAt returns a cache pinned to start at the given obstacle
-// epoch — the call-local cache a snapshot session uses so its own epoch
-// counts as current.
+// NewGraphCacheAt returns a cache of at most capacity expanded graphs over
+// e's obstacle set, starting at the given obstacle epoch: the set's current
+// generation for the engine's own cache, a snapshot session's epoch for its
+// call-local cache, so its own epoch counts as current.
 func NewGraphCacheAt(e *Engine, capacity int, epoch uint64) *GraphCache {
 	if capacity < 1 {
 		capacity = 1
@@ -516,7 +511,7 @@ func (e *Engine) EnableGraphCache(capacity int) {
 		e.cache = nil
 		return
 	}
-	e.cache = NewGraphCache(e, capacity)
+	e.cache = NewGraphCacheAt(e, capacity, e.obstacles.Generation())
 }
 
 // GraphCacheStats returns the engine cache's traffic counters (zero when the

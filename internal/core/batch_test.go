@@ -29,7 +29,7 @@ func TestBatchDistancesMatchesPerPair(t *testing.T) {
 		for _, cacheCap := range []int{0, 4} {
 			for _, eng := range engines(s) {
 				eng.EnableGraphCache(cacheCap)
-				got, st, err := eng.BatchDistances(source, targets)
+				got, st, err := bg(eng).BatchDistances(source, targets)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -40,7 +40,7 @@ func TestBatchDistancesMatchesPerPair(t *testing.T) {
 					t.Fatalf("stats candidates = %d, want %d", st.Candidates, len(targets))
 				}
 				for i, p := range targets {
-					want, err := eng.ObstructedDistance(source, p)
+					want, _, err := bg(eng).ObstructedDistance(source, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -82,7 +82,7 @@ func TestDistanceMatrixMatchesPerPair(t *testing.T) {
 			pts[i] = s.freePoint(rng, 100)
 		}
 		eng := NewEngine(s.obst, DefaultEngineOptions())
-		m, _, err := eng.DistanceMatrix(pts)
+		m, _, err := bg(eng).DistanceMatrix(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestBatchDistancesSealedTargets(t *testing.T) {
 			{X: 90, Y: 90},
 			{X: 10, Y: 90},
 		}
-		got, st, err := eng.BatchDistances(source, targets)
+		got, st, err := bg(eng).BatchDistances(source, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func TestBatchDistancesEmptyAndSourceInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	s := newScene(t, rng, 6, 100)
 	eng := NewEngine(s.obst, DefaultEngineOptions())
-	if got, _, err := eng.BatchDistances(geom.Pt(1, 1), nil); err != nil || len(got) != 0 {
+	if got, _, err := bg(eng).BatchDistances(geom.Pt(1, 1), nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty targets: %v, %v", got, err)
 	}
 	inside := s.rects[0].Center()
-	got, _, err := eng.BatchDistances(inside, []geom.Point{geom.Pt(1, 1), inside})
+	got, _, err := bg(eng).BatchDistances(inside, []geom.Point{geom.Pt(1, 1), inside})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBatchDistancesSavesWork(t *testing.T) {
 	pagesBefore := s.obst.Tree().PageFile().Stats().LogicalReads
 	var want []float64
 	for _, p := range targets {
-		d, err := perPair.ObstructedDistance(source, p)
+		d, _, err := bg(perPair).ObstructedDistance(source, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestBatchDistancesSavesWork(t *testing.T) {
 
 	batch := NewEngine(s.obst, DefaultEngineOptions())
 	pagesBefore = s.obst.Tree().PageFile().Stats().LogicalReads
-	got, _, err := batch.BatchDistances(source, targets)
+	got, _, err := bg(batch).BatchDistances(source, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGraphCacheReuse(t *testing.T) {
 		if trial > 0 {
 			// Jittered re-queries around the first source stay in coverage.
 			src = geom.Pt(base.X+rng.Float64()*2-1, base.Y+rng.Float64()*2-1)
-			inside, err := eng.InsideObstacle(src)
+			inside, err := bg(eng).InsideObstacle(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestGraphCacheReuse(t *testing.T) {
 				continue
 			}
 		}
-		got, _, err := eng.BatchDistances(src, targets)
+		got, _, err := bg(eng).BatchDistances(src, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestGraphCacheReuse(t *testing.T) {
 	}
 	// A distant source misses and populates a second entry.
 	far := geom.Pt(-500, -500)
-	if _, _, err := eng.BatchDistances(far, targets[:3]); err != nil {
+	if _, _, err := bg(eng).BatchDistances(far, targets[:3]); err != nil {
 		t.Fatal(err)
 	}
 	if eng.GraphCacheStats().Misses < 2 {
@@ -277,11 +277,11 @@ func TestDistanceJoinCachedMatchesUncached(t *testing.T) {
 		plain := NewEngine(s.obst, DefaultEngineOptions())
 		cached := NewEngine(s.obst, DefaultEngineOptions())
 		cached.EnableGraphCache(4)
-		a, _, err := plain.DistanceJoin(S, T, dist)
+		a, _, err := bg(plain).DistanceJoin(S, T, dist)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := cached.DistanceJoin(S, T, dist)
+		b, _, err := bg(cached).DistanceJoin(S, T, dist)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,10 +313,10 @@ func TestInvalidateRegionScoped(t *testing.T) {
 	farSrc := geom.Pt(nearSrc.X+500, nearSrc.Y+500)
 	nearTargets := []geom.Point{s.freePoint(rng, 30), s.freePoint(rng, 30)}
 	farTargets := []geom.Point{geom.Pt(farSrc.X+10, farSrc.Y), geom.Pt(farSrc.X, farSrc.Y+12)}
-	if _, _, err := eng.BatchDistances(nearSrc, nearTargets); err != nil {
+	if _, _, err := bg(eng).BatchDistances(nearSrc, nearTargets); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.BatchDistances(farSrc, farTargets); err != nil {
+	if _, _, err := bg(eng).BatchDistances(farSrc, farTargets); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,13 +334,13 @@ func TestInvalidateRegionScoped(t *testing.T) {
 
 	// The far entry still serves hits; the near region rebuilds.
 	before := eng.GraphCacheStats()
-	if _, _, err := eng.BatchDistances(farSrc, farTargets); err != nil {
+	if _, _, err := bg(eng).BatchDistances(farSrc, farTargets); err != nil {
 		t.Fatal(err)
 	}
 	if cs := eng.GraphCacheStats(); cs.Hits != before.Hits+1 {
 		t.Fatalf("surviving entry not reused: hits %d -> %d", before.Hits, cs.Hits)
 	}
-	if _, _, err := eng.BatchDistances(nearSrc, nearTargets); err != nil {
+	if _, _, err := bg(eng).BatchDistances(nearSrc, nearTargets); err != nil {
 		t.Fatal(err)
 	}
 	if cs := eng.GraphCacheStats(); cs.Misses != before.Misses+1 {

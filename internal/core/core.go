@@ -11,7 +11,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -622,12 +621,3 @@ func (e *Engine) ReplaceObstacles(o *ObstacleSet) {
 // query run so far (graph builds, searches, settled nodes, sweeps),
 // merged from all sessions. Per-query counters live in each query's Stats.
 func (e *Engine) Metrics() visgraph.Metrics { return e.totals.snapshot() }
-
-// ResetMetrics zeroes the cumulative work counters.
-func (e *Engine) ResetMetrics() { e.totals.reset() }
-
-// InsideObstacle reports whether p lies strictly inside some obstacle's
-// interior; see Session.InsideObstacle.
-func (e *Engine) InsideObstacle(p geom.Point) (bool, error) {
-	return e.NewSession(context.Background()).InsideObstacle(p)
-}

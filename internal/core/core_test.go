@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,6 +11,9 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/visgraph"
 )
+
+// bg starts a background-context session: one per one-shot query.
+func bg(e *Engine) *Session { return e.NewSession(context.Background()) }
 
 func testTreeOpts() rtree.Options {
 	// Tiny pages force multi-level trees even for small test datasets.
@@ -134,7 +138,7 @@ func TestObstructedDistanceMatchesOracle(t *testing.T) {
 				a := s.freePoint(rng, 100)
 				b := s.freePoint(rng, 100)
 				want := s.bruteDist(a, b)
-				got, err := eng.ObstructedDistance(a, b)
+				got, _, err := bg(eng).ObstructedDistance(a, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +163,7 @@ func TestRangeMatchesOracle(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				q := s.freePoint(rng, 100)
 				radius := 5 + rng.Float64()*30
-				got, st, err := eng.Range(P, q, radius)
+				got, st, err := bg(eng).Range(P, q, radius)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +211,7 @@ func TestNearestNeighborsMatchesOracle(t *testing.T) {
 		for _, eng := range engines(s) {
 			for _, k := range []int{1, 4, 10} {
 				q := s.freePoint(rng, 100)
-				got, _, err := eng.NearestNeighbors(P, q, k)
+				got, _, err := bg(eng).NearestNeighbors(P, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +240,7 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 	P, pts := s.entities(t, rng, 8, 100)
 	eng := NewEngine(s.obst, DefaultEngineOptions())
 	// k larger than dataset.
-	got, _, err := eng.NearestNeighbors(P, geom.Pt(50, 50), 100)
+	got, _, err := bg(eng).NearestNeighbors(P, geom.Pt(50, 50), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 		t.Errorf("k>n: got %d, want %d", len(got), len(pts))
 	}
 	// k = 0.
-	got, _, err = eng.NearestNeighbors(P, geom.Pt(50, 50), 0)
+	got, _, err = bg(eng).NearestNeighbors(P, geom.Pt(50, 50), 0)
 	if err != nil || got != nil {
 		t.Errorf("k=0: %v %v", got, err)
 	}
@@ -253,7 +257,7 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = eng.NearestNeighbors(empty, geom.Pt(50, 50), 3)
+	got, _, err = bg(eng).NearestNeighbors(empty, geom.Pt(50, 50), 3)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty: %v %v", got, err)
 	}
@@ -265,11 +269,11 @@ func TestNNIteratorMatchesBatch(t *testing.T) {
 	P, pts := s.entities(t, rng, 40, 100)
 	for _, eng := range engines(s) {
 		q := s.freePoint(rng, 100)
-		batch, _, err := eng.NearestNeighbors(P, q, 15)
+		batch, _, err := bg(eng).NearestNeighbors(P, q, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := eng.NearestIterator(P, q)
+		it := bg(eng).NearestIterator(P, q)
 		prev := -1.0
 		for i := 0; i < 15; i++ {
 			r, ok := it.Next()
@@ -310,7 +314,7 @@ func TestDistanceJoinMatchesOracle(t *testing.T) {
 		T, tpts := s.entities(t, rng, 20, 100)
 		for _, eng := range engines(s) {
 			dist := 8 + rng.Float64()*15
-			got, st, err := eng.DistanceJoin(S, T, dist)
+			got, st, err := bg(eng).DistanceJoin(S, T, dist)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,11 +356,11 @@ func TestDistanceJoinSeedOrderingIrrelevantToResults(t *testing.T) {
 	T, _ := s.entities(t, rng, 25, 100)
 	hilb := NewEngine(s.obst, EngineOptions{UseSweep: true})
 	plain := NewEngine(s.obst, EngineOptions{UseSweep: true, NoHilbertSeeds: true})
-	a, _, err := hilb.DistanceJoin(S, T, 12)
+	a, _, err := bg(hilb).DistanceJoin(S, T, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := plain.DistanceJoin(S, T, 12)
+	b, _, err := bg(plain).DistanceJoin(S, T, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +382,7 @@ func TestClosestPairsMatchesOracle(t *testing.T) {
 		T, tpts := s.entities(t, rng, 15, 100)
 		for _, eng := range engines(s) {
 			for _, k := range []int{1, 5, 12} {
-				got, _, err := eng.ClosestPairs(S, T, k)
+				got, _, err := bg(eng).ClosestPairs(S, T, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -409,11 +413,11 @@ func TestCPIteratorMatchesBatch(t *testing.T) {
 	S, _ := s.entities(t, rng, 15, 100)
 	T, _ := s.entities(t, rng, 12, 100)
 	for _, eng := range engines(s) {
-		batch, _, err := eng.ClosestPairs(S, T, 20)
+		batch, _, err := bg(eng).ClosestPairs(S, T, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := eng.ClosestPairIterator(S, T)
+		it, err := bg(eng).ClosestPairIterator(S, T)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +460,7 @@ func TestRangeZeroRadius(t *testing.T) {
 	P, pts := s.entities(t, rng, 20, 100)
 	eng := NewEngine(s.obst, DefaultEngineOptions())
 	// Radius 0 centered exactly on an entity returns it at distance 0.
-	got, _, err := eng.Range(P, pts[3], 0)
+	got, _, err := bg(eng).Range(P, pts[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,14 +503,14 @@ func TestUnreachableEntity(t *testing.T) {
 	// only its pruning degrades).
 	for _, useSweep := range []bool{false, true} {
 		eng := NewEngine(obst, EngineOptions{UseSweep: useSweep})
-		d, err := eng.ObstructedDistance(geom.Pt(10, 10), geom.Pt(50, 50))
+		d, _, err := bg(eng).ObstructedDistance(geom.Pt(10, 10), geom.Pt(50, 50))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !math.IsInf(d, 1) {
 			t.Fatalf("sweep=%v: sealed entity reachable: %v", useSweep, d)
 		}
-		res, _, err := eng.Range(P, geom.Pt(10, 10), 200)
+		res, _, err := bg(eng).Range(P, geom.Pt(10, 10), 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +519,7 @@ func TestUnreachableEntity(t *testing.T) {
 				t.Fatalf("sweep=%v: sealed entity in range result", useSweep)
 			}
 		}
-		nn, _, err := eng.NearestNeighbors(P, geom.Pt(10, 10), 3)
+		nn, _, err := bg(eng).NearestNeighbors(P, geom.Pt(10, 10), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +550,7 @@ func TestEngineNoObstacles(t *testing.T) {
 	}
 	eng := NewEngine(obst, DefaultEngineOptions())
 	q := geom.Pt(50, 50)
-	res, _, err := eng.Range(P, q, 25)
+	res, _, err := bg(eng).Range(P, q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +568,7 @@ func TestEngineNoObstacles(t *testing.T) {
 	if len(res) != want {
 		t.Errorf("got %d, want %d", len(res), want)
 	}
-	nn, _, err := eng.NearestNeighbors(P, q, 5)
+	nn, _, err := bg(eng).NearestNeighbors(P, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,28 +588,28 @@ func TestBlockedQueryPoint(t *testing.T) {
 	P, _ := s.entities(t, rng, 30, 100)
 	inside := s.rects[0].Center()
 	for _, eng := range engines(s) {
-		if in, err := eng.InsideObstacle(inside); err != nil || !in {
+		if in, err := bg(eng).InsideObstacle(inside); err != nil || !in {
 			t.Fatalf("InsideObstacle = %v, %v", in, err)
 		}
-		if in, err := eng.InsideObstacle(geom.Pt(-1, -1)); err != nil || in {
+		if in, err := bg(eng).InsideObstacle(geom.Pt(-1, -1)); err != nil || in {
 			t.Fatalf("outside point flagged inside: %v, %v", in, err)
 		}
-		d, err := eng.ObstructedDistance(inside, geom.Pt(-1, -1))
+		d, _, err := bg(eng).ObstructedDistance(inside, geom.Pt(-1, -1))
 		if err != nil || !math.IsInf(d, 1) {
 			t.Fatalf("distance from inside = %v, %v", d, err)
 		}
-		res, st, err := eng.Range(P, inside, 50)
+		res, st, err := bg(eng).Range(P, inside, 50)
 		if err != nil || len(res) != 0 {
 			t.Fatalf("range from inside = %v, %v", res, err)
 		}
 		if st.FalseHits != st.Candidates {
 			t.Fatalf("blocked range stats: %+v", st)
 		}
-		nn, _, err := eng.NearestNeighbors(P, inside, 3)
+		nn, _, err := bg(eng).NearestNeighbors(P, inside, 3)
 		if err != nil || len(nn) != 0 {
 			t.Fatalf("NN from inside = %v, %v", nn, err)
 		}
-		it := eng.NearestIterator(P, inside)
+		it := bg(eng).NearestIterator(P, inside)
 		count := 0
 		for {
 			r, ok := it.Next()
@@ -638,7 +642,7 @@ func TestCPIteratorConstrainedBrowse(t *testing.T) {
 	eng := NewEngine(s.obst, DefaultEngineOptions())
 	pred := func(sid, tid int64) bool { return (sid+tid)%5 == 0 }
 
-	it, err := eng.ClosestPairIterator(S, T)
+	it, err := bg(eng).ClosestPairIterator(S, T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +691,7 @@ func TestDistanceJoinZeroDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(s.obst, DefaultEngineOptions())
-	pairs, _, err := eng.DistanceJoin(S, T, 0)
+	pairs, _, err := bg(eng).DistanceJoin(S, T, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,11 +718,11 @@ func TestObstructedDistanceSymmetry(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		a := s.freePoint(rng, 100)
 		b := s.freePoint(rng, 100)
-		dab, err := eng.ObstructedDistance(a, b)
+		dab, _, err := bg(eng).ObstructedDistance(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dba, err := eng.ObstructedDistance(b, a)
+		dba, _, err := bg(eng).ObstructedDistance(b, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,9 +741,9 @@ func TestTriangleInequality(t *testing.T) {
 		a := s.freePoint(rng, 100)
 		b := s.freePoint(rng, 100)
 		c := s.freePoint(rng, 100)
-		dab, _ := eng.ObstructedDistance(a, b)
-		dbc, _ := eng.ObstructedDistance(b, c)
-		dac, err := eng.ObstructedDistance(a, c)
+		dab, _, _ := bg(eng).ObstructedDistance(a, b)
+		dbc, _, _ := bg(eng).ObstructedDistance(b, c)
+		dac, _, err := bg(eng).ObstructedDistance(a, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -756,7 +760,7 @@ func TestObstructedPath(t *testing.T) {
 		eng := NewEngine(s.obst, DefaultEngineOptions())
 		a := s.freePoint(rng, 100)
 		b := s.freePoint(rng, 100)
-		path, d, err := eng.ObstructedPath(a, b)
+		path, d, _, err := bg(eng).ObstructedPath(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -794,7 +798,7 @@ func TestObstructedPathBlockedEndpoints(t *testing.T) {
 	s := newScene(t, rng, 6, 100)
 	eng := NewEngine(s.obst, DefaultEngineOptions())
 	inside := s.rects[0].Center()
-	path, d, err := eng.ObstructedPath(inside, geom.Pt(-5, -5))
+	path, d, _, err := bg(eng).ObstructedPath(inside, geom.Pt(-5, -5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,13 +211,6 @@ func (t *workTotals) snapshot() visgraph.Metrics {
 	}
 }
 
-func (t *workTotals) reset() {
-	t.settled.Store(0)
-	t.expansions.Store(0)
-	t.builds.Store(0)
-	t.sweeps.Store(0)
-}
-
 // relevantObstacles returns the obstacles whose polygons intersect the disk
 // (center, radius) — the filter (R-tree circle range on MBRs) plus
 // refinement (exact polygon test) steps.
@@ -310,68 +303,4 @@ func (s *Session) coverRadius(center geom.Point) (float64, error) {
 		return 0, nil
 	}
 	return b.MaxDist(center), nil
-}
-
-// The Engine methods below are single-call conveniences: each runs the query
-// on a fresh background-context session. Callers that need cancellation or
-// per-query I/O attribution use NewSession directly.
-
-// Range answers an obstacle range query (OR, Fig 5); see Session.Range.
-func (e *Engine) Range(P *PointSet, q geom.Point, radius float64) ([]Result, Stats, error) {
-	return e.NewSession(context.Background()).Range(P, q, radius)
-}
-
-// NearestNeighbors answers an obstacle k-nearest-neighbor query (ONN,
-// Fig 9); see Session.NearestNeighbors.
-func (e *Engine) NearestNeighbors(P *PointSet, q geom.Point, k int) ([]Result, Stats, error) {
-	return e.NewSession(context.Background()).NearestNeighbors(P, q, k)
-}
-
-// DistanceJoin answers an obstacle e-distance join (ODJ, Fig 10); see
-// Session.DistanceJoin.
-func (e *Engine) DistanceJoin(S, T *PointSet, dist float64) ([]JoinPair, Stats, error) {
-	return e.NewSession(context.Background()).DistanceJoin(S, T, dist)
-}
-
-// ClosestPairs answers an obstacle closest-pair query (OCP, Fig 11); see
-// Session.ClosestPairs.
-func (e *Engine) ClosestPairs(S, T *PointSet, k int) ([]JoinPair, Stats, error) {
-	return e.NewSession(context.Background()).ClosestPairs(S, T, k)
-}
-
-// ObstructedDistance computes dO(a, b); see Session.ObstructedDistance.
-func (e *Engine) ObstructedDistance(a, b geom.Point) (float64, error) {
-	d, _, err := e.NewSession(context.Background()).ObstructedDistance(a, b)
-	return d, err
-}
-
-// ObstructedPath returns a shortest obstacle-avoiding route; see
-// Session.ObstructedPath.
-func (e *Engine) ObstructedPath(a, b geom.Point) ([]geom.Point, float64, error) {
-	path, d, _, err := e.NewSession(context.Background()).ObstructedPath(a, b)
-	return path, d, err
-}
-
-// BatchDistances computes obstructed distances from source to every target;
-// see Session.BatchDistances.
-func (e *Engine) BatchDistances(source geom.Point, targets []geom.Point) ([]float64, Stats, error) {
-	return e.NewSession(context.Background()).BatchDistances(source, targets)
-}
-
-// DistanceMatrix computes the full pairwise obstructed-distance matrix; see
-// Session.DistanceMatrix.
-func (e *Engine) DistanceMatrix(pts []geom.Point) ([][]float64, Stats, error) {
-	return e.NewSession(context.Background()).DistanceMatrix(pts)
-}
-
-// NearestIterator starts an incremental obstructed nearest-neighbor search;
-// see Session.NearestIterator.
-func (e *Engine) NearestIterator(P *PointSet, q geom.Point) *NNIterator {
-	return e.NewSession(context.Background()).NearestIterator(P, q)
-}
-
-// ClosestPairIterator starts an incremental obstructed closest-pair search;
-// see Session.ClosestPairIterator.
-func (e *Engine) ClosestPairIterator(S, T *PointSet) (*CPIterator, error) {
-	return e.NewSession(context.Background()).ClosestPairIterator(S, T)
 }

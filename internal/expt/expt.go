@@ -13,6 +13,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -221,14 +222,14 @@ func (l *Lab) resetStats(sets ...*core.PointSet) {
 	}
 }
 
-// measureWorkload runs fn once per workload query and averages I/O and time
-// per query.
-func (l *Lab) measureWorkload(sets []*core.PointSet, fn func(q geom.Point) (core.Stats, error)) (Row, error) {
+// measureWorkload runs fn once per workload query, each on a fresh session,
+// and averages I/O and time per query.
+func (l *Lab) measureWorkload(sets []*core.PointSet, fn func(sess *core.Session, q geom.Point) (core.Stats, error)) (Row, error) {
 	l.resetStats(sets...)
 	var agg core.Stats
 	start := time.Now()
 	for _, q := range l.queries {
-		st, err := fn(q)
+		st, err := fn(l.engine.NewSession(context.Background()), q)
 		if err != nil {
 			return Row{}, err
 		}
@@ -259,10 +260,10 @@ func (l *Lab) measureWorkload(sets []*core.PointSet, fn func(q geom.Point) (core
 
 // measureOnce runs one whole operation (a join or closest-pair query) and
 // reports its total I/O and time.
-func (l *Lab) measureOnce(sets []*core.PointSet, fn func() (core.Stats, error)) (Row, error) {
+func (l *Lab) measureOnce(sets []*core.PointSet, fn func(sess *core.Session) (core.Stats, error)) (Row, error) {
 	l.resetStats(sets...)
 	start := time.Now()
-	st, err := fn()
+	st, err := fn(l.engine.NewSession(context.Background()))
 	if err != nil {
 		return Row{}, err
 	}

@@ -96,8 +96,8 @@ func (s *Suite) orByRatio() ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(q geom.Point) (core.Stats, error) {
-				_, st, err := s.Lab.engine.Range(P, q, radius)
+			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(sess *core.Session, q geom.Point) (core.Stats, error) {
+				_, st, err := sess.Range(P, q, radius)
 				return st, err
 			})
 			if err != nil {
@@ -120,8 +120,8 @@ func (s *Suite) orByRange() ([]Row, error) {
 		var rows []Row
 		for _, pct := range s.ORRanges {
 			radius := s.Lab.ERadius(pct)
-			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(q geom.Point) (core.Stats, error) {
-				_, st, err := s.Lab.engine.Range(P, q, radius)
+			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(sess *core.Session, q geom.Point) (core.Stats, error) {
+				_, st, err := sess.Range(P, q, radius)
 				return st, err
 			})
 			if err != nil {
@@ -143,8 +143,8 @@ func (s *Suite) onnByRatio() ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(q geom.Point) (core.Stats, error) {
-				_, st, err := s.Lab.engine.NearestNeighbors(P, q, ONNFixedK)
+			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(sess *core.Session, q geom.Point) (core.Stats, error) {
+				_, st, err := sess.NearestNeighbors(P, q, ONNFixedK)
 				return st, err
 			})
 			if err != nil {
@@ -167,8 +167,8 @@ func (s *Suite) onnByK() ([]Row, error) {
 		var rows []Row
 		for _, k := range s.Ks {
 			k := k
-			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(q geom.Point) (core.Stats, error) {
-				_, st, err := s.Lab.engine.NearestNeighbors(P, q, k)
+			row, err := s.Lab.measureWorkload([]*core.PointSet{P}, func(sess *core.Session, q geom.Point) (core.Stats, error) {
+				_, st, err := sess.NearestNeighbors(P, q, k)
 				return st, err
 			})
 			if err != nil {
@@ -196,8 +196,8 @@ func (s *Suite) odjByRatio() ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func() (core.Stats, error) {
-				_, st, err := s.Lab.engine.DistanceJoin(S, T, dist)
+			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func(sess *core.Session) (core.Stats, error) {
+				_, st, err := sess.DistanceJoin(S, T, dist)
 				return st, err
 			})
 			if err != nil {
@@ -225,8 +225,8 @@ func (s *Suite) odjByRange() ([]Row, error) {
 		var rows []Row
 		for _, pct := range s.JoinRanges {
 			dist := s.Lab.ERadius(pct)
-			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func() (core.Stats, error) {
-				_, st, err := s.Lab.engine.DistanceJoin(S, T, dist)
+			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func(sess *core.Session) (core.Stats, error) {
+				_, st, err := sess.DistanceJoin(S, T, dist)
 				return st, err
 			})
 			if err != nil {
@@ -253,8 +253,8 @@ func (s *Suite) ocpByRatio() ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func() (core.Stats, error) {
-				_, st, err := s.Lab.engine.ClosestPairs(S, T, OCPFixedK)
+			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func(sess *core.Session) (core.Stats, error) {
+				_, st, err := sess.ClosestPairs(S, T, OCPFixedK)
 				return st, err
 			})
 			if err != nil {
@@ -282,8 +282,8 @@ func (s *Suite) ocpByK() ([]Row, error) {
 		var rows []Row
 		for _, k := range s.Ks {
 			k := k
-			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func() (core.Stats, error) {
-				_, st, err := s.Lab.engine.ClosestPairs(S, T, k)
+			row, err := s.Lab.measureOnce([]*core.PointSet{S, T}, func(sess *core.Session) (core.Stats, error) {
+				_, st, err := sess.ClosestPairs(S, T, k)
 				return st, err
 			})
 			if err != nil {

@@ -117,18 +117,18 @@ func TestRequestLogging(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("%d log records for 4 requests, want 4", len(recs))
 	}
-	ok := expectRecord(t, recs, routeNearest, "P", http.StatusOK)
+	ok := expectRecord(t, recs, "nearest", "P", http.StatusOK)
 	if ok.level != slog.LevelInfo {
 		t.Errorf("success record level = %v, want Info", ok.level)
 	}
 	if got := ok.attrs["coalesced"]; got != false {
 		t.Errorf("uncoalesced nearest logged coalesced = %v", got)
 	}
-	expectRecord(t, recs, routeRange, "nope", http.StatusNotFound)
+	expectRecord(t, recs, "range", "nope", http.StatusNotFound)
 	// The bad ?timeout= is rejected by the pipeline before the handler runs;
 	// it must still be logged.
-	expectRecord(t, recs, routeDistance, "", http.StatusBadRequest)
-	expectRecord(t, recs, routeHealth, "", http.StatusOK)
+	expectRecord(t, recs, "distance", "", http.StatusBadRequest)
+	expectRecord(t, recs, "health", "", http.StatusOK)
 }
 
 // TestRequestLoggingCoalesced: riders of a coalesced nearest batch log

@@ -58,26 +58,46 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Route labels: one per verb, used in paths' handlers and telemetry.
-const (
-	routeRange           = "range"
-	routeNearest         = "nearest"
-	routeJoin            = "join"
-	routeClosestPairs    = "closest_pairs"
-	routeCluster         = "cluster"
-	routeDistance        = "distance"
-	routePath            = "path"
-	routeDistanceMatrix  = "distance_matrix"
-	routeInsertPoints    = "insert_points"
-	routeDeletePoints    = "delete_points"
-	routeAddObstacles    = "add_obstacles"
-	routeRemoveObstacles = "remove_obstacles"
-	routeCreateDataset   = "create_dataset"
-	routeDatasets        = "datasets"
-	routeHealth          = "health"
-	routeBackup          = "backup"
-	routeScrub           = "scrub"
-)
+// route is one row of the route table: everything the daemon knows about a
+// verb. buildMux mounts each row, serverMetrics registers its per-route
+// series under name, and the request pipeline uses name for the root span
+// and the request log — so a verb is added, renamed or removed in one place.
+type route struct {
+	// name is the `route` label of the obsd_* series, the root span's name
+	// and the request log's route field.
+	name string
+	// pattern is the ServeMux pattern; README's "Serving" table lists each.
+	pattern string
+	// ungated routes bypass the admission gate.
+	ungated bool
+	serve   func(*Server, http.ResponseWriter, *http.Request) error
+}
+
+var routes = []route{
+	// Query verbs.
+	{name: "range", pattern: "POST /v1/datasets/{dataset}/range", serve: verb(knownDataset, queryRange)},
+	{name: "nearest", pattern: "POST /v1/datasets/{dataset}/nearest", serve: verb(knownDataset, queryNearest)},
+	{name: "join", pattern: "POST /v1/datasets/{dataset}/join", serve: verb(knownDataset, queryJoin)},
+	{name: "closest_pairs", pattern: "POST /v1/datasets/{dataset}/closest-pairs", serve: verb(knownDataset, queryClosestPairs)},
+	{name: "cluster", pattern: "POST /v1/datasets/{dataset}/cluster", serve: verb(knownDataset, queryCluster)},
+	{name: "distance", pattern: "POST /v1/distance", serve: verb(noDataset, queryDistance)},
+	{name: "path", pattern: "POST /v1/path", serve: verb(noDataset, queryPath)},
+	{name: "distance_matrix", pattern: "POST /v1/distance-matrix", serve: verb(noDataset, queryDistanceMatrix)},
+	// Mutation verbs.
+	{name: "insert_points", pattern: "POST /v1/datasets/{dataset}/points", serve: verb(knownDataset, insertPoints)},
+	{name: "delete_points", pattern: "POST /v1/datasets/{dataset}/points/delete", serve: verb(knownDataset, deletePoints)},
+	{name: "add_obstacles", pattern: "POST /v1/obstacles", serve: verb(noDataset, addObstacles)},
+	{name: "remove_obstacles", pattern: "POST /v1/obstacles/remove", serve: verb(noDataset, removeObstacles)},
+	{name: "create_dataset", pattern: "PUT /v1/datasets/{dataset}", serve: verb(newDataset, createDataset)},
+	// Admin reads bypass the gate: health and listings must answer even
+	// when the gate is saturated or draining.
+	{name: "datasets", pattern: "GET /v1/datasets", ungated: true, serve: verb(noDataset, listDatasets)},
+	{name: "health", pattern: "GET /healthz", ungated: true, serve: verb(noDataset, health)},
+	// Admin verbs. Backup and scrub are gated: each holds an admission slot
+	// while it runs, so MaxInFlight bounds admin passes and queries together.
+	{name: "backup", pattern: "POST /v1/admin/backup", serve: verb(noDataset, backup)},
+	{name: "scrub", pattern: "POST /v1/admin/scrub", serve: verb(noDataset, scrub)},
+}
 
 // maxBodyBytes caps request bodies; distance-matrix and dataset-creation
 // payloads are the largest legitimate requests.
@@ -184,29 +204,9 @@ func New(db *obstacles.Database, cfg Config) *Server {
 
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	// Query verbs.
-	mux.Handle("POST /v1/datasets/{dataset}/range", s.handle(routeRange, true, s.handleRange))
-	mux.Handle("POST /v1/datasets/{dataset}/nearest", s.handle(routeNearest, true, s.handleNearest))
-	mux.Handle("POST /v1/datasets/{dataset}/join", s.handle(routeJoin, true, s.handleJoin))
-	mux.Handle("POST /v1/datasets/{dataset}/closest-pairs", s.handle(routeClosestPairs, true, s.handleClosestPairs))
-	mux.Handle("POST /v1/datasets/{dataset}/cluster", s.handle(routeCluster, true, s.handleCluster))
-	mux.Handle("POST /v1/distance", s.handle(routeDistance, true, s.handleDistance))
-	mux.Handle("POST /v1/path", s.handle(routePath, true, s.handlePath))
-	mux.Handle("POST /v1/distance-matrix", s.handle(routeDistanceMatrix, true, s.handleDistanceMatrix))
-	// Mutation verbs.
-	mux.Handle("POST /v1/datasets/{dataset}/points", s.handle(routeInsertPoints, true, s.handleInsertPoints))
-	mux.Handle("POST /v1/datasets/{dataset}/points/delete", s.handle(routeDeletePoints, true, s.handleDeletePoints))
-	mux.Handle("POST /v1/obstacles", s.handle(routeAddObstacles, true, s.handleAddObstacles))
-	mux.Handle("POST /v1/obstacles/remove", s.handle(routeRemoveObstacles, true, s.handleRemoveObstacles))
-	mux.Handle("PUT /v1/datasets/{dataset}", s.handle(routeCreateDataset, true, s.handleCreateDataset))
-	// Admin verbs. Backup and scrub are gated: each holds an admission slot
-	// while it runs, so MaxInFlight bounds admin passes and queries together.
-	mux.Handle("POST /v1/admin/backup", s.handle(routeBackup, true, s.handleBackup))
-	mux.Handle("POST /v1/admin/scrub", s.handle(routeScrub, true, s.handleScrub))
-	// Admin reads bypass the gate: health and listings must answer even
-	// when the gate is saturated or draining.
-	mux.Handle("GET /v1/datasets", s.handle(routeDatasets, false, s.handleDatasets))
-	mux.Handle("GET /healthz", s.handle(routeHealth, false, s.handleHealth))
+	for _, rt := range routes {
+		mux.Handle(rt.pattern, s.handle(rt))
+	}
 	// Observability: the Database's own debug mux, mounted on this
 	// listener — same registry, same routes as Options.DebugAddr.
 	dh := s.db.DebugHandler()
@@ -276,16 +276,18 @@ type httpError struct {
 	status int
 	code   string
 	msg    string
+	// retryAfter, when set, goes out as the Retry-After header.
+	retryAfter string
 }
 
 func (e *httpError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
-	return &httpError{http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(format, args...)}
+	return &httpError{status: http.StatusBadRequest, code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
 func unknownDataset(name string) error {
-	return &httpError{http.StatusNotFound, CodeUnknownDataset, fmt.Sprintf("unknown dataset %q", name)}
+	return &httpError{status: http.StatusNotFound, code: CodeUnknownDataset, msg: fmt.Sprintf("unknown dataset %q", name)}
 }
 
 // reqInfo rides the request context so handlers can annotate the request
@@ -339,10 +341,11 @@ func traceFor(r *http.Request) *telemetry.Trace {
 	return telemetry.NewTrace()
 }
 
-// handle wraps a verb handler with the request pipeline: telemetry, tracing,
-// admission (when gated), deadline propagation, error encoding, and request
-// logging.
-func (s *Server) handle(route string, gated bool, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
+// handle wraps a route with the request pipeline: telemetry, tracing,
+// admission (unless ungated), deadline propagation, error encoding, and
+// request logging.
+func (s *Server) handle(rt route) http.Handler {
+	route := rt.name
 	rec := s.db.TraceRecorder()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -366,7 +369,7 @@ func (s *Server) handle(route string, gated bool, fn func(w http.ResponseWriter,
 		fail := func(err error) {
 			finish(s.writeErr(w, route, err))
 		}
-		if gated {
+		if !rt.ungated {
 			admit := root.StartChild("admission-wait")
 			err := s.gate.acquire(r.Context())
 			admit.End()
@@ -401,7 +404,7 @@ func (s *Server) handle(route string, gated bool, fn func(w http.ResponseWriter,
 		ctx = telemetry.ContextWithSpan(ctx, root)
 
 		qStart := time.Now()
-		err := fn(w, r.WithContext(ctx))
+		err := rt.serve(s, w, r.WithContext(ctx))
 		s.met.seconds[route].ObserveDuration(time.Since(qStart))
 		if err != nil {
 			fail(err)
@@ -420,6 +423,9 @@ func (s *Server) writeErr(w http.ResponseWriter, route string, err error) int {
 	switch {
 	case errors.As(err, &he):
 		status, code = he.status, he.code
+		if he.retryAfter != "" {
+			w.Header().Set("Retry-After", he.retryAfter)
+		}
 	case errors.Is(err, errOverloaded):
 		status, code = http.StatusTooManyRequests, CodeOverloaded
 		w.Header().Set("Retry-After", "1")
@@ -436,6 +442,14 @@ func (s *Server) writeErr(w http.ResponseWriter, route string, err error) int {
 		status, code = http.StatusBadRequest, CodeInvalidPolygon
 	case errors.Is(err, obstacles.ErrInvalidArgument):
 		status, code = http.StatusBadRequest, CodeInvalidArgument
+	case errors.Is(err, obstacles.ErrUnknownDataset):
+		// Past the adapter's own check: the dataset was dropped, or raced,
+		// between it and the engine's lookup.
+		status, code = http.StatusNotFound, CodeUnknownDataset
+	case errors.Is(err, obstacles.ErrNotFound):
+		status, code = http.StatusBadRequest, CodeBadRequest
+	case errors.Is(err, obstacles.ErrDatasetExists):
+		status, code = http.StatusConflict, CodeDatasetExists
 	case errors.As(err, &de):
 		// Degraded mode: reads still work, so only mutations land here. The
 		// Retry-After is honest — the supervisor's next scheduled attempt.
@@ -475,126 +489,113 @@ func encode(w http.ResponseWriter, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
-// dataset resolves the {dataset} path element, mapping absence to a 404.
-func (s *Server) dataset(r *http.Request) (string, error) {
-	name := r.PathValue("dataset")
-	if name == "" {
-		return "", badRequest("empty dataset name")
+// datasetRule says what a route's {dataset} path element must name.
+type datasetRule int
+
+const (
+	noDataset    datasetRule = iota // the pattern has no {dataset}
+	knownDataset                    // an existing dataset (404 otherwise)
+	newDataset                      // the dataset the request creates
+)
+
+// noBody is the request type of verbs that take no JSON body.
+type noBody struct{}
+
+// verb adapts one typed verb to a route: resolve the {dataset} path element
+// as rule says, decode the strict JSON body into Req (unless it is noBody),
+// run, and encode the answer.
+func verb[Req, Resp any](rule datasetRule, run func(s *Server, r *http.Request, dataset string, req *Req) (Resp, error)) func(*Server, http.ResponseWriter, *http.Request) error {
+	_, bodiless := any((*Req)(nil)).(*noBody)
+	return func(s *Server, w http.ResponseWriter, r *http.Request) error {
+		var name string
+		if rule != noDataset {
+			if name = r.PathValue("dataset"); name == "" {
+				return badRequest("empty dataset name")
+			}
+			if rule == knownDataset && !s.db.HasDataset(name) {
+				return unknownDataset(name)
+			}
+		}
+		var req Req
+		if !bodiless {
+			if err := decode(r, &req); err != nil {
+				return err
+			}
+		}
+		resp, err := run(s, r, name, &req)
+		if err != nil {
+			return err
+		}
+		return encode(w, resp)
 	}
-	if !s.db.HasDataset(name) {
-		return "", unknownDataset(name)
-	}
-	return name, nil
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
+func limitOpt(limit int) []obstacles.QueryOption {
+	if limit > 0 {
+		return []obstacles.QueryOption{obstacles.WithLimit(limit)}
 	}
-	var req RangeRequest
-	if err := decode(r, &req); err != nil {
-		return err
+	return nil
+}
+
+func toPoints(wire []Pt) []obstacles.Point {
+	pts := make([]obstacles.Point, len(wire))
+	for i, p := range wire {
+		pts[i] = p.Point()
 	}
+	return pts
+}
+
+func queryRange(s *Server, r *http.Request, dataset string, req *RangeRequest) (*NeighborsResponse, error) {
 	if req.Radius < 0 {
-		return badRequest("negative radius %g", req.Radius)
+		return nil, badRequest("negative radius %g", req.Radius)
 	}
-	var opts []obstacles.QueryOption
-	if req.Limit > 0 {
-		opts = append(opts, obstacles.WithLimit(req.Limit))
-	}
-	nbs, err := s.db.Range(r.Context(), name, req.Q.Point(), req.Radius, opts...)
-	if err != nil {
-		return err
-	}
-	return encode(w, NeighborsResponse{Neighbors: toNeighbors(nbs), Count: len(nbs)})
+	nbs, err := s.db.Range(r.Context(), dataset, req.Q.Point(), req.Radius, limitOpt(req.Limit)...)
+	return &NeighborsResponse{Neighbors: toNeighbors(nbs), Count: len(nbs)}, err
 }
 
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req NearestRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryNearest(s *Server, r *http.Request, dataset string, req *NearestRequest) (*NeighborsResponse, error) {
 	if req.K < 1 {
-		return badRequest("k must be >= 1, got %d", req.K)
+		return nil, badRequest("k must be >= 1, got %d", req.K)
 	}
-	var nbs []obstacles.Neighbor
+	var (
+		nbs []obstacles.Neighbor
+		err error
+	)
 	if s.co != nil {
 		var rode bool
-		nbs, rode, err = s.co.Nearest(r.Context(), name, req.Q.Point(), req.K)
+		nbs, rode, err = s.co.Nearest(r.Context(), dataset, req.Q.Point(), req.K)
 		if rode {
 			markCoalesced(r.Context())
 		}
 	} else {
-		nbs, err = s.db.NearestNeighbors(r.Context(), name, req.Q.Point(), req.K)
+		nbs, err = s.db.NearestNeighbors(r.Context(), dataset, req.Q.Point(), req.K)
 	}
-	if err != nil {
-		return err
-	}
-	return encode(w, NeighborsResponse{Neighbors: toNeighbors(nbs), Count: len(nbs)})
+	return &NeighborsResponse{Neighbors: toNeighbors(nbs), Count: len(nbs)}, err
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req JoinRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryJoin(s *Server, r *http.Request, dataset string, req *JoinRequest) (*PairsResponse, error) {
 	if !s.db.HasDataset(req.With) {
-		return unknownDataset(req.With)
+		return nil, unknownDataset(req.With)
 	}
 	if req.Dist < 0 {
-		return badRequest("negative join distance %g", req.Dist)
+		return nil, badRequest("negative join distance %g", req.Dist)
 	}
-	var opts []obstacles.QueryOption
-	if req.Limit > 0 {
-		opts = append(opts, obstacles.WithLimit(req.Limit))
-	}
-	pairs, err := s.db.DistanceJoin(r.Context(), name, req.With, req.Dist, opts...)
-	if err != nil {
-		return err
-	}
-	return encode(w, PairsResponse{Pairs: toPairs(pairs), Count: len(pairs)})
+	pairs, err := s.db.DistanceJoin(r.Context(), dataset, req.With, req.Dist, limitOpt(req.Limit)...)
+	return &PairsResponse{Pairs: toPairs(pairs), Count: len(pairs)}, err
 }
 
-func (s *Server) handleClosestPairs(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req ClosestPairsRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryClosestPairs(s *Server, r *http.Request, dataset string, req *ClosestPairsRequest) (*PairsResponse, error) {
 	if !s.db.HasDataset(req.With) {
-		return unknownDataset(req.With)
+		return nil, unknownDataset(req.With)
 	}
 	if req.K < 1 {
-		return badRequest("k must be >= 1, got %d", req.K)
+		return nil, badRequest("k must be >= 1, got %d", req.K)
 	}
-	pairs, err := s.db.ClosestPairs(r.Context(), name, req.With, req.K)
-	if err != nil {
-		return err
-	}
-	return encode(w, PairsResponse{Pairs: toPairs(pairs), Count: len(pairs)})
+	pairs, err := s.db.ClosestPairs(r.Context(), dataset, req.With, req.K)
+	return &PairsResponse{Pairs: toPairs(pairs), Count: len(pairs)}, err
 }
 
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req ClusterRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryCluster(s *Server, r *http.Request, dataset string, req *ClusterRequest) (*ClusterResponse, error) {
 	copts := obstacles.ClusterOptions{
 		Eps: req.Eps, MinPts: req.MinPts,
 		K: req.K, MaxIterations: req.MaxIterations,
@@ -605,23 +606,19 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
 	case "kmedoids", "k-medoids":
 		copts.Algorithm = obstacles.KMedoids
 	default:
-		return badRequest("unknown clustering algorithm %q", req.Algorithm)
+		return nil, badRequest("unknown clustering algorithm %q", req.Algorithm)
 	}
-	cl, err := s.db.Cluster(r.Context(), name, copts)
+	cl, err := s.db.Cluster(r.Context(), dataset, copts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return encode(w, ClusterResponse{
+	return &ClusterResponse{
 		Assignments: cl.Assignments, NumClusters: cl.NumClusters,
 		Medoids: cl.Medoids, Cost: cl.Cost, NoiseCount: cl.NoiseCount,
-	})
+	}, nil
 }
 
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) error {
-	var req DistanceRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryDistance(s *Server, r *http.Request, _ string, req *DistanceRequest) (*DistanceResponse, error) {
 	var (
 		d    float64
 		rode bool
@@ -635,44 +632,23 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) error {
 	} else {
 		d, err = s.db.ObstructedDistance(r.Context(), req.A.Point(), req.B.Point())
 	}
-	if err != nil {
-		return err
-	}
-	return encode(w, DistanceResponse{Dist: Dist(d), Coalesced: rode})
+	return &DistanceResponse{Dist: Dist(d), Coalesced: rode}, err
 }
 
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
-	var req PathRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryPath(s *Server, r *http.Request, _ string, req *PathRequest) (*PathResponse, error) {
 	path, d, err := s.db.ObstructedPath(r.Context(), req.A.Point(), req.B.Point())
-	if err != nil {
-		return err
-	}
 	wp := make([]Pt, len(path))
 	for i, p := range path {
 		wp[i] = fromPoint(p)
 	}
-	return encode(w, PathResponse{Path: wp, Dist: Dist(d)})
+	return &PathResponse{Path: wp, Dist: Dist(d)}, err
 }
 
-func (s *Server) handleDistanceMatrix(w http.ResponseWriter, r *http.Request) error {
-	var req DistanceMatrixRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func queryDistanceMatrix(s *Server, r *http.Request, _ string, req *DistanceMatrixRequest) (*DistanceMatrixResponse, error) {
 	if len(req.Points) == 0 {
-		return badRequest("empty point list")
+		return nil, badRequest("empty point list")
 	}
-	pts := make([]obstacles.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = p.Point()
-	}
-	m, err := s.db.DistanceMatrix(r.Context(), pts)
-	if err != nil {
-		return err
-	}
+	m, err := s.db.DistanceMatrix(r.Context(), toPoints(req.Points))
 	wm := make([][]Dist, len(m))
 	for i, row := range m {
 		wm[i] = make([]Dist, len(row))
@@ -680,71 +656,35 @@ func (s *Server) handleDistanceMatrix(w http.ResponseWriter, r *http.Request) er
 			wm[i][j] = Dist(d)
 		}
 	}
-	return encode(w, DistanceMatrixResponse{Matrix: wm})
+	return &DistanceMatrixResponse{Matrix: wm}, err
 }
 
-func (s *Server) handleInsertPoints(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req InsertPointsRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func insertPoints(s *Server, r *http.Request, dataset string, req *InsertPointsRequest) (*InsertPointsResponse, error) {
 	if len(req.Points) == 0 {
-		return badRequest("empty point list")
+		return nil, badRequest("empty point list")
 	}
-	pts := make([]obstacles.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = p.Point()
-	}
-	ids, err := s.db.InsertPointsContext(r.Context(), name, pts...)
-	if err != nil {
-		return err
-	}
-	return encode(w, InsertPointsResponse{IDs: ids})
+	ids, err := s.db.InsertPointsContext(r.Context(), dataset, toPoints(req.Points)...)
+	return &InsertPointsResponse{IDs: ids}, err
 }
 
-func (s *Server) handleDeletePoints(w http.ResponseWriter, r *http.Request) error {
-	name, err := s.dataset(r)
-	if err != nil {
-		return err
-	}
-	var req DeletePointsRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func deletePoints(s *Server, r *http.Request, dataset string, req *DeletePointsRequest) (*DeletePointsResponse, error) {
 	if len(req.IDs) == 0 {
-		return badRequest("empty id list")
+		return nil, badRequest("empty id list")
 	}
-	if err := s.db.DeletePointsContext(r.Context(), name, req.IDs...); err != nil {
-		if strings.Contains(err.Error(), "no entity") {
-			return badRequest("%v", err)
-		}
-		return err
-	}
-	return encode(w, DeletePointsResponse{Deleted: len(req.IDs)})
+	err := s.db.DeletePointsContext(r.Context(), dataset, req.IDs...)
+	return &DeletePointsResponse{Deleted: len(req.IDs)}, err
 }
 
-func (s *Server) handleAddObstacles(w http.ResponseWriter, r *http.Request) error {
-	var req AddObstaclesRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func addObstacles(s *Server, r *http.Request, _ string, req *AddObstaclesRequest) (*AddObstaclesResponse, error) {
 	if len(req.Polygons)+len(req.Rects) == 0 {
-		return badRequest("no obstacles in request")
+		return nil, badRequest("no obstacles in request")
 	}
 	polys := make([]obstacles.Polygon, 0, len(req.Polygons)+len(req.Rects))
 	for i, vs := range req.Polygons {
-		pts := make([]obstacles.Point, len(vs))
-		for j, v := range vs {
-			pts[j] = v.Point()
-		}
-		pg, err := obstacles.NewPolygon(pts)
+		pg, err := obstacles.NewPolygon(toPoints(vs))
 		if err != nil {
-			return &httpError{http.StatusBadRequest, CodeInvalidPolygon,
-				fmt.Sprintf("polygon %d: %v", i, err)}
+			return nil, &httpError{status: http.StatusBadRequest, code: CodeInvalidPolygon,
+				msg: fmt.Sprintf("polygon %d: %v", i, err)}
 		}
 		polys = append(polys, pg)
 	}
@@ -752,82 +692,44 @@ func (s *Server) handleAddObstacles(w http.ResponseWriter, r *http.Request) erro
 		polys = append(polys, obstacles.RectPolygon(obstacles.R(rc[0], rc[1], rc[2], rc[3])))
 	}
 	ids, err := s.db.AddObstaclesContext(r.Context(), polys...)
-	if err != nil {
-		return err
-	}
-	return encode(w, AddObstaclesResponse{IDs: ids})
+	return &AddObstaclesResponse{IDs: ids}, err
 }
 
-func (s *Server) handleRemoveObstacles(w http.ResponseWriter, r *http.Request) error {
-	var req RemoveObstaclesRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func removeObstacles(s *Server, r *http.Request, _ string, req *RemoveObstaclesRequest) (*RemoveObstaclesResponse, error) {
 	if len(req.IDs) == 0 {
-		return badRequest("empty id list")
+		return nil, badRequest("empty id list")
 	}
-	if err := s.db.RemoveObstaclesContext(r.Context(), req.IDs...); err != nil {
-		if strings.Contains(err.Error(), "no obstacle") {
-			return badRequest("%v", err)
-		}
-		return err
-	}
-	return encode(w, RemoveObstaclesResponse{Removed: len(req.IDs)})
+	err := s.db.RemoveObstaclesContext(r.Context(), req.IDs...)
+	return &RemoveObstaclesResponse{Removed: len(req.IDs)}, err
 }
 
-func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("dataset")
-	if name == "" {
-		return badRequest("empty dataset name")
+func createDataset(s *Server, r *http.Request, dataset string, req *CreateDatasetRequest) (*CreateDatasetResponse, error) {
+	if s.db.HasDataset(dataset) {
+		return nil, &httpError{status: http.StatusConflict, code: CodeDatasetExists,
+			msg: fmt.Sprintf("dataset %q already exists", dataset)}
 	}
-	var req CreateDatasetRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if s.db.HasDataset(name) {
-		return &httpError{http.StatusConflict, CodeDatasetExists,
-			fmt.Sprintf("dataset %q already exists", name)}
-	}
-	pts := make([]obstacles.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = p.Point()
-	}
-	if err := s.db.AddDatasetContext(r.Context(), name, pts); err != nil {
-		if strings.Contains(err.Error(), "already exists") {
-			return &httpError{http.StatusConflict, CodeDatasetExists, err.Error()}
-		}
-		return err
-	}
-	return encode(w, CreateDatasetResponse{Dataset: name, Size: len(pts)})
+	err := s.db.AddDatasetContext(r.Context(), dataset, toPoints(req.Points))
+	return &CreateDatasetResponse{Dataset: dataset, Size: len(req.Points)}, err
 }
 
-func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) error {
-	var req BackupRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
+func backup(s *Server, r *http.Request, _ string, req *BackupRequest) (*BackupResponse, error) {
 	if req.Path == "" {
-		return badRequest("empty backup path")
+		return nil, badRequest("empty backup path")
 	}
 	// Pin explicitly (rather than calling db.Backup) so the response can
 	// name the generation the copy captured.
 	snap := s.db.Snapshot()
 	defer snap.Close()
-	if err := snap.Backup(r.Context(), req.Path); err != nil {
-		return err
-	}
-	return encode(w, BackupResponse{Path: req.Path, Generation: snap.Generation()})
+	err := snap.Backup(r.Context(), req.Path)
+	return &BackupResponse{Path: req.Path, Generation: snap.Generation()}, err
 }
 
-func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) error {
+func scrub(s *Server, r *http.Request, _ string, _ *noBody) (*ScrubResponse, error) {
 	rep, err := s.db.Scrub(r.Context())
-	if err != nil {
-		return err
-	}
-	return encode(w, ScrubResponse{ScrubReport: rep, Clean: rep.Clean()})
+	return &ScrubResponse{ScrubReport: rep, Clean: rep.Clean()}, err
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) error {
+func listDatasets(s *Server, _ *http.Request, _ string, _ *noBody) (*DatasetsResponse, error) {
 	names := s.db.Datasets()
 	infos := make([]DatasetInfo, 0, len(names))
 	for _, name := range names {
@@ -837,7 +739,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) error {
 		}
 		infos = append(infos, DatasetInfo{Name: name, Size: n})
 	}
-	return encode(w, DatasetsResponse{Datasets: infos})
+	return &DatasetsResponse{Datasets: infos}, nil
 }
 
 // retryAfter renders a Retry-After header value from the recovery
@@ -850,7 +752,7 @@ func retryAfter(next time.Time) string {
 	return "1"
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
+func health(s *Server, r *http.Request, _ string, _ *noBody) (*HealthResponse, error) {
 	status := "ok"
 	var rs *obstacles.RecoveryStats
 	if s.db.Degraded() {
@@ -866,20 +768,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	// Readiness variant: a degraded or draining daemon should be rotated out
 	// of load balancing even though the liveness answer stays 200.
 	if v := r.URL.Query().Get("ready"); v != "" && v != "0" && status != "ok" {
-		if rs != nil {
-			w.Header().Set("Retry-After", retryAfter(rs.NextRetry))
-		}
-		code := CodeDraining
+		he := &httpError{status: http.StatusServiceUnavailable, code: CodeDraining, msg: "not ready: " + status}
 		if status == "degraded" {
-			code = CodeDegraded
+			he.code = CodeDegraded
 		}
-		return &httpError{http.StatusServiceUnavailable, code, "not ready: " + status}
+		if rs != nil {
+			he.retryAfter = retryAfter(rs.NextRetry)
+		}
+		return nil, he
 	}
-	return encode(w, HealthResponse{
+	return &HealthResponse{
 		Status:    status,
 		Datasets:  len(s.db.Datasets()),
 		Obstacles: s.db.NumObstacles(),
 		Persist:   s.db.Persistent(),
 		Recovery:  rs,
-	})
+	}, nil
 }

@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	obstacles "repro"
@@ -405,6 +409,28 @@ func TestStructuredErrors(t *testing.T) {
 		{"deadline expired", 504, CodeDeadlineExceeded, func() (int, []byte) {
 			return post(t, ts.URL+"/v1/datasets/P/nearest?timeout=1ns", NearestRequest{Q: Pt{5000, 5000}, K: 5})
 		}},
+		{"delete of a duplicate id", 400, CodeInvalidArgument, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/datasets/P/points/delete", DeletePointsRequest{IDs: []int64{1, 1}})
+		}},
+		{"delete of an unknown id", 400, CodeBadRequest, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/datasets/P/points/delete", DeletePointsRequest{IDs: []int64{1 << 40}})
+		}},
+		{"remove of an unknown obstacle", 400, CodeBadRequest, func() (int, []byte) {
+			return post(t, ts.URL+"/v1/obstacles/remove", RemoveObstaclesRequest{IDs: []int64{1 << 40}})
+		}},
+		// The handlers check the dataset before calling the library, so these
+		// two library errors reach writeErr only under a race: map them directly.
+		{"dataset created under the handler's feet", 409, CodeDatasetExists, func() (int, []byte) {
+			rec := httptest.NewRecorder()
+			s.writeErr(rec, "create_dataset", db.AddDatasetContext(context.Background(), "P", nil))
+			return rec.Code, rec.Body.Bytes()
+		}},
+		{"dataset dropped under the handler's feet", 404, CodeUnknownDataset, func() (int, []byte) {
+			rec := httptest.NewRecorder()
+			_, err := db.Range(context.Background(), "nope", obstacles.Pt(0, 0), 1)
+			s.writeErr(rec, "range", err)
+			return rec.Code, rec.Body.Bytes()
+		}},
 	}
 	for _, tc := range cases {
 		st, raw := tc.do()
@@ -498,5 +524,50 @@ func TestTimeoutClamp(t *testing.T) {
 		ClusterRequest{Eps: 400, MinPts: 3})
 	if st != 504 {
 		t.Fatalf("status %d (%s), want 504 via clamped deadline", st, raw)
+	}
+}
+
+// TestRouteTable holds the route table to its three consumers: every row is
+// mounted on the mux under its own pattern, has its per-route series
+// registered before the first request arrives, and is listed in README's
+// "Serving" section — so a route cannot be added, renamed or dropped in one
+// place only.
+func TestRouteTable(t *testing.T) {
+	db := newTestDB(t)
+	defer db.Close()
+	s := New(db, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	_, scrape := get(t, ts.URL+"/metrics")
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, serving, ok := strings.Cut(string(readme), "\n## Serving\n")
+	if !ok {
+		t.Fatal("README has no Serving section")
+	}
+	serving, _, _ = strings.Cut(serving, "\n## ")
+
+	seen := map[string]bool{}
+	for _, rt := range routes {
+		if seen[rt.name] {
+			t.Errorf("route name %q appears twice", rt.name)
+		}
+		seen[rt.name] = true
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		req := httptest.NewRequest(method, strings.ReplaceAll(path, "{dataset}", "P"), nil)
+		if _, pattern := s.mux.Handler(req); pattern != rt.pattern {
+			t.Errorf("%s: %s %s is served by pattern %q, want %q", rt.name, method, req.URL.Path, pattern, rt.pattern)
+		}
+		for _, series := range []string{"obsd_requests_total", "obsd_request_errors_total", "obsd_request_seconds_count"} {
+			if line := fmt.Sprintf("%s{route=%q} 0\n", series, rt.name); !strings.Contains(string(scrape), line) {
+				t.Errorf("%s: no %q before the first request", rt.name, strings.TrimSpace(line))
+			}
+		}
+		if listed := "`" + strings.ReplaceAll(rt.pattern, "{dataset}", "{ds}") + "`"; !strings.Contains(serving, listed) {
+			t.Errorf("%s: README's Serving section does not list %s", rt.name, listed)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocker := installBlocker(t, routeDistance)
+	blocker := installBlocker(t, "distance")
 
 	// A long query: admitted, then parked on the blocker.
 	rel := blocker.park()
@@ -163,7 +163,7 @@ func TestOverloadSheds(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
-	blocker := installBlocker(t, routeDistance)
+	blocker := installBlocker(t, "distance")
 
 	rel := blocker.park()
 	aDone := make(chan int, 1)
@@ -219,7 +219,7 @@ func TestQueuedWaiterHonorsDeadline(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
-	blocker := installBlocker(t, routeDistance)
+	blocker := installBlocker(t, "distance")
 
 	rel := blocker.park()
 	aDone := make(chan int, 1)

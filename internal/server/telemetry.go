@@ -26,23 +26,18 @@ type serverMetrics struct {
 	coalesceBatchSize *telemetry.Histogram // tickets per executed batch
 }
 
-// routeNames lists every route label up front: the registry wants
-// instruments declared once, and a fixed set keeps the label space bounded.
-var routeNames = []string{
-	routeRange, routeNearest, routeJoin, routeClosestPairs, routeCluster,
-	routeDistance, routePath, routeDistanceMatrix,
-	routeInsertPoints, routeDeletePoints, routeAddObstacles, routeRemoveObstacles,
-	routeCreateDataset, routeDatasets, routeHealth, routeBackup, routeScrub,
-}
-
 func newServerMetrics(db *obstacles.Database, g *gate) *serverMetrics {
 	reg := db.TelemetryRegistry()
 	m := &serverMetrics{
-		requests: make(map[string]*telemetry.Counter, len(routeNames)),
-		errors:   make(map[string]*telemetry.Counter, len(routeNames)),
-		seconds:  make(map[string]*telemetry.Histogram, len(routeNames)),
+		requests: make(map[string]*telemetry.Counter, len(routes)),
+		errors:   make(map[string]*telemetry.Counter, len(routes)),
+		seconds:  make(map[string]*telemetry.Histogram, len(routes)),
 	}
-	for _, route := range routeNames {
+	// Every route's series is declared up front from the route table: the
+	// registry wants instruments declared once, and a fixed set keeps the
+	// label space bounded.
+	for _, rt := range routes {
+		route := rt.name
 		m.requests[route] = reg.Counter("obsd_requests_total",
 			"Requests admitted, by route.", telemetry.L("route", route))
 		m.errors[route] = reg.Counter("obsd_request_errors_total",

@@ -147,8 +147,8 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 	snap := fetchTrace(t, ts.URL, resp.Header.Get("Obs-Trace-Id"))
 
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != routeDistance {
-		t.Fatalf("want a single %q root span, got %+v", routeDistance, snap.Spans)
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "distance" {
+		t.Fatalf("want a single %q root span, got %+v", "distance", snap.Spans)
 	}
 	root := snap.Spans[0]
 	if root.Attrs["status"] != float64(http.StatusOK) {
@@ -303,7 +303,7 @@ func TestActiveTraces(t *testing.T) {
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	testHookAdmitted = func(route string) {
-		if route == routeDistance {
+		if route == "distance" {
 			close(parked)
 			<-release
 		}
@@ -331,7 +331,7 @@ func TestActiveTraces(t *testing.T) {
 	decodeInto(t, raw, &act)
 	var found *telemetry.ActiveTrace
 	for i := range act {
-		if act[i].Name == routeDistance {
+		if act[i].Name == "distance" {
 			found = &act[i]
 		}
 	}
@@ -348,7 +348,7 @@ func TestActiveTraces(t *testing.T) {
 	_, raw = get(t, ts.URL+"/debug/active")
 	decodeInto(t, raw, &act)
 	for _, a := range act {
-		if a.Name == routeDistance {
+		if a.Name == "distance" {
 			t.Fatalf("finished request still active: %+v", a)
 		}
 	}

@@ -44,8 +44,8 @@ func TestAddObstaclesBatchMatchesSequential(t *testing.T) {
 		na2 := gSeq.AddTerminal(a)
 		nb2 := gSeq.AddTerminal(b)
 		for _, ob := range second2 {
-			if !gSeq.AddObstacle(ob.ID, ob.Poly) {
-				t.Fatal("sequential AddObstacle rejected fresh obstacle")
+			if gSeq.AddObstacles([]Obstacle{ob}) != 1 {
+				t.Fatal("sequential AddObstacles rejected fresh obstacle")
 			}
 		}
 		dSeq := gSeq.ObstructedDist(na2, nb2)

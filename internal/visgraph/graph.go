@@ -152,15 +152,6 @@ type Graph struct {
 	stale bool
 }
 
-// New returns an empty graph.
-func New(opts Options) *Graph {
-	return &Graph{
-		opts:    opts,
-		obstIDs: make(map[int64]int),
-		edgeSet: make(map[uint64]bool),
-	}
-}
-
 // Retarget rebinds the graph's per-query hooks: subsequent work counts into
 // m (may be nil) and searches poll interrupt (may be nil). Graphs cached
 // across queries are retargeted to each acquiring query in turn, so work and
@@ -197,7 +188,11 @@ type Obstacle struct {
 // visibility is computed — searches materialise adjacency at the nodes they
 // expand. Further obstacles and points can still be added dynamically.
 func Build(opts Options, obstacles []Obstacle) *Graph {
-	g := New(opts)
+	g := &Graph{
+		opts:    opts,
+		obstIDs: make(map[int64]int),
+		edgeSet: make(map[uint64]bool),
+	}
 	if opts.Metrics != nil {
 		opts.Metrics.Builds++
 	}
@@ -238,10 +233,6 @@ func (g *Graph) HasObstacle(id int64) bool {
 
 // Point returns the location of a node.
 func (g *Graph) Point(n NodeID) geom.Point { return g.nodes[n].pt }
-
-// Neighbors returns the adjacency list of n as materialised so far; callers
-// must not modify it.
-func (g *Graph) Neighbors(n NodeID) []HalfEdge { return g.nodes[n].adj }
 
 func (g *Graph) newNode(p geom.Point, kind Kind, poly, vert int) NodeID {
 	n := gnode{pt: p, kind: kind, poly: poly, vert: vert, alive: true, seen: -1}
@@ -292,19 +283,14 @@ func (g *Graph) removeEdge(u, v NodeID) {
 	g.numEdges--
 }
 
-// AddObstacle incorporates one obstacle (the add_obstacle operation of
-// Section 4); it reports whether the obstacle was new.
-func (g *Graph) AddObstacle(id int64, poly geom.Polygon) bool {
-	return g.AddObstacles([]Obstacle{{ID: id, Poly: poly}}) == 1
-}
-
-// AddObstacles incorporates a batch of obstacles, returning how many were
-// new: obstacles are identified by an external id, so repeated additions are
-// no-ops. The iterative range enlargement of the obstructed-distance
-// computation (Fig 8) discovers obstacles in batches; adding them together
-// removes blocked edges in a single pass over the graph instead of one scan
-// per obstacle. The new vertices get no edges here: nodes whose adjacency was
-// complete before learn about them when a search next expands them.
+// AddObstacles incorporates a batch of obstacles (the add_obstacle operation
+// of Section 4, batched), returning how many were new: obstacles are
+// identified by an external id, so repeated additions are no-ops. The
+// iterative range enlargement of the obstructed-distance computation (Fig 8)
+// discovers obstacles in batches; adding them together removes blocked edges
+// in a single pass over the graph instead of one scan per obstacle. The new
+// vertices get no edges here: nodes whose adjacency was complete before learn
+// about them when a search next expands them.
 func (g *Graph) AddObstacles(batch []Obstacle) int {
 	first := len(g.obstacles)
 	var vids []NodeID

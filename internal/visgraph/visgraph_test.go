@@ -292,8 +292,8 @@ func TestAddObstacleUpdatesDistances(t *testing.T) {
 		na := g.AddTerminal(a)
 		nb := g.AddTerminal(b)
 		for i, r := range rects {
-			if !g.AddObstacle(int64(i), geom.RectPolygon(r)) {
-				t.Fatalf("AddObstacle(%d) reported duplicate", i)
+			if g.AddObstacles([]Obstacle{{ID: int64(i), Poly: geom.RectPolygon(r)}}) != 1 {
+				t.Fatalf("AddObstacles(%d) reported duplicate", i)
 			}
 			fresh := buildWith(sweep, rects[:i+1])
 			fa := fresh.AddTerminal(a)
@@ -305,7 +305,7 @@ func TestAddObstacleUpdatesDistances(t *testing.T) {
 			}
 		}
 		// Duplicate addition is a no-op.
-		if g.AddObstacle(0, geom.RectPolygon(rects[0])) {
+		if g.AddObstacles([]Obstacle{{ID: 0, Poly: geom.RectPolygon(rects[0])}}) != 0 {
 			t.Error("duplicate obstacle accepted")
 		}
 		if !g.HasObstacle(0) || g.HasObstacle(999) {
@@ -339,23 +339,20 @@ func TestDeleteEntityRestoresGraph(t *testing.T) {
 
 func TestEntityEntityEdgesSkipped(t *testing.T) {
 	g := buildWith(true, []geom.Rect{geom.R(10, 10, 12, 12)})
-	e1 := g.AddEntity(geom.Pt(0, 0))
-	e2 := g.AddEntity(geom.Pt(1, 1))
-	for _, he := range g.Neighbors(e1) {
-		if he.To == e2 {
-			t.Error("entity-entity edge created")
-		}
+	p1, p2 := geom.Pt(0, 0), geom.Pt(1, 1)
+	e1 := g.AddEntity(p1)
+	e2 := g.AddEntity(p2)
+	// With nothing between them, only a direct edge could make the two
+	// entities as close as their Euclidean distance; any other route bends
+	// at a far obstacle corner.
+	if d := g.ObstructedDist(e1, e2); d < p1.Dist(p2)+1 {
+		t.Errorf("entity-entity edge created: distance %v", d)
 	}
 	// Terminals do connect to entities.
-	q := g.AddTerminal(geom.Pt(0, 1))
-	found := false
-	for _, he := range g.Neighbors(q) {
-		if he.To == e1 || he.To == e2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("terminal not connected to entities")
+	qp := geom.Pt(0, 1)
+	q := g.AddTerminal(qp)
+	if d := g.ObstructedDist(q, e1); !distEq(d, qp.Dist(p1)) {
+		t.Errorf("terminal not connected to entity: distance %v", d)
 	}
 }
 

@@ -141,37 +141,6 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 	inj.Clear() // let Close release the files without tripping the rule again
 }
 
-// TestRejectedClusterLeavesNoActiveTrace is the embedded-use regression test
-// for query exits that skipped record: with every query traced, a Cluster
-// call rejected for its arguments must not strand its trace in the flight
-// recorder's in-flight registry (the store behind /debug/active).
-func TestRejectedClusterLeavesNoActiveTrace(t *testing.T) {
-	opts := DefaultOptions()
-	opts.TraceSampleRate = 1
-	db := cityDB(t, opts)
-	defer db.Close()
-	if err := db.AddDataset("P", []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95)}); err != nil {
-		t.Fatal(err)
-	}
-	for _, copts := range []ClusterOptions{
-		{Algorithm: DBSCAN, Eps: 0},
-		{Algorithm: KMedoids, K: 0},
-		{Algorithm: ClusterAlgorithm(42)},
-	} {
-		if _, err := db.Cluster(ctx, "P", copts); !errors.Is(err, ErrInvalidArgument) {
-			t.Errorf("Cluster(%+v) = %v, want ErrInvalidArgument", copts, err)
-		}
-	}
-	// The filtered-kNN path's early exits go through record too: a blocked
-	// query point (inside the first building) answers empty, not stranded.
-	if nn, err := db.NearestNeighbors(ctx, "P", Pt(20, 20), 2, WithFilter(func(Neighbor) bool { return true })); err != nil || len(nn) != 0 {
-		t.Errorf("filtered kNN from inside an obstacle = %v, %v", nn, err)
-	}
-	if active := db.TraceRecorder().Active(); len(active) != 0 {
-		t.Fatalf("%d trace(s) stranded in flight: %+v", len(active), active)
-	}
-}
-
 // TestOpenRefusesVersion1File: a data file in the retired version-1 layout
 // must be refused with the typed error rather than misread, and the refusal
 // must leave its bytes alone.

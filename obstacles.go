@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +191,10 @@ var Unreachable = math.Inf(1)
 // it starts and answers from it alone, entirely before or entirely after any
 // update, for as long as it runs.
 type Database struct {
+	// reader supplies every read verb (see reader.go), each pinning the
+	// generation current when its call starts.
+	reader
+
 	opts    Options
 	engine  *core.Engine
 	obstSet *core.ObstacleSet
@@ -243,7 +246,7 @@ type dbVersion struct {
 func (v *dbVersion) dataset(name string) (*core.PointSet, error) {
 	ps, ok := v.datasets[name]
 	if !ok {
-		return nil, fmt.Errorf("obstacles: unknown dataset %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	return ps, nil
 }
@@ -354,20 +357,17 @@ func freeBatches(frees []pendingFree) {
 	}
 }
 
-// currentVersion returns the published read head without pinning it — for
-// pure in-memory reads (counts, names) that touch no tree pages.
-func (db *Database) currentVersion() *dbVersion {
-	vt := &db.versions
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	return vt.current
-}
-
-// initVersions switches every live set to copy-on-write mutation and
-// publishes the initial version. Called once construction (or durable
-// attach) completes, before the database is handed out.
+// initVersions switches every live set to copy-on-write mutation, publishes
+// the initial version and points the read verbs at the version table. Called
+// once construction (or durable attach) completes, before the database is
+// handed out.
 func (db *Database) initVersions() {
 	db.versions.pins = make(map[uint64]int)
+	db.reader = reader{
+		db:      db,
+		acquire: func() (*dbVersion, error) { return db.pin(), nil },
+		release: db.unpin,
+	}
 	db.obstSet.EnableCOW()
 	for _, ps := range db.datasets {
 		ps.EnableCOW()
@@ -413,10 +413,23 @@ func (db *Database) publishVersion() {
 // sliver that can never block a segment yet still costs every query.
 var ErrInvalidPolygon = errors.New("obstacles: invalid obstacle polygon")
 
-// ErrInvalidArgument is the typed error wrapped when a query argument is out
-// of range for the verb (for Cluster: a non-positive Eps, K below 1, an
-// unknown algorithm) — the caller's mistake, as opposed to an engine failure.
+// ErrInvalidArgument is the typed error wrapped when an argument is out of
+// range for the verb (for Cluster: a non-positive Eps, K below 1, an unknown
+// algorithm; for DeletePoints and RemoveObstacles: the same id twice) — the
+// caller's mistake, as opposed to an engine failure.
 var ErrInvalidArgument = errors.New("obstacles: invalid argument")
+
+// ErrUnknownDataset is the typed error wrapped when a verb or mutator names a
+// dataset that does not exist (at the generation a read verb answers from).
+var ErrUnknownDataset = errors.New("obstacles: unknown dataset")
+
+// ErrDatasetExists is the typed error wrapped by AddDataset when the name is
+// already taken.
+var ErrDatasetExists = errors.New("obstacles: dataset already exists")
+
+// ErrNotFound is the typed error wrapped by DeletePoints and RemoveObstacles
+// when an id names no live entity or obstacle.
+var ErrNotFound = errors.New("obstacles: not found")
 
 // validatePolygons rejects degenerate obstacles with a typed error instead
 // of silently indexing them.
@@ -574,7 +587,7 @@ func (db *Database) AddDataset(name string, pts []Point) error {
 // AddDatasetContext is AddDataset with a caller context, consulted for trace
 // propagation only (see mutate).
 func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Point) error {
-	errExists := fmt.Errorf("obstacles: dataset %q already exists", name)
+	errExists := fmt.Errorf("%w: %q", ErrDatasetExists, name)
 	if db.HasDataset(name) {
 		return errExists
 	}
@@ -623,23 +636,6 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 	})
 }
 
-// Datasets returns the names of the datasets added so far, sorted.
-func (db *Database) Datasets() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.datasets))
-	for n := range db.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NumObstacles returns the live obstacle count.
-func (db *Database) NumObstacles() int {
-	return db.currentVersion().obst.Len()
-}
-
 // HasDataset reports whether a dataset with the given name exists.
 func (db *Database) HasDataset(name string) bool {
 	db.mu.RLock()
@@ -648,22 +644,12 @@ func (db *Database) HasDataset(name string) bool {
 	return ok
 }
 
-// DatasetLen returns the number of entities in a dataset; an unknown name is
-// an error.
-func (db *Database) DatasetLen(name string) (int, error) {
-	ps, err := db.currentVersion().dataset(name)
-	if err != nil {
-		return 0, err
-	}
-	return ps.Len(), nil
-}
-
 func (db *Database) dataset(name string) (*core.PointSet, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ps, ok := db.datasets[name]
 	if !ok {
-		return nil, fmt.Errorf("obstacles: unknown dataset %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	return ps, nil
 }
@@ -737,10 +723,10 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 		seen := make(map[int64]bool, len(ids))
 		for _, id := range ids {
 			if !ps.Alive(id) {
-				return fmt.Errorf("obstacles: dataset %q has no entity %d", name, id)
+				return fmt.Errorf("%w: dataset %q has no entity %d", ErrNotFound, name, id)
 			}
 			if seen[id] {
-				return fmt.Errorf("obstacles: duplicate entity id %d in delete", id)
+				return fmt.Errorf("%w: duplicate entity id %d in delete", ErrInvalidArgument, id)
 			}
 			seen[id] = true
 		}
@@ -835,10 +821,10 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 		seen := make(map[int64]bool, len(ids))
 		for _, id := range ids {
 			if !db.obstSet.Alive(id) {
-				return fmt.Errorf("obstacles: no obstacle with id %d", id)
+				return fmt.Errorf("%w: no obstacle with id %d", ErrNotFound, id)
 			}
 			if seen[id] {
-				return fmt.Errorf("obstacles: duplicate obstacle id %d in remove", id)
+				return fmt.Errorf("%w: duplicate obstacle id %d in remove", ErrInvalidArgument, id)
 			}
 			seen[id] = true
 		}
@@ -870,253 +856,4 @@ type CacheStats = core.CacheStats
 // of AddObstacles/RemoveObstacles beyond the R-tree writes.
 func (db *Database) GraphCacheStats() CacheStats {
 	return db.engine.GraphCacheStats()
-}
-
-// Range returns all entities of the dataset within obstructed distance
-// radius of q, sorted by distance (the OR algorithm of the paper). Like
-// every query verb, it pins the current generation for its whole call, so
-// concurrent mutations neither block it nor change its answer.
-func (db *Database) Range(ctx context.Context, dataset string, q Point, radius float64, opts ...QueryOption) ([]Neighbor, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.rangeAt(v, ctx, dataset, q, radius, opts...)
-}
-
-func (db *Database) rangeAt(v *dbVersion, ctx context.Context, dataset string, q Point, radius float64, opts ...QueryOption) ([]Neighbor, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	ps, err := v.dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	sess := db.newSessionAt(ctx, v, VerbRange)
-	res, st, err := sess.Range(ps, q, radius)
-	db.record(VerbRange, &cfg, sess, st, start, err)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.applyNeighborOpts(toNeighbors(res)), nil
-}
-
-// NearestNeighbors returns the k entities of the dataset with the smallest
-// obstructed distance from q, sorted by it (the ONN algorithm). With
-// WithFilter, the k closest entities satisfying the predicate are found by
-// consuming the incremental stream instead.
-func (db *Database) NearestNeighbors(ctx context.Context, dataset string, q Point, k int, opts ...QueryOption) ([]Neighbor, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.nearestNeighborsAt(v, ctx, dataset, q, k, opts...)
-}
-
-func (db *Database) nearestNeighborsAt(v *dbVersion, ctx context.Context, dataset string, q Point, k int, opts ...QueryOption) ([]Neighbor, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	ps, err := v.dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.limit >= 0 && cfg.limit < k {
-		k = cfg.limit
-	}
-	sess := db.newSessionAt(ctx, v, VerbNearestNeighbors)
-	if cfg.filter == nil {
-		res, st, err := sess.NearestNeighbors(ps, q, k)
-		db.record(VerbNearestNeighbors, &cfg, sess, st, start, err)
-		if err != nil {
-			return nil, err
-		}
-		return toNeighbors(res), nil
-	}
-	// Filtered kNN: the rank of the k-th qualifying entity is unknown, so
-	// stream the incremental ONN and keep the first k that qualify. A
-	// blocked query point returns no neighbors, exactly like the
-	// unfiltered path (the stream would otherwise drain every entity at
-	// distance Unreachable).
-	if inside, err := sess.InsideObstacle(q); err != nil || inside {
-		db.record(VerbNearestNeighbors, &cfg, sess, core.Stats{}, start, err)
-		return nil, err
-	}
-	it := sess.NearestIterator(ps, q)
-	var out []Neighbor
-	pulled := 0
-	for len(out) < k {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		pulled++
-		nb := Neighbor{ID: r.ID, Point: r.Pt, Distance: r.Dist}
-		if cfg.filter(nb) {
-			out = append(out, nb)
-		}
-	}
-	st := it.Stats()
-	st.Results = len(out)
-	// False hits are candidates the obstructed metric eliminated (retrieved
-	// in Euclidean order but never surfaced in obstructed order); entities
-	// the caller's filter rejected are true hits and must not count.
-	st.FalseHits = st.Candidates - pulled
-	db.record(VerbNearestNeighbors, &cfg, sess, st, start, it.Err())
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DistanceJoin returns all pairs (s, t) from the two datasets within
-// obstructed distance dist of each other, sorted by distance (the ODJ
-// algorithm).
-func (db *Database) DistanceJoin(ctx context.Context, dataset1, dataset2 string, dist float64, opts ...QueryOption) ([]Pair, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.distanceJoinAt(v, ctx, dataset1, dataset2, dist, opts...)
-}
-
-func (db *Database) distanceJoinAt(v *dbVersion, ctx context.Context, dataset1, dataset2 string, dist float64, opts ...QueryOption) ([]Pair, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	s, err := v.dataset(dataset1)
-	if err != nil {
-		return nil, err
-	}
-	t, err := v.dataset(dataset2)
-	if err != nil {
-		return nil, err
-	}
-	sess := db.newSessionAt(ctx, v, VerbDistanceJoin)
-	res, st, err := sess.DistanceJoin(s, t, dist)
-	db.record(VerbDistanceJoin, &cfg, sess, st, start, err)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.applyPairOpts(toPairs(res)), nil
-}
-
-// ClosestPairs returns the k pairs from the two datasets with the smallest
-// obstructed distance, sorted by it (the OCP algorithm). With
-// WithPairFilter, the k closest qualifying pairs are found by consuming the
-// incremental iOCP stream instead.
-func (db *Database) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k int, opts ...QueryOption) ([]Pair, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.closestPairsAt(v, ctx, dataset1, dataset2, k, opts...)
-}
-
-func (db *Database) closestPairsAt(v *dbVersion, ctx context.Context, dataset1, dataset2 string, k int, opts ...QueryOption) ([]Pair, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	s, err := v.dataset(dataset1)
-	if err != nil {
-		return nil, err
-	}
-	t, err := v.dataset(dataset2)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.limit >= 0 && cfg.limit < k {
-		k = cfg.limit
-	}
-	sess := db.newSessionAt(ctx, v, VerbClosestPairs)
-	if cfg.pairFilter == nil {
-		res, st, err := sess.ClosestPairs(s, t, k)
-		db.record(VerbClosestPairs, &cfg, sess, st, start, err)
-		if err != nil {
-			return nil, err
-		}
-		return toPairs(res), nil
-	}
-	it, err := sess.ClosestPairIterator(s, t)
-	if err != nil {
-		db.record(VerbClosestPairs, &cfg, sess, core.Stats{}, start, err)
-		return nil, err
-	}
-	var out []Pair
-	pulled := 0
-	for len(out) < k {
-		jp, ok := it.Next()
-		if !ok {
-			break
-		}
-		pulled++
-		p := Pair{ID1: jp.SID, ID2: jp.TID, Distance: jp.Dist}
-		if cfg.pairFilter(p) {
-			out = append(out, p)
-		}
-	}
-	st := it.Stats()
-	st.Results = len(out)
-	// As in the filtered kNN path: filter-rejected pairs are true hits, not
-	// false hits; only candidates eliminated by obstructed distance count.
-	st.FalseHits = st.Candidates - pulled
-	db.record(VerbClosestPairs, &cfg, sess, st, start, it.Err())
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ObstructedDistance returns the length of the shortest obstacle-avoiding
-// path from a to b (Unreachable when none exists).
-func (db *Database) ObstructedDistance(ctx context.Context, a, b Point, opts ...QueryOption) (float64, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.obstructedDistanceAt(v, ctx, a, b, opts...)
-}
-
-func (db *Database) obstructedDistanceAt(v *dbVersion, ctx context.Context, a, b Point, opts ...QueryOption) (float64, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	sess := db.newSessionAt(ctx, v, VerbObstructedDistance)
-	d, st, err := sess.ObstructedDistance(a, b)
-	db.record(VerbObstructedDistance, &cfg, sess, st, start, err)
-	return d, err
-}
-
-// ObstructedPath returns a shortest obstacle-avoiding route from a to b as
-// a sequence of waypoints (a first, b last, bending only at obstacle
-// corners) and its total length. The path is nil and the length Unreachable
-// when no route exists.
-func (db *Database) ObstructedPath(ctx context.Context, a, b Point, opts ...QueryOption) ([]Point, float64, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.obstructedPathAt(v, ctx, a, b, opts...)
-}
-
-func (db *Database) obstructedPathAt(v *dbVersion, ctx context.Context, a, b Point, opts ...QueryOption) ([]Point, float64, error) {
-	cfg := applyOptions(opts)
-	start := time.Now()
-	sess := db.newSessionAt(ctx, v, VerbObstructedPath)
-	path, d, st, err := sess.ObstructedPath(a, b)
-	db.record(VerbObstructedPath, &cfg, sess, st, start, err)
-	return path, d, err
-}
-
-// InsideObstacle reports whether p lies strictly inside an obstacle. Such
-// points can reach nothing: queries from them return no results and their
-// distances are Unreachable.
-func (db *Database) InsideObstacle(p Point) (bool, error) {
-	v := db.pin()
-	defer db.unpin(v)
-	return db.insideObstacleAt(v, p)
-}
-
-func (db *Database) insideObstacleAt(v *dbVersion, p Point) (bool, error) {
-	sess := db.engine.NewSessionAt(context.Background(), v.obst)
-	return sess.InsideObstacle(p)
-}
-
-func toNeighbors(rs []core.Result) []Neighbor {
-	out := make([]Neighbor, len(rs))
-	for i, r := range rs {
-		out[i] = Neighbor{ID: r.ID, Point: r.Pt, Distance: r.Dist}
-	}
-	return out
-}
-
-func toPairs(ps []core.JoinPair) []Pair {
-	out := make([]Pair, len(ps))
-	for i, p := range ps {
-		out[i] = Pair{ID1: p.SID, ID2: p.TID, Distance: p.Dist}
-	}
-	return out
 }

@@ -1,20 +1,18 @@
 package obstacles
 
 import (
-	"context"
 	"errors"
-	"iter"
-	"sort"
 	"sync/atomic"
 )
 
 // ErrSnapshotClosed is returned by every verb of a Snapshot after Close.
 var ErrSnapshotClosed = errors.New("obstacles: snapshot is closed")
 
-// Snapshot is an explicit handle on one published generation. Every verb on
-// it answers from that generation, no matter how many mutations commit on
-// the Database after it was taken — the same guarantee the Database's own
-// verbs give for their single call, held open across calls.
+// Snapshot is an explicit handle on one published generation. It has the
+// Database's read verbs — the same methods from the same implementation (see
+// reader.go) — and every one answers from that generation, no matter how many
+// mutations commit on the Database after it was taken: the guarantee the
+// Database's own verbs give for their single call, held open across calls.
 //
 // A snapshot costs nothing to take (a refcount bump) but holding one keeps
 // the copy-on-write pages its generation can still read alive: under heavy
@@ -24,7 +22,7 @@ var ErrSnapshotClosed = errors.New("obstacles: snapshot is closed")
 // Snapshots are safe for concurrent use, but Close must not race in-flight
 // verbs on the same handle.
 type Snapshot struct {
-	db     *Database
+	reader
 	v      *dbVersion
 	closed atomic.Bool
 }
@@ -37,7 +35,9 @@ func (db *Database) Snapshot() *Snapshot {
 	vt.mu.Lock()
 	vt.snapshots++
 	vt.mu.Unlock()
-	return &Snapshot{db: db, v: v}
+	s := &Snapshot{v: v}
+	s.reader = reader{db: db, acquire: s.version, release: func(*dbVersion) {}}
+	return s
 }
 
 // Close releases the snapshot's pin, letting the pages only its generation
@@ -57,146 +57,12 @@ func (s *Snapshot) Close() error {
 // Generation returns the mutation count at which the snapshot was taken.
 func (s *Snapshot) Generation() uint64 { return s.v.gen }
 
-func (s *Snapshot) guard() error {
+// version is the closed-guard: the held generation while the snapshot is
+// open, ErrSnapshotClosed after. The pin it was taken with lasts until Close,
+// so the reader's release has nothing to give back.
+func (s *Snapshot) version() (*dbVersion, error) {
 	if s.closed.Load() {
-		return ErrSnapshotClosed
+		return nil, ErrSnapshotClosed
 	}
-	return nil
-}
-
-// Datasets returns the names of the datasets in the snapshot's generation,
-// sorted.
-func (s *Snapshot) Datasets() []string {
-	names := make([]string, 0, len(s.v.datasets))
-	for n := range s.v.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DatasetLen returns the number of entities a dataset had at the snapshot's
-// generation.
-func (s *Snapshot) DatasetLen(name string) (int, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	ps, err := s.v.dataset(name)
-	if err != nil {
-		return 0, err
-	}
-	return ps.Len(), nil
-}
-
-// NumObstacles returns the live obstacle count at the snapshot's generation.
-func (s *Snapshot) NumObstacles() int { return s.v.obst.Len() }
-
-// Range is Database.Range against the snapshot's generation.
-func (s *Snapshot) Range(ctx context.Context, dataset string, q Point, radius float64, opts ...QueryOption) ([]Neighbor, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.rangeAt(s.v, ctx, dataset, q, radius, opts...)
-}
-
-// NearestNeighbors is Database.NearestNeighbors against the snapshot's
-// generation.
-func (s *Snapshot) NearestNeighbors(ctx context.Context, dataset string, q Point, k int, opts ...QueryOption) ([]Neighbor, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.nearestNeighborsAt(s.v, ctx, dataset, q, k, opts...)
-}
-
-// DistanceJoin is Database.DistanceJoin against the snapshot's generation.
-func (s *Snapshot) DistanceJoin(ctx context.Context, dataset1, dataset2 string, dist float64, opts ...QueryOption) ([]Pair, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.distanceJoinAt(s.v, ctx, dataset1, dataset2, dist, opts...)
-}
-
-// ClosestPairs is Database.ClosestPairs against the snapshot's generation.
-func (s *Snapshot) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k int, opts ...QueryOption) ([]Pair, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.closestPairsAt(s.v, ctx, dataset1, dataset2, k, opts...)
-}
-
-// ObstructedDistance is Database.ObstructedDistance against the snapshot's
-// generation.
-func (s *Snapshot) ObstructedDistance(ctx context.Context, a, b Point, opts ...QueryOption) (float64, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	return s.db.obstructedDistanceAt(s.v, ctx, a, b, opts...)
-}
-
-// ObstructedPath is Database.ObstructedPath against the snapshot's
-// generation.
-func (s *Snapshot) ObstructedPath(ctx context.Context, a, b Point, opts ...QueryOption) ([]Point, float64, error) {
-	if err := s.guard(); err != nil {
-		return nil, 0, err
-	}
-	return s.db.obstructedPathAt(s.v, ctx, a, b, opts...)
-}
-
-// InsideObstacle is Database.InsideObstacle against the snapshot's
-// generation.
-func (s *Snapshot) InsideObstacle(p Point) (bool, error) {
-	if err := s.guard(); err != nil {
-		return false, err
-	}
-	return s.db.insideObstacleAt(s.v, p)
-}
-
-// ObstructedDistances is Database.ObstructedDistances against the
-// snapshot's generation.
-func (s *Snapshot) ObstructedDistances(ctx context.Context, q Point, targets []Point, opts ...QueryOption) ([]float64, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.obstructedDistancesAt(s.v, ctx, q, targets, opts...)
-}
-
-// DistanceMatrix is Database.DistanceMatrix against the snapshot's
-// generation.
-func (s *Snapshot) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryOption) ([][]float64, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.distanceMatrixAt(s.v, ctx, pts, opts...)
-}
-
-// Cluster is Database.Cluster against the snapshot's generation.
-func (s *Snapshot) Cluster(ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.db.clusterAt(s.v, ctx, dataset, copts, opts...)
-}
-
-// Nearest is Database.Nearest against the snapshot's generation. The
-// snapshot must stay open for the whole iteration.
-func (s *Snapshot) Nearest(ctx context.Context, dataset string, q Point, opts ...QueryOption) iter.Seq2[Neighbor, error] {
-	return func(yield func(Neighbor, error) bool) {
-		if err := s.guard(); err != nil {
-			yield(Neighbor{}, err)
-			return
-		}
-		s.db.nearestAt(s.v, ctx, dataset, q, opts...)(yield)
-	}
-}
-
-// Closest is Database.Closest against the snapshot's generation. The
-// snapshot must stay open for the whole iteration.
-func (s *Snapshot) Closest(ctx context.Context, dataset1, dataset2 string, opts ...QueryOption) iter.Seq2[Pair, error] {
-	return func(yield func(Pair, error) bool) {
-		if err := s.guard(); err != nil {
-			yield(Pair{}, err)
-			return
-		}
-		s.db.closestAt(s.v, ctx, dataset1, dataset2, opts...)(yield)
-	}
+	return s.v, nil
 }

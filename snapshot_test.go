@@ -158,7 +158,7 @@ func TestSnapshotPinnedAnswersStable(t *testing.T) {
 	}
 
 	// The live handle moved on.
-	if db.currentVersion().gen == s.Generation() {
+	if db.gen.Load() == s.Generation() {
 		t.Fatal("database generation did not advance")
 	}
 
