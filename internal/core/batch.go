@@ -1,24 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
-	"repro/internal/visgraph"
 )
 
-// This file implements the batch multi-source distance primitives: one
-// visibility graph and one Dijkstra expansion per enlargement round serve an
-// entire target set, instead of one graph build and one expansion per pair
-// as in ObstructedDistance. The iterative range enlargement is the
-// multi-target generalization of compute_obstructed_distance (Fig 8): a
-// target's provisional distance d is final once the graph incorporates every
-// obstacle within d of the source (any shorter path would stay inside that
-// disk), so the search radius grows to the largest unfinished provisional
-// distance until all targets settle or unreachability is proven.
+// This file holds the batch multi-source distance verbs: one field — one
+// visibility graph, one expansion per enlargement round — serves an entire
+// target set, instead of one graph build and one search per pair as in
+// ObstructedDistance.
 
 // BatchDistances computes the obstructed distance from source to every
 // target. Unreachable targets (sealed off, or strictly inside an obstacle)
@@ -27,51 +18,58 @@ import (
 // is built, covering the largest Euclidean source-target distance as in
 // Fig 7.
 func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) ([]float64, Stats, error) {
-	if s.e.cache != nil {
-		return s.batchViaCache(s.e.cache, source, targets)
-	}
-	return s.batchLocal(source, targets)
+	return s.batchDistances(s.e.cache, source, targets)
 }
 
-// batchLocal is the uncached batch path: one query-local graph.
-func (s *Session) batchLocal(source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
+// batchDistances is BatchDistances against the given cache's graphs (nil: a
+// query-local graph).
+func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
 	w := s.snap()
 	defer s.finishCall(&st, w)
-	dists, prep, err := s.prepBatch(source, targets, &st)
-	if err != nil || prep == nil {
-		countReachable(dists, &st)
-		return dists, st, err
+	st.Candidates = len(targets)
+	dists := make([]float64, len(targets))
+	if len(targets) == 0 {
+		return dists, st, nil
 	}
-	if err := s.expandLocal(source, prep, &st); err != nil {
+	buriedSrc, err := s.InsideObstacle(source)
+	if err != nil {
 		return nil, st, err
 	}
-	countReachable(dists, &st)
-	return dists, st, nil
-}
-
-// expandLocal runs the enlargement loop on a fresh query-local graph — the
-// uncached tail of batchLocal, also the fallback when a session's epoch can
-// no longer publish into the shared cache.
-func (s *Session) expandLocal(source geom.Point, prep *batchPrep, st *Stats) error {
-	r0 := prep.maxEuclid
-	obs, err := s.relevantObstacles(source, r0)
+	f := s.newField(c, source, 0, &st)
+	f.reserve(len(targets))
+	// idx maps each target to its field target; coincident targets share one
+	// graph node, and a target at an unburied source needs none: dO(p, p) = 0.
+	idx := make([]int, len(targets))
+	at := make(map[geom.Point]int, len(targets))
+	for i, t := range targets {
+		if t.Eq(source) && !buriedSrc {
+			idx[i] = -1
+			continue
+		}
+		j, ok := at[t]
+		if !ok {
+			j = f.add(t)
+			at[t] = j
+		}
+		idx[i] = j
+	}
+	err = f.certify()
+	for i, j := range idx {
+		if j >= 0 {
+			dists[i] = f.targets[j].dist
+		}
+	}
+	f.close()
 	if err != nil {
-		return err
+		return nil, st, err
 	}
-	g := s.buildGraph(obs)
-	grow := func(radius float64) (bool, error) {
-		return s.addObstaclesWithin(g, source, radius)
-	}
-	return s.batchExpand(g, source, prep, r0, grow, st)
-}
-
-func countReachable(dists []float64, st *Stats) {
 	for _, d := range dists {
 		if !math.IsInf(d, 1) {
 			st.Results++
 		}
 	}
 	st.FalseHits = st.Candidates - st.Results
+	return dists, st, nil
 }
 
 // DistanceMatrix computes the full symmetric obstructed-distance matrix of
@@ -94,18 +92,15 @@ func (s *Session) DistanceMatrix(pts []geom.Point) ([][]float64, Stats, error) {
 	// from being pinned in the engine's long-lived shared cache. With the
 	// engine cache disabled, the matrix runs uncached too (one graph per
 	// row).
-	batch := s.batchLocal
+	var local *GraphCache
 	if s.e.cache != nil {
-		local := NewGraphCacheAt(s.e, 4, s.epoch)
-		batch = func(source geom.Point, targets []geom.Point) ([]float64, Stats, error) {
-			return s.batchViaCache(local, source, targets)
-		}
+		local = NewGraphCacheAt(s.e, 4, s.epoch)
 	}
 	for i := 0; i < len(pts)-1; i++ {
 		if err := s.err(); err != nil {
 			return nil, st, err
 		}
-		dists, rst, err := batch(pts[i], pts[i+1:])
+		dists, rst, err := s.batchDistances(local, pts[i], pts[i+1:])
 		if err != nil {
 			return nil, st, err
 		}
@@ -117,682 +112,4 @@ func (s *Session) DistanceMatrix(pts []geom.Point) ([][]float64, Stats, error) {
 	}
 	st.FalseHits = st.Candidates - st.Results
 	return out, st, nil
-}
-
-// batchPrep holds the per-call working state shared by the one-shot and
-// cached batch paths.
-type batchPrep struct {
-	source  geom.Point
-	targets []geom.Point
-	dists   []float64 // result slice, pre-filled for trivial targets
-	// nodeIdx maps a representative graph node to the target indexes at its
-	// location (duplicate targets share one node).
-	nodeIdx map[visgraph.NodeID][]int
-	nodes   []visgraph.NodeID // all nodes added to the graph, for cleanup
-	final   []bool
-	// maxEuclid is the largest Euclidean source-target distance among
-	// non-trivial targets — the Fig 7 initial range.
-	maxEuclid float64
-	pending   int
-}
-
-// prepBatch resolves the trivial targets (coincident with the source, or
-// strictly inside an obstacle) and sizes the initial search range. It
-// returns a nil prep when no target needs graph work.
-func (s *Session) prepBatch(source geom.Point, targets []geom.Point, st *Stats) ([]float64, *batchPrep, error) {
-	dists := make([]float64, len(targets))
-	st.Candidates = len(targets)
-	if len(targets) == 0 {
-		return dists, nil, nil
-	}
-	srcInside, err := s.InsideObstacle(source)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := &batchPrep{
-		source:  source,
-		targets: targets,
-		dists:   dists,
-		final:   make([]bool, len(targets)),
-	}
-	for i, t := range targets {
-		if srcInside {
-			dists[i] = math.Inf(1)
-			p.final[i] = true
-			continue
-		}
-		if t.Eq(source) {
-			p.final[i] = true // dO(p, p) = 0
-			continue
-		}
-		inside, err := s.InsideObstacle(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		if inside {
-			dists[i] = math.Inf(1)
-			p.final[i] = true
-			continue
-		}
-		dists[i] = math.Inf(1) // provisional until settled
-		p.pending++
-		if de := source.Dist(t); de > p.maxEuclid {
-			p.maxEuclid = de
-		}
-	}
-	if p.pending == 0 {
-		return dists, nil, nil
-	}
-	return dists, p, nil
-}
-
-// attach adds the pending targets as entity nodes and the source as a
-// terminal, deduplicating coincident targets.
-func (p *batchPrep) attach(g *visgraph.Graph) visgraph.NodeID {
-	p.nodeIdx = make(map[visgraph.NodeID][]int, p.pending)
-	byPoint := make(map[geom.Point]visgraph.NodeID, p.pending)
-	for i, t := range p.targets {
-		if p.final[i] {
-			continue
-		}
-		n, ok := byPoint[t]
-		if !ok {
-			n = g.AddEntity(t)
-			byPoint[t] = n
-			p.nodes = append(p.nodes, n)
-		}
-		p.nodeIdx[n] = append(p.nodeIdx[n], i)
-	}
-	nq := g.AddTerminal(p.source)
-	p.nodes = append(p.nodes, nq)
-	return nq
-}
-
-// detach removes every node attach added, restoring the graph to an
-// obstacles-only state (used by the cache to keep entries reusable).
-func (p *batchPrep) detach(g *visgraph.Graph) {
-	for _, n := range p.nodes {
-		g.DeleteEntity(n)
-	}
-	p.nodes = p.nodes[:0]
-}
-
-// batchExpand runs the multi-target iterative range enlargement on g. The
-// graph must already incorporate every obstacle within searched of the
-// source; grow must extend that coverage to the given radius, reporting
-// whether any obstacle was new. Results land in prep.dists.
-func (s *Session) batchExpand(g *visgraph.Graph, source geom.Point, prep *batchPrep, searched float64, grow func(radius float64) (bool, error), st *Stats) error {
-	cover, err := s.coverRadius(source)
-	if err != nil {
-		return err
-	}
-	nq := prep.attach(g)
-	defer prep.detach(g)
-	dists, final := prep.dists, prep.final
-	pending := prep.pending
-	for pending > 0 {
-		if err := s.err(); err != nil {
-			return err
-		}
-		// One expansion settles a provisional distance for every pending
-		// target at once (Dijkstra settles in ascending distance order, so a
-		// settled target's distance is exact in the current graph).
-		st.DistComputations++
-		for _, idxs := range prep.nodeIdx {
-			for _, i := range idxs {
-				if !final[i] {
-					dists[i] = math.Inf(1)
-				}
-			}
-		}
-		unsettled := pending
-		s.dijkstra(func() {
-			g.Expand(nq, math.Inf(1), func(n visgraph.NodeID, d float64) bool {
-				idxs, ok := prep.nodeIdx[n]
-				if !ok {
-					return true
-				}
-				hit := false
-				for _, i := range idxs {
-					if !final[i] {
-						dists[i] = d
-						unsettled--
-						hit = true
-					}
-				}
-				return !hit || unsettled > 0
-			})
-		})
-		if n, m := g.NumNodes(), g.NumEdges(); n > st.GraphNodes {
-			st.GraphNodes, st.GraphEdges = n, m
-		}
-		if err := s.err(); err != nil {
-			return err
-		}
-		// Finalize targets whose provisional distance the searched range
-		// already certifies, then pick the next enlargement radius.
-		maxOpen := 0.0
-		anyInf := false
-		for i := range dists {
-			if final[i] {
-				continue
-			}
-			switch d := dists[i]; {
-			case d <= searched:
-				final[i] = true
-				pending--
-			case math.IsInf(d, 1):
-				anyInf = true
-			case d > maxOpen:
-				maxOpen = d
-			}
-		}
-		for pending > 0 {
-			radius := maxOpen
-			if anyInf {
-				dbl := searched * 2
-				if dbl < geom.Eps {
-					dbl = 1
-				}
-				if dbl > cover {
-					dbl = cover
-				}
-				if dbl > radius {
-					radius = dbl
-				}
-			}
-			if radius <= searched {
-				// Only unreachable targets remain and the search already
-				// covers every obstacle: provably sealed off.
-				for i := range final {
-					if !final[i] {
-						final[i] = true
-						pending--
-					}
-				}
-				return nil
-			}
-			added, err := grow(radius)
-			if err != nil {
-				return err
-			}
-			searched = radius
-			if added {
-				break // distances may have changed; re-expand
-			}
-			// Fig 8 termination: the enlargement found no new obstacle, so
-			// finite provisional distances are final.
-			maxOpen = 0
-			for i := range dists {
-				if final[i] || math.IsInf(dists[i], 1) {
-					continue
-				}
-				final[i] = true
-				pending--
-			}
-			if !anyInf && pending > 0 {
-				return fmt.Errorf("core: batch enlargement stalled with %d targets pending", pending)
-			}
-			if pending == 0 {
-				return nil
-			}
-			if searched >= cover {
-				// Unreachable targets are final (+Inf already in dists).
-				for i := range final {
-					if !final[i] {
-						final[i] = true
-						pending--
-					}
-				}
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// localGraph returns a visibility graph incorporating every obstacle within
-// radius of center. With the engine's cache enabled it is a cached entry's
-// graph, held exclusively until the returned release func is called; the
-// caller must delete every node it added and then release. Without a cache
-// the graph is query-local and release is nil.
-func (s *Session) localGraph(center geom.Point, radius float64) (g *visgraph.Graph, release func(), err error) {
-	if s.e.cache != nil {
-		en, _, err := s.e.cache.acquire(s, center, radius)
-		switch {
-		case err == nil:
-			return en.g, en.release, nil
-		case err != errStaleEpoch:
-			return nil, nil, err
-		}
-		// Stale epoch: the session reads an older obstacle generation than
-		// the cache serves; fall through to a query-local graph.
-	}
-	obs, err := s.relevantObstacles(center, radius)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.buildGraph(obs), nil, nil
-}
-
-// GraphCache is a small LRU of expanded visibility-graph states, keyed by
-// the disk of obstacle space each graph incorporates. Batch queries whose
-// initial range falls inside a cached disk reuse that graph (growing it in
-// place when the enlargement loop demands more), so workloads with spatial
-// locality — clustering neighborhoods, Hilbert-ordered join seeds — skip
-// most graph construction. Entity and terminal nodes are removed after each
-// query; cached graphs hold obstacle vertices only.
-//
-// The cache is safe for concurrent sessions: the entry list and traffic
-// counters sit behind one mutex, and each entry carries its own lock held
-// for the duration of a query's use, so queries on disjoint regions run in
-// parallel while queries sharing a warm graph serialize on just that entry.
-//
-// The cache is multi-version: every entry records the obstacle-epoch range
-// it is valid for ([epochLo, dead)), and InvalidateRegion bounds that range
-// instead of discarding the graph, so sessions pinned to an older snapshot
-// keep their warm graphs while newer epochs build fresh ones. Obstacle
-// mutations may therefore run concurrently with cached queries.
-type GraphCache struct {
-	e   *Engine
-	mu  sync.Mutex // guards entries, epoch bounds, and stats
-	cap int
-	// epoch is the newest obstacle generation the cache has seen; only
-	// sessions at this epoch publish new entries.
-	epoch uint64
-	// entries are kept in recency order, most recent first.
-	entries []*cacheEntry
-	stats   CacheStats
-}
-
-// errStaleEpoch reports that a session's pinned obstacle epoch is older than
-// the cache's current epoch, so the cache can neither publish nor (when no
-// warm entry matched) serve it; callers fall back to a query-local graph.
-var errStaleEpoch = fmt.Errorf("core: graph cache is ahead of the session's obstacle epoch")
-
-// deadNever is the dead bound of an entry valid for every future epoch.
-const deadNever = ^uint64(0)
-
-type cacheEntry struct {
-	// held is a capacity-1 channel lock, held while a session uses or grows
-	// the graph; entries are published already held, so a concurrent hit
-	// blocks until the graph is actually built. A channel (not a mutex) so
-	// that a canceled query waiting behind a long-running one can give up
-	// promptly instead of parking until the holder finishes.
-	held chan struct{}
-	g    *visgraph.Graph
-	// The graph incorporates every obstacle intersecting the disk
-	// (center, coverage()). center and base are immutable after creation;
-	// coverage is read lock-free during candidate scans (it only grows).
-	center geom.Point
-	// base is the radius the entry was built with; growth is capped at
-	// growLimit*base so a walk of spatially advancing queries cannot
-	// ratchet one entry into a permanently retained near-global graph.
-	base     float64
-	searched atomic.Uint64 // Float64bits of the covered radius
-
-	// Epoch validity bounds, guarded by the cache mutex: the graph's content
-	// reflects obstacle epoch epochLo (raised when a grow pulls in a newer
-	// annulus) and is valid for sessions whose epoch e satisfies
-	// epochLo <= e < dead. InvalidateRegion sets dead instead of discarding
-	// the entry, so older snapshots keep using it.
-	epochLo, dead uint64
-	// growTarget is the high-water radius an in-flight grow is scanning
-	// toward, registered under the cache mutex before the scan so a
-	// concurrent InvalidateRegion tests the disk the graph is about to
-	// cover, not just the coverage already recorded.
-	growTarget float64
-}
-
-func (en *cacheEntry) coverage() float64     { return math.Float64frombits(en.searched.Load()) }
-func (en *cacheEntry) setCoverage(r float64) { en.searched.Store(math.Float64bits(r)) }
-
-// lock acquires exclusive use of the entry, abandoning the wait when ctx is
-// canceled.
-func (en *cacheEntry) lock(s *Session) error {
-	select {
-	case en.held <- struct{}{}:
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
-}
-
-func (en *cacheEntry) unlock() { <-en.held }
-
-// release detaches the holding session's hooks from the cached graph before
-// unlocking: a long-lived entry must not pin a finished session (and the
-// request context its interrupt closure captures) until the next acquire.
-func (en *cacheEntry) release() {
-	if en.g != nil {
-		en.g.Retarget(nil, nil)
-	}
-	en.unlock()
-}
-
-// growLimit bounds how far an entry may expand beyond its original build
-// radius before queries stop reusing it and build a fresh local graph.
-const growLimit = 4
-
-// CacheStats counts graph-cache traffic.
-type CacheStats struct {
-	Hits, Misses, Evictions uint64
-	// Invalidations counts entries whose validity was epoch-bounded because
-	// an obstacle update touched their coverage disk (see InvalidateRegion).
-	Invalidations uint64
-}
-
-// HitRate returns Hits over (Hits + Misses), or 0 with no traffic.
-func (cs CacheStats) HitRate() float64 {
-	total := cs.Hits + cs.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(cs.Hits) / float64(total)
-}
-
-// NewGraphCacheAt returns a cache of at most capacity expanded graphs over
-// e's obstacle set, starting at the given obstacle epoch: the set's current
-// generation for the engine's own cache, a snapshot session's epoch for its
-// call-local cache, so its own epoch counts as current.
-func NewGraphCacheAt(e *Engine, capacity int, epoch uint64) *GraphCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &GraphCache{e: e, cap: capacity, epoch: epoch}
-}
-
-// EnableGraphCache attaches a graph cache of the given capacity to the
-// engine: BatchDistances and DistanceJoin reuse expanded graph states across
-// calls. Capacity <= 0 detaches the cache. Not safe to call while queries
-// are in flight; configure the engine before serving.
-func (e *Engine) EnableGraphCache(capacity int) {
-	if capacity <= 0 {
-		e.cache = nil
-		return
-	}
-	e.cache = NewGraphCacheAt(e, capacity, e.obstacles.Generation())
-}
-
-// GraphCacheStats returns the engine cache's traffic counters (zero when the
-// cache is disabled).
-func (e *Engine) GraphCacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	return e.cache.stats
-}
-
-// acquire returns a cached entry whose disk contains the disk (source, r0),
-// growing a nearby entry or building a fresh one if none does. The entry is
-// returned with its lock held; the caller must restore the graph to an
-// obstacles-only state and unlock. The second return is the radius around
-// source the entry's graph is guaranteed to cover.
-func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheEntry, float64, error) {
-	if err := s.err(); err != nil {
-		return nil, 0, err
-	}
-	c.mu.Lock()
-	if s.epoch > c.epoch {
-		// The obstacle generation moved past every invalidation the cache
-		// saw (a mutation that changed no region); adopt it so this epoch's
-		// sessions publish normally.
-		c.epoch = s.epoch
-	}
-	best := -1
-	for i, en := range c.entries {
-		// Reuse only entries valid at the session's obstacle epoch, whose
-		// coverage already contains the source (growing a distant graph
-		// would pull in obstacles the query never needs), and whose grown
-		// radius stays within growLimit of the entry's original scale (so
-		// reuse never inflates a local graph into a global one).
-		if s.epoch < en.epochLo || s.epoch >= en.dead {
-			continue
-		}
-		d := en.center.Dist(source)
-		if d <= en.coverage() && d+r0 <= max(en.coverage(), growLimit*en.base) {
-			if best < 0 || d < c.entries[best].center.Dist(source) {
-				best = i
-			}
-		}
-	}
-	if best >= 0 {
-		en := c.entries[best]
-		copy(c.entries[1:best+1], c.entries[:best])
-		c.entries[0] = en
-		c.stats.Hits++
-		c.mu.Unlock()
-		// Wait for exclusive use outside the cache lock, so a long-running
-		// query on one entry never blocks hits on other entries; a canceled
-		// waiter gives up with ctx.Err() instead of parking behind the
-		// holder.
-		if err := en.lock(s); err != nil {
-			return nil, 0, err
-		}
-		c.mu.Lock()
-		valid := s.epoch >= en.epochLo && s.epoch < en.dead
-		c.mu.Unlock()
-		if en.g == nil || !valid {
-			// Either the publishing session failed to build the graph (and
-			// dropped the entry), or a holder we waited behind re-grew it at
-			// an incompatible epoch; start over — the rescan cannot match it
-			// again. Undo the hit count so one logical acquire scores once.
-			en.unlock()
-			c.mu.Lock()
-			c.stats.Hits--
-			c.mu.Unlock()
-			return c.acquire(s, source, r0)
-		}
-		if !en.g.Retarget(s.metricsHook()) {
-			// The graph was explicitly invalidated between the candidate
-			// scan and the lock; drop it and rescan.
-			en.unlock()
-			c.drop(en)
-			c.mu.Lock()
-			c.stats.Hits--
-			c.mu.Unlock()
-			return c.acquire(s, source, r0)
-		}
-		off := en.center.Dist(source)
-		if en.coverage()-off < r0 {
-			if err := en.grow(c, s, off+r0); err != nil {
-				en.release()
-				return nil, 0, err
-			}
-		}
-		return en, en.coverage() - off, nil
-	}
-	if s.epoch < c.epoch {
-		// An old-epoch session found no warm graph; it must not publish one
-		// built from its older obstacle view into the shared list.
-		c.mu.Unlock()
-		return nil, 0, errStaleEpoch
-	}
-	c.stats.Misses++
-	// Publish the entry locked and build its graph outside the cache lock:
-	// concurrent queries for the same region block on the entry (and then
-	// find the built graph) instead of duplicating the build or stalling
-	// the whole cache.
-	en := &cacheEntry{center: source, base: r0, held: make(chan struct{}, 1), epochLo: s.epoch, dead: deadNever}
-	en.setCoverage(r0)
-	en.held <- struct{}{} // uncontended: not yet published
-	c.entries = append([]*cacheEntry{en}, c.entries...)
-	if len(c.entries) > c.cap {
-		c.entries = c.entries[:c.cap]
-		c.stats.Evictions++
-	}
-	c.mu.Unlock()
-	obs, err := s.relevantObstacles(source, r0)
-	if err != nil {
-		c.drop(en)
-		en.unlock()
-		return nil, 0, err
-	}
-	en.g = s.buildGraph(obs)
-	return en, r0, nil
-}
-
-// metricsHook returns the session's work counter and interrupt hook, the
-// arguments Retarget takes.
-func (s *Session) metricsHook() (*visgraph.Metrics, func() bool) {
-	return &s.met, s.interrupted
-}
-
-// grow extends the entry's coverage disk to the given radius around its own
-// center (enlargements requested around other points are translated to the
-// entry center so coverage stays a single disk). The caller holds the
-// entry's channel lock (en.held, via acquire).
-//
-// The annulus is scanned through the growing session's obstacle view, so the
-// grown graph reflects that session's epoch: epochLo rises to it, and when
-// the cache has already moved past that epoch the entry's validity is pinned
-// to exactly this epoch (newer epochs may have changed the annulus without
-// ever touching the entry's previously recorded disk). growTarget is
-// registered under the cache mutex before the scan so a concurrent
-// InvalidateRegion bounds the entry if the mutation lands inside the disk
-// being grown into.
-func (en *cacheEntry) grow(c *GraphCache, s *Session, radius float64) error {
-	if radius <= en.coverage() {
-		return nil
-	}
-	c.mu.Lock()
-	en.epochLo = s.epoch
-	if c.epoch > s.epoch && en.dead > s.epoch+1 {
-		en.dead = s.epoch + 1
-	}
-	if radius > en.growTarget {
-		en.growTarget = radius
-	}
-	c.mu.Unlock()
-	if _, err := s.addObstaclesWithin(en.g, en.center, radius); err != nil {
-		return err
-	}
-	en.setCoverage(radius)
-	return nil
-}
-
-// batchViaCache is BatchDistances against a cache's graphs.
-func (s *Session) batchViaCache(c *GraphCache, source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
-	w := s.snap()
-	defer s.finishCall(&st, w)
-	dists, prep, err := s.prepBatch(source, targets, &st)
-	if err != nil || prep == nil {
-		countReachable(dists, &st)
-		return dists, st, err
-	}
-	en, searched, err := c.acquire(s, source, prep.maxEuclid)
-	if err == errStaleEpoch {
-		// The cache serves a newer obstacle generation than this session's
-		// pinned view and held no warm graph for it; run query-local.
-		if err := s.expandLocal(source, prep, &st); err != nil {
-			return nil, st, err
-		}
-		countReachable(dists, &st)
-		return dists, st, nil
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	off := en.center.Dist(source)
-	grow := func(radius float64) (bool, error) {
-		// Cover disk(source, radius) via the containing entry-centered disk.
-		before := en.g.NumObstacles()
-		if err := en.grow(c, s, off+radius); err != nil {
-			return false, err
-		}
-		return en.g.NumObstacles() > before, nil
-	}
-	expandErr := s.batchExpand(en.g, source, prep, searched, grow, &st)
-	// The enlargement loop may legitimately outgrow the reuse cap (e.g.
-	// proving a sealed-off target unreachable expands to the full obstacle
-	// extent) — and may have done so even when it then failed. Such a graph
-	// must not stay resident and soak up every future query, so it is
-	// dropped instead of cached. A canceled query also drops its entry: the
-	// graph may be mid-growth relative to its recorded coverage.
-	if expandErr != nil || en.coverage() > growLimit*en.base {
-		c.drop(en)
-	}
-	en.release()
-	if expandErr != nil {
-		return nil, st, expandErr
-	}
-	countReachable(dists, &st)
-	return dists, st, nil
-}
-
-// InvalidateRegion epoch-bounds every cached graph whose coverage disk (or
-// the disk an in-flight grow is scanning toward) intersects r — the MBR of
-// an added or removed obstacle. The caller must have already bumped the
-// obstacle set's generation: entries touching r become invalid for sessions
-// at the new generation, while sessions pinned to older epochs keep using
-// them — their snapshot of the obstacle set genuinely matches the cached
-// graph. Entries elsewhere survive at every epoch: their graphs never
-// incorporated (and were never required to incorporate) an obstacle outside
-// their disk, so an update that does not touch the disk cannot change any
-// distance they produce.
-//
-// Safe to run concurrently with queries; superseded entries age out of the
-// LRU once no old-epoch session hits them. It returns the number of entries
-// epoch-bounded.
-func (c *GraphCache) InvalidateRegion(r geom.Rect) int {
-	epoch := c.e.obstacles.Generation()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	bounded := 0
-	for _, en := range c.entries {
-		if en.dead <= epoch {
-			continue // already invalid at (or before) this epoch
-		}
-		if r.IntersectsCircle(en.center, max(en.coverage(), en.growTarget)) {
-			en.dead = epoch
-			bounded++
-			c.stats.Invalidations++
-		}
-	}
-	return bounded
-}
-
-// InvalidateObstacleRegion tells the engine's graph cache (when enabled)
-// that the obstacle set changed inside r; cached graphs covering r stop
-// serving the new obstacle generation (older pinned readers keep them), the
-// rest keep serving every epoch.
-func (e *Engine) InvalidateObstacleRegion(r geom.Rect) int {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.InvalidateRegion(r)
-}
-
-// Reset discards every cached graph and raises the cache's epoch floor to
-// epoch. Unlike InvalidateRegion, nothing survives for older pinned sessions:
-// Reset is for recovery swaps, where the obstacle set itself was rebuilt and
-// no cached graph — whatever epoch range it claimed — should outlive the old
-// storage generation. Entries held by in-flight queries stay usable by their
-// holder (the entry is self-contained) and are simply never found again.
-func (c *GraphCache) Reset(epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	c.stats.Evictions += uint64(len(c.entries))
-	c.entries = nil
-}
-
-// drop removes an entry from the cache.
-func (c *GraphCache) drop(en *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, e := range c.entries {
-		if e == en {
-			c.entries = append(c.entries[:i], c.entries[i+1:]...)
-			c.stats.Evictions++
-			return
-		}
-	}
 }

@@ -4,10 +4,23 @@
 // (OCP, Fig 11) and their incremental variants (iOCP, Fig 12, and the
 // incremental ONN the paper sketches).
 //
-// All algorithms share two building blocks: Euclidean candidate generation
-// on R-trees (package rtree), justified by the Euclidean lower-bound
-// property dE <= dO, and on-line local visibility graphs (package visgraph)
-// for refining candidates by their true obstructed distance.
+// Every verb is the same four layers, each written once:
+//
+//   - a candidate stream: Euclidean range, nearest-neighbour, join and
+//     closest-pair search on R-trees (package rtree), which loses no answer
+//     because of the Euclidean lower bound dE <= dO;
+//   - a refinement skeleton over that stream (refine.go): the top-k loop of
+//     Figs 9 and 11, or the incremental emitter of Fig 12; OR, ODJ and the
+//     batch verbs refine their whole candidate set at once and need none;
+//   - the field (field.go): obstructed distances from one source point to
+//     target points on one local visibility graph, by a bounded expansion
+//     (settle, Fig 5) or by the iterative range enlargement (certify, Fig 8).
+//     It is the only code that adds or removes graph nodes, searches, and
+//     acquires graphs, query-local or from the graph cache (graphcache.go);
+//   - the on-line local visibility graph itself (package visgraph).
+//
+// The verbs keep what the paper makes theirs: which stream, which initial
+// obstacle range, when to stop.
 package core
 
 import (

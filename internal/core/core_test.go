@@ -47,6 +47,12 @@ func newScene(t *testing.T, rng *rand.Rand, nObst int, size float64) *scene {
 			rects = append(rects, r)
 		}
 	}
+	return sceneOf(t, rects)
+}
+
+// sceneOf wraps a fixed obstacle list into a scene with its oracle.
+func sceneOf(t *testing.T, rects []geom.Rect) *scene {
+	t.Helper()
 	polys := make([]geom.Polygon, len(rects))
 	obs := make([]visgraph.Obstacle, len(rects))
 	for i, r := range rects {

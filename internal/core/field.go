@@ -1,0 +1,398 @@
+package core
+
+import (
+	"math"
+	"slices"
+
+	"repro/internal/geom"
+	"repro/internal/visgraph"
+)
+
+// field is the one refinement step under every query verb: the obstructed
+// distances from one source point to target points, over a local visibility
+// graph that holds every obstacle within a radius of the source and grows
+// when a distance demands it (compute_obstructed_distance, Fig 8). It owns
+// every graph node a query adds and removes; the verbs above it own the
+// candidate streams and their stopping rules.
+//
+// A field is lazy: it acquires its graph the first time an operation needs
+// one, so a verb whose endpoints turn out to be buried in obstacles scans
+// nothing. It is per-call state, owned by one session.
+type field struct {
+	s  *Session
+	st *Stats // the verb's counters: Fig 8 invocations and the graph-size high-water land here
+	// cache is where the graph comes from: one of its entries (en), held
+	// exclusively until close, or nil for a query-local graph.
+	cache  *GraphCache
+	en     *cacheEntry
+	center geom.Point
+	// searched is the radius around center whose obstacles g holds; before
+	// the scan, the radius it will run with.
+	searched float64
+	scanned  bool
+	obs      []visgraph.Obstacle // a query-local scan's result, until attach builds g over it
+	g        *visgraph.Graph     // nil until attach (until scan through a cache)
+	src      visgraph.NodeID     // Invalid until attach
+	// cover is the radius around center that holds every obstacle: a search
+	// that wide that still finds no path proves unreachability. Negative
+	// until a target first comes back +Inf, which is the only time it is
+	// needed.
+	cover float64
+	// routed marks the field of a point-to-point verb, which reports the route
+	// of the final search from the source to its one target (path).
+	routed  bool
+	targets []target
+	first   [1]target // backs targets while there is one: the per-candidate verbs never have more
+	err     error     // the first error of any operation
+}
+
+// target is one point the field measures the distance to.
+type target struct {
+	pt    geom.Point
+	n     visgraph.NodeID // Invalid until an operation attaches it
+	dist  float64         // +Inf until settled; provisional until final
+	final bool
+}
+
+// newField prepares a field around center that will open on the obstacles
+// within r of it, through c when non-nil.
+func (s *Session) newField(c *GraphCache, center geom.Point, r float64, st *Stats) *field {
+	f := &field{s: s, st: st, cache: c, center: center, searched: r, src: visgraph.Invalid, cover: -1}
+	f.targets = f.first[:0]
+	return f
+}
+
+// reserve makes room for n more targets in one allocation.
+func (f *field) reserve(n int) { f.targets = slices.Grow(f.targets, n) }
+
+// add registers a target and returns its index. It costs nothing until the
+// next settle or certify.
+func (f *field) add(pt geom.Point) int {
+	f.targets = append(f.targets, target{pt: pt, n: visgraph.Invalid, dist: math.Inf(1)})
+	return len(f.targets) - 1
+}
+
+// fail returns err, remembering the first non-nil one for close.
+func (f *field) fail(err error) error {
+	if f.err == nil {
+		f.err = err
+	}
+	return err
+}
+
+// scan is the one way a query gets its obstacles: those within searched of
+// center. Through a cache they come as an entry's graph; a session whose
+// obstacle epoch the cache has moved past, and every verb that passes no
+// cache, runs one obstacle range query for a query-local graph. Figs 5 and 9
+// issue that query first and unconditionally, which is what keeps their
+// obstacle R-tree I/O independent of what is left to refine; attach builds
+// the graph over its result only when something is.
+func (f *field) scan() error {
+	if f.scanned || f.err != nil {
+		return f.err
+	}
+	f.scanned = true
+	if f.cache != nil {
+		en, covered, err := f.cache.acquire(f.s, f.center, f.searched)
+		if err == nil {
+			f.en, f.g, f.searched = en, en.g, covered
+			return nil
+		}
+		if err != errStaleEpoch {
+			return f.fail(err)
+		}
+	}
+	var err error
+	f.obs, err = f.s.relevantObstacles(f.center, f.searched)
+	return f.fail(err)
+}
+
+// grow extends g to every obstacle within radius of center, reporting whether
+// any was new.
+func (f *field) grow(radius float64) (bool, error) {
+	if f.en == nil {
+		return f.s.addObstaclesWithin(f.g, f.center, radius)
+	}
+	// Cover disk(center, radius) via the containing entry-centered disk.
+	before := f.g.NumObstacles()
+	if err := f.en.grow(f.cache, f.s, f.en.center.Dist(f.center)+radius); err != nil {
+		return false, err
+	}
+	return f.g.NumObstacles() > before, nil
+}
+
+// attach makes the graph searchable: built over the scanned obstacles when it
+// is query-local, the source its terminal, every waiting target an entity
+// node.
+func (f *field) attach() error {
+	if err := f.scan(); err != nil {
+		return err
+	}
+	if f.g == nil {
+		f.g, f.obs = f.s.buildGraph(f.obs), nil
+	}
+	if f.src == visgraph.Invalid {
+		f.src = f.g.AddTerminal(f.center)
+	}
+	for i := range f.targets {
+		if t := &f.targets[i]; !t.final && t.n == visgraph.Invalid {
+			t.n = f.g.AddEntity(t.pt)
+		}
+	}
+	return nil
+}
+
+// search runs one graph search under the session's dijkstra span and
+// records the graph-size high-water (read after the search: the search is
+// what materialises edges).
+func (f *field) search(run func()) error {
+	f.s.dijkstra(run)
+	if n := f.g.NumNodes(); n > f.st.GraphNodes {
+		f.st.GraphNodes, f.st.GraphEdges = n, f.g.NumEdges()
+	}
+	// A cancellation mid-search leaves targets unsettled (+Inf); without this
+	// check a reachable target would be reported as proven unreachable with
+	// a nil error.
+	return f.fail(f.s.err())
+}
+
+// expand runs one expansion from the source within bound, handing visit each
+// open target as it settles and stopping after the last.
+func (f *field) expand(bound float64, visit func(i int, d float64)) error {
+	open := make(map[visgraph.NodeID]int, len(f.targets))
+	for i := range f.targets {
+		if t := &f.targets[i]; !t.final {
+			open[t.n] = i
+		}
+	}
+	return f.search(func() {
+		f.g.Expand(f.src, bound, func(n visgraph.NodeID, d float64) bool {
+			if i, ok := open[n]; ok {
+				visit(i, d)
+				delete(open, n)
+			}
+			return len(open) > 0
+		})
+	})
+}
+
+// settle refines every target with one expansion around the source, bounded
+// by bound — the refinement of OR and ODJ (Fig 5), which need no enlargement:
+// the graph already holds every obstacle a path that short can touch. visit
+// gets each target within bound once, in ascending distance; the rest are
+// false hits. A target strictly inside an obstacle sees nothing and is never
+// reached, so it needs no check of its own.
+func (f *field) settle(bound float64, visit func(i int, d float64)) error {
+	if err := f.attach(); err != nil {
+		return err
+	}
+	f.st.DistComputations++
+	return f.expand(bound, visit)
+}
+
+// certify makes the distance of every target added so far final
+// (compute_obstructed_distance, Fig 8, for one target or many): a shortest
+// path of length d stays inside the disk of radius d around the source, so a
+// provisional d is final once the graph holds every obstacle within d. The
+// range is therefore enlarged to the largest open provisional distance until
+// an enlargement finds no new obstacle. Distances only grow across rounds.
+// While a target is disconnected the range doubles instead; once it covers
+// every obstacle and no path exists the target is sealed off and its distance
+// is +Inf (a case the paper does not discuss but real data can produce).
+//
+// Endpoints strictly inside an obstacle reach nothing: they are answered +Inf
+// up front, before the graph is even opened, instead of letting the doubling
+// pull in the whole obstacle set to prove it.
+func (f *field) certify() error {
+	s := f.s
+	buriedSrc, err := s.InsideObstacle(f.center)
+	if err != nil {
+		return f.fail(err)
+	}
+	pending := 0
+	for i := range f.targets {
+		t := &f.targets[i]
+		if t.final {
+			continue
+		}
+		buried := buriedSrc
+		if !buried {
+			if buried, err = s.InsideObstacle(t.pt); err != nil {
+				return f.fail(err)
+			}
+		}
+		if buried {
+			t.final = true
+			continue
+		}
+		pending++
+		if !f.scanned {
+			// The graph opens on the Euclidean range of its farthest target
+			// (Fig 7), unless the verb asked for more.
+			f.searched = max(f.searched, f.center.Dist(t.pt))
+		}
+	}
+	if pending == 0 {
+		return nil
+	}
+	if err := f.attach(); err != nil {
+		return err
+	}
+	f.st.DistComputations++
+	for pending > 0 {
+		// One search per round. With several targets open it is one expansion
+		// that settles them all (Dijkstra settles in ascending order, so a
+		// settled target's distance is exact in the current graph). With one
+		// it is goal-directed and runs from the target to the source, as in
+		// Fig 8: a sealed-off candidate then exhausts its own enclosure to
+		// prove it, not the whole world outside. A routed field searches from
+		// the source, the way its route is read.
+		var one *target
+		for i := range f.targets {
+			if t := &f.targets[i]; !t.final {
+				t.dist, one = math.Inf(1), t
+			}
+		}
+		if pending > 1 {
+			err = f.expand(math.Inf(1), func(i int, d float64) { f.targets[i].dist = d })
+		} else {
+			from, to := one.n, f.src
+			if f.routed {
+				from, to = to, from
+			}
+			err = f.search(func() { one.dist = f.g.ObstructedDist(from, to) })
+		}
+		if err != nil {
+			return err
+		}
+		// Finalize targets whose provisional distance the searched range
+		// already certifies, then pick the next enlargement radius.
+		maxOpen, anyInf := 0.0, false
+		for i := range f.targets {
+			switch t := &f.targets[i]; {
+			case t.final:
+			case t.dist <= f.searched:
+				t.final = true
+				pending--
+			case math.IsInf(t.dist, 1):
+				anyInf = true
+			case t.dist > maxOpen:
+				maxOpen = t.dist
+			}
+		}
+		for pending > 0 {
+			radius := maxOpen
+			if anyInf {
+				cover, err := f.coverRadius()
+				if err != nil {
+					return f.fail(err)
+				}
+				dbl := f.searched * 2
+				if dbl < geom.Eps {
+					dbl = 1
+				}
+				radius = max(radius, min(dbl, cover))
+			}
+			if radius <= f.searched {
+				// Only unreachable targets remain and the graph already holds
+				// every obstacle: provably sealed off (+Inf already in dist).
+				for i := range f.targets {
+					f.targets[i].final = true
+				}
+				return nil
+			}
+			added, err := f.grow(radius)
+			if err != nil {
+				return f.fail(err)
+			}
+			f.searched = radius
+			if added {
+				break // distances may have changed; search again
+			}
+			// Fig 8 termination: the enlargement found no new obstacle, so
+			// finite provisional distances are final.
+			maxOpen = 0
+			for i := range f.targets {
+				if t := &f.targets[i]; !t.final && !math.IsInf(t.dist, 1) {
+					t.final = true
+					pending--
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// coverRadius returns the radius around center that covers every obstacle,
+// reading the obstacle tree's root the first time it is asked.
+func (f *field) coverRadius() (float64, error) {
+	if f.cover < 0 {
+		b, err := f.s.obstTree.Bounds()
+		if err != nil {
+			return 0, err
+		}
+		f.cover = 0
+		if !b.IsEmpty() {
+			f.cover = b.MaxDist(f.center)
+		}
+	}
+	return f.cover, nil
+}
+
+// distance is the per-candidate step of Figs 9, 11 and 12: one target added,
+// certified and taken out again, so the graph the next candidate is measured
+// on holds obstacles and the source only.
+func (f *field) distance(pt geom.Point) (float64, error) {
+	i := f.add(pt)
+	err := f.certify()
+	d := f.targets[i].dist
+	f.clear()
+	return d, err
+}
+
+// path returns the route of a routed field's last search — of its single
+// target, certified reachable, so goal-directed and ended there — as a point
+// sequence from the source to that target, bending only at obstacle vertices
+// [LW79].
+func (f *field) path() []geom.Point {
+	nodes := f.g.Path(f.targets[0].n)
+	pts := make([]geom.Point, len(nodes))
+	for i, n := range nodes {
+		pts[i] = f.g.Point(n)
+	}
+	return pts
+}
+
+// clear takes every target out of the field and its node out of the graph.
+func (f *field) clear() {
+	for i := range f.targets {
+		if n := f.targets[i].n; n != visgraph.Invalid {
+			f.g.DeleteEntity(n)
+		}
+	}
+	f.targets = f.targets[:0]
+}
+
+// close ends the field's use of its graph. A cached graph must be back to
+// obstacles only before the next query can reuse it; a query-local one is
+// garbage either way.
+func (f *field) close() {
+	if f.en == nil {
+		return
+	}
+	f.clear()
+	if f.src != visgraph.Invalid {
+		f.g.DeleteEntity(f.src)
+	}
+	// The enlargement loop may legitimately outgrow the reuse cap (proving a
+	// sealed-off target unreachable expands to the full obstacle extent) — and
+	// may have done so even when it then failed. Such a graph must not stay
+	// resident and soak up every future query, so it is dropped instead of
+	// cached. A failed or canceled query also drops its entry: the graph may
+	// be mid-growth relative to its recorded coverage.
+	if f.err != nil || f.en.coverage() > growLimit*f.en.base {
+		f.cache.drop(f.en)
+	}
+	f.en.release()
+	f.en = nil
+}

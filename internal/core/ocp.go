@@ -1,13 +1,28 @@
 package core
 
-import (
-	"container/heap"
-	"math"
+import "repro/internal/rtree"
 
-	"repro/internal/geom"
-	"repro/internal/rtree"
-	"repro/internal/visgraph"
-)
+// pairs is the OCP candidate stream: the pairs of S x T in ascending
+// Euclidean distance [HS98, CMTV00], each refined by its obstructed distance.
+// The incremental closest-pair stream frequently repeats one endpoint in
+// consecutive pairs, so the field around the most recent s-side point is
+// kept and reused (including any obstacles the iterative enlargement pulled
+// in).
+func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbor, JoinPair], error) {
+	src, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
+	var f *field
+	return candidates[rtree.PairNeighbor, JoinPair]{
+		src: src,
+		dE:  func(pr rtree.PairNeighbor) float64 { return pr.Dist },
+		eval: func(pr rtree.PairNeighbor) (JoinPair, error) {
+			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
+				f = s.newField(nil, sp, 0, st)
+			}
+			d, err := f.distance(pr.B.Rect.Center())
+			return JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}, err
+		},
+	}, err
+}
 
 // ClosestPairs answers an obstacle closest-pair query (OCP, Fig 11): the k
 // pairs (s, t), s in S, t in T, with the smallest obstructed distance,
@@ -23,231 +38,29 @@ func (s *Session) ClosestPairs(S, T *PointSet, k int) (_ []JoinPair, st Stats, _
 	if err := s.err(); err != nil {
 		return nil, st, err
 	}
-	it, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
+	c, err := s.pairs(S, T, &st)
 	if err != nil {
 		return nil, st, err
 	}
-	cache := newPairDistCache(s)
-	R := make([]JoinPair, 0, k)
-	// Seed with the first k Euclidean pairs.
-	for len(R) < k {
-		pr, ok := it.Next()
-		if !ok {
-			break
-		}
-		st.Candidates++
-		d, err := cache.distance(pr, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		R = append(R, JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d})
-	}
-	if err := it.Err(); err != nil {
-		return nil, st, err
-	}
-	if len(R) == 0 {
-		return nil, st, nil
-	}
-	sortPairs(R)
-	dEmax := R[len(R)-1].Dist
-	for {
-		if err := s.err(); err != nil {
-			return nil, st, err
-		}
-		pr, ok := it.Next()
-		if !ok {
-			if err := it.Err(); err != nil {
-				return nil, st, err
-			}
-			break
-		}
-		if pr.Dist > dEmax {
-			break
-		}
-		st.Candidates++
-		d, err := cache.distance(pr, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		if d < R[len(R)-1].Dist {
-			R[len(R)-1] = JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}
-			sortPairs(R)
-			dEmax = R[len(R)-1].Dist
-		}
-	}
-	st.Results = len(R)
-	st.GraphNodes, st.GraphEdges = cache.maxNodes, cache.maxEdges
-	return R, st, nil
-}
-
-// pairDistCache evaluates obstructed distances of Euclidean pairs. The
-// incremental closest-pair stream frequently repeats one endpoint in
-// consecutive pairs, so the visibility graph around the most recent s-side
-// point is kept and reused (including any obstacles the iterative
-// enlargement pulled in). The cache is per-call state, owned by one session.
-type pairDistCache struct {
-	s        *Session
-	seedPt   geom.Point
-	valid    bool
-	g        *visgraph.Graph
-	ns       visgraph.NodeID
-	searched float64
-	maxNodes int
-	maxEdges int
-}
-
-func newPairDistCache(s *Session) *pairDistCache {
-	return &pairDistCache{s: s}
-}
-
-func (c *pairDistCache) distance(pr rtree.PairNeighbor, st *Stats) (float64, error) {
-	sp := pr.A.Rect.Center()
-	t := pr.B.Rect.Center()
-	// Endpoints sealed inside an obstacle reach nothing; skip the range
-	// enlargement that would otherwise scan the whole obstacle dataset.
-	for _, p := range [2]geom.Point{sp, t} {
-		if inside, err := c.s.InsideObstacle(p); err != nil {
-			return 0, err
-		} else if inside {
-			return math.Inf(1), nil
-		}
-	}
-	if !c.valid || !c.seedPt.Eq(sp) {
-		obs, err := c.s.relevantObstacles(sp, sp.Dist(t))
-		if err != nil {
-			return 0, err
-		}
-		c.g = c.s.buildGraph(obs)
-		c.ns = c.g.AddTerminal(sp)
-		c.seedPt = sp
-		c.searched = sp.Dist(t)
-		c.valid = true
-	}
-	st.DistComputations++
-	nt := c.g.AddTerminal(t)
-	d, err := c.s.obstructedDistance(c.g, nt, c.ns, sp, c.searched)
-	c.g.DeleteEntity(nt)
-	if err != nil {
-		return 0, err
-	}
-	if d > c.searched && !math.IsInf(d, 1) {
-		c.searched = d
-	}
-	if n, m := c.g.NumNodes(), c.g.NumEdges(); n > c.maxNodes {
-		c.maxNodes, c.maxEdges = n, m
-	}
-	return d, nil
+	R, err := topK(s, &st, k, c, func([]rtree.PairNeighbor) error { return nil })
+	return R, st, err
 }
 
 // CPIterator reports pairs in ascending order of obstructed distance without
-// a predeclared k (iOCP, Fig 12): a buffered pair can be emitted as soon as
-// its obstructed distance is at most the Euclidean distance of the last pair
-// retrieved, since every future pair has dO >= dE.
+// a predeclared k (iOCP, Fig 12).
 type CPIterator struct {
-	s       *Session
-	src     *rtree.CPIterator
-	srcDone bool
-	last    float64
-	cache   *pairDistCache
-	ready   pairHeap
-	err     error
-	stats   Stats
-	snap    workSnap
-}
-
-type pairHeap []JoinPair
-
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist < h[j].Dist
-	}
-	if h[i].SID != h[j].SID {
-		return h[i].SID < h[j].SID
-	}
-	return h[i].TID < h[j].TID
-}
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(JoinPair)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	emitter[rtree.PairNeighbor, JoinPair]
 }
 
 // ClosestPairIterator starts an incremental obstructed closest-pair search
 // on the session. The iterator inherits the session's context.
 func (s *Session) ClosestPairIterator(S, T *PointSet) (*CPIterator, error) {
-	w := s.snap()
-	src, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
+	it := &CPIterator{}
+	it.s, it.snap = s, s.snap()
+	var err error
+	it.candidates, err = s.pairs(S, T, &it.stats)
 	if err != nil {
 		return nil, err
 	}
-	return &CPIterator{s: s, src: src, cache: newPairDistCache(s), snap: w}, nil
-}
-
-// Next returns the next pair by obstructed distance. ok is false when the
-// pairs are exhausted or an error occurred (check Err).
-func (it *CPIterator) Next() (JoinPair, bool) {
-	for it.err == nil {
-		if err := it.s.err(); err != nil {
-			it.fail(err)
-			return JoinPair{}, false
-		}
-		if len(it.ready) > 0 && (it.srcDone || it.ready[0].Dist <= it.last) {
-			return heap.Pop(&it.ready).(JoinPair), true
-		}
-		if it.srcDone {
-			return JoinPair{}, false
-		}
-		pr, ok := it.src.Next()
-		if !ok {
-			if err := it.src.Err(); err != nil {
-				it.fail(err)
-				return JoinPair{}, false
-			}
-			it.srcDone = true
-			it.finish()
-			continue
-		}
-		it.last = pr.Dist
-		it.stats.Candidates++
-		d, err := it.cache.distance(pr, &it.stats)
-		if err != nil {
-			it.fail(err)
-			return JoinPair{}, false
-		}
-		heap.Push(&it.ready, JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d})
-	}
-	return JoinPair{}, false
-}
-
-func (it *CPIterator) fail(err error) {
-	it.err = err
-	it.finish()
-}
-
-// finish folds the iterator's work into its stats and the engine totals;
-// idempotent (delta-based).
-func (it *CPIterator) finish() {
-	if it.cache.maxNodes > it.stats.GraphNodes {
-		it.stats.GraphNodes, it.stats.GraphEdges = it.cache.maxNodes, it.cache.maxEdges
-	}
-	it.s.finishCall(&it.stats, it.snap)
-	it.snap = it.s.snap()
-}
-
-// Stop releases the iterator's accounting early, publishing its work to the
-// engine totals. Optional: exhausting the iterator does the same.
-func (it *CPIterator) Stop() { it.finish() }
-
-// Err returns the first error encountered, if any.
-func (it *CPIterator) Err() error { return it.err }
-
-// Stats returns the work counters accumulated so far.
-func (it *CPIterator) Stats() Stats {
-	it.finish()
-	return it.stats
+	return it, nil
 }

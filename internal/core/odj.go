@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hilbert"
 	"repro/internal/rtree"
-	"repro/internal/visgraph"
 )
 
 // DistanceJoin answers an obstacle e-distance join (ODJ, Fig 10): all pairs
@@ -90,47 +89,22 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 		} else if inside {
 			continue // a buried seed reaches none of its partners
 		}
-		g, release, err := s.localGraph(q, dist)
-		if err != nil {
-			return nil, st, err
-		}
-		remaining := make(map[visgraph.NodeID]int64, len(partners[seed]))
-		added := make([]visgraph.NodeID, 0, len(partners[seed])+1)
+		f := s.newField(s.e.cache, q, dist, &st)
+		f.reserve(len(partners[seed]))
 		for _, pid := range partners[seed] {
-			n := g.AddEntity(otherSet.Point(pid))
-			remaining[n] = pid
-			added = append(added, n)
+			f.add(otherSet.Point(pid))
 		}
-		nq := g.AddTerminal(q)
-		added = append(added, nq)
-		st.DistComputations++
-		s.dijkstra(func() {
-			g.Expand(nq, dist, func(n visgraph.NodeID, d float64) bool {
-				if pid, ok := remaining[n]; ok {
-					out = append(out, makePair(seedsFromS, seed, pid, d))
-					delete(remaining, n)
-				}
-				return len(remaining) > 0
-			})
+		err := f.settle(dist, func(i int, d float64) {
+			out = append(out, makePair(seedsFromS, seed, partners[seed][i], d))
 		})
-		if n, m := g.NumNodes(), g.NumEdges(); n > st.GraphNodes {
-			st.GraphNodes, st.GraphEdges = n, m
-		}
-		if release != nil {
-			// A cached graph must return to an obstacles-only state before
-			// the next query can reuse it.
-			for _, n := range added {
-				g.DeleteEntity(n)
-			}
-			release()
-		}
-		if err := s.err(); err != nil {
+		f.close()
+		if err != nil {
 			return nil, st, err
 		}
 	}
 	st.Results = len(out)
 	st.FalseHits = st.Candidates - st.Results
-	sortPairs(out)
+	sortRanked(out)
 	return out, st, nil
 }
 
@@ -139,16 +113,4 @@ func makePair(seedsFromS bool, seed, partner int64, d float64) JoinPair {
 		return JoinPair{SID: seed, TID: partner, Dist: d}
 	}
 	return JoinPair{SID: partner, TID: seed, Dist: d}
-}
-
-func sortPairs(ps []JoinPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Dist != ps[j].Dist {
-			return ps[i].Dist < ps[j].Dist
-		}
-		if ps[i].SID != ps[j].SID {
-			return ps[i].SID < ps[j].SID
-		}
-		return ps[i].TID < ps[j].TID
-	})
 }

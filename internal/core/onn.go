@@ -1,14 +1,24 @@
 package core
 
 import (
-	"container/heap"
-	"math"
-	"sort"
-
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/visgraph"
 )
+
+// neighbors is the ONN candidate stream: the entities of P in ascending
+// Euclidean distance from f's source [HS99], each refined by its distance
+// on f.
+func (s *Session) neighbors(P *PointSet, f *field) candidates[rtree.Neighbor, Result] {
+	return candidates[rtree.Neighbor, Result]{
+		src: s.pointTree(P).NearestIterator(f.center),
+		dE:  func(nb rtree.Neighbor) float64 { return nb.Dist },
+		eval: func(nb rtree.Neighbor) (Result, error) {
+			pt := nb.Item.Rect.Center()
+			d, err := f.distance(pt)
+			return Result{ID: nb.Item.Data, Pt: pt, Dist: d}, err
+		},
+	}
+}
 
 // NearestNeighbors answers an obstacle k-nearest-neighbor query (ONN,
 // Fig 9): the k entities of P with the smallest obstructed distance from q,
@@ -29,270 +39,44 @@ func (s *Session) NearestNeighbors(P *PointSet, q geom.Point, k int) (_ []Result
 	if inside, err := s.InsideObstacle(q); err != nil || inside {
 		return nil, st, err // a blocked query point reaches nothing
 	}
-	it := s.pointTree(P).NearestIterator(q)
-	// Seed with the k Euclidean NNs.
-	var seed []Result
-	var seedMaxE float64
-	for len(seed) < k {
-		nb, ok := it.Next()
-		if !ok {
-			break
+	f := s.newField(nil, q, 0, &st)
+	var euclidIDs map[int64]bool
+	R, err := topK(s, &st, k, s.neighbors(P, f), func(seed []rtree.Neighbor) error {
+		euclidIDs = make(map[int64]bool, len(seed))
+		for _, nb := range seed {
+			euclidIDs[nb.Item.Data] = true
 		}
-		seed = append(seed, Result{ID: nb.Item.Data, Pt: nb.Item.Rect.Center(), Dist: nb.Dist})
-		seedMaxE = nb.Dist
-	}
-	if err := it.Err(); err != nil {
-		return nil, st, err
-	}
-	st.Candidates = len(seed)
-	euclidIDs := make(map[int64]bool, len(seed))
-	for _, r := range seed {
-		euclidIDs[r.ID] = true
-	}
-	// Build the initial graph with the obstacles within the k-th Euclidean
-	// distance; obstructedDistance enlarges it on demand.
-	obs, err := s.relevantObstacles(q, seedMaxE)
+		// The initial graph holds the obstacles within the k-th Euclidean
+		// distance; the field enlarges it on demand.
+		f.searched = seed[len(seed)-1].Dist
+		return f.scan()
+	})
 	if err != nil {
 		return nil, st, err
 	}
-	g := s.buildGraph(obs)
-	nq := g.AddTerminal(q)
-	searched := seedMaxE
-
-	R := make([]Result, 0, k)
-	evaluate := func(id int64, pt geom.Point) (float64, error) {
-		// Entities buried inside obstacles are unreachable; skip the
-		// enlargement loop that would otherwise pull in every obstacle.
-		if inside, err := s.InsideObstacle(pt); err != nil {
-			return 0, err
-		} else if inside {
-			return math.Inf(1), nil
-		}
-		st.DistComputations++
-		np := g.AddTerminal(pt)
-		d, err := s.obstructedDistance(g, np, nq, q, searched)
-		g.DeleteEntity(np)
-		if err != nil {
-			return 0, err
-		}
-		// The graph kept any obstacles added during the computation; the
-		// covered radius can only have grown.
-		if d > searched && !math.IsInf(d, 1) {
-			searched = d
-		}
-		return d, nil
-	}
-	for _, sd := range seed {
-		d, err := evaluate(sd.ID, sd.Pt)
-		if err != nil {
-			return nil, st, err
-		}
-		R = append(R, Result{ID: sd.ID, Pt: sd.Pt, Dist: d})
-	}
-	sortResults(R)
-	dEmax := R[len(R)-1].Dist
-
-	// Retrieve further Euclidean neighbors while they can possibly beat the
-	// current k-th obstructed distance.
-	for {
-		if err := s.err(); err != nil {
-			return nil, st, err
-		}
-		nb, ok := it.Next()
-		if !ok {
-			if err := it.Err(); err != nil {
-				return nil, st, err
-			}
-			break
-		}
-		if nb.Dist > dEmax {
-			break
-		}
-		st.Candidates++
-		pt := nb.Item.Rect.Center()
-		d, err := evaluate(nb.Item.Data, pt)
-		if err != nil {
-			return nil, st, err
-		}
-		if d < R[len(R)-1].Dist {
-			R[len(R)-1] = Result{ID: nb.Item.Data, Pt: pt, Dist: d}
-			sortResults(R)
-			dEmax = R[len(R)-1].Dist
-		}
-	}
-	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
-	st.Results = len(R)
 	// False hits: Euclidean kNNs that are not obstructed kNNs (Fig 18).
 	for _, r := range R {
-		if euclidIDs[r.ID] {
-			delete(euclidIDs, r.ID)
-		}
+		delete(euclidIDs, r.ID)
 	}
 	st.FalseHits = len(euclidIDs)
 	return R, st, nil
 }
 
-func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
-		}
-		return rs[i].ID < rs[j].ID
-	})
-}
-
 // NNIterator reports the entities of P in ascending order of obstructed
 // distance from q without a predeclared k — the incremental ONN variant the
-// paper derives from iOCP (Section 6): an entity can be emitted as soon as
-// its obstructed distance is no larger than the Euclidean distance of the
-// last candidate retrieved, since every future candidate has dO >= dE.
+// paper derives from iOCP (Section 6).
 type NNIterator struct {
-	s        *Session
-	q        geom.Point
-	src      *rtree.NNIterator
-	srcDone  bool
-	last     float64 // Euclidean distance of the last retrieved candidate
-	g        *visgraph.Graph
-	nq       visgraph.NodeID
-	searched float64
-	ready    resultHeap
-	err      error
-	stats    Stats
-	snap     workSnap
-	qChecked bool
-	qInside  bool
-}
-
-type resultHeap []Result
-
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist < h[j].Dist
-	}
-	return h[i].ID < h[j].ID
-}
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	emitter[rtree.Neighbor, Result]
 }
 
 // NearestIterator starts an incremental obstructed nearest-neighbor search
 // on the session. The iterator inherits the session's context: once it is
 // canceled, Next stops and Err reports ctx.Err().
 func (s *Session) NearestIterator(P *PointSet, q geom.Point) *NNIterator {
-	w := s.snap()
-	g := s.buildGraph(nil)
-	return &NNIterator{
-		s:    s,
-		q:    q,
-		src:  s.pointTree(P).NearestIterator(q),
-		g:    g,
-		nq:   g.AddTerminal(q),
-		snap: w,
-	}
-}
-
-// Next returns the next entity by obstructed distance. ok is false when the
-// set is exhausted or an error occurred (check Err).
-func (it *NNIterator) Next() (Result, bool) {
-	for it.err == nil {
-		if err := it.s.err(); err != nil {
-			it.fail(err)
-			return Result{}, false
-		}
-		// A buffered result can be emitted once no future Euclidean
-		// candidate (all with dE >= it.last, hence dO >= it.last) can beat
-		// it.
-		if len(it.ready) > 0 && (it.srcDone || it.ready[0].Dist <= it.last) {
-			return heap.Pop(&it.ready).(Result), true
-		}
-		if it.srcDone {
-			return Result{}, false
-		}
-		nb, ok := it.src.Next()
-		if !ok {
-			if err := it.src.Err(); err != nil {
-				it.fail(err)
-				return Result{}, false
-			}
-			it.srcDone = true
-			it.finish()
-			continue
-		}
-		it.last = nb.Dist
-		pt := nb.Item.Rect.Center()
-		it.stats.Candidates++
-		var d float64
-		if blocked, err := it.blockedEndpoint(pt); err != nil {
-			it.fail(err)
-			return Result{}, false
-		} else if blocked {
-			d = math.Inf(1)
-		} else {
-			it.stats.DistComputations++
-			np := it.g.AddTerminal(pt)
-			var err error
-			d, err = it.s.obstructedDistance(it.g, np, it.nq, it.q, it.searched)
-			it.g.DeleteEntity(np)
-			if err != nil {
-				it.fail(err)
-				return Result{}, false
-			}
-			if d > it.searched && !math.IsInf(d, 1) {
-				it.searched = d
-			}
-		}
-		heap.Push(&it.ready, Result{ID: nb.Item.Data, Pt: pt, Dist: d})
-	}
-	return Result{}, false
-}
-
-func (it *NNIterator) fail(err error) {
-	it.err = err
-	it.finish()
-}
-
-// finish folds the iterator's work into its stats and the engine totals;
-// idempotent (delta-based), called on exhaustion, error, and by Stop.
-func (it *NNIterator) finish() {
-	if n, m := it.g.NumNodes(), it.g.NumEdges(); n > it.stats.GraphNodes {
-		it.stats.GraphNodes, it.stats.GraphEdges = n, m
-	}
-	it.s.finishCall(&it.stats, it.snap)
-	it.snap = it.s.snap()
-}
-
-// Stop releases the iterator's accounting early, publishing its work to the
-// engine totals. Optional: exhausting the iterator does the same.
-func (it *NNIterator) Stop() { it.finish() }
-
-// blockedEndpoint reports whether either the query point or pt is sealed
-// inside an obstacle, making the pair's distance trivially +Inf.
-func (it *NNIterator) blockedEndpoint(pt geom.Point) (bool, error) {
-	if !it.qChecked {
-		inside, err := it.s.InsideObstacle(it.q)
-		if err != nil {
-			return false, err
-		}
-		it.qChecked, it.qInside = true, inside
-	}
-	if it.qInside {
-		return true, nil
-	}
-	return it.s.InsideObstacle(pt)
-}
-
-// Err returns the first error encountered, if any.
-func (it *NNIterator) Err() error { return it.err }
-
-// Stats returns the work counters accumulated so far.
-func (it *NNIterator) Stats() Stats {
-	it.finish()
-	return it.stats
+	it := &NNIterator{}
+	it.s, it.snap = s, s.snap()
+	// No k, so no k-th Euclidean distance to size the graph by: it opens on
+	// the first candidate's range.
+	it.candidates = s.neighbors(P, s.newField(nil, q, 0, &it.stats))
+	return it
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/visgraph"
 )
 
 // Range answers an obstacle range query (OR, Fig 5): all entities of P
@@ -23,13 +21,9 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 	}
 	// Step 1: candidate entities within Euclidean range (no false misses by
 	// the lower-bound property).
-	type cand struct {
-		id int64
-		pt geom.Point
-	}
-	var cands []cand
+	var cands []Result
 	err := s.pointTree(P).SearchCircle(q, radius, func(it rtree.Item) bool {
-		cands = append(cands, cand{id: it.Data, pt: it.Rect.Center()})
+		cands = append(cands, Result{ID: it.Data, Pt: it.Rect.Center()})
 		return true
 	})
 	if err != nil {
@@ -40,12 +34,9 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 	// influence paths of length <= radius. As in Fig 5, this range query
 	// runs unconditionally (even for an empty candidate set), which is what
 	// keeps the obstacle R-tree I/O independent of |P| in Fig 13.
-	obs, err := s.relevantObstacles(q, radius)
-	if err != nil {
+	f := s.newField(nil, q, radius, &st)
+	if err := f.scan(); err != nil || len(cands) == 0 {
 		return nil, st, err
-	}
-	if len(cands) == 0 {
-		return nil, st, nil
 	}
 	if inside, err := s.InsideObstacle(q); err != nil || inside {
 		// A blocked query point reaches nothing; all candidates are false
@@ -53,39 +44,23 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 		st.FalseHits = st.Candidates
 		return nil, st, err
 	}
-	// Step 3: local visibility graph over obstacles, candidates and q.
-	g := s.buildGraph(obs)
-	remaining := make(map[visgraph.NodeID]cand, len(cands))
+	// Steps 3 and 4: a local visibility graph over obstacles, candidates and
+	// q, and one bounded expansion that removes all false hits; entities are
+	// reported the first time they are dequeued.
+	f.reserve(len(cands))
 	for _, c := range cands {
-		remaining[g.AddEntity(c.pt)] = c
+		f.add(c.Pt)
 	}
-	nq := g.AddTerminal(q)
-	st.DistComputations = 1
-	// Step 4: one bounded expansion removes all false hits; entities are
-	// reported the first time they are dequeued, duplicates are skipped
-	// inside Expand.
 	var out []Result
-	s.dijkstra(func() {
-		g.Expand(nq, radius, func(n visgraph.NodeID, d float64) bool {
-			if c, ok := remaining[n]; ok {
-				out = append(out, Result{ID: c.id, Pt: c.pt, Dist: d})
-				delete(remaining, n)
-			}
-			return len(remaining) > 0
-		})
+	err = f.settle(radius, func(i int, d float64) {
+		cands[i].Dist = d
+		out = append(out, cands[i])
 	})
-	// Read after the search: the search is what materialises edges.
-	st.GraphNodes, st.GraphEdges = g.NumNodes(), g.NumEdges()
-	if err := s.err(); err != nil {
+	if err != nil {
 		return nil, st, err
 	}
 	st.Results = len(out)
 	st.FalseHits = st.Candidates - st.Results
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortRanked(out)
 	return out, st, nil
 }

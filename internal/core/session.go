@@ -291,16 +291,3 @@ func (s *Session) InsideObstacle(p geom.Point) (bool, error) {
 	s.insideMemo[p] = inside
 	return inside, nil
 }
-
-// coverRadius returns a radius from center that covers every obstacle; a
-// search that wide that still finds no path proves unreachability.
-func (s *Session) coverRadius(center geom.Point) (float64, error) {
-	b, err := s.obstTree.Bounds()
-	if err != nil {
-		return 0, err
-	}
-	if b.IsEmpty() {
-		return 0, nil
-	}
-	return b.MaxDist(center), nil
-}

@@ -1,10 +1,16 @@
 package expt
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "re-record testdata/suite_smoke.golden from this run")
 
 func tinyConfig() Config {
 	return Config{
@@ -76,6 +82,7 @@ func TestSuiteSmoke(t *testing.T) {
 	if len(tables) != 12 {
 		t.Fatalf("got %d tables", len(tables))
 	}
+	checkGolden(t, tables)
 	for _, tb := range tables {
 		if len(tb.Rows) != 2 {
 			t.Errorf("%s: %d rows, want 2", tb.ID, len(tb.Rows))
@@ -94,6 +101,52 @@ func TestSuiteSmoke(t *testing.T) {
 		md := tb.Markdown()
 		if !strings.Contains(md, "|") || !strings.Contains(md, tb.ID) {
 			t.Errorf("%s: Markdown() malformed", tb.ID)
+		}
+	}
+}
+
+// checkGolden compares the run's paper columns with the recorded ones. Data
+// page accesses, candidates, results and the false-hit ratio are functions of
+// the seed and of the paper's algorithms (candidate order, stopping rules), so
+// they must be equal: a change that moves one has changed an algorithm.
+// Obstacle page accesses may only fall (fewer or smaller obstacle range
+// scans); -update re-records after a deliberate fall.
+func checkGolden(t *testing.T, tables []Table) {
+	const path = "testdata/suite_smoke.golden"
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	b.WriteString("# figure|x|dataIO|candidates|results|falseHitRatio|obstIO at tinyConfig; go test ./internal/expt -run TestSuiteSmoke -update\n")
+	for _, tb := range tables {
+		for _, r := range tb.Rows {
+			fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%s|%s\n", tb.ID, r.X, num(r.DataIO), num(r.Candidates), num(r.Results), num(r.FalseHitRatio), num(r.ObstIO))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d rows, golden has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := 1; i < len(gotLines); i++ {
+		g, w := gotLines[i], wantLines[i]
+		gCut, wCut := strings.LastIndexByte(g, '|'), strings.LastIndexByte(w, '|')
+		if g[:gCut] != w[:wCut] {
+			t.Errorf("paper columns moved:\n got  %s\n want %s", g, w)
+			continue
+		}
+		gIO, _ := strconv.ParseFloat(g[gCut+1:], 64)
+		wIO, _ := strconv.ParseFloat(w[wCut+1:], 64)
+		if gIO > wIO {
+			t.Errorf("obstacle page accesses rose: %s, golden %v", g, wIO)
 		}
 	}
 }

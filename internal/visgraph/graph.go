@@ -132,6 +132,7 @@ type Graph struct {
 	// edgeSet tracks undirected visibility edges for O(1) duplicate checks.
 	edgeSet  map[uint64]bool
 	numEdges int
+	live     int // nodes currently alive
 	free     []NodeID
 	// Scratch buffers reused across visibility sweeps (the graph is
 	// single-threaded); callers of sweepVisible must consume the returned
@@ -208,15 +209,7 @@ func edgeKey(u, v NodeID) uint64 {
 }
 
 // NumNodes returns the number of live nodes.
-func (g *Graph) NumNodes() int {
-	n := 0
-	for i := range g.nodes {
-		if g.nodes[i].alive {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) NumNodes() int { return g.live }
 
 // NumObstacles returns the number of obstacles incorporated so far.
 func (g *Graph) NumObstacles() int { return len(g.obstacles) }
@@ -236,6 +229,7 @@ func (g *Graph) Point(n NodeID) geom.Point { return g.nodes[n].pt }
 
 func (g *Graph) newNode(p geom.Point, kind Kind, poly, vert int) NodeID {
 	n := gnode{pt: p, kind: kind, poly: poly, vert: vert, alive: true, seen: -1}
+	g.live++
 	if len(g.free) > 0 {
 		id := g.free[len(g.free)-1]
 		g.free = g.free[:len(g.free)-1]
@@ -404,6 +398,7 @@ func (g *Graph) DeleteEntity(id NodeID) {
 	}
 	n.adj = nil
 	n.alive = false
+	g.live--
 	g.free = append(g.free, id)
 }
 
