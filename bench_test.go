@@ -27,7 +27,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/visgraph"
 )
 
 const benchObstacles = 4000
@@ -303,42 +302,6 @@ func BenchmarkFig22OCPK(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSweepVsNaive compares the [SS84] rotational plane sweep
-// against the naive all-obstacles visibility pass on local graphs of growing
-// size (DESIGN.md ablation #1). Build computes no visibility, so each
-// iteration expands every vertex reachable from the query point: the fully
-// materialised graph, one pass per node.
-func BenchmarkAblationSweepVsNaive(b *testing.B) {
-	lab := benchLab(b, benchObstacles)
-	for _, pct := range []float64{0.25, 0.5, 1} {
-		radius := lab.ERadius(pct)
-		q := lab.Queries()[0]
-		var obs []visgraph.Obstacle
-		ob := lab.Engine().Obstacles()
-		err := ob.Tree().SearchCircle(q, radius, func(it rtree.Item) bool {
-			obs = append(obs, visgraph.Obstacle{ID: it.Data, Poly: ob.Polygon(it.Data)})
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sweep := range []bool{true, false} {
-			name := fmt.Sprintf("e=%g%%/obstacles=%d/sweep=%v", pct, len(obs), sweep)
-			b.Run(name, func(b *testing.B) {
-				var m visgraph.Metrics
-				for i := 0; i < b.N; i++ {
-					g := visgraph.Build(visgraph.Options{UseSweep: sweep, Metrics: &m}, obs)
-					g.Expand(g.AddTerminal(q), math.Inf(1), func(visgraph.NodeID, float64) bool { return true })
-					if g.NumEdges() == 0 && len(obs) > 0 {
-						b.Fatal("no edges materialised")
-					}
-				}
-				b.ReportMetric(float64(m.Sweeps)/float64(b.N), "sweeps/op")
-			})
-		}
-	}
-}
-
 // BenchmarkObstructedPathLong is the in-process twin of the benchmark's
 // route_long workload: shortest paths between uniform points 800-1600 units
 // apart on the default world (seed 1, |O| = 1000), one large local graph per
@@ -394,7 +357,6 @@ func BenchmarkAblationHilbertSeeds(b *testing.B) {
 	for _, hilbert := range []bool{true, false} {
 		b.Run(fmt.Sprintf("hilbert=%v", hilbert), func(b *testing.B) {
 			eng := core.NewEngine(lab.Engine().Obstacles(), core.EngineOptions{
-				UseSweep:       true,
 				NoHilbertSeeds: !hilbert,
 			})
 			runJoinOp(b, lab, []*core.PointSet{S, T}, func() error {

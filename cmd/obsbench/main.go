@@ -6,7 +6,7 @@
 // Usage:
 //
 //	obsbench [-obstacles 10000] [-workload 100] [-seed 1] [-figure all]
-//	         [-markdown] [-naive] [-quick] [-pagesize 4096] [-buffer 0.1]
+//	         [-markdown] [-quick] [-pagesize 4096] [-buffer 0.1]
 //
 // -figure selects one figure ("13".."22") or "all". -quick shrinks the
 // dataset and workload for a fast sanity run. At -obstacles 131461
@@ -30,7 +30,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "dataset/workload seed")
 		pageSize  = flag.Int("pagesize", 4096, "R-tree page size in bytes")
 		buffer    = flag.Float64("buffer", 0.10, "LRU buffer fraction per tree")
-		naive     = flag.Bool("naive", false, "use naive visibility instead of the [SS84] plane sweep")
 		figure    = flag.String("figure", "all", `figure to run: "13".."22" or "all"`)
 		markdown  = flag.Bool("markdown", false, "emit Markdown tables (for EXPERIMENTS.md)")
 		quick     = flag.Bool("quick", false, "tiny configuration for a fast sanity run")
@@ -43,15 +42,14 @@ func main() {
 		Workload:      *workload,
 		PageSize:      *pageSize,
 		BufferFrac:    *buffer,
-		UseSweep:      !*naive,
 	}
 	if *quick {
 		cfg.ObstacleCount = 2000
 		cfg.Workload = 20
 	}
 
-	fmt.Fprintf(os.Stderr, "obsbench: |O|=%d universe=%.0f workload=%d pagesize=%d buffer=%.0f%% sweep=%v\n",
-		cfg.ObstacleCount, cfg.Universe(), cfg.Workload, cfg.PageSize, cfg.BufferFrac*100, cfg.UseSweep)
+	fmt.Fprintf(os.Stderr, "obsbench: |O|=%d universe=%.0f workload=%d pagesize=%d buffer=%.0f%%\n",
+		cfg.ObstacleCount, cfg.Universe(), cfg.Workload, cfg.PageSize, cfg.BufferFrac*100)
 
 	start := time.Now()
 	suite, err := expt.NewSuite(cfg)

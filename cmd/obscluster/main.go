@@ -34,7 +34,6 @@ func main() {
 		k       = flag.Int("k", 4, "kmedoids cluster count")
 		maxIter = flag.Int("maxiter", 0, "kmedoids swap-round cap (0 = to convergence)")
 		assign  = flag.String("assign", "", "write per-entity assignments to this CSV file")
-		naive   = flag.Bool("naive", false, "naive visibility (for overlapping obstacle data)")
 		timeout = flag.Duration("timeout", 0, "abort the clustering job after this long (0 = none)")
 		debug   = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the tool runs")
 	)
@@ -49,7 +48,6 @@ func main() {
 		fatal(err)
 	}
 	opts := obstacles.DefaultOptions()
-	opts.NaiveVisibility = *naive
 	opts.DebugAddr = *debug
 	db, err := obstacles.NewDatabaseFromRects(rects, opts)
 	if err != nil {

@@ -44,7 +44,6 @@ func main() {
 		y2       = flag.Float64("y2", 0, "second point y (dist query)")
 		radius   = flag.Float64("radius", 100, "range / join distance")
 		k        = flag.Int("k", 4, "result count for nn / cp")
-		naive    = flag.Bool("naive", false, "naive visibility (for overlapping obstacle data)")
 		timeout  = flag.Duration("timeout", 0, "per-query timeout (0 = none); expired queries fail with context.DeadlineExceeded")
 		parallel = flag.Int("parallel", 1, "run the query from N goroutines concurrently")
 		debug    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the tool runs")
@@ -56,7 +55,6 @@ func main() {
 		fatal(err)
 	}
 	opts := obstacles.DefaultOptions()
-	opts.NaiveVisibility = *naive
 	opts.DebugAddr = *debug
 	db, err := obstacles.NewDatabaseFromRects(rects, opts)
 	if err != nil {

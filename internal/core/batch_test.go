@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/visgraph"
 )
 
 // TestBatchDistancesMatchesPerPair: the batch primitive must agree with the
 // per-pair Fig 8 computation and the brute-force oracle on randomized
-// scenes, with and without the graph cache, in both visibility modes.
+// scenes, with and without the graph cache.
 func TestBatchDistancesMatchesPerPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for sceneIdx := 0; sceneIdx < 6; sceneIdx++ {
@@ -27,37 +26,36 @@ func TestBatchDistancesMatchesPerPair(t *testing.T) {
 			targets[19] = s.rects[0].Center()
 		}
 		for _, cacheCap := range []int{0, 4} {
-			for _, eng := range engines(s) {
-				eng.EnableGraphCache(cacheCap)
-				got, st, err := bg(eng).BatchDistances(source, targets)
+			eng := NewEngine(s.obst, DefaultEngineOptions())
+			eng.EnableGraphCache(cacheCap)
+			got, st, err := bg(eng).BatchDistances(source, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(targets) {
+				t.Fatalf("got %d distances for %d targets", len(got), len(targets))
+			}
+			if st.Candidates != len(targets) {
+				t.Fatalf("stats candidates = %d, want %d", st.Candidates, len(targets))
+			}
+			for i, p := range targets {
+				want, _, err := bg(eng).ObstructedDistance(source, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(targets) {
-					t.Fatalf("got %d distances for %d targets", len(got), len(targets))
+				if !sameDist(got[i], want) {
+					t.Fatalf("scene %d cache=%d target %d: batch %v, per-pair %v",
+						sceneIdx, cacheCap, i, got[i], want)
 				}
-				if st.Candidates != len(targets) {
-					t.Fatalf("stats candidates = %d, want %d", st.Candidates, len(targets))
+				oracle := s.bruteDist(source, p)
+				if p.Eq(source) {
+					oracle = 0
 				}
-				for i, p := range targets {
-					want, _, err := bg(eng).ObstructedDistance(source, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameDist(got[i], want) {
-						t.Fatalf("scene %d sweep=%v cache=%d target %d: batch %v, per-pair %v",
-							sceneIdx, eng.opts.UseSweep, cacheCap, i, got[i], want)
-					}
-					oracle := s.bruteDist(source, p)
-					if p.Eq(source) {
-						oracle = 0
-					}
-					if len(s.rects) > 0 && i == 19 {
-						oracle = math.Inf(1)
-					}
-					if !sameDist(got[i], oracle) {
-						t.Fatalf("scene %d target %d: batch %v, oracle %v", sceneIdx, i, got[i], oracle)
-					}
+				if len(s.rects) > 0 && i == 19 {
+					oracle = math.Inf(1)
+				}
+				if !sameDist(got[i], oracle) {
+					t.Fatalf("scene %d target %d: batch %v, oracle %v", sceneIdx, i, got[i], oracle)
 				}
 			}
 		}
@@ -116,29 +114,27 @@ func TestBatchDistancesSealedTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, useSweep := range []bool{false, true} {
-		eng := NewEngine(obst, EngineOptions{UseSweep: useSweep})
-		source := geom.Pt(10, 10)
-		targets := []geom.Point{
-			{X: 50, Y: 50}, // sealed inside the walls
-			{X: 90, Y: 90},
-			{X: 10, Y: 90},
+	eng := NewEngine(obst, DefaultEngineOptions())
+	source := geom.Pt(10, 10)
+	targets := []geom.Point{
+		{X: 50, Y: 50}, // sealed inside the walls
+		{X: 90, Y: 90},
+		{X: 10, Y: 90},
+	}
+	got, st, err := bg(eng).BatchDistances(source, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(got[0], 1) {
+		t.Fatalf("sealed target got %v", got[0])
+	}
+	for i := 1; i < len(targets); i++ {
+		if math.IsInf(got[i], 1) {
+			t.Fatalf("reachable target %d reported unreachable", i)
 		}
-		got, st, err := bg(eng).BatchDistances(source, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !math.IsInf(got[0], 1) {
-			t.Fatalf("sweep=%v: sealed target got %v", useSweep, got[0])
-		}
-		for i := 1; i < len(targets); i++ {
-			if math.IsInf(got[i], 1) {
-				t.Fatalf("sweep=%v: reachable target %d reported unreachable", useSweep, i)
-			}
-		}
-		if st.Results != 2 || st.FalseHits != 1 {
-			t.Fatalf("sweep=%v: stats %+v", useSweep, st)
-		}
+	}
+	if st.Results != 2 || st.FalseHits != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
@@ -305,7 +301,7 @@ func TestDistanceJoinCachedMatchesUncached(t *testing.T) {
 func TestInvalidateRegionScoped(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s := newScene(t, rng, 10, 100)
-	eng := engines(s)[0]
+	eng := NewEngine(s.obst, DefaultEngineOptions())
 	eng.EnableGraphCache(4)
 
 	// Warm two disjoint entries: one near the origin, one far away.
@@ -345,22 +341,5 @@ func TestInvalidateRegionScoped(t *testing.T) {
 	}
 	if cs := eng.GraphCacheStats(); cs.Misses != before.Misses+1 {
 		t.Fatalf("invalidated region should miss: misses %d -> %d", before.Misses, cs.Misses)
-	}
-}
-
-// TestRetargetRefusesStaleGraph pins the visgraph contract the cache relies
-// on: once invalidated, a graph detaches hooks but refuses to be retargeted
-// to a new query.
-func TestRetargetRefusesStaleGraph(t *testing.T) {
-	g := visgraph.Build(visgraph.Options{UseSweep: true}, nil)
-	if ok := g.Retarget(nil, nil); !ok {
-		t.Fatal("fresh graph refused Retarget")
-	}
-	g.Invalidate()
-	if !g.Stale() {
-		t.Fatal("Invalidate did not mark the graph stale")
-	}
-	if ok := g.Retarget(nil, nil); ok {
-		t.Fatal("stale graph accepted Retarget")
 	}
 }

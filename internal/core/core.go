@@ -592,10 +592,6 @@ type Engine struct {
 
 // EngineOptions tunes query execution.
 type EngineOptions struct {
-	// UseSweep selects the rotational plane-sweep visibility construction
-	// [SS84] (default true); the naive construction is a fallback for
-	// datasets with overlapping obstacles.
-	UseSweep bool
 	// NoHilbertSeeds disables the Hilbert ordering of join seeds in
 	// DistanceJoin (used by the seed-ordering ablation).
 	NoHilbertSeeds bool
@@ -603,7 +599,7 @@ type EngineOptions struct {
 
 // DefaultEngineOptions returns the configuration used in the experiments.
 func DefaultEngineOptions() EngineOptions {
-	return EngineOptions{UseSweep: true}
+	return EngineOptions{}
 }
 
 // NewEngine returns an Engine over the given obstacles.

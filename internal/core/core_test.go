@@ -126,35 +126,27 @@ func (s *scene) entities(t *testing.T, rng *rand.Rand, n int, size float64) (*Po
 	return ps, pts
 }
 
-func engines(s *scene) []*Engine {
-	return []*Engine{
-		NewEngine(s.obst, EngineOptions{UseSweep: true}),
-		NewEngine(s.obst, EngineOptions{UseSweep: false}),
-	}
-}
-
 const distTol = 1e-6
 
 func TestObstructedDistanceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for sceneIdx := 0; sceneIdx < 8; sceneIdx++ {
 		s := newScene(t, rng, 4+rng.Intn(12), 100)
-		for _, eng := range engines(s) {
-			for i := 0; i < 12; i++ {
-				a := s.freePoint(rng, 100)
-				b := s.freePoint(rng, 100)
-				want := s.bruteDist(a, b)
-				got, _, err := bg(eng).ObstructedDistance(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got-want) > distTol {
-					t.Fatalf("scene %d sweep=%v: dO(%v,%v) = %v, oracle %v",
-						sceneIdx, eng.opts.UseSweep, a, b, got, want)
-				}
-				if got < a.Dist(b)-distTol {
-					t.Fatalf("lower bound violated: dO=%v < dE=%v", got, a.Dist(b))
-				}
+		eng := NewEngine(s.obst, DefaultEngineOptions())
+		for i := 0; i < 12; i++ {
+			a := s.freePoint(rng, 100)
+			b := s.freePoint(rng, 100)
+			want := s.bruteDist(a, b)
+			got, _, err := bg(eng).ObstructedDistance(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > distTol {
+				t.Fatalf("scene %d: dO(%v,%v) = %v, oracle %v",
+					sceneIdx, a, b, got, want)
+			}
+			if got < a.Dist(b)-distTol {
+				t.Fatalf("lower bound violated: dO=%v < dE=%v", got, a.Dist(b))
 			}
 		}
 	}
@@ -165,45 +157,44 @@ func TestRangeMatchesOracle(t *testing.T) {
 	for sceneIdx := 0; sceneIdx < 6; sceneIdx++ {
 		s := newScene(t, rng, 4+rng.Intn(10), 100)
 		P, pts := s.entities(t, rng, 60, 100)
-		for _, eng := range engines(s) {
-			for trial := 0; trial < 5; trial++ {
-				q := s.freePoint(rng, 100)
-				radius := 5 + rng.Float64()*30
-				got, st, err := bg(eng).Range(P, q, radius)
-				if err != nil {
-					t.Fatal(err)
+		eng := NewEngine(s.obst, DefaultEngineOptions())
+		for trial := 0; trial < 5; trial++ {
+			q := s.freePoint(rng, 100)
+			radius := 5 + rng.Float64()*30
+			got, st, err := bg(eng).Range(P, q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[int64]float64{}
+			for i, p := range pts {
+				if d := s.bruteDist(q, p); d <= radius {
+					want[int64(i)] = d
 				}
-				want := map[int64]float64{}
-				for i, p := range pts {
-					if d := s.bruteDist(q, p); d <= radius {
-						want[int64(i)] = d
-					}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("scene %d: %d results, oracle %d (q=%v r=%v)",
+					sceneIdx, len(got), len(want), q, radius)
+			}
+			for _, r := range got {
+				wd, ok := want[r.ID]
+				if !ok {
+					t.Fatalf("unexpected result %d", r.ID)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("scene %d sweep=%v: %d results, oracle %d (q=%v r=%v)",
-						sceneIdx, eng.opts.UseSweep, len(got), len(want), q, radius)
+				if math.Abs(r.Dist-wd) > distTol {
+					t.Fatalf("result %d dist %v, oracle %v", r.ID, r.Dist, wd)
 				}
-				for _, r := range got {
-					wd, ok := want[r.ID]
-					if !ok {
-						t.Fatalf("unexpected result %d", r.ID)
-					}
-					if math.Abs(r.Dist-wd) > distTol {
-						t.Fatalf("result %d dist %v, oracle %v", r.ID, r.Dist, wd)
-					}
+			}
+			// Results sorted by distance.
+			for i := 1; i < len(got); i++ {
+				if got[i].Dist < got[i-1].Dist {
+					t.Fatal("results not sorted")
 				}
-				// Results sorted by distance.
-				for i := 1; i < len(got); i++ {
-					if got[i].Dist < got[i-1].Dist {
-						t.Fatal("results not sorted")
-					}
-				}
-				if st.Candidates < len(got) {
-					t.Fatalf("stats: candidates %d < results %d", st.Candidates, len(got))
-				}
-				if st.FalseHits != st.Candidates-st.Results {
-					t.Fatalf("stats: false hits inconsistent: %+v", st)
-				}
+			}
+			if st.Candidates < len(got) {
+				t.Fatalf("stats: candidates %d < results %d", st.Candidates, len(got))
+			}
+			if st.FalseHits != st.Candidates-st.Results {
+				t.Fatalf("stats: false hits inconsistent: %+v", st)
 			}
 		}
 	}
@@ -214,26 +205,25 @@ func TestNearestNeighborsMatchesOracle(t *testing.T) {
 	for sceneIdx := 0; sceneIdx < 6; sceneIdx++ {
 		s := newScene(t, rng, 4+rng.Intn(10), 100)
 		P, pts := s.entities(t, rng, 50, 100)
-		for _, eng := range engines(s) {
-			for _, k := range []int{1, 4, 10} {
-				q := s.freePoint(rng, 100)
-				got, _, err := bg(eng).NearestNeighbors(P, q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != k {
-					t.Fatalf("k=%d: got %d results", k, len(got))
-				}
-				want := make([]float64, len(pts))
-				for i, p := range pts {
-					want[i] = s.bruteDist(q, p)
-				}
-				sort.Float64s(want)
-				for i := 0; i < k; i++ {
-					if math.Abs(got[i].Dist-want[i]) > distTol {
-						t.Fatalf("scene %d sweep=%v k=%d rank %d: dist %v, oracle %v (q=%v)",
-							sceneIdx, eng.opts.UseSweep, k, i, got[i].Dist, want[i], q)
-					}
+		eng := NewEngine(s.obst, DefaultEngineOptions())
+		for _, k := range []int{1, 4, 10} {
+			q := s.freePoint(rng, 100)
+			got, _, err := bg(eng).NearestNeighbors(P, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k {
+				t.Fatalf("k=%d: got %d results", k, len(got))
+			}
+			want := make([]float64, len(pts))
+			for i, p := range pts {
+				want[i] = s.bruteDist(q, p)
+			}
+			sort.Float64s(want)
+			for i := 0; i < k; i++ {
+				if math.Abs(got[i].Dist-want[i]) > distTol {
+					t.Fatalf("scene %d k=%d rank %d: dist %v, oracle %v (q=%v)",
+						sceneIdx, k, i, got[i].Dist, want[i], q)
 				}
 			}
 		}
@@ -273,42 +263,41 @@ func TestNNIteratorMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	s := newScene(t, rng, 8, 100)
 	P, pts := s.entities(t, rng, 40, 100)
-	for _, eng := range engines(s) {
-		q := s.freePoint(rng, 100)
-		batch, _, err := bg(eng).NearestNeighbors(P, q, 15)
-		if err != nil {
-			t.Fatal(err)
+	eng := NewEngine(s.obst, DefaultEngineOptions())
+	q := s.freePoint(rng, 100)
+	batch, _, err := bg(eng).NearestNeighbors(P, q, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := bg(eng).NearestIterator(P, q)
+	prev := -1.0
+	for i := 0; i < 15; i++ {
+		r, ok := it.Next()
+		if !ok {
+			t.Fatalf("iterator exhausted at %d: %v", i, it.Err())
 		}
-		it := bg(eng).NearestIterator(P, q)
-		prev := -1.0
-		for i := 0; i < 15; i++ {
-			r, ok := it.Next()
-			if !ok {
-				t.Fatalf("iterator exhausted at %d: %v", i, it.Err())
-			}
-			if r.Dist < prev-distTol {
-				t.Fatalf("iterator not ascending at %d", i)
-			}
-			prev = r.Dist
-			if math.Abs(r.Dist-batch[i].Dist) > distTol {
-				t.Fatalf("sweep=%v rank %d: iter %v batch %v", eng.opts.UseSweep, i, r.Dist, batch[i].Dist)
-			}
+		if r.Dist < prev-distTol {
+			t.Fatalf("iterator not ascending at %d", i)
 		}
-		// Exhausting the iterator yields exactly len(pts) results.
-		count := 15
-		for {
-			_, ok := it.Next()
-			if !ok {
-				break
-			}
-			count++
+		prev = r.Dist
+		if math.Abs(r.Dist-batch[i].Dist) > distTol {
+			t.Fatalf("rank %d: iter %v batch %v", i, r.Dist, batch[i].Dist)
 		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
+	}
+	// Exhausting the iterator yields exactly len(pts) results.
+	count := 15
+	for {
+		_, ok := it.Next()
+		if !ok {
+			break
 		}
-		if count != len(pts) {
-			t.Fatalf("iterator returned %d results, want %d", count, len(pts))
-		}
+		count++
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if count != len(pts) {
+		t.Fatalf("iterator returned %d results, want %d", count, len(pts))
 	}
 }
 
@@ -318,39 +307,38 @@ func TestDistanceJoinMatchesOracle(t *testing.T) {
 		s := newScene(t, rng, 4+rng.Intn(8), 100)
 		S, spts := s.entities(t, rng, 25, 100)
 		T, tpts := s.entities(t, rng, 20, 100)
-		for _, eng := range engines(s) {
-			dist := 8 + rng.Float64()*15
-			got, st, err := bg(eng).DistanceJoin(S, T, dist)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[[2]int64]float64{}
-			for i, sp := range spts {
-				for j, tp := range tpts {
-					if sp.Dist(tp) > dist {
-						continue
-					}
-					if d := s.bruteDist(sp, tp); d <= dist {
-						want[[2]int64{int64(i), int64(j)}] = d
-					}
+		eng := NewEngine(s.obst, DefaultEngineOptions())
+		dist := 8 + rng.Float64()*15
+		got, st, err := bg(eng).DistanceJoin(S, T, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]int64]float64{}
+		for i, sp := range spts {
+			for j, tp := range tpts {
+				if sp.Dist(tp) > dist {
+					continue
+				}
+				if d := s.bruteDist(sp, tp); d <= dist {
+					want[[2]int64{int64(i), int64(j)}] = d
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("scene %d sweep=%v: %d pairs, oracle %d",
-					sceneIdx, eng.opts.UseSweep, len(got), len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scene %d: %d pairs, oracle %d",
+				sceneIdx, len(got), len(want))
+		}
+		for _, pr := range got {
+			wd, ok := want[[2]int64{pr.SID, pr.TID}]
+			if !ok {
+				t.Fatalf("unexpected pair %v", pr)
 			}
-			for _, pr := range got {
-				wd, ok := want[[2]int64{pr.SID, pr.TID}]
-				if !ok {
-					t.Fatalf("unexpected pair %v", pr)
-				}
-				if math.Abs(pr.Dist-wd) > distTol {
-					t.Fatalf("pair %v dist %v, oracle %v", pr, pr.Dist, wd)
-				}
+			if math.Abs(pr.Dist-wd) > distTol {
+				t.Fatalf("pair %v dist %v, oracle %v", pr, pr.Dist, wd)
 			}
-			if st.FalseHits != st.Candidates-st.Results {
-				t.Fatalf("stats inconsistent: %+v", st)
-			}
+		}
+		if st.FalseHits != st.Candidates-st.Results {
+			t.Fatalf("stats inconsistent: %+v", st)
 		}
 	}
 }
@@ -360,8 +348,8 @@ func TestDistanceJoinSeedOrderingIrrelevantToResults(t *testing.T) {
 	s := newScene(t, rng, 8, 100)
 	S, _ := s.entities(t, rng, 30, 100)
 	T, _ := s.entities(t, rng, 25, 100)
-	hilb := NewEngine(s.obst, EngineOptions{UseSweep: true})
-	plain := NewEngine(s.obst, EngineOptions{UseSweep: true, NoHilbertSeeds: true})
+	hilb := NewEngine(s.obst, DefaultEngineOptions())
+	plain := NewEngine(s.obst, EngineOptions{NoHilbertSeeds: true})
 	a, _, err := bg(hilb).DistanceJoin(S, T, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -386,27 +374,26 @@ func TestClosestPairsMatchesOracle(t *testing.T) {
 		s := newScene(t, rng, 4+rng.Intn(8), 100)
 		S, spts := s.entities(t, rng, 20, 100)
 		T, tpts := s.entities(t, rng, 15, 100)
-		for _, eng := range engines(s) {
-			for _, k := range []int{1, 5, 12} {
-				got, _, err := bg(eng).ClosestPairs(S, T, k)
-				if err != nil {
-					t.Fatal(err)
+		eng := NewEngine(s.obst, DefaultEngineOptions())
+		for _, k := range []int{1, 5, 12} {
+			got, _, err := bg(eng).ClosestPairs(S, T, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k {
+				t.Fatalf("k=%d: got %d pairs", k, len(got))
+			}
+			var want []float64
+			for _, sp := range spts {
+				for _, tp := range tpts {
+					want = append(want, s.bruteDist(sp, tp))
 				}
-				if len(got) != k {
-					t.Fatalf("k=%d: got %d pairs", k, len(got))
-				}
-				var want []float64
-				for _, sp := range spts {
-					for _, tp := range tpts {
-						want = append(want, s.bruteDist(sp, tp))
-					}
-				}
-				sort.Float64s(want)
-				for i := 0; i < k; i++ {
-					if math.Abs(got[i].Dist-want[i]) > distTol {
-						t.Fatalf("scene %d sweep=%v k=%d rank %d: %v, oracle %v",
-							sceneIdx, eng.opts.UseSweep, k, i, got[i].Dist, want[i])
-					}
+			}
+			sort.Float64s(want)
+			for i := 0; i < k; i++ {
+				if math.Abs(got[i].Dist-want[i]) > distTol {
+					t.Fatalf("scene %d k=%d rank %d: %v, oracle %v",
+						sceneIdx, k, i, got[i].Dist, want[i])
 				}
 			}
 		}
@@ -418,45 +405,44 @@ func TestCPIteratorMatchesBatch(t *testing.T) {
 	s := newScene(t, rng, 8, 100)
 	S, _ := s.entities(t, rng, 15, 100)
 	T, _ := s.entities(t, rng, 12, 100)
-	for _, eng := range engines(s) {
-		batch, _, err := bg(eng).ClosestPairs(S, T, 20)
-		if err != nil {
-			t.Fatal(err)
+	eng := NewEngine(s.obst, DefaultEngineOptions())
+	batch, _, err := bg(eng).ClosestPairs(S, T, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := bg(eng).ClosestPairIterator(S, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := -1.0
+	for i := 0; i < 20; i++ {
+		pr, ok := it.Next()
+		if !ok {
+			t.Fatalf("iterator exhausted at %d: %v", i, it.Err())
 		}
-		it, err := bg(eng).ClosestPairIterator(S, T)
-		if err != nil {
-			t.Fatal(err)
+		if pr.Dist < prev-distTol {
+			t.Fatalf("iterator not ascending at %d", i)
 		}
-		prev := -1.0
-		for i := 0; i < 20; i++ {
-			pr, ok := it.Next()
-			if !ok {
-				t.Fatalf("iterator exhausted at %d: %v", i, it.Err())
-			}
-			if pr.Dist < prev-distTol {
-				t.Fatalf("iterator not ascending at %d", i)
-			}
-			prev = pr.Dist
-			if math.Abs(pr.Dist-batch[i].Dist) > distTol {
-				t.Fatalf("sweep=%v rank %d: iter %v batch %v",
-					eng.opts.UseSweep, i, pr.Dist, batch[i].Dist)
-			}
+		prev = pr.Dist
+		if math.Abs(pr.Dist-batch[i].Dist) > distTol {
+			t.Fatalf("rank %d: iter %v batch %v",
+				i, pr.Dist, batch[i].Dist)
 		}
-		// Full enumeration yields |S| x |T| pairs.
-		count := 20
-		for {
-			_, ok := it.Next()
-			if !ok {
-				break
-			}
-			count++
+	}
+	// Full enumeration yields |S| x |T| pairs.
+	count := 20
+	for {
+		_, ok := it.Next()
+		if !ok {
+			break
 		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		if count != S.Len()*T.Len() {
-			t.Fatalf("iterator returned %d pairs, want %d", count, S.Len()*T.Len())
-		}
+		count++
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if count != S.Len()*T.Len() {
+		t.Fatalf("iterator returned %d pairs, want %d", count, S.Len()*T.Len())
 	}
 }
 
@@ -505,37 +491,34 @@ func TestUnreachableEntity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overlapping obstacles: exercise both modes (the sweep remains exact,
-	// only its pruning degrades).
-	for _, useSweep := range []bool{false, true} {
-		eng := NewEngine(obst, EngineOptions{UseSweep: useSweep})
-		d, _, err := bg(eng).ObstructedDistance(geom.Pt(10, 10), geom.Pt(50, 50))
-		if err != nil {
-			t.Fatal(err)
+	// Overlapping obstacles: the visibility test is exact for them.
+	eng := NewEngine(obst, DefaultEngineOptions())
+	d, _, err := bg(eng).ObstructedDistance(geom.Pt(10, 10), geom.Pt(50, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(d, 1) {
+		t.Fatalf("sealed entity reachable: %v", d)
+	}
+	res, _, err := bg(eng).Range(P, geom.Pt(10, 10), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.ID == 0 {
+			t.Fatalf("sealed entity in range result")
 		}
-		if !math.IsInf(d, 1) {
-			t.Fatalf("sweep=%v: sealed entity reachable: %v", useSweep, d)
-		}
-		res, _, err := bg(eng).Range(P, geom.Pt(10, 10), 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			if r.ID == 0 {
-				t.Fatalf("sweep=%v: sealed entity in range result", useSweep)
-			}
-		}
-		nn, _, err := bg(eng).NearestNeighbors(P, geom.Pt(10, 10), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nn) != 3 {
-			t.Fatalf("sweep=%v: got %d NNs", useSweep, len(nn))
-		}
-		for _, r := range nn[:2] {
-			if math.IsInf(r.Dist, 1) {
-				t.Fatalf("sweep=%v: reachable NN reported infinite", useSweep)
-			}
+	}
+	nn, _, err := bg(eng).NearestNeighbors(P, geom.Pt(10, 10), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nn) != 3 {
+		t.Fatalf("got %d NNs", len(nn))
+	}
+	for _, r := range nn[:2] {
+		if math.IsInf(r.Dist, 1) {
+			t.Fatalf("reachable NN reported infinite")
 		}
 	}
 }
@@ -593,46 +576,45 @@ func TestBlockedQueryPoint(t *testing.T) {
 	s := newScene(t, rng, 8, 100)
 	P, _ := s.entities(t, rng, 30, 100)
 	inside := s.rects[0].Center()
-	for _, eng := range engines(s) {
-		if in, err := bg(eng).InsideObstacle(inside); err != nil || !in {
-			t.Fatalf("InsideObstacle = %v, %v", in, err)
+	eng := NewEngine(s.obst, DefaultEngineOptions())
+	if in, err := bg(eng).InsideObstacle(inside); err != nil || !in {
+		t.Fatalf("InsideObstacle = %v, %v", in, err)
+	}
+	if in, err := bg(eng).InsideObstacle(geom.Pt(-1, -1)); err != nil || in {
+		t.Fatalf("outside point flagged inside: %v, %v", in, err)
+	}
+	d, _, err := bg(eng).ObstructedDistance(inside, geom.Pt(-1, -1))
+	if err != nil || !math.IsInf(d, 1) {
+		t.Fatalf("distance from inside = %v, %v", d, err)
+	}
+	res, st, err := bg(eng).Range(P, inside, 50)
+	if err != nil || len(res) != 0 {
+		t.Fatalf("range from inside = %v, %v", res, err)
+	}
+	if st.FalseHits != st.Candidates {
+		t.Fatalf("blocked range stats: %+v", st)
+	}
+	nn, _, err := bg(eng).NearestNeighbors(P, inside, 3)
+	if err != nil || len(nn) != 0 {
+		t.Fatalf("NN from inside = %v, %v", nn, err)
+	}
+	it := bg(eng).NearestIterator(P, inside)
+	count := 0
+	for {
+		r, ok := it.Next()
+		if !ok {
+			break
 		}
-		if in, err := bg(eng).InsideObstacle(geom.Pt(-1, -1)); err != nil || in {
-			t.Fatalf("outside point flagged inside: %v, %v", in, err)
+		if !math.IsInf(r.Dist, 1) {
+			t.Fatalf("iterator from inside returned finite %v", r)
 		}
-		d, _, err := bg(eng).ObstructedDistance(inside, geom.Pt(-1, -1))
-		if err != nil || !math.IsInf(d, 1) {
-			t.Fatalf("distance from inside = %v, %v", d, err)
-		}
-		res, st, err := bg(eng).Range(P, inside, 50)
-		if err != nil || len(res) != 0 {
-			t.Fatalf("range from inside = %v, %v", res, err)
-		}
-		if st.FalseHits != st.Candidates {
-			t.Fatalf("blocked range stats: %+v", st)
-		}
-		nn, _, err := bg(eng).NearestNeighbors(P, inside, 3)
-		if err != nil || len(nn) != 0 {
-			t.Fatalf("NN from inside = %v, %v", nn, err)
-		}
-		it := bg(eng).NearestIterator(P, inside)
-		count := 0
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
-			if !math.IsInf(r.Dist, 1) {
-				t.Fatalf("iterator from inside returned finite %v", r)
-			}
-			count++
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		if count != P.Len() {
-			t.Fatalf("iterator returned %d, want %d (all at +Inf)", count, P.Len())
-		}
+		count++
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if count != P.Len() {
+		t.Fatalf("iterator returned %d, want %d (all at +Inf)", count, P.Len())
 	}
 }
 

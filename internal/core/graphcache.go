@@ -220,16 +220,7 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 			c.mu.Unlock()
 			return c.acquire(s, source, r0)
 		}
-		if !en.g.Retarget(s.metricsHook()) {
-			// The graph was explicitly invalidated between the candidate
-			// scan and the lock; drop it and rescan.
-			en.unlock()
-			c.drop(en)
-			c.mu.Lock()
-			c.stats.Hits--
-			c.mu.Unlock()
-			return c.acquire(s, source, r0)
-		}
+		en.g.Retarget(s.metricsHook())
 		off := en.center.Dist(source)
 		if en.coverage()-off < r0 {
 			if err := en.grow(c, s, off+r0); err != nil {

@@ -124,7 +124,7 @@ func (s *Session) interrupted() bool { return s.ctx.Err() != nil }
 // graphOptions returns the visibility-graph configuration wired to this
 // session's work counters and cancellation.
 func (s *Session) graphOptions() visgraph.Options {
-	return visgraph.Options{UseSweep: s.e.opts.UseSweep, Metrics: &s.met, Interrupt: s.interrupted}
+	return visgraph.Options{UseSweep: true, Metrics: &s.met, Interrupt: s.interrupted}
 }
 
 // pointTree returns the session's counted view of a dataset's R-tree.

@@ -43,8 +43,6 @@ type Config struct {
 	PageSize int
 	// BufferFrac sizes each LRU buffer relative to its tree (paper: 0.10).
 	BufferFrac float64
-	// UseSweep selects the plane-sweep visibility construction.
-	UseSweep bool
 }
 
 // DefaultConfig returns a scaled-down configuration suitable for minutes,
@@ -57,7 +55,6 @@ func DefaultConfig() Config {
 		Workload:      100,
 		PageSize:      4096,
 		BufferFrac:    0.10,
-		UseSweep:      true,
 	}
 }
 
@@ -155,7 +152,7 @@ func NewLab(cfg Config) (*Lab, error) {
 		return nil, fmt.Errorf("expt: obstacle index: %w", err)
 	}
 	setBuffer(obstSet.Tree(), cfg.BufferFrac)
-	eng := core.NewEngine(obstSet, core.EngineOptions{UseSweep: cfg.UseSweep})
+	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
 	return &Lab{
 		cfg:     cfg,
 		world:   world,

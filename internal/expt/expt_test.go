@@ -19,7 +19,6 @@ func tinyConfig() Config {
 		Workload:      6,
 		PageSize:      1024,
 		BufferFrac:    0.10,
-		UseSweep:      true,
 	}
 }
 

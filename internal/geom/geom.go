@@ -7,6 +7,16 @@
 // All coordinates are float64. Predicates use the package-level tolerance
 // Eps; inputs are expected to live in a bounded universe (the generators use
 // [0, 10000]^2) so an absolute tolerance is appropriate.
+//
+// Polygon.BlocksSegment is the visibility predicate of the whole system and
+// its hot spot. Obstacles are mostly street MBRs, so a polygon that is an
+// axis-aligned rectangle is tagged at construction and clipped as a box (one
+// slab per axis); every other polygon is clipped against its boundary edges
+// into a buffer on the caller's stack. Both paths end in the same decision —
+// a span of the segment longer than the tolerance whose midpoint is strictly
+// inside — and TestRectBlocksSegmentMatchesGeneral and FuzzRectBlocksSegment
+// hold them to the same answers on the degenerate inputs street data is made
+// of.
 package geom
 
 import (
@@ -115,8 +125,8 @@ func (s Segment) At(t float64) Point {
 // Bounds returns the bounding rectangle of s.
 func (s Segment) Bounds() Rect {
 	return Rect{
-		MinX: math.Min(s.A.X, s.B.X), MinY: math.Min(s.A.Y, s.B.Y),
-		MaxX: math.Max(s.A.X, s.B.X), MaxY: math.Max(s.A.Y, s.B.Y),
+		MinX: min(s.A.X, s.B.X), MinY: min(s.A.Y, s.B.Y),
+		MaxX: max(s.A.X, s.B.X), MaxY: max(s.A.Y, s.B.Y),
 	}
 }
 

@@ -3,7 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Polygon is a simple (non-self-intersecting) polygon given by its vertices.
@@ -13,11 +13,16 @@ import (
 type Polygon struct {
 	v      []Point
 	bounds Rect
+	// rect marks an axis-aligned rectangle: the polygon is exactly bounds, so
+	// BlocksSegment clips against the box instead of walking the edges.
+	rect bool
 }
 
 // NewPolygon builds a polygon from vertices. It returns an error when fewer
 // than three vertices are given or when consecutive vertices coincide. The
-// vertex order is normalized to counter-clockwise.
+// vertex order is normalized to counter-clockwise. Four axis-aligned corners
+// (either orientation, any starting corner) are recognised as a rectangle,
+// which is how street MBRs arrive from a reopened store or over the wire.
 func NewPolygon(vertices []Point) (Polygon, error) {
 	if len(vertices) < 3 {
 		return Polygon{}, fmt.Errorf("geom: polygon needs >= 3 vertices, got %d", len(vertices))
@@ -34,7 +39,29 @@ func NewPolygon(vertices []Point) (Polygon, error) {
 			v[i], v[j] = v[j], v[i]
 		}
 	}
-	return Polygon{v: v, bounds: RectOf(v...)}, nil
+	bounds := RectOf(v...)
+	return Polygon{v: v, bounds: bounds, rect: isRect(v, bounds)}, nil
+}
+
+// isRect reports whether v walks the four corners of bounds: every vertex is
+// a corner, neighbours share exactly one coordinate and opposite vertices
+// none, which rules out the bow-tie order, repeated corners and zero area.
+func isRect(v []Point, bounds Rect) bool {
+	if len(v) != 4 {
+		return false
+	}
+	for i, p := range v {
+		if (p.X != bounds.MinX && p.X != bounds.MaxX) || (p.Y != bounds.MinY && p.Y != bounds.MaxY) {
+			return false
+		}
+		if q := v[(i+1)%4]; (p.X == q.X) == (p.Y == q.Y) {
+			return false
+		}
+		if o := v[(i+2)%4]; p.X == o.X || p.Y == o.Y {
+			return false
+		}
+	}
+	return true
 }
 
 // MustPolygon is NewPolygon that panics on invalid input; intended for
@@ -50,7 +77,7 @@ func MustPolygon(vertices []Point) Polygon {
 // RectPolygon returns the polygon with the four corners of r.
 func RectPolygon(r Rect) Polygon {
 	c := r.Vertices()
-	return Polygon{v: c[:], bounds: r}
+	return Polygon{v: c[:], bounds: r, rect: true}
 }
 
 func signedArea(v []Point) float64 {
@@ -82,10 +109,16 @@ func (pg Polygon) Bounds() Rect { return pg.bounds }
 // Area returns the area enclosed by pg.
 func (pg Polygon) Area() float64 { return math.Abs(signedArea(pg.v)) }
 
+// boundaryClear is a distance from an edge's bounding box beyond which a
+// point is farther than Eps from the edge whatever the rounding: a thousand
+// times Eps. OnBoundary computes exact distances only within it.
+const boundaryClear = 1000 * Eps
+
 // OnBoundary reports whether p lies on the boundary of pg (within Eps).
 func (pg Polygon) OnBoundary(p Point) bool {
 	for i := range pg.v {
-		if pg.Edge(i).DistToPoint(p) <= Eps {
+		e := pg.Edge(i)
+		if e.Bounds().Expand(boundaryClear).Contains(p) && e.DistToPoint(p) <= Eps {
 			return true
 		}
 	}
@@ -106,6 +139,9 @@ func (pg Polygon) Contains(p Point) bool {
 func (pg Polygon) ContainsStrict(p Point) bool {
 	if !pg.bounds.ContainsStrict(p) {
 		return false
+	}
+	if pg.rect && pg.bounds.Expand(-boundaryClear).Contains(p) {
+		return true // clear of all four sides, which is all a rectangle has
 	}
 	if pg.OnBoundary(p) {
 		return false
@@ -139,7 +175,8 @@ func (pg Polygon) crossingInside(p Point) bool {
 // The test clips ab against the polygon boundary: it collects the parameters
 // where ab meets boundary edges, then checks the midpoint of every resulting
 // span for strict interiority. This is robust for entities lying exactly on
-// obstacle boundaries.
+// obstacle boundaries. A rectangle meets ab in a single span, found by
+// clipping against the box; the decision about that span is the same one.
 func (pg Polygon) BlocksSegment(a, b Point) bool {
 	if !pg.bounds.Intersects(Seg(a, b).Bounds().Expand(Eps)) {
 		return false
@@ -149,12 +186,17 @@ func (pg Polygon) BlocksSegment(a, b Point) bool {
 	if length <= Eps {
 		return pg.ContainsStrict(a)
 	}
-	// Parameter values along ab where the boundary is met.
-	ts := pg.clipParams(s)
-	// Check the midpoint of each span between consecutive parameters.
 	// minGap is the smallest span worth testing: spans shorter than Eps in
 	// world units are boundary grazes, not interior crossings.
 	minGap := Eps / length * 4
+	if pg.rect {
+		t0, t1 := pg.bounds.clipSegment(s)
+		return t1-t0 > minGap && pg.ContainsStrict(s.At((t0+t1)/2))
+	}
+	// Parameter values along ab where the boundary is met; the midpoint of
+	// each span between consecutive ones is checked.
+	var buf [clipInline]float64
+	ts := pg.clipParams(s, buf[:0])
 	prev := ts[0]
 	for _, t := range ts[1:] {
 		if t-prev > minGap {
@@ -169,10 +211,15 @@ func (pg Polygon) BlocksSegment(a, b Point) bool {
 	return false
 }
 
-// clipParams returns the sorted parameters in [0,1] (always including 0 and
-// 1) at which segment s meets the boundary of pg.
-func (pg Polygon) clipParams(s Segment) []float64 {
-	ts := make([]float64, 0, 8)
+// clipInline is how many boundary parameters BlocksSegment keeps on its
+// stack: a segment meets a convex polygon's boundary twice and a vertex hit
+// counts for both edges, so only a long, deeply concave outline spills to
+// the heap.
+const clipInline = 16
+
+// clipParams appends to ts the sorted parameters in [0,1] (always including
+// 0 and 1) at which segment s meets the boundary of pg.
+func (pg Polygon) clipParams(s Segment, ts []float64) []float64 {
 	ts = append(ts, 0, 1)
 	dir := s.B.Sub(s.A)
 	l2 := dir.Dot(dir)
@@ -197,7 +244,7 @@ func (pg Polygon) clipParams(s Segment) []float64 {
 			}
 		}
 	}
-	sort.Float64s(ts)
+	slices.Sort(ts)
 	return ts
 }
 

@@ -164,6 +164,31 @@ func (r Rect) IntersectsCircle(center Point, radius float64) bool {
 	return r.MinDist(center) <= radius
 }
 
+// clipSegment returns the parameter interval [t0, t1] of s that lies in the
+// closed rectangle r, one slab per axis (Liang-Barsky); t0 > t1 when s misses
+// r.
+func (r Rect) clipSegment(s Segment) (t0, t1 float64) {
+	t0, t1 = clipSlab(s.A.X, s.B.X-s.A.X, r.MinX, r.MaxX, 0, 1)
+	return clipSlab(s.A.Y, s.B.Y-s.A.Y, r.MinY, r.MaxY, t0, t1)
+}
+
+// clipSlab narrows [t0, t1] to the parameters where from + t*d lies in
+// [lo, hi]. Motion parallel to the slab (d = 0) is unconstrained inside it
+// and empties the interval outside, so nothing divides by zero.
+func clipSlab(from, d, lo, hi, t0, t1 float64) (float64, float64) {
+	if d == 0 {
+		if from < lo || from > hi {
+			return 1, 0
+		}
+		return t0, t1
+	}
+	ta, tb := (lo-from)/d, (hi-from)/d
+	if ta > tb {
+		ta, tb = tb, ta
+	}
+	return max(t0, ta), min(t1, tb)
+}
+
 // Vertices returns the four corners of r in counter-clockwise order starting
 // from (MinX, MinY).
 func (r Rect) Vertices() [4]Point {

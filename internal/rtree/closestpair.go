@@ -1,11 +1,6 @@
 package rtree
 
-import (
-	"container/heap"
-
-	"repro/internal/geom"
-	"repro/internal/pagefile"
-)
+import "repro/internal/pagefile"
 
 // PairNeighbor is one result of an incremental closest-pair search.
 type PairNeighbor struct {
@@ -13,39 +8,30 @@ type PairNeighbor struct {
 	Dist float64 // Euclidean mindist of the two rectangles (exact for points)
 }
 
-// cpSide is one half of a heap element: either a data item or a node.
+// cpSide is one half of a queued pair: a tree entry and the level of the node
+// it points to, or itemLevel when the entry is a data item.
 type cpSide struct {
-	rect   geom.Rect
-	isItem bool
-	item   Item
-	page   pagefile.PageID
-	level  uint16
+	entry
+	level int32
 }
+
+const itemLevel = -1
+
+func (s cpSide) isItem() bool { return s.level == itemLevel }
 
 type cpEntry struct {
 	dist float64
 	a, b cpSide
 }
 
-type cpHeap []cpEntry
+func (x cpEntry) isPair() bool { return x.a.isItem() && x.b.isItem() }
 
-func (h cpHeap) Len() int { return len(h) }
-func (h cpHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func (x cpEntry) before(y cpEntry) bool {
+	if x.dist != y.dist {
+		return x.dist < y.dist
 	}
-	ii := h[i].a.isItem && h[i].b.isItem
-	jj := h[j].a.isItem && h[j].b.isItem
-	return ii && !jj
-}
-func (h cpHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *cpHeap) Push(x interface{}) { *h = append(*h, x.(cpEntry)) }
-func (h *cpHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	// Report pairs before expanding equally distant nodes.
+	return x.isPair() && !y.isPair()
 }
 
 // CPIterator enumerates pairs (a in ta, b in tb) in ascending order of
@@ -54,7 +40,7 @@ func (h *cpHeap) Pop() interface{} {
 // closest-pair algorithms consume it without a predeclared k.
 type CPIterator struct {
 	ta, tb *Tree
-	h      cpHeap
+	h      minHeap[cpEntry]
 	err    error
 }
 
@@ -73,9 +59,9 @@ func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
 	if len(ra.entries) == 0 || len(rb.entries) == 0 {
 		return it, nil // empty iterator
 	}
-	a := cpSide{rect: ra.mbr(), page: ta.root, level: ra.level}
-	b := cpSide{rect: rb.mbr(), page: tb.root, level: rb.level}
-	it.h = cpHeap{{dist: a.rect.MinDistRect(b.rect), a: a, b: b}}
+	a := cpSide{entry{ra.mbr(), uint64(ta.root)}, int32(ra.level)}
+	b := cpSide{entry{rb.mbr(), uint64(tb.root)}, int32(rb.level)}
+	it.h = minHeap[cpEntry]{{dist: a.rect.MinDistRect(b.rect), a: a, b: b}}
 	return it, nil
 }
 
@@ -83,16 +69,16 @@ func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
 // error (check Err).
 func (it *CPIterator) Next() (PairNeighbor, bool) {
 	for it.err == nil && len(it.h) > 0 {
-		e := heap.Pop(&it.h).(cpEntry)
-		if e.a.isItem && e.b.isItem {
-			return PairNeighbor{A: e.a.item, B: e.b.item, Dist: e.dist}, true
+		e := it.h.pop()
+		if e.isPair() {
+			return PairNeighbor{A: e.a.item(), B: e.b.item(), Dist: e.dist}, true
 		}
 		// Expand the non-item side with the higher level (ties: larger area).
 		expandA := false
 		switch {
-		case e.b.isItem:
+		case e.b.isItem():
 			expandA = true
-		case e.a.isItem:
+		case e.a.isItem():
 			expandA = false
 		case e.a.level != e.b.level:
 			expandA = e.a.level > e.b.level
@@ -115,23 +101,18 @@ func (it *CPIterator) Next() (PairNeighbor, bool) {
 // expand reads the node side and pairs each of its entries with other.
 // When swapped is true, side belongs to tree tb (the B side of pairs).
 func (it *CPIterator) expand(t *Tree, side, other cpSide, swapped bool) {
-	n, err := t.readNode(side.page)
+	n, err := t.readNode(pagefile.PageID(side.ref))
 	if err != nil {
 		it.err = err
 		return
 	}
 	for _, c := range n.entries {
-		var cs cpSide
-		if n.isLeaf() {
-			cs = cpSide{rect: c.rect, isItem: true, item: c.item()}
-		} else {
-			cs = cpSide{rect: c.rect, page: pagefile.PageID(c.ref), level: n.level - 1}
-		}
+		cs := cpSide{c, int32(n.level) - 1} // a leaf's entries are items
 		d := cs.rect.MinDistRect(other.rect)
 		if swapped {
-			heap.Push(&it.h, cpEntry{dist: d, a: other, b: cs})
+			it.h.push(cpEntry{dist: d, a: other, b: cs})
 		} else {
-			heap.Push(&it.h, cpEntry{dist: d, a: cs, b: other})
+			it.h.push(cpEntry{dist: d, a: cs, b: other})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -350,5 +351,72 @@ func TestTraversalErrorPropagation(t *testing.T) {
 	}
 	if it.Err() == nil {
 		t.Error("NN iterator should surface I/O errors")
+	}
+}
+
+// TestClosestPairIteratorTiesAndExhaustion drains the iterator over two
+// lattice point sets, where most distances are shared by many pairs and the
+// trees differ in height: every pair must come out exactly once, in
+// non-decreasing distance, and the distances must equal the brute-force
+// sorted ones bit for bit (which pair of a tie comes first is not specified).
+func TestClosestPairIteratorTiesAndExhaustion(t *testing.T) {
+	lattice := func(n int, step, off float64) (*Tree, []geom.Point) {
+		tr, err := New(smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []geom.Point
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				p := geom.Pt(off+step*float64(i), off+step*float64(j))
+				if err := tr.InsertPoint(p, int64(len(pts))); err != nil {
+					t.Fatal(err)
+				}
+				pts = append(pts, p)
+			}
+		}
+		return tr, pts
+	}
+	ta, pa := lattice(9, 2, 0)
+	tb, pb := lattice(4, 3, 1)
+	if ta.Height() == tb.Height() {
+		t.Fatalf("trees have equal height %d; the test wants them to differ", ta.Height())
+	}
+	// The iterator reports the mindist of the two point rectangles.
+	dist := func(a, b geom.Point) float64 { return geom.PointRect(a).MinDistRect(geom.PointRect(b)) }
+	var want []float64
+	for _, a := range pa {
+		for _, b := range pb {
+			want = append(want, dist(a, b))
+		}
+	}
+	sort.Float64s(want)
+	it, err := NewClosestPairIterator(ta, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]int64]bool{}
+	for i := 0; ; i++ {
+		pr, ok := it.Next()
+		if !ok {
+			if i != len(want) {
+				t.Fatalf("iterator ended after %d pairs, want %d", i, len(want))
+			}
+			break
+		}
+		if i >= len(want) || pr.Dist != want[i] {
+			t.Fatalf("pair %d: distance %v, brute force has %v", i, pr.Dist, want[min(i, len(want)-1)])
+		}
+		if d := dist(pa[pr.A.Data], pb[pr.B.Data]); pr.Dist != d {
+			t.Fatalf("pair %d: reported %v, items are %v apart", i, pr.Dist, d)
+		}
+		key := [2]int64{pr.A.Data, pr.B.Data}
+		if seen[key] {
+			t.Fatalf("pair %v reported twice", key)
+		}
+		seen[key] = true
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
 	}
 }

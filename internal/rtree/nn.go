@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
-
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
@@ -13,31 +11,20 @@ type Neighbor struct {
 	Dist float64 // Euclidean distance from the query point (mindist for rectangles)
 }
 
+// nnEntry is a queued tree entry: a data item when isItem, otherwise the
+// reference to a child page.
 type nnEntry struct {
-	dist   float64
+	dist float64
+	entry
 	isItem bool
-	item   Item            // valid when isItem
-	page   pagefile.PageID // valid when !isItem
 }
 
-type nnHeap []nnEntry
-
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func (a nnEntry) before(b nnEntry) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
 	// Report items before expanding equally distant nodes.
-	return h[i].isItem && !h[j].isItem
-}
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnEntry)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.isItem && !b.isItem
 }
 
 // NNIterator reports the items of a tree in ascending order of Euclidean
@@ -48,14 +35,14 @@ func (h *nnHeap) Pop() interface{} {
 type NNIterator struct {
 	t   *Tree
 	q   geom.Point
-	h   nnHeap
+	h   minHeap[nnEntry]
 	err error
 }
 
 // NearestIterator starts an incremental nearest-neighbor search around q.
 func (t *Tree) NearestIterator(q geom.Point) *NNIterator {
 	it := &NNIterator{t: t, q: q}
-	it.h = nnHeap{{dist: 0, page: t.root}}
+	it.h = minHeap[nnEntry]{{entry: entry{ref: uint64(t.root)}}}
 	return it
 }
 
@@ -63,22 +50,17 @@ func (t *Tree) NearestIterator(q geom.Point) *NNIterator {
 // or an I/O error occurred (check Err).
 func (it *NNIterator) Next() (Neighbor, bool) {
 	for it.err == nil && len(it.h) > 0 {
-		e := heap.Pop(&it.h).(nnEntry)
+		e := it.h.pop()
 		if e.isItem {
-			return Neighbor{Item: e.item, Dist: e.dist}, true
+			return Neighbor{Item: e.item(), Dist: e.dist}, true
 		}
-		n, err := it.t.readNode(e.page)
+		n, err := it.t.readNode(pagefile.PageID(e.ref))
 		if err != nil {
 			it.err = err
 			return Neighbor{}, false
 		}
 		for _, c := range n.entries {
-			d := c.rect.MinDist(it.q)
-			if n.isLeaf() {
-				heap.Push(&it.h, nnEntry{dist: d, isItem: true, item: c.item()})
-			} else {
-				heap.Push(&it.h, nnEntry{dist: d, page: pagefile.PageID(c.ref)})
-			}
+			it.h.push(nnEntry{dist: c.rect.MinDist(it.q), entry: c, isItem: n.isLeaf()})
 		}
 	}
 	return Neighbor{}, false

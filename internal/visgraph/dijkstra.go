@@ -128,7 +128,7 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 			return it.dist
 		}
 		sinceCheck++
-		if stale := int(g.nodes[u].seen) != len(g.edges); stale || sinceCheck >= interruptEvery {
+		if stale := int(g.nodes[u].seen) != len(g.verts); stale || sinceCheck >= interruptEvery {
 			sinceCheck = 0
 			if g.opts.Interrupt != nil && g.opts.Interrupt() {
 				break

@@ -28,9 +28,11 @@ func streetRects(rng *rand.Rand, n int) []geom.Rect {
 	return out
 }
 
-// diff drives a lazy sweep graph and a naive, always fully materialised
-// oracle through the same operations; node ids coincide because both
-// allocate slots the same way.
+// diff drives a lazy graph (indexed pass) and an always fully materialised
+// oracle (reference pass: every obstacle by linear scan, no grid) through the
+// same operations; node ids coincide because both allocate slots the same
+// way. Batches grow the lazy graph's grid in place, past its bounds and past
+// twice its count, so every way the grid comes about is compared.
 type diff struct {
 	t            *testing.T
 	lazy, oracle *Graph
@@ -149,7 +151,7 @@ func (d *diff) step(op, a, b byte) {
 		sum := 0.0
 		for i := 1; i < len(path); i++ {
 			p, q := d.lazy.Point(path[i-1]), d.lazy.Point(path[i])
-			if !d.oracle.Visible(p, q) {
+			if !d.oracle.visibleLinear(p, q) {
 				t.Fatalf("path leg %v-%v is blocked", p, q)
 			}
 			sum += p.Dist(q)
@@ -212,7 +214,7 @@ func (d *diff) checkAdjacency() {
 				d.t.Fatalf("lazy edge %d-%d (%v-%v) is not in the oracle", id, he.To, n.pt, d.lazy.nodes[he.To].pt)
 			}
 		}
-		if int(n.seen) == len(d.lazy.edges) && len(n.adj) != len(want) {
+		if int(n.seen) == len(d.lazy.verts) && len(n.adj) != len(want) {
 			d.t.Fatalf("node %d is stamped complete with %d neighbours, oracle has %d", id, len(n.adj), len(want))
 		}
 	}
@@ -221,8 +223,8 @@ func (d *diff) checkAdjacency() {
 // FuzzLazyMatchesOracle interleaves Build / AddObstacles / AddTerminal /
 // AddEntity / DeleteEntity (freed slots are reused by whatever node comes
 // next) with ObstructedDist, ShortestPath and bounded Expand, on random and
-// on street scenes, and requires the lazy sweep graph to answer exactly as
-// the fully materialised naive one: equal distances, equal Expand visit
+// on street scenes, and requires the lazy indexed graph to answer exactly as
+// the fully materialised reference one: equal distances, equal Expand visit
 // order, and paths whose legs are mutually visible and sum to their length.
 func FuzzLazyMatchesOracle(f *testing.F) {
 	// One program per seed scene: grow-search-grow-search with deletions in

@@ -100,8 +100,8 @@ func TestGrowthNeverResweeps(t *testing.T) {
 			t.Fatalf("trial %d: second search made %d sweeps for %d first-time expansions",
 				trial, m.Sweeps-sweeps, first)
 		}
-		if int(g.nodes[a].seen) != len(g.edges) {
-			t.Fatalf("trial %d: source not brought up to date: seen %d of %d", trial, g.nodes[a].seen, len(g.edges))
+		if int(g.nodes[a].seen) != len(g.verts) {
+			t.Fatalf("trial %d: source not brought up to date: seen %d of %d", trial, g.nodes[a].seen, len(g.verts))
 		}
 		fresh := Build(Options{UseSweep: false}, obs)
 		want := fresh.ObstructedDist(fresh.AddTerminal(g.Point(a)), fresh.AddTerminal(g.Point(b)))

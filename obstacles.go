@@ -26,10 +26,6 @@ type Options struct {
 	// BufferFraction sizes each tree's LRU buffer as a fraction of its
 	// pages (default 0.10, the paper's setting).
 	BufferFraction float64
-	// NaiveVisibility disables the rotational plane-sweep [SS84] in favor
-	// of a naive per-pair visibility check; slower, but useful as a
-	// cross-check and for heavily overlapping obstacle sets.
-	NaiveVisibility bool
 	// GraphCacheSize is the number of expanded visibility-graph states the
 	// engine retains for reuse across batch-distance queries, clustering
 	// neighborhoods and join seeds (default 8; negative disables caching).
@@ -445,11 +441,10 @@ func validatePolygons(polys []Polygon) error {
 	return nil
 }
 
-// NewDatabase builds a database over polygonal obstacles. Obstacles should
-// not overlap each other's interiors (touching is fine); see
-// Options.NaiveVisibility for heavily overlapping data. Out-of-range option
-// values are rejected with an error (zero values select the defaults), as
-// are degenerate polygons (ErrInvalidPolygon).
+// NewDatabase builds a database over polygonal obstacles; they may touch
+// and may overlap (the visibility test is exact for both). Out-of-range
+// option values are rejected with an error (zero values select the
+// defaults), as are degenerate polygons (ErrInvalidPolygon).
 func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -463,7 +458,7 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 		return nil, fmt.Errorf("obstacles: building obstacle index: %w", err)
 	}
 	sizeBuffer(obstSet.Tree(), opts.BufferFraction)
-	eng := core.NewEngine(obstSet, core.EngineOptions{UseSweep: !opts.NaiveVisibility})
+	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
 	if opts.GraphCacheSize > 0 {
 		eng.EnableGraphCache(opts.GraphCacheSize)
 	}

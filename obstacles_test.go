@@ -81,39 +81,35 @@ func TestObstructedDistancePublic(t *testing.T) {
 }
 
 func TestRangeAndNNPublic(t *testing.T) {
-	for _, naive := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.NaiveVisibility = naive
-		db := cityDB(t, opts)
-		pts := []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95), Pt(5, 95), Pt(45, 45)}
-		if err := db.AddDataset("shops", pts); err != nil {
-			t.Fatal(err)
+	db := cityDB(t, DefaultOptions())
+	pts := []Point{Pt(5, 5), Pt(45, 5), Pt(95, 95), Pt(5, 95), Pt(45, 45)}
+	if err := db.AddDataset("shops", pts); err != nil {
+		t.Fatal(err)
+	}
+	q := Pt(5, 5)
+	nbs, err := db.Range(ctx, "shops", q, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nbs) == 0 || nbs[0].ID != 0 || nbs[0].Distance != 0 {
+		t.Fatalf("self not first in range: %v", nbs)
+	}
+	for i := 1; i < len(nbs); i++ {
+		if nbs[i].Distance < nbs[i-1].Distance {
+			t.Error("range results unsorted")
 		}
-		q := Pt(5, 5)
-		nbs, err := db.Range(ctx, "shops", q, 45)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nbs) == 0 || nbs[0].ID != 0 || nbs[0].Distance != 0 {
-			t.Fatalf("naive=%v: self not first in range: %v", naive, nbs)
-		}
-		for i := 1; i < len(nbs); i++ {
-			if nbs[i].Distance < nbs[i-1].Distance {
-				t.Error("range results unsorted")
-			}
-		}
-		nn, err := db.NearestNeighbors(ctx, "shops", q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nn) != 3 || nn[0].ID != 0 {
-			t.Fatalf("naive=%v: NN = %v", naive, nn)
-		}
-		// Lower bound property on every reported distance.
-		for _, nb := range nn {
-			if nb.Distance < q.Dist(nb.Point)-1e-9 {
-				t.Errorf("dO < dE for %v", nb)
-			}
+	}
+	nn, err := db.NearestNeighbors(ctx, "shops", q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nn) != 3 || nn[0].ID != 0 {
+		t.Fatalf("NN = %v", nn)
+	}
+	// Lower bound property on every reported distance.
+	for _, nb := range nn {
+		if nb.Distance < q.Dist(nb.Point)-1e-9 {
+			t.Errorf("dO < dE for %v", nb)
 		}
 	}
 }
@@ -228,9 +224,7 @@ func TestUnreachablePublic(t *testing.T) {
 	rects := []Rect{
 		R(0, 0, 50, 10), R(0, 40, 50, 50), R(0, 0, 10, 50), R(40, 0, 50, 50),
 	}
-	opts := DefaultOptions()
-	opts.NaiveVisibility = true // overlapping obstacles
-	db, err := NewDatabaseFromRects(rects, opts)
+	db, err := NewDatabaseFromRects(rects, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +309,9 @@ func TestObstructedPathPublic(t *testing.T) {
 		t.Fatalf("polyline %v != %v", sum, dist)
 	}
 	// Unreachable route.
-	opts := DefaultOptions()
-	opts.NaiveVisibility = true
 	sealed, err := NewDatabaseFromRects([]Rect{
 		R(0, 0, 50, 10), R(0, 40, 50, 50), R(0, 0, 10, 50), R(40, 0, 50, 50),
-	}, opts)
+	}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

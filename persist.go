@@ -281,7 +281,7 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		}
 	}
 	sizeBuffer(obstSet.Tree(), opts.BufferFraction)
-	eng := core.NewEngine(obstSet, core.EngineOptions{UseSweep: !opts.NaiveVisibility})
+	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
 	if opts.GraphCacheSize > 0 {
 		eng.EnableGraphCache(opts.GraphCacheSize)
 	}
