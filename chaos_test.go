@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -201,9 +202,39 @@ func TestChaosPermanentFaultStaysDegraded(t *testing.T) {
 		t.Fatal("insert during permanent fault reported success")
 	}
 
+	// From the first fault until the device heals, no observer may read
+	// healthy — not even between a recovery attempt's swap and its failed
+	// durability probe.
+	stopWatch, watchDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stopWatch:
+				return
+			default:
+			}
+			if !db.Degraded() {
+				t.Error("Degraded() read false under a permanent fault")
+				return
+			}
+			if rs := db.RecoveryStats(); !rs.Degraded || rs.Cause == "" || rs.Recoveries != 0 {
+				t.Errorf("RecoveryStats read healthy under a permanent fault: %+v", rs)
+				return
+			}
+			if i%64 == 0 { // the gate takes the update lock recovery holds
+				if _, err := db.InsertPoints("P", Pt(903, 903)); !errors.Is(err, ErrDegraded) {
+					t.Errorf("mutation gate under a permanent fault: %v, want ErrDegraded", err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+
 	// The supervisor retries with backoff; watch several attempts fail.
-	waitUntil(t, 10*time.Second, "3 failed recovery attempts", func() bool {
-		return db.RecoveryStats().Attempts >= 3
+	waitUntil(t, 10*time.Second, "10 failed recovery attempts", func() bool {
+		return db.RecoveryStats().Attempts >= 10
 	})
 	rs := db.RecoveryStats()
 	if !rs.Degraded || rs.Recoveries != 0 {
@@ -225,6 +256,8 @@ func TestChaosPermanentFaultStaysDegraded(t *testing.T) {
 	}
 
 	// Device healed: the next scheduled attempt succeeds.
+	close(stopWatch)
+	<-watchDone
 	inj.Clear()
 	waitUntil(t, 10*time.Second, "recovery after heal", func() bool {
 		return !db.Degraded()

@@ -197,6 +197,12 @@ func TestRectMinDist(t *testing.T) {
 	if got := r.MinDistRect(R(2, 1, 3, 3)); got != 0 {
 		t.Errorf("overlapping MinDistRect = %v, want 0", got)
 	}
+	if a, b := r.MaxDistRect(R(7, 6, 9, 9)), R(7, 6, 9, 9).MaxDistRect(r); a != math.Hypot(9, 9) || b != a {
+		t.Errorf("MaxDistRect = %v and %v, want %v", a, b, math.Hypot(9, 9))
+	}
+	if got := r.MaxDistRect(R(1, 1, 2, 1.5)); got != math.Hypot(3, 1.5) {
+		t.Errorf("MaxDistRect of a contained rectangle = %v, want %v", got, math.Hypot(3, 1.5))
+	}
 	if got := r.MaxDist(Pt(0, 0)); math.Abs(got-math.Hypot(4, 2)) > 1e-9 {
 		t.Errorf("MaxDist = %v", got)
 	}

@@ -151,6 +151,14 @@ func (r Rect) MinDistRect(s Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// MaxDistRect returns the maximum Euclidean distance between any point of r
+// and any point of s: no pair of items under two entry MBRs is farther apart.
+func (r Rect) MaxDistRect(s Rect) float64 {
+	dx := math.Max(s.MaxX-r.MinX, r.MaxX-s.MinX)
+	dy := math.Max(s.MaxY-r.MinY, r.MaxY-s.MinY)
+	return math.Hypot(dx, dy)
+}
+
 // MaxDist returns the maximum Euclidean distance from p to any point of r.
 func (r Rect) MaxDist(p Point) float64 {
 	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))

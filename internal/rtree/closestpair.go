@@ -1,6 +1,10 @@
 package rtree
 
-import "repro/internal/pagefile"
+import (
+	"math"
+
+	"repro/internal/pagefile"
+)
 
 // PairNeighbor is one result of an incremental closest-pair search.
 type PairNeighbor struct {
@@ -8,46 +12,61 @@ type PairNeighbor struct {
 	Dist float64 // Euclidean mindist of the two rectangles (exact for points)
 }
 
-// cpSide is one half of a queued pair: a tree entry and the level of the node
-// it points to, or itemLevel when the entry is a data item.
-type cpSide struct {
-	entry
-	level int32
+// cpEntry is one queued pair, side 0 from ta and side 1 from tb: two nodes, or
+// two data items. level is that of the node each entry points to, itemLevel
+// for items; a node is never paired with an item, because the higher side is
+// expanded until both are leaves and two leaves only ever produce item pairs.
+// width belongs to pairs of leaves: that of the next band to open, 0 until the
+// first has been (openBand).
+type cpEntry struct {
+	dist  float64 // queue key: nothing the entry can still produce is closer
+	side  [2]entry
+	level [2]int32
+	width float64
 }
 
 const itemLevel = -1
-
-func (s cpSide) isItem() bool { return s.level == itemLevel }
-
-type cpEntry struct {
-	dist float64
-	a, b cpSide
-}
-
-func (x cpEntry) isPair() bool { return x.a.isItem() && x.b.isItem() }
 
 func (x cpEntry) before(y cpEntry) bool {
 	if x.dist != y.dist {
 		return x.dist < y.dist
 	}
-	// Report pairs before expanding equally distant nodes.
-	return x.isPair() && !y.isPair()
+	// Equal keys leave deeper pairs first [HS98]: items are reported before
+	// equally distant nodes are expanded, and a run of node pairs with one key
+	// (all overlapping pairs have mindist 0) is descended depth first.
+	return x.level[0]+x.level[1] < y.level[0]+y.level[1]
 }
 
 // CPIterator enumerates pairs (a in ta, b in tb) in ascending order of
 // Euclidean distance — the incremental distance join of [HS98] specialised
 // to closest pairs, with the mindist pruning of [CMTV00]. The obstructed
 // closest-pair algorithms consume it without a predeclared k.
+//
+// The queue holds node pairs, and of the item pairs under two leaves only
+// one distance band at a time (openBand): where the two trees cover the same
+// space every overlapping pair of leaves has key 0, and queueing the |A|·|B|
+// item pairs of each before the first result is what an unbanded expansion
+// costs. The order is still [HS98]'s: a band's item pairs all have a key at
+// least the popped one, and the re-queued leaf pair is a lower bound on every
+// item pair it has not queued yet.
 type CPIterator struct {
-	ta, tb *Tree
-	h      minHeap[cpEntry]
-	err    error
+	t    [2]*Tree
+	h    minHeap[cpEntry]
+	kept [2][]cpNode // per side and level: the node decoded last
+	sw   sweeper
+	err  error
+}
+
+// cpNode is a decoded node and the page it came from.
+type cpNode struct {
+	id      pagefile.PageID
+	entries []entry
 }
 
 // NewClosestPairIterator starts an incremental closest-pair search over the
 // two trees.
 func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
-	it := &CPIterator{ta: ta, tb: tb}
+	it := &CPIterator{t: [2]*Tree{ta, tb}}
 	ra, err := ta.readNode(ta.root)
 	if err != nil {
 		return nil, err
@@ -59,9 +78,8 @@ func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
 	if len(ra.entries) == 0 || len(rb.entries) == 0 {
 		return it, nil // empty iterator
 	}
-	a := cpSide{entry{ra.mbr(), uint64(ta.root)}, int32(ra.level)}
-	b := cpSide{entry{rb.mbr(), uint64(tb.root)}, int32(rb.level)}
-	it.h = minHeap[cpEntry]{{dist: a.rect.MinDistRect(b.rect), a: a, b: b}}
+	a, b := entry{ra.mbr(), uint64(ta.root)}, entry{rb.mbr(), uint64(tb.root)}
+	it.h = minHeap[cpEntry]{{dist: a.rect.MinDistRect(b.rect), side: [2]entry{a, b}, level: [2]int32{int32(ra.level), int32(rb.level)}}}
 	return it, nil
 }
 
@@ -70,50 +88,83 @@ func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
 func (it *CPIterator) Next() (PairNeighbor, bool) {
 	for it.err == nil && len(it.h) > 0 {
 		e := it.h.pop()
-		if e.isPair() {
-			return PairNeighbor{A: e.a.item(), B: e.b.item(), Dist: e.dist}, true
-		}
-		// Expand the non-item side with the higher level (ties: larger area).
-		expandA := false
+		a, b, la, lb := e.side[0], e.side[1], e.level[0], e.level[1]
 		switch {
-		case e.b.isItem():
-			expandA = true
-		case e.a.isItem():
-			expandA = false
-		case e.a.level != e.b.level:
-			expandA = e.a.level > e.b.level
+		case la == itemLevel:
+			return PairNeighbor{A: a.item(), B: b.item(), Dist: e.dist}, true
+		case la == 0 && lb == 0:
+			it.openBand(e)
+		case la > lb || la == lb && a.rect.Area() >= b.rect.Area():
+			it.expand(e, 0) // the side with the higher level (ties: larger area)
 		default:
-			expandA = e.a.rect.Area() >= e.b.rect.Area()
-		}
-		if expandA {
-			if it.expand(it.ta, e.a, e.b, false); it.err != nil {
-				return PairNeighbor{}, false
-			}
-		} else {
-			if it.expand(it.tb, e.b, e.a, true); it.err != nil {
-				return PairNeighbor{}, false
-			}
+			it.expand(e, 1)
 		}
 	}
 	return PairNeighbor{}, false
 }
 
-// expand reads the node side and pairs each of its entries with other.
-// When swapped is true, side belongs to tree tb (the B side of pairs).
-func (it *CPIterator) expand(t *Tree, side, other cpSide, swapped bool) {
-	n, err := t.readNode(pagefile.PageID(side.ref))
-	if err != nil {
-		it.err = err
+// node returns the entries of the node that e's given side points to, read
+// unless it is the node that side decoded last at that level: a leaf opened
+// against one partner after another, or band after band, is read once while
+// nothing else at its level comes between. nil after an I/O error.
+func (it *CPIterator) node(e cpEntry, side int) []entry {
+	id, level := pagefile.PageID(e.side[side].ref), int(e.level[side])
+	for level >= len(it.kept[side]) {
+		it.kept[side] = append(it.kept[side], cpNode{})
+	}
+	k := &it.kept[side][level]
+	if k.entries == nil || k.id != id {
+		n, err := it.t[side].readNodeInto(id, k.entries)
+		if err != nil {
+			it.err = err
+			return nil
+		}
+		k.id, k.entries = id, n.entries
+	}
+	return k.entries
+}
+
+// expand queues each child of the node on one side of e paired with the other
+// side.
+func (it *CPIterator) expand(e cpEntry, side int) {
+	for _, c := range it.node(e, side) {
+		child := e
+		child.side[side], child.level[side] = c, e.level[side]-1
+		child.dist = child.side[0].rect.MinDistRect(child.side[1].rect)
+		it.h.push(child)
+	}
+}
+
+// openBand queues the item pairs of two leaves that lie in the pair's next
+// distance band, through the join's plane sweep, and re-queues the pair at the
+// band's far edge. The first band starts at the pair's own mindist and is as
+// wide as the mean spacing of the item pairs, sqrt(area(a U b) / (|a|·|b|)),
+// so it holds a handful of them; the width doubles with every re-queue, which
+// keeps a long drain linear in its output. The rest is opened at once when the
+// width is zero (collinear or coincident items) or absorbed by the key, or
+// when the band reaches past the farthest possible pair.
+func (it *CPIterator) openBand(e cpEntry) {
+	as, bs := it.node(e, 0), it.node(e, 1)
+	if it.err != nil {
 		return
 	}
-	for _, c := range n.entries {
-		cs := cpSide{c, int32(n.level) - 1} // a leaf's entries are items
-		d := cs.rect.MinDistRect(other.rect)
-		if swapped {
-			it.h.push(cpEntry{dist: d, a: other, b: cs})
-		} else {
-			it.h.push(cpEntry{dist: d, a: cs, b: other})
-		}
+	ra, rb := e.side[0].rect, e.side[1].rect
+	lo, w := e.dist, e.width
+	if w == 0 {
+		// The first band has no lower edge to lose a pair to rounding.
+		lo, w = 0, math.Sqrt(ra.Union(rb).Area()/float64(len(as)*len(bs)))
+	}
+	hi := e.dist + w
+	if !(hi > e.dist) || hi > ra.MaxDistRect(rb) {
+		hi = math.Inf(1)
+	}
+	it.sw.pairs(as, bs, lo, hi, func(a, b entry, d float64) bool {
+		it.h.push(cpEntry{dist: d, side: [2]entry{a, b}, level: [2]int32{itemLevel, itemLevel}})
+		return true
+	})
+	if !math.IsInf(hi, 1) {
+		e.dist, e.width = hi, 2*w
+		it.h.push(e)
 	}
 }
 

@@ -3,9 +3,10 @@ package rtree
 // minHeap is this package's one priority queue: a binary heap of values
 // ordered by their own before method. It is typed, so the best-first
 // iterators push and pop their entries by value instead of boxing each one
-// into an interface, which is what made a closest-pair query allocate tens of
-// megabytes. The sift rules are container/heap's, so entries of equal
-// priority leave in the order they always did.
+// into an interface; how many entries a query queues is the iterator's
+// business (the closest-pair stream's banded leaf expansion). The sift rules
+// are container/heap's, so entries of equal priority leave in the order they
+// always did.
 type minHeap[T interface{ before(T) bool }] []T
 
 func (h *minHeap[T]) push(x T) {

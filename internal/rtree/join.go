@@ -1,7 +1,9 @@
 package rtree
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"repro/internal/pagefile"
 )
@@ -13,98 +15,127 @@ import (
 // candidate entries are matched with a plane sweep along x, as in the
 // original algorithm. The callback returns false to stop early.
 func JoinDistance(ta, tb *Tree, e float64, fn func(a, b Item) bool) error {
-	_, err := joinNodes(ta, tb, ta.root, tb.root, e, fn)
+	j := joiner{ta: ta, tb: tb, e: e, fn: fn}
+	_, err := j.nodes(ta.root, tb.root, 0)
 	return err
 }
 
-type sweepEntry struct {
-	ent  entry
-	from int // 0 = left tree, 1 = right tree
+// joiner is one JoinDistance call. The recursion runs inside the sweep's
+// callback, so every depth keeps its own decoded node pair and its own sweep,
+// allocated the first time the join gets that deep.
+type joiner struct {
+	ta, tb *Tree
+	e      float64
+	fn     func(a, b Item) bool
+	as, bs nodeStack
+	sw     []*sweeper
 }
 
-func joinNodes(ta, tb *Tree, pa, pb pagefile.PageID, e float64, fn func(a, b Item) bool) (bool, error) {
-	na, err := ta.readNode(pa)
+func (j *joiner) nodes(pa, pb pagefile.PageID, depth int) (cont bool, err error) {
+	na, err := j.as.read(j.ta, pa, depth)
 	if err != nil {
 		return false, err
 	}
-	nb, err := tb.readNode(pb)
+	nb, err := j.bs.read(j.tb, pb, depth)
 	if err != nil {
 		return false, err
 	}
-	switch {
-	case na.level > nb.level:
-		// Descend the deeper tree only.
-		for _, ea := range na.entries {
-			if ea.rect.MinDistRect(nb.mbr()) > e {
+	if na.level != nb.level {
+		// Descend the deeper tree only, against the other node's MBR.
+		deep, other, aDeeper := na, nb.mbr(), true
+		if nb.level > na.level {
+			deep, other, aDeeper = nb, na.mbr(), false
+		}
+		for _, c := range deep.entries {
+			if c.rect.MinDistRect(other) > j.e {
 				continue
 			}
-			cont, err := joinNodes(ta, tb, pagefile.PageID(ea.ref), pb, e, fn)
-			if err != nil || !cont {
+			ca, cb := pagefile.PageID(c.ref), pb
+			if !aDeeper {
+				ca, cb = pa, pagefile.PageID(c.ref)
+			}
+			if cont, err := j.nodes(ca, cb, depth+1); err != nil || !cont {
 				return cont, err
 			}
 		}
 		return true, nil
-	case nb.level > na.level:
-		for _, eb := range nb.entries {
-			if eb.rect.MinDistRect(na.mbr()) > e {
-				continue
-			}
-			cont, err := joinNodes(ta, tb, pa, pagefile.PageID(eb.ref), e, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
+	}
+	// Equal levels: sweep both entry lists along x. mindist <= e is the
+	// half-open interval that ends at the next float above e.
+	for depth >= len(j.sw) { // depths that only descended one tree have none yet
+		j.sw = append(j.sw, new(sweeper))
+	}
+	cont = j.sw[depth].pairs(na.entries, nb.entries, 0, math.Nextafter(j.e, math.Inf(1)), func(a, b entry, _ float64) bool {
+		if na.isLeaf() {
+			return j.fn(a.item(), b.item())
 		}
-		return true, nil
-	}
-	// Equal levels: sweep both entry lists along x.
-	pairs := sweepPairs(na.entries, nb.entries, e)
-	if na.isLeaf() {
-		for _, pr := range pairs {
-			if !fn(pr[0].item(), pr[1].item()) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	for _, pr := range pairs {
-		cont, err := joinNodes(ta, tb, pagefile.PageID(pr[0].ref), pagefile.PageID(pr[1].ref), e, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// sweepPairs returns the entry pairs (a, b) with mindist(a, b) <= e using a
-// forward plane sweep over the union of both entry lists sorted by MinX.
-func sweepPairs(as, bs []entry, e float64) [][2]entry {
-	all := make([]sweepEntry, 0, len(as)+len(bs))
-	for _, a := range as {
-		all = append(all, sweepEntry{ent: a, from: 0})
-	}
-	for _, b := range bs {
-		all = append(all, sweepEntry{ent: b, from: 1})
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		return all[i].ent.rect.MinX < all[j].ent.rect.MinX
+		cont, err = j.nodes(pagefile.PageID(a.ref), pagefile.PageID(b.ref), depth+1)
+		return cont && err == nil
 	})
-	var out [][2]entry
-	for i, s := range all {
-		limit := s.ent.rect.MaxX + e
-		for j := i + 1; j < len(all) && all[j].ent.rect.MinX <= limit; j++ {
-			o := all[j]
-			if o.from == s.from {
+	return cont, err
+}
+
+// sweeper is the forward plane sweep of [BKS93] over the entries of two nodes,
+// the one primitive under the e-distance join and the closest-pair stream.
+// keys is its scratch, reused from one sweep to the next.
+type sweeper struct {
+	keys []sweepKey
+}
+
+// sweepKey stands for one entry in the sweep order: its MinX and its position
+// in the first list followed by the second.
+type sweepKey struct {
+	minX float64
+	i    int32
+}
+
+// pairs calls fn with every pair (a of as, b of bs) whose mindist d lies in
+// [lo, hi), walking the union of both lists in MinX order (ties in list
+// order) and pairing each entry with the later ones that start less than hi
+// to its right. It returns false as soon as fn does.
+func (s *sweeper) pairs(as, bs []entry, lo, hi float64, fn func(a, b entry, d float64) bool) bool {
+	keys := s.keys[:0]
+	for i, a := range as {
+		keys = append(keys, sweepKey{a.rect.MinX, int32(i)})
+	}
+	for i, b := range bs {
+		keys = append(keys, sweepKey{b.rect.MinX, int32(len(as) + i)})
+	}
+	s.keys = keys
+	slices.SortFunc(keys, func(x, y sweepKey) int {
+		if x.minX != y.minX {
+			return cmp.Compare(x.minX, y.minX)
+		}
+		return int(x.i - y.i)
+	})
+	at := func(k sweepKey) (e entry, fromB bool) {
+		if i := int(k.i) - len(as); i >= 0 {
+			return bs[i], true
+		}
+		return as[k.i], false
+	}
+	for n, kp := range keys {
+		p, pFromB := at(kp)
+		for _, ko := range keys[n+1:] {
+			if !(ko.minX-p.rect.MaxX < hi) { // negated: a NaN bound pairs nothing
+				break
+			}
+			o, oFromB := at(ko)
+			if oFromB == pFromB {
 				continue
 			}
-			if s.ent.rect.MinDistRect(o.ent.rect) > e {
+			d := p.rect.MinDistRect(o.rect)
+			if d < lo || d >= hi {
 				continue
 			}
-			if s.from == 0 {
-				out = append(out, [2]entry{s.ent, o.ent})
-			} else {
-				out = append(out, [2]entry{o.ent, s.ent})
+			a, b := p, o
+			if pFromB {
+				a, b = o, p
+			}
+			if !fn(a, b, d) {
+				return false
 			}
 		}
 	}
-	return out
+	return true
 }

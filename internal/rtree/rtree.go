@@ -12,6 +12,19 @@
 //   - the e-distance R-tree join [BKS93], and
 //   - incremental closest pairs [HS98, CMTV00].
 //
+// The join and the closest-pair stream share one plane sweep over the
+// entries of two nodes (sweeper, join.go), taken over a half-open distance
+// interval. The closest-pair queue holds node pairs; two leaves are not
+// expanded into their |A|·|B| item pairs but opened in distance bands
+// (CPIterator.openBand): the item pairs in [key, key+width) are queued and the
+// leaf pair goes back at key+width with the width doubled. That is still the
+// [HS98] order — a band's pairs all have a key at least the popped one, and
+// the re-queued pair is a lower bound on everything it has not queued — but
+// not its page-access count: a leaf is read when a band of one of its pairs
+// opens, not once per item of the other leaf, so the data-tree page reads of
+// Figs 21-22 come out lower than with a one-sided expansion down to the
+// items, while candidates and results are the same.
+//
 // Trees are built either by repeated R* insertion or by STR/Hilbert bulk
 // loading.
 package rtree
@@ -341,20 +354,42 @@ func (t *Tree) Bounds() (geom.Rect, error) {
 	return n.mbr(), nil
 }
 
-// readNode deserializes the node stored on page id.
+// readNode deserializes the node stored on page id into entries of its own.
 func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
+	n, err := t.readNodeInto(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &n, nil
+}
+
+// readNodeInto is readNode decoding into buf's backing array (replaced when
+// too small): the read-only traversals visit many nodes per call and keep one
+// buffer per node they hold at a time instead of allocating one per visit.
+// The entries are still copied out of the page buffer's frame, which may be
+// evicted while the caller works on them.
+func (t *Tree) readNodeInto(id pagefile.PageID, buf []entry) (node, error) {
 	p, err := t.pf.ReadCounted(id, t.ioExtra)
 	if err != nil {
-		return nil, fmt.Errorf("rtree: read node %d: %w", id, err)
+		return node{}, fmt.Errorf("rtree: read node %d: %w", id, err)
 	}
 	level := binary.LittleEndian.Uint16(p[0:2])
 	count := int(binary.LittleEndian.Uint16(p[2:4]))
 	if count < 0 || nodeHeaderSize+count*entrySize > len(p) {
-		return nil, fmt.Errorf("rtree: corrupt node %d: count %d", id, count)
+		return node{}, fmt.Errorf("rtree: corrupt node %d: count %d", id, count)
 	}
-	n := &node{id: id, level: level, entries: make([]entry, count)}
+	if cap(buf) < count {
+		// A first buffer fits its node (most searches see a small root and a
+		// leaf or two); one that has to grow is made to fit any node.
+		size := count
+		if cap(buf) > 0 {
+			size = max(count, t.maxE)
+		}
+		buf = make([]entry, size)
+	}
+	n := node{id: id, level: level, entries: buf[:count]}
 	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
+	for i := range n.entries {
 		n.entries[i] = entry{
 			rect: geom.Rect{
 				MinX: f64(p[off:]), MinY: f64(p[off+8:]),

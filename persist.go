@@ -971,6 +971,15 @@ func (db *Database) checkpointLocked() error {
 	if err := s.brokenErr(); err != nil {
 		return s.degraded(err)
 	}
+	return db.foldWALLocked(ckptStart)
+}
+
+// foldWALLocked is steps 2-6 of checkpointLocked, for callers that hold the
+// updateMu write side over a quiescent WAL. It does not ask whether the
+// handle is poisoned: recovery runs it as its durability probe while every
+// observer still reads degraded.
+func (db *Database) foldWALLocked(ckptStart time.Time) error {
+	s := db.store
 	pageSize := s.fs.PageSize()
 
 	// held collects allocated-but-unusable pages (their ids have images in

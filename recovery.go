@@ -296,7 +296,6 @@ func (db *Database) recoverLocked() error {
 	s.obstDirty = true
 	s.lastCheckpointErr = nil
 	s.cmu.Lock()
-	s.broken = nil
 	s.durableSeq = seq
 	s.cmu.Unlock()
 	db.publishVersion()
@@ -304,12 +303,17 @@ func (db *Database) recoverLocked() error {
 	// Durability probe: fold the replayed WAL into the data file and
 	// truncate it. A checkpoint exercises page write-back, both data fsyncs
 	// and the WAL truncation, so passing it means the device genuinely
-	// accepts writes again; failing it re-poisons the handle and the next
+	// accepts writes again. The handle stays poisoned, with its first cause,
+	// until the probe has passed: Degraded, RecoveryStats, readiness and the
+	// mutation gate all read s.broken, so each flips once, here, and none can
+	// read healthy between two failed attempts. After a failed probe the next
 	// attempt starts over from the (unchanged) disk state.
-	if err := db.checkpointLocked(); err != nil {
-		s.poison(err)
+	if err := db.foldWALLocked(time.Now()); err != nil {
 		return fmt.Errorf("obstacles: recovery checkpoint: %w", err)
 	}
+	s.cmu.Lock()
+	s.broken = nil
+	s.cmu.Unlock()
 	return nil
 }
 
