@@ -28,11 +28,50 @@ func streetRects(rng *rand.Rand, n int) []geom.Rect {
 	return out
 }
 
-// diff drives a lazy graph (indexed pass) and an always fully materialised
-// oracle (reference pass: every obstacle by linear scan, no grid) through the
-// same operations; node ids coincide because both allocate slots the same
-// way. Batches grow the lazy graph's grid in place, past its bounds and past
-// twice its count, so every way the grid comes about is compared.
+// lShapes returns n pairwise-disjoint L-shaped polygons in [0,size]^2: the
+// boxes of disjointRects with one corner quadrant cut out, so every polygon
+// has one reflex vertex, where the notch's two sides meet.
+func lShapes(rng *rand.Rand, n int, size float64) []geom.Polygon {
+	var out []geom.Polygon
+	for _, r := range disjointRects(rng, n, size) {
+		cx := r.MinX + (0.25+rng.Float64()/2)*r.Width()
+		cy := r.MinY + (0.25+rng.Float64()/2)*r.Height()
+		// The box's corners counter-clockwise from (MinX, MinY); corner k is
+		// replaced by the notch's three vertices, in the same order: one on
+		// the side arriving at the corner, the reflex one, one on the side
+		// leaving it.
+		c := r.Vertices()
+		k := rng.Intn(4)
+		var v []geom.Point
+		for i, p := range c {
+			switch {
+			case i != k:
+				v = append(v, p)
+			case c[(i+3)%4].X == p.X: // arriving side vertical
+				v = append(v, geom.Pt(p.X, cy), geom.Pt(cx, cy), geom.Pt(cx, p.Y))
+			default:
+				v = append(v, geom.Pt(cx, p.Y), geom.Pt(cx, cy), geom.Pt(p.X, cy))
+			}
+		}
+		out = append(out, geom.MustPolygon(v))
+	}
+	return out
+}
+
+// Scene kinds of the lazy-graph fuzzer.
+const (
+	sceneRandom  = iota // disjoint rectangles
+	sceneStreet         // streetRects: touching, collinear, shared corners
+	sceneConcave        // lShapes: reflex vertices
+	numScenes
+)
+
+// diff drives a lazy graph (indexed, pruned pass) and an always fully
+// materialised oracle (reference pass: every obstacle by linear scan, no grid,
+// no tangent filter) through the same operations; node ids coincide because
+// both allocate slots the same way. Batches grow the lazy graph's grid in
+// place, past its bounds and past twice its count, so every way the grid comes
+// about is compared.
 type diff struct {
 	t            *testing.T
 	lazy, oracle *Graph
@@ -42,24 +81,33 @@ type diff struct {
 	points       []NodeID     // live entities and terminals
 }
 
-func newDiff(t *testing.T, seed int64, street bool) *diff {
+func newDiff(t *testing.T, seed int64, scene uint8) *diff {
 	rng := rand.New(rand.NewSource(seed))
-	var rects []geom.Rect
+	var polys []geom.Polygon
 	size := 100.0
-	if street {
-		rects, size = streetRects(rng, 16), 70
-	} else {
-		rects = disjointRects(rng, 16, size)
+	switch scene % numScenes {
+	case sceneRandom:
+		for _, r := range disjointRects(rng, 16, size) {
+			polys = append(polys, geom.RectPolygon(r))
+		}
+	case sceneStreet:
+		size = 70
+		for _, r := range streetRects(rng, 16) {
+			polys = append(polys, geom.RectPolygon(r))
+		}
+	case sceneConcave:
+		polys = lShapes(rng, 12, size)
 	}
 	d := &diff{t: t}
-	for i, r := range rects {
-		d.pool = append(d.pool, rectObstacle(int64(i), r))
-		// Points on the boundary: a corner (coincident with a vertex) and a
-		// side midpoint.
-		d.pts = append(d.pts, geom.Pt(r.MinX, r.MinY), geom.Pt((r.MinX+r.MaxX)/2, r.MaxY))
+	for i, pg := range polys {
+		d.pool = append(d.pool, Obstacle{ID: int64(i), Poly: pg})
+		// Points on the boundary: a vertex (coincident with a vertex node) and
+		// a side midpoint.
+		e := pg.Edge(2)
+		d.pts = append(d.pts, pg.Vertex(0), e.A.Add(e.B).Scale(0.5))
 	}
 	for i := 0; i < 12; i++ {
-		d.pts = append(d.pts, freePoint(rng, rects, size))
+		d.pts = append(d.pts, freeOf(rng, polys, size))
 	}
 	first := rng.Intn(6)
 	d.lazy = Build(Options{UseSweep: true}, d.pool[:first])
@@ -67,6 +115,23 @@ func newDiff(t *testing.T, seed int64, street bool) *diff {
 	d.added, d.pool = d.pool[:first:first], d.pool[first:]
 	materialise(d.oracle)
 	return d
+}
+
+// freeOf samples a point in [0,size]^2 not strictly inside any polygon.
+func freeOf(rng *rand.Rand, polys []geom.Polygon, size float64) geom.Point {
+	for {
+		p := geom.Pt(rng.Float64()*size, rng.Float64()*size)
+		inside := false
+		for _, pg := range polys {
+			if pg.ContainsStrict(p) {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			return p
+		}
+	}
 }
 
 // node picks a live node, point nodes twice as often as obstacle vertices.
@@ -129,15 +194,16 @@ func (d *diff) step(op, a, b byte) {
 			}
 			return n != to
 		})
+		var path []NodeID
+		got := math.Inf(1)
 		if op%8 == 4 {
-			if got := d.lazy.ObstructedDist(from, to); got != want {
-				t.Fatalf("ObstructedDist(%d, %d): lazy %v, oracle %v", from, to, got, want)
-			}
-			return
+			got = d.lazy.ObstructedDist(from, to)
+		} else {
+			path, got = d.lazy.ShortestPath(from, to)
 		}
-		path, got := d.lazy.ShortestPath(from, to)
-		if got != want {
-			t.Fatalf("ShortestPath(%d, %d): lazy %v, oracle %v", from, to, got, want)
+		d.checkDist(from, to, got, want)
+		if op%8 == 4 {
+			return
 		}
 		if math.IsInf(got, 1) {
 			if path != nil {
@@ -172,21 +238,32 @@ func (d *diff) step(op, a, b byte) {
 			n    NodeID
 			dist float64
 		}
+		// The rooted subsequences must be equal, visit for visit; every other
+		// node the lazy graph reaches the oracle reaches no farther away.
 		var want, got []visit
+		reached := make(map[NodeID]float64)
 		d.oracle.Expand(from, bound, func(n NodeID, dist float64) bool {
-			want = append(want, visit{n, dist})
+			reached[n] = dist
+			if d.rooted(from, n) {
+				want = append(want, visit{n, dist})
+			}
 			return true
 		})
 		d.lazy.Expand(from, bound, func(n NodeID, dist float64) bool {
-			got = append(got, visit{n, dist})
+			if d.rooted(from, n) {
+				got = append(got, visit{n, dist})
+			}
+			if w, ok := reached[n]; !ok || dist < w {
+				t.Fatalf("Expand(%d, %v): lazy reached %d at %v, oracle at %v (reached: %v)", from, bound, n, dist, w, ok)
+			}
 			return true
 		})
 		if len(got) != len(want) {
-			t.Fatalf("Expand(%d, %v): lazy visited %d nodes, oracle %d", from, bound, len(got), len(want))
+			t.Fatalf("Expand(%d, %v): lazy visited %d rooted nodes, oracle %d", from, bound, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("Expand(%d, %v) visit %d: lazy %v, oracle %v", from, bound, i, got[i], want[i])
+				t.Fatalf("Expand(%d, %v) rooted visit %d: lazy %v, oracle %v", from, bound, i, got[i], want[i])
 			}
 		}
 	}
@@ -196,9 +273,35 @@ func (d *diff) step(op, a, b byte) {
 	d.checkAdjacency()
 }
 
+// rooted reports whether the distance between a and b is one the pruned graph
+// keeps exact: a terminal at one end and no bare obstacle vertex at the other.
+// The others (a vertex node's distance, an entity-to-entity detour) may only
+// rise.
+func (d *diff) rooted(a, b NodeID) bool {
+	ka, kb := d.lazy.nodes[a].kind, d.lazy.nodes[b].kind
+	return (ka == TerminalNode || kb == TerminalNode) && ka != VertexNode && kb != VertexNode
+}
+
+// checkDist compares a lazy distance with the oracle's: equal when rooted,
+// never lower otherwise (the lazy graph's edges are a subset of the oracle's).
+func (d *diff) checkDist(from, to NodeID, got, want float64) {
+	if d.rooted(from, to) && got != want || got < want {
+		d.t.Fatalf("distance %d-%d (kinds %d, %d): lazy %v, oracle %v",
+			from, to, d.lazy.nodes[from].kind, d.lazy.nodes[to].kind, got, want)
+	}
+}
+
+// bitangent is the production pass's filter as complete writes it out: the
+// tangent test at both ends of the segment between a and b.
+func bitangent(a, b *gnode) bool {
+	d := b.pt.Sub(a.pt)
+	m := tangentSlack * (math.Abs(d.X) + math.Abs(d.Y))
+	return a.tangent(d, m) && b.tangent(d, m)
+}
+
 // checkAdjacency is the lazy invariant: every materialised edge is an oracle
-// edge, and a node whose stamp says it is up to date has exactly the
-// oracle's neighbours.
+// edge that passes the tangent test, and a node whose stamp says it is up to
+// date has exactly the oracle's neighbours that pass it.
 func (d *diff) checkAdjacency() {
 	for id := range d.lazy.nodes {
 		n := &d.lazy.nodes[id]
@@ -207,25 +310,29 @@ func (d *diff) checkAdjacency() {
 		}
 		want := make(map[NodeID]bool)
 		for _, he := range d.oracle.nodes[id].adj {
-			want[he.To] = true
+			if bitangent(n, &d.lazy.nodes[he.To]) {
+				want[he.To] = true
+			}
 		}
 		for _, he := range n.adj {
 			if !want[he.To] {
-				d.t.Fatalf("lazy edge %d-%d (%v-%v) is not in the oracle", id, he.To, n.pt, d.lazy.nodes[he.To].pt)
+				d.t.Fatalf("lazy edge %d-%d (%v-%v) is not a bitangent oracle edge", id, he.To, n.pt, d.lazy.nodes[he.To].pt)
 			}
 		}
 		if int(n.seen) == len(d.lazy.verts) && len(n.adj) != len(want) {
-			d.t.Fatalf("node %d is stamped complete with %d neighbours, oracle has %d", id, len(n.adj), len(want))
+			d.t.Fatalf("node %d is stamped complete with %d neighbours, oracle has %d bitangent ones", id, len(n.adj), len(want))
 		}
 	}
 }
 
 // FuzzLazyMatchesOracle interleaves Build / AddObstacles / AddTerminal /
 // AddEntity / DeleteEntity (freed slots are reused by whatever node comes
-// next) with ObstructedDist, ShortestPath and bounded Expand, on random and
-// on street scenes, and requires the lazy indexed graph to answer exactly as
-// the fully materialised reference one: equal distances, equal Expand visit
-// order, and paths whose legs are mutually visible and sum to their length.
+// next) with ObstructedDist, ShortestPath and bounded Expand, on random,
+// street and concave scenes. The lazy indexed graph holds only bitangent
+// edges, so it must answer exactly as the fully materialised reference one
+// where a terminal is at one end and no bare vertex at the other — equal
+// distances, equal Expand visit order among those nodes — and never closer
+// anywhere; its paths' legs are mutually visible and sum to their length.
 func FuzzLazyMatchesOracle(f *testing.F) {
 	// One program per seed scene: grow-search-grow-search with deletions in
 	// between, then sweeps of every query kind.
@@ -235,11 +342,12 @@ func FuzzLazyMatchesOracle(f *testing.F) {
 		0, 3, 3, 4, 1, 5, 7, 4, 90, 6, 3, 0, 0, 2, 1, 5, 6, 9, 4, 12, 2,
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(seed, false, program)
-		f.Add(seed, true, program)
+		for scene := uint8(0); scene < numScenes; scene++ {
+			f.Add(seed, scene, program)
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, street bool, prog []byte) {
-		d := newDiff(t, seed, street)
+	f.Fuzz(func(t *testing.T, seed int64, scene uint8, prog []byte) {
+		d := newDiff(t, seed, scene)
 		for i := 0; i+2 < len(prog) && i < 3*48; i += 3 {
 			d.step(prog[i], prog[i+1], prog[i+2])
 		}

@@ -1,9 +1,24 @@
 // Package visgraph implements local visibility graphs over polygonal
 // obstacles, the machinery behind obstructed-distance computation (Sections
-// 3-6 of the paper). Nodes are obstacle vertices plus query/entity points;
-// two nodes are connected iff they are mutually visible, i.e. the open
-// segment between them crosses no obstacle interior. Shortest paths in this
-// graph realize the obstructed distance [LW79].
+// 3-6 of the paper). Nodes are obstacle vertices plus query/entity points
+// (terminals and entities). Two nodes are connected iff they are mutually
+// visible — the open segment between them crosses no obstacle interior — and
+// the segment is tangent to the obstacle at each end that is an obstacle
+// vertex: the vertex's two boundary edges do not lie strictly on opposite
+// sides of its line. Entities are never connected to each other.
+//
+// That is a stated deviation from the paper's full visibility graph, and it
+// keeps every distance a caller reads exact. A shortest obstacle-avoiding path
+// between two points bends only at convex vertices it wraps around [LW79], so
+// every edge it uses is tangent at its vertex ends, and shortest paths in this
+// graph realize the obstructed distance between a terminal and any terminal
+// or entity. Two kinds of distance may exceed the full graph's and no caller
+// reads either: that of a bare vertex node (the last edge into a vertex need
+// not be tangent there), and entity to entity (already a detour through
+// vertices, since entity-entity edges are absent). Only the pairs that pass the
+// tangent test — four multiplications per vertex end, on boundary directions
+// AddObstacles stores with each vertex — are asked Visible at all: about a
+// quarter of the vertex pairs of a street world, which halves a full pass.
 //
 // Adjacency is lazy. Build and AddObstacles only create vertex nodes; a
 // node's visible set is computed by one visibility pass the first time a
@@ -20,11 +35,12 @@
 // immediately), and DeleteEntity removes a point once its distance
 // computation is done.
 //
-// There is one visibility pass: every live candidate is tested with the exact
-// predicate Visible (geom.Polygon.BlocksSegment against the obstacles near
-// the segment), which is right for touching and for overlapping obstacles.
-// Visible finds those obstacles in a uniform grid over their bounding boxes
-// (grid.go), sized from the obstacle set itself. This is a stated deviation
+// There is one visibility pass: every live bitangent candidate is tested with
+// the exact predicate Visible (geom.Polygon.BlocksSegment against the
+// obstacles near the segment), which is right for touching and for
+// overlapping obstacles. Visible finds those obstacles in a uniform grid over
+// their bounding boxes (grid.go), sized from the obstacle set itself. This is
+// a stated deviation
 // from the paper, which builds its graphs with the rotational plane sweep of
 // [SS84]: entities sit on obstacle boundaries, so every pair a sweep accepts
 // has to be confirmed by the exact test anyway, and once that test is cheap
@@ -35,7 +51,11 @@
 // rather than kept beside it.
 package visgraph
 
-import "repro/internal/geom"
+import (
+	"math"
+
+	"repro/internal/geom"
+)
 
 // NodeID identifies a node of a Graph. IDs are stable across deletions.
 type NodeID int
@@ -62,9 +82,11 @@ type Options struct {
 	// UseSweep selects the visibility pass, and keeps the name it had when
 	// the choice was the [SS84] sweep because the benchmark's probe sets it
 	// (ROADMAP item 1 renames it there and here together). True is the one
-	// production pass: Visible through the obstacle grid. False is the
-	// reference pass that only tests use as their oracle: every pair against
-	// every obstacle by linear scan, no grid and no shortcut.
+	// production pass: the tangent filter, then Visible through the obstacle
+	// grid, so edges are bitangent (see the package doc for which distances
+	// that keeps exact). False is the reference pass that only tests use as
+	// their oracle: every pair against every obstacle by linear scan, no
+	// filter, no grid and no shortcut — the paper's full visibility graph.
 	UseSweep bool
 	// Metrics, when non-nil, accumulates work counters across every graph
 	// built with these options. A query session shares one Metrics across
@@ -92,7 +114,8 @@ type Metrics struct {
 	Builds uint64
 	// Sweeps counts visibility passes: one per node the first time a search
 	// expands it, one per AddEntity/AddTerminal — the dominant cost of
-	// distance computation.
+	// distance computation. A pass tests every live candidate against the
+	// tangent filter and asks Visible only about those that pass (complete).
 	Sweeps uint64
 }
 
@@ -117,10 +140,14 @@ type gnode struct {
 	kind  Kind
 	alive bool
 	// seen is how many obstacle vertices (in g.verts order) adj accounts for:
-	// adj holds exactly the visible nodes among entities, terminals and
+	// adj holds exactly the edges (see complete) among entities, terminals and
 	// verts[:seen]. -1 until the node's first visibility pass.
 	seen int32
 	adj  []HalfEdge
+	// prev and next are an obstacle vertex's two boundary directions, toward
+	// the polygon's previous and next vertex, scaled to unit L1 length; zero
+	// for a point node, which makes every line tangent to it.
+	prev, next geom.Point
 }
 
 // Graph is a dynamic visibility graph. It is not safe for concurrent use.
@@ -275,8 +302,13 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 		}
 		g.obstIDs[ob.ID] = len(g.obstacles)
 		g.obstacles = append(g.obstacles, ob.Poly)
-		for _, v := range ob.Poly.Vertices() {
-			g.verts = append(g.verts, g.newNode(v, VertexNode))
+		vs := ob.Poly.Vertices()
+		for i, v := range vs {
+			id := g.newNode(v, VertexNode)
+			n := &g.nodes[id]
+			n.prev = unitL1(vs[(i+len(vs)-1)%len(vs)].Sub(v))
+			n.next = unitL1(vs[(i+1)%len(vs)].Sub(v))
+			g.verts = append(g.verts, id)
 		}
 	}
 	fresh := g.obstacles[first:]
@@ -313,7 +345,10 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 
 // AddEntity adds a data point, connecting it to visible obstacle vertices
 // and terminals but not to other entities (a shortest path never bends at an
-// entity, so entity-entity edges cannot change any distance).
+// entity, so entity-entity edges cannot change any terminal's distance). Its
+// edges to vertices are the bitangent ones, which keeps its distance from
+// every terminal exact; its graph distance to another entity is a detour
+// through vertices, not an obstructed distance.
 func (g *Graph) AddEntity(p geom.Point) NodeID {
 	id := g.newNode(p, EntityNode)
 	g.complete(id)
@@ -321,7 +356,9 @@ func (g *Graph) AddEntity(p geom.Point) NodeID {
 }
 
 // AddTerminal adds a query endpoint, connecting it to every visible node
-// including entities (paths start or end here, so direct edges matter).
+// including entities (paths start or end here, so direct edges matter) —
+// to a vertex only where the edge is tangent at that vertex. Distances from
+// a terminal to terminals and entities are exact.
 func (g *Graph) AddTerminal(p geom.Point) NodeID {
 	id := g.newNode(p, TerminalNode)
 	g.complete(id)
@@ -334,35 +371,77 @@ func (g *Graph) AddTerminal(p geom.Point) NodeID {
 // (blocked edges were already removed when the obstacles arrived). Edges go
 // in symmetrically, so completing u never leaves a completed neighbour
 // incomplete.
+//
+// The production pass asks Visible only about bitangent candidates (the
+// tangent test at both ends, written out in the loop because a call per
+// candidate costs more than the test), so its edges are the pairs that are
+// mutually visible and tangent at every vertex end; the reference pass asks
+// about every candidate and keeps the full visibility graph. See the package
+// doc for which distances that keeps exact.
 func (g *Graph) complete(u NodeID) {
-	visible := g.visibleLinear
+	visible, prune := g.visibleLinear, false
 	if g.opts.UseSweep {
-		visible = g.Visible
+		visible, prune = g.Visible, true
 	}
 	n := &g.nodes[u]
-	if n.seen < 0 {
-		if g.opts.Metrics != nil {
-			g.opts.Metrics.Sweeps++
+	// The candidates: every node on a first pass, verts[lo:] on a top-up.
+	top := n.seen >= 0
+	lo, hi := 0, len(g.nodes)
+	if top {
+		lo, hi = int(n.seen), len(g.verts)
+	} else if g.opts.Metrics != nil {
+		g.opts.Metrics.Sweeps++
+	}
+	for k := lo; k < hi; k++ {
+		id := NodeID(k)
+		if top {
+			id = g.verts[k]
 		}
-		for i := range g.nodes {
-			v := &g.nodes[i]
-			// A shortest path never bends at an entity, so entities skip
-			// each other.
-			if !v.alive || NodeID(i) == u || (n.kind == EntityNode && v.kind == EntityNode) {
+		v := &g.nodes[id]
+		// A shortest path never bends at an entity, so entities skip each
+		// other.
+		if !v.alive || id == u || (n.kind == EntityNode && v.kind == EntityNode) {
+			continue
+		}
+		if prune {
+			d := v.pt.Sub(n.pt)
+			m := tangentSlack * (math.Abs(d.X) + math.Abs(d.Y))
+			if !n.tangent(d, m) || !v.tangent(d, m) {
 				continue
 			}
-			if visible(n.pt, v.pt) {
-				g.addEdge(u, NodeID(i))
-			}
 		}
-	} else {
-		for _, v := range g.verts[n.seen:] {
-			if visible(n.pt, g.nodes[v].pt) {
-				g.addEdge(u, v)
-			}
+		if visible(n.pt, v.pt) {
+			g.addEdge(u, id)
 		}
 	}
 	n.seen = int32(len(g.verts))
+}
+
+// tangentSlack is the tangent test's margin relative to the two directions'
+// L1 lengths: far above float64 rounding in a cross product (about 1e-16 of
+// the same), so a pair the test drops is decided by the geometry, not by
+// rounding, and a near-collinear one is kept for Visible to decide.
+const tangentSlack = 1e-9
+
+// tangent reports whether the line through n of direction d is tangent to n's
+// obstacle at n: n's two boundary directions do not lie one above m and the
+// other below -m in cross product with d, i.e. strictly on opposite sides of
+// the line. A shortest path between points bends only at convex vertices it
+// wraps around [LW79], and an edge that fails the test at a vertex end either
+// turns into the obstacle there or passes the vertex without wrapping it, so
+// no such path uses it. A point node has zero directions and passes. The test
+// gives the same answer for -d, so it is symmetric in the edge's two ends.
+func (n *gnode) tangent(d geom.Point, m float64) bool {
+	c1 := d.X*n.prev.Y - d.Y*n.prev.X
+	c2 := d.X*n.next.Y - d.Y*n.next.X
+	return !(c1 > m && c2 < -m || c1 < -m && c2 > m)
+}
+
+// unitL1 scales d to unit L1 length, so the tangent test's margin is relative
+// to the segment alone.
+func unitL1(d geom.Point) geom.Point {
+	l := math.Abs(d.X) + math.Abs(d.Y)
+	return geom.Pt(d.X/l, d.Y/l)
 }
 
 // DeleteEntity removes an entity or terminal node and its incident edges

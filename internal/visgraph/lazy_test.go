@@ -175,17 +175,19 @@ func TestGoalDirectedSettlesFewer(t *testing.T) {
 }
 
 // TestInterruptPolledBeforeEverySweep: a settle can cost a whole sweep, so
-// cancellation must not wait for the 64-settle stride.
+// cancellation must not wait for the 64-settle stride. The scene is a
+// serpentine of three walls: every path from a to b bends at two corners of
+// each, and a search reaches b only after sweeping every bend, so with
+// fewer than four passes allowed it cannot finish first.
 func TestInterruptPolledBeforeEverySweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	rects := disjointRects(rng, 30, 200)
+	rects := []geom.Rect{geom.R(0, 50, 150, 52), geom.R(50, 100, 200, 102), geom.R(0, 150, 150, 152)}
 	for allowed := 0; allowed < 4; allowed++ {
 		var m Metrics
 		polls := 0
 		g := buildWith(true, rects)
 		g.Retarget(&m, func() bool { polls++; return polls > allowed })
-		a := g.AddTerminal(geom.Pt(-5, -5))
-		b := g.AddTerminal(geom.Pt(205, 205))
+		a := g.AddTerminal(geom.Pt(20, 20))
+		b := g.AddTerminal(geom.Pt(20, 180))
 		m = Metrics{}
 		if d := g.ObstructedDist(a, b); !math.IsInf(d, 1) {
 			t.Fatalf("interrupted search returned %v", d)

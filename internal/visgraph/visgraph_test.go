@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 )
 
@@ -458,4 +459,86 @@ func TestEntityAtObstacleCorner(t *testing.T) {
 			t.Errorf("sweep=%v: corner entity dist = %v, want %v", sweep, d, want)
 		}
 	}
+}
+
+// TestBitangentKeepsShortestPaths: on the degenerate configurations street
+// data is made of, the pruned production graph and the unpruned reference
+// graph agree on every terminal-to-terminal distance. Terminals sit on every
+// vertex, on every side's midpoint and at a few free points.
+func TestBitangentKeepsShortestPaths(t *testing.T) {
+	rects := func(rs ...geom.Rect) []geom.Polygon {
+		out := make([]geom.Polygon, len(rs))
+		for i, r := range rs {
+			out[i] = geom.RectPolygon(r)
+		}
+		return out
+	}
+	var checkerboard []geom.Rect
+	for i := 0; i < 4; i++ {
+		for j := i % 2; j < 4; j += 2 {
+			checkerboard = append(checkerboard, geom.R(10*float64(i), 10*float64(j), 10*float64(i+1), 10*float64(j+1)))
+		}
+	}
+	cases := []struct {
+		name  string
+		polys []geom.Polygon
+		free  []geom.Point
+	}{
+		{"diagonal shared corners", rects(checkerboard...),
+			[]geom.Point{{X: 15, Y: 5}, {X: 5, Y: 35}, {X: 35, Y: 25}, {X: 25, Y: 15}, {X: -5, Y: 45}, {X: 45, Y: -5}}},
+		{"T-junction", rects(geom.R(0, 0, 30, 4), geom.R(13, 4, 17, 20)),
+			[]geom.Point{{X: 5, Y: 10}, {X: 25, Y: 10}, {X: 15, Y: -5}, {X: 15, Y: 25}}},
+		{"collinear end-to-end chain", rects(geom.R(0, 0, 10, 2), geom.R(10, 0, 20, 2), geom.R(20, 0, 30, 2), geom.R(30, 2, 32, 12)),
+			[]geom.Point{{X: 5, Y: -4}, {X: 25, Y: 6}, {X: 40, Y: 1}, {X: -5, Y: 2}}},
+		{"L-shaped reflex vertex", []geom.Polygon{geom.MustPolygon([]geom.Point{
+			{X: 0, Y: 0}, {X: 20, Y: 0}, {X: 20, Y: 8}, {X: 8, Y: 8}, {X: 8, Y: 20}, {X: 0, Y: 20}})},
+			[]geom.Point{{X: 15, Y: 15}, {X: 12, Y: 30}, {X: 30, Y: 12}, {X: -3, Y: 10}, {X: 10, Y: -3}, {X: 25, Y: 25}}},
+		{"coincident vertices", rects(geom.R(0, 0, 10, 5), geom.R(0, 5, 10, 10), geom.R(10, 10, 20, 20), geom.R(10, -6, 16, 0)),
+			[]geom.Point{{X: 15, Y: 5}, {X: 5, Y: 15}, {X: -5, Y: 5}, {X: 25, Y: 15}, {X: 5, Y: -5}}},
+	}
+	for _, tc := range cases {
+		var obs []Obstacle
+		pts := tc.free
+		for i, pg := range tc.polys {
+			obs = append(obs, Obstacle{ID: int64(i), Poly: pg})
+			for j := range pg.NumVertices() {
+				e := pg.Edge(j)
+				pts = append(pts, e.A, e.A.Add(e.B).Scale(0.5))
+			}
+		}
+		// Two terminals at a time: a third could stand in for the vertex
+		// node it sits on.
+		pruned, full := Build(Options{UseSweep: true}, obs), Build(Options{UseSweep: false}, obs)
+		dist := func(g *Graph, a, b geom.Point) float64 {
+			na, nb := g.AddTerminal(a), g.AddTerminal(b)
+			defer g.DeleteEntity(na)
+			defer g.DeleteEntity(nb)
+			return g.ObstructedDist(na, nb)
+		}
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if got, want := dist(pruned, pts[i], pts[j]), dist(full, pts[i], pts[j]); got != want {
+					t.Errorf("%s: dist(%v, %v) pruned %v, reference %v", tc.name, pts[i], pts[j], got, want)
+				}
+			}
+		}
+	}
+
+	// On a street world the filter must actually drop edges.
+	world := dataset.Generate(dataset.DefaultConfig(77, 120))
+	obs := make([]Obstacle, len(world.Polys))
+	for i, pg := range world.Polys {
+		obs[i] = Obstacle{ID: int64(i), Poly: pg}
+	}
+	pruned, full := Build(Options{UseSweep: true}, obs), Build(Options{UseSweep: false}, obs)
+	for _, p := range world.Entities(world.EntityRand(1), 12) {
+		pruned.AddTerminal(p)
+		full.AddTerminal(p)
+	}
+	materialise(pruned)
+	materialise(full)
+	if pruned.NumEdges() >= full.NumEdges() {
+		t.Fatalf("street world: pruned graph has %d edges, reference %d", pruned.NumEdges(), full.NumEdges())
+	}
+	t.Logf("street world: %d of %d reference edges are bitangent", pruned.NumEdges(), full.NumEdges())
 }

@@ -13,9 +13,6 @@ import (
 
 // ScrubReport is the result of one Scrub pass over the data file.
 type ScrubReport struct {
-	// Checksummed reports that the pass verified per-page checksums; always
-	// true for a completed pass (every supported file carries them).
-	Checksummed bool `json:"checksummed"`
 	// Scanned is the number of pages verified; Live how many of them are
 	// reachable from the live trees and catalog blobs.
 	Scanned int `json:"scanned"`
@@ -57,7 +54,7 @@ func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 		return ScrubReport{}, ErrNotPersistent
 	}
 	start := time.Now()
-	rep := ScrubReport{Checksummed: true}
+	var rep ScrubReport
 
 	// Snapshot the live page set under the read lock: no checkpoint or
 	// mutator can move pages while it is held, so the set is one consistent
