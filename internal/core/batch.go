@@ -31,19 +31,17 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 	if len(targets) == 0 {
 		return dists, st, nil
 	}
-	buriedSrc, err := s.InsideObstacle(source)
-	if err != nil {
-		return nil, st, err
-	}
 	f := s.newField(c, source, 0, &st)
 	f.reserve(len(targets))
 	// idx maps each target to its field target; coincident targets share one
-	// graph node, and a target at an unburied source needs none: dO(p, p) = 0.
+	// graph node, and a target at the source needs none: dO(p, p) is 0, or
+	// +Inf when p is buried.
 	idx := make([]int, len(targets))
 	at := make(map[geom.Point]int, len(targets))
+	atSource := false
 	for i, t := range targets {
-		if t.Eq(source) && !buriedSrc {
-			idx[i] = -1
+		if t.Eq(source) {
+			idx[i], atSource = -1, true
 			continue
 		}
 		j, ok := at[t]
@@ -53,10 +51,19 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 		}
 		idx[i] = j
 	}
-	err = f.certify()
+	err := f.certify(math.Inf(1))
+	self := 0.0
+	if err == nil && atSource {
+		var buried bool
+		if buried, err = f.buried(source); buried {
+			self = math.Inf(1)
+		}
+	}
 	for i, j := range idx {
 		if j >= 0 {
 			dists[i] = f.targets[j].dist
+		} else {
+			dists[i] = self
 		}
 	}
 	f.close()

@@ -555,6 +555,26 @@ type Stats struct {
 	// every dataset tree it touched (PhysicalReads are the paper's "page
 	// accesses").
 	IO pagefile.Stats
+	// ObstReads is the obstacle tree's share of IO.PhysicalReads, split by
+	// the caller that read.
+	ObstReads ObstacleReads
+}
+
+// ObstacleReads splits a query's obstacle-tree page accesses by caller.
+type ObstacleReads struct {
+	// PointQuery is InsideObstacle: ONN's check of its query point, and a
+	// field's buried check of a point outside the disk it has scanned.
+	PointQuery uint64
+	// Scan is a field's opening range query: the initial obstacle range of
+	// Figs 5, 7 and 9.
+	Scan uint64
+	// Enlarge is Fig 8's range enlargements, with the one read of the tree's
+	// bounds that caps the doubling for a disconnected target.
+	Enlarge uint64
+}
+
+func (r ObstacleReads) add(o ObstacleReads) ObstacleReads {
+	return ObstacleReads{r.PointQuery + o.PointQuery, r.Scan + o.Scan, r.Enlarge + o.Enlarge}
 }
 
 // Merge folds another call's counters into st — the one merge rule shared
@@ -570,6 +590,7 @@ func (st *Stats) Merge(rst Stats) {
 	st.GraphBuilds += rst.GraphBuilds
 	st.Sweeps += rst.Sweeps
 	st.IO = st.IO.Add(rst.IO)
+	st.ObstReads = st.ObstReads.add(rst.ObstReads)
 	if rst.GraphNodes > st.GraphNodes {
 		st.GraphNodes, st.GraphEdges = rst.GraphNodes, rst.GraphEdges
 	}

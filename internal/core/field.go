@@ -11,13 +11,21 @@ import (
 // field is the one refinement step under every query verb: the obstructed
 // distances from one source point to target points, over a local visibility
 // graph that holds every obstacle within a radius of the source and grows
-// when a distance demands it (compute_obstructed_distance, Fig 8). It owns
-// every graph node a query adds and removes; the verbs above it own the
-// candidate streams and their stopping rules.
+// when a distance demands it (compute_obstructed_distance, Fig 8), or — when
+// the verb only needs to know whether a distance is below a bound — just far
+// enough to decide that (certify). It owns every graph node a query adds and
+// removes; the verbs above it own the candidate streams and their stopping
+// rules.
 //
-// A field is lazy: it acquires its graph the first time an operation needs
-// one, so a verb whose endpoints turn out to be buried in obstacles scans
-// nothing. It is per-call state, owned by one session.
+// A field is lazy: it scans its obstacles the first time an operation needs
+// them, and builds its graph over them only when some target is left to
+// measure. It is per-call state, owned by one session.
+//
+// Whether a point is buried — strictly inside an obstacle, so it reaches
+// nothing — is decided from the obstacles the field already holds whenever
+// the point lies within the disk they were scanned over (buried). The paper
+// has no such check; here it reads only what the field lacks, so a buried
+// source costs the opening scan, not an R-tree point query.
 type field struct {
 	s  *Session
 	st *Stats // the verb's counters: Fig 8 invocations and the graph-size high-water land here
@@ -190,6 +198,48 @@ func (f *field) settle(bound float64, visit func(i int, d float64)) error {
 	return f.expand(bound, visit)
 }
 
+// buried reports whether p lies strictly inside an obstacle. Once the field
+// has scanned, and p is within searched of the center, the field's own
+// obstacles answer (inside): an obstacle that strictly contains such a p
+// intersects the scanned disk, so the field holds it. Any other point costs
+// an obstacle R-tree point query.
+func (f *field) buried(p geom.Point) (bool, error) {
+	if f.scanned && f.center.Dist(p) <= f.searched {
+		return f.inside(p), nil
+	}
+	inside, err := f.s.InsideObstacle(p)
+	return inside, f.fail(err)
+}
+
+// sourceBuried runs the opening scan and reports whether the center is
+// buried, which the scanned obstacles always answer.
+func (f *field) sourceBuried() (bool, error) {
+	if err := f.scan(); err != nil {
+		return false, err
+	}
+	return f.buried(f.center)
+}
+
+// inside reports whether p lies strictly inside an obstacle the field holds:
+// in its graph once attached, in the scan's result before.
+func (f *field) inside(p geom.Point) bool {
+	if f.g != nil {
+		return f.g.Inside(p)
+	}
+	for _, ob := range f.obs {
+		if ob.Poly.ContainsStrict(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// boundSlack is the relative margin a bounded search gets over its bound. A
+// key sums a path's edge weights and one more distance, each rounded, so a
+// target whose distance is below the bound by less than that rounding could
+// otherwise be dropped; 1e-9 is far above it for any path a query builds.
+const boundSlack = 1e-9
+
 // certify makes the distance of every target added so far final
 // (compute_obstructed_distance, Fig 8, for one target or many): a shortest
 // path of length d stays inside the disk of radius d around the source, so a
@@ -200,36 +250,61 @@ func (f *field) settle(bound float64, visit func(i int, d float64)) error {
 // every obstacle and no path exists the target is sealed off and its distance
 // is +Inf (a case the paper does not discuss but real data can produce).
 //
-// Endpoints strictly inside an obstacle reach nothing: they are answered +Inf
-// up front, before the graph is even opened, instead of letting the doubling
-// pull in the whole obstacle set to prove it.
-func (f *field) certify() error {
-	s := f.s
-	buriedSrc, err := s.InsideObstacle(f.center)
-	if err != nil {
-		return f.fail(err)
-	}
+// A finite bound asks less: only whether a target's distance is below it.
+// The searches then drop every node no path within bound passes, and a
+// target they cannot reach is final at +Inf, read as ">= bound", with no
+// enlargement: the local graph lacks only obstacles, so its distance is a
+// lower bound on the true one, and no enlargement could bring the target
+// under the bound. A target found within bound runs the Fig 8 loop as above.
+// This is how Figs 9 and 11 decide a candidate past the k seeds, where the
+// paper measures it.
+//
+// Endpoints strictly inside an obstacle reach nothing and are answered +Inf
+// before any search, instead of letting the doubling pull in the whole
+// obstacle set to prove it. The opening scan is sized from every open target
+// first, so the check reads the obstacles the field holds (buried). A bounded
+// target beyond them is checked against those alone, with no point query: if
+// an obstacle the field lacks buries it, the bounded search still rejects
+// it, since a path found within bound is longer than searched, so Fig 8
+// enlarges to it, which brings in that obstacle and cuts the target off.
+func (f *field) certify(bound float64) error {
+	bounded := !math.IsInf(bound, 1)
 	pending := 0
+	for i := range f.targets {
+		if t := &f.targets[i]; !t.final {
+			pending++
+			if !f.scanned {
+				// The graph opens on the Euclidean range of its farthest target
+				// (Fig 7), unless the verb asked for more.
+				f.searched = max(f.searched, f.center.Dist(t.pt))
+			}
+		}
+	}
+	if pending == 0 {
+		return nil
+	}
+	buriedSrc, err := f.sourceBuried()
+	if err != nil {
+		return err
+	}
 	for i := range f.targets {
 		t := &f.targets[i]
 		if t.final {
 			continue
 		}
 		buried := buriedSrc
-		if !buried {
-			if buried, err = s.InsideObstacle(t.pt); err != nil {
-				return f.fail(err)
+		switch {
+		case buried:
+		case bounded && f.center.Dist(t.pt) > f.searched:
+			buried = f.inside(t.pt)
+		default:
+			if buried, err = f.buried(t.pt); err != nil {
+				return err
 			}
 		}
 		if buried {
 			t.final = true
-			continue
-		}
-		pending++
-		if !f.scanned {
-			// The graph opens on the Euclidean range of its farthest target
-			// (Fig 7), unless the verb asked for more.
-			f.searched = max(f.searched, f.center.Dist(t.pt))
+			pending--
 		}
 	}
 	if pending == 0 {
@@ -239,6 +314,7 @@ func (f *field) certify() error {
 		return err
 	}
 	f.st.DistComputations++
+	reach := bound * (1 + boundSlack)
 	for pending > 0 {
 		// One search per round. With several targets open it is one expansion
 		// that settles them all (Dijkstra settles in ascending order, so a
@@ -254,24 +330,25 @@ func (f *field) certify() error {
 			}
 		}
 		if pending > 1 {
-			err = f.expand(math.Inf(1), func(i int, d float64) { f.targets[i].dist = d })
+			err = f.expand(reach, func(i int, d float64) { f.targets[i].dist = d })
 		} else {
 			from, to := one.n, f.src
 			if f.routed {
 				from, to = to, from
 			}
-			err = f.search(func() { one.dist = f.g.ObstructedDist(from, to) })
+			err = f.search(func() { one.dist = f.g.ObstructedDist(from, to, reach) })
 		}
 		if err != nil {
 			return err
 		}
 		// Finalize targets whose provisional distance the searched range
-		// already certifies, then pick the next enlargement radius.
+		// already certifies, and those a bounded search proved out of reach,
+		// then pick the next enlargement radius.
 		maxOpen, anyInf := 0.0, false
 		for i := range f.targets {
 			switch t := &f.targets[i]; {
 			case t.final:
-			case t.dist <= f.searched:
+			case t.dist <= f.searched, bounded && math.IsInf(t.dist, 1):
 				t.final = true
 				pending--
 			case math.IsInf(t.dist, 1):
@@ -327,7 +404,7 @@ func (f *field) certify() error {
 // reading the obstacle tree's root the first time it is asked.
 func (f *field) coverRadius() (float64, error) {
 	if f.cover < 0 {
-		b, err := f.s.obstTree.Bounds()
+		b, err := f.s.obstTree[obstEnlarge].Bounds()
 		if err != nil {
 			return 0, err
 		}
@@ -340,11 +417,12 @@ func (f *field) coverRadius() (float64, error) {
 }
 
 // distance is the per-candidate step of Figs 9, 11 and 12: one target added,
-// certified and taken out again, so the graph the next candidate is measured
-// on holds obstacles and the source only.
-func (f *field) distance(pt geom.Point) (float64, error) {
+// certified against bound and taken out again, so the graph the next
+// candidate is measured on holds obstacles and the source only. A finite
+// distance is exact; +Inf under a finite bound means only ">= bound".
+func (f *field) distance(pt geom.Point, bound float64) (float64, error) {
 	i := f.add(pt)
-	err := f.certify()
+	err := f.certify(bound)
 	d := f.targets[i].dist
 	f.clear()
 	return d, err

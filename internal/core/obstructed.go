@@ -11,14 +11,14 @@ import (
 // (as in Fig 7), enlarged iteratively (Fig 8), each iteration one
 // goal-directed search from a to b. The field comes back for the route of
 // the last one. The distance is +Inf when b is unreachable from a, including
-// when either point lies strictly inside an obstacle (the field never opened
-// a graph then).
+// when either point lies strictly inside an obstacle (the field scans but
+// never builds a graph then).
 func (s *Session) pairSearch(a, b geom.Point, st *Stats) (f *field, d float64, err error) {
 	st.Candidates = 1
 	f = s.newField(nil, a, 0, st)
 	f.routed = true
 	f.add(b)
-	if err := f.certify(); err != nil {
+	if err := f.certify(math.Inf(1)); err != nil {
 		return f, 0, err
 	}
 	if d = f.targets[0].dist; math.IsInf(d, 1) {

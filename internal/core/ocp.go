@@ -14,11 +14,11 @@ func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbo
 	return candidates[rtree.PairNeighbor, JoinPair]{
 		src: src,
 		dE:  func(pr rtree.PairNeighbor) float64 { return pr.Dist },
-		eval: func(pr rtree.PairNeighbor) (JoinPair, error) {
+		eval: func(pr rtree.PairNeighbor, bound float64) (JoinPair, error) {
 			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
 				f = s.newField(nil, sp, 0, st)
 			}
-			d, err := f.distance(pr.B.Rect.Center())
+			d, err := f.distance(pr.B.Rect.Center(), bound)
 			return JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}, err
 		},
 	}, err

@@ -83,20 +83,19 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 		if err := s.err(); err != nil {
 			return nil, st, err
 		}
-		q := seedSet.Point(seed)
-		if inside, err := s.InsideObstacle(q); err != nil {
-			return nil, st, err
-		} else if inside {
-			continue // a buried seed reaches none of its partners
+		// The seed's buried check reads the obstacles its field scanned: a
+		// buried seed reaches none of its partners.
+		f := s.newField(s.e.cache, seedSet.Point(seed), dist, &st)
+		buried, err := f.sourceBuried()
+		if err == nil && !buried {
+			f.reserve(len(partners[seed]))
+			for _, pid := range partners[seed] {
+				f.add(otherSet.Point(pid))
+			}
+			err = f.settle(dist, func(i int, d float64) {
+				out = append(out, makePair(seedsFromS, seed, partners[seed][i], d))
+			})
 		}
-		f := s.newField(s.e.cache, q, dist, &st)
-		f.reserve(len(partners[seed]))
-		for _, pid := range partners[seed] {
-			f.add(otherSet.Point(pid))
-		}
-		err := f.settle(dist, func(i int, d float64) {
-			out = append(out, makePair(seedsFromS, seed, partners[seed][i], d))
-		})
 		f.close()
 		if err != nil {
 			return nil, st, err

@@ -12,9 +12,9 @@ func (s *Session) neighbors(P *PointSet, f *field) candidates[rtree.Neighbor, Re
 	return candidates[rtree.Neighbor, Result]{
 		src: s.pointTree(P).NearestIterator(f.center),
 		dE:  func(nb rtree.Neighbor) float64 { return nb.Dist },
-		eval: func(nb rtree.Neighbor) (Result, error) {
+		eval: func(nb rtree.Neighbor, bound float64) (Result, error) {
 			pt := nb.Item.Rect.Center()
-			d, err := f.distance(pt)
+			d, err := f.distance(pt, bound)
 			return Result{ID: nb.Item.Data, Pt: pt, Dist: d}, err
 		},
 	}

@@ -38,7 +38,7 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 	if err := f.scan(); err != nil || len(cands) == 0 {
 		return nil, st, err
 	}
-	if inside, err := s.InsideObstacle(q); err != nil || inside {
+	if inside, err := f.buried(q); err != nil || inside {
 		// A blocked query point reaches nothing; all candidates are false
 		// hits.
 		st.FalseHits = st.Candidates

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"container/heap"
+	"math"
 	"slices"
 )
 
@@ -10,6 +11,14 @@ import (
 // and closest-pair algorithms share: Fig 9 (ONN) and Fig 11 (OCP) are one
 // top-k loop over two candidate streams, and incremental ONN is Fig 12 (iOCP)
 // with a different stream. Both rest on the Euclidean lower bound dE <= dO.
+//
+// One stated deviation from Figs 9 and 11: the paper measures every
+// candidate's obstructed distance, while here only the k seeds are measured.
+// A candidate past them is only asked whether its distance is below the
+// running k-th one (dEmax), which is all the loop uses it for, and it is
+// refined just far enough to answer that (field.certify with a bound).
+// Results, their order and the false hits are the paper's; the graph work and
+// obstacle page reads of the candidates that lose are not.
 
 // ranked is what the skeletons need of a result type: its obstructed distance
 // and the ids that break ties, so result order never depends on evaluation
@@ -53,21 +62,25 @@ func (h *rankHeap[R]) Pop() any {
 // candidates is a stream of candidates C in ascending Euclidean distance
 // (rtree's incremental nearest-neighbour [HS99] and closest-pair [HS98,
 // CMTV00] iterators) with the step that refines one into a result R by its
-// obstructed distance.
+// obstructed distance. eval measures the distance exactly when it is below
+// bound, and may report +Inf for any distance that is not.
 type candidates[C any, R ranked] struct {
 	src interface {
 		Next() (C, bool)
 		Err() error
 	}
 	dE   func(C) float64
-	eval func(C) (R, error)
+	eval func(c C, bound float64) (R, error)
 }
 
 // topK returns the k candidates with the smallest obstructed distance, sorted
 // by it (Figs 9 and 11): the first k of the Euclidean stream seed the result,
 // and retrieval continues while the next Euclidean distance does not exceed
 // the k-th obstructed distance (dEmax), which only shrinks as better
-// candidates replace the k-th. begin sees the seeds before any is evaluated.
+// candidates replace the k-th. The seeds are measured exactly; a later
+// candidate is evaluated against dEmax, and kept only below it, so the +Inf
+// of one that is not never reaches the result. begin sees the seeds before
+// any is evaluated.
 func topK[C any, R ranked](s *Session, st *Stats, k int, c candidates[C, R], begin func(seed []C) error) ([]R, error) {
 	var seed []C
 	for len(seed) < k {
@@ -89,7 +102,7 @@ func topK[C any, R ranked](s *Session, st *Stats, k int, c candidates[C, R], beg
 	}
 	out := make([]R, 0, k)
 	for _, cand := range seed {
-		r, err := c.eval(cand)
+		r, err := c.eval(cand, math.Inf(1))
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +127,7 @@ func topK[C any, R ranked](s *Session, st *Stats, k int, c candidates[C, R], beg
 			break
 		}
 		st.Candidates++
-		r, err := c.eval(cand)
+		r, err := c.eval(cand, dEmax)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +185,7 @@ func (it *emitter[C, R]) Next() (R, bool) {
 		}
 		it.last = it.dE(cand)
 		it.stats.Candidates++
-		r, err := it.eval(cand)
+		r, err := it.eval(cand, math.Inf(1))
 		if err != nil {
 			it.fail(err)
 			break

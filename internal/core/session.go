@@ -26,9 +26,12 @@ type Session struct {
 	// met accrues this session's visibility-graph work; graphs the session
 	// builds (and cached graphs while this session holds them) point here.
 	met visgraph.Metrics
-	// io accrues this session's R-tree page traffic across the obstacle
-	// tree and every dataset tree it touches.
-	io pagefile.Stats
+	// io accrues this session's page traffic on every dataset tree it
+	// touches; obstIO the obstacle tree's, by caller (obstPointQuery,
+	// obstScan, obstEnlarge), each through its own counted view in obstTree.
+	io       pagefile.Stats
+	obstIO   [obstCallers]pagefile.Stats
+	obstTree [obstCallers]*rtree.Tree
 	// merged tracks the met counters already folded into the engine totals,
 	// making mergeTotals idempotent.
 	merged visgraph.Metrics
@@ -38,19 +41,21 @@ type Session struct {
 	// epoch is obst's generation at session start; the graph cache uses it
 	// to decide whether this session may grow shared cached graphs.
 	epoch uint64
-	// obstTree is the session's counted view of the obstacle R-tree.
-	obstTree *rtree.Tree
-	// insideMemo caches InsideObstacle answers: inside-ness is a fixed
-	// property of a point, and batch/matrix/clustering jobs re-probe the
-	// same points once per row or neighborhood. Bounded by the points one
-	// job touches (sessions are per-call).
-	insideMemo map[geom.Point]bool
 	// span, when set, is the session's span in the enclosing trace: the
 	// lifecycle stages (graph builds, obstacle scans, growth rounds,
 	// Dijkstra expansions) are recorded as its children. All recording is
 	// nil-safe, so an un-traced session pays one branch per stage.
 	span *telemetry.Span
 }
+
+// The callers that read the obstacle tree, each counted apart so Stats can
+// say which of them a query's obstacle page reads came from.
+const (
+	obstPointQuery = iota // InsideObstacle
+	obstScan              // a field's opening range query (relevantObstacles)
+	obstEnlarge           // Fig 8 enlargement: addObstaclesWithin and the cover radius
+	obstCallers
+)
 
 // SetSpan attaches the session's trace span; its lifecycle stages become
 // child spans. nil detaches.
@@ -107,7 +112,9 @@ func (e *Engine) NewSessionAt(ctx context.Context, obst *ObstacleSet) *Session {
 		obst = e.obstacles
 	}
 	s := &Session{e: e, ctx: ctx, obst: obst, epoch: obst.Generation()}
-	s.obstTree = obst.tree.Counted(&s.io)
+	for i := range s.obstTree {
+		s.obstTree[i] = obst.tree.Counted(&s.obstIO[i])
+	}
 	return s
 }
 
@@ -151,11 +158,12 @@ func (s *Session) EuclideanRange(P *PointSet, center geom.Point, r float64) ([]i
 // report exact per-call deltas even when one session runs several calls
 // (clustering, iterators).
 type workSnap struct {
-	met visgraph.Metrics
-	io  pagefile.Stats
+	met    visgraph.Metrics
+	io     pagefile.Stats
+	obstIO [obstCallers]pagefile.Stats
 }
 
-func (s *Session) snap() workSnap { return workSnap{met: s.met, io: s.io} }
+func (s *Session) snap() workSnap { return workSnap{met: s.met, io: s.io, obstIO: s.obstIO} }
 
 // finishCall folds the work performed since the snapshot into st and
 // publishes the session's counters to the engine totals.
@@ -166,6 +174,13 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 	st.GraphBuilds += d.Builds
 	st.Sweeps += d.Sweeps
 	st.IO = st.IO.Add(s.io.Sub(w.io))
+	var obst [obstCallers]uint64
+	for i := range s.obstIO {
+		io := s.obstIO[i].Sub(w.obstIO[i])
+		st.IO = st.IO.Add(io)
+		obst[i] = io.PhysicalReads
+	}
+	st.ObstReads = st.ObstReads.add(ObstacleReads{PointQuery: obst[obstPointQuery], Scan: obst[obstScan], Enlarge: obst[obstEnlarge]})
 	s.mergeTotals()
 }
 
@@ -179,7 +194,13 @@ func (s *Session) mergeTotals() {
 }
 
 // Work returns the session's cumulative visibility-graph work and page I/O.
-func (s *Session) Work() (visgraph.Metrics, pagefile.Stats) { return s.met, s.io }
+func (s *Session) Work() (visgraph.Metrics, pagefile.Stats) {
+	io := s.io
+	for _, o := range s.obstIO {
+		io = io.Add(o)
+	}
+	return s.met, io
+}
 
 // workTotals is the engine's cumulative work ledger, merged from sessions
 // with atomics so concurrent queries never contend on more than a few adds.
@@ -221,7 +242,7 @@ func (s *Session) relevantObstacles(center geom.Point, radius float64) ([]visgra
 	defer s.span.StartSpan("obstacle-scan")()
 	polys := s.obst.polys
 	var out []visgraph.Obstacle
-	err := s.obstTree.SearchCircle(center, radius, func(it rtree.Item) bool {
+	err := s.obstTree[obstScan].SearchCircle(center, radius, func(it rtree.Item) bool {
 		pg := polys[it.Data]
 		if pg.IntersectsCircle(center, radius) {
 			out = append(out, visgraph.Obstacle{ID: it.Data, Poly: pg})
@@ -244,7 +265,7 @@ func (s *Session) addObstaclesWithin(g *visgraph.Graph, center geom.Point, radiu
 	defer s.span.StartSpan("graph-grow")()
 	polys := s.obst.polys
 	var batch []visgraph.Obstacle
-	err := s.obstTree.SearchCircle(center, radius, func(it rtree.Item) bool {
+	err := s.obstTree[obstEnlarge].SearchCircle(center, radius, func(it rtree.Item) bool {
 		if g.HasObstacle(it.Data) {
 			return true
 		}
@@ -264,18 +285,15 @@ func (s *Session) addObstaclesWithin(g *visgraph.Graph, center geom.Point, radiu
 // interior, through the session's counted view. Such points can reach
 // nothing, so the query algorithms reject them up front instead of letting
 // the range enlargement of Fig 8 escalate to the whole dataset trying to
-// prove unreachability. Answers are memoized per session: matrix and
-// clustering jobs probe the same points once per row or neighborhood.
+// prove unreachability. A field asks it only about points outside the disk
+// its own obstacles cover (field.buried).
 func (s *Session) InsideObstacle(p geom.Point) (bool, error) {
 	if err := s.err(); err != nil {
 		return false, err
 	}
-	if inside, ok := s.insideMemo[p]; ok {
-		return inside, nil
-	}
 	polys := s.obst.polys
 	inside := false
-	err := s.obstTree.SearchCircle(p, 0, func(it rtree.Item) bool {
+	err := s.obstTree[obstPointQuery].SearchCircle(p, 0, func(it rtree.Item) bool {
 		if polys[it.Data].ContainsStrict(p) {
 			inside = true
 			return false
@@ -285,9 +303,5 @@ func (s *Session) InsideObstacle(p geom.Point) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("core: obstacle point query: %w", err)
 	}
-	if s.insideMemo == nil {
-		s.insideMemo = make(map[geom.Point]bool)
-	}
-	s.insideMemo[p] = inside
 	return inside, nil
 }

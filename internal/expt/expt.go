@@ -74,6 +74,9 @@ type Row struct {
 	DataIO float64
 	// ObstIO is obstacle R-tree page accesses.
 	ObstIO float64
+	// ObstSplit is ObstIO by caller, on the same scale: point queries,
+	// opening range scans and Fig 8 enlargements (core.ObstacleReads).
+	ObstSplit [3]float64
 	// CPUms is wall-clock time in milliseconds.
 	CPUms float64
 	// FalseHitRatio is false hits / results (OR) or misranked Euclidean
@@ -94,19 +97,30 @@ type Table struct {
 	PaperShape string
 }
 
+// perCandidate returns the obstacle page accesses per candidate ("-" for a
+// row without candidates) and the split by caller, rendered.
+func (r Row) perCandidate() (string, string) {
+	per := "-"
+	if r.Candidates > 0 {
+		per = fmt.Sprintf("%.2f", r.ObstIO/r.Candidates)
+	}
+	return per, fmt.Sprintf("%.1f/%.1f/%.1f", r.ObstSplit[0], r.ObstSplit[1], r.ObstSplit[2])
+}
+
 // String renders the table as aligned text.
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", t.ID, t.Title)
-	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s %12s %12s\n",
-		t.XLabel, "dataIO", "obstIO", "CPU(ms)", "FH-ratio", "cand", "results")
+	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s %12s %12s %12s %20s\n",
+		t.XLabel, "dataIO", "obstIO", "CPU(ms)", "FH-ratio", "cand", "results", "obstIO/cand", "point/scan/enlarge")
 	for _, r := range t.Rows {
 		fh := "-"
 		if !math.IsNaN(r.FalseHitRatio) {
 			fh = fmt.Sprintf("%.3f", r.FalseHitRatio)
 		}
-		fmt.Fprintf(&b, "%-12s %12.2f %12.2f %12.3f %12s %12.1f %12.1f\n",
-			r.X, r.DataIO, r.ObstIO, r.CPUms, fh, r.Candidates, r.Results)
+		per, split := r.perCandidate()
+		fmt.Fprintf(&b, "%-12s %12.2f %12.2f %12.3f %12s %12.1f %12.1f %12s %20s\n",
+			r.X, r.DataIO, r.ObstIO, r.CPUms, fh, r.Candidates, r.Results, per, split)
 	}
 	return b.String()
 }
@@ -115,15 +129,16 @@ func (t Table) String() string {
 func (t Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "**%s — %s**\n\n", t.ID, t.Title)
-	fmt.Fprintf(&b, "| %s | data R-tree I/O | obstacle R-tree I/O | CPU (ms) | false-hit ratio | candidates | results |\n", t.XLabel)
-	b.WriteString("|---|---|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| %s | data R-tree I/O | obstacle R-tree I/O | CPU (ms) | false-hit ratio | candidates | results | obstacle I/O per candidate | point / scan / enlarge |\n", t.XLabel)
+	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
 	for _, r := range t.Rows {
 		fh := "—"
 		if !math.IsNaN(r.FalseHitRatio) {
 			fh = fmt.Sprintf("%.3f", r.FalseHitRatio)
 		}
-		fmt.Fprintf(&b, "| %s | %.2f | %.2f | %.3f | %s | %.1f | %.1f |\n",
-			r.X, r.DataIO, r.ObstIO, r.CPUms, fh, r.Candidates, r.Results)
+		per, split := r.perCandidate()
+		fmt.Fprintf(&b, "| %s | %.2f | %.2f | %.3f | %s | %.1f | %.1f | %s | %s |\n",
+			r.X, r.DataIO, r.ObstIO, r.CPUms, fh, r.Candidates, r.Results, per, split)
 	}
 	if t.PaperShape != "" {
 		fmt.Fprintf(&b, "\nPaper shape: %s\n", t.PaperShape)
@@ -230,9 +245,7 @@ func (l *Lab) measureWorkload(sets []*core.PointSet, fn func(sess *core.Session,
 		if err != nil {
 			return Row{}, err
 		}
-		agg.Candidates += st.Candidates
-		agg.Results += st.Results
-		agg.FalseHits += st.FalseHits
+		agg.Merge(st)
 	}
 	elapsed := time.Since(start)
 	n := float64(len(l.queries))
@@ -248,11 +261,17 @@ func (l *Lab) measureWorkload(sets []*core.PointSet, fn func(sess *core.Session,
 	return Row{
 		DataIO:        float64(dataIO) / n,
 		ObstIO:        float64(obstIO) / n,
+		ObstSplit:     obstSplit(agg.ObstReads, n),
 		CPUms:         float64(elapsed.Microseconds()) / 1000 / n,
 		FalseHitRatio: fh,
 		Candidates:    float64(agg.Candidates) / n,
 		Results:       float64(agg.Results) / n,
 	}, nil
+}
+
+// obstSplit is a query's obstacle reads by caller, divided by n.
+func obstSplit(r core.ObstacleReads, n float64) [3]float64 {
+	return [3]float64{float64(r.PointQuery) / n, float64(r.Scan) / n, float64(r.Enlarge) / n}
 }
 
 // measureOnce runs one whole operation (a join or closest-pair query) and
@@ -277,6 +296,7 @@ func (l *Lab) measureOnce(sets []*core.PointSet, fn func(sess *core.Session) (co
 	return Row{
 		DataIO:        float64(dataIO),
 		ObstIO:        float64(obstIO),
+		ObstSplit:     obstSplit(st.ObstReads, 1),
 		CPUms:         float64(elapsed.Microseconds()) / 1000,
 		FalseHitRatio: fh,
 		Candidates:    float64(st.Candidates),

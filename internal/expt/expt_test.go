@@ -93,6 +93,9 @@ func TestSuiteSmoke(t *testing.T) {
 			if r.CPUms < 0 || r.DataIO < 0 || r.ObstIO < 0 {
 				t.Errorf("%s: negative measurement %+v", tb.ID, r)
 			}
+			if sum := r.ObstSplit[0] + r.ObstSplit[1] + r.ObstSplit[2]; math.Abs(sum-r.ObstIO) > 1e-9*(1+r.ObstIO) {
+				t.Errorf("%s x=%s: obstacle reads by caller %v sum to %v, obstIO %v", tb.ID, r.X, r.ObstSplit, sum, r.ObstIO)
+			}
 		}
 		if !strings.Contains(tb.String(), tb.ID) {
 			t.Errorf("%s: String() missing ID", tb.ID)

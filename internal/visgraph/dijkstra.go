@@ -82,20 +82,24 @@ func (h *minHeap) pop() pqItem {
 // whose adjacency is still to be computed poll before doing so.
 const interruptEvery = 64
 
-// search is the one shortest-path loop. It settles nodes in ascending
-// distance from source while the distance does not exceed bound, calling
-// visit (when non-nil) on each; visit returns false to stop. Duplicates in
-// the queue are skipped on dequeue, as in Fig 5 of the paper. A settled
-// node's adjacency is brought up to date (complete) before it is relaxed,
-// which is the only place obstacle-vertex visibility is ever computed.
+// search is the one shortest-path loop. It settles nodes in ascending key,
+// calling visit (when non-nil) on each; visit returns false to stop. A
+// relaxation whose key exceeds bound is dropped. Duplicates in the queue are
+// skipped on dequeue, as in Fig 5 of the paper. A settled node's adjacency is
+// brought up to date (complete) before it is relaxed, which is the only place
+// obstacle-vertex visibility is ever computed.
 //
-// With a target (not Invalid) the search is A* under the Euclidean lower
-// bound — consistent, so settled distances are still exact — and stops at the
-// target, returning its distance; parents of the settled nodes stay in the
-// graph's scratch for Path. In every other case (no target, target not
-// reached within bound, visit stopped the search, Options.Interrupt fired)
-// it returns +Inf; callers that wire Interrupt check their context after
-// every search.
+// Without a target the key is the distance from source, so the search settles
+// exactly the nodes within bound. With a target (not Invalid) the search is
+// A* under the Euclidean lower bound — consistent, so settled distances are
+// still exact — and the key is the distance plus the Euclidean distance left
+// to the target, a lower bound on any path through the node: a bounded search
+// drops only nodes no path of length <= bound passes, and settles the same
+// nodes as an unbounded one up to the target. It stops at the target,
+// returning its distance; parents of the settled nodes stay in the graph's
+// scratch for Path. In every other case (no target, target not reached within
+// bound, visit stopped the search, Options.Interrupt fired) it returns +Inf;
+// callers that wire Interrupt check their context after every search.
 func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID, dist float64) bool) float64 {
 	m := g.opts.Metrics
 	if m != nil {
@@ -143,10 +147,9 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 				*s = slot{gen: g.gen, best: math.Inf(1)}
 			}
 			d := it.dist + he.Weight
-			if s.done || d > bound || d >= s.best {
+			if s.done || d >= s.best {
 				continue
 			}
-			s.best, s.parent = d, u
 			key := d
 			if target != Invalid {
 				// The lower bound is the same Dist that weighs the edges, so
@@ -154,6 +157,10 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 				// floating point as well as it does for the edges themselves.
 				key += g.nodes[he.To].pt.Dist(g.nodes[target].pt)
 			}
+			if key > bound {
+				continue
+			}
+			s.best, s.parent = d, u
 			g.queue.push(pqItem{node: he.To, dist: d, key: key})
 		}
 	}
@@ -172,9 +179,22 @@ func (g *Graph) Expand(source NodeID, bound float64, visit func(n NodeID, dist f
 }
 
 // ObstructedDist returns the shortest obstructed distance between two nodes
-// (+Inf when disconnected, or when Options.Interrupt fired).
-func (g *Graph) ObstructedDist(from, to NodeID) float64 {
-	return g.search(from, to, math.Inf(1), nil)
+// (+Inf when disconnected, or when Options.Interrupt fired). An optional
+// bound makes the A* search drop every node whose key — distance so far plus
+// Euclidean distance left — exceeds it; +Inf then also means "no path of
+// length <= bound". Omitting it is the same as passing +Inf. At most one
+// bound is read: the parameter is variadic only so that two-argument calls
+// keep compiling, and a call with more than one bound panics.
+func (g *Graph) ObstructedDist(from, to NodeID, bound ...float64) float64 {
+	b := math.Inf(1)
+	switch len(bound) {
+	case 0:
+	case 1:
+		b = bound[0]
+	default:
+		panic("visgraph: ObstructedDist takes at most one bound")
+	}
+	return g.search(from, to, b, nil)
 }
 
 // ShortestPath returns a shortest node sequence from source to target and

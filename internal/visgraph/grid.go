@@ -182,6 +182,29 @@ func (g *Graph) Visible(a, b geom.Point) bool {
 	return true
 }
 
+// Inside reports whether p lies strictly inside one of the graph's obstacles.
+// It asks only the obstacles chained in the one grid cell that holds p: a
+// polygon that contains p has a box that contains p, and the box is chained in
+// every cell it overlaps.
+func (g *Graph) Inside(p geom.Point) bool {
+	if len(g.obstacles) == 0 {
+		return false
+	}
+	gr := &g.grid
+	if gr.cell == 0 {
+		gr.build(g.obstacles)
+	}
+	if !gr.bounds.Contains(p) {
+		return false
+	}
+	for e := gr.head[gr.row(p.Y)*gr.nx+gr.col(p.X)]; e >= 0; e = gr.entries[e].next {
+		if g.obstacles[gr.entries[e].obst].ContainsStrict(p) {
+			return true
+		}
+	}
+	return false
+}
+
 // clearMargin is by how much an obstacle's box must clear the line through a
 // segment of direction d before blocks skips the exact test. It is never
 // below 1e-6: a thousand times geom.Eps, so every vertex of a skipped polygon
