@@ -436,12 +436,12 @@ func BenchmarkAblationBufferFraction(b *testing.B) {
 }
 
 // BenchmarkBatchDistances compares ONE multi-target BatchDistances call
-// against N independent ObstructedDistance calls — the primitive the
-// clustering subsystem rides on. Targets are the query's Euclidean kNNs,
-// the shape of a clustering ε-neighborhood refinement (local graphs;
-// universe-spanning target sets degenerate to a global visibility graph
-// either way). settled/op counts Dijkstra-settled visibility-graph nodes,
-// the refinement work the batch engine shares across targets.
+// against N independent ObstructedDistance calls — the primitive under
+// DistanceMatrix and k-medoids clustering. Targets are the query's Euclidean
+// kNNs (local graphs; universe-spanning target sets degenerate to a global
+// visibility graph either way). settled/op counts Dijkstra-settled
+// visibility-graph nodes, the refinement work the batch engine shares across
+// targets.
 func BenchmarkBatchDistances(b *testing.B) {
 	lab := benchLab(b, benchObstacles)
 	P := entitySet(b, lab, 2000)
@@ -517,8 +517,7 @@ func clusterBench(b *testing.B, nObst, nPts int) (*obstacles.Database, float64) 
 }
 
 // BenchmarkClusterDBSCAN measures obstructed-distance density clustering
-// end to end (Euclidean prefilter + batch ε-neighborhoods on cached
-// graphs).
+// end to end: one obstacle range query (Fig 5) per entity's ε-neighborhood.
 func BenchmarkClusterDBSCAN(b *testing.B) {
 	for _, nPts := range []int{100, 300} {
 		b.Run(fmt.Sprintf("pts=%d", nPts), func(b *testing.B) {
@@ -568,44 +567,6 @@ func BenchmarkClusterKMedoids(b *testing.B) {
 // keep a few members at every cardinality.
 func clusterEps(universe float64, nPts int) float64 {
 	return universe * 0.03 * math.Sqrt(300/float64(nPts))
-}
-
-// BenchmarkAblationGraphCacheDBSCAN compares density clustering with and
-// without the expanded-graph LRU. DBSCAN grows clusters point by point, so
-// consecutive ε-neighborhood sources sit inside each other's expanded
-// coverage — the locality the cache was built for. (Paper-style joins with
-// e far below the seed spacing get no reuse: disjoint disks share no
-// graph.)
-func BenchmarkAblationGraphCacheDBSCAN(b *testing.B) {
-	const nPts = 300
-	for _, cacheCap := range []int{-1, 8} {
-		b.Run(fmt.Sprintf("cache=%d", cacheCap), func(b *testing.B) {
-			world := dataset.Generate(dataset.DefaultConfig(9, 1000))
-			opts := obstacles.DefaultOptions()
-			opts.GraphCacheSize = cacheCap
-			db, err := obstacles.NewDatabase(world.Polys, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := db.AddDataset("P", world.Entities(world.EntityRand(2), nPts)); err != nil {
-				b.Fatal(err)
-			}
-			eps := clusterEps(world.Universe(), nPts)
-			var pages uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var qs obstacles.QueryStats
-				if _, err := db.Cluster(bctx, "P", obstacles.ClusterOptions{
-					Algorithm: obstacles.DBSCAN, Eps: eps, MinPts: 4,
-				}, obstacles.WithStats(&qs)); err != nil {
-					b.Fatal(err)
-				}
-				pages += qs.PageAccesses
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
-		})
-	}
 }
 
 // BenchmarkAblationIncrementalCP compares batch OCP(k) against consuming k

@@ -101,49 +101,10 @@ type Clustering struct {
 	NoiseCount int
 }
 
-// sessionOracle adapts one query session's batch-distance primitives to the
-// cluster.DistanceOracle / cluster.MatrixOracle / cluster.CandidateSource
-// interfaces, with ε-neighborhood candidates served by the dataset's
-// R-tree instead of a linear scan. All oracle calls share the session, so a
-// canceled context aborts the clustering job mid-flight and the session's
-// counters describe the whole job.
-type sessionOracle struct {
-	sess *core.Session
-	ps   *core.PointSet
-	st   *core.Stats // aggregated engine-level counters across oracle calls
-	// liveIDs maps compact clustering indexes to entity ids (after deletions
-	// the id space is sparse); idToIdx is its inverse for range candidates.
-	liveIDs []int64
-	idToIdx map[int64]int
-}
-
-func (o sessionOracle) Distances(source geom.Point, targets []geom.Point) ([]float64, error) {
-	d, rst, err := o.sess.BatchDistances(source, targets)
-	o.st.Merge(rst)
-	return d, err
-}
-
-func (o sessionOracle) DistanceMatrix(pts []geom.Point) ([][]float64, error) {
-	m, rst, err := o.sess.DistanceMatrix(pts)
-	o.st.Merge(rst)
-	return m, err
-}
-
-func (o sessionOracle) EuclideanRange(i int, r float64) ([]int, error) {
-	ids, err := o.sess.EuclideanRange(o.ps, o.ps.Point(o.liveIDs[i]), r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		// The tree serves only live entities, so the lookup cannot miss.
-		out = append(out, o.idToIdx[id])
-	}
-	return out, nil
-}
-
-// cluster runs the clustering job over the query's dataset and session,
-// returning the engine-level counters aggregated across the oracle calls.
+// cluster runs the clustering job over the query's dataset on the query's
+// one session, so a canceled context aborts it mid-flight, and returns the
+// engine-level counters summed across its calls. A DBSCAN neighborhood is
+// one obstacle range query (Fig 5); k-medoids reads the distance matrix.
 func (qr query) cluster(copts ClusterOptions) (*Clustering, core.Stats, error) {
 	ps := qr.sets[0]
 	// Ids can be sparse after DeletePoints: cluster the compacted live
@@ -161,16 +122,30 @@ func (qr query) cluster(copts ClusterOptions) (*Clustering, core.Stats, error) {
 		res *cluster.Result
 		err error
 	)
-	oracle := sessionOracle{sess: qr.sess, ps: ps, st: &st, liveIDs: liveIDs, idToIdx: idToIdx}
 	switch copts.Algorithm { // validate admitted only these two
 	case DBSCAN:
 		minPts := copts.MinPts
 		if minPts == 0 {
 			minPts = 4
 		}
-		res, err = cluster.DBSCAN(pts, oracle, copts.Eps, minPts)
+		res, err = cluster.DBSCAN(len(pts), func(i int) ([]int, error) {
+			within, rst, err := qr.sess.Range(ps, pts[i], copts.Eps)
+			st.Merge(rst)
+			nb := make([]int, 0, len(within))
+			for _, r := range within {
+				// The tree serves only live entities, so the lookup cannot miss.
+				if r.ID != liveIDs[i] {
+					nb = append(nb, idToIdx[r.ID])
+				}
+			}
+			return nb, err
+		}, minPts)
 	case KMedoids:
-		res, err = cluster.KMedoids(pts, oracle, copts.K, copts.MaxIterations)
+		var m [][]float64
+		m, st, err = qr.sess.DistanceMatrix(pts)
+		if err == nil {
+			res, err = cluster.KMedoids(m, copts.K, copts.MaxIterations)
+		}
 	}
 	if err != nil {
 		return nil, st, err

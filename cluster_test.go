@@ -1,9 +1,13 @@
 package obstacles
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,33 +16,102 @@ import (
 )
 
 // bruteOracle computes obstructed distances on a full visibility graph over
-// every obstacle (no R-tree, no candidate pruning, no batching) — the
-// reference the engine-backed clustering must reproduce exactly.
+// every obstacle (the unpruned reference pass: no R-tree, no candidate
+// pruning, no batching) — the reference the engine-backed clustering must
+// reproduce exactly. With no obstacles it is the Euclidean metric.
 type bruteOracle struct {
-	g *visgraph.Graph
+	g     *visgraph.Graph
+	polys []geom.Polygon
 }
 
 func newBruteOracle(rects []Rect) *bruteOracle {
+	o := &bruteOracle{}
 	obs := make([]visgraph.Obstacle, len(rects))
 	for i, r := range rects {
-		obs[i] = visgraph.Obstacle{ID: int64(i), Poly: RectPolygon(r)}
+		o.polys = append(o.polys, RectPolygon(r))
+		obs[i] = visgraph.Obstacle{ID: int64(i), Poly: o.polys[i]}
 	}
-	return &bruteOracle{g: visgraph.Build(visgraph.Options{UseSweep: false}, obs)}
+	o.g = visgraph.Build(visgraph.Options{UseSweep: false}, obs)
+	return o
 }
 
-func (o *bruteOracle) Distances(source geom.Point, targets []geom.Point) ([]float64, error) {
-	out := make([]float64, len(targets))
-	ns := o.g.AddTerminal(source)
-	for i, p := range targets {
-		if p.Eq(source) {
-			continue
+// buried reports whether p lies strictly inside an obstacle, by linear scan:
+// such a point reaches nothing, not even a point coincident with it.
+func (o *bruteOracle) buried(p Point) bool {
+	for _, pg := range o.polys {
+		if pg.ContainsStrict(p) {
+			return true
 		}
-		nt := o.g.AddTerminal(p)
-		out[i] = o.g.ObstructedDist(ns, nt)
-		o.g.DeleteEntity(nt)
 	}
-	o.g.DeleteEntity(ns)
-	return out, nil
+	return false
+}
+
+// matrix returns every pairwise distance of pts, 0 on the diagonal.
+func (o *bruteOracle) matrix(pts []Point) [][]float64 {
+	m := make([][]float64, len(pts))
+	for i := range m {
+		m[i] = make([]float64, len(pts))
+	}
+	for i, p := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			var d float64
+			switch q := pts[j]; {
+			case o.buried(p) || o.buried(q):
+				d = math.Inf(1)
+			case !p.Eq(q):
+				np, nq := o.g.AddTerminal(p), o.g.AddTerminal(q)
+				d = o.g.ObstructedDist(np, nq)
+				o.g.DeleteEntity(nq)
+				o.g.DeleteEntity(np)
+			}
+			m[i][j], m[j][i] = d, d
+		}
+	}
+	return m
+}
+
+// cluster runs copts' algorithm (MinPts given explicitly) over the reference
+// distances of pts.
+func (o *bruteOracle) cluster(t *testing.T, pts []Point, copts ClusterOptions) *cluster.Result {
+	t.Helper()
+	m := o.matrix(pts)
+	var (
+		res *cluster.Result
+		err error
+	)
+	switch copts.Algorithm {
+	case DBSCAN:
+		res, err = cluster.DBSCAN(len(m), func(i int) ([]int, error) {
+			var nb []int
+			for j, d := range m[i] {
+				if j != i && d <= copts.Eps {
+					nb = append(nb, j)
+				}
+			}
+			return nb, nil
+		}, copts.MinPts)
+	case KMedoids:
+		res, err = cluster.KMedoids(m, copts.K, copts.MaxIterations)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameClustering fails t unless the engine's clustering equals the
+// reference's: assignments, medoids and cost.
+func sameClustering(t *testing.T, label string, got *Clustering, want *cluster.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
+		!reflect.DeepEqual(got.Medoids, want.Medoids) ||
+		got.NumClusters != want.NumClusters || got.NoiseCount != want.NoiseCount {
+		t.Fatalf("%s: differs from brute force\ngot  %v %v\nwant %v %v",
+			label, got.Medoids, got.Assignments, want.Medoids, want.Assignments)
+	}
+	if math.Abs(got.Cost-want.Cost) > 1e-6 {
+		t.Fatalf("%s: cost %v vs brute %v", label, got.Cost, want.Cost)
+	}
 }
 
 // clusterScene builds a city-grid database plus a deterministic entity set
@@ -74,46 +147,72 @@ func clusterScene(t *testing.T, seed int64, n int) (*Database, []Rect, []Point) 
 	return db, rects, pts
 }
 
+// degenerateScene holds the entities the street scenes lack: one strictly
+// inside an obstacle, a coincident pair inside a blob and a coincident pair
+// on its own, with a wall between two small groups.
+func degenerateScene(t *testing.T) (*Database, []Rect, []Point) {
+	t.Helper()
+	rects := []Rect{R(20, 20, 40, 40), R(60, 10, 70, 90)}
+	db, err := NewDatabaseFromRects(rects, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{
+		Pt(30, 30), // buried in the first obstacle
+		Pt(10, 10), Pt(10, 10), Pt(14, 10), Pt(10, 15),
+		Pt(50, 50), Pt(55, 52), Pt(52, 56), // west of the wall
+		Pt(75, 50), Pt(78, 53), Pt(76, 47), // east of it
+		Pt(90, 90), Pt(90, 90),
+	}
+	if err := db.AddDataset("P", pts); err != nil {
+		t.Fatal(err)
+	}
+	return db, rects, pts
+}
+
 // TestClusterMatchesBruteForceReference is the acceptance check: DBSCAN and
-// k-medoids through the batch engine must produce clusters identical to the
-// same algorithms run over brute-force obstructed distances.
+// k-medoids through the engine must produce clusters identical to the same
+// algorithms run over brute-force obstructed distances, with buried entities
+// as noise. A DBSCAN neighborhood is one bounded expansion, so a job runs at
+// most one search per entity.
 func TestClusterMatchesBruteForceReference(t *testing.T) {
+	type scene struct {
+		name  string
+		db    *Database
+		rects []Rect
+		pts   []Point
+	}
+	var scenes []scene
 	for _, seed := range []int64{81, 82, 83} {
 		db, rects, pts := clusterScene(t, seed, 30)
-		brute := newBruteOracle(rects)
-		gpts := make([]geom.Point, len(pts))
-		copy(gpts, pts)
+		scenes = append(scenes, scene{fmt.Sprintf("seed %d", seed), db, rects, pts})
+	}
+	db, rects, pts := degenerateScene(t)
+	scenes = append(scenes, scene{"degenerate", db, rects, pts})
 
-		for _, eps := range []float64{15, 30, 60} {
-			got, err := db.Cluster(ctx, "P", ClusterOptions{Algorithm: DBSCAN, Eps: eps, MinPts: 3})
+	for _, sc := range scenes {
+		brute := newBruteOracle(sc.rects)
+		for _, copts := range []ClusterOptions{
+			{Algorithm: DBSCAN, Eps: 15, MinPts: 3},
+			{Algorithm: DBSCAN, Eps: 30, MinPts: 3},
+			{Algorithm: DBSCAN, Eps: 60, MinPts: 3},
+			{Algorithm: KMedoids, K: 2},
+			{Algorithm: KMedoids, K: 4},
+		} {
+			label := fmt.Sprintf("%s %v eps %g k %d", sc.name, copts.Algorithm, copts.Eps, copts.K)
+			var qs QueryStats
+			got, err := sc.db.Cluster(ctx, "P", copts, WithStats(&qs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := cluster.DBSCAN(gpts, brute, eps, 3)
-			if err != nil {
-				t.Fatal(err)
+			sameClustering(t, label, got, brute.cluster(t, sc.pts, copts))
+			if copts.Algorithm == DBSCAN && qs.Expansions > uint64(len(sc.pts)) {
+				t.Fatalf("%s: ran %d expansions for %d entities", label, qs.Expansions, len(sc.pts))
 			}
-			if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-				t.Fatalf("seed %d eps %g: DBSCAN differs from brute force\ngot  %v\nwant %v",
-					seed, eps, got.Assignments, want.Assignments)
-			}
-		}
-		for _, k := range []int{2, 4} {
-			got, err := db.Cluster(ctx, "P", ClusterOptions{Algorithm: KMedoids, K: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cluster.KMedoids(gpts, brute, k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
-				!reflect.DeepEqual(got.Medoids, want.Medoids) {
-				t.Fatalf("seed %d k %d: k-medoids differs from brute force\ngot  %v %v\nwant %v %v",
-					seed, k, got.Medoids, got.Assignments, want.Medoids, want.Assignments)
-			}
-			if math.Abs(got.Cost-want.Cost) > 1e-6 {
-				t.Fatalf("seed %d k %d: cost %v vs brute %v", seed, k, got.Cost, want.Cost)
+			for i, p := range sc.pts {
+				if brute.buried(p) && got.Assignments[i] != NoiseCluster {
+					t.Fatalf("%s: buried entity %d in cluster %d", label, i, got.Assignments[i])
+				}
 			}
 		}
 	}
@@ -134,34 +233,16 @@ func TestClusterObstacleFreeMatchesEuclidean(t *testing.T) {
 	if err := db.AddDataset("P", pts); err != nil {
 		t.Fatal(err)
 	}
-	gpts := make([]geom.Point, len(pts))
-	copy(gpts, pts)
-
-	got, err := db.Cluster(ctx, "P", ClusterOptions{Algorithm: DBSCAN, Eps: 12, MinPts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cluster.DBSCAN(gpts, cluster.Euclidean{}, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-		t.Fatalf("obstacle-free DBSCAN differs from Euclidean:\ngot  %v\nwant %v",
-			got.Assignments, want.Assignments)
-	}
-
-	gotK, err := db.Cluster(ctx, "P", ClusterOptions{Algorithm: KMedoids, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantK, err := cluster.KMedoids(gpts, cluster.Euclidean{}, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotK.Assignments, wantK.Assignments) ||
-		!reflect.DeepEqual(gotK.Medoids, wantK.Medoids) {
-		t.Fatalf("obstacle-free k-medoids differs from Euclidean:\ngot  %v %v\nwant %v %v",
-			gotK.Medoids, gotK.Assignments, wantK.Medoids, wantK.Assignments)
+	euclid := newBruteOracle(nil)
+	for _, copts := range []ClusterOptions{
+		{Algorithm: DBSCAN, Eps: 12, MinPts: 3},
+		{Algorithm: KMedoids, K: 5},
+	} {
+		got, err := db.Cluster(ctx, "P", copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameClustering(t, "obstacle-free "+copts.Algorithm.String(), got, euclid.cluster(t, pts, copts))
 	}
 }
 
@@ -185,12 +266,7 @@ func TestClusterWallSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Control: plain Euclidean density sees one blob.
-	gpts := make([]geom.Point, len(pts))
-	copy(gpts, pts)
-	eu, err := cluster.DBSCAN(gpts, cluster.Euclidean{}, 15, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eu := newBruteOracle(nil).cluster(t, pts, ClusterOptions{Algorithm: DBSCAN, Eps: 15, MinPts: 3})
 	if eu.NumClusters != 1 {
 		t.Fatalf("euclidean control: %d clusters, want 1", eu.NumClusters)
 	}
@@ -302,6 +378,43 @@ func TestClusterSealedEntityIsNoise(t *testing.T) {
 	}
 	if dm.NumClusters != 2 {
 		t.Fatalf("DBSCAN produced %d clusters, want 2", dm.NumClusters)
+	}
+}
+
+// countdownCtx is a context that reports itself canceled once Err has been
+// asked more than left times: a cancellation that lands at a fixed point
+// inside a job, whatever the machine's speed.
+type countdownCtx struct {
+	context.Context
+	left, asked atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.asked.Add(1) > c.left.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestClusterCancelPartway: a context canceled halfway through a clustering
+// job aborts it with the cancellation, under both algorithms.
+func TestClusterCancelPartway(t *testing.T) {
+	db, _, _ := clusterScene(t, 81, 30)
+	for _, copts := range []ClusterOptions{
+		{Algorithm: DBSCAN, Eps: 30, MinPts: 3},
+		{Algorithm: KMedoids, K: 4},
+	} {
+		full := &countdownCtx{Context: context.Background()}
+		full.left.Store(math.MaxInt64)
+		if _, err := db.Cluster(full, "P", copts); err != nil {
+			t.Fatal(err)
+		}
+		half := &countdownCtx{Context: context.Background()}
+		half.left.Store(full.asked.Load() / 2)
+		if _, err := db.Cluster(half, "P", copts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v canceled after %d of %d context checks: err = %v",
+				copts.Algorithm, half.left.Load(), full.asked.Load(), err)
+		}
 	}
 }
 

@@ -1,83 +1,26 @@
-// Package cluster implements clustering of spatial entities under an
-// arbitrary distance metric supplied by a DistanceOracle — in particular the
-// obstructed distance of the query engine, following the clustering-with-
-// obstacles line of work (El-Zawawy & El-Sharkawi): entities separated by a
-// wall belong to different clusters even when they are Euclidean-close.
+// Package cluster implements clustering of spatial entities under a metric
+// the caller supplies — in particular the obstructed distance of the query
+// engine, following the clustering-with-obstacles line of work (El-Zawawy &
+// El-Sharkawi): entities separated by a wall belong to different clusters
+// even when they are Euclidean-close.
 //
-// Two algorithms are provided:
+// Two algorithms are provided, each taking the metric in the one form it
+// reads:
 //
-//   - DBSCAN, density clustering whose ε-neighborhoods are evaluated under
-//     the oracle metric, and
-//   - KMedoids, PAM-style partitioning around medoids.
+//   - DBSCAN, density clustering over ε-neighborhoods the caller computes
+//     (for the obstructed metric, one obstacle range query per point), and
+//   - KMedoids, PAM-style partitioning around medoids over the full pairwise
+//     distance matrix.
 //
 // Both are deterministic (no randomized initialization) and tolerate
 // infinite distances: a point with no finite distance to any density-core /
-// medoid is reported as Noise. Oracles are expected to satisfy the Euclidean
-// lower bound dE <= d (true for the obstructed metric), which the
-// ε-neighborhood search uses to prune candidates before consulting the
-// oracle.
+// medoid is reported as Noise.
 package cluster
-
-import (
-	"math"
-
-	"repro/internal/geom"
-)
 
 // Noise is the cluster id assigned to noise points (DBSCAN) and to points
 // with no finite distance to any medoid (KMedoids) — entities sealed off by
 // obstacles end up here.
 const Noise = -1
-
-// DistanceOracle supplies the clustering metric: the distance from one
-// source to each target, +Inf for unreachable targets. The metric must
-// dominate the Euclidean distance (dE <= d), which obstructed distances do.
-type DistanceOracle interface {
-	Distances(source geom.Point, targets []geom.Point) ([]float64, error)
-}
-
-// MatrixOracle is an optional fast path for algorithms that need all
-// pairwise distances (KMedoids). Oracles that do not implement it fall back
-// to one Distances call per point.
-type MatrixOracle interface {
-	DistanceMatrix(pts []geom.Point) ([][]float64, error)
-}
-
-// CandidateSource is an optional fast path for ε-neighborhood candidate
-// generation: the indexes (into the clustered point slice) of every point
-// within Euclidean distance r of point i, in any order, i itself optional.
-// Oracles backed by a spatial index implement it; without it DBSCAN falls
-// back to a linear scan per neighborhood.
-type CandidateSource interface {
-	EuclideanRange(i int, r float64) ([]int, error)
-}
-
-// Euclidean is the obstacle-free reference oracle.
-type Euclidean struct{}
-
-// Distances returns plain Euclidean distances.
-func (Euclidean) Distances(source geom.Point, targets []geom.Point) ([]float64, error) {
-	out := make([]float64, len(targets))
-	for i, t := range targets {
-		out[i] = source.Dist(t)
-	}
-	return out, nil
-}
-
-// DistanceMatrix returns the full Euclidean matrix.
-func (Euclidean) DistanceMatrix(pts []geom.Point) ([][]float64, error) {
-	out := make([][]float64, len(pts))
-	for i := range pts {
-		out[i] = make([]float64, len(pts))
-	}
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			d := pts[i].Dist(pts[j])
-			out[i][j], out[j][i] = d, d
-		}
-	}
-	return out, nil
-}
 
 // Result describes one clustering.
 type Result struct {
@@ -96,52 +39,4 @@ type Result struct {
 	Cost float64
 	// NoiseCount is the number of points assigned Noise.
 	NoiseCount int
-	// OracleCalls counts DistanceOracle invocations (matrix counts as one).
-	OracleCalls int
-	// OracleDistances counts individual distances requested of the oracle.
-	OracleDistances int
-}
-
-// sizes returns the number of points in each cluster.
-func (r *Result) sizes() []int {
-	out := make([]int, r.NumClusters)
-	for _, c := range r.Assignments {
-		if c >= 0 {
-			out[c]++
-		}
-	}
-	return out
-}
-
-// ClusterSizes returns the population of each cluster id.
-func (r *Result) ClusterSizes() []int { return r.sizes() }
-
-// pairwiseMatrix obtains the full distance matrix from the oracle, using the
-// MatrixOracle fast path when available.
-func pairwiseMatrix(pts []geom.Point, oracle DistanceOracle, res *Result) ([][]float64, error) {
-	if mo, ok := oracle.(MatrixOracle); ok {
-		res.OracleCalls++
-		res.OracleDistances += len(pts) * (len(pts) - 1) / 2
-		return mo.DistanceMatrix(pts)
-	}
-	m := make([][]float64, len(pts))
-	for i := range pts {
-		row, err := oracle.Distances(pts[i], pts)
-		if err != nil {
-			return nil, err
-		}
-		res.OracleCalls++
-		res.OracleDistances += len(pts)
-		m[i] = row
-		m[i][i] = 0
-	}
-	// Enforce symmetry (oracles anchored at the source can differ by float
-	// noise between the two directions).
-	for i := range m {
-		for j := i + 1; j < len(m); j++ {
-			d := math.Min(m[i][j], m[j][i])
-			m[i][j], m[j][i] = d, d
-		}
-	}
-	return m, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -62,17 +63,60 @@ func randomPoints(rng *rand.Rand, n int, size float64) []geom.Point {
 	return pts
 }
 
+// euclidean is the obstacle-free reference metric as a distance matrix.
+func euclidean(pts []geom.Point) [][]float64 {
+	return matrix(pts, geom.Point.Dist)
+}
+
+// island is Euclidean within each side of the line x = 50 and +Inf across
+// it — a hard wall, as obstructed metrics produce.
+func island(pts []geom.Point) [][]float64 {
+	return matrix(pts, func(a, b geom.Point) float64 {
+		if (a.X < 50) != (b.X < 50) {
+			return math.Inf(1)
+		}
+		return a.Dist(b)
+	})
+}
+
+func matrix(pts []geom.Point, d func(a, b geom.Point) float64) [][]float64 {
+	m := make([][]float64, len(pts))
+	for i := range pts {
+		m[i] = make([]float64, len(pts))
+		for j := range pts {
+			if j != i {
+				m[i][j] = d(pts[i], pts[j])
+			}
+		}
+	}
+	return m
+}
+
+// within returns the ε-neighborhoods of the matrix's points, the form
+// DBSCAN reads its metric in.
+func within(m [][]float64, eps float64) func(i int) ([]int, error) {
+	return func(i int) ([]int, error) {
+		var nb []int
+		for j, d := range m[i] {
+			if j != i && d <= eps {
+				nb = append(nb, j)
+			}
+		}
+		return nb, nil
+	}
+}
+
 func TestDBSCANMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
 		pts := randomPoints(rng, 10+rng.Intn(80), 100)
 		eps := 3 + rng.Float64()*15
 		minPts := 1 + rng.Intn(5)
-		got, err := DBSCAN(pts, Euclidean{}, eps, minPts)
+		m := euclidean(pts)
+		got, err := DBSCAN(len(pts), within(m, eps), minPts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _ := Euclidean{}.DistanceMatrix(pts)
 		want := refDBSCAN(m, eps, minPts)
 		if !reflect.DeepEqual(got.Assignments, want) {
 			t.Fatalf("trial %d (eps=%v minPts=%d): %v\nwant %v", trial, eps, minPts, got.Assignments, want)
@@ -99,7 +143,7 @@ func TestDBSCANBlobsAndNoise(t *testing.T) {
 		}
 	}
 	pts = append(pts, geom.Pt(45, 45)) // isolated: noise
-	res, err := DBSCAN(pts, Euclidean{}, 6, 3)
+	res, err := DBSCAN(len(pts), within(euclidean(pts), 6), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +162,12 @@ func TestDBSCANBlobsAndNoise(t *testing.T) {
 			}
 		}
 	}
-	sizes := res.ClusterSizes()
+	sizes := make([]int, res.NumClusters)
+	for _, c := range res.Assignments {
+		if c >= 0 {
+			sizes[c]++
+		}
+	}
 	for c, sz := range sizes {
 		if sz != 12 {
 			t.Fatalf("cluster %d size %d, want 12", c, sz)
@@ -135,7 +184,7 @@ func TestKMedoidsBlobs(t *testing.T) {
 			pts = append(pts, geom.Pt(c.X+rng.Float64()*6, c.Y+rng.Float64()*6))
 		}
 	}
-	res, err := KMedoids(pts, Euclidean{}, 4, 0)
+	res, err := KMedoids(euclidean(pts), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +209,6 @@ func TestKMedoidsBlobs(t *testing.T) {
 	}
 }
 
-// islandOracle is Euclidean within each side of the line x = 50 and +Inf
-// across it — a hard wall, as obstructed metrics produce.
-type islandOracle struct{}
-
-func (islandOracle) Distances(source geom.Point, targets []geom.Point) ([]float64, error) {
-	out := make([]float64, len(targets))
-	for i, p := range targets {
-		if (source.X < 50) != (p.X < 50) {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = source.Dist(p)
-		}
-	}
-	return out, nil
-}
-
 func TestDBSCANIslandsNeverMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	var pts []geom.Point
@@ -186,7 +219,7 @@ func TestDBSCANIslandsNeverMerge(t *testing.T) {
 		pts = append(pts, geom.Pt(52+rng.Float64()*4, rng.Float64()*10))
 	}
 	// Euclidean clustering sees one dense blob.
-	eu, err := DBSCAN(pts, Euclidean{}, 12, 3)
+	eu, err := DBSCAN(len(pts), within(euclidean(pts), 12), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +227,7 @@ func TestDBSCANIslandsNeverMerge(t *testing.T) {
 		t.Fatalf("euclidean control found %d clusters, want 1", eu.NumClusters)
 	}
 	// The island metric must keep the two sides apart.
-	res, err := DBSCAN(pts, islandOracle{}, 12, 3)
+	res, err := DBSCAN(len(pts), within(island(pts), 12), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +250,7 @@ func TestKMedoidsIslandsAndNoise(t *testing.T) {
 		geom.Pt(90, 90), geom.Pt(92, 90), // right island
 	}
 	// k=2: one medoid per island, nobody stranded.
-	res, err := KMedoids(pts, islandOracle{}, 2, 0)
+	res, err := KMedoids(island(pts), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +267,7 @@ func TestKMedoidsIslandsAndNoise(t *testing.T) {
 	// k=1: the minority island is unreachable from the chosen medoid and
 	// becomes Noise (coverage dominates cost, so the medoid sits on the
 	// 3-point island).
-	res, err = KMedoids(pts, islandOracle{}, 1, 0)
+	res, err = KMedoids(island(pts), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +288,7 @@ func TestKMedoidsSealedPointNeverMedoid(t *testing.T) {
 		geom.Pt(90, 90), // alone on the right: unreachable from everything
 	}
 	for _, k := range []int{1, 2, 3} {
-		res, err := KMedoids(pts, islandOracle{}, k, 0)
+		res, err := KMedoids(island(pts), k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +306,7 @@ func TestKMedoidsSealedPointNeverMedoid(t *testing.T) {
 	}
 	// Everything sealed from everything: all noise, zero clusters.
 	lonely := []geom.Point{geom.Pt(10, 10), geom.Pt(90, 90)}
-	res, err := KMedoids(lonely, islandOracle{}, 1, 0)
+	res, err := KMedoids(island(lonely), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,18 +317,16 @@ func TestKMedoidsSealedPointNeverMedoid(t *testing.T) {
 
 func TestKMedoidsEdgeCases(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(75)), 6, 100)
-	if _, err := KMedoids(pts, Euclidean{}, 0, 0); err == nil {
+	m := euclidean(pts)
+	if _, err := KMedoids(m, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := DBSCAN(pts, Euclidean{}, -1, 3); err == nil {
-		t.Fatal("negative eps accepted")
-	}
-	if _, err := DBSCAN(pts, Euclidean{}, 1, 0); err == nil {
+	if _, err := DBSCAN(len(pts), within(m, 1), 0); err == nil {
 		t.Fatal("minPts=0 accepted")
 	}
 	// k >= n: every point serves as its own medoid (at cost 0), whatever
 	// order BUILD picked them in.
-	res, err := KMedoids(pts, Euclidean{}, 10, 0)
+	res, err := KMedoids(m, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,55 +339,53 @@ func TestKMedoidsEdgeCases(t *testing.T) {
 		}
 	}
 	// A single point is one singleton cluster, not noise.
-	res, err = KMedoids(pts[:1], Euclidean{}, 1, 0)
+	res, err = KMedoids(euclidean(pts[:1]), 1, 0)
 	if err != nil || res.NumClusters != 1 || res.NoiseCount != 0 || res.Assignments[0] != 0 {
 		t.Fatalf("single point: %+v, %v", res, err)
 	}
 	// Empty input.
-	res, err = KMedoids(nil, Euclidean{}, 3, 0)
+	res, err = KMedoids(nil, 3, 0)
 	if err != nil || res.NumClusters != 0 {
 		t.Fatalf("empty: %+v, %v", res, err)
 	}
-	empty, err := DBSCAN(nil, Euclidean{}, 5, 2)
+	empty, err := DBSCAN(0, within(nil, 5), 2)
 	if err != nil || empty.NumClusters != 0 {
 		t.Fatalf("empty dbscan: %+v, %v", empty, err)
 	}
 }
 
-// indexedEuclidean wraps Euclidean with a (deliberately shuffled-order)
-// CandidateSource, to prove the indexed candidate path yields the same
-// clustering as the linear-scan fallback.
-type indexedEuclidean struct {
-	Euclidean
-	pts []geom.Point
-}
-
-func (o indexedEuclidean) EuclideanRange(i int, r float64) ([]int, error) {
-	var out []int
-	for j := len(o.pts) - 1; j >= 0; j-- { // reversed order on purpose
-		if o.pts[i].Dist(o.pts[j]) <= r {
-			out = append(out, j)
-		}
-	}
-	return out, nil
-}
-
-func TestDBSCANCandidateSourceMatchesLinearScan(t *testing.T) {
+// TestDBSCANNeighborOrderIrrelevant: the clustering must not depend on the
+// order neighborhoods come back in (an obstacle range query returns them by
+// distance), and DBSCAN asks for each point's neighborhood at most once.
+func TestDBSCANNeighborOrderIrrelevant(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 10; trial++ {
 		pts := randomPoints(rng, 20+rng.Intn(60), 100)
 		eps := 4 + rng.Float64()*12
-		plain, err := DBSCAN(pts, Euclidean{}, eps, 3)
+		forward := within(euclidean(pts), eps)
+		asked := make([]int, len(pts))
+		reversed := func(i int) ([]int, error) {
+			asked[i]++
+			nb, err := forward(i)
+			slices.Reverse(nb)
+			return nb, err
+		}
+		plain, err := DBSCAN(len(pts), forward, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := DBSCAN(pts, indexedEuclidean{pts: pts}, eps, 3)
+		rev, err := DBSCAN(len(pts), reversed, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(plain.Assignments, indexed.Assignments) {
-			t.Fatalf("trial %d: indexed candidates changed the clustering\nplain   %v\nindexed %v",
-				trial, plain.Assignments, indexed.Assignments)
+		if !reflect.DeepEqual(plain.Assignments, rev.Assignments) {
+			t.Fatalf("trial %d: neighbor order changed the clustering\nforward  %v\nreversed %v",
+				trial, plain.Assignments, rev.Assignments)
+		}
+		for i, n := range asked {
+			if n > 1 {
+				t.Fatalf("trial %d: neighborhood of %d asked %d times", trial, i, n)
+			}
 		}
 	}
 }
@@ -364,19 +393,20 @@ func TestDBSCANCandidateSourceMatchesLinearScan(t *testing.T) {
 func TestClusteringDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	pts := randomPoints(rng, 60, 100)
-	a1, err := DBSCAN(pts, Euclidean{}, 10, 3)
+	m := euclidean(pts)
+	a1, err := DBSCAN(len(pts), within(m, 10), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := DBSCAN(pts, Euclidean{}, 10, 3)
+	a2, _ := DBSCAN(len(pts), within(m, 10), 3)
 	if !reflect.DeepEqual(a1.Assignments, a2.Assignments) {
 		t.Fatal("DBSCAN not deterministic")
 	}
-	b1, err := KMedoids(pts, Euclidean{}, 5, 0)
+	b1, err := KMedoids(m, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _ := KMedoids(pts, Euclidean{}, 5, 0)
+	b2, _ := KMedoids(m, 5, 0)
 	if !reflect.DeepEqual(b1.Assignments, b2.Assignments) || !reflect.DeepEqual(b1.Medoids, b2.Medoids) {
 		t.Fatal("KMedoids not deterministic")
 	}
@@ -387,11 +417,11 @@ func TestClusteringDeterministic(t *testing.T) {
 func TestKMedoidsLocalOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	pts := randomPoints(rng, 30, 100)
-	res, err := KMedoids(pts, Euclidean{}, 4, 0)
+	m := euclidean(pts)
+	res, err := KMedoids(m, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := Euclidean{}.DistanceMatrix(pts)
 	base := clusteringCost(m, res.Medoids)
 	if math.Abs(base-res.Cost) > 1e-9 {
 		t.Fatalf("reported cost %v, recomputed %v", res.Cost, base)

@@ -1,90 +1,39 @@
 package cluster
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/geom"
-)
-
-// DBSCAN density-clusters pts under the oracle metric: a point with at
-// least minPts points (itself included) within distance eps is a core
-// point; cores within eps of each other share a cluster, and non-core
-// points within eps of a core join its cluster as border points. Points in
-// no cluster — including entities the metric seals off from everything —
-// are assigned Noise.
+// DBSCAN density-clusters n points given their ε-neighborhoods: neighbors(i)
+// returns the indexes of the other points within distance ε of point i, in
+// any order. A point with at least minPts points (itself included) in its
+// neighborhood is a core point; cores within ε of each other share a
+// cluster, and non-core points within ε of a core join its cluster as
+// border points. Points in no cluster — including entities the metric seals
+// off from everything — are assigned Noise.
 //
-// The ε-neighborhood search prunes by the Euclidean lower bound before
-// consulting the oracle, so only candidates with dE <= eps cost an oracle
-// distance. The result is deterministic: clusters are numbered in order of
-// the lowest-index core point that seeds them, and a border point reachable
-// from several clusters joins the one whose core expanded to it first.
-func DBSCAN(pts []geom.Point, oracle DistanceOracle, eps float64, minPts int) (*Result, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("cluster: negative eps %v", eps)
-	}
+// neighbors is called at most once per point. The result is deterministic:
+// clusters are numbered in order of the lowest-index core point that seeds
+// them, and a border point reachable from several clusters joins the one
+// whose core expanded to it first.
+func DBSCAN(n int, neighbors func(i int) ([]int, error), minPts int) (*Result, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("cluster: minPts %d < 1", minPts)
 	}
-	res := &Result{Assignments: make([]int, len(pts))}
+	res := &Result{Assignments: make([]int, n)}
 	for i := range res.Assignments {
 		res.Assignments[i] = Noise
 	}
 	const unvisited = -2
-	state := make([]int, len(pts)) // unvisited, or the assigned cluster/Noise
+	state := make([]int, n) // unvisited, or the assigned cluster/Noise
 	for i := range state {
 		state[i] = unvisited
 	}
 
-	cs, _ := oracle.(CandidateSource)
-	neighborhood := func(i int) ([]int, error) {
-		// Filter: Euclidean candidates (dE <= eps never misses since
-		// dE <= d), via the oracle's spatial index when it has one.
-		// Refinement: oracle distances.
-		var cand []int
-		var candPts []geom.Point
-		if cs != nil {
-			ids, err := cs.EuclideanRange(i, eps)
-			if err != nil {
-				return nil, err
-			}
-			for _, j := range ids {
-				if j != i {
-					cand = append(cand, j)
-					candPts = append(candPts, pts[j])
-				}
-			}
-		} else {
-			for j, p := range pts {
-				if j != i && pts[i].Dist(p) <= eps {
-					cand = append(cand, j)
-					candPts = append(candPts, p)
-				}
-			}
-		}
-		if len(cand) == 0 {
-			return nil, nil
-		}
-		dists, err := oracle.Distances(pts[i], candPts)
-		if err != nil {
-			return nil, err
-		}
-		res.OracleCalls++
-		res.OracleDistances += len(cand)
-		nb := cand[:0]
-		for k, d := range dists {
-			if d <= eps {
-				nb = append(nb, cand[k])
-			}
-		}
-		return nb, nil
-	}
-
 	cluster := 0
-	for i := range pts {
+	for i := range n {
 		if state[i] != unvisited {
 			continue
 		}
-		nb, err := neighborhood(i)
+		nb, err := neighbors(i)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +59,7 @@ func DBSCAN(pts []geom.Point, oracle DistanceOracle, eps float64, minPts int) (*
 			}
 			state[j] = cluster
 			res.Assignments[j] = cluster
-			jnb, err := neighborhood(j)
+			jnb, err := neighbors(j)
 			if err != nil {
 				return nil, err
 			}

@@ -3,17 +3,16 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/geom"
 )
 
-// KMedoids partitions pts into k clusters around medoids (PAM: a greedy
-// BUILD phase followed by SWAP steps until no single medoid exchange
-// improves the clustering), under the oracle metric via its full pairwise
-// distance matrix. maxIter caps the SWAP rounds (<= 0 means no cap; PAM
-// always terminates because each swap strictly improves the cost). k is
-// clamped to the number of eligible points, so k >= len(pts) degenerates
-// to every (eligible) point serving as its own medoid.
+// KMedoids partitions the points of the symmetric distance matrix m
+// (m[i][j] is the distance between points i and j, +Inf when unreachable,
+// 0 on the diagonal) into k clusters around medoids (PAM: a greedy BUILD
+// phase followed by SWAP steps until no single medoid exchange improves the
+// clustering). maxIter caps the SWAP rounds (<= 0 means no cap; PAM always
+// terminates because each swap strictly improves the cost). k is clamped to
+// the number of eligible points, so k >= len(m) degenerates to every
+// (eligible) point serving as its own medoid.
 //
 // Costs order lexicographically: a clustering that strands fewer points at
 // infinite distance always beats one with a smaller distance sum, so the
@@ -22,27 +21,24 @@ import (
 // assigned Noise and excluded from Cost; a point sealed off from every
 // other point is also barred from medoid candidacy (it could only serve
 // itself), which can shrink the produced cluster count below k.
-func KMedoids(pts []geom.Point, oracle DistanceOracle, k, maxIter int) (*Result, error) {
+func KMedoids(m [][]float64, k, maxIter int) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: k %d < 1", k)
 	}
-	res := &Result{Assignments: make([]int, len(pts))}
-	if len(pts) == 0 {
+	n := len(m)
+	res := &Result{Assignments: make([]int, n)}
+	if n == 0 {
 		return res, nil
-	}
-	m, err := pairwiseMatrix(pts, oracle, res)
-	if err != nil {
-		return nil, err
 	}
 	// A point sealed off from every other point (all off-diagonal
 	// distances infinite) must not become a medoid: it would serve only
 	// itself, silently consuming a cluster slot. Such points end up Noise,
 	// as documented. With fewer eligible candidates than k, the produced
 	// cluster count shrinks accordingly.
-	eligible := make([]bool, len(pts))
+	eligible := make([]bool, n)
 	nEligible := 0
-	for i := range pts {
-		for j := range pts {
+	for i := range n {
+		for j := range n {
 			if j != i && !math.IsInf(m[i][j], 1) {
 				eligible[i] = true
 				nEligible++
@@ -50,16 +46,16 @@ func KMedoids(pts []geom.Point, oracle DistanceOracle, k, maxIter int) (*Result,
 			}
 		}
 	}
-	if len(pts) == 1 {
+	if n == 1 {
 		// A lone point has nobody to be sealed off from: one singleton
 		// cluster, not noise.
 		eligible[0], nEligible = true, 1
 	}
 	if nEligible == 0 {
-		for i := range pts {
+		for i := range n {
 			res.Assignments[i] = Noise
 		}
-		res.NoiseCount = len(pts)
+		res.NoiseCount = n
 		return res, nil
 	}
 	if k > nEligible {
@@ -67,7 +63,7 @@ func KMedoids(pts []geom.Point, oracle DistanceOracle, k, maxIter int) (*Result,
 	}
 
 	medoids := pamBuild(m, k, eligible)
-	isMedoid := make([]bool, len(pts))
+	isMedoid := make([]bool, n)
 	for _, md := range medoids {
 		isMedoid[md] = true
 	}
@@ -78,7 +74,7 @@ func KMedoids(pts []geom.Point, oracle DistanceOracle, k, maxIter int) (*Result,
 		bestCost := cur.total
 		bestM, bestH := -1, -1
 		for mi, md := range medoids {
-			for h := range pts {
+			for h := range n {
 				if isMedoid[h] || !eligible[h] {
 					continue
 				}
@@ -98,7 +94,7 @@ func KMedoids(pts []geom.Point, oracle DistanceOracle, k, maxIter int) (*Result,
 		cur = assignCost(m, medoids)
 	}
 
-	for i := range pts {
+	for i := range n {
 		c := cur.assign[i]
 		if c < 0 {
 			res.Assignments[i] = Noise

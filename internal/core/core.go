@@ -578,8 +578,8 @@ func (r ObstacleReads) add(o ObstacleReads) ObstacleReads {
 }
 
 // Merge folds another call's counters into st — the one merge rule shared
-// by the matrix row loop and the clustering oracle. Additive fields sum,
-// GraphNodes/GraphEdges track the largest graph seen.
+// by the matrix row loop and a clustering job's range queries. Additive
+// fields sum, GraphNodes/GraphEdges track the largest graph seen.
 func (st *Stats) Merge(rst Stats) {
 	st.Candidates += rst.Candidates
 	st.Results += rst.Results

@@ -14,8 +14,8 @@ import (
 // the disk of obstacle space each graph incorporates. Batch queries whose
 // initial range falls inside a cached disk reuse that graph (growing it in
 // place when the enlargement loop demands more), so workloads with spatial
-// locality — clustering neighborhoods, Hilbert-ordered join seeds — skip
-// most graph construction. Entity and terminal nodes are removed after each
+// locality — batch distances around nearby sources, the rows of a distance
+// matrix, Hilbert-ordered join seeds — skip most graph construction. Entity and terminal nodes are removed after each
 // query; cached graphs hold obstacle vertices only.
 //
 // The cache is safe for concurrent sessions: the entry list and traffic

@@ -139,24 +139,9 @@ func (s *Session) pointTree(P *PointSet) *rtree.Tree {
 	return P.tree.Counted(&s.io)
 }
 
-// EuclideanRange returns the ids of P's entities within Euclidean distance r
-// of center, through the session's counted view (the candidate generator for
-// clustering neighborhoods).
-func (s *Session) EuclideanRange(P *PointSet, center geom.Point, r float64) ([]int64, error) {
-	if err := s.err(); err != nil {
-		return nil, err
-	}
-	var out []int64
-	err := s.pointTree(P).SearchCircle(center, r, func(it rtree.Item) bool {
-		out = append(out, it.Data)
-		return true
-	})
-	return out, err
-}
-
 // workSnap captures the session's counters before a call, so the call can
 // report exact per-call deltas even when one session runs several calls
-// (clustering, iterators).
+// (a clustering job's range queries, iterators).
 type workSnap struct {
 	met    visgraph.Metrics
 	io     pagefile.Stats

@@ -354,10 +354,11 @@ func (r *reader) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryO
 
 // Cluster groups the entities of a dataset by obstructed distance: entities
 // on opposite sides of an obstacle wall cluster apart even when they are
-// Euclidean-close. Neighborhoods and medoid assignments are computed with
-// the batch multi-source distance engine (one visibility-graph expansion
-// per source over cached graphs), not per-pair distance calls. Clustering
-// jobs can run long; cancel ctx to abort one mid-flight with ctx.Err().
+// Euclidean-close. A DBSCAN neighborhood is one obstacle range query (one
+// bounded visibility-graph expansion per entity); k-medoids reads the
+// DistanceMatrix (one batch expansion per row), not per-pair distance calls.
+// Clustering jobs can run long; cancel ctx to abort one mid-flight with
+// ctx.Err().
 func (r *reader) Cluster(ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {
 	if err := copts.validate(); err != nil {
 		return nil, err
