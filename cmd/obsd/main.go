@@ -2,8 +2,8 @@
 // verb (range, nearest, join, closest-pairs, distance, path,
 // distance-matrix, cluster) and every mutation verb (insert/delete points,
 // add/remove obstacles, create dataset) on multi-tenant dataset
-// namespaces, with per-request deadlines, admission control, request
-// coalescing, and graceful drain on SIGINT/SIGTERM.
+// namespaces, with per-request deadlines, admission control, and graceful
+// drain on SIGINT/SIGTERM.
 //
 // Usage:
 //
@@ -33,24 +33,22 @@
 // span tree, /debug/active shows what the daemon is doing right now.
 //
 // Request deadlines: clients append ?timeout=750ms (any Go duration) to a
-// verb URL; the deadline is clamped to -max-timeout and propagated into
-// the engine, and an expired deadline returns the structured error
-// {"error":{"code":"deadline_exceeded",...}} with status 504.
+// verb URL; the deadline is clamped to -max-timeout, bounds the wait for an
+// admission slot and is propagated into the engine, and an expired deadline
+// returns the structured error {"error":{"code":"deadline_exceeded",...}}
+// with status 504.
 //
 // Overload: at most -max-in-flight requests execute at once and
 // -max-queued more wait; beyond that the daemon sheds load immediately
 // with {"error":{"code":"overloaded",...}}, status 429, and a Retry-After
 // header. During shutdown new requests get code "draining" and 503.
 //
-// Coalescing: concurrent /v1/distance requests whose sources fall in the
-// same -coalesce-cell grid cell are answered in batches of up to
-// -coalesce-batch by an elected leader over one shared visibility graph;
-// identical concurrent /v1/datasets/{ds}/nearest requests share one
-// execution. -no-coalesce turns both off.
+// Warm graphs: /v1/distance requests around the same region share one
+// expanded visibility graph through the database's graph cache, sized with
+// -graph-cache.
 //
 // Request logging: -log-requests emits one structured JSON line to stderr
-// per request — route, dataset, status, duration, trace id, and whether the
-// answer rode a coalesced batch.
+// per request — route, dataset, status, duration and trace id.
 //
 // Backup: POST /v1/admin/backup with {"path": "copy.obs"} writes a
 // consistent point-in-time copy of a durable database to a fresh file
@@ -101,10 +99,6 @@ func main() {
 		defTimeout  = flag.Duration("default-timeout", 30*time.Second, "deadline for requests without ?timeout=")
 		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "upper clamp on ?timeout=")
 
-		coalesceCell  = flag.Float64("coalesce-cell", 512, "coalescer region cell side length")
-		coalesceBatch = flag.Int("coalesce-batch", 16, "max requests one coalesced batch answers")
-		noCoalesce    = flag.Bool("no-coalesce", false, "disable request coalescing")
-
 		graphCache   = flag.Int("graph-cache", 0, "visibility-graph cache entries (0 = engine default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		logRequests  = flag.Bool("log-requests", false, "log one structured JSON line per request to stderr")
@@ -136,8 +130,7 @@ func main() {
 		server.Config{
 			MaxInFlight: *maxInFlight, MaxQueued: *maxQueued,
 			DefaultTimeout: *defTimeout, MaxTimeout: *maxTimeout,
-			CoalesceCell: *coalesceCell, CoalesceMaxBatch: *coalesceBatch,
-			DisableCoalesce: *noCoalesce, RequestLogger: reqLog,
+			RequestLogger: reqLog,
 		}, opts, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)

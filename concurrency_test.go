@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dataset"
 )
 
 // stressDB builds a mid-sized street-grid scene with two datasets, the
@@ -225,6 +227,76 @@ func distsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestConcurrentDistancesShareCachedGraph: concurrent ObstructedDistance
+// calls from one source share the graph cache's warm graph — 24 requests
+// cost at most two graph builds, not 24 — and answer bit for bit what a
+// database without a graph cache computes. The source sits on a street
+// obstacle's edge, so the ring of targets holds detours and buried points;
+// every detour stays within the cache's reuse radius.
+func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
+	world := dataset.Generate(dataset.DefaultConfig(7, 60))
+	open := func(graphCache int) *Database {
+		db, err := NewDatabaseFromRects(world.Rects, Options{GraphCacheSize: graphCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	db, uncached := open(0), open(-1)
+	bg := context.Background()
+	src := world.Entities(world.EntityRand(1), 1)[0]
+
+	const N = 24
+	targets := make([]Point, N)
+	for i := range targets {
+		a, r := 2*math.Pi*float64(i)/N, 100+50*float64(i%3)
+		targets[i] = Pt(src.X+r*math.Cos(a), src.Y+r*math.Sin(a))
+	}
+	want := make([]float64, N)
+	detours := 0
+	for i, tgt := range targets {
+		d, err := uncached.ObstructedDistance(bg, src, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+		if d > src.Dist(tgt) && !math.IsInf(d, 1) {
+			detours++
+		}
+	}
+	if detours == 0 {
+		t.Fatal("no target needs a detour: the scene tests nothing")
+	}
+
+	before := db.Metrics().GraphBuilds
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]float64, N)
+	errs := make([]error, N)
+	for i := range targets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = db.ObstructedDistance(bg, src, targets[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range targets {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("request %d to %v: cached %v, uncached %v", i, targets[i], got[i], want[i])
+		}
+	}
+	if builds := db.Metrics().GraphBuilds - before; builds > 2 {
+		t.Fatalf("%d graph builds for %d concurrent same-source distances, want <= 2", builds, N)
+	}
 }
 
 // TestConcurrentAddDataset exercises AddDataset racing queries on other

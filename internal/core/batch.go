@@ -8,8 +8,8 @@ import (
 
 // This file holds the batch multi-source distance verbs: one field — one
 // visibility graph, one expansion per enlargement round — serves an entire
-// target set, instead of one graph build and one search per pair as in
-// ObstructedDistance.
+// target set, instead of one graph build and one search per pair.
+// ObstructedDistance is the batch of one.
 
 // BatchDistances computes the obstructed distance from source to every
 // target. Unreachable targets (sealed off, or strictly inside an obstacle)

@@ -607,7 +607,7 @@ type Engine struct {
 	// engine runs, merged from sessions with atomics; see Metrics.
 	totals workTotals
 	// cache, when enabled, retains expanded visibility-graph states for
-	// reuse across batch-distance queries; see EnableGraphCache.
+	// reuse across distance queries and join seeds; see EnableGraphCache.
 	cache *GraphCache
 }
 

@@ -80,7 +80,8 @@ func sealedScene(t *testing.T, rng *rand.Rand) *scene {
 // over all obstacles), on the three scene kinds. It is the paper's
 // correctness claim — Euclidean filtering and local graphs lose no answer and
 // change no distance — as a fuzz target. Odd seeds run with the engine's
-// graph cache on, which DistanceJoin and BatchDistances go through.
+// graph cache on, which DistanceJoin, BatchDistances and ObstructedDistance
+// go through.
 func FuzzVerbsMatchOracle(f *testing.F) {
 	// The fixed seeds of the five Test...MatchesOracle tests.
 	for _, seed := range []int64{31, 32, 33, 36, 38} {
@@ -277,6 +278,19 @@ func FuzzVerbsMatchOracle(f *testing.F) {
 			}
 			if path[0] != q || path[len(path)-1] != b || math.Abs(sum-d) > distTol {
 				t.Fatalf("ObstructedPath(%v, %v) = %v: legs sum to %v, length %v", q, b, path, sum, d)
+			}
+		}
+
+		// ObstructedDistance: three pairs from different sources, so on odd
+		// seeds they meet the cache's entries from more than one center.
+		for i := 0; i < 3; i++ {
+			a, b := spts[rng.Intn(len(spts))], pts[rng.Intn(len(pts))]
+			d, _, err := bg(eng).ObstructedDistance(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := s.bruteDist(a, b); !sameDist(d, want) {
+				t.Fatalf("ObstructedDistance(%v, %v) = %v, oracle %v", a, b, d, want)
 			}
 		}
 	})

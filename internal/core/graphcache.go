@@ -14,9 +14,10 @@ import (
 // the disk of obstacle space each graph incorporates. Batch queries whose
 // initial range falls inside a cached disk reuse that graph (growing it in
 // place when the enlargement loop demands more), so workloads with spatial
-// locality — batch distances around nearby sources, the rows of a distance
-// matrix, Hilbert-ordered join seeds — skip most graph construction. Entity and terminal nodes are removed after each
-// query; cached graphs hold obstacle vertices only.
+// locality — pair and batch distances around nearby sources, the rows of a
+// distance matrix, Hilbert-ordered join seeds — skip most graph
+// construction. Entity and terminal nodes are removed after each query;
+// cached graphs hold obstacle vertices only.
 //
 // The cache is safe for concurrent sessions: the entry list and traffic
 // counters sit behind one mutex, and each entry carries its own lock held
@@ -138,9 +139,9 @@ func NewGraphCacheAt(e *Engine, capacity int, epoch uint64) *GraphCache {
 }
 
 // EnableGraphCache attaches a graph cache of the given capacity to the
-// engine: BatchDistances and DistanceJoin reuse expanded graph states across
-// calls. Capacity <= 0 detaches the cache. Not safe to call while queries
-// are in flight; configure the engine before serving.
+// engine: ObstructedDistance, BatchDistances and DistanceJoin reuse expanded
+// graph states across calls. Capacity <= 0 detaches the cache. Not safe to
+// call while queries are in flight; configure the engine before serving.
 func (e *Engine) EnableGraphCache(capacity int) {
 	if capacity <= 0 {
 		e.cache = nil

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,9 +77,6 @@ func expectRecord(t *testing.T, recs []capturedRecord, route, dataset string, st
 	if !ok || d <= 0 {
 		t.Errorf("route %q: duration = %v, want a positive duration", route, r.attrs["duration"])
 	}
-	if _, ok := r.attrs["coalesced"].(bool); !ok {
-		t.Errorf("route %q: coalesced attr missing or not bool: %v", route, r.attrs["coalesced"])
-	}
 	id, ok := r.attrs["trace_id"].(string)
 	if !ok || !traceIDRe.MatchString(id) {
 		t.Errorf("route %q: trace_id = %v, want 32 hex digits", route, r.attrs["trace_id"])
@@ -90,12 +86,12 @@ func expectRecord(t *testing.T, recs []capturedRecord, route, dataset string, st
 
 // TestRequestLogging: with Config.RequestLogger set, every request — success,
 // typed error, and pipeline rejection alike — emits exactly one structured
-// record carrying route, dataset, status, duration, and the coalesce flag.
+// record carrying route, dataset, status, duration and trace id.
 func TestRequestLogging(t *testing.T) {
 	db := newTestDB(t)
 	defer db.Close()
 	h := &capturingHandler{}
-	s := New(db, Config{RequestLogger: slog.New(h), DisableCoalesce: true})
+	s := New(db, Config{RequestLogger: slog.New(h)})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
@@ -121,67 +117,11 @@ func TestRequestLogging(t *testing.T) {
 	if ok.level != slog.LevelInfo {
 		t.Errorf("success record level = %v, want Info", ok.level)
 	}
-	if got := ok.attrs["coalesced"]; got != false {
-		t.Errorf("uncoalesced nearest logged coalesced = %v", got)
-	}
 	expectRecord(t, recs, "range", "nope", http.StatusNotFound)
 	// The bad ?timeout= is rejected by the pipeline before the handler runs;
 	// it must still be logged.
 	expectRecord(t, recs, "distance", "", http.StatusBadRequest)
 	expectRecord(t, recs, "health", "", http.StatusOK)
-}
-
-// TestRequestLoggingCoalesced: riders of a coalesced nearest batch log
-// coalesced=true; the leader logs coalesced=false.
-func TestRequestLoggingCoalesced(t *testing.T) {
-	db := newTestDB(t)
-	defer db.Close()
-	h := &capturingHandler{}
-	s := New(db, Config{RequestLogger: slog.New(h)})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	q := freePoint(t, db)
-
-	// Stage deterministic overlap (see TestCoalesceNearestSingleflight): the
-	// leader parks until every other request has lined up as a rider.
-	const N = 4
-	var riders atomic.Int64
-	leaderGo := make(chan struct{})
-	testHookNNLeader = func() { <-leaderGo }
-	testHookNNRider = func() { riders.Add(1) }
-	defer func() { testHookNNLeader, testHookNNRider = nil, nil }()
-
-	var wg sync.WaitGroup
-	codes := make([]int, N)
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], _ = post(t, ts.URL+"/v1/datasets/P/nearest", NearestRequest{Q: Pt{q.X, q.Y}, K: 3})
-		}(i)
-	}
-	waitFor(t, "riders to line up", func() bool { return riders.Load() == N-1 })
-	close(leaderGo)
-	wg.Wait()
-
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, code)
-		}
-	}
-	recs := h.take()
-	if len(recs) != N {
-		t.Fatalf("%d log records for %d requests, want %d", len(recs), N, N)
-	}
-	rode := 0
-	for _, r := range recs {
-		if r.attrs["coalesced"] == true {
-			rode++
-		}
-	}
-	if rode != N-1 {
-		t.Fatalf("%d records logged coalesced=true, want %d (every rider, not the leader)", rode, N-1)
-	}
 }
 
 // TestBackupEndpoint: POST /v1/admin/backup writes a reopenable copy of a

@@ -5,25 +5,23 @@
 // multi-tenant dataset namespaces, with
 //
 //   - per-request deadlines: ?timeout= (a Go duration) is clamped to
-//     Config.MaxTimeout and propagated into the query's context, so an
-//     expired deadline aborts the traversal inside the engine, not just the
+//     Config.MaxTimeout and installed before admission, so it bounds the
+//     wait for a slot as well as the query, whose context carries it into
+//     the engine: an expired deadline aborts the traversal, not just the
 //     response write;
 //   - admission control: at most MaxInFlight requests execute at once,
 //     MaxQueued more wait, and the rest are shed immediately with a typed
 //     429 (overloaded) or, during shutdown, 503 (draining);
-//   - request coalescing: concurrent same-region distance queries are
-//     answered in batches by an elected leader over one shared visibility
-//     graph (see coalesce.go);
 //   - graceful shutdown: Shutdown shuts the admission gate, lets every
 //     in-flight request finish, and only then closes the Database, so the
 //     durable store always sees a clean close;
 //   - structured request logging: Config.RequestLogger, when set, receives
-//     one slog record per request — route, dataset, status, duration, trace
-//     id, and whether the answer rode a coalesced batch;
+//     one slog record per request — route, dataset, status, duration and
+//     trace id;
 //   - end-to-end tracing: every request runs under a trace, continuing the
 //     caller's W3C traceparent header when one is present, and returns its
-//     trace id in the Obs-Trace-Id response header. Admission wait,
-//     coalesce parking, engine stages and commit stages are child spans;
+//     trace id in the Obs-Trace-Id response header. Admission wait, engine
+//     stages and commit stages are child spans;
 //     completed traces land in the Database's flight recorder
 //     (/debug/traces, /debug/traces/{id}) and in-flight ones are listed by
 //     /debug/active.
@@ -118,22 +116,11 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps the ?timeout= parameter. Default 5m.
 	MaxTimeout time.Duration
-	// CoalesceCell is the side length of the coalescer's region grid:
-	// concurrent distance queries whose sources share a cell are batched.
-	// Default 512 (the graph cache's expansion scale).
-	CoalesceCell float64
-	// CoalesceMaxBatch caps how many parked requests one leader answers.
-	// Default 16.
-	CoalesceMaxBatch int
-	// DisableCoalesce turns request coalescing off; every request computes
-	// independently. The coalesced path stays byte-compatible, so this is
-	// a performance knob, not a semantics one.
-	DisableCoalesce bool
 	// RequestLogger, when non-nil, receives one structured record per
 	// request: route, dataset ("" for routes without one), HTTP status,
-	// wall-clock duration (queueing included), and whether the answer rode
-	// a coalesced batch another request led. Records are Info below status
-	// 500 and Warn at or above it. Nil disables request logging.
+	// wall-clock duration (queueing included) and trace id. Records are
+	// Info below status 500 and Warn at or above it. Nil disables request
+	// logging.
 	RequestLogger *slog.Logger
 }
 
@@ -149,12 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.CoalesceCell <= 0 {
-		c.CoalesceCell = 512
-	}
-	if c.CoalesceMaxBatch <= 0 {
-		c.CoalesceMaxBatch = 16
 	}
 	return c
 }
@@ -174,7 +155,6 @@ type Server struct {
 	mux *http.ServeMux
 
 	gate *gate
-	co   *coalescer
 	met  *serverMetrics
 
 	httpMu sync.Mutex
@@ -195,9 +175,6 @@ func New(db *obstacles.Database, cfg Config) *Server {
 		gate: newGate(cfg.MaxInFlight, cfg.MaxQueued),
 	}
 	s.met = newServerMetrics(db, s.gate)
-	if !cfg.DisableCoalesce {
-		s.co = newCoalescer(db, cfg.CoalesceCell, cfg.CoalesceMaxBatch, s.met)
-	}
 	s.mux = s.buildMux()
 	return s
 }
@@ -290,27 +267,9 @@ func unknownDataset(name string) error {
 	return &httpError{status: http.StatusNotFound, code: CodeUnknownDataset, msg: fmt.Sprintf("unknown dataset %q", name)}
 }
 
-// reqInfo rides the request context so handlers can annotate the request
-// log record the pipeline emits after they return.
-type reqInfo struct {
-	coalesced bool
-	// trace is the request's trace, stamped into the request log record.
-	trace *telemetry.Trace
-}
-
-type reqInfoKey struct{}
-
-// markCoalesced records, for the request log, that this response was
-// answered by a coalesced batch another request led.
-func markCoalesced(ctx context.Context) {
-	if ri, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
-		ri.coalesced = true
-	}
-}
-
 // logRequest emits the one-per-request structured record, if a
 // RequestLogger is configured.
-func (s *Server) logRequest(r *http.Request, route string, status int, d time.Duration, ri *reqInfo) {
+func (s *Server) logRequest(r *http.Request, route string, status int, d time.Duration, tr *telemetry.Trace) {
 	lg := s.cfg.RequestLogger
 	if lg == nil {
 		return
@@ -324,8 +283,7 @@ func (s *Server) logRequest(r *http.Request, route string, status int, d time.Du
 		slog.String("dataset", r.PathValue("dataset")),
 		slog.Int("status", status),
 		slog.Duration("duration", d),
-		slog.Bool("coalesced", ri.coalesced),
-		slog.String("trace_id", ri.trace.ID().String()))
+		slog.String("trace_id", tr.ID().String()))
 }
 
 // traceFor starts the request's trace: continuing the caller's W3C
@@ -342,8 +300,7 @@ func traceFor(r *http.Request) *telemetry.Trace {
 }
 
 // handle wraps a route with the request pipeline: telemetry, tracing,
-// admission (unless ungated), deadline propagation, error encoding, and
-// request logging.
+// deadline, admission (unless ungated), error encoding, and request logging.
 func (s *Server) handle(rt route) http.Handler {
 	route := rt.name
 	rec := s.db.TraceRecorder()
@@ -355,8 +312,6 @@ func (s *Server) handle(rt route) http.Handler {
 		// so callers can always cross-reference /debug/traces.
 		w.Header().Set("Obs-Trace-Id", tr.ID().String())
 		rec.StartActive(tr)
-		ri := &reqInfo{trace: tr}
-		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri))
 		finish := func(status int) {
 			root.SetAttr("status", status)
 			root.End()
@@ -364,29 +319,16 @@ func (s *Server) handle(rt route) http.Handler {
 			// 5xx and client-abandoned requests are error-tier: those are
 			// the traces worth keeping unconditionally.
 			rec.Record(tr, status >= 500 || status == 499)
-			s.logRequest(r, route, status, time.Since(start), ri)
+			s.logRequest(r, route, status, time.Since(start), tr)
 		}
 		fail := func(err error) {
 			finish(s.writeErr(w, route, err))
 		}
-		if !rt.ungated {
-			admit := root.StartChild("admission-wait")
-			err := s.gate.acquire(r.Context())
-			admit.End()
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer s.gate.release()
-		}
-		s.met.requests[route].Inc()
-		if testHookAdmitted != nil {
-			testHookAdmitted(route)
-		}
 
-		// Deadline: ?timeout= (clamped), else the server default. The
-		// derived context rides r so every handler's r.Context() carries it
-		// into the engine.
+		// Deadline: ?timeout= (clamped), else the server default. It is
+		// installed before admission, so it bounds the wait for a slot as
+		// well as the query; the derived context rides r so every handler's
+		// r.Context() carries it into the engine.
 		timeout := s.cfg.DefaultTimeout
 		if v := r.URL.Query().Get("timeout"); v != "" {
 			d, err := time.ParseDuration(v)
@@ -402,6 +344,21 @@ func (s *Server) handle(rt route) http.Handler {
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		ctx = telemetry.ContextWithSpan(ctx, root)
+
+		if !rt.ungated {
+			admit := root.StartChild("admission-wait")
+			err := s.gate.acquire(ctx)
+			admit.End()
+			if err != nil {
+				fail(err)
+				return
+			}
+			defer s.gate.release()
+		}
+		s.met.requests[route].Inc()
+		if testHookAdmitted != nil {
+			testHookAdmitted(route)
+		}
 
 		qStart := time.Now()
 		err := rt.serve(s, w, r.WithContext(ctx))
@@ -557,19 +514,7 @@ func queryNearest(s *Server, r *http.Request, dataset string, req *NearestReques
 	if req.K < 1 {
 		return nil, badRequest("k must be >= 1, got %d", req.K)
 	}
-	var (
-		nbs []obstacles.Neighbor
-		err error
-	)
-	if s.co != nil {
-		var rode bool
-		nbs, rode, err = s.co.Nearest(r.Context(), dataset, req.Q.Point(), req.K)
-		if rode {
-			markCoalesced(r.Context())
-		}
-	} else {
-		nbs, err = s.db.NearestNeighbors(r.Context(), dataset, req.Q.Point(), req.K)
-	}
+	nbs, err := s.db.NearestNeighbors(r.Context(), dataset, req.Q.Point(), req.K)
 	return &NeighborsResponse{Neighbors: toNeighbors(nbs), Count: len(nbs)}, err
 }
 
@@ -619,20 +564,8 @@ func queryCluster(s *Server, r *http.Request, dataset string, req *ClusterReques
 }
 
 func queryDistance(s *Server, r *http.Request, _ string, req *DistanceRequest) (*DistanceResponse, error) {
-	var (
-		d    float64
-		rode bool
-		err  error
-	)
-	if s.co != nil {
-		d, rode, err = s.co.Distance(r.Context(), req.A.Point(), req.B.Point())
-		if rode {
-			markCoalesced(r.Context())
-		}
-	} else {
-		d, err = s.db.ObstructedDistance(r.Context(), req.A.Point(), req.B.Point())
-	}
-	return &DistanceResponse{Dist: Dist(d), Coalesced: rode}, err
+	d, err := s.db.ObstructedDistance(r.Context(), req.A.Point(), req.B.Point())
+	return &DistanceResponse{Dist: Dist(d)}, err
 }
 
 func queryPath(s *Server, r *http.Request, _ string, req *PathRequest) (*PathResponse, error) {

@@ -497,7 +497,7 @@ func TestUnreachableOnTheWire(t *testing.T) {
 func TestDeadlinePropagation(t *testing.T) {
 	db := newTestDB(t)
 	defer db.Close()
-	s := New(db, Config{DisableCoalesce: true})
+	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -210,8 +210,9 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestQueuedWaiterHonorsDeadline: a request whose deadline expires while it
-// waits for a slot gives up instead of occupying the queue forever.
+// TestQueuedWaiterHonorsDeadline: a request whose deadline — the client's,
+// or its own ?timeout= — expires while it waits for a slot gives up instead
+// of occupying the queue forever.
 func TestQueuedWaiterHonorsDeadline(t *testing.T) {
 	db := newTestDB(t)
 	defer db.Close()
@@ -240,6 +241,45 @@ func TestQueuedWaiterHonorsDeadline(t *testing.T) {
 	}
 	if _, err = http.DefaultClient.Do(req); err == nil {
 		t.Fatal("queued request outlived its context")
+	}
+
+	// C queues with ?timeout= and no client deadline: the server's own
+	// deadline bounds the wait, so C gets a typed 504 while A still holds
+	// the slot. A malformed ?timeout= is refused before admission: 400 at
+	// once, no wait behind A.
+	for _, c := range []struct {
+		timeout string
+		status  int
+		code    string
+	}{
+		{"50ms", http.StatusGatewayTimeout, CodeDeadlineExceeded},
+		{"bogus", http.StatusBadRequest, CodeBadRequest},
+	} {
+		type result struct {
+			status int
+			body   []byte
+		}
+		done := make(chan result, 1)
+		go func() {
+			st, raw := post(t, ts.URL+"/v1/distance?timeout="+c.timeout, DistanceRequest{A: Pt{0, 0}, B: Pt{1, 1}})
+			done <- result{st, raw}
+		}()
+		var res result
+		select {
+		case res = <-done:
+		case <-time.After(5 * time.Second):
+			close(rel) // let the stuck request through so the test can end
+			t.Fatalf("?timeout=%s: still waiting behind request A after 5s", c.timeout)
+		}
+		if res.status != c.status {
+			t.Fatalf("?timeout=%s behind a busy slot: status %d (%s), want %d", c.timeout, res.status, res.body, c.status)
+		}
+		if e := wireErr(t, res.body); e.Code != c.code {
+			t.Fatalf("?timeout=%s behind a busy slot: code %q, want %q", c.timeout, e.Code, c.code)
+		}
+		if s.gate.inFlight() != 1 {
+			t.Fatalf("request A left the slot before its release: %d in flight", s.gate.inFlight())
+		}
 	}
 
 	close(rel)

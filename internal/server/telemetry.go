@@ -19,11 +19,6 @@ type serverMetrics struct {
 	rejectedOverload *telemetry.Counter // 429s: admission queue full
 	rejectedDraining *telemetry.Counter // 503s: shutdown in progress
 	rejectedDegraded *telemetry.Counter // 503s: degraded (read-only) mode
-
-	coalesceBatches   *telemetry.Counter   // batches executed by elected leaders
-	coalesceHits      *telemetry.Counter   // requests answered by another leader's batch
-	coalesceFallbacks *telemetry.Counter   // riders that recomputed after a leader's ctx died
-	coalesceBatchSize *telemetry.Histogram // tickets per executed batch
 }
 
 func newServerMetrics(db *obstacles.Database, g *gate) *serverMetrics {
@@ -52,14 +47,6 @@ func newServerMetrics(db *obstacles.Database, g *gate) *serverMetrics {
 		"Requests shed by admission control, by reason.", telemetry.L("reason", "draining"))
 	m.rejectedDegraded = reg.Counter("obsd_rejected_total",
 		"Requests shed by admission control, by reason.", telemetry.L("reason", "degraded"))
-	m.coalesceBatches = reg.Counter("obsd_coalesce_batches_total",
-		"Coalesced batches executed by elected leaders.")
-	m.coalesceHits = reg.Counter("obsd_coalesce_hits_total",
-		"Requests answered by a batch another request led.")
-	m.coalesceFallbacks = reg.Counter("obsd_coalesce_fallbacks_total",
-		"Coalesce riders that recomputed directly after their leader's context expired.")
-	m.coalesceBatchSize = reg.Histogram("obsd_coalesce_batch_size",
-		"Tickets answered per coalesced batch.", telemetry.SizeBuckets)
 	reg.GaugeFunc("obsd_in_flight",
 		"Requests currently executing inside the admission gate.",
 		func() float64 { return float64(g.inFlight()) })

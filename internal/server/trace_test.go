@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	obstacles "repro"
@@ -70,7 +68,7 @@ func findSpan(spans []*telemetry.SpanSnapshot, name string) *telemetry.SpanSnaps
 func TestTraceparentPropagation(t *testing.T) {
 	db := newTracingTestDB(t)
 	defer db.Close()
-	s := New(db, Config{DisableCoalesce: true})
+	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
@@ -131,7 +129,7 @@ func TestTraceparentPropagation(t *testing.T) {
 func TestTraceSpanTree(t *testing.T) {
 	db := newTracingTestDB(t)
 	defer db.Close()
-	s := New(db, Config{DisableCoalesce: true})
+	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
@@ -216,86 +214,12 @@ func checkSearchSpan(t *testing.T, verb *telemetry.SpanSnapshot) *telemetry.Span
 	return search
 }
 
-// TestCoalesceRiderTraceLink: when concurrent nearest requests coalesce,
-// every rider's trace records a span link naming the leader's trace id.
-func TestCoalesceRiderTraceLink(t *testing.T) {
-	db := newTracingTestDB(t)
-	defer db.Close()
-	s := New(db, Config{})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	q := freePoint(t, db)
-
-	const N = 4
-	var riders atomic.Int64
-	leaderGo := make(chan struct{})
-	testHookNNLeader = func() { <-leaderGo }
-	testHookNNRider = func() { riders.Add(1) }
-	defer func() { testHookNNLeader, testHookNNRider = nil, nil }()
-
-	var wg sync.WaitGroup
-	ids := make([]string, N)
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(NearestRequest{Q: Pt{q.X, q.Y}, K: 3})
-			resp, err := http.Post(ts.URL+"/v1/datasets/P/nearest", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			readAll(t, resp)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: %d", i, resp.StatusCode)
-			}
-			ids[i] = resp.Header.Get("Obs-Trace-Id")
-		}(i)
-	}
-	waitFor(t, "riders to line up", func() bool { return riders.Load() == N-1 })
-	close(leaderGo)
-	wg.Wait()
-
-	// Exactly one trace (the leader's) carries no link; every rider links it.
-	var leader string
-	var linked []string
-	for _, id := range ids {
-		snap := fetchTrace(t, ts.URL, id)
-		var links []string
-		for _, sp := range flattenSpans(snap.Spans) {
-			links = append(links, sp.Links...)
-		}
-		switch len(links) {
-		case 0:
-			if leader != "" {
-				t.Fatalf("two traces without links: %s and %s", leader, id)
-			}
-			leader = id
-		case 1:
-			linked = append(linked, links[0])
-		default:
-			t.Fatalf("trace %s has %d links: %v", id, len(links), links)
-		}
-	}
-	if leader == "" {
-		t.Fatal("no leader trace found")
-	}
-	if len(linked) != N-1 {
-		t.Fatalf("%d rider traces with links, want %d", len(linked), N-1)
-	}
-	for _, l := range linked {
-		if l != leader {
-			t.Fatalf("rider links %s, want leader %s", l, leader)
-		}
-	}
-}
-
 // TestActiveTraces: while a request is parked in flight, /debug/active lists
 // its trace with elapsed time and the currently-open span.
 func TestActiveTraces(t *testing.T) {
 	db := newTracingTestDB(t)
 	defer db.Close()
-	s := New(db, Config{DisableCoalesce: true})
+	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)

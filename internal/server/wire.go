@@ -190,12 +190,9 @@ type DistanceRequest struct {
 }
 
 // DistanceResponse carries one obstructed distance ("Infinity" when B is
-// unreachable from A). Coalesced reports whether the answer was produced
-// by a coalesced batch another request led (false for batch leaders and
-// for requests that ran alone).
+// unreachable from A).
 type DistanceResponse struct {
-	Dist      Dist `json:"dist"`
-	Coalesced bool `json:"coalesced,omitempty"`
+	Dist Dist `json:"dist"`
 }
 
 // PathRequest: POST /v1/path — a shortest obstacle-avoiding route.

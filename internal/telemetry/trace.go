@@ -13,10 +13,10 @@ import (
 // The tracing model: a Trace is one request's (or one query's) tree of
 // Spans, identified by a 128-bit TraceID; each Span is one timed stage with
 // a 64-bit SpanID, a parent pointer, key-value attributes, and links to
-// other traces (a coalesce rider links the leader's trace; a group-commit
-// rider links the committer's). Traces cross process boundaries through the
-// W3C `traceparent` header (see traceparent.go) and context boundaries
-// through ContextWithTrace / ContextWithSpan.
+// other traces (a group-commit rider links the committer's). Traces cross
+// process boundaries through the W3C `traceparent` header (see
+// traceparent.go) and context boundaries through ContextWithTrace /
+// ContextWithSpan.
 //
 // All methods on *Trace and *Span are nil-safe: un-instrumented code paths
 // carry a nil span and pay one branch per call, which is what keeps tracing
@@ -334,8 +334,8 @@ func (s *Span) SetAttr(key string, value any) {
 }
 
 // AddLink records a causal reference to another trace — the span's work was
-// performed by (or shared with) that trace, as when a coalesce rider's
-// answer was computed under the leader's trace.
+// performed by (or shared with) that trace, as when a group-commit rider's
+// fsync ran under the committer's trace.
 func (s *Span) AddLink(id TraceID) {
 	if s == nil || id.IsZero() {
 		return

@@ -27,8 +27,8 @@ type Options struct {
 	// pages (default 0.10, the paper's setting).
 	BufferFraction float64
 	// GraphCacheSize is the number of expanded visibility-graph states the
-	// engine retains for reuse across batch-distance queries and join seeds
-	// (default 8; negative disables caching).
+	// engine retains for reuse across pair and batch distance queries and
+	// join seeds (default 8; negative disables caching).
 	// Concurrent queries on overlapping regions serialize on the shared
 	// cached graph; disjoint regions run fully in parallel.
 	GraphCacheSize int
