@@ -16,7 +16,7 @@ import (
 // get +Inf. When the engine's graph cache is enabled (EnableGraphCache) an
 // expanded graph state is reused across calls; otherwise a fresh local graph
 // is built, covering the largest Euclidean source-target distance as in
-// Fig 7.
+// Fig 7, or for one target the obstacles meeting its segment.
 func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) ([]float64, Stats, error) {
 	return s.batchDistances(s.e.cache, source, targets)
 }
@@ -51,6 +51,9 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 		}
 		idx[i] = j
 	}
+	// A query-local field with one target grows that target's ellipse; a
+	// cached graph or many targets share the disk.
+	f.ellipse = c == nil && len(f.targets) == 1
 	err := f.certify(math.Inf(1))
 	self := 0.0
 	if err == nil && atSource {

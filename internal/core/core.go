@@ -566,7 +566,8 @@ type ObstacleReads struct {
 	// field's buried check of a point outside the disk it has scanned.
 	PointQuery uint64
 	// Scan is a field's opening range query: the initial obstacle range of
-	// Figs 5, 7 and 9.
+	// Figs 5, 7 and 9, or the segment to each target of a field that grows
+	// by ellipses.
 	Scan uint64
 	// Enlarge is Fig 8's range enlargements, with the one read of the tree's
 	// bounds that caps the doubling for a disconnected target.

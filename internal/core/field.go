@@ -10,12 +10,22 @@ import (
 
 // field is the one refinement step under every query verb: the obstructed
 // distances from one source point to target points, over a local visibility
-// graph that holds every obstacle within a radius of the source and grows
+// graph that holds the obstacles a path to each target can meet and grows
 // when a distance demands it (compute_obstructed_distance, Fig 8), or — when
 // the verb only needs to know whether a distance is below a bound — just far
 // enough to decide that (certify). It owns every graph node a query adds and
 // removes; the verbs above it own the candidate streams and their stopping
 // rules.
+//
+// What the graph holds is said per target, as an ellipse: a path of length d
+// from the center to a target never leaves the ellipse with those two foci
+// and sum d, so a target is covered up to sum s when every obstacle meeting
+// that ellipse is in the graph (covered). A disk of radius r around the
+// center covers every target t up to 2r - dE(center, t). Most fields grow
+// such a disk, as the paper does; an ellipse field grows each target's own
+// ellipse instead, which is sqrt(d^2 - dE^2) / 4d of the area of the disk of
+// radius d: 0.13 on average over 800-1,600-unit routes of the default
+// world, whose paths are 1.3 times their straight line.
 //
 // A field is lazy: it scans its obstacles the first time an operation needs
 // them, and builds its graph over them only when some target is left to
@@ -23,9 +33,9 @@ import (
 //
 // Whether a point is buried — strictly inside an obstacle, so it reaches
 // nothing — is decided from the obstacles the field already holds whenever
-// the point lies within the disk they were scanned over (buried). The paper
-// has no such check; here it reads only what the field lacks, so a buried
-// source costs the opening scan, not an R-tree point query.
+// the point lies in a range they were scanned over (buried, certify). The
+// paper has no such check; here it reads only what the field lacks, so a
+// buried source costs the opening scan, not an R-tree point query.
 type field struct {
 	s  *Session
 	st *Stats // the verb's counters: Fig 8 invocations and the graph-size high-water land here
@@ -37,10 +47,17 @@ type field struct {
 	// searched is the radius around center whose obstacles g holds; before
 	// the scan, the radius it will run with.
 	searched float64
-	scanned  bool
-	obs      []visgraph.Obstacle // a query-local scan's result, until attach builds g over it
-	g        *visgraph.Graph     // nil until attach (until scan through a cache)
-	src      visgraph.NodeID     // Invalid until attach
+	// ellipse marks a query-local field the verb opened for one target at a
+	// time with no radius of its own (path, OCP's per-s field, an uncached
+	// batch of one): it opens on the obstacles meeting each target's segment
+	// and grows that target's ellipse. Fields whose graph serves many
+	// candidates at once (ONN, many-target batches, cached graphs) grow the
+	// disk, which every candidate shares.
+	ellipse bool
+	scanned bool
+	obs     []visgraph.Obstacle // a query-local scan's result, until attach builds g over it
+	g       *visgraph.Graph     // nil until attach (until scan through a cache)
+	src     visgraph.NodeID     // Invalid until attach
 	// cover is the radius around center that holds every obstacle: a search
 	// that wide that still finds no path proves unreachability. Negative
 	// until a target first comes back +Inf, which is the only time it is
@@ -60,6 +77,32 @@ type target struct {
 	n     visgraph.NodeID // Invalid until an operation attaches it
 	dist  float64         // +Inf until settled; provisional until final
 	final bool
+	dE    float64 // the Euclidean distance from the center: dist's lower bound
+	// cov is the sum up to which the field's scans of this target's own
+	// ellipse cover it (an ellipse field's); covered adds the disk's.
+	cov float64
+}
+
+// region is the part of the plane an obstacle range query reads: the ellipse
+// of the points x with |xa| + |xb| <= sum. A disk of radius r around c is the
+// ellipse with both foci at c and sum 2r.
+type region struct {
+	a, b geom.Point
+	sum  float64
+}
+
+func disk(c geom.Point, r float64) region { return region{c, c, 2 * r} }
+
+// meets is the refinement step of a range query over r, for a polygon whose
+// MBR passed the R-tree's entry test: the exact polygon test for a disk, as
+// in the paper. An ellipse keeps every polygon that passed, since the entry
+// test is already a lower bound on |xa| + |xb| over the polygon: what it
+// keeps beyond the ellipse lies near the ellipse's ends, where the next,
+// longer provisional path reaches first. On 800-1,600-unit routes an exact
+// per-edge test held 76 graph nodes per path but took 2.34 searches; keeping
+// them, 85 nodes and 2.02 searches.
+func (r region) meets(pg geom.Polygon) bool {
+	return r.a != r.b || pg.IntersectsCircle(r.a, r.sum/2)
 }
 
 // newField prepares a field around center that will open on the obstacles
@@ -76,9 +119,15 @@ func (f *field) reserve(n int) { f.targets = slices.Grow(f.targets, n) }
 // add registers a target and returns its index. It costs nothing until the
 // next settle or certify.
 func (f *field) add(pt geom.Point) int {
-	f.targets = append(f.targets, target{pt: pt, n: visgraph.Invalid, dist: math.Inf(1)})
+	f.targets = append(f.targets, target{pt: pt, n: visgraph.Invalid, dist: math.Inf(1), dE: f.center.Dist(pt)})
 	return len(f.targets) - 1
 }
+
+// covered returns the largest sum s for which the field holds every obstacle
+// meeting the ellipse with foci center and t.pt and sum s: the target's own
+// scans', or the disk of radius searched, whose far point on the ellipse's
+// axis, (s + dE) / 2 from the center, bounds s by 2 searched - dE.
+func (f *field) covered(t *target) float64 { return max(t.cov, 2*f.searched-t.dE) }
 
 // fail returns err, remembering the first non-nil one for close.
 func (f *field) fail(err error) error {
@@ -88,18 +137,26 @@ func (f *field) fail(err error) error {
 	return err
 }
 
-// scan is the one way a query gets its obstacles: those within searched of
-// center. Through a cache they come as an entry's graph; a session whose
-// obstacle epoch the cache has moved past, and every verb that passes no
-// cache, runs one obstacle range query for a query-local graph. Figs 5 and 9
-// issue that query first and unconditionally, which is what keeps their
-// obstacle R-tree I/O independent of what is left to refine; attach builds
-// the graph over its result only when something is.
+// scan is the one way a query opens on its obstacles: those within searched
+// of center, or for an ellipse field those meeting its first open target's
+// segment (scanSegment). Through a cache they come as an entry's graph; a
+// session whose obstacle epoch the cache has moved past, and every verb that
+// passes no cache, runs one obstacle range query for a query-local graph.
+// Figs 5 and 9 issue that query first and unconditionally, which is what
+// keeps their obstacle R-tree I/O independent of what is left to refine;
+// attach builds the graph over its result only when something is.
 func (f *field) scan() error {
 	if f.scanned || f.err != nil {
 		return f.err
 	}
 	f.scanned = true
+	if f.ellipse {
+		for i := range f.targets {
+			if t := &f.targets[i]; !t.final {
+				return f.scanSegment(t)
+			}
+		}
+	}
 	if f.cache != nil {
 		en, covered, err := f.cache.acquire(f.s, f.center, f.searched)
 		if err == nil {
@@ -111,19 +168,37 @@ func (f *field) scan() error {
 		}
 	}
 	var err error
-	f.obs, err = f.s.relevantObstacles(f.center, f.searched)
+	f.obs, err = f.s.relevantObstacles(disk(f.center, f.searched))
 	return f.fail(err)
 }
 
-// grow extends g to every obstacle within radius of center, reporting whether
-// any was new.
-func (f *field) grow(radius float64) (bool, error) {
-	if f.en == nil {
-		return f.s.addObstaclesWithin(f.g, f.center, radius)
+// scanSegment brings in the obstacles meeting the segment from the center to
+// t, the ellipse of sum dE: an ellipse field's opening range for t, read into
+// the scan's result or, once the graph is built, into the graph. t then lies
+// in its covered ellipse, so its buried check reads the field alone.
+func (f *field) scanSegment(t *target) error {
+	obs, err := f.s.relevantObstacles(region{f.center, t.pt, t.dE * (1 + boundSlack)})
+	if err != nil {
+		return f.fail(err)
 	}
-	// Cover disk(center, radius) via the containing entry-centered disk.
+	t.cov = t.dE
+	if f.g == nil {
+		f.obs = append(f.obs, obs...)
+	} else {
+		f.g.AddObstacles(obs)
+	}
+	return nil
+}
+
+// grow extends g to every obstacle meeting r, reporting whether any was new.
+// A cached field grows only by disks around its center.
+func (f *field) grow(r region) (bool, error) {
+	if f.en == nil {
+		return f.s.addObstaclesWithin(f.g, r)
+	}
+	// Cover the disk via the containing entry-centered disk.
 	before := f.g.NumObstacles()
-	if err := f.en.grow(f.cache, f.s, f.en.center.Dist(f.center)+radius); err != nil {
+	if err := f.en.grow(f.cache, f.s, f.en.center.Dist(f.center)+r.sum/2); err != nil {
 		return false, err
 	}
 	return f.g.NumObstacles() > before, nil
@@ -238,17 +313,24 @@ func (f *field) inside(p geom.Point) bool {
 // key sums a path's edge weights and one more distance, each rounded, so a
 // target whose distance is below the bound by less than that rounding could
 // otherwise be dropped; 1e-9 is far above it for any path a query builds.
+// The ranges Fig 8 scans and grows to get the same margin over the sum they
+// must cover, so rounding in a range's arithmetic never leaves out an
+// obstacle a path could meet, nor a distance its range was grown for
+// uncertified.
 const boundSlack = 1e-9
 
 // certify makes the distance of every target added so far final
-// (compute_obstructed_distance, Fig 8, for one target or many): a shortest
-// path of length d stays inside the disk of radius d around the source, so a
-// provisional d is final once the graph holds every obstacle within d. The
-// range is therefore enlarged to the largest open provisional distance until
-// an enlargement finds no new obstacle. Distances only grow across rounds.
-// While a target is disconnected the range doubles instead; once it covers
-// every obstacle and no path exists the target is sealed off and its distance
-// is +Inf (a case the paper does not discuss but real data can produce).
+// (compute_obstructed_distance, Fig 8, for one target or many). A shortest
+// path of length d from the center to a target stays inside the ellipse with
+// those foci and sum d. So a provisional d is final once the target is
+// covered up to d: the path found avoids every obstacle the graph holds and
+// meets none it lacks. The paper asks for the disk of radius d instead, which
+// holds that ellipse and far more. The range is enlarged round by round
+// (enlarge) until an enlargement finds no new obstacle. Distances only grow
+// across rounds. While a target is disconnected the range doubles
+// instead; once it covers every obstacle and no path exists the target is
+// sealed off and its distance is +Inf (a case the paper does not discuss but
+// real data can produce).
 //
 // A finite bound asks less: only whether a target's distance is below it.
 // The searches then drop every node no path within bound passes, and a
@@ -261,22 +343,24 @@ const boundSlack = 1e-9
 //
 // Endpoints strictly inside an obstacle reach nothing and are answered +Inf
 // before any search, instead of letting the doubling pull in the whole
-// obstacle set to prove it. The opening scan is sized from every open target
-// first, so the check reads the obstacles the field holds (buried). A bounded
-// target beyond them is checked against those alone, with no point query: if
-// an obstacle the field lacks buries it, the bounded search still rejects
-// it, since a path found within bound is longer than searched, so Fig 8
-// enlarges to it, which brings in that obstacle and cuts the target off.
+// obstacle set to prove it. The check reads the obstacles the field holds: a
+// disk field's opening scan is sized from every open target first (buried),
+// and an ellipse field scans each target's segment, which holds the target.
+// A bounded target beyond a disk field's scan is checked against what the
+// field holds alone, with no point query: if an obstacle the field lacks
+// buries it, the bounded search still rejects it, since a path found within
+// bound is at least dE long, so Fig 8 enlarges the disk to at least dE, which
+// brings in that obstacle and cuts the target off.
 func (f *field) certify(bound float64) error {
 	bounded := !math.IsInf(bound, 1)
 	pending := 0
 	for i := range f.targets {
 		if t := &f.targets[i]; !t.final {
 			pending++
-			if !f.scanned {
-				// The graph opens on the Euclidean range of its farthest target
-				// (Fig 7), unless the verb asked for more.
-				f.searched = max(f.searched, f.center.Dist(t.pt))
+			if !f.scanned && !f.ellipse {
+				// A disk field opens on the Euclidean range of its farthest
+				// target (Fig 7), unless the verb asked for more.
+				f.searched = max(f.searched, t.dE)
 			}
 		}
 	}
@@ -295,7 +379,15 @@ func (f *field) certify(bound float64) error {
 		buried := buriedSrc
 		switch {
 		case buried:
-		case bounded && f.center.Dist(t.pt) > f.searched:
+		case f.ellipse:
+			// A target after the first opens on its own segment.
+			if f.covered(t) < t.dE {
+				if err := f.scanSegment(t); err != nil {
+					return err
+				}
+			}
+			buried = f.inside(t.pt)
+		case bounded:
 			buried = f.inside(t.pt)
 		default:
 			if buried, err = f.buried(t.pt); err != nil {
@@ -341,36 +433,22 @@ func (f *field) certify(bound float64) error {
 		if err != nil {
 			return err
 		}
-		// Finalize targets whose provisional distance the searched range
-		// already certifies, and those a bounded search proved out of reach,
-		// then pick the next enlargement radius.
-		maxOpen, anyInf := 0.0, false
+		// Finalize targets whose provisional distance their coverage already
+		// certifies, and those a bounded search proved out of reach.
 		for i := range f.targets {
 			switch t := &f.targets[i]; {
 			case t.final:
-			case t.dist <= f.searched, bounded && math.IsInf(t.dist, 1):
+			case t.dist <= f.covered(t), bounded && math.IsInf(t.dist, 1):
 				t.final = true
 				pending--
-			case math.IsInf(t.dist, 1):
-				anyInf = true
-			case t.dist > maxOpen:
-				maxOpen = t.dist
 			}
 		}
 		for pending > 0 {
-			radius := maxOpen
-			if anyInf {
-				cover, err := f.coverRadius()
-				if err != nil {
-					return f.fail(err)
-				}
-				dbl := f.searched * 2
-				if dbl < geom.Eps {
-					dbl = 1
-				}
-				radius = max(radius, min(dbl, cover))
+			added, grew, err := f.enlarge()
+			if err != nil {
+				return f.fail(err)
 			}
-			if radius <= f.searched {
+			if !grew {
 				// Only unreachable targets remain and the graph already holds
 				// every obstacle: provably sealed off (+Inf already in dist).
 				for i := range f.targets {
@@ -378,17 +456,11 @@ func (f *field) certify(bound float64) error {
 				}
 				return nil
 			}
-			added, err := f.grow(radius)
-			if err != nil {
-				return f.fail(err)
-			}
-			f.searched = radius
 			if added {
 				break // distances may have changed; search again
 			}
 			// Fig 8 termination: the enlargement found no new obstacle, so
 			// finite provisional distances are final.
-			maxOpen = 0
 			for i := range f.targets {
 				if t := &f.targets[i]; !t.final && !math.IsInf(t.dist, 1) {
 					t.final = true
@@ -398,6 +470,50 @@ func (f *field) certify(bound float64) error {
 		}
 	}
 	return nil
+}
+
+// enlarge runs one Fig 8 range enlargement for the open targets, reporting
+// whether it brought in a new obstacle and whether its range grew at all. A
+// finite provisional d asks for every obstacle a path that long can meet: an
+// ellipse field grows the target's own ellipse to sum d, a disk field its
+// disk to (d + dE) / 2, the smallest disk around the center holding that
+// ellipse. A disconnected target (+Inf) doubles the disk enclosing its
+// covered ellipse instead, up to the radius that covers every obstacle; past
+// that nothing is left to bring in, and the range does not grow.
+func (f *field) enlarge() (added, grew bool, err error) {
+	radius := f.searched
+	for i := range f.targets {
+		switch t := &f.targets[i]; {
+		case t.final:
+		case math.IsInf(t.dist, 1):
+			cover, err := f.coverRadius()
+			if err != nil {
+				return false, false, err
+			}
+			radius = max(radius, min(f.covered(t)+t.dE, cover))
+		case !f.ellipse:
+			radius = max(radius, (t.dist+t.dE)/2*(1+boundSlack))
+		}
+	}
+	if radius > f.searched {
+		if added, err = f.grow(disk(f.center, radius)); err != nil {
+			return false, false, err
+		}
+		f.searched, grew = radius, true
+	}
+	if !f.ellipse {
+		return added, grew, nil
+	}
+	for i := range f.targets {
+		if t := &f.targets[i]; !t.final && !math.IsInf(t.dist, 1) && t.dist > f.covered(t) {
+			more, err := f.grow(region{f.center, t.pt, t.dist * (1 + boundSlack)})
+			if err != nil {
+				return false, false, err
+			}
+			t.cov, added, grew = t.dist, added || more, true
+		}
+	}
+	return added, grew, nil
 }
 
 // coverRadius returns the radius around center that covers every obstacle,

@@ -251,7 +251,7 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
-	obs, err := s.relevantObstacles(source, r0)
+	obs, err := s.relevantObstacles(disk(source, r0))
 	if err != nil {
 		c.drop(en)
 		en.unlock()
@@ -293,7 +293,7 @@ func (en *cacheEntry) grow(c *GraphCache, s *Session, radius float64) error {
 		en.growTarget = radius
 	}
 	c.mu.Unlock()
-	if _, err := s.addObstaclesWithin(en.g, en.center, radius); err != nil {
+	if _, err := s.addObstaclesWithin(en.g, disk(en.center, radius)); err != nil {
 		return err
 	}
 	en.setCoverage(radius)

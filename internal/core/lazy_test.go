@@ -82,6 +82,36 @@ func TestObstructedPathOneSearchPerIteration(t *testing.T) {
 	}
 }
 
+// TestPathWorkGate holds a path query's work on route_long-shaped pairs to
+// what growing Fig 8 by the ellipse a path can use costs. Per-path means over
+// 300 pairs, with what growing the disk of radius d cost before:
+//
+//	graph nodes          <= 100  (disk: 374)
+//	obstacle page reads  <= 20   (disk: 58.5)
+//	searches             <= 2.2  (disk: 1.91)
+//	sweeps               <= 30.3 at one decimal, the disk's
+func TestPathWorkGate(t *testing.T) {
+	eng, pairs := standardWorld(t, 300)
+	var nodes, reads, searches, sweeps float64
+	for _, pq := range pairs {
+		_, d, st, err := eng.NewSession(context.Background()).ObstructedPath(pq[0], pq[1])
+		if err != nil || math.IsInf(d, 1) {
+			t.Fatalf("path %v: d=%v err=%v", pq, d, err)
+		}
+		nodes += float64(st.GraphNodes)
+		reads += float64(st.ObstReads.PointQuery + st.ObstReads.Scan + st.ObstReads.Enlarge)
+		searches += float64(st.Expansions)
+		sweeps += float64(st.Sweeps)
+	}
+	n := float64(len(pairs))
+	nodes, reads, searches, sweeps = nodes/n, reads/n, searches/n, sweeps/n
+	t.Logf("per path: %.1f graph nodes, %.1f obstacle page reads, %.2f searches, %.2f sweeps", nodes, reads, searches, sweeps)
+	if nodes > 100 || reads > 20 || searches > 2.2 || sweeps >= 30.35 {
+		t.Errorf("per path: %.1f graph nodes (gate 100), %.1f obstacle page reads (20), %.2f searches (2.2), %.2f sweeps (30.3)",
+			nodes, reads, searches, sweeps)
+	}
+}
+
 // sweepBudgetCtx is canceled once the session it governs has made budget
 // sweeps: cancellation that lands at a point in the session's work, wherever
 // the polls happen to fall.

@@ -12,16 +12,17 @@ import (
 // unreachable, including when either point lies strictly inside an obstacle
 // (the field scans but never builds a graph then).
 //
-// The path comes from scratch, from a one-target field around a: a local
-// visibility graph with the obstacles in the Euclidean range dE(a, b) (as in
-// Fig 7), enlarged iteratively (Fig 8), each iteration one goal-directed
-// search from a to b. The path is the one the final search found.
+// The path comes from scratch, from a one-target ellipse field around a: a
+// local visibility graph with the obstacles meeting the segment ab, enlarged
+// iteratively (Fig 8) to the ellipse with foci a and b that a path of the
+// current length stays in, each iteration one goal-directed search from a to
+// b. The path is the one the final search found.
 func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st Stats, _ error) {
 	w := s.snap()
 	defer s.finishCall(&st, w)
 	st.Candidates = 1
 	f := s.newField(nil, a, 0, &st)
-	f.routed = true
+	f.routed, f.ellipse = true, true
 	f.add(b)
 	if err := f.certify(math.Inf(1)); err != nil {
 		return nil, 0, st, err

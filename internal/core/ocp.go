@@ -7,7 +7,8 @@ import "repro/internal/rtree"
 // The incremental closest-pair stream frequently repeats one endpoint in
 // consecutive pairs, so the field around the most recent s-side point is
 // kept and reused (including any obstacles the iterative enlargement pulled
-// in).
+// in). It measures one t at a time, so it is an ellipse field: each t opens
+// on its own segment and grows its own ellipse.
 func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbor, JoinPair], error) {
 	src, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
 	var f *field
@@ -17,6 +18,7 @@ func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbo
 		eval: func(pr rtree.PairNeighbor, bound float64) (JoinPair, error) {
 			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
 				f = s.newField(nil, sp, 0, st)
+				f.ellipse = true
 			}
 			d, err := f.distance(pr.B.Rect.Center(), bound)
 			return JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}, err

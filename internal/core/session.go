@@ -217,19 +217,19 @@ func (t *workTotals) snapshot() visgraph.Metrics {
 	}
 }
 
-// relevantObstacles returns the obstacles whose polygons intersect the disk
-// (center, radius) — the filter (R-tree circle range on MBRs) plus
-// refinement (exact polygon test) steps.
-func (s *Session) relevantObstacles(center geom.Point, radius float64) ([]visgraph.Obstacle, error) {
+// relevantObstacles returns the obstacles whose polygons meet the region —
+// the filter (R-tree ellipse range on MBRs) plus refinement (region.meets)
+// steps.
+func (s *Session) relevantObstacles(r region) ([]visgraph.Obstacle, error) {
 	if err := s.err(); err != nil {
 		return nil, err
 	}
 	defer s.span.StartSpan("obstacle-scan")()
 	polys := s.obst.polys
 	var out []visgraph.Obstacle
-	err := s.obstTree[obstScan].SearchCircle(center, radius, func(it rtree.Item) bool {
+	err := s.obstTree[obstScan].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
 		pg := polys[it.Data]
-		if pg.IntersectsCircle(center, radius) {
+		if r.meets(pg) {
 			out = append(out, visgraph.Obstacle{ID: it.Data, Poly: pg})
 		}
 		return true
@@ -240,22 +240,21 @@ func (s *Session) relevantObstacles(center geom.Point, radius float64) ([]visgra
 	return out, nil
 }
 
-// addObstaclesWithin incorporates into g every obstacle intersecting the
-// disk (center, radius) that is not present yet, reporting whether any was
-// added.
-func (s *Session) addObstaclesWithin(g *visgraph.Graph, center geom.Point, radius float64) (bool, error) {
+// addObstaclesWithin incorporates into g every obstacle meeting the region
+// that is not present yet, reporting whether any was added.
+func (s *Session) addObstaclesWithin(g *visgraph.Graph, r region) (bool, error) {
 	if err := s.err(); err != nil {
 		return false, err
 	}
 	defer s.span.StartSpan("graph-grow")()
 	polys := s.obst.polys
 	var batch []visgraph.Obstacle
-	err := s.obstTree[obstEnlarge].SearchCircle(center, radius, func(it rtree.Item) bool {
+	err := s.obstTree[obstEnlarge].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
 		if g.HasObstacle(it.Data) {
 			return true
 		}
 		pg := polys[it.Data]
-		if pg.IntersectsCircle(center, radius) {
+		if r.meets(pg) {
 			batch = append(batch, visgraph.Obstacle{ID: it.Data, Poly: pg})
 		}
 		return true

@@ -63,21 +63,43 @@ func (t *Tree) searchRect(s *nodeStack, id pagefile.PageID, depth int, r geom.Re
 // SearchCircle reports every item whose rectangle is within the given
 // Euclidean distance of center (mindist <= radius). For point items this is
 // the circular range query of Section 3; for rectangle items (obstacle MBRs)
-// it is the filter step, with polygon refinement left to the caller.
+// it is the filter step, with polygon refinement left to the caller. It is
+// SearchEllipse with both foci at center, which visits the same entries:
+// mindist + mindist <= 2 radius is mindist <= radius in floating point too.
 func (t *Tree) SearchCircle(center geom.Point, radius float64, fn func(Item) bool) error {
+	return t.SearchEllipse(center, center, 2*radius, fn)
+}
+
+// SearchEllipse reports every item whose rectangle may meet the ellipse of
+// the points x with |xa| + |xb| <= sum: those with MinDist(a) + MinDist(b) <=
+// sum. That sum is a lower bound on |xa| + |xb| over the rectangle, so no item
+// meeting the ellipse is missed, and an item reported may still miss it:
+// refinement is left to the caller. A path of length d between a and b stays
+// inside the ellipse of sum d, which is the range Fig 8 needs.
+func (t *Tree) SearchEllipse(a, b geom.Point, sum float64, fn func(Item) bool) error {
 	s := make(nodeStack, 0, t.height)
-	_, err := t.searchCircle(&s, t.root, 0, center, radius, fn)
+	_, err := t.searchEllipse(&s, t.root, 0, a, b, sum, fn)
 	return err
 }
 
-func (t *Tree) searchCircle(s *nodeStack, id pagefile.PageID, depth int, c geom.Point, radius float64, fn func(Item) bool) (bool, error) {
+// withinEllipse is SearchEllipse's entry test; a disk computes its one
+// distance once.
+func withinEllipse(r geom.Rect, a, b geom.Point, sum float64) bool {
+	da := r.MinDist(a)
+	if a == b {
+		return da+da <= sum
+	}
+	return da+r.MinDist(b) <= sum
+}
+
+func (t *Tree) searchEllipse(s *nodeStack, id pagefile.PageID, depth int, a, b geom.Point, sum float64, fn func(Item) bool) (bool, error) {
 	n, err := s.read(t, id, depth)
 	if err != nil {
 		return false, err
 	}
 	if n.isLeaf() {
 		for _, e := range n.entries {
-			if e.rect.MinDist(c) <= radius {
+			if withinEllipse(e.rect, a, b, sum) {
 				if !fn(e.item()) {
 					return false, nil
 				}
@@ -86,8 +108,8 @@ func (t *Tree) searchCircle(s *nodeStack, id pagefile.PageID, depth int, c geom.
 		return true, nil
 	}
 	for _, e := range n.entries {
-		if e.rect.MinDist(c) <= radius {
-			cont, err := t.searchCircle(s, pagefile.PageID(e.ref), depth+1, c, radius, fn)
+		if withinEllipse(e.rect, a, b, sum) {
+			cont, err := t.searchEllipse(s, pagefile.PageID(e.ref), depth+1, a, b, sum, fn)
 			if err != nil || !cont {
 				return cont, err
 			}

@@ -2,10 +2,13 @@ package rtree
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/pagefile"
 )
 
 // BenchmarkSearchCircle is the obstacle range scan under every obstructed
@@ -33,6 +36,98 @@ func BenchmarkSearchCircle(b *testing.B) {
 			}
 			b.ReportMetric(float64(found)/float64(b.N), "items/op")
 		})
+	}
+}
+
+// minFocalSumSampled is the least |xa| + |xb| over a dense grid of points of
+// r, its boundary included: never below the exact least value, and within a
+// fraction of a grid step of it.
+func minFocalSumSampled(r geom.Rect, a, b geom.Point) float64 {
+	const steps = 60
+	best := math.Inf(1)
+	for i := 0; i <= steps; i++ {
+		for j := 0; j <= steps; j++ {
+			x := geom.Pt(r.MinX+r.Width()*float64(i)/steps, r.MinY+r.Height()*float64(j)/steps)
+			best = min(best, x.Dist(a)+x.Dist(b))
+		}
+	}
+	return best
+}
+
+// TestSearchEllipseMatchesLinearScan: SearchEllipse reports exactly the items
+// a linear scan of its entry test keeps, so every rectangle that meets the
+// ellipse — its least |xa| + |xb|, found by dense sampling, within sum — is
+// among them; and with both foci at one center and sum twice a radius it is
+// SearchCircle, item for item and page read for page read.
+func TestSearchEllipseMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	tr, err := New(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rects []geom.Rect
+	for i := 0; i < 400; i++ {
+		p := randPoint(rng)
+		r := geom.R(p.X, p.Y, p.X+rng.Float64()*60, p.Y+rng.Float64()*20)
+		if i%5 == 0 {
+			r = geom.PointRect(p)
+		}
+		rects = append(rects, r)
+		if err := tr.Insert(r, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := func(a, b geom.Point, sum float64) (map[int64]bool, uint64) {
+		var io pagefile.Stats
+		got := map[int64]bool{}
+		if err := tr.Counted(&io).SearchEllipse(a, b, sum, func(it Item) bool { got[it.Data] = true; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return got, io.LogicalReads
+	}
+	met := 0
+	for trial := 0; trial < 60; trial++ {
+		a, b := randPoint(rng), randPoint(rng)
+		if trial%6 == 0 {
+			b = a.Add(geom.Pt(rng.Float64()*5, 0)) // nearly a disk
+		}
+		sum := a.Dist(b) * (1 + rng.Float64()*0.5)
+		if trial%10 == 0 {
+			sum = a.Dist(b) // the segment itself
+		}
+		got, _ := search(a, b, sum)
+		for i, r := range rects {
+			want := r.MinDist(a)+r.MinDist(b) <= sum
+			if got[int64(i)] != want {
+				t.Fatalf("ellipse %v %v sum %v: rectangle %v reported %v, entry test %v", a, b, sum, r, got[int64(i)], want)
+			}
+			if minFocalSumSampled(r, a, b) <= sum {
+				met++
+				if !got[int64(i)] {
+					t.Fatalf("ellipse %v %v sum %v: rectangle %v meets it and was not reported", a, b, sum, r)
+				}
+			}
+		}
+	}
+	if met == 0 {
+		t.Fatal("no rectangle met any ellipse; the test checks nothing")
+	}
+	for trial := 0; trial < 30; trial++ {
+		c, radius := randPoint(rng), rng.Float64()*200
+		var io pagefile.Stats
+		circle := map[int64]bool{}
+		if err := tr.Counted(&io).SearchCircle(c, radius, func(it Item) bool { circle[it.Data] = true; return true }); err != nil {
+			t.Fatal(err)
+		}
+		got, reads := search(c, c, 2*radius)
+		if len(got) != len(circle) || reads != io.LogicalReads {
+			t.Fatalf("disk %v r %v: SearchEllipse %d items in %d page reads, SearchCircle %d in %d", c, radius, len(got), reads, len(circle), io.LogicalReads)
+		}
+		for i, r := range rects {
+			if got[int64(i)] != circle[int64(i)] || got[int64(i)] != (r.MinDist(c) <= radius) {
+				t.Fatalf("disk %v r %v: rectangle %v: ellipse %v, circle %v", c, radius, r, got[int64(i)], circle[int64(i)])
+			}
+		}
 	}
 }
 

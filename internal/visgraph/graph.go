@@ -318,24 +318,35 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 	if g.grid.cell != 0 && !g.grid.extend(g.obstacles, first) {
 		g.grid.cell = 0 // the next Visible rebuilds it
 	}
-	// Remove materialised edges blocked by any new polygon (one pass,
-	// bounding boxes first); the new vertices have none yet.
+	if g.numEdges == 0 {
+		return len(fresh)
+	}
+	// Remove materialised edges blocked by any new polygon, in one pass; the
+	// new vertices have none yet. The production pass walks each edge through
+	// the grid asking only the new obstacles; the reference pass tests every
+	// edge against every new polygon's box and then the polygon, the oracle
+	// the walk is checked against.
+	blocked := func(a, b geom.Point) bool { return !g.visibleAmong(a, b, first) }
+	if !g.opts.UseSweep {
+		blocked = func(a, b geom.Point) bool {
+			sb := geom.Seg(a, b).Bounds()
+			for _, pg := range fresh {
+				if pg.Bounds().Intersects(sb) && pg.BlocksSegment(a, b) {
+					return true
+				}
+			}
+			return false
+		}
+	}
 	for u := range g.nodes {
 		un := &g.nodes[u]
 		if !un.alive {
 			continue
 		}
-	adjLoop:
 		for i := 0; i < len(un.adj); {
-			v := un.adj[i].To
-			if NodeID(u) < v {
-				sb := geom.Seg(un.pt, g.nodes[v].pt).Bounds()
-				for _, pg := range fresh {
-					if pg.Bounds().Intersects(sb) && pg.BlocksSegment(un.pt, g.nodes[v].pt) {
-						g.removeEdge(NodeID(u), v)
-						continue adjLoop // adj shifted; re-check index i
-					}
-				}
+			if v := un.adj[i].To; NodeID(u) < v && blocked(un.pt, g.nodes[v].pt) {
+				g.removeEdge(NodeID(u), v)
+				continue // adj shifted; re-check index i
 			}
 			i++
 		}

@@ -111,8 +111,12 @@ func (gr *obstGrid) extend(obstacles []geom.Polygon, first int) bool {
 // It walks the grid cells the segment crosses from a toward b, asks each
 // obstacle chained there once, and returns at the first blocker — which, seen
 // from an expanding node, is usually one of the nearest obstacles.
-func (g *Graph) Visible(a, b geom.Point) bool {
-	if len(g.obstacles) == 0 {
+func (g *Graph) Visible(a, b geom.Point) bool { return g.visibleAmong(a, b, 0) }
+
+// visibleAmong is Visible asking only obstacles[lo:], the walk AddObstacles
+// runs for each materialised edge against the obstacles it adds.
+func (g *Graph) visibleAmong(a, b geom.Point, lo int) bool {
+	if len(g.obstacles) == lo {
 		return true
 	}
 	gr := &g.grid
@@ -166,7 +170,7 @@ func (g *Graph) Visible(a, b geom.Point) bool {
 		for cells := (cellIndex(vOut+pad-ov, gr.cell, nv) - iv) * stepV; cells >= 0; cells-- {
 			for e := gr.head[iu*su+iv*sv]; e >= 0; e = gr.entries[e].next {
 				i := gr.entries[e].obst
-				if gr.stamps[i] == gr.gen {
+				if int(i) < lo || gr.stamps[i] == gr.gen {
 					continue
 				}
 				gr.stamps[i] = gr.gen

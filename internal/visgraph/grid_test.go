@@ -131,6 +131,57 @@ func TestGridGrowth(t *testing.T) {
 	check("rebuilt for a doubled count", 24)
 }
 
+// TestAddObstaclesRemovesBlockedEdges: growing a graph whose adjacency is
+// materialised keeps exactly the edges no obstacle blocks, by the linear scan,
+// whether the production pass walks each edge through the grid against the
+// new obstacles or the reference pass tests every new polygon; batches inside
+// the grid's bounds and past them both.
+func TestAddObstaclesRemovesBlockedEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for trial := 0; trial < 10; trial++ {
+		rects := disjointRects(rng, 40, 200)
+		obs := make([]Obstacle, len(rects))
+		for i, r := range rects {
+			obs[i] = rectObstacle(int64(i), r)
+		}
+		// The far batch lies past the first batch's bounds, so the grid is
+		// rebuilt for it.
+		far := []Obstacle{rectObstacle(1000, geom.R(260, 260, 270, 290)), rectObstacle(1001, geom.R(-40, 90, -30, 120))}
+		for _, production := range []bool{true, false} {
+			g := Build(Options{UseSweep: production}, obs[:20])
+			for i := 0; i < 4; i++ {
+				g.AddTerminal(freePoint(rng, rects, 200))
+			}
+			materialise(g)
+			type edge struct{ u, v NodeID }
+			var before []edge
+			for u := range g.nodes {
+				for _, he := range g.nodes[u].adj {
+					if NodeID(u) < he.To {
+						before = append(before, edge{NodeID(u), he.To})
+					}
+				}
+			}
+			for i, batch := range [][]Obstacle{obs[20:], far} {
+				g.AddObstacles(batch)
+				kept := 0
+				for _, e := range before {
+					a, b := g.nodes[e.u].pt, g.nodes[e.v].pt
+					if has, want := g.edgeSet[edgeKey(e.u, e.v)], g.visibleLinear(a, b); has != want {
+						t.Fatalf("trial %d production=%v batch %d: edge %v-%v kept %v, visible by linear scan %v", trial, production, i, a, b, has, want)
+					}
+					if g.edgeSet[edgeKey(e.u, e.v)] {
+						kept++
+					}
+				}
+				if i == 0 && kept == len(before) || kept != g.NumEdges() {
+					t.Fatalf("trial %d production=%v batch %d: %d of %d edges kept, the graph counts %d", trial, production, i, kept, len(before), g.NumEdges())
+				}
+			}
+		}
+	}
+}
+
 // TestGridStreetScene runs the probe set on touching, collinear street
 // rectangles, where obstacle sides lie on cell boundaries.
 func TestGridStreetScene(t *testing.T) {
