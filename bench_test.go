@@ -2,8 +2,8 @@
 // 13-22) as testing.B targets, plus the ablations called out in DESIGN.md.
 // Each figure benchmark has one sub-benchmark per x-axis value; per-query
 // page accesses are attached as custom metrics (data-pages/op,
-// obst-pages/op) alongside the standard ns/op. The cmd/obsbench tool runs
-// the same sweeps in workload form and prints the full tables.
+// obst-pages/op) alongside the standard ns/op. `obsctl figures` runs the
+// same sweeps in workload form and prints the full tables.
 //
 // Benchmarks use a reduced |O| so `go test -bench=.` finishes in minutes;
 // the harness preserves the paper's obstacle density and absolute query

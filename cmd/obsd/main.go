@@ -10,7 +10,7 @@
 //	obsd -db city.obs -addr localhost:8080
 //	obsd -obstacles 1000 -entities 2000 -seed 1 -addr localhost:8080
 //
-// With -db the daemon opens a durable file (created with obsstore create)
+// With -db the daemon opens a durable file (created with obsctl create)
 // and every mutation commits through its WAL; SIGTERM drains in-flight
 // requests and closes the file cleanly. Without -db it serves a generated
 // in-memory street world — handy for benchmarks and demos.
@@ -44,8 +44,7 @@
 // header. During shutdown new requests get code "draining" and 503.
 //
 // Warm graphs: /v1/distance requests around the same region share one
-// expanded visibility graph through the database's graph cache, sized with
-// -graph-cache.
+// expanded visibility graph through the database's graph cache.
 //
 // Request logging: -log-requests emits one structured JSON line to stderr
 // per request — route, dataset, status, duration and trace id.
@@ -86,7 +85,7 @@ import (
 
 func main() {
 	var (
-		dbPath = flag.String("db", "", "durable database file (obsstore create); empty serves a generated in-memory world")
+		dbPath = flag.String("db", "", "durable database file (obsctl create); empty serves a generated in-memory world")
 		addr   = flag.String("addr", "localhost:8080", "listen address (host:0 picks a free port)")
 
 		nObst = flag.Int("obstacles", 1000, "generated obstacle count (in-memory mode)")
@@ -99,7 +98,6 @@ func main() {
 		defTimeout  = flag.Duration("default-timeout", 30*time.Second, "deadline for requests without ?timeout=")
 		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "upper clamp on ?timeout=")
 
-		graphCache   = flag.Int("graph-cache", 0, "visibility-graph cache entries (0 = engine default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		logRequests  = flag.Bool("log-requests", false, "log one structured JSON line per request to stderr")
 		traceSample  = flag.Float64("trace-sample", 0.1, "probability a normal request's trace is retained (errors and slow always are)")
@@ -114,8 +112,7 @@ func main() {
 		reqLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	opts := obstacles.Options{
-		GraphCacheSize: *graphCache, TraceSampleRate: *traceSample,
-		AutoRecover: *autoRecover, RecoverBackoff: *recoverBackoff,
+		TraceSampleRate: *traceSample, AutoRecover: *autoRecover, RecoverBackoff: *recoverBackoff,
 	}
 	if *chaosSpec != "" {
 		rules, err := pagefile.ParseFaultSpec(*chaosSpec)

@@ -3,42 +3,23 @@ package obstacles
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 )
 
-// debugServer is the HTTP debug listener a Database starts when
-// Options.DebugAddr is set: /metrics in the Prometheus text exposition
-// format, /debug/vars as a JSON snapshot of Metrics() plus PersistStats,
-// and the standard pprof profiles under /debug/pprof/.
-type debugServer struct {
-	ln  net.Listener
-	srv *http.Server
-
-	mu   sync.Mutex
-	done chan struct{} // closed once Serve has returned
-}
-
-// debugMux builds the observability mux: /metrics (Prometheus text),
-// /debug/vars (JSON snapshot), the flight recorder under /debug/traces,
-// /debug/traces/{id} and /debug/active, /debug/pprof/*, and a plain-text
-// index at /.
-// It is the one mux behind both the standalone debug listener
-// (Options.DebugAddr) and the network daemon's shared endpoint
-// (internal/server mounts the same routes next to the query API via
-// DebugHandler).
-func (db *Database) debugMux() *http.ServeMux {
+// DebugHandler returns the database's observability endpoint as a plain
+// http.Handler: /metrics (Prometheus text), /debug/vars (JSON snapshot),
+// the flight recorder under /debug/traces, /debug/traces/{id} and
+// /debug/active, and /debug/pprof/*. Servers embedding a Database
+// (cmd/obsd) mount it on their own listener, so one scrape target covers
+// the process without a second registry or port.
+func (db *Database) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", db.tel.reg.Handler())
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		writeDebugJSON(w, struct {
 			Metrics  Metrics
 			Persist  PersistStats
 			Recovery RecoveryStats
@@ -52,14 +33,6 @@ func (db *Database) debugMux() *http.ServeMux {
 	mux.HandleFunc("GET /debug/traces", db.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", db.handleTraceByID)
 	mux.HandleFunc("GET /debug/active", db.handleActiveTraces)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "obstacles debug listener\n\n/metrics\n/debug/vars\n/debug/traces\n/debug/traces/{id}\n/debug/active\n/debug/pprof/\n")
-	})
 	return mux
 }
 
@@ -112,67 +85,4 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// DebugHandler returns the database's observability endpoint as a plain
-// http.Handler — /metrics, /debug/vars and /debug/pprof/ exactly as the
-// Options.DebugAddr listener serves them — so servers embedding a Database
-// (cmd/obsd) can mount the same routes on their own listener without a
-// second registry or port.
-func (db *Database) DebugHandler() http.Handler {
-	return db.debugMux()
-}
-
-// startDebug binds and serves the debug listener when Options.DebugAddr is
-// set; a bind failure fails the open (a debug address that silently does
-// nothing is worse than an error).
-func (db *Database) startDebug() error {
-	addr := db.opts.DebugAddr
-	if addr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("obstacles: debug listener on %s: %w", addr, err)
-	}
-	mux := db.debugMux()
-	d := &debugServer{
-		ln:   ln,
-		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		done: make(chan struct{}),
-	}
-	db.debug = d
-	go func() {
-		defer close(d.done)
-		d.srv.Serve(ln) // returns http.ErrServerClosed on stopDebug
-	}()
-	return nil
-}
-
-// DebugAddr returns the bound address of the debug listener ("" when
-// Options.DebugAddr was empty) — with "host:0" this is where the free port
-// landed.
-func (db *Database) DebugAddr() string {
-	if db.debug == nil {
-		return ""
-	}
-	return db.debug.ln.Addr().String()
-}
-
-// stopDebug shuts the debug listener down and waits for the serve loop to
-// exit. Idempotent; a no-op when no listener was started.
-func (db *Database) stopDebug() {
-	d := db.debug
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	select {
-	case <-d.done:
-		return // already stopped
-	default:
-	}
-	d.srv.Close()
-	<-d.done
 }

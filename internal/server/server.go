@@ -185,7 +185,7 @@ func (s *Server) buildMux() *http.ServeMux {
 		mux.Handle(rt.pattern, s.handle(rt))
 	}
 	// Observability: the Database's own debug mux, mounted on this
-	// listener — same registry, same routes as Options.DebugAddr.
+	// listener — one registry for engine and daemon series.
 	dh := s.db.DebugHandler()
 	mux.Handle("/metrics", dh)
 	mux.Handle("/debug/", dh)

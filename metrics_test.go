@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -312,19 +313,15 @@ func TestSlowQueryLogDisabledByDefault(t *testing.T) {
 }
 
 func TestDebugEndpoint(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DebugAddr = "127.0.0.1:0"
-	db := metricsDB(t, opts)
+	db := metricsDB(t, DefaultOptions())
 	defer db.Close()
-	addr := db.DebugAddr()
-	if addr == "" {
-		t.Fatal("DebugAddr empty with a listener configured")
-	}
+	srv := httptest.NewServer(db.DebugHandler())
+	defer srv.Close()
 	if _, err := db.Range(ctx, "P", Pt(0, 0), 150); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +368,7 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 
 	// /debug/vars must be one JSON document carrying the same snapshot.
-	resp, err = http.Get("http://" + addr + "/debug/vars")
+	resp, err = http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +386,7 @@ func TestDebugEndpoint(t *testing.T) {
 
 	// The flight-recorder endpoints answer on the same mux (empty here: no
 	// sampling configured, nothing slow, nothing failed).
-	resp, err = http.Get("http://" + addr + "/debug/traces")
+	resp, err = http.Get(srv.URL + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +395,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/traces status %d", resp.StatusCode)
 	}
-	resp, err = http.Get("http://" + addr + "/debug/traces/" + strings.Repeat("0", 32))
+	resp, err = http.Get(srv.URL + "/debug/traces/" + strings.Repeat("0", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +404,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/debug/traces/{unknown} status %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get("http://" + addr + "/debug/traces?min_dur=bogus")
+	resp, err = http.Get(srv.URL + "/debug/traces?min_dur=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("/debug/traces?min_dur=bogus status %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Get("http://" + addr + "/debug/active")
+	resp, err = http.Get(srv.URL + "/debug/active")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +424,7 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 
 	// pprof is wired onto the same mux.
-	resp, err = http.Get("http://" + addr + "/debug/pprof/cmdline")
+	resp, err = http.Get(srv.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,14 +432,6 @@ func TestDebugEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status %d", resp.StatusCode)
-	}
-}
-
-func TestDebugEndpointDisabled(t *testing.T) {
-	db := metricsDB(t, DefaultOptions())
-	defer db.Close()
-	if addr := db.DebugAddr(); addr != "" {
-		t.Fatalf("DebugAddr = %q with no listener configured", addr)
 	}
 }
 
@@ -577,11 +566,10 @@ func parsePrometheusText(t *testing.T, body string) map[string]float64 {
 // TestMetricsConcurrent scrapes, snapshots and queries at once; run under
 // -race this pins the lock-free hot paths against the read paths.
 func TestMetricsConcurrent(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DebugAddr = "127.0.0.1:0"
-	db := metricsDB(t, opts)
+	db := metricsDB(t, DefaultOptions())
 	defer db.Close()
-	addr := db.DebugAddr()
+	srv := httptest.NewServer(db.DebugHandler())
+	defer srv.Close()
 
 	const queriers = 4
 	var wg sync.WaitGroup
@@ -601,7 +589,7 @@ func TestMetricsConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 10; j++ {
-			resp, err := http.Get("http://" + addr + "/metrics")
+			resp, err := http.Get(srv.URL + "/metrics")
 			if err != nil {
 				t.Error(err)
 				return

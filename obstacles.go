@@ -38,14 +38,6 @@ type Options struct {
 	// until an explicit Checkpoint or Close). Ignored by in-memory
 	// databases.
 	WALCheckpointBytes int64
-	// DebugAddr, when non-empty, starts an HTTP debug listener on the
-	// address (e.g. "localhost:6060") for the database's lifetime. It
-	// serves the full telemetry registry in the Prometheus text exposition
-	// format at /metrics, the same numbers as JSON at /debug/vars, and the
-	// standard pprof profiles under /debug/pprof/. The listener stops at
-	// Close. "host:0" picks a free port; DebugAddr() reports the bound
-	// address.
-	DebugAddr string
 	// SlowQueryThreshold, when positive, enables the slow-query log: every
 	// query verb whose wall time reaches the threshold is recorded through
 	// SlowQueryLogger with its verb, timing, work counters and a span
@@ -217,10 +209,8 @@ type Database struct {
 	store *durableStore
 
 	// tel is the database's telemetry (see metrics.go), created with the
-	// handle; debug is the HTTP debug listener, nil unless
-	// Options.DebugAddr is set.
-	tel   *dbMetrics
-	debug *debugServer
+	// handle.
+	tel *dbMetrics
 
 	// Recovery-supervisor lifecycle (nil channels unless Options.AutoRecover
 	// started one); see recovery.go.
@@ -470,9 +460,6 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 	}
 	db.initVersions()
 	db.tel = newDBMetrics(db)
-	if err := db.startDebug(); err != nil {
-		return nil, err
-	}
 	return db, nil
 }
 

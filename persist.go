@@ -328,9 +328,6 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 			return fail(err)
 		}
 	}
-	if err := db.startDebug(); err != nil {
-		return fail(err)
-	}
 	if opts.AutoRecover {
 		db.startRecovery()
 	}
@@ -528,7 +525,6 @@ func (db *Database) Checkpoint() error {
 // is a no-op on an in-memory database. After Close, mutators fail with
 // ErrDatabaseClosed and query behavior is undefined.
 func (db *Database) Close() error {
-	db.stopDebug()
 	s := db.store
 	if s == nil {
 		return nil
