@@ -107,8 +107,8 @@ func TestChaosTransientFaultAutoRecovers(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("insert during WAL fault: %v, want *DegradedError", err)
 	}
-	if !errors.Is(err, ErrDegraded) || !errors.Is(err, ErrNeedsReopen) {
-		t.Fatalf("DegradedError does not unwrap to the sentinels: %v", err)
+	if !errors.Is(err, ErrDegraded) || !errors.Is(err, pagefile.ErrInjectedFault) {
+		t.Fatalf("DegradedError does not unwrap to ErrDegraded and its cause: %v", err)
 	}
 	if !de.Recovery.Degraded || !de.Recovery.AutoRecover || de.Recovery.Cause == "" {
 		t.Fatalf("DegradedError carries stale stats: %+v", de.Recovery)

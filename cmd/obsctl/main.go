@@ -205,15 +205,6 @@ func inspect(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "commit seq:  %d\n", st.Seq)
 	fmt.Fprintf(stdout, "pages:       %d allocated (%d committed, pending write-back)\n", st.FilePages, st.PendingPages)
 	fmt.Fprintf(stdout, "wal:         %d bytes\n", st.WALBytes)
-	// Commit/fsync counters are per-handle, and inspect's own handle
-	// mutates nothing — they are shown for completeness with a pointer to
-	// the workload that produces loaded numbers.
-	fmt.Fprintf(stdout, "commits:     %d this handle, %d fsyncs", st.Commits, st.Fsyncs)
-	if st.Fsyncs > 0 {
-		fmt.Fprintf(stdout, " (%.2f commits/fsync, largest batch %d, %d grouped)\n", st.AvgBatch, st.MaxBatch, st.GroupCommits)
-	} else {
-		fmt.Fprintf(stdout, " (per-handle counters; bench's churn_durable workload measures them under load)\n")
-	}
 	fmt.Fprintf(stdout, "obstacles:   %d\n", db.NumObstacles())
 	for _, name := range db.Datasets() {
 		n, err := db.DatasetLen(name)

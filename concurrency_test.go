@@ -271,7 +271,7 @@ func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 		t.Fatal("no target needs a detour: the scene tests nothing")
 	}
 
-	before := db.Metrics().GraphBuilds
+	before := scrape(t, db)["obstacles_query_graph_builds_total"]
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	got := make([]float64, N)
@@ -294,8 +294,8 @@ func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 			t.Fatalf("request %d to %v: cached %v, uncached %v", i, targets[i], got[i], want[i])
 		}
 	}
-	if builds := db.Metrics().GraphBuilds - before; builds > 2 {
-		t.Fatalf("%d graph builds for %d concurrent same-source distances, want <= 2", builds, N)
+	if builds := scrape(t, db)["obstacles_query_graph_builds_total"] - before; builds > 2 {
+		t.Fatalf("%v graph builds for %d concurrent same-source distances, want <= 2", builds, N)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 )
 
 // DebugHandler returns the database's observability endpoint as a plain
-// http.Handler: /metrics (Prometheus text), /debug/vars (JSON snapshot),
+// http.Handler: /metrics (Prometheus text, every process-lifetime count),
+// /debug/vars (the durable backend's state and recovery status as JSON),
 // the flight recorder under /debug/traces, /debug/traces/{id} and
 // /debug/active, and /debug/pprof/*. Servers embedding a Database
 // (cmd/obsd) mount it on their own listener, so one scrape target covers
@@ -20,10 +21,9 @@ func (db *Database) DebugHandler() http.Handler {
 	mux.Handle("/metrics", db.tel.reg.Handler())
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		writeDebugJSON(w, struct {
-			Metrics  Metrics
 			Persist  PersistStats
 			Recovery RecoveryStats
-		}{db.Metrics(), db.PersistStats(), db.RecoveryStats()})
+		}{db.PersistStats(), db.RecoveryStats()})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

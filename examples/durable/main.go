@@ -51,8 +51,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := db.PersistStats()
-	fmt.Printf("first run:  %d obstacles, %d vans, %d commits, WAL %d bytes\n",
-		db.NumObstacles(), len(vans), st.Commits, st.WALBytes)
+	fmt.Printf("first run:  %d obstacles, %d vans, commit seq %d, WAL %d bytes\n",
+		db.NumObstacles(), len(vans), st.Seq, st.WALBytes)
 	incident := obstacles.Pt(35, 25)
 	report(ctx, db, incident, "before restart")
 	if err := db.Close(); err != nil { // checkpoint + release

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/pagefile"
 	"repro/internal/wal"
 )
 
@@ -56,12 +56,20 @@ func inventory(t *testing.T, db *Database) map[Point]bool {
 // observed yet, so a test gets multi-commit batches deterministically instead
 // of depending on commits happening to overlap an fsync. window must be set
 // before the first mutator runs.
-func openAbsorbing(path string, opts Options, window time.Duration, hooks openHooks) (*Database, error) {
-	db, err := openWithHooks(path, opts, hooks)
+func openAbsorbing(path string, opts Options, window time.Duration) (*Database, error) {
+	db, err := Open(path, opts)
 	if err == nil {
 		db.store.maxDelay = window
 	}
 	return db, err
+}
+
+// batched reports whether a scrape shows group commit at work: an fsync
+// covered two or more commits, and some batch landed above the le="1"
+// bucket.
+func batched(m map[string]float64) bool {
+	return m["obstacles_group_commits_total"] > 0 &&
+		m["obstacles_commit_batch_size_count"] > m[`obstacles_commit_batch_size_bucket{le="1"}`]
 }
 
 // TestDurableGroupCommitBatches pins the headline behavior: N concurrent
@@ -69,7 +77,7 @@ func openAbsorbing(path string, opts Options, window time.Duration, hooks openHo
 // acknowledged insert survives a clean close and reopen.
 func TestDurableGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "group.obs")
-	db, err := openAbsorbing(path, DefaultOptions(), 500*time.Microsecond, openHooks{})
+	db, err := openAbsorbing(path, DefaultOptions(), 500*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestDurableGroupCommitBatches(t *testing.T) {
 	if err := db.AddDataset("P", setupPts(20)); err != nil {
 		t.Fatal(err)
 	}
-	base := db.PersistStats().Commits
+	base := scrape(t, db)["obstacles_commits_total"]
 
 	const workers, per = 8, 20
 	var wg sync.WaitGroup
@@ -102,18 +110,17 @@ func TestDurableGroupCommitBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := db.PersistStats()
-	if got := st.Commits - base; got != workers*per {
-		t.Fatalf("Commits advanced by %d, want %d", got, workers*per)
+	m := scrape(t, db)
+	commits, fsyncs := m["obstacles_commits_total"], m["obstacles_wal_fsyncs_total"]
+	if got := commits - base; got != workers*per {
+		t.Fatalf("commits advanced by %v, want %d", got, workers*per)
 	}
-	if st.Fsyncs == 0 || st.Fsyncs > st.Commits {
-		t.Fatalf("Fsyncs = %d with %d commits", st.Fsyncs, st.Commits)
+	if fsyncs == 0 || fsyncs >= commits {
+		t.Fatalf("%v fsyncs for %v commits, want fewer fsyncs than commits under %d concurrent writers", fsyncs, commits, workers)
 	}
-	if st.MaxBatch < 2 || st.GroupCommits == 0 {
-		t.Fatalf("no batching observed: %+v", st)
-	}
-	if st.AvgBatch <= 1.0 {
-		t.Fatalf("AvgBatch = %v, want > 1 under %d concurrent writers", st.AvgBatch, workers)
+	if !batched(m) {
+		t.Fatalf("no batching observed: %v group commits, %v of %v batches of one",
+			m["obstacles_group_commits_total"], m[`obstacles_commit_batch_size_bucket{le="1"}`], m["obstacles_commit_batch_size_count"])
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -148,7 +155,7 @@ func TestCrashRecoveryBatchedCommits(t *testing.T) {
 	path := filepath.Join(dir, "batch.obs")
 	opts := DefaultOptions()
 	opts.WALCheckpointBytes = -1 // the test owns every WAL boundary
-	db, err := openAbsorbing(path, opts, 500*time.Microsecond, openHooks{})
+	db, err := openAbsorbing(path, opts, 500*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +187,8 @@ func TestCrashRecoveryBatchedCommits(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if st := db.PersistStats(); st.MaxBatch < 2 {
-		t.Fatalf("churn produced no multi-commit batch (stats %+v); the test would not exercise batched recovery", st)
+	if !batched(scrape(t, db)) {
+		t.Fatal("churn produced no multi-commit batch; the test would not exercise batched recovery")
 	}
 	crashDB(db) // abandon without checkpoint: data file stays at the post-create image
 
@@ -324,36 +331,9 @@ func TestCrashRecoveryBatchedCommits(t *testing.T) {
 	}
 }
 
-// syncFaultFile fails every WAL fsync after the first failAfter calls, each
-// failure carrying a distinct id so the test can tell which one poisoned
-// the handle.
-type syncFaultFile struct {
-	wal.File
-	mu    sync.Mutex
-	syncs int
-	fail  int
-}
-
-func (f *syncFaultFile) Sync() error {
-	f.mu.Lock()
-	f.syncs++
-	n := f.syncs
-	f.mu.Unlock()
-	if n > f.fail {
-		return fmt.Errorf("injected sync fault #%d", n)
-	}
-	return f.File.Sync()
-}
-
-func (f *syncFaultFile) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}
-
 // TestDurableCommitterFsyncFault injects a failure into the committer's
 // fsync under concurrent mutators: every mutator parked on the failed batch
-// (and every later mutation) must report ErrNeedsReopen; the handle must
+// (and every later mutation) must report ErrDegraded; the handle must
 // poison exactly once — all later errors cite the first failed fsync, and
 // no further fsyncs are attempted; and reopening at the durable WAL length
 // must recover every acknowledged insert and none of the failed ones.
@@ -375,15 +355,15 @@ func TestDurableCommitterFsyncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var fault *syncFaultFile
+	// Fsyncs 1..12 succeed and the 13th fails; the handle poisons on it, so
+	// no later fsync is ever attempted.
+	const okSyncs = 12
+	errSync := errors.New("injected sync fault")
+	inj := pagefile.NewInjector(pagefile.FaultRule{Op: pagefile.OpWALSync, After: okSyncs, Count: 1, Err: errSync})
 	opts := DefaultOptions()
 	opts.WALCheckpointBytes = -1
-	db, err = openAbsorbing(path, opts, 200*time.Microsecond, openHooks{
-		wrapWAL: func(f wal.File) wal.File {
-			fault = &syncFaultFile{File: f, fail: 12}
-			return fault
-		},
-	})
+	opts.Chaos = inj
+	db, err = openAbsorbing(path, opts, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,30 +400,31 @@ func TestDurableCommitterFsyncFault(t *testing.T) {
 		t.Fatal("no mutator saw the injected fsync fault")
 	}
 	if len(acked) == 0 {
-		t.Fatal("fault fired before any commit was acknowledged; raise failAfter")
+		t.Fatal("fault fired before any commit was acknowledged; raise okSyncs")
 	}
 	for _, err := range fails {
-		if !errors.Is(err, ErrNeedsReopen) {
-			t.Fatalf("parked mutator error = %v, want ErrNeedsReopen", err)
+		if !errors.Is(err, ErrDegraded) || !errors.Is(err, errSync) {
+			t.Fatalf("parked mutator error = %v, want ErrDegraded citing the injected fault", err)
 		}
 	}
 
-	// Poisoned exactly once: the first failing fsync is the error every
-	// later mutation reports, and no further fsyncs are attempted.
-	first := fmt.Sprintf("injected sync fault #%d", fault.fail+1)
-	if _, err := db.InsertPoints("P", Pt(1, 1)); !errors.Is(err, ErrNeedsReopen) || !strings.Contains(err.Error(), first) {
-		t.Fatalf("post-poison mutation error = %v, want ErrNeedsReopen citing %q", err, first)
+	// Poisoned exactly once: the fault fired on the 13th fsync, it is the
+	// error every later mutation reports, and no further fsyncs are attempted.
+	if got, ops := inj.Injected(pagefile.OpWALSync), inj.Ops(pagefile.OpWALSync); got != 1 || ops != okSyncs+1 {
+		t.Fatalf("fault fired %d times over %d fsyncs, want once, on fsync %d", got, ops, okSyncs+1)
 	}
-	syncsAfter := fault.count()
+	if _, err := db.InsertPoints("P", Pt(1, 1)); !errors.Is(err, ErrDegraded) || !errors.Is(err, errSync) {
+		t.Fatalf("post-poison mutation error = %v, want ErrDegraded citing the injected fault", err)
+	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.InsertPoints("P", Pt(2, 2)); !errors.Is(err, ErrNeedsReopen) {
+		if _, err := db.InsertPoints("P", Pt(2, 2)); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("mutation %d after poison: %v", i, err)
 		}
 	}
-	if got := fault.count(); got != syncsAfter {
-		t.Fatalf("poisoned handle still attempted fsyncs: %d -> %d", syncsAfter, got)
+	if got := inj.Ops(pagefile.OpWALSync); got != okSyncs+1 {
+		t.Fatalf("poisoned handle still attempted fsyncs: %d -> %d", okSyncs+1, got)
 	}
-	if err := db.Checkpoint(); !errors.Is(err, ErrNeedsReopen) {
+	if err := db.Checkpoint(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("checkpoint after poison: %v", err)
 	}
 
@@ -636,9 +617,8 @@ func TestDurableMultiWriterChurn(t *testing.T) {
 	default:
 	}
 
-	st := db.PersistStats()
-	if st.Commits == 0 {
-		t.Fatalf("no commits recorded: %+v", st)
+	if got := scrape(t, db)["obstacles_commits_total"]; got == 0 {
+		t.Fatal("no commits recorded")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

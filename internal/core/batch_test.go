@@ -177,23 +177,23 @@ func TestBatchDistancesSavesWork(t *testing.T) {
 	perPair := NewEngine(s.obst, DefaultEngineOptions())
 	pagesBefore := s.obst.Tree().PageFile().Stats().LogicalReads
 	var want []float64
+	var pairStats Stats
 	for _, p := range targets {
-		d, _, err := bg(perPair).ObstructedDistance(source, p)
+		d, st, err := bg(perPair).ObstructedDistance(source, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, d)
+		pairStats.Merge(st)
 	}
-	pairMetrics := perPair.Metrics()
 	pairPages := s.obst.Tree().PageFile().Stats().LogicalReads - pagesBefore
 
 	batch := NewEngine(s.obst, DefaultEngineOptions())
 	pagesBefore = s.obst.Tree().PageFile().Stats().LogicalReads
-	got, _, err := bg(batch).BatchDistances(source, targets)
+	got, batchStats, err := bg(batch).BatchDistances(source, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchMetrics := batch.Metrics()
 	batchPages := s.obst.Tree().PageFile().Stats().LogicalReads - pagesBefore
 
 	for i := range targets {
@@ -201,11 +201,11 @@ func TestBatchDistancesSavesWork(t *testing.T) {
 			t.Fatalf("target %d: batch %v, per-pair %v", i, got[i], want[i])
 		}
 	}
-	if batchMetrics.Sweeps >= pairMetrics.Sweeps {
-		t.Fatalf("batch swept %d nodes, per-pair %d", batchMetrics.Sweeps, pairMetrics.Sweeps)
+	if batchStats.Sweeps >= pairStats.Sweeps {
+		t.Fatalf("batch swept %d nodes, per-pair %d", batchStats.Sweeps, pairStats.Sweeps)
 	}
-	if batchMetrics.Builds >= pairMetrics.Builds {
-		t.Fatalf("batch built %d graphs, per-pair %d", batchMetrics.Builds, pairMetrics.Builds)
+	if batchStats.GraphBuilds >= pairStats.GraphBuilds {
+		t.Fatalf("batch built %d graphs, per-pair %d", batchStats.GraphBuilds, pairStats.GraphBuilds)
 	}
 	if batchPages*2 >= pairPages {
 		t.Fatalf("batch read %d obstacle pages, per-pair %d: want < half", batchPages, pairPages)

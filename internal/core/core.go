@@ -30,7 +30,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/rtree"
-	"repro/internal/visgraph"
 )
 
 // PointSet is an entity dataset: points indexed by an R-tree, addressed by
@@ -604,9 +603,6 @@ func (st *Stats) Merge(rst Stats) {
 type Engine struct {
 	obstacles *ObstacleSet
 	opts      EngineOptions
-	// totals accumulates visibility-graph work across every query the
-	// engine runs, merged from sessions with atomics; see Metrics.
-	totals workTotals
 	// cache, when enabled, retains expanded visibility-graph states for
 	// reuse across distance queries and join seeds; see EnableGraphCache.
 	cache *GraphCache
@@ -647,8 +643,3 @@ func (e *Engine) ReplaceObstacles(o *ObstacleSet) {
 		e.cache.Reset(o.Generation())
 	}
 }
-
-// Metrics returns the cumulative visibility-graph work counters of every
-// query run so far (graph builds, searches, settled nodes, sweeps),
-// merged from all sessions. Per-query counters live in each query's Stats.
-func (e *Engine) Metrics() visgraph.Metrics { return e.totals.snapshot() }

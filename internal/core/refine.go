@@ -201,16 +201,12 @@ func (it *emitter[C, R]) fail(err error) {
 	it.finish()
 }
 
-// finish folds the iterator's work into its stats and the engine totals;
-// idempotent (delta-based), called on exhaustion, error, and by Stop.
+// finish folds the iterator's work into its stats; idempotent (delta-based),
+// called on exhaustion, error, and by Stats.
 func (it *emitter[C, R]) finish() {
 	it.s.finishCall(&it.stats, it.snap)
 	it.snap = it.s.snap()
 }
-
-// Stop releases the iterator's accounting early, publishing its work to the
-// engine totals. Optional: exhausting the iterator does the same.
-func (it *emitter[C, R]) Stop() { it.finish() }
 
 // Err returns the first error encountered, if any.
 func (it *emitter[C, R]) Err() error { return it.err }

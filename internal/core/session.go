@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -32,9 +31,6 @@ type Session struct {
 	io       pagefile.Stats
 	obstIO   [obstCallers]pagefile.Stats
 	obstTree [obstCallers]*rtree.Tree
-	// merged tracks the met counters already folded into the engine totals,
-	// making mergeTotals idempotent.
-	merged visgraph.Metrics
 	// obst is the obstacle set the session reads — the engine's live set, or
 	// a sealed view when the caller pinned a snapshot (NewSessionAt).
 	obst *ObstacleSet
@@ -150,8 +146,7 @@ type workSnap struct {
 
 func (s *Session) snap() workSnap { return workSnap{met: s.met, io: s.io, obstIO: s.obstIO} }
 
-// finishCall folds the work performed since the snapshot into st and
-// publishes the session's counters to the engine totals.
+// finishCall folds the work performed since the snapshot into st.
 func (s *Session) finishCall(st *Stats, w workSnap) {
 	d := s.met.Sub(w.met)
 	st.SettledNodes += d.SettledNodes
@@ -166,16 +161,6 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 		obst[i] = io.PhysicalReads
 	}
 	st.ObstReads = st.ObstReads.add(ObstacleReads{PointQuery: obst[obstPointQuery], Scan: obst[obstScan], Enlarge: obst[obstEnlarge]})
-	s.mergeTotals()
-}
-
-// mergeTotals publishes not-yet-published session work to the engine's
-// cumulative counters. Idempotent; called after each one-shot query and when
-// iterators finish.
-func (s *Session) mergeTotals() {
-	d := s.met.Sub(s.merged)
-	s.merged = s.met
-	s.e.totals.add(d)
 }
 
 // Work returns the session's cumulative visibility-graph work and page I/O.
@@ -185,36 +170,6 @@ func (s *Session) Work() (visgraph.Metrics, pagefile.Stats) {
 		io = io.Add(o)
 	}
 	return s.met, io
-}
-
-// workTotals is the engine's cumulative work ledger, merged from sessions
-// with atomics so concurrent queries never contend on more than a few adds.
-type workTotals struct {
-	settled, expansions, builds, sweeps atomic.Uint64
-}
-
-func (t *workTotals) add(m visgraph.Metrics) {
-	if m.SettledNodes != 0 {
-		t.settled.Add(m.SettledNodes)
-	}
-	if m.Expansions != 0 {
-		t.expansions.Add(m.Expansions)
-	}
-	if m.Builds != 0 {
-		t.builds.Add(m.Builds)
-	}
-	if m.Sweeps != 0 {
-		t.sweeps.Add(m.Sweeps)
-	}
-}
-
-func (t *workTotals) snapshot() visgraph.Metrics {
-	return visgraph.Metrics{
-		SettledNodes: t.settled.Load(),
-		Expansions:   t.expansions.Load(),
-		Builds:       t.builds.Load(),
-		Sweeps:       t.sweeps.Load(),
-	}
 }
 
 // relevantObstacles returns the obstacles whose polygons meet the region —

@@ -413,8 +413,6 @@ func (s *Server) writeErr(w http.ResponseWriter, route string, err error) int {
 		status, code = http.StatusServiceUnavailable, CodeDegraded
 		w.Header().Set("Retry-After", retryAfter(de.Recovery.NextRetry))
 		s.met.rejectedDegraded.Inc()
-	case errors.Is(err, obstacles.ErrNeedsReopen):
-		status, code = http.StatusServiceUnavailable, CodeNeedsReopen
 	case errors.Is(err, obstacles.ErrDatabaseClosed):
 		status, code = http.StatusServiceUnavailable, CodeDraining
 	case errors.Is(err, obstacles.ErrNotPersistent):

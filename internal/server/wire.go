@@ -56,12 +56,6 @@ const (
 	// CodeDraining (503): the server is shutting down and admits no new
 	// requests; in-flight ones are completing.
 	CodeDraining = "draining"
-	// CodeNeedsReopen (503): the database handle poisoned after a durable
-	// commit failure (obstacles.ErrNeedsReopen); mutations will fail until
-	// the handle recovers or the operator restarts the daemon. Degraded-mode
-	// rejections carry the richer CodeDegraded instead; this code remains
-	// for non-degraded reopen conditions.
-	CodeNeedsReopen = "needs_reopen"
 	// CodeDegraded (503): the database is in degraded (read-only) mode after
 	// a durable-commit failure (obstacles.ErrDegraded). Reads keep serving
 	// the last published generation; mutations fail fast. The response

@@ -31,8 +31,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, s.labels, "", formatUint(s.counter.Value()))
 			case s.counterFunc != nil:
 				writeSample(bw, f.name, s.labels, "", formatUint(s.counterFunc()))
-			case s.gauge != nil:
-				writeSample(bw, f.name, s.labels, "", strconv.FormatInt(s.gauge.Value(), 10))
 			case s.gaugeFunc != nil:
 				writeSample(bw, f.name, s.labels, "", formatFloat(s.gaugeFunc()))
 			case s.histogram != nil:

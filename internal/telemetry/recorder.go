@@ -211,9 +211,6 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	}
 }
 
-// SlowThreshold returns the slow-tier duration bound in effect.
-func (r *Recorder) SlowThreshold() time.Duration { return r.opts.SlowThreshold }
-
 // StartActive registers an in-flight trace for /debug/active.
 func (r *Recorder) StartActive(t *Trace) {
 	if r == nil || t == nil {

@@ -1,5 +1,6 @@
 // Package telemetry is the engine's measurement substrate: a registry of
-// named counters, gauges and fixed-bucket histograms whose update paths are
+// named counters, read-at-scrape gauges and fixed-bucket histograms whose
+// update paths are
 // lock-free (single atomic adds, a CAS loop for histogram sums), plus a
 // lightweight span tracer for query lifecycles.
 //
@@ -10,7 +11,7 @@
 // and consistent types per metric family; WritePrometheus renders the whole
 // registry.
 //
-// Updates (Counter.Add, Gauge.Set, Histogram.Observe) never take a lock and
+// Updates (Counter.Add, Histogram.Observe) never take a lock and
 // never allocate; the registry's mutex guards registration and iteration
 // only, so scraping never stalls queries and queries never stall each other
 // on metrics.
@@ -44,28 +45,13 @@ func (c *Counter) Add(n uint64) {
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add increments (or with a negative delta, decrements) the gauge.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket distribution. Buckets are defined by their
 // inclusive upper bounds (ascending); observations above the last bound land
 // in an implicit +Inf bucket. Observe is lock-free: one atomic add on the
-// bucket, one on the count, and a CAS loop folding the value into the sum.
+// bucket and a CAS loop folding the value into the sum.
 type Histogram struct {
 	bounds []float64 // immutable after construction
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64 // math.Float64bits of the running sum
 }
 
@@ -99,7 +85,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[lo].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
@@ -111,9 +96,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Snapshot captures a consistent-enough view of the histogram for reporting.
 // Concurrent observations may tear the (count, sum, buckets) triple by a few
@@ -142,50 +124,6 @@ type HistogramSnapshot struct {
 	Counts []uint64
 	Count  uint64
 	Sum    float64
-}
-
-// Mean returns the mean observed value (0 with no observations).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the p-quantile (p in [0, 1]) by linear interpolation
-// within the bucket containing it, the standard fixed-bucket estimate. The
-// lowest bucket interpolates from zero; a quantile landing in the +Inf
-// bucket reports the last finite bound.
-func (s HistogramSnapshot) Quantile(p float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(s.Count)
-	cum := uint64(0)
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = s.Bounds[i-1]
-			}
-			if c == 0 {
-				return s.Bounds[i]
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lower + (s.Bounds[i]-lower)*frac
-		}
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // LatencyBuckets is the default latency histogram layout, in seconds:
@@ -221,7 +159,6 @@ type series struct {
 	// exactly one of the following is set, matching the family type
 	counter     *Counter
 	counterFunc func() uint64
-	gauge       *Gauge
 	gaugeFunc   func() float64
 	histogram   *Histogram
 }
@@ -307,16 +244,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for counters an existing subsystem already maintains (cache hits,
-// engine work totals) that would be wasteful to double-count.
+// recovery attempts) that would be wasteful to double-count.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.register(name, help, typeCounter, labels, &series{counterFunc: fn})
-}
-
-// Gauge registers and returns a new gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, typeGauge, labels, &series{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time (WAL size, file

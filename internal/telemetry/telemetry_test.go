@@ -21,12 +21,21 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestGauge: a gauge is read from its function at each scrape, so a change
+// at the source shows on the next scrape without an update call.
 func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Value(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
+	r := NewRegistry()
+	depth := -3.0
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	for _, want := range []string{"depth -3\n", "depth 7\n"} {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("scrape missing %q:\n%s", want, b.String())
+		}
+		depth = 7
 	}
 }
 
@@ -49,9 +58,6 @@ func TestHistogramBucketing(t *testing.T) {
 	if got := s.Sum; math.Abs(got-1056.5) > 1e-9 {
 		t.Fatalf("sum = %g, want 1056.5", got)
 	}
-	if got := s.Mean(); math.Abs(got-1056.5/5) > 1e-9 {
-		t.Fatalf("mean = %g", got)
-	}
 }
 
 func TestHistogramObserveDuration(t *testing.T) {
@@ -63,43 +69,6 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 	if math.Abs(s.Sum-0.03) > 1e-9 {
 		t.Fatalf("sum = %g, want 0.03", s.Sum)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{10, 20, 30, 40})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%40) + 0.5) // uniform over (0, 40]
-	}
-	s := h.Snapshot()
-	if q := s.Quantile(0.5); q < 15 || q > 25 {
-		t.Fatalf("p50 = %g, want ~20", q)
-	}
-	if q := s.Quantile(0); q < 0 || q > 10 {
-		t.Fatalf("p0 = %g", q)
-	}
-	if q := s.Quantile(1); q != 40 {
-		t.Fatalf("p100 = %g, want 40", q)
-	}
-	// Degenerate and clamped inputs must not panic or go out of range.
-	empty := HistogramSnapshot{}
-	if q := empty.Quantile(0.9); q != 0 {
-		t.Fatalf("empty quantile = %g", q)
-	}
-	if q := s.Quantile(-1); q < 0 {
-		t.Fatalf("clamped low quantile = %g", q)
-	}
-	if q := s.Quantile(2); q != 40 {
-		t.Fatalf("clamped high quantile = %g", q)
-	}
-}
-
-func TestHistogramOverflowQuantile(t *testing.T) {
-	h := newHistogram([]float64{1})
-	h.Observe(100) // +Inf bucket
-	s := h.Snapshot()
-	if q := s.Quantile(0.99); q != 1 {
-		t.Fatalf("overflow quantile should report the last finite bound, got %g", q)
 	}
 }
 
@@ -135,7 +104,7 @@ func TestRegistryRules(t *testing.T) {
 	mustPanic("invalid metric name", func() { r.Counter("bad name", "h") })
 	mustPanic("invalid label name", func() { r.Counter("ok_total", "h", L("bad key", "v")) })
 	mustPanic("duplicate series", func() { r.Counter("good_total", "h", L("verb", "range")) })
-	mustPanic("type mismatch", func() { r.Gauge("good_total", "h") })
+	mustPanic("type mismatch", func() { r.GaugeFunc("good_total", "h", func() float64 { return 0 }) })
 	// Label order must not defeat duplicate detection.
 	r.Counter("pairs_total", "h", L("a", "1"), L("b", "2"))
 	mustPanic("reordered duplicate", func() { r.Counter("pairs_total", "h", L("b", "2"), L("a", "1")) })
@@ -145,8 +114,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests", L("verb", "nn"))
 	c.Add(3)
-	g := r.Gauge("depth", "queue depth")
-	g.Set(-2)
+	r.GaugeFunc("depth", "queue depth", func() float64 { return -2 })
 	r.GaugeFunc("wal_bytes", "wal size", func() float64 { return 4096 })
 	r.CounterFunc("hits_total", "cache hits", func() uint64 { return 9 })
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
@@ -183,7 +151,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestTrace(t *testing.T) {
 	var nilTrace *Trace
 	// Every method must be a no-op on nil, not a crash.
-	if nilTrace.Root("x") != nil || nilTrace.RootSpan() != nil {
+	if nilTrace.Root("x") != nil {
 		t.Fatal("nil trace should yield nil spans")
 	}
 	nilTrace.Root("x").StartSpan("y")()
@@ -202,7 +170,7 @@ func TestTrace(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers one counter, gauge and histogram from many
+// TestConcurrentUpdates hammers one counter and one histogram from many
 // goroutines and asserts no update is lost — the lock-free hot paths must be
 // exactly as accurate as a mutex would be. Run under -race in CI.
 func TestConcurrentUpdates(t *testing.T) {
@@ -212,7 +180,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	)
 	r := NewRegistry()
 	c := r.Counter("stress_total", "")
-	g := r.Gauge("stress_gauge", "")
 	h := r.Histogram("stress_seconds", "", LatencyBuckets)
 
 	var wg sync.WaitGroup
@@ -222,8 +189,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				// Spread observations across buckets, deterministically.
 				h.Observe(float64((seed*perG+j)%1000) * 1e-5)
 			}
@@ -247,9 +212,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	const total = goroutines * perG
 	if got := c.Value(); got != total {
 		t.Errorf("counter lost updates: %d != %d", got, total)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge lost updates: %d != 0", got)
 	}
 	s := h.Snapshot()
 	if s.Count != total {

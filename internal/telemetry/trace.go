@@ -15,8 +15,7 @@ import (
 // a 64-bit SpanID, a parent pointer, key-value attributes, and links to
 // other traces (a group-commit rider links the committer's). Traces cross
 // process boundaries through the W3C `traceparent` header (see
-// traceparent.go) and context boundaries through ContextWithTrace /
-// ContextWithSpan.
+// traceparent.go) and context boundaries through ContextWithSpan.
 //
 // All methods on *Trace and *Span are nil-safe: un-instrumented code paths
 // carry a nil span and pay one branch per call, which is what keeps tracing
@@ -172,16 +171,6 @@ func (t *Trace) Root(name string) *Span {
 	}
 	t.mu.Unlock()
 	return sp
-}
-
-// RootSpan returns the root span opened by Root (nil before Root is called).
-func (t *Trace) RootSpan() *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root
 }
 
 // RootName returns the root span's name ("" before Root is called).
@@ -390,16 +379,4 @@ func SpanFromContext(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
-}
-
-// ContextWithTrace returns a context carrying t's root span as the current
-// span. The root span must already be open (Trace.Root); with no root (or a
-// nil trace) ctx is returned unchanged.
-func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
-	return ContextWithSpan(ctx, t.RootSpan())
-}
-
-// FromContext returns the trace whose span ctx carries (nil when none).
-func FromContext(ctx context.Context) *Trace {
-	return SpanFromContext(ctx).Trace()
 }

@@ -98,13 +98,13 @@ func TestTraceContinuation(t *testing.T) {
 }
 
 func TestContextPropagation(t *testing.T) {
-	if SpanFromContext(context.Background()) != nil || FromContext(context.Background()) != nil {
+	if SpanFromContext(context.Background()) != nil {
 		t.Fatal("empty context should carry no span")
 	}
 	tr := NewTrace()
 	root := tr.Root("request")
-	ctx := ContextWithTrace(context.Background(), tr)
-	if SpanFromContext(ctx) != root || FromContext(ctx) != tr {
+	ctx := ContextWithSpan(context.Background(), root)
+	if SpanFromContext(ctx) != root || SpanFromContext(ctx).Trace() != tr {
 		t.Fatal("context round trip lost the span")
 	}
 	child := root.StartChild("inner")

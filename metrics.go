@@ -2,7 +2,6 @@ package obstacles
 
 import (
 	"context"
-	"log/slog"
 	"runtime"
 	"sync"
 	"time"
@@ -11,22 +10,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// HistogramSnapshot is a point-in-time copy of one latency or size
-// histogram: per-bucket counts, total count and sum. Quantile and Mean
-// derive summary statistics from it.
-type HistogramSnapshot = telemetry.HistogramSnapshot
-
-// TraceSpan is one span of a recorded trace, in tree form, as served by the
-// /debug/traces endpoints.
-type TraceSpan = telemetry.SpanSnapshot
-
-// TraceSnapshot is one completed trace retained by the flight recorder: the
-// span tree plus summary fields.
-type TraceSnapshot = telemetry.TraceSnapshot
-
 // Query verbs as they appear in per-verb metrics (the `verb` label of
-// obstacles_queries_total and obstacles_query_seconds) and in the
-// Metrics().Queries map.
+// obstacles_queries_total and obstacles_query_seconds).
 const (
 	VerbRange              = "range"
 	VerbNearestNeighbors   = "nearest_neighbors"
@@ -48,8 +33,7 @@ var queryVerbs = []string{
 	VerbDistanceMatrix, VerbNearestStream, VerbClosestStream, VerbCluster,
 }
 
-// Mutation ops as they appear in obstacles_mutations_total and the
-// Metrics().Mutations map.
+// Mutation ops as they appear in obstacles_mutations_total.
 const (
 	OpInsertPoints    = "insert_points"
 	OpDeletePoints    = "delete_points"
@@ -86,7 +70,6 @@ type dbMetrics struct {
 	candidates       *telemetry.Counter
 	results          *telemetry.Counter
 	distComputations *telemetry.Counter
-	slowQueries      *telemetry.Counter
 
 	// Mutation path.
 	mutations map[string]*telemetry.Counter
@@ -147,10 +130,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 		verbs:     make(map[string]*verbMetrics, len(queryVerbs)),
 		memMaxAge: time.Second,
 	}
-	m.traces = telemetry.NewRecorder(telemetry.RecorderOptions{
-		SampleRate:    db.opts.TraceSampleRate,
-		SlowThreshold: db.opts.SlowQueryThreshold,
-	})
+	m.traces = telemetry.NewRecorder(telemetry.RecorderOptions{SampleRate: db.opts.TraceSampleRate})
 	for _, verb := range queryVerbs {
 		m.verbs[verb] = &verbMetrics{
 			count:   reg.Counter("obstacles_queries_total", "Queries served, by verb.", telemetry.L("verb", verb)),
@@ -166,7 +146,6 @@ func newDBMetrics(db *Database) *dbMetrics {
 	m.candidates = reg.Counter("obstacles_query_candidates_total", "Euclidean candidates examined.")
 	m.results = reg.Counter("obstacles_query_results_total", "Qualifying answers produced by the engine.")
 	m.distComputations = reg.Counter("obstacles_query_dist_computations_total", "Obstructed-distance computations (Fig 8 of the paper).")
-	m.slowQueries = reg.Counter("obstacles_slow_queries_total", "Queries at or over Options.SlowQueryThreshold.")
 
 	m.mutations = make(map[string]*telemetry.Counter, len(mutationOps))
 	for _, op := range mutationOps {
@@ -183,9 +162,6 @@ func newDBMetrics(db *Database) *dbMetrics {
 	reg.CounterFunc("obstacles_graph_cache_misses_total", "Visibility-graph cache misses.", cache(func(cs core.CacheStats) uint64 { return cs.Misses }))
 	reg.CounterFunc("obstacles_graph_cache_evictions_total", "Visibility-graph cache LRU evictions.", cache(func(cs core.CacheStats) uint64 { return cs.Evictions }))
 	reg.CounterFunc("obstacles_graph_cache_invalidations_total", "Cached graphs dropped by obstacle updates.", cache(func(cs core.CacheStats) uint64 { return cs.Invalidations }))
-	reg.GaugeFunc("obstacles_graph_cache_hit_rate", "Hits over (hits+misses), 0 with no traffic.", func() float64 {
-		return db.engine.GraphCacheStats().HitRate()
-	})
 
 	// MVCC read path: open snapshot handles, retired pages pinned by them,
 	// and the copy-on-write page relocations mutators performed.
@@ -324,14 +300,14 @@ func newDBMetrics(db *Database) *dbMetrics {
 // newSessionAt starts a query session reading the given pinned version. The
 // verb names the session's engine span. When the caller's context carries a
 // span (the server's request root), the engine span joins the caller's trace
-// as its child; otherwise, if tracing is on at all (slow-query log or
-// sampling), the session owns a fresh trace of its own, registered with the
-// flight recorder so /debug/active can see embedded-use queries too.
+// as its child; otherwise, if sampling is on, the session owns a fresh trace
+// of its own, registered with the flight recorder so /debug/active can see
+// embedded-use queries too.
 func (db *Database) newSessionAt(ctx context.Context, v *dbVersion, verb string) *core.Session {
 	sess := db.engine.NewSessionAt(ctx, v.obst)
 	if parent := telemetry.SpanFromContext(ctx); parent != nil {
 		sess.SetSpan(parent.StartChild(verb))
-	} else if db.opts.SlowQueryThreshold > 0 || db.opts.TraceSampleRate > 0 {
+	} else if db.opts.TraceSampleRate > 0 {
 		tr := telemetry.NewTrace()
 		sess.SetSpan(tr.Root(verb))
 		db.tel.traces.StartActive(tr)
@@ -360,35 +336,26 @@ func (db *Database) cowCopies() uint64 {
 
 // record is the single exit point of every query verb: it fills the
 // caller's WithStats struct exactly as before, feeds the global telemetry
-// (per-verb count and latency, engine work counters), and routes
-// over-threshold queries to the slow-query log.
+// (per-verb count and latency, engine work counters), and hands a trace the
+// session owns to the flight recorder.
 func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st core.Stats, start time.Time, err error) {
 	cfg.record(sess, st, start)
-	elapsed := time.Since(start)
 	m := db.tel
 	vm := m.verbs[verb]
 	vm.count.Inc()
 	if err != nil {
 		vm.errors.Inc()
 	}
-	vm.seconds.Observe(elapsed.Seconds())
+	vm.seconds.ObserveDuration(time.Since(start))
 	met, io := sess.Work()
 	m.pageAccesses.Add(io.PhysicalReads)
 	m.settledNodes.Add(met.SettledNodes)
 	m.graphBuilds.Add(met.Builds)
 	m.graphSweeps.Add(met.Sweeps)
-	if st.FalseHits > 0 {
-		m.falseHits.Add(uint64(st.FalseHits))
-	}
-	if st.Candidates > 0 {
-		m.candidates.Add(uint64(st.Candidates))
-	}
-	if st.Results > 0 {
-		m.results.Add(uint64(st.Results))
-	}
-	if st.DistComputations > 0 {
-		m.distComputations.Add(uint64(st.DistComputations))
-	}
+	m.falseHits.Add(uint64(st.FalseHits))
+	m.candidates.Add(uint64(st.Candidates))
+	m.results.Add(uint64(st.Results))
+	m.distComputations.Add(uint64(st.DistComputations))
 	if sp := sess.Span(); sp != nil {
 		sp.SetAttr("settled_nodes", met.SettledNodes)
 		sp.SetAttr("page_reads", io.PhysicalReads)
@@ -406,165 +373,14 @@ func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st
 			m.traces.Record(tr, err != nil)
 		}
 	}
-	if t := db.opts.SlowQueryThreshold; t > 0 && elapsed >= t {
-		m.slowQueries.Inc()
-		db.logSlowQuery(verb, sess, st, elapsed, err)
-	}
-}
-
-// logSlowQuery emits one structured record for a query at or over
-// Options.SlowQueryThreshold: the verb, wall time, the work the query
-// performed, and the span trace of its lifecycle.
-func (db *Database) logSlowQuery(verb string, sess *core.Session, st core.Stats, elapsed time.Duration, err error) {
-	lg := db.opts.SlowQueryLogger
-	if lg == nil {
-		lg = slog.Default()
-	}
-	met, io := sess.Work()
-	attrs := []slog.Attr{
-		slog.String("verb", verb),
-		slog.Duration("elapsed", elapsed),
-		slog.Duration("threshold", db.opts.SlowQueryThreshold),
-		slog.Uint64("page_accesses", io.PhysicalReads),
-		slog.Uint64("settled_nodes", met.SettledNodes),
-		slog.Uint64("graph_builds", met.Builds),
-		slog.Int("candidates", st.Candidates),
-		slog.Int("results", st.Results),
-		slog.Int("false_hits", st.FalseHits),
-		slog.String("trace_id", sess.Span().Trace().ID().String()),
-		slog.String("trace", sess.Span().Trace().String()),
-	}
-	if err != nil {
-		attrs = append(attrs, slog.String("error", err.Error()))
-	}
-	lg.LogAttrs(context.Background(), slog.LevelWarn, "obstacles: slow query", attrs...)
-}
-
-// VerbMetrics summarizes one query verb's traffic.
-type VerbMetrics struct {
-	// Count is queries served; Errors how many returned an error
-	// (cancellations included).
-	Count, Errors uint64
-	// Latency is the verb's wall-time histogram, in seconds.
-	Latency HistogramSnapshot
-}
-
-// CommitMetrics summarizes the durable commit path; the zero value for an
-// in-memory database.
-type CommitMetrics struct {
-	// Commits counts acknowledged durable commits; Fsyncs the WAL fsyncs
-	// that made them durable; GroupCommits the fsyncs covering two or more
-	// commits; Checkpoints completed checkpoints; Failures failed commit
-	// batches.
-	Commits, Fsyncs, GroupCommits, Checkpoints, Failures uint64
-	// StageSeconds is time staging a commit under the update lock;
-	// AckSeconds time parked from unlock to durable acknowledgment;
-	// FsyncSeconds the WAL fsync syscall; BatchSize the commits-per-fsync
-	// distribution; CheckpointSeconds checkpoint duration.
-	StageSeconds, AckSeconds, FsyncSeconds, BatchSize, CheckpointSeconds HistogramSnapshot
-	// WALBytes is the durable WAL length; FilePages and PendingPages the
-	// data file's allocation and not-yet-written-back page counts.
-	WALBytes int64
-	// FilePages and PendingPages mirror PersistStats.
-	FilePages, PendingPages int
-}
-
-// Metrics is a structured snapshot of the database's telemetry — the same
-// numbers the debug endpoint exposes, as one marshalable value.
-type Metrics struct {
-	// Queries has one entry per verb constant (VerbRange, ...), including
-	// verbs that have served nothing yet.
-	Queries map[string]VerbMetrics
-	// Engine-wide work counters, summed over every query since open.
-	PageAccesses, SettledNodes, GraphBuilds, GraphSweeps uint64
-	FalseHits, Candidates, Results                       uint64
-	DistComputations                                     uint64
-	// SlowQueries counts queries at or over Options.SlowQueryThreshold.
-	SlowQueries uint64
-	// Mutations has one entry per op constant (OpInsertPoints, ...),
-	// counting committed mutations.
-	Mutations map[string]uint64
-	// Cache is the visibility-graph cache's traffic.
-	Cache CacheStats
-	// MVCC describes the multi-version read path.
-	MVCC MVCCMetrics
-	// Commit describes the durable commit path (zero value in memory).
-	Commit CommitMetrics
-}
-
-// MVCCMetrics summarizes the multi-version read path: open explicit
-// snapshots, retired pages their pins keep alive, and copy-on-write page
-// relocations performed by mutators since open.
-type MVCCMetrics struct {
-	SnapshotsOpen int
-	PinnedPages   int
-	COWPageCopies uint64
 }
 
 // TelemetryRegistry returns the database's instrument registry — the one
-// behind Metrics() and the /metrics endpoint. Subsystems layered on top of
-// a Database (the network daemon in internal/server) register their own
-// series here so one scrape covers the whole process; the registry panics
-// on name or label collisions, so added families must not reuse the
-// obstacles_ prefix with conflicting types.
+// behind the /metrics endpoint, and the only process-lifetime ledger.
+// Subsystems layered on top of a Database (the network daemon in
+// internal/server) register their own series here so one scrape covers the
+// whole process; the registry panics on name or label collisions, so added
+// families must not reuse the obstacles_ prefix with conflicting types.
 func (db *Database) TelemetryRegistry() *telemetry.Registry {
 	return db.tel.reg
-}
-
-// Metrics returns a structured snapshot of the database's telemetry:
-// per-verb query counts and latency histograms, engine work totals, cache
-// traffic, and (for durable databases) the commit path's histograms and
-// counters. Unlike WithStats — which attributes work to one query — this is
-// the process-lifetime view, cheap enough to poll.
-func (db *Database) Metrics() Metrics {
-	m := db.tel
-	out := Metrics{
-		Queries:          make(map[string]VerbMetrics, len(queryVerbs)),
-		PageAccesses:     m.pageAccesses.Value(),
-		SettledNodes:     m.settledNodes.Value(),
-		GraphBuilds:      m.graphBuilds.Value(),
-		GraphSweeps:      m.graphSweeps.Value(),
-		FalseHits:        m.falseHits.Value(),
-		Candidates:       m.candidates.Value(),
-		Results:          m.results.Value(),
-		DistComputations: m.distComputations.Value(),
-		SlowQueries:      m.slowQueries.Value(),
-		Mutations:        make(map[string]uint64, len(mutationOps)),
-		Cache:            db.GraphCacheStats(),
-	}
-	db.versions.mu.Lock()
-	out.MVCC.SnapshotsOpen = db.versions.snapshots
-	db.versions.mu.Unlock()
-	out.MVCC.PinnedPages = db.versions.pinnedPages()
-	out.MVCC.COWPageCopies = db.cowCopies()
-	for _, verb := range queryVerbs {
-		vm := m.verbs[verb]
-		out.Queries[verb] = VerbMetrics{
-			Count:   vm.count.Value(),
-			Errors:  vm.errors.Value(),
-			Latency: vm.seconds.Snapshot(),
-		}
-	}
-	for _, op := range mutationOps {
-		out.Mutations[op] = m.mutations[op].Value()
-	}
-	out.Commit = CommitMetrics{
-		Commits:           m.commits.Value(),
-		Fsyncs:            m.fsyncs.Value(),
-		GroupCommits:      m.groupCommits.Value(),
-		Checkpoints:       m.checkpoints.Value(),
-		Failures:          m.commitFailures.Value(),
-		StageSeconds:      m.stageSeconds.Snapshot(),
-		AckSeconds:        m.ackSeconds.Snapshot(),
-		FsyncSeconds:      m.fsyncSeconds.Snapshot(),
-		BatchSize:         m.batchSize.Snapshot(),
-		CheckpointSeconds: m.checkpointSeconds.Snapshot(),
-	}
-	if s := db.store; s != nil {
-		ps := db.PersistStats()
-		out.Commit.WALBytes = ps.WALBytes
-		out.Commit.FilePages = ps.FilePages
-		out.Commit.PendingPages = ps.PendingPages
-	}
-	return out
 }

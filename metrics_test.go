@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/core"
 )
 
 // metricsDB is cityDB plus a loaded dataset, the shared fixture of the
@@ -29,6 +29,28 @@ func metricsDB(t *testing.T, opts Options) *Database {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// scrape reads db's /metrics once through DebugHandler — the one
+// process-lifetime view — and returns every sample by its full series key.
+func scrape(t testing.TB, db *Database) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	db.DebugHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	return parsePrometheusText(t, rec.Body.String())
+}
+
+// verbCounts reads one verb's query and error counts from a scrape.
+func verbCounts(t testing.TB, db *Database, verb string) [2]float64 {
+	t.Helper()
+	m := scrape(t, db)
+	return [2]float64{
+		m[fmt.Sprintf("obstacles_queries_total{verb=%q}", verb)],
+		m[fmt.Sprintf("obstacles_query_errors_total{verb=%q}", verb)],
+	}
 }
 
 func TestMetricsSnapshot(t *testing.T) {
@@ -53,41 +75,46 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Fatal("cancelled Range should fail")
 	}
 
-	m := db.Metrics()
-	if got := m.Queries[VerbRange]; got.Count != 4 || got.Errors != 1 {
-		t.Errorf("range verb = %+v, want Count=4 Errors=1", got)
+	m := scrape(t, db)
+	count := func(family, verb string) float64 { return m[fmt.Sprintf("%s{verb=%q}", family, verb)] }
+	if c, e := count("obstacles_queries_total", VerbRange), count("obstacles_query_errors_total", VerbRange); c != 4 || e != 1 {
+		t.Errorf("range verb = %v queries, %v errors, want 4 and 1", c, e)
 	}
-	if got := m.Queries[VerbNearestNeighbors]; got.Count != 1 || got.Errors != 0 {
-		t.Errorf("nn verb = %+v, want Count=1", got)
+	if c, e := count("obstacles_queries_total", VerbNearestNeighbors), count("obstacles_query_errors_total", VerbNearestNeighbors); c != 1 || e != 0 {
+		t.Errorf("nn verb = %v queries, %v errors, want 1 and 0", c, e)
 	}
-	if got := m.Queries[VerbObstructedDistance].Count; got != 1 {
-		t.Errorf("dist verb count = %d", got)
+	if got := count("obstacles_queries_total", VerbObstructedDistance); got != 1 {
+		t.Errorf("dist verb count = %v", got)
 	}
-	// Every verb constant appears in the map, served or not.
+	// Every verb constant has its series, served or not.
 	for _, verb := range queryVerbs {
-		if _, ok := m.Queries[verb]; !ok {
-			t.Errorf("Queries missing verb %q", verb)
+		if _, ok := m[fmt.Sprintf("obstacles_queries_total{verb=%q}", verb)]; !ok {
+			t.Errorf("scrape missing verb %q", verb)
 		}
 	}
-	if got := m.Queries[VerbCluster].Count; got != 0 {
-		t.Errorf("unserved verb count = %d", got)
+	if got := count("obstacles_queries_total", VerbCluster); got != 0 {
+		t.Errorf("unserved verb count = %v", got)
 	}
 	// Latency histograms observe once per query, successes and failures.
-	if got := m.Queries[VerbRange].Latency.Count; got != 4 {
-		t.Errorf("range latency observations = %d, want 4", got)
+	if got := count("obstacles_query_seconds_count", VerbRange); got != 4 {
+		t.Errorf("range latency observations = %v, want 4", got)
 	}
-	if m.Queries[VerbRange].Latency.Sum <= 0 {
+	if count("obstacles_query_seconds_sum", VerbRange) <= 0 {
 		t.Error("range latency sum should be positive")
 	}
-	if m.SettledNodes == 0 || m.GraphBuilds == 0 || m.GraphSweeps == 0 {
-		t.Errorf("work counters empty: settled=%d builds=%d sweeps=%d", m.SettledNodes, m.GraphBuilds, m.GraphSweeps)
+	for _, name := range []string{"obstacles_query_settled_nodes_total", "obstacles_query_graph_builds_total", "obstacles_graph_sweeps_total"} {
+		if m[name] == 0 {
+			t.Errorf("%s = 0 after five queries", name)
+		}
 	}
-	if m.Mutations[OpAddDataset] != 1 {
-		t.Errorf("add_dataset mutations = %d, want 1", m.Mutations[OpAddDataset])
+	if got := m[`obstacles_mutations_total{op="add_dataset"}`]; got != 1 {
+		t.Errorf("add_dataset mutations = %v, want 1", got)
 	}
 	// In-memory database: the commit path stays at zero.
-	if c := m.Commit; c.Commits != 0 || c.Fsyncs != 0 || c.WALBytes != 0 || c.BatchSize.Count != 0 {
-		t.Errorf("in-memory commit metrics non-zero: %+v", c)
+	for _, name := range []string{"obstacles_commits_total", "obstacles_wal_fsyncs_total", "obstacles_wal_bytes", "obstacles_commit_batch_size_count"} {
+		if m[name] != 0 {
+			t.Errorf("in-memory %s = %v, want 0", name, m[name])
+		}
 	}
 }
 
@@ -124,50 +151,40 @@ func TestMetricsMutationCounting(t *testing.T) {
 		t.Fatal("insert into unknown dataset accepted")
 	}
 
-	m := db.Metrics()
-	want := map[string]uint64{
-		OpAddDataset:      1,
-		OpInsertPoints:    1,
-		OpDeletePoints:    1,
-		OpAddObstacles:    1,
-		OpRemoveObstacles: 1,
-	}
-	for op, n := range want {
-		if m.Mutations[op] != n {
-			t.Errorf("Mutations[%s] = %d, want %d", op, m.Mutations[op], n)
+	m := scrape(t, db)
+	for _, op := range mutationOps {
+		if got := m[fmt.Sprintf("obstacles_mutations_total{op=%q}", op)]; got != 1 {
+			t.Errorf("mutations{op=%s} = %v, want 1", op, got)
 		}
 	}
-	c := m.Commit
-	if c.Commits < 5 {
-		t.Errorf("Commits = %d, want >= 5", c.Commits)
+	commits, fsyncs := m["obstacles_commits_total"], m["obstacles_wal_fsyncs_total"]
+	if commits < 5 {
+		t.Errorf("commits = %v, want >= 5", commits)
 	}
-	if c.Fsyncs == 0 || c.Fsyncs > c.Commits {
-		t.Errorf("Fsyncs = %d (commits %d)", c.Fsyncs, c.Commits)
+	if fsyncs == 0 || fsyncs > commits {
+		t.Errorf("fsyncs = %v (commits %v)", fsyncs, commits)
 	}
-	if c.BatchSize.Count != c.Fsyncs {
-		t.Errorf("BatchSize observations %d != fsyncs %d", c.BatchSize.Count, c.Fsyncs)
+	if got := m["obstacles_commit_batch_size_count"]; got != fsyncs {
+		t.Errorf("batch-size observations %v != fsyncs %v", got, fsyncs)
 	}
-	if c.StageSeconds.Count != c.Commits {
-		t.Errorf("StageSeconds observations %d != commits %d", c.StageSeconds.Count, c.Commits)
+	if got := m["obstacles_commit_batch_size_sum"]; got != commits {
+		t.Errorf("batch sizes sum to %v, want the %v commits", got, commits)
 	}
-	if c.AckSeconds.Count != c.Commits {
-		t.Errorf("AckSeconds observations %d != commits %d", c.AckSeconds.Count, c.Commits)
+	for _, h := range []string{"obstacles_commit_stage_seconds_count", "obstacles_commit_ack_seconds_count"} {
+		if m[h] != commits {
+			t.Errorf("%s = %v, want one per commit (%v)", h, m[h], commits)
+		}
 	}
-	if c.FsyncSeconds.Count == 0 {
-		t.Error("FsyncSeconds never observed")
+	if m["obstacles_wal_fsync_seconds_count"] == 0 {
+		t.Error("WAL fsync latency never observed")
 	}
-	if c.FilePages == 0 {
-		t.Error("FilePages = 0 on a durable handle")
-	}
-	ps := db.PersistStats()
-	if math.IsNaN(ps.AvgBatch) || ps.AvgBatch <= 0 {
-		t.Errorf("AvgBatch = %v after %d commits", ps.AvgBatch, ps.Commits)
+	if m["obstacles_file_pages"] == 0 {
+		t.Error("obstacles_file_pages = 0 on a durable handle")
 	}
 }
 
-// TestMetricsZeroCommitSnapshot pins the division-by-zero guards: a freshly
-// opened handle that has committed nothing must report clean zeros — not NaN
-// — from both PersistStats and Metrics.
+// TestMetricsZeroCommitSnapshot: a freshly opened handle that has committed
+// nothing reports clean zeros — not NaN — on every series.
 func TestMetricsZeroCommitSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.obs")
 	db, err := Open(path, DefaultOptions())
@@ -176,34 +193,28 @@ func TestMetricsZeroCommitSnapshot(t *testing.T) {
 	}
 	defer db.Close()
 
-	ps := db.PersistStats()
-	if ps.Commits != 0 || ps.Fsyncs != 0 {
-		t.Fatalf("fresh handle reports commits=%d fsyncs=%d", ps.Commits, ps.Fsyncs)
-	}
-	if math.IsNaN(ps.AvgBatch) || ps.AvgBatch != 0 {
-		t.Errorf("zero-commit AvgBatch = %v, want 0", ps.AvgBatch)
-	}
-
-	m := db.Metrics()
-	c := m.Commit
-	if c.Commits != 0 || c.Fsyncs != 0 || c.GroupCommits != 0 || c.Failures != 0 {
-		t.Errorf("zero-commit counters: %+v", c)
-	}
-	for name, h := range map[string]HistogramSnapshot{
-		"stage": c.StageSeconds, "ack": c.AckSeconds, "fsync": c.FsyncSeconds,
-		"batch": c.BatchSize, "checkpoint": c.CheckpointSeconds,
-	} {
-		if h.Count != 0 && name != "checkpoint" && name != "fsync" {
-			t.Errorf("%s histogram has %d observations before any commit", name, h.Count)
+	m := scrape(t, db)
+	for key, v := range m {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("%s = %v on a fresh handle", key, v)
 		}
-		if math.IsNaN(h.Mean()) || math.IsNaN(h.Quantile(0.99)) {
-			t.Errorf("%s summary statistics NaN on empty histogram", name)
+	}
+	for _, name := range []string{
+		"obstacles_commits_total", "obstacles_wal_fsyncs_total", "obstacles_group_commits_total",
+		"obstacles_commit_failures_total", "obstacles_commit_stage_seconds_count",
+		"obstacles_commit_ack_seconds_count", "obstacles_commit_batch_size_count",
+	} {
+		if m[name] != 0 {
+			t.Errorf("%s = %v before any commit", name, m[name])
 		}
 	}
 }
 
-func TestCacheHitRate(t *testing.T) {
-	var zero CacheStats
+// TestGraphCacheCountersOnScrape: repeated batch distances from one source
+// hit the graph cache, and /metrics carries exactly the engine cache's
+// counters — hits / (hits + misses) is the hit rate.
+func TestGraphCacheCountersOnScrape(t *testing.T) {
+	var zero core.CacheStats
 	if got := zero.HitRate(); got != 0 {
 		t.Fatalf("zero-traffic HitRate = %v, want 0", got)
 	}
@@ -218,97 +229,17 @@ func TestCacheHitRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := db.GraphCacheStats()
-	if cs.Hits+cs.Misses == 0 {
-		t.Fatal("no cache traffic after four batch queries")
+	m := scrape(t, db)
+	hits, misses := m["obstacles_graph_cache_hits_total"], m["obstacles_graph_cache_misses_total"]
+	if hits == 0 {
+		t.Fatalf("repeated identical queries should hit the graph cache (misses %v)", misses)
 	}
-	want := float64(cs.Hits) / float64(cs.Hits+cs.Misses)
-	if got := cs.HitRate(); got != want {
-		t.Errorf("HitRate = %v, want %v", got, want)
+	cs := db.engine.GraphCacheStats()
+	if float64(cs.Hits) != hits || float64(cs.Misses) != misses {
+		t.Errorf("scrape hits/misses %v/%v, engine cache %+v", hits, misses, cs)
 	}
-	if cs.Hits == 0 {
-		t.Error("repeated identical queries should hit the graph cache")
-	}
-	if m := db.Metrics(); m.Cache != cs && m.Cache.Hits < cs.Hits {
-		t.Errorf("Metrics().Cache = %+v regressed below %+v", m.Cache, cs)
-	}
-}
-
-// capturingHandler is a slog.Handler that stores every record it receives.
-type capturingHandler struct {
-	mu      sync.Mutex
-	records []map[string]string
-}
-
-func (h *capturingHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h *capturingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h *capturingHandler) WithGroup(string) slog.Handler            { return h }
-func (h *capturingHandler) Handle(_ context.Context, r slog.Record) error {
-	m := map[string]string{"msg": r.Message, "level": r.Level.String()}
-	r.Attrs(func(a slog.Attr) bool {
-		m[a.Key] = a.Value.String()
-		return true
-	})
-	h.mu.Lock()
-	h.records = append(h.records, m)
-	h.mu.Unlock()
-	return nil
-}
-
-func TestSlowQueryLog(t *testing.T) {
-	h := &capturingHandler{}
-	opts := DefaultOptions()
-	opts.SlowQueryThreshold = time.Nanosecond // everything is slow
-	opts.SlowQueryLogger = slog.New(h)
-	db := metricsDB(t, opts)
-
-	if _, err := db.NearestNeighbors(ctx, "P", Pt(0, 0), 3); err != nil {
-		t.Fatal(err)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var rec map[string]string
-	for _, r := range h.records {
-		if r["verb"] == VerbNearestNeighbors {
-			rec = r
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatalf("no slow-query record for %s in %v", VerbNearestNeighbors, h.records)
-	}
-	if rec["msg"] != "obstacles: slow query" || rec["level"] != "WARN" {
-		t.Errorf("record header = %q/%q", rec["msg"], rec["level"])
-	}
-	for _, key := range []string{"elapsed", "threshold", "page_accesses", "settled_nodes", "graph_builds", "trace_id", "trace"} {
-		if _, ok := rec[key]; !ok {
-			t.Errorf("slow-query record missing %q: %v", key, rec)
-		}
-	}
-	// The trace must carry the graph-build span the session recorded.
-	if !strings.Contains(rec["trace"], "graph-build@") {
-		t.Errorf("trace %q has no graph-build span", rec["trace"])
-	}
-	// The trace id names a flight-recorder entry: slow traces are always
-	// retained, so the full span tree is retrievable by this id.
-	if !regexp.MustCompile(`^[0-9a-f]{32}$`).MatchString(rec["trace_id"]) {
-		t.Errorf("trace_id = %q, want 32 hex digits", rec["trace_id"])
-	}
-	if snap, ok := db.TraceRecorder().Get(rec["trace_id"]); !ok || snap.Tier != "slow" {
-		t.Errorf("slow query's trace %q not retained slow-tier (%+v)", rec["trace_id"], snap)
-	}
-	if m := db.Metrics(); m.SlowQueries == 0 {
-		t.Error("SlowQueries counter not incremented")
-	}
-}
-
-func TestSlowQueryLogDisabledByDefault(t *testing.T) {
-	db := metricsDB(t, DefaultOptions())
-	if _, err := db.Range(ctx, "P", Pt(0, 0), 150); err != nil {
-		t.Fatal(err)
-	}
-	if m := db.Metrics(); m.SlowQueries != 0 {
-		t.Errorf("SlowQueries = %d with no threshold set", m.SlowQueries)
+	if got, want := cs.HitRate(), hits/(hits+misses); got != want {
+		t.Errorf("HitRate = %v, want hits/(hits+misses) = %v", got, want)
 	}
 }
 
@@ -340,9 +271,6 @@ func TestDebugEndpoint(t *testing.T) {
 	if samples[`obstacles_queries_total{verb="range"}`] != 1 {
 		t.Errorf("scrape shows %v range queries, want 1", samples[`obstacles_queries_total{verb="range"}`])
 	}
-	if _, ok := samples["obstacles_graph_cache_hit_rate"]; !ok {
-		t.Error("scrape missing obstacles_graph_cache_hit_rate")
-	}
 	if samples["obstacles_graph_sweeps_total"] <= 0 {
 		t.Errorf("obstacles_graph_sweeps_total = %v after a range query, want > 0", samples["obstacles_graph_sweeps_total"])
 	}
@@ -367,21 +295,23 @@ func TestDebugEndpoint(t *testing.T) {
 		}
 	}
 
-	// /debug/vars must be one JSON document carrying the same snapshot.
+	// /debug/vars is one JSON document with the durable backend's state and
+	// the recovery status; counts live on /metrics alone.
 	resp, err = http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vars struct {
-		Metrics Metrics
-	}
+	var vars map[string]json.RawMessage
 	err = json.NewDecoder(resp.Body).Decode(&vars)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}
-	if got := vars.Metrics.Queries[VerbRange].Count; got != 1 {
-		t.Errorf("/debug/vars range count = %d", got)
+	if _, ok := vars["Persist"]; !ok || len(vars) != 2 {
+		t.Errorf("/debug/vars keys = %v, want Persist and Recovery", vars)
+	}
+	if _, ok := vars["Recovery"]; !ok {
+		t.Errorf("/debug/vars keys = %v, want Persist and Recovery", vars)
 	}
 
 	// The flight-recorder endpoints answer on the same mux (empty here: no
@@ -439,7 +369,7 @@ func TestDebugEndpoint(t *testing.T) {
 // well-formed lines, HELP/TYPE headers preceding samples, consistent types,
 // no duplicate series, cumulative histogram buckets with consistent _count —
 // and returns every sample by its full series key.
-func parsePrometheusText(t *testing.T, body string) map[string]float64 {
+func parsePrometheusText(t testing.TB, body string) map[string]float64 {
 	t.Helper()
 	var (
 		nameRE   = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -563,7 +493,7 @@ func parsePrometheusText(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
-// TestMetricsConcurrent scrapes, snapshots and queries at once; run under
+// TestMetricsConcurrent scrapes and queries at once; run under
 // -race this pins the lock-free hot paths against the read paths.
 func TestMetricsConcurrent(t *testing.T) {
 	db := metricsDB(t, DefaultOptions())
@@ -596,12 +526,11 @@ func TestMetricsConcurrent(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			_ = db.Metrics()
 		}
 	}()
 	wg.Wait()
 
-	if got := db.Metrics().Queries[VerbRange].Count; got != queriers*25 {
-		t.Errorf("range count = %d, want %d", got, queriers*25)
+	if got := scrape(t, db)[`obstacles_queries_total{verb="range"}`]; got != queriers*25 {
+		t.Errorf("range count = %v, want %d", got, queriers*25)
 	}
 }

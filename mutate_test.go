@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -19,9 +20,9 @@ type mutationFootprint struct {
 	Generation    uint64
 	WALBytes      int64
 	Seq           uint64
-	Commits       uint64
-	Mutations     map[string]uint64
-	Invalidations uint64
+	Commits       float64
+	Mutations     map[string]float64
+	Invalidations float64
 	Obstacles     int
 	Entities      int
 }
@@ -34,17 +35,18 @@ func footprint(t *testing.T, db *Database) mutationFootprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, m := db.PersistStats(), db.Metrics()
-	if m.Commit.Commits != ps.Commits {
-		t.Fatalf("commit counters disagree: metrics %d, PersistStats %d", m.Commit.Commits, ps.Commits)
+	ps, m := db.PersistStats(), scrape(t, db)
+	muts := make(map[string]float64, len(mutationOps))
+	for _, op := range mutationOps {
+		muts[op] = m[fmt.Sprintf("obstacles_mutations_total{op=%q}", op)]
 	}
 	return mutationFootprint{
 		Generation:    s.Generation(),
 		WALBytes:      ps.WALBytes,
 		Seq:           ps.Seq,
-		Commits:       ps.Commits,
-		Mutations:     m.Mutations,
-		Invalidations: db.GraphCacheStats().Invalidations,
+		Commits:       m["obstacles_commits_total"],
+		Mutations:     muts,
+		Invalidations: m["obstacles_graph_cache_invalidations_total"],
 		Obstacles:     db.NumObstacles(),
 		Entities:      n,
 	}

@@ -54,7 +54,7 @@ func benchMVCCMix(b *testing.B, drain bool, mix float64) {
 		// mutation excludes them (drain mode only).
 		gate sync.RWMutex
 	)
-	cowBefore := db.Metrics().MVCC.COWPageCopies
+	cowBefore := sample(b, db, "obstacles_cow_page_copies_total")
 	per := (b.N + g - 1) / g
 	var wg sync.WaitGroup
 	b.ResetTimer()
@@ -114,8 +114,8 @@ func benchMVCCMix(b *testing.B, drain bool, mix float64) {
 		b.ReportMetric(float64(qNanos.Load())/float64(q)/1e6, "ms/query")
 	}
 	if u := nUpdates.Load(); u > 0 {
-		cow := db.Metrics().MVCC.COWPageCopies - cowBefore
-		b.ReportMetric(float64(cow)/float64(u), "cow-copies/update")
+		cow := sample(b, db, "obstacles_cow_page_copies_total") - cowBefore
+		b.ReportMetric(cow/float64(u), "cow-copies/update")
 		// In drain mode this includes the wait for in-flight readers — the
 		// latency MVCC removes from the write path.
 		b.ReportMetric(float64(uNanos.Load())/float64(u)/1e6, "ms/update")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -38,22 +37,11 @@ type Options struct {
 	// until an explicit Checkpoint or Close). Ignored by in-memory
 	// databases.
 	WALCheckpointBytes int64
-	// SlowQueryThreshold, when positive, enables the slow-query log: every
-	// query verb whose wall time reaches the threshold is recorded through
-	// SlowQueryLogger with its verb, timing, work counters and a span
-	// trace of its lifecycle (graph builds, obstacle scans). Tracing is
-	// only attached to sessions when the threshold is set, so the query
-	// hot path is unaffected while disabled.
-	SlowQueryThreshold time.Duration
-	// SlowQueryLogger receives slow-query records; nil selects
-	// slog.Default().
-	SlowQueryLogger *slog.Logger
 	// TraceSampleRate, in [0, 1], is the probability a normal (neither
 	// failed nor slow) query's trace is retained by the flight recorder
-	// behind /debug/traces. Error traces and traces at or over
-	// SlowQueryThreshold are always retained. 0 disables sampling; queries
-	// are then only traced at all when SlowQueryThreshold is set or the
-	// caller's context already carries a span.
+	// behind /debug/traces. Error traces and traces at or over 250ms are
+	// always retained. 0 disables sampling; queries are then only traced
+	// when the caller's context already carries a span.
 	TraceSampleRate float64
 	// AutoRecover starts a background supervisor on a durable database (see
 	// Open) that, whenever a durable-commit failure puts the handle in
@@ -824,18 +812,4 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
 		return nil
 	})
-}
-
-// CacheStats reports visibility-graph cache traffic: hits and misses on
-// acquire, LRU evictions, and entries invalidated by obstacle updates. All
-// zero when the cache is disabled (Options.GraphCacheSize < 0).
-type CacheStats = core.CacheStats
-
-// GraphCacheStats returns the engine's graph-cache counters. Invalidations
-// counts cached graphs whose validity an obstacle update epoch-bounded
-// because it touched their coverage disk (they keep serving readers pinned
-// to older generations until the LRU ages them out) — the observable cost
-// of AddObstacles/RemoveObstacles beyond the R-tree writes.
-func (db *Database) GraphCacheStats() CacheStats {
-	return db.engine.GraphCacheStats()
 }

@@ -24,17 +24,6 @@ import (
 // still answer some; cold reads fail on the closed file).
 var ErrDatabaseClosed = errors.New("obstacles: database is closed")
 
-// ErrNeedsReopen wraps the first durable-commit failure. Once a commit
-// could not reach the write-ahead log, the in-memory state is ahead of
-// anything recoverable, so the handle enters degraded mode: reads keep
-// serving the last published generation, and every mutator parked on the
-// failed fsync batch — and every later mutation — fails fast with a
-// *DegradedError wrapping the first failure (which matches both this
-// sentinel and ErrDegraded under errors.Is). Recover — or the
-// Options.AutoRecover supervisor — restores a writable handle in place by
-// replaying the file's committed state; reopening the file does the same.
-var ErrNeedsReopen = errors.New("obstacles: durable state diverged, reopen the database")
-
 // PersistStats describes the durable backend of a Database.
 type PersistStats struct {
 	// Path is the data file; the write-ahead log lives at Path + ".wal".
@@ -42,20 +31,6 @@ type PersistStats struct {
 	// WALBytes is the durable length of the write-ahead log (zero right
 	// after a checkpoint).
 	WALBytes int64
-	// Commits and Checkpoints count durable commits and completed
-	// checkpoints over this handle's lifetime.
-	Commits, Checkpoints uint64
-	// Fsyncs counts WAL fsyncs issued by the commit path. Group commit
-	// batches concurrent mutators into shared fsyncs, so under contention
-	// Fsyncs is much smaller than Commits; with a single writer the two
-	// advance together.
-	Fsyncs uint64
-	// GroupCommits counts fsyncs that covered two or more commits.
-	GroupCommits uint64
-	// MaxBatch is the largest number of commits one fsync covered.
-	MaxBatch int
-	// AvgBatch is Commits divided by Fsyncs — the mean commits per fsync.
-	AvgBatch float64
 	// FilePages is the number of allocated pages in the data file;
 	// PendingPages of them are committed to the WAL but not yet written
 	// back (they are applied at the next checkpoint).
@@ -100,9 +75,6 @@ type durableStore struct {
 	// lock-free readers (the auto-checkpoint size probe, the wal_bytes
 	// gauge) may be sampling it.
 	log atomic.Pointer[wal.Log]
-	// hooks are the file wrappers this store was opened with, retained so
-	// in-place recovery re-wraps the fresh WAL handle the same way.
-	hooks openHooks
 	// tel is the owning Database's telemetry (set right after construction,
 	// before any commit or checkpoint can run).
 	tel *dbMetrics
@@ -118,7 +90,6 @@ type durableStore struct {
 	// write side.
 	super             pagefile.Superblock // current checkpoint superblock
 	seq               uint64              // last assigned commit sequence number
-	checkpoints       uint64
 	lastCheckpointErr error
 	closed            bool
 	// obstDirty records that obstacles changed since the last checkpoint
@@ -145,14 +116,10 @@ type durableStore struct {
 	// before touching the WAL).
 	leaderTok chan struct{}
 
-	// Counters and the poison flag, with their own lock: the committer
-	// updates them outside updateMu.
+	// The poison flag and the acknowledged sequence number, with their own
+	// lock: the committer updates them outside updateMu.
 	cmu        sync.Mutex
 	broken     error
-	commits    uint64
-	fsyncs     uint64
-	grouped    uint64
-	batchMax   int
 	durableSeq uint64
 	// Recovery bookkeeping, also under cmu. autoRecover is immutable;
 	// degradedCh (one-slot, never closed) wakes the recovery supervisor when
@@ -181,12 +148,6 @@ type durableStore struct {
 // maxCommitBatch caps how many commits one WAL fsync may cover.
 const maxCommitBatch = 64
 
-// openHooks lets tests interpose a fault-injection wrapper between the
-// database and its WAL file (the data file takes an Options.Chaos injector).
-type openHooks struct {
-	wrapWAL func(wal.File) wal.File
-}
-
 // Open opens (creating if missing) a durable Database stored in the file at
 // path, with its write-ahead log at path + ".wal". Opening an existing file
 // skips bulk-loading entirely: trees re-attach to their pages, point sets
@@ -213,10 +174,6 @@ type openHooks struct {
 // process dies), and a second Open — same process or another — fails with
 // an error wrapping pagefile.ErrFileLocked.
 func Open(path string, opts Options) (*Database, error) {
-	return openWithHooks(path, opts, openHooks{})
-}
-
-func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -226,97 +183,49 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 	}
 	opts.PageSize = sb.PageSize
 	opts = opts.withDefaults()
+	// The chaos injector instruments the data file directly and wraps the
+	// WAL handle (see load), so one injector programs faults across the
+	// whole durable path.
+	fs.SetInjector(opts.Chaos)
 
-	if opts.Chaos != nil {
-		// The chaos injector instruments the data file directly and wraps
-		// the WAL handle (composing with any test-provided wrapper), so one
-		// injector programs faults across the whole durable path.
-		fs.SetInjector(opts.Chaos)
-		inner := hooks.wrapWAL
-		inj := opts.Chaos
-		hooks.wrapWAL = func(f wal.File) wal.File {
-			if inner != nil {
-				f = inner(f)
-			}
-			return &faultWALFile{f: f, inj: inj}
-		}
-	}
-
-	wf, wsize, err := wal.OpenOSFile(path + ".wal")
+	ld, err := load(path, fs, sb, opts, math.MaxUint64, 0)
 	if err != nil {
 		fs.Close()
-		return nil, fmt.Errorf("obstacles: opening WAL: %w", err)
+		return nil, fmt.Errorf("obstacles: opening %s: %w", path, err)
 	}
-	if hooks.wrapWAL != nil {
-		wf = hooks.wrapWAL(wf)
-	}
-	log := wal.NewLog(wf, wsize)
-	fail := func(err error) (*Database, error) {
-		log.Close()
-		fs.Close()
-		return nil, err
-	}
-
-	rs, err := redo(fs, log, sb, math.MaxUint64)
-	if err != nil {
-		return fail(fmt.Errorf("obstacles: recovering %s: %w", path, err))
-	}
-	state, obst := rs.state, rs.obst
-
-	tx := pagefile.NewTxStorage(fs)
-	topts := rtree.Options{PageSize: opts.PageSize, Storage: tx}
-
-	var obstSet *core.ObstacleSet
-	if obst == nil {
-		if obstSet, err = core.NewObstacleSet(topts, nil, false); err != nil {
-			return fail(fmt.Errorf("obstacles: building obstacle index: %w", err))
-		}
-	} else {
-		tree, err := rtree.Attach(topts, obst.Tree.Root, obst.Tree.Height, obst.Tree.Size)
-		if err != nil {
-			return fail(fmt.Errorf("obstacles: attaching obstacle tree: %w", err))
-		}
-		if obstSet, err = core.AttachObstacleSet(tree, obst.Polys, obst.IDBound, obst.Generation); err != nil {
-			return fail(err)
-		}
-	}
-	sizeBuffer(obstSet.Tree(), opts.BufferFraction)
-	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
+	eng := core.NewEngine(ld.obstSet, core.DefaultEngineOptions())
 	if opts.GraphCacheSize > 0 {
 		eng.EnableGraphCache(opts.GraphCacheSize)
 	}
 	db := &Database{
-		opts:    opts,
-		engine:  eng,
-		obstSet: obstSet,
+		opts:     opts,
+		engine:   eng,
+		obstSet:  ld.obstSet,
+		datasets: ld.datasets,
 	}
 	db.tel = newDBMetrics(db)
-	db.gen.Store(state.Generation)
-	if db.datasets, err = attachDatasets(topts, state, opts.BufferFraction); err != nil {
-		return fail(err)
-	}
+	db.gen.Store(ld.rs.state.Generation)
 	db.initVersions()
-	seq := max(sb.Seq, rs.lastSeq)
+	seq := max(sb.Seq, ld.rs.lastSeq)
 	db.store = &durableStore{
 		path:           path,
 		fs:             fs,
-		tx:             tx,
-		hooks:          hooks,
+		tx:             ld.tx,
 		autoCheckpoint: opts.WALCheckpointBytes,
 		super:          sb,
 		seq:            seq,
-		obstDirty:      obst == nil || rs.obstChanged,
-		logged:         rs.logged,
+		obstDirty:      ld.rs.obst == nil || ld.rs.obstChanged,
+		logged:         ld.rs.logged,
 		dirtyDatasets:  make(map[string]struct{}),
 		leaderTok:      make(chan struct{}, 1),
 		autoRecover:    opts.AutoRecover,
 		degradedCh:     make(chan struct{}, 1),
 	}
-	db.store.log.Store(log)
+	db.store.log.Store(ld.log)
 	db.store.durableSeq = seq
 	db.store.tel = db.tel
-	db.installWALHook(log)
-	if created || rs.replayed > 0 || sb.State.Root == pagefile.InvalidPage {
+	db.installWALHook(ld.log)
+	if created || ld.rs.replayed > 0 || sb.State.Root == pagefile.InvalidPage {
 		// A fresh file checkpoints the empty state so a crash right after
 		// Open reopens it; a replayed file finishes recovery with a full
 		// checkpoint, folding the WAL's deltas into fresh catalog blobs
@@ -325,13 +234,75 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		err := db.checkpointLocked()
 		db.updateMu.Unlock()
 		if err != nil {
-			return fail(err)
+			ld.log.Close()
+			fs.Close()
+			return nil, err
 		}
 	}
 	if opts.AutoRecover {
 		db.startRecovery()
 	}
 	return db, nil
+}
+
+// loaded is the durable state one load step rebuilt: the open WAL, what redo
+// reconstructed from it, and the obstacle set and datasets re-attached over a
+// fresh transactional overlay.
+type loaded struct {
+	log      *wal.Log
+	rs       *redoState
+	tx       *pagefile.TxStorage
+	obstSet  *core.ObstacleSet
+	datasets map[string]*core.PointSet
+}
+
+// load is the step Open and in-place recovery share: open the WAL at
+// path + ".wal" (behind the Options.Chaos injector when one is armed), redo
+// its commits up to maxSeq onto fs, start a new TxStorage, create or attach
+// the obstacle set, attach the datasets, and size every tree's buffer. The
+// rebuilt obstacle set's generation is at least genFloor. On error the WAL
+// is closed again; fs stays open either way.
+func load(path string, fs *pagefile.FileStorage, sb pagefile.Superblock, opts Options, maxSeq, genFloor uint64) (ld *loaded, err error) {
+	wf, wsize, err := wal.OpenOSFile(path + ".wal")
+	if err != nil {
+		return nil, fmt.Errorf("opening WAL: %w", err)
+	}
+	if opts.Chaos != nil {
+		wf = &faultWALFile{f: wf, inj: opts.Chaos}
+	}
+	log := wal.NewLog(wf, wsize)
+	defer func() {
+		if err != nil {
+			log.Close()
+		}
+	}()
+	ld = &loaded{log: log}
+	if ld.rs, err = redo(fs, log, sb, maxSeq); err != nil {
+		return nil, err
+	}
+	ld.tx = pagefile.NewTxStorage(fs)
+	topts := rtree.Options{PageSize: sb.PageSize, Storage: ld.tx}
+
+	var tree *rtree.Tree
+	polys, idBound, gen := map[int64][]geom.Point{}, int64(0), genFloor
+	if obst := ld.rs.obst; obst == nil {
+		if tree, err = rtree.New(topts); err != nil {
+			return nil, fmt.Errorf("building obstacle index: %w", err)
+		}
+	} else {
+		if tree, err = rtree.Attach(topts, obst.Tree.Root, obst.Tree.Height, obst.Tree.Size); err != nil {
+			return nil, fmt.Errorf("attaching obstacle tree: %w", err)
+		}
+		polys, idBound, gen = obst.Polys, obst.IDBound, max(gen, obst.Generation)
+	}
+	if ld.obstSet, err = core.AttachObstacleSet(tree, polys, idBound, gen); err != nil {
+		return nil, err
+	}
+	sizeBuffer(tree, opts.BufferFraction)
+	if ld.datasets, err = attachDatasets(topts, ld.rs.state, opts.BufferFraction); err != nil {
+		return nil, err
+	}
+	return ld, nil
 }
 
 // redoState is the durable state redo reconstructs from the data file and
@@ -450,11 +421,11 @@ func attachDatasets(topts rtree.Options, state *catalog.State, bufferFraction fl
 	for _, ds := range state.Datasets {
 		tree, err := rtree.Attach(topts, ds.Tree.Root, ds.Tree.Height, ds.Tree.Size)
 		if err != nil {
-			return nil, fmt.Errorf("obstacles: attaching dataset %q: %w", ds.Name, err)
+			return nil, fmt.Errorf("attaching dataset %q: %w", ds.Name, err)
 		}
 		set, err := core.AttachPointSet(tree, ds.IDBound)
 		if err != nil {
-			return nil, fmt.Errorf("obstacles: recovering dataset %q: %w", ds.Name, err)
+			return nil, fmt.Errorf("recovering dataset %q: %w", ds.Name, err)
 		}
 		sizeBuffer(tree, bufferFraction)
 		sets[ds.Name] = set
@@ -477,8 +448,9 @@ func (db *Database) installWALHook(log *wal.Log) {
 // Persistent reports whether the database is backed by a durable file.
 func (db *Database) Persistent() bool { return db.store != nil }
 
-// PersistStats returns durability counters; the zero value for an in-memory
-// database.
+// PersistStats returns the durable backend's current state; the zero value
+// for an in-memory database. Process-lifetime counts (commits, fsyncs,
+// checkpoints) are on /metrics.
 func (db *Database) PersistStats() PersistStats {
 	s := db.store
 	if s == nil {
@@ -488,22 +460,14 @@ func (db *Database) PersistStats() PersistStats {
 	out := PersistStats{
 		Path:              s.path,
 		WALBytes:          s.log.Load().Size(),
-		Checkpoints:       s.checkpoints,
 		FilePages:         s.fs.NumPages(),
 		PendingPages:      s.tx.PendingPages(),
 		LastCheckpointErr: s.lastCheckpointErr,
 	}
 	db.updateMu.RUnlock()
 	s.cmu.Lock()
-	out.Commits = s.commits
-	out.Fsyncs = s.fsyncs
-	out.GroupCommits = s.grouped
-	out.MaxBatch = s.batchMax
 	out.Seq = s.durableSeq
 	s.cmu.Unlock()
-	if out.Fsyncs > 0 {
-		out.AvgBatch = float64(out.Commits) / float64(out.Fsyncs)
-	}
 	return out
 }
 
@@ -860,14 +824,6 @@ func (s *durableStore) writeBatch(batch []*commitTicket, lead *commitTicket) {
 	}
 	s.cmu.Lock()
 	if err == nil {
-		s.commits += uint64(len(batch))
-		s.fsyncs++
-		if len(batch) > 1 {
-			s.grouped++
-		}
-		if len(batch) > s.batchMax {
-			s.batchMax = len(batch)
-		}
 		s.durableSeq = batch[len(batch)-1].tx.Seq
 	} else {
 		s.poisonLocked(err)
@@ -1107,7 +1063,6 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		return fmt.Errorf("obstacles: truncating WAL: %w", err)
 	}
 	s.logged = make(map[pagefile.PageID]struct{})
-	s.checkpoints++
 	s.lastCheckpointErr = nil
 	s.tel.checkpoints.Inc()
 	s.tel.checkpointSeconds.ObserveDuration(time.Since(ckptStart))

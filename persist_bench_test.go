@@ -160,10 +160,9 @@ func churnLoopParallel(b *testing.B, db *Database, workers int) {
 	if err := <-errc; err != nil {
 		b.Fatal(err)
 	}
-	st := db.PersistStats()
-	if st.Commits > 0 && st.Fsyncs > 0 {
-		b.ReportMetric(float64(st.Commits)/float64(st.Fsyncs), "commits/fsync")
-		b.ReportMetric(float64(st.MaxBatch), "max-batch")
+	m := scrape(b, db)
+	if fsyncs := m["obstacles_wal_fsyncs_total"]; fsyncs > 0 {
+		b.ReportMetric(m["obstacles_commits_total"]/fsyncs, "commits/fsync")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/pagefile"
-	"repro/internal/wal"
 )
 
 // persistLoc is a location+distance key for id-free result comparison (the
@@ -285,7 +284,7 @@ func TestOpenCreateMutateReopen(t *testing.T) {
 	liveRects = append(liveRects, extra)
 
 	st := db.PersistStats()
-	if st.Commits == 0 || st.WALBytes == 0 || st.FilePages == 0 {
+	if st.Seq == 0 || st.WALBytes == 0 || st.FilePages == 0 {
 		t.Fatalf("PersistStats = %+v", st)
 	}
 	if err := db.Close(); err != nil {
@@ -678,27 +677,10 @@ func TestFaultInjectionCheckpoint(t *testing.T) {
 	}
 }
 
-// flakyWALFile kills WAL file writes after N calls, simulating a crash (or
-// a full/broken disk) during a commit's WAL append.
-type flakyWALFile struct {
-	wal.File
-	writes, failAfter int
-}
-
-var errWALFault = errors.New("injected wal write fault")
-
-func (f *flakyWALFile) Write(p []byte) (int, error) {
-	f.writes++
-	if f.writes > f.failAfter {
-		return 0, errWALFault
-	}
-	return f.File.Write(p)
-}
-
 // TestWALFaultInjection kills WAL writes after N operations for increasing
 // N: the first mutation whose commit cannot reach the log reports the
-// failure and poisons the handle (ErrNeedsReopen); reopening recovers
-// exactly the mutations whose commits succeeded.
+// failure and degrades the handle (ErrDegraded); reopening recovers exactly
+// the mutations whose commits succeeded.
 func TestWALFaultInjection(t *testing.T) {
 	for n := 1; ; n++ {
 		dir := t.TempDir()
@@ -710,15 +692,12 @@ func TestWALFaultInjection(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var flaky *flakyWALFile
+		// Writes 1..n succeed; every later one fails.
+		inj := pagefile.NewInjector(pagefile.FaultRule{Op: pagefile.OpWALWrite, After: int64(n)})
 		opts := DefaultOptions()
 		opts.WALCheckpointBytes = -1
-		db, err = openWithHooks(path, opts, openHooks{
-			wrapWAL: func(f wal.File) wal.File {
-				flaky = &flakyWALFile{File: f, failAfter: n}
-				return flaky
-			},
-		})
+		opts.Chaos = inj
+		db, err = Open(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -751,13 +730,16 @@ func TestWALFaultInjection(t *testing.T) {
 			}
 			pts = append(pts, p)
 		}
+		if fired := inj.Injected(pagefile.OpWALWrite) > 0; fired != failed {
+			t.Fatalf("n=%d: a mutation failed = %v, but the WAL-write fault fired = %v", n, failed, fired)
+		}
 		if failed {
 			// The handle is poisoned for further mutations.
-			if _, err := db.InsertPoints("P", Pt(1, 1)); !errors.Is(err, ErrNeedsReopen) {
-				t.Fatalf("n=%d: mutation after WAL fault: %v, want ErrNeedsReopen", n, err)
+			if _, err := db.InsertPoints("P", Pt(1, 1)); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("n=%d: mutation after WAL fault: %v, want ErrDegraded", n, err)
 			}
-			if err := db.Checkpoint(); !errors.Is(err, ErrNeedsReopen) {
-				t.Fatalf("n=%d: checkpoint after WAL fault: %v, want ErrNeedsReopen", n, err)
+			if err := db.Checkpoint(); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("n=%d: checkpoint after WAL fault: %v, want ErrDegraded", n, err)
 			}
 		}
 
@@ -863,7 +845,7 @@ func TestDurableAddObstaclesValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	before := db.PersistStats().Commits
+	before := db.PersistStats().Seq
 	if _, err := db.AddObstacles(Polygon{}); !errors.Is(err, ErrInvalidPolygon) {
 		t.Fatalf("zero polygon: %v", err)
 	}
@@ -873,7 +855,7 @@ func TestDurableAddObstaclesValidation(t *testing.T) {
 			t.Fatalf("collinear polygon: %v", err)
 		}
 	}
-	if after := db.PersistStats().Commits; after != before {
+	if after := db.PersistStats().Seq; after != before {
 		t.Fatalf("rejected obstacle committed: %d -> %d", before, after)
 	}
 }
@@ -925,7 +907,7 @@ func TestDurableDuplicateDatasetNoLeak(t *testing.T) {
 	if after.FilePages != before.FilePages {
 		t.Fatalf("duplicate add leaked pages: %d -> %d", before.FilePages, after.FilePages)
 	}
-	if after.Commits != before.Commits {
-		t.Fatalf("duplicate add committed: %d -> %d", before.Commits, after.Commits)
+	if after.Seq != before.Seq {
+		t.Fatalf("duplicate add committed: seq %d -> %d", before.Seq, after.Seq)
 	}
 }

@@ -478,32 +478,32 @@ func TestEveryVerbExitRecordsOnce(t *testing.T) {
 				if v.verb == VerbCluster && c.clusterErr != nil {
 					wantErr = c.clusterErr
 				}
-				opened := uint64(1)
+				opened := 1.0
 				if errors.Is(wantErr, ErrUnknownDataset) || errors.Is(wantErr, ErrInvalidArgument) {
 					opened = 0
 				}
 				untouched := QueryStats{Elapsed: -1}
 				qs := untouched
-				before := db.Metrics().Queries[v.verb]
+				before := verbCounts(t, db, v.verb)
 				err := v.call(h.r, c, append([]QueryOption{WithStats(&qs)}, c.opts...))
-				after := db.Metrics().Queries[v.verb]
+				after := verbCounts(t, db, v.verb)
 
 				label := h.name + "." + v.verb + "/" + c.name
 				if !errors.Is(err, wantErr) || (wantErr == nil && err != nil) {
 					t.Errorf("%s: error %v, want %v", label, err, wantErr)
 				}
-				if got := after.Count - before.Count; got != opened {
-					t.Errorf("%s: obstacles_queries_total moved by %d, want %d", label, got, opened)
+				if got := after[0] - before[0]; got != opened {
+					t.Errorf("%s: obstacles_queries_total moved by %v, want %v", label, got, opened)
 				}
-				wantErrors := uint64(0)
+				wantErrors := 0.0
 				if opened == 1 && wantErr != nil {
 					wantErrors = 1
 				}
-				if got := after.Errors - before.Errors; got != wantErrors {
-					t.Errorf("%s: obstacles_query_errors_total moved by %d, want %d", label, got, wantErrors)
+				if got := after[1] - before[1]; got != wantErrors {
+					t.Errorf("%s: obstacles_query_errors_total moved by %v, want %v", label, got, wantErrors)
 				}
 				if written := qs != untouched; written != (opened == 1) {
-					t.Errorf("%s: WithStats written = %v with %d session(s) opened: %+v", label, written, opened, qs)
+					t.Errorf("%s: WithStats written = %v with %v session(s) opened: %+v", label, written, opened, qs)
 				}
 				if active := db.TraceRecorder().Active(); len(active) != 0 {
 					t.Fatalf("%s: %d trace(s) stranded in flight: %+v", label, len(active), active)

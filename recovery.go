@@ -6,10 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/pagefile"
-	"repro/internal/rtree"
 	"repro/internal/wal"
 )
 
@@ -23,9 +20,8 @@ var ErrDegraded = errors.New("obstacles: database is degraded (read-only)")
 
 // DegradedError is the typed error degraded-mode mutations return: the first
 // durable fault that poisoned the handle and a snapshot of the recovery
-// supervisor's progress at the time of the call. It matches both ErrDegraded
-// and — for compatibility with the pre-recovery contract — ErrNeedsReopen
-// under errors.Is.
+// supervisor's progress at the time of the call. It matches ErrDegraded and
+// its cause under errors.Is.
 type DegradedError struct {
 	// Cause is the first durable failure, preserved verbatim across every
 	// later mutation attempt.
@@ -40,7 +36,7 @@ func (e *DegradedError) Error() string {
 }
 
 func (e *DegradedError) Unwrap() []error {
-	return []error{ErrDegraded, ErrNeedsReopen, e.Cause}
+	return []error{ErrDegraded, e.Cause}
 }
 
 // RecoveryStats describes degraded mode and the in-place recovery machinery,
@@ -190,26 +186,6 @@ func (db *Database) recoverLocked() error {
 	// replay and checkpoint below may rewrite the data file underneath them.
 	s.tx.Detach(s.fs.Frontier())
 
-	// Fresh WAL handle over the same file: the old log's buffered state is
-	// unusable after a failed append, and the WAL file carries no lock (the
-	// data-file flock is the handle's exclusivity token). Closing the old fd
-	// twice across retries is harmless.
-	_ = s.log.Load().Close()
-	wf, wsize, err := wal.OpenOSFile(s.path + ".wal")
-	if err != nil {
-		return fmt.Errorf("obstacles: recovery reopening WAL: %w", err)
-	}
-	if s.hooks.wrapWAL != nil {
-		wf = s.hooks.wrapWAL(wf)
-	}
-	nlog := wal.NewLog(wf, wsize)
-	installed := false
-	defer func() {
-		if !installed {
-			nlog.Close()
-		}
-	}()
-
 	// The disk superblock is the recovery root — the in-memory copy may
 	// describe a checkpoint that never fully reached the platters.
 	sb, err := s.fs.ReadSuperblock()
@@ -217,57 +193,28 @@ func (db *Database) recoverLocked() error {
 		return fmt.Errorf("obstacles: recovery reading superblock: %w", err)
 	}
 
-	// Redo pass, as Open does — with one extra piece of knowledge a cold
-	// open lacks: the last seq whose commit fsync was acknowledged to a
-	// caller. Records past it were appended by commits that reported
-	// failure; replaying them would resurrect mutations their callers were
-	// told did not happen, so the unacknowledged suffix is discarded.
+	// The load step Open runs, over a fresh WAL handle on the same file (the
+	// old log's buffered state is unusable after a failed append, and the WAL
+	// file carries no lock: the data-file flock is the handle's exclusivity
+	// token; closing the old fd twice across retries is harmless), with two
+	// pieces of knowledge a cold open lacks. Redo stops at the last seq whose
+	// commit fsync was acknowledged to a caller: records past it were
+	// appended by commits that reported failure, and replaying them would
+	// resurrect mutations their callers were told did not happen. And the
+	// obstacle set comes back at a generation strictly above every epoch the
+	// old in-memory state ever published, so pinned readers (and the graph
+	// cache's epoch bookkeeping) can never confuse a pre-fault epoch with a
+	// post-recovery one.
+	_ = s.log.Load().Close()
 	s.cmu.Lock()
 	ackSeq := s.durableSeq
 	s.cmu.Unlock()
-	rs, err := redo(s.fs, nlog, sb, ackSeq)
+	ld, err := load(s.path, s.fs, sb, db.opts, ackSeq, db.obstSet.Generation()+1)
 	if err != nil {
 		return fmt.Errorf("obstacles: recovery: %w", err)
 	}
-	state, obst := rs.state, rs.obst
-
-	ntx := pagefile.NewTxStorage(s.fs)
-	topts := rtree.Options{PageSize: sb.PageSize, Storage: ntx}
-
-	// Rebuild the obstacle set at a generation strictly above every epoch
-	// the old in-memory state ever published, so pinned readers (and the
-	// graph cache's epoch bookkeeping) can never confuse a pre-fault epoch
-	// with a post-recovery one.
-	obstGen := db.obstSet.Generation() + 1
-	var obstSet *core.ObstacleSet
-	if obst == nil {
-		fresh, err := core.NewObstacleSet(topts, nil, false)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery building obstacle index: %w", err)
-		}
-		if obstSet, err = core.AttachObstacleSet(fresh.Tree(), map[int64][]geom.Point{}, 0, obstGen); err != nil {
-			return err
-		}
-	} else {
-		if g := obst.Generation + 1; g > obstGen {
-			obstGen = g
-		}
-		tree, err := rtree.Attach(topts, obst.Tree.Root, obst.Tree.Height, obst.Tree.Size)
-		if err != nil {
-			return fmt.Errorf("obstacles: recovery attaching obstacle tree: %w", err)
-		}
-		if obstSet, err = core.AttachObstacleSet(tree, obst.Polys, obst.IDBound, obstGen); err != nil {
-			return err
-		}
-	}
-	sizeBuffer(obstSet.Tree(), db.opts.BufferFraction)
-	obstSet.EnableCOW()
-
-	nds, err := attachDatasets(topts, state, db.opts.BufferFraction)
-	if err != nil {
-		return err
-	}
-	for _, set := range nds {
+	ld.obstSet.EnableCOW()
+	for _, set := range ld.datasets {
 		set.EnableCOW()
 	}
 
@@ -276,21 +223,20 @@ func (db *Database) recoverLocked() error {
 	// re-resolve their dataset under updateMu, so none can write to an
 	// orphaned tree), and the generation moves strictly forward so the new
 	// version outranks everything published before the fault.
-	installed = true
 	db.mu.Lock()
-	db.obstSet = obstSet
-	db.datasets = nds
+	db.obstSet = ld.obstSet
+	db.datasets = ld.datasets
 	db.mu.Unlock()
-	db.engine.ReplaceObstacles(obstSet)
+	db.engine.ReplaceObstacles(ld.obstSet)
 	db.gen.Add(1)
 
-	seq := max(sb.Seq, rs.lastSeq)
-	s.tx = ntx
-	s.log.Store(nlog)
-	db.installWALHook(nlog)
+	seq := max(sb.Seq, ld.rs.lastSeq)
+	s.tx = ld.tx
+	s.log.Store(ld.log)
+	db.installWALHook(ld.log)
 	s.super = sb
 	s.seq = seq
-	s.logged = rs.logged
+	s.logged = ld.rs.logged
 	s.dirtyDatasets = make(map[string]struct{})
 	s.obstAdds, s.obstRemoves = nil, nil
 	s.obstDirty = true

@@ -275,15 +275,15 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 		t.Fatal("mutations blocked behind open readers")
 	}
 
-	m := db.Metrics()
-	if m.MVCC.SnapshotsOpen != 1 {
-		t.Errorf("SnapshotsOpen = %d, want 1", m.MVCC.SnapshotsOpen)
+	m := scrape(t, db)
+	if got := m["obstacles_snapshots_open"]; got != 1 {
+		t.Errorf("obstacles_snapshots_open = %v, want 1", got)
 	}
-	if m.MVCC.COWPageCopies == 0 {
-		t.Error("COWPageCopies = 0 after 100 mutations")
+	if m["obstacles_cow_page_copies_total"] == 0 {
+		t.Error("obstacles_cow_page_copies_total = 0 after 100 mutations")
 	}
-	if m.MVCC.PinnedPages == 0 {
-		t.Error("PinnedPages = 0 with a snapshot pinned across heavy churn")
+	if m["obstacles_snapshot_pinned_pages"] == 0 {
+		t.Error("obstacles_snapshot_pinned_pages = 0 with a snapshot pinned across heavy churn")
 	}
 	stop()
 	for { // drain so the stream goroutine releases its pin before we check
@@ -294,11 +294,12 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m := db.Metrics(); m.MVCC.SnapshotsOpen != 0 {
-		t.Errorf("SnapshotsOpen after close = %d, want 0", m.MVCC.SnapshotsOpen)
+	m = scrape(t, db)
+	if got := m["obstacles_snapshots_open"]; got != 0 {
+		t.Errorf("obstacles_snapshots_open after close = %v, want 0", got)
 	}
-	if m := db.Metrics(); m.MVCC.PinnedPages != 0 {
-		t.Errorf("PinnedPages after all readers closed = %d, want 0", m.MVCC.PinnedPages)
+	if got := m["obstacles_snapshot_pinned_pages"]; got != 0 {
+		t.Errorf("obstacles_snapshot_pinned_pages after all readers closed = %v, want 0", got)
 	}
 }
 

@@ -294,8 +294,8 @@ func TestScopedCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv := db.GraphCacheStats().Invalidations; inv != 0 {
-		t.Fatalf("update outside every coverage disk invalidated %d entries", inv)
+	if inv := scrape(t, db)["obstacles_graph_cache_invalidations_total"]; inv != 0 {
+		t.Fatalf("update outside every coverage disk invalidated %v entries", inv)
 	}
 	got, err := db.ObstructedDistances(ctx, qA, targetsA, WithStats(&qs))
 	if err != nil {
@@ -318,7 +318,7 @@ func TestScopedCacheInvalidation(t *testing.T) {
 	if _, err := db.AddObstacleRects(R(-10, 20, 10, 30)); err != nil {
 		t.Fatal(err)
 	}
-	if inv := db.GraphCacheStats().Invalidations; inv == 0 {
+	if inv := scrape(t, db)["obstacles_graph_cache_invalidations_total"]; inv == 0 {
 		t.Fatal("update inside the coverage disk invalidated nothing")
 	}
 	got, err = db.ObstructedDistances(ctx, qA, targetsA, WithStats(&qs))
