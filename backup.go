@@ -146,12 +146,7 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 
 	metas := make([]catalog.DatasetMeta, 0, len(names))
 	for _, name := range names {
-		t := v.datasets[name].Tree()
-		metas = append(metas, catalog.DatasetMeta{
-			Name:    name,
-			Tree:    catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
-			IDBound: v.datasets[name].IDBound(),
-		})
+		metas = append(metas, datasetMeta(name, v.datasets[name]))
 	}
 	stateData := catalog.EncodeState(&catalog.State{
 		Generation: v.gen,

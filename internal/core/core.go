@@ -32,107 +32,80 @@ import (
 	"repro/internal/rtree"
 )
 
-// PointSet is an entity dataset: points indexed by an R-tree, addressed by
-// dense int64 ids (the index into the point slice). The set is mutable —
-// Insert and Delete update points in place — but mutation is not safe
-// against concurrent readers: callers must exclude in-flight queries (the
-// public Database does this with its update lock).
-type PointSet struct {
-	tree *rtree.Tree
-	pts  []geom.Point
-	// dead marks deleted ids (aligned with pts); nil until the first delete.
+// boxed is an item a table can index: anything with a bounding rectangle.
+type boxed interface{ Bounds() geom.Rect }
+
+// table is the store under both datasets: items indexed by an R-tree on
+// their bounds, addressed by dense int64 ids (the index into items). It is
+// mutable in place, but mutation is not safe against concurrent readers:
+// callers must exclude in-flight queries (the public Database does this
+// with its update lock).
+type table[T boxed] struct {
+	noun  string // "entity" or "obstacle", for errors
+	tree  *rtree.Tree
+	items []T
+	// dead marks deleted ids (aligned with items); nil until the first
+	// delete.
 	dead []bool
 	// free lists dead ids available for reuse, so sustained churn keeps the
-	// id space (and the pts slice) bounded instead of growing forever.
+	// id space (and the items slice) bounded instead of growing forever.
 	free []int64
 
 	// Copy-on-write state (EnableCOW): with cow set, a mutation epoch never
-	// writes an element a Seal()ed view can read. Appends are always safe —
+	// writes an element a sealed view can read. Appends are always safe —
 	// sealed slice headers end before the appended index — but the first
 	// in-place write of an epoch clones the whole array; the own* flags
-	// record which arrays are already private to the current epoch. The free
-	// list clones before any modification, including pops: a pop alone looks
-	// harmless, but a later push would rewrite an index the sealed header
-	// still covers.
-	cow                      bool
-	ownPts, ownDead, ownFree bool
+	// record which arrays are already private to the current epoch. A pop
+	// only shortens the free list's header; the push after it clones, since
+	// it rewrites an index the sealed header still covers.
+	cow                        bool
+	ownItems, ownDead, ownFree bool
 }
 
-// EnableCOW switches the set (and its tree) to copy-on-write mutation, so
-// Seal views stay consistent while the set mutates.
-func (s *PointSet) EnableCOW() {
-	s.cow = true
-	s.tree.EnableCOW()
-}
-
-// BeginEpoch starts a mutation epoch: the current arrays are considered
-// published (a Seal may have captured them) and clone on first in-place
-// write.
-func (s *PointSet) BeginEpoch() {
-	if s.cow {
-		s.ownPts, s.ownDead, s.ownFree = false, false, false
-		s.tree.BeginEpoch()
-	}
-}
-
-// Seal returns a frozen read-only view of the set: a struct copy sharing
-// the current arrays (whose covered elements no later epoch rewrites) over
-// a pinned tree view. Len/Alive/Point answer as of the seal.
-func (s *PointSet) Seal() *PointSet {
-	cp := *s
-	cp.tree = s.tree.View()
-	cp.cow = false
-	return &cp
-}
-
-func (s *PointSet) ensurePts() {
-	if s.cow && !s.ownPts {
-		s.pts = append([]geom.Point(nil), s.pts...)
-		s.ownPts = true
-	}
-}
-
-func (s *PointSet) ensureDead() {
-	if s.cow && !s.ownDead {
-		s.dead = append([]bool(nil), s.dead...)
-		s.ownDead = true
-	}
-}
-
-func (s *PointSet) ensureFree() {
-	if s.cow && !s.ownFree {
-		s.free = append([]int64(nil), s.free...)
-		s.ownFree = true
-	}
-}
-
-// NewPointSet indexes pts with an R-tree. Bulk loading (STR) is used when
-// bulk is true; otherwise points are inserted one by one through the R*
-// insertion path.
-func NewPointSet(opts rtree.Options, pts []geom.Point, bulk bool) (*PointSet, error) {
-	cp := make([]geom.Point, len(pts))
-	copy(cp, pts)
+// newTable indexes a copy of xs. Bulk loading (STR) is used when bulk is
+// true; otherwise items are inserted one by one through the R* insertion
+// path.
+func newTable[T boxed](noun string, opts rtree.Options, xs []T, bulk bool) (table[T], error) {
+	items := make([]T, len(xs))
+	copy(items, xs)
+	var t *rtree.Tree
+	var err error
 	if bulk {
-		items := make([]rtree.Item, len(cp))
-		for i, p := range cp {
-			items[i] = rtree.PointItem(p, int64(i))
+		ri := make([]rtree.Item, len(items))
+		for i, x := range items {
+			ri[i] = rtree.Item{Rect: x.Bounds(), Data: int64(i)}
 		}
-		t, err := rtree.BulkLoad(opts, items, rtree.STR)
-		if err != nil {
-			return nil, err
+		t, err = rtree.BulkLoad(opts, ri, rtree.STR)
+	} else if t, err = rtree.New(opts); err == nil {
+		for i, x := range items {
+			if err = t.Insert(x.Bounds(), int64(i)); err != nil {
+				break
+			}
 		}
-		return &PointSet{tree: t, pts: cp}, nil
 	}
-	t, err := rtree.New(opts)
 	if err != nil {
-		return nil, err
+		return table[T]{}, err
 	}
-	for i, p := range cp {
-		if err := t.InsertPoint(p, int64(i)); err != nil {
-			return nil, err
+	return table[T]{noun: noun, tree: t, items: items}, nil
+}
+
+// attach returns a table around a tree recovered from durable storage:
+// items spans the id space, and every id not marked live becomes dead and
+// reusable.
+func attach[T boxed](noun string, t *rtree.Tree, items []T, live []bool) table[T] {
+	tb := table[T]{noun: noun, tree: t, items: items}
+	for id := int64(len(items)) - 1; id >= 0; id-- {
+		if !live[id] {
+			if tb.dead == nil {
+				tb.dead = make([]bool, len(items))
+			}
+			tb.dead[id] = true
+			// Descending append means the lowest free id is popped first,
+			// matching the reader-friendly "reuse small ids" tendency.
+			tb.free = append(tb.free, id)
 		}
 	}
-	return &PointSet{tree: t, pts: cp}, nil
+	return tb
 }
 
 // maxAttachSlack bounds how far a catalog's id bound may exceed the live
@@ -149,6 +122,147 @@ func validAttachBound(what string, idBound int64, items int) error {
 		return fmt.Errorf("core: corrupt catalog: %s id bound %d for %d live items", what, idBound, items)
 	}
 	return nil
+}
+
+// EnableCOW switches the set (and its tree) to copy-on-write mutation, so
+// sealed views stay consistent while the set mutates.
+func (tb *table[T]) EnableCOW() {
+	tb.cow = true
+	tb.tree.EnableCOW()
+}
+
+// BeginEpoch starts a mutation epoch: the current arrays are considered
+// published (a Seal may have captured them) and clone on first in-place
+// write.
+func (tb *table[T]) BeginEpoch() {
+	if tb.cow {
+		tb.ownItems, tb.ownDead, tb.ownFree = false, false, false
+		tb.tree.BeginEpoch()
+	}
+}
+
+// sealed returns a frozen copy sharing the current arrays (whose covered
+// elements no later epoch rewrites) over a pinned tree view.
+func (tb *table[T]) sealed() table[T] {
+	cp := *tb
+	cp.tree = tb.tree.View()
+	cp.cow = false
+	return cp
+}
+
+// own makes *s private to the current epoch before its first in-place
+// write.
+func own[E any](cow bool, s *[]E, owned *bool) {
+	if cow && !*owned {
+		*s = append([]E(nil), *s...)
+		*owned = true
+	}
+}
+
+// Tree returns the underlying R-tree.
+func (tb *table[T]) Tree() *rtree.Tree { return tb.tree }
+
+// Len returns the number of live items.
+func (tb *table[T]) Len() int { return len(tb.items) - len(tb.free) }
+
+// IDBound returns the exclusive upper bound of ids ever assigned. Live ids
+// are a subset of [0, IDBound); deleted ids inside the range may be reused
+// by later inserts.
+func (tb *table[T]) IDBound() int64 { return int64(len(tb.items)) }
+
+// Alive reports whether id refers to a live item.
+func (tb *table[T]) Alive(id int64) bool {
+	if id < 0 || id >= int64(len(tb.items)) {
+		return false
+	}
+	return tb.dead == nil || !tb.dead[id]
+}
+
+// Live appends the ids of all live items to dst in ascending order.
+func (tb *table[T]) Live(dst []int64) []int64 {
+	for i := range tb.items {
+		if tb.dead == nil || !tb.dead[i] {
+			dst = append(dst, int64(i))
+		}
+	}
+	return dst
+}
+
+// add indexes xs, reusing ids freed by earlier removals before growing the
+// id space, and returns the assigned ids. A failed tree insert rolls its
+// slot back (dead and reusable) so the table stays consistent with the
+// tree.
+func (tb *table[T]) add(xs []T) ([]int64, error) {
+	ids := make([]int64, 0, len(xs))
+	for _, x := range xs {
+		var id int64
+		if n := len(tb.free); n > 0 {
+			own(tb.cow, &tb.items, &tb.ownItems)
+			own(tb.cow, &tb.dead, &tb.ownDead)
+			id = tb.free[n-1]
+			tb.free = tb.free[:n-1]
+			tb.items[id] = x
+			tb.dead[id] = false
+		} else {
+			id = int64(len(tb.items))
+			tb.items = append(tb.items, x)
+			if tb.dead != nil {
+				tb.dead = append(tb.dead, false)
+			}
+		}
+		if err := tb.tree.Insert(x.Bounds(), id); err != nil {
+			tb.kill(id)
+			return ids, fmt.Errorf("core: inserting %s %d: %w", tb.noun, id, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// remove deletes the item with the given id from the tree and returns its
+// bounds; the id becomes reusable. It errors when the id is unknown or
+// already removed.
+func (tb *table[T]) remove(id int64) (geom.Rect, error) {
+	if !tb.Alive(id) {
+		return geom.Rect{}, fmt.Errorf("core: remove of unknown %s id %d", tb.noun, id)
+	}
+	r := tb.items[id].Bounds()
+	found, err := tb.tree.Delete(r, id)
+	if err != nil {
+		return geom.Rect{}, fmt.Errorf("core: removing %s %d: %w", tb.noun, id, err)
+	}
+	if !found {
+		return geom.Rect{}, fmt.Errorf("core: %s %d missing from index", tb.noun, id)
+	}
+	tb.kill(id)
+	return r, nil
+}
+
+// kill marks id dead and pushes it on the free list.
+func (tb *table[T]) kill(id int64) {
+	if tb.dead == nil {
+		tb.dead = make([]bool, len(tb.items))
+		tb.ownDead = true
+	}
+	own(tb.cow, &tb.dead, &tb.ownDead)
+	tb.dead[id] = true
+	own(tb.cow, &tb.free, &tb.ownFree)
+	tb.free = append(tb.free, id)
+}
+
+// PointSet is an entity dataset: a table of points. Insert and Delete
+// update it in place; Seal views stay consistent under EnableCOW.
+type PointSet struct{ table[geom.Point] }
+
+// NewPointSet indexes pts with an R-tree. Bulk loading (STR) is used when
+// bulk is true; otherwise points are inserted one by one through the R*
+// insertion path.
+func NewPointSet(opts rtree.Options, pts []geom.Point, bulk bool) (*PointSet, error) {
+	tb, err := newTable("entity", opts, pts, bulk)
+	if err != nil {
+		return nil, err
+	}
+	return &PointSet{tb}, nil
 }
 
 // AttachPointSet reconstructs a PointSet around a tree whose pages were
@@ -180,207 +294,45 @@ func AttachPointSet(t *rtree.Tree, idBound int64) (*PointSet, error) {
 		seen[id] = true
 		pts[id] = geom.Pt(it.Rect.MinX, it.Rect.MinY)
 	}
-	s := &PointSet{tree: t, pts: pts}
-	for id := int64(idBound) - 1; id >= 0; id-- {
-		if !seen[id] {
-			if s.dead == nil {
-				s.dead = make([]bool, idBound)
-			}
-			s.dead[id] = true
-			// Descending append means the lowest free id is popped first,
-			// matching the reader-friendly "reuse small ids" tendency.
-			s.free = append(s.free, id)
-		}
-	}
-	return s, nil
+	return &PointSet{attach("entity", t, pts, seen)}, nil
 }
 
-// Tree returns the underlying R-tree.
-func (s *PointSet) Tree() *rtree.Tree { return s.tree }
+// Seal returns a frozen read-only view of the set. Len/Alive/Point answer
+// as of the seal.
+func (s *PointSet) Seal() *PointSet { return &PointSet{s.sealed()} }
 
 // Point returns the location of the entity with the given id.
-func (s *PointSet) Point(id int64) geom.Point { return s.pts[id] }
-
-// Len returns the number of live entities.
-func (s *PointSet) Len() int { return len(s.pts) - len(s.free) }
-
-// IDBound returns the exclusive upper bound of ids ever assigned. Live ids
-// are a subset of [0, IDBound); deleted ids inside the range may be reused
-// by later inserts.
-func (s *PointSet) IDBound() int64 { return int64(len(s.pts)) }
-
-// Alive reports whether id refers to a live entity.
-func (s *PointSet) Alive(id int64) bool {
-	if id < 0 || id >= int64(len(s.pts)) {
-		return false
-	}
-	return s.dead == nil || !s.dead[id]
-}
-
-// Live appends the ids of all live entities to dst in ascending order.
-func (s *PointSet) Live(dst []int64) []int64 {
-	for i := range s.pts {
-		if s.dead == nil || !s.dead[i] {
-			dst = append(dst, int64(i))
-		}
-	}
-	return dst
-}
+func (s *PointSet) Point(id int64) geom.Point { return s.items[id] }
 
 // Insert adds points as entities, reusing ids freed by earlier deletions
-// before growing the id space, and returns the assigned ids. Mutation must
-// not run concurrently with queries on the same set.
-func (s *PointSet) Insert(pts []geom.Point) ([]int64, error) {
-	ids := make([]int64, 0, len(pts))
-	for _, p := range pts {
-		var id int64
-		if n := len(s.free); n > 0 {
-			s.ensureFree()
-			s.ensurePts()
-			s.ensureDead()
-			id = s.free[n-1]
-			s.free = s.free[:n-1]
-			s.pts[id] = p
-			s.dead[id] = false
-		} else {
-			id = int64(len(s.pts))
-			s.pts = append(s.pts, p)
-			if s.dead != nil {
-				s.dead = append(s.dead, false)
-			}
-		}
-		if err := s.tree.InsertPoint(p, id); err != nil {
-			// Roll the slot back (dead + reusable) so the set stays
-			// consistent with the tree.
-			if s.dead == nil {
-				s.dead = make([]bool, len(s.pts))
-				s.ownDead = true
-			}
-			s.ensureDead()
-			s.dead[id] = true
-			s.ensureFree()
-			s.free = append(s.free, id)
-			return ids, fmt.Errorf("core: inserting point %v: %w", p, err)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
+// before growing the id space, and returns the assigned ids.
+func (s *PointSet) Insert(pts []geom.Point) ([]int64, error) { return s.add(pts) }
 
 // Delete removes the entity with the given id; its id becomes reusable by a
 // later Insert. It errors when the id is unknown or already deleted.
 func (s *PointSet) Delete(id int64) error {
-	if !s.Alive(id) {
-		return fmt.Errorf("core: delete of unknown entity id %d", id)
-	}
-	found, err := s.tree.Delete(geom.PointRect(s.pts[id]), id)
-	if err != nil {
-		return fmt.Errorf("core: deleting entity %d: %w", id, err)
-	}
-	if !found {
-		return fmt.Errorf("core: entity %d missing from index", id)
-	}
-	if s.dead == nil {
-		s.dead = make([]bool, len(s.pts))
-		s.ownDead = true
-	}
-	s.ensureDead()
-	s.dead[id] = true
-	s.ensureFree()
-	s.free = append(s.free, id)
-	return nil
+	_, err := s.remove(id)
+	return err
 }
 
-// ObstacleSet is an obstacle dataset: polygons indexed by an R-tree on their
-// MBRs, addressed by dense int64 ids. Obstacles can be added and removed in
-// place (Add, Remove); every mutation bumps the set's generation counter,
-// which the visibility-graph cache uses to refuse stale graphs. As with
-// PointSet, mutation must not run concurrently with queries.
+// ObstacleSet is an obstacle dataset: a table of polygons, indexed by their
+// MBRs. Every Add or Remove bumps the set's generation counter, which the
+// visibility-graph cache uses to refuse stale graphs.
 type ObstacleSet struct {
-	tree  *rtree.Tree
-	polys []geom.Polygon
-	dead  []bool
-	free  []int64
+	table[geom.Polygon]
 	// gen counts mutations. Read atomically (sync/atomic functions on a plain
 	// word, so Seal's struct copy stays legal) by cache-staleness checks that
 	// may run outside the writer's critical section.
 	gen uint64
-
-	// Copy-on-write state; see the PointSet field of the same shape.
-	cow                        bool
-	ownPolys, ownDead, ownFree bool
-}
-
-// EnableCOW switches the set (and its tree) to copy-on-write mutation.
-func (o *ObstacleSet) EnableCOW() {
-	o.cow = true
-	o.tree.EnableCOW()
-}
-
-// BeginEpoch starts a mutation epoch; the current arrays clone on first
-// in-place write so earlier Seal views stay intact.
-func (o *ObstacleSet) BeginEpoch() {
-	if o.cow {
-		o.ownPolys, o.ownDead, o.ownFree = false, false, false
-		o.tree.BeginEpoch()
-	}
-}
-
-// Seal returns a frozen read-only view of the obstacle set at its current
-// generation.
-func (o *ObstacleSet) Seal() *ObstacleSet {
-	cp := *o
-	cp.tree = o.tree.View()
-	cp.cow = false
-	return &cp
-}
-
-func (o *ObstacleSet) ensurePolys() {
-	if o.cow && !o.ownPolys {
-		o.polys = append([]geom.Polygon(nil), o.polys...)
-		o.ownPolys = true
-	}
-}
-
-func (o *ObstacleSet) ensureDead() {
-	if o.cow && !o.ownDead {
-		o.dead = append([]bool(nil), o.dead...)
-		o.ownDead = true
-	}
-}
-
-func (o *ObstacleSet) ensureFree() {
-	if o.cow && !o.ownFree {
-		o.free = append([]int64(nil), o.free...)
-		o.ownFree = true
-	}
 }
 
 // NewObstacleSet indexes polys by their MBRs.
 func NewObstacleSet(opts rtree.Options, polys []geom.Polygon, bulk bool) (*ObstacleSet, error) {
-	cp := make([]geom.Polygon, len(polys))
-	copy(cp, polys)
-	if bulk {
-		items := make([]rtree.Item, len(cp))
-		for i, pg := range cp {
-			items[i] = rtree.Item{Rect: pg.Bounds(), Data: int64(i)}
-		}
-		t, err := rtree.BulkLoad(opts, items, rtree.STR)
-		if err != nil {
-			return nil, err
-		}
-		return &ObstacleSet{tree: t, polys: cp}, nil
-	}
-	t, err := rtree.New(opts)
+	tb, err := newTable("obstacle", opts, polys, bulk)
 	if err != nil {
 		return nil, err
 	}
-	for i, pg := range cp {
-		if err := t.Insert(pg.Bounds(), int64(i)); err != nil {
-			return nil, err
-		}
-	}
-	return &ObstacleSet{tree: t, polys: cp}, nil
+	return &ObstacleSet{table: tb}, nil
 }
 
 // AttachObstacleSet reconstructs an ObstacleSet around a recovered tree and
@@ -394,7 +346,8 @@ func AttachObstacleSet(t *rtree.Tree, polys map[int64][]geom.Point, idBound int6
 	if err := validAttachBound("obstacle", idBound, len(polys)); err != nil {
 		return nil, err
 	}
-	o := &ObstacleSet{tree: t, polys: make([]geom.Polygon, idBound)}
+	items := make([]geom.Polygon, idBound)
+	live := make([]bool, idBound)
 	for id, v := range polys {
 		if id < 0 || id >= idBound {
 			return nil, fmt.Errorf("core: obstacle id %d outside [0, %d)", id, idBound)
@@ -403,112 +356,46 @@ func AttachObstacleSet(t *rtree.Tree, polys map[int64][]geom.Point, idBound int6
 		if err != nil {
 			return nil, fmt.Errorf("core: obstacle %d: %w", id, err)
 		}
-		o.polys[id] = pg
+		items[id], live[id] = pg, true
 	}
-	for id := idBound - 1; id >= 0; id-- {
-		if _, live := polys[id]; !live {
-			if o.dead == nil {
-				o.dead = make([]bool, idBound)
-			}
-			o.dead[id] = true
-			o.free = append(o.free, id)
-		}
-	}
-	atomic.StoreUint64(&o.gen, gen)
-	return o, nil
+	return &ObstacleSet{table: attach("obstacle", t, items, live), gen: gen}, nil
 }
 
-// Tree returns the underlying R-tree.
-func (o *ObstacleSet) Tree() *rtree.Tree { return o.tree }
+// Seal returns a frozen read-only view of the obstacle set at its current
+// generation.
+func (o *ObstacleSet) Seal() *ObstacleSet {
+	cp := *o
+	cp.table = o.sealed()
+	return &cp
+}
 
 // Polygon returns the obstacle with the given id.
-func (o *ObstacleSet) Polygon(id int64) geom.Polygon { return o.polys[id] }
-
-// Len returns the number of live obstacles.
-func (o *ObstacleSet) Len() int { return len(o.polys) - len(o.free) }
-
-// IDBound returns the exclusive upper bound of obstacle ids ever assigned.
-func (o *ObstacleSet) IDBound() int64 { return int64(len(o.polys)) }
+func (o *ObstacleSet) Polygon(id int64) geom.Polygon { return o.items[id] }
 
 // Generation returns the mutation counter: it increases on every Add or
 // Remove, so a visibility graph stamped with an older generation may reflect
 // an obstacle set that no longer exists.
 func (o *ObstacleSet) Generation() uint64 { return atomic.LoadUint64(&o.gen) }
 
-// Alive reports whether id refers to a live obstacle.
-func (o *ObstacleSet) Alive(id int64) bool {
-	if id < 0 || id >= int64(len(o.polys)) {
-		return false
-	}
-	return o.dead == nil || !o.dead[id]
-}
-
 // Add indexes new obstacles, reusing ids freed by earlier removals, and
-// returns the assigned ids. Mutation must not run concurrently with queries;
-// callers owning a graph cache must invalidate the affected regions.
+// returns the assigned ids. Callers owning a graph cache must invalidate the
+// affected regions.
 func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
-	ids := make([]int64, 0, len(polys))
-	for _, pg := range polys {
-		var id int64
-		if n := len(o.free); n > 0 {
-			o.ensureFree()
-			o.ensurePolys()
-			o.ensureDead()
-			id = o.free[n-1]
-			o.free = o.free[:n-1]
-			o.polys[id] = pg
-			o.dead[id] = false
-		} else {
-			id = int64(len(o.polys))
-			o.polys = append(o.polys, pg)
-			if o.dead != nil {
-				o.dead = append(o.dead, false)
-			}
-		}
-		if err := o.tree.Insert(pg.Bounds(), id); err != nil {
-			if o.dead == nil {
-				o.dead = make([]bool, len(o.polys))
-				o.ownDead = true
-			}
-			o.ensureDead()
-			o.dead[id] = true
-			o.ensureFree()
-			o.free = append(o.free, id)
-			atomic.AddUint64(&o.gen, 1)
-			return ids, fmt.Errorf("core: inserting obstacle: %w", err)
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) > 0 {
+	ids, err := o.add(polys)
+	if err != nil || len(ids) > 0 {
 		atomic.AddUint64(&o.gen, 1)
 	}
-	return ids, nil
+	return ids, err
 }
 
 // Remove deletes the obstacle with the given id, returning its MBR so the
 // caller can invalidate cached graphs covering it. The id becomes reusable.
 func (o *ObstacleSet) Remove(id int64) (geom.Rect, error) {
-	if !o.Alive(id) {
-		return geom.Rect{}, fmt.Errorf("core: remove of unknown obstacle id %d", id)
+	mbr, err := o.remove(id)
+	if err == nil {
+		atomic.AddUint64(&o.gen, 1)
 	}
-	mbr := o.polys[id].Bounds()
-	found, err := o.tree.Delete(mbr, id)
-	if err != nil {
-		return geom.Rect{}, fmt.Errorf("core: removing obstacle %d: %w", id, err)
-	}
-	if !found {
-		return geom.Rect{}, fmt.Errorf("core: obstacle %d missing from index", id)
-	}
-	if o.dead == nil {
-		o.dead = make([]bool, len(o.polys))
-		o.ownDead = true
-	}
-	o.ensureDead()
-	o.dead[id] = true
-	o.ensureFree()
-	o.free = append(o.free, id)
-	atomic.AddUint64(&o.gen, 1)
-	return mbr, nil
+	return mbr, err
 }
 
 // Result is one entity qualified by a query, with its obstructed distance.

@@ -172,7 +172,7 @@ func (s *Session) relevantObstacles(r region) ([]visgraph.Obstacle, error) {
 		return nil, err
 	}
 	defer s.span.StartSpan("obstacle-scan")()
-	polys := s.obst.polys
+	polys := s.obst.items
 	var out []visgraph.Obstacle
 	err := s.obstTree[obstScan].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
 		pg := polys[it.Data]
@@ -194,7 +194,7 @@ func (s *Session) addObstaclesWithin(g *visgraph.Graph, r region) (bool, error) 
 		return false, err
 	}
 	defer s.span.StartSpan("graph-grow")()
-	polys := s.obst.polys
+	polys := s.obst.items
 	var batch []visgraph.Obstacle
 	err := s.obstTree[obstEnlarge].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
 		if g.HasObstacle(it.Data) {
@@ -222,7 +222,7 @@ func (s *Session) InsideObstacle(p geom.Point) (bool, error) {
 	if err := s.err(); err != nil {
 		return false, err
 	}
-	polys := s.obst.polys
+	polys := s.obst.items
 	inside := false
 	err := s.obstTree[obstPointQuery].SearchCircle(p, 0, func(it rtree.Item) bool {
 		if polys[it.Data].ContainsStrict(p) {

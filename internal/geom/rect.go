@@ -37,6 +37,9 @@ func EmptyRect() Rect {
 // PointRect returns the degenerate rectangle covering exactly p.
 func PointRect(p Point) Rect { return Rect{p.X, p.Y, p.X, p.Y} }
 
+// Bounds returns PointRect(p), so points index like polygons do.
+func (p Point) Bounds() Rect { return PointRect(p) }
+
 // IsEmpty reports whether r contains no points.
 func (r Rect) IsEmpty() bool { return r.MinX > r.MaxX || r.MinY > r.MaxY }
 

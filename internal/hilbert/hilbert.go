@@ -1,7 +1,6 @@
 // Package hilbert implements the 2-D Hilbert space-filling curve. The ODJ
 // algorithm (Fig 10 of the paper) sorts join seeds by Hilbert order to
-// maximize buffer locality between consecutive obstacle-R-tree probes, and
-// the R-tree offers a Hilbert-sorted bulk load.
+// maximize buffer locality between consecutive obstacle-R-tree probes.
 package hilbert
 
 // Encode maps grid cell (x, y) on a 2^order x 2^order grid to its distance

@@ -5,26 +5,23 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/hilbert"
 	"repro/internal/pagefile"
 )
 
-// BulkLoadMethod selects the packing strategy for BulkLoad.
+// BulkLoadMethod names BulkLoad's packing; STR is the only one.
 type BulkLoadMethod int
 
 const (
 	// STR is sort-tile-recursive packing: sort by x, slice into vertical
 	// slabs, sort each slab by y, pack runs into nodes.
 	STR BulkLoadMethod = iota
-	// Hilbert packs items in Hilbert-curve order of their centers.
-	Hilbert
 )
 
 // bulkFill is the target occupancy of packed nodes; leaving headroom keeps
 // subsequent inserts from splitting immediately.
 const bulkFill = 0.9
 
-// BulkLoad builds a tree from items using the given method. It is much
+// BulkLoad builds a tree from items by STR packing. It is much
 // faster than repeated insertion and produces well-clustered nodes; the
 // experiment harness uses it to build the large obstacle/entity trees.
 func BulkLoad(opts Options, items []Item, method BulkLoadMethod) (*Tree, error) {
@@ -42,17 +39,7 @@ func BulkLoad(opts Options, items []Item, method BulkLoadMethod) (*Tree, error) 
 		}
 		entries[i] = entry{rect: it.Rect, ref: uint64(it.Data)}
 	}
-	switch method {
-	case STR:
-		// ordering happens level by level in packLevel
-	case Hilbert:
-		b := mbrOf(entries)
-		sort.SliceStable(entries, func(i, j int) bool {
-			ci, cj := entries[i].rect.Center(), entries[j].rect.Center()
-			return hilbert.EncodePoint(ci.X, ci.Y, b.MinX, b.MinY, b.MaxX, b.MaxY) <
-				hilbert.EncodePoint(cj.X, cj.Y, b.MinX, b.MinY, b.MaxX, b.MaxY)
-		})
-	default:
+	if method != STR {
 		return nil, fmt.Errorf("rtree: unknown bulk load method %d", method)
 	}
 
@@ -72,7 +59,7 @@ func BulkLoad(opts Options, items []Item, method BulkLoadMethod) (*Tree, error) 
 			t.size = len(items)
 			return t, nil
 		}
-		next, err := t.packLevel(entries, level, perNode, method)
+		next, err := t.packLevel(entries, level, perNode)
 		if err != nil {
 			return nil, err
 		}
@@ -81,27 +68,25 @@ func BulkLoad(opts Options, items []Item, method BulkLoadMethod) (*Tree, error) 
 	}
 }
 
-// packLevel groups entries into nodes of the given level and returns the
-// parent entries for the next level up.
-func (t *Tree) packLevel(entries []entry, level uint16, perNode int, method BulkLoadMethod) ([]entry, error) {
-	if method == STR {
-		nodeCount := (len(entries) + perNode - 1) / perNode
-		slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))
-		perSlab := slabs * perNode
-		sort.SliceStable(entries, func(i, j int) bool {
-			return entries[i].rect.Center().X < entries[j].rect.Center().X
-		})
-		for s := 0; s*perSlab < len(entries); s++ {
-			lo := s * perSlab
-			hi := lo + perSlab
-			if hi > len(entries) {
-				hi = len(entries)
-			}
-			slab := entries[lo:hi]
-			sort.SliceStable(slab, func(i, j int) bool {
-				return slab[i].rect.Center().Y < slab[j].rect.Center().Y
-			})
+// packLevel sorts entries into STR order, groups them into nodes of the
+// given level and returns the parent entries for the next level up.
+func (t *Tree) packLevel(entries []entry, level uint16, perNode int) ([]entry, error) {
+	nodeCount := (len(entries) + perNode - 1) / perNode
+	slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))
+	perSlab := slabs * perNode
+	sort.SliceStable(entries, func(i, j int) bool {
+		return entries[i].rect.Center().X < entries[j].rect.Center().X
+	})
+	for s := 0; s*perSlab < len(entries); s++ {
+		lo := s * perSlab
+		hi := lo + perSlab
+		if hi > len(entries) {
+			hi = len(entries)
 		}
+		slab := entries[lo:hi]
+		sort.SliceStable(slab, func(i, j int) bool {
+			return slab[i].rect.Center().Y < slab[j].rect.Center().Y
+		})
 	}
 	var parents []entry
 	for lo := 0; lo < len(entries); lo += perNode {

@@ -158,10 +158,10 @@ func (t *Tree) overflowTreatment(n *node) (*entry, error) {
 	return t.split(n)
 }
 
-// forceReinsert removes the ReinsertFraction of entries whose centers are
+// forceReinsert removes the reinsertShare of entries whose centers are
 // farthest from the node MBR center and queues them for reinsertion.
 func (t *Tree) forceReinsert(n *node) {
-	p := int(float64(len(n.entries)) * t.opts.ReinsertFraction)
+	p := int(float64(len(n.entries)) * reinsertShare)
 	if p < 1 {
 		p = 1
 	}

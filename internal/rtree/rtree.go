@@ -25,8 +25,7 @@
 // Figs 21-22 come out lower than with a one-sided expansion down to the
 // items, while candidates and results are the same.
 //
-// Trees are built either by repeated R* insertion or by STR/Hilbert bulk
-// loading.
+// Trees are built either by repeated R* insertion or by STR bulk loading.
 package rtree
 
 import (
@@ -60,12 +59,6 @@ type Options struct {
 	// Callers typically resize it to 10% of the tree after loading, per the
 	// paper's setup, via Tree.PageFile().SetBufferPages.
 	BufferPages int
-	// MinFillFraction is the minimum node occupancy m/M (default 0.4, the
-	// R* recommendation).
-	MinFillFraction float64
-	// ReinsertFraction is the share of entries removed on forced reinsert
-	// (default 0.3, the R* recommendation).
-	ReinsertFraction float64
 	// Storage optionally overrides the page backend (default in-memory).
 	Storage pagefile.Storage
 }
@@ -77,14 +70,15 @@ func (o Options) withDefaults() Options {
 	if o.BufferPages <= 0 {
 		o.BufferPages = 64
 	}
-	if o.MinFillFraction <= 0 || o.MinFillFraction > 0.5 {
-		o.MinFillFraction = 0.4
-	}
-	if o.ReinsertFraction <= 0 || o.ReinsertFraction >= 1 {
-		o.ReinsertFraction = 0.3
-	}
 	return o
 }
+
+// minFill is the minimum node occupancy m/M and reinsertShare the share of
+// entries removed on forced reinsert, both the R* recommendations.
+const (
+	minFill       = 0.4
+	reinsertShare = 0.3
+)
 
 const (
 	nodeHeaderSize = 4  // level uint16 + count uint16
@@ -123,7 +117,6 @@ func (n *node) mbr() geom.Rect {
 // tree.
 type Tree struct {
 	pf       *pagefile.File
-	opts     Options
 	root     pagefile.PageID
 	height   int // number of levels; 1 = root is a leaf
 	size     int // number of data items
@@ -269,13 +262,12 @@ func New(opts Options) (*Tree, error) {
 	if maxE < 4 {
 		return nil, fmt.Errorf("rtree: page size %d too small (fanout %d < 4)", opts.PageSize, maxE)
 	}
-	minE := int(float64(maxE) * opts.MinFillFraction)
+	minE := int(float64(maxE) * minFill)
 	if minE < 1 {
 		minE = 1
 	}
 	t := &Tree{
 		pf:        pagefile.NewWithStorage(st, opts.BufferPages),
-		opts:      opts,
 		height:    1,
 		maxE:      maxE,
 		minE:      minE,

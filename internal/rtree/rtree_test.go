@@ -340,7 +340,7 @@ func TestRectItems(t *testing.T) {
 	}
 }
 
-func TestBulkLoadSTRAndHilbert(t *testing.T) {
+func TestBulkLoadSTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	items := make([]Item, 1000)
 	pts := make([]geom.Point, len(items))
@@ -348,42 +348,40 @@ func TestBulkLoadSTRAndHilbert(t *testing.T) {
 		pts[i] = randPoint(rng)
 		items[i] = PointItem(pts[i], int64(i))
 	}
-	for _, method := range []BulkLoadMethod{STR, Hilbert} {
-		tr, err := BulkLoad(smallOpts(), items, method)
-		if err != nil {
-			t.Fatalf("method %d: %v", method, err)
+	tr, err := BulkLoad(smallOpts(), items, STR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(items) {
+		t.Fatalf("Len = %d", tr.Len())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Queries agree with linear scan.
+	r := geom.R(200, 200, 600, 700)
+	want := 0
+	for _, p := range pts {
+		if r.Contains(p) {
+			want++
 		}
-		if tr.Len() != len(items) {
-			t.Fatalf("method %d: Len = %d", method, tr.Len())
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("method %d: %v", method, err)
-		}
-		// Queries agree with linear scan.
-		r := geom.R(200, 200, 600, 700)
-		want := 0
-		for _, p := range pts {
-			if r.Contains(p) {
-				want++
-			}
-		}
-		got := 0
-		if err := tr.SearchRect(r, func(Item) bool { got++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("method %d: got %d want %d", method, got, want)
-		}
-		// Tree remains usable for subsequent inserts and deletes.
-		if err := tr.InsertPoint(geom.Pt(1, 1), 5000); err != nil {
-			t.Fatal(err)
-		}
-		if found, err := tr.Delete(geom.PointRect(pts[0]), 0); err != nil || !found {
-			t.Fatalf("method %d: delete after bulk: %v %v", method, found, err)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("method %d after update: %v", method, err)
-		}
+	}
+	got := 0
+	if err := tr.SearchRect(r, func(Item) bool { got++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("got %d want %d", got, want)
+	}
+	// Tree remains usable for subsequent inserts and deletes.
+	if err := tr.InsertPoint(geom.Pt(1, 1), 5000); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := tr.Delete(geom.PointRect(pts[0]), 0); err != nil || !found {
+		t.Fatalf("delete after bulk: %v %v", found, err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("after update: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,6 +85,10 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	infVertex, err := NewPolygon([]Point{Pt(0, 50), Pt(math.Inf(-1), 60), Pt(10, 60)})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rejections := []struct {
 		name string
@@ -99,6 +104,15 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 		{"RemoveObstacles/unknown id", func() error { return db.RemoveObstacles(obstIDs[0], 99) }},
 		{"RemoveObstacles/duplicate id", func() error { return db.RemoveObstacles(obstIDs[1], obstIDs[1]) }},
 		{"AddDataset/duplicate name", func() error { return db.AddDataset("P", []Point{Pt(7, 7)}) }},
+		// Non-finite coordinates: a stored NaN would rank first in every
+		// nearest-neighbour answer and could never be deleted.
+		{"InsertPoints/NaN point", func() error { _, err := db.InsertPoints("P", Pt(1, 1), Pt(math.NaN(), 3)); return err }},
+		{"InsertPoints/+Inf point", func() error { _, err := db.InsertPoints("P", Pt(math.Inf(1), 3)); return err }},
+		{"AddDataset/NaN point", func() error { return db.AddDataset("N", []Point{Pt(7, 7), Pt(7, math.NaN())}) }},
+		{"AddDataset/-Inf point", func() error { return db.AddDataset("N", []Point{Pt(math.Inf(-1), 7)}) }},
+		{"AddObstacleRects/NaN rect", func() error { _, err := db.AddObstacleRects(R(math.NaN(), 0, 10, 10)); return err }},
+		{"AddObstacleRects/+Inf rect", func() error { _, err := db.AddObstacleRects(R(200, 200, math.Inf(1), 210)); return err }},
+		{"AddObstacles/-Inf vertex", func() error { _, err := db.AddObstacles(infVertex); return err }},
 	}
 	for _, tc := range rejections {
 		before := footprint(t, db)
@@ -137,8 +151,8 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 			t.Errorf("%s on a degraded handle left a trace:\n before %+v\n after  %+v", tc.name, before, after)
 		}
 	}
-	if db.HasDataset("Q") {
-		t.Error("degraded AddDataset installed its dataset")
+	if db.HasDataset("Q") || db.HasDataset("N") {
+		t.Error("rejected AddDataset installed its dataset")
 	}
 	inj.Clear() // let Close release the files without tripping the rule again
 }

@@ -405,16 +405,54 @@ var ErrDatasetExists = errors.New("obstacles: dataset already exists")
 // when an id names no live entity or obstacle.
 var ErrNotFound = errors.New("obstacles: not found")
 
-// validatePolygons rejects degenerate obstacles with a typed error instead
-// of silently indexing them.
+// finite reports whether both coordinates of p are finite numbers.
+func finite(p Point) bool {
+	return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
+}
+
+// validatePoints rejects non-finite entities with a typed error: a NaN
+// point would rank first in every nearest-neighbour answer, and no tree
+// search could find it again to delete it.
+func validatePoints(pts []Point) error {
+	for i, p := range pts {
+		if !finite(p) {
+			return fmt.Errorf("%w: point %d is %v; coordinates must be finite", ErrInvalidArgument, i, p)
+		}
+	}
+	return nil
+}
+
+// validatePolygons rejects degenerate or non-finite obstacles with a typed
+// error instead of silently indexing them.
 func validatePolygons(polys []Polygon) error {
 	for i, pg := range polys {
 		if pg.NumVertices() < 3 {
 			return fmt.Errorf("%w: obstacle %d has %d vertices; build it with NewPolygon", ErrInvalidPolygon, i, pg.NumVertices())
 		}
-		if pg.Area() <= geom.Eps {
+		for _, v := range pg.Vertices() {
+			if !finite(v) {
+				return fmt.Errorf("%w: obstacle %d has vertex %v; coordinates must be finite", ErrInvalidPolygon, i, v)
+			}
+		}
+		if !(pg.Area() > geom.Eps) {
 			return fmt.Errorf("%w: obstacle %d has degenerate area %g", ErrInvalidPolygon, i, pg.Area())
 		}
+	}
+	return nil
+}
+
+// checkIDs validates a removal batch before any of it runs: every id must
+// name a live item, and none may repeat.
+func checkIDs(what string, ids []int64, alive func(int64) bool) error {
+	seen := make(map[int64]bool, len(ids))
+	for _, id := range ids {
+		if !alive(id) {
+			return fmt.Errorf("%w: no live %s has id %d", ErrNotFound, what, id)
+		}
+		if seen[id] {
+			return fmt.Errorf("%w: duplicate id %d in the batch", ErrInvalidArgument, id)
+		}
+		seen[id] = true
 	}
 	return nil
 }
@@ -561,6 +599,9 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 	if db.HasDataset(name) {
 		return errExists
 	}
+	if err := validatePoints(pts); err != nil {
+		return err
+	}
 	var ps *core.PointSet
 	build := func() (err error) {
 		if ps, err = core.NewPointSet(db.treeOptions(), pts, true); err != nil {
@@ -646,6 +687,9 @@ func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ..
 	if err != nil {
 		return nil, err
 	}
+	if err := validatePoints(pts); err != nil {
+		return nil, err
+	}
 	if len(pts) == 0 {
 		return nil, nil
 	}
@@ -690,17 +734,7 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 		if ps, err = db.dataset(name); err != nil {
 			return err
 		}
-		seen := make(map[int64]bool, len(ids))
-		for _, id := range ids {
-			if !ps.Alive(id) {
-				return fmt.Errorf("%w: dataset %q has no entity %d", ErrNotFound, name, id)
-			}
-			if seen[id] {
-				return fmt.Errorf("%w: duplicate entity id %d in delete", ErrInvalidArgument, id)
-			}
-			seen[id] = true
-		}
-		return nil
+		return checkIDs(fmt.Sprintf("entity of dataset %q", name), ids, ps.Alive)
 	}, func() error {
 		ps.BeginEpoch()
 		db.noteDatasetDirty(name)
@@ -788,17 +822,7 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 		return nil
 	}
 	return db.mutate(ctx, OpRemoveObstacles, true, func() error {
-		seen := make(map[int64]bool, len(ids))
-		for _, id := range ids {
-			if !db.obstSet.Alive(id) {
-				return fmt.Errorf("%w: no obstacle with id %d", ErrNotFound, id)
-			}
-			if seen[id] {
-				return fmt.Errorf("%w: duplicate obstacle id %d in remove", ErrInvalidArgument, id)
-			}
-			seen[id] = true
-		}
-		return nil
+		return checkIDs("obstacle", ids, db.obstSet.Alive)
 	}, func() error {
 		db.obstSet.BeginEpoch()
 		for _, id := range ids {

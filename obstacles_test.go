@@ -2,6 +2,7 @@ package obstacles
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,6 +258,31 @@ func TestNewDatabaseValidation(t *testing.T) {
 	}
 	if math.Abs(d-5) > 1e-9 {
 		t.Errorf("no-obstacle distance = %v", d)
+	}
+
+	// Non-finite coordinates are rejected with a typed error wherever they
+	// enter: obstacles at construction, points when a dataset is built or
+	// grown. A stored NaN would rank first in every answer and could never
+	// be found again to delete.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []Rect{R(nan, 0, 10, 10), R(0, 0, inf, 10), R(0, -inf, 10, 10)} {
+		if _, err := NewDatabaseFromRects([]Rect{r}, DefaultOptions()); !errors.Is(err, ErrInvalidPolygon) {
+			t.Errorf("NewDatabaseFromRects(%v) = %v, want ErrInvalidPolygon", r, err)
+		}
+	}
+	for _, p := range []Point{Pt(nan, 3), Pt(3, inf), Pt(-inf, 3)} {
+		if err := db.AddDataset("bad", []Point{Pt(1, 1), p}); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("AddDataset with %v = %v, want ErrInvalidArgument", p, err)
+		}
+		if _, err := db.InsertPoints("p", p); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("InsertPoints(%v) = %v, want ErrInvalidArgument", p, err)
+		}
+	}
+	if db.HasDataset("bad") {
+		t.Error("rejected AddDataset installed its dataset")
+	}
+	if n, err := db.DatasetLen("p"); err != nil || n != 2 {
+		t.Errorf("dataset p holds %d entities (%v) after rejected inserts, want 2", n, err)
 	}
 }
 

@@ -640,14 +640,14 @@ func (db *Database) dirtyDatasetMetas() []catalog.DatasetMeta {
 	return metas
 }
 
+// treeMeta is the catalog record locating one tree.
+func treeMeta(t *rtree.Tree) catalog.TreeMeta {
+	return catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()}
+}
+
 // datasetMeta is the catalog record locating one dataset's tree.
 func datasetMeta(name string, ps *core.PointSet) catalog.DatasetMeta {
-	t := ps.Tree()
-	return catalog.DatasetMeta{
-		Name:    name,
-		Tree:    catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
-		IDBound: ps.IDBound(),
-	}
+	return catalog.DatasetMeta{Name: name, Tree: treeMeta(ps.Tree()), IDBound: ps.IDBound()}
 }
 
 // obstacleDeltaLocked snapshots the obstacle-set header plus the obstacle
@@ -656,9 +656,8 @@ func datasetMeta(name string, ps *core.PointSet) catalog.DatasetMeta {
 func (db *Database) obstacleDeltaLocked() *catalog.ObstacleDelta {
 	s := db.store
 	o := db.obstSet
-	t := o.Tree()
 	od := &catalog.ObstacleDelta{
-		Tree:       catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
+		Tree:       treeMeta(o.Tree()),
 		IDBound:    o.IDBound(),
 		Generation: o.Generation(),
 		Added:      s.obstAdds,
@@ -1101,15 +1100,12 @@ func (db *Database) datasetMetas() []catalog.DatasetMeta {
 // encodeObstacleSet serializes an obstacle set's live polygons and tree
 // location.
 func encodeObstacleSet(o *core.ObstacleSet) []byte {
-	t := o.Tree()
 	polys := make(map[int64][]geom.Point)
-	for id := int64(0); id < o.IDBound(); id++ {
-		if o.Alive(id) {
-			polys[id] = o.Polygon(id).Vertices()
-		}
+	for _, id := range o.Live(nil) {
+		polys[id] = o.Polygon(id).Vertices()
 	}
 	return catalog.EncodeObstacles(&catalog.Obstacles{
-		Tree:       catalog.TreeMeta{Root: t.Root(), Height: t.Height(), Size: t.Len()},
+		Tree:       treeMeta(o.Tree()),
 		IDBound:    o.IDBound(),
 		Generation: o.Generation(),
 		Polys:      polys,
