@@ -104,7 +104,7 @@ func (s *Session) DistanceMatrix(pts []geom.Point) ([][]float64, Stats, error) {
 	// row).
 	var local *GraphCache
 	if s.e.cache != nil {
-		local = NewGraphCacheAt(s.e, 4, s.epoch)
+		local = newGraphCache(4)
 	}
 	for i := 0; i < len(pts)-1; i++ {
 		if err := s.err(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -261,51 +262,67 @@ func TestGraphCacheReuse(t *testing.T) {
 	}
 }
 
-// TestInvalidateRegionScoped: obstacle updates drop exactly the cached
-// graphs whose coverage disk intersects the changed MBR, a stale graph
-// refuses Retarget, and queries after an invalidation see the new state.
-func TestInvalidateRegionScoped(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	s := newScene(t, rng, 10, 100)
-	eng := NewEngine(s.obst, DefaultEngineOptions())
+// TestCacheEntriesServeOneGeneration: a cached graph serves the obstacle
+// generation it was built at and no other. After an obstacle is added across
+// a warm entry's disk, a session on the new generation misses and answers as
+// a fresh uncached engine does, while a session on a seal of the old
+// generation still hits the warm entry and gets the old distance.
+func TestCacheEntriesServeOneGeneration(t *testing.T) {
+	rects := []geom.Rect{geom.R(20, 50, 30, 60), geom.R(70, -70, 80, -60)}
+	wall := geom.R(45, -40, 55, 40)
+	a, b := geom.Pt(0, 0), geom.Pt(100, 0)
+	polys := make([]geom.Polygon, len(rects))
+	for i, r := range rects {
+		polys[i] = geom.RectPolygon(r)
+	}
+	o, err := NewObstacleSet(testTreeOpts(), polys, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.EnableCOW()
+	eng := NewEngine(o, DefaultEngineOptions())
 	eng.EnableGraphCache(4)
+	dist := func(obst *ObstacleSet) float64 {
+		t.Helper()
+		d, _, err := eng.NewSessionAt(context.Background(), obst).ObstructedDistance(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 
-	// Warm two disjoint entries: one near the origin, one far away.
-	nearSrc := s.freePoint(rng, 30)
-	farSrc := geom.Pt(nearSrc.X+500, nearSrc.Y+500)
-	nearTargets := []geom.Point{s.freePoint(rng, 30), s.freePoint(rng, 30)}
-	farTargets := []geom.Point{geom.Pt(farSrc.X+10, farSrc.Y), geom.Pt(farSrc.X, farSrc.Y+12)}
-	if _, _, err := bg(eng).BatchDistances(nearSrc, nearTargets); err != nil {
+	open := dist(nil) // the miss that publishes the entry
+	if open != a.Dist(b) {
+		t.Fatalf("unobstructed distance %v, want %v", open, a.Dist(b))
+	}
+	old := o.Seal()
+	o.BeginEpoch()
+	if _, err := o.Add([]geom.Polygon{geom.RectPolygon(wall)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bg(eng).BatchDistances(farSrc, farTargets); err != nil {
-		t.Fatal(err)
-	}
 
-	// An update far from both coverage disks invalidates nothing.
-	if n := eng.InvalidateObstacleRegion(geom.R(-900, -900, -890, -890)); n != 0 {
-		t.Fatalf("far update invalidated %d entries", n)
-	}
-	// An update overlapping the near entry's disk drops exactly that entry.
-	if n := eng.InvalidateObstacleRegion(geom.R(nearSrc.X-1, nearSrc.Y-1, nearSrc.X+1, nearSrc.Y+1)); n != 1 {
-		t.Fatalf("near update invalidated %d entries, want 1", n)
-	}
-	if cs := eng.GraphCacheStats(); cs.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", cs.Invalidations)
-	}
-
-	// The far entry still serves hits; the near region rebuilds.
 	before := eng.GraphCacheStats()
-	if _, _, err := bg(eng).BatchDistances(farSrc, farTargets); err != nil {
+	walled := dist(nil)
+	if cs := eng.GraphCacheStats(); cs.Misses != before.Misses+1 || cs.Hits != before.Hits {
+		t.Fatalf("new generation reused an old graph: %+v -> %+v", before, cs)
+	}
+	fresh, err := NewObstacleSet(testTreeOpts(), append(polys, geom.RectPolygon(wall)), true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := eng.GraphCacheStats(); cs.Hits != before.Hits+1 {
-		t.Fatalf("surviving entry not reused: hits %d -> %d", before.Hits, cs.Hits)
-	}
-	if _, _, err := bg(eng).BatchDistances(nearSrc, nearTargets); err != nil {
+	want, _, err := bg(NewEngine(fresh, DefaultEngineOptions())).ObstructedDistance(a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := eng.GraphCacheStats(); cs.Misses != before.Misses+1 {
-		t.Fatalf("invalidated region should miss: misses %d -> %d", before.Misses, cs.Misses)
+	if walled != want || !(walled > open) {
+		t.Fatalf("new generation: %v, fresh uncached engine %v, unwalled %v", walled, want, open)
+	}
+
+	before = eng.GraphCacheStats()
+	if d := dist(old); d != open {
+		t.Fatalf("old generation: %v, want %v", d, open)
+	}
+	if cs := eng.GraphCacheStats(); cs.Hits != before.Hits+1 || cs.Misses != before.Misses {
+		t.Fatalf("old generation missed its warm entry: %+v -> %+v", before, cs)
 	}
 }

@@ -316,13 +316,13 @@ func (s *PointSet) Delete(id int64) error {
 }
 
 // ObstacleSet is an obstacle dataset: a table of polygons, indexed by their
-// MBRs. Every Add or Remove bumps the set's generation counter, which the
-// visibility-graph cache uses to refuse stale graphs.
+// MBRs. Every Add or Remove bumps the set's generation counter, which keys
+// the visibility-graph cache's entries.
 type ObstacleSet struct {
 	table[geom.Polygon]
 	// gen counts mutations. Read atomically (sync/atomic functions on a plain
-	// word, so Seal's struct copy stays legal) by cache-staleness checks that
-	// may run outside the writer's critical section.
+	// word, so Seal's struct copy stays legal) by sessions that may start
+	// outside the writer's critical section.
 	gen uint64
 }
 
@@ -338,7 +338,7 @@ func NewObstacleSet(opts rtree.Options, polys []geom.Polygon, bulk bool) (*Obsta
 // AttachObstacleSet reconstructs an ObstacleSet around a recovered tree and
 // the catalog's live-polygon table (id -> vertices). Ids absent from the
 // table inside [0, idBound) become the free list; gen restores the mutation
-// counter so cache staleness stamps keep increasing across restarts.
+// counter so generations keep increasing across restarts.
 func AttachObstacleSet(t *rtree.Tree, polys map[int64][]geom.Point, idBound int64, gen uint64) (*ObstacleSet, error) {
 	if t.Len() != len(polys) {
 		return nil, fmt.Errorf("core: obstacle tree has %d items, catalog has %d polygons", t.Len(), len(polys))
@@ -373,13 +373,13 @@ func (o *ObstacleSet) Seal() *ObstacleSet {
 func (o *ObstacleSet) Polygon(id int64) geom.Polygon { return o.items[id] }
 
 // Generation returns the mutation counter: it increases on every Add or
-// Remove, so a visibility graph stamped with an older generation may reflect
-// an obstacle set that no longer exists.
+// Remove, so two views at one generation hold the same obstacles and a
+// visibility graph built at one generation serves exactly that generation.
 func (o *ObstacleSet) Generation() uint64 { return atomic.LoadUint64(&o.gen) }
 
 // Add indexes new obstacles, reusing ids freed by earlier removals, and
-// returns the assigned ids. Callers owning a graph cache must invalidate the
-// affected regions.
+// returns the assigned ids. The generation moves on, so cached graphs of the
+// old one no longer match new sessions.
 func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
 	ids, err := o.add(polys)
 	if err != nil || len(ids) > 0 {
@@ -388,8 +388,8 @@ func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
 	return ids, err
 }
 
-// Remove deletes the obstacle with the given id, returning its MBR so the
-// caller can invalidate cached graphs covering it. The id becomes reusable.
+// Remove deletes the obstacle with the given id and returns its MBR. The id
+// becomes reusable, and the generation moves on as in Add.
 func (o *ObstacleSet) Remove(id int64) (geom.Rect, error) {
 	mbr, err := o.remove(id)
 	if err == nil {
@@ -512,17 +512,13 @@ func NewEngine(o *ObstacleSet, _ EngineOptions) *Engine {
 func (e *Engine) Obstacles() *ObstacleSet { return e.obstacles }
 
 // ReplaceObstacles swaps the engine's obstacle set for one rebuilt from disk
-// and purges the graph cache, raising its epoch floor to the new set's
-// generation — the in-place recovery path, which reconstructs the obstacle
-// tree from the recovered file rather than mutating the live set. The caller
-// must hold the database update lock (no obstacle mutation or new default
-// session may race the swap); sessions already pinned to an older snapshot
-// keep their own ObstacleSet reference and are unaffected, but their cached
-// graphs are discarded — they rebuild query-local graphs, trading warmth for
-// not serving graph state whose backing pages were rebuilt underneath it.
+// — the in-place recovery path, which reconstructs the obstacle tree from the
+// recovered file rather than mutating the live set. The caller must hold the
+// database update lock (no obstacle mutation or new default session may race
+// the swap) and give o a generation above every one published before, so no
+// cached graph of the old set is ever matched again; sessions already pinned
+// to an older snapshot keep their own ObstacleSet reference and are
+// unaffected.
 func (e *Engine) ReplaceObstacles(o *ObstacleSet) {
 	e.obstacles = o
-	if e.cache != nil {
-		e.cache.Reset(o.Generation())
-	}
 }

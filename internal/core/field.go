@@ -139,9 +139,9 @@ func (f *field) fail(err error) error {
 
 // scan is the one way a query opens on its obstacles: those within searched
 // of center, or for an ellipse field those meeting its first open target's
-// segment (scanSegment). Through a cache they come as an entry's graph; a
-// session whose obstacle epoch the cache has moved past, and every verb that
-// passes no cache, runs one obstacle range query for a query-local graph.
+// segment (scanSegment). Through a cache they come as an entry's graph;
+// every verb that passes no cache runs one obstacle range query for a
+// query-local graph.
 // Figs 5 and 9 issue that query first and unconditionally, which is what
 // keeps their obstacle R-tree I/O independent of what is left to refine;
 // attach builds the graph over its result only when something is.
@@ -159,13 +159,11 @@ func (f *field) scan() error {
 	}
 	if f.cache != nil {
 		en, covered, err := f.cache.acquire(f.s, f.center, f.searched)
-		if err == nil {
-			f.en, f.g, f.searched = en, en.g, covered
-			return nil
-		}
-		if err != errStaleEpoch {
+		if err != nil {
 			return f.fail(err)
 		}
+		f.en, f.g, f.searched = en, en.g, covered
+		return nil
 	}
 	var err error
 	f.obs, err = f.s.relevantObstacles(disk(f.center, f.searched))
@@ -198,7 +196,7 @@ func (f *field) grow(r region) (bool, error) {
 	}
 	// Cover the disk via the containing entry-centered disk.
 	before := f.g.NumObstacles()
-	if err := f.en.grow(f.cache, f.s, f.en.center.Dist(f.center)+r.sum/2); err != nil {
+	if err := f.en.grow(f.s, f.en.center.Dist(f.center)+r.sum/2); err != nil {
 		return false, err
 	}
 	return f.g.NumObstacles() > before, nil

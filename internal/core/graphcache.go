@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,8 @@ import (
 )
 
 // GraphCache is a small LRU of expanded visibility-graph states, keyed by
-// the disk of obstacle space each graph incorporates. Batch queries whose
+// the obstacle generation and the disk of obstacle space each graph
+// incorporates. Batch queries whose
 // initial range falls inside a cached disk reuse that graph (growing it in
 // place when the enlargement loop demands more), so workloads with spatial
 // locality — pair and batch distances around nearby sources, the rows of a
@@ -25,30 +25,18 @@ import (
 // for the duration of a query's use, so queries on disjoint regions run in
 // parallel while queries sharing a warm graph serialize on just that entry.
 //
-// The cache is multi-version: every entry records the obstacle-epoch range
-// it is valid for ([epochLo, dead)), and InvalidateRegion bounds that range
-// instead of discarding the graph, so sessions pinned to an older snapshot
-// keep their warm graphs while newer epochs build fresh ones. Obstacle
-// mutations may therefore run concurrently with cached queries.
+// An entry is a copy of one obstacle generation: it serves only sessions
+// reading that generation, and only they grow it, so no obstacle update ever
+// has to invalidate one. Entries of superseded generations are never matched
+// again and age out of the LRU; a session pinned to an older snapshot keeps
+// hitting (and publishing) graphs of its own generation.
 type GraphCache struct {
-	e   *Engine
-	mu  sync.Mutex // guards entries, epoch bounds, and stats
+	mu  sync.Mutex // guards entries and stats
 	cap int
-	// epoch is the newest obstacle generation the cache has seen; only
-	// sessions at this epoch publish new entries.
-	epoch uint64
 	// entries are kept in recency order, most recent first.
 	entries []*cacheEntry
 	stats   CacheStats
 }
-
-// errStaleEpoch reports that a session's pinned obstacle epoch is older than
-// the cache's current epoch, so the cache can neither publish nor (when no
-// warm entry matched) serve it; callers fall back to a query-local graph.
-var errStaleEpoch = fmt.Errorf("core: graph cache is ahead of the session's obstacle epoch")
-
-// deadNever is the dead bound of an entry valid for every future epoch.
-const deadNever = ^uint64(0)
 
 type cacheEntry struct {
 	// held is a capacity-1 channel lock, held while a session uses or grows
@@ -58,6 +46,8 @@ type cacheEntry struct {
 	// promptly instead of parking until the holder finishes.
 	held chan struct{}
 	g    *visgraph.Graph
+	// gen is the obstacle generation the graph was built and is grown at.
+	gen uint64
 	// The graph incorporates every obstacle intersecting the disk
 	// (center, coverage()). center and base are immutable after creation;
 	// coverage is read lock-free during candidate scans (it only grows).
@@ -67,18 +57,6 @@ type cacheEntry struct {
 	// ratchet one entry into a permanently retained near-global graph.
 	base     float64
 	searched atomic.Uint64 // Float64bits of the covered radius
-
-	// Epoch validity bounds, guarded by the cache mutex: the graph's content
-	// reflects obstacle epoch epochLo (raised when a grow pulls in a newer
-	// annulus) and is valid for sessions whose epoch e satisfies
-	// epochLo <= e < dead. InvalidateRegion sets dead instead of discarding
-	// the entry, so older snapshots keep using it.
-	epochLo, dead uint64
-	// growTarget is the high-water radius an in-flight grow is scanning
-	// toward, registered under the cache mutex before the scan so a
-	// concurrent InvalidateRegion tests the disk the graph is about to
-	// cover, not just the coverage already recorded.
-	growTarget float64
 }
 
 func (en *cacheEntry) coverage() float64     { return math.Float64frombits(en.searched.Load()) }
@@ -114,8 +92,8 @@ const growLimit = 4
 // CacheStats counts graph-cache traffic.
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
-	// Invalidations counts entries whose validity was epoch-bounded because
-	// an obstacle update touched their coverage disk (see InvalidateRegion).
+	// Invalidations is always zero: entries are per obstacle generation and
+	// are never invalidated. It stays until the benchmark stops reading it.
 	Invalidations uint64
 }
 
@@ -128,27 +106,21 @@ func (cs CacheStats) HitRate() float64 {
 	return float64(cs.Hits) / float64(total)
 }
 
-// NewGraphCacheAt returns a cache of at most capacity expanded graphs over
-// e's obstacle set, starting at the given obstacle epoch: the set's current
-// generation for the engine's own cache, a snapshot session's epoch for its
-// call-local cache, so its own epoch counts as current.
-func NewGraphCacheAt(e *Engine, capacity int, epoch uint64) *GraphCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &GraphCache{e: e, cap: capacity, epoch: epoch}
+// newGraphCache returns a cache of at most capacity expanded graphs.
+func newGraphCache(capacity int) *GraphCache {
+	return &GraphCache{cap: max(capacity, 1)}
 }
 
 // EnableGraphCache attaches a graph cache of the given capacity to the
-// engine: ObstructedDistance, BatchDistances and DistanceJoin reuse expanded
-// graph states across calls. Capacity <= 0 detaches the cache. Not safe to
-// call while queries are in flight; configure the engine before serving.
+// engine: ObstructedDistance and BatchDistances reuse expanded graph states
+// across calls. Capacity <= 0 detaches the cache. Not safe to call while
+// queries are in flight; configure the engine before serving.
 func (e *Engine) EnableGraphCache(capacity int) {
 	if capacity <= 0 {
 		e.cache = nil
 		return
 	}
-	e.cache = NewGraphCacheAt(e, capacity, e.obstacles.Generation())
+	e.cache = newGraphCache(capacity)
 }
 
 // GraphCacheStats returns the engine cache's traffic counters (zero when the
@@ -162,30 +134,24 @@ func (e *Engine) GraphCacheStats() CacheStats {
 	return e.cache.stats
 }
 
-// acquire returns a cached entry whose disk contains the disk (source, r0),
-// growing a nearby entry or building a fresh one if none does. The entry is
-// returned with its lock held; the caller must restore the graph to an
-// obstacles-only state and unlock. The second return is the radius around
+// acquire returns a cached entry of the session's obstacle generation whose
+// disk contains the disk (source, r0), growing a nearby entry or building a
+// fresh one if none does. The entry is returned with its lock held; the
+// caller must restore the graph to an obstacles-only state and unlock. The second return is the radius around
 // source the entry's graph is guaranteed to cover.
 func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheEntry, float64, error) {
 	if err := s.err(); err != nil {
 		return nil, 0, err
 	}
 	c.mu.Lock()
-	if s.epoch > c.epoch {
-		// The obstacle generation moved past every invalidation the cache
-		// saw (a mutation that changed no region); adopt it so this epoch's
-		// sessions publish normally.
-		c.epoch = s.epoch
-	}
 	best := -1
 	for i, en := range c.entries {
-		// Reuse only entries valid at the session's obstacle epoch, whose
+		// Reuse only entries of the session's obstacle generation, whose
 		// coverage already contains the source (growing a distant graph
 		// would pull in obstacles the query never needs), and whose grown
 		// radius stays within growLimit of the entry's original scale (so
 		// reuse never inflates a local graph into a global one).
-		if s.epoch < en.epochLo || s.epoch >= en.dead {
+		if en.gen != s.epoch {
 			continue
 		}
 		d := en.center.Dist(source)
@@ -208,14 +174,10 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 		if err := en.lock(s); err != nil {
 			return nil, 0, err
 		}
-		c.mu.Lock()
-		valid := s.epoch >= en.epochLo && s.epoch < en.dead
-		c.mu.Unlock()
-		if en.g == nil || !valid {
-			// Either the publishing session failed to build the graph (and
-			// dropped the entry), or a holder we waited behind re-grew it at
-			// an incompatible epoch; start over — the rescan cannot match it
-			// again. Undo the hit count so one logical acquire scores once.
+		if en.g == nil {
+			// The publishing session failed to build the graph and dropped
+			// the entry; start over — the rescan cannot match it again.
+			// Undo the hit count so one logical acquire scores once.
 			en.unlock()
 			c.mu.Lock()
 			c.stats.Hits--
@@ -225,25 +187,19 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 		en.g.Retarget(s.metricsHook())
 		off := en.center.Dist(source)
 		if en.coverage()-off < r0 {
-			if err := en.grow(c, s, off+r0); err != nil {
+			if err := en.grow(s, off+r0); err != nil {
 				en.release()
 				return nil, 0, err
 			}
 		}
 		return en, en.coverage() - off, nil
 	}
-	if s.epoch < c.epoch {
-		// An old-epoch session found no warm graph; it must not publish one
-		// built from its older obstacle view into the shared list.
-		c.mu.Unlock()
-		return nil, 0, errStaleEpoch
-	}
 	c.stats.Misses++
 	// Publish the entry locked and build its graph outside the cache lock:
 	// concurrent queries for the same region block on the entry (and then
 	// find the built graph) instead of duplicating the build or stalling
 	// the whole cache.
-	en := &cacheEntry{center: source, base: r0, held: make(chan struct{}, 1), epochLo: s.epoch, dead: deadNever}
+	en := &cacheEntry{center: source, base: r0, held: make(chan struct{}, 1), gen: s.epoch}
 	en.setCoverage(r0)
 	en.held <- struct{}{} // uncontended: not yet published
 	c.entries = append([]*cacheEntry{en}, c.entries...)
@@ -270,30 +226,13 @@ func (s *Session) metricsHook() (*visgraph.Metrics, func() bool) {
 
 // grow extends the entry's coverage disk to the given radius around its own
 // center (enlargements requested around other points are translated to the
-// entry center so coverage stays a single disk). The caller holds the
-// entry's channel lock (en.held, via acquire).
-//
-// The annulus is scanned through the growing session's obstacle view, so the
-// grown graph reflects that session's epoch: epochLo rises to it, and when
-// the cache has already moved past that epoch the entry's validity is pinned
-// to exactly this epoch (newer epochs may have changed the annulus without
-// ever touching the entry's previously recorded disk). growTarget is
-// registered under the cache mutex before the scan so a concurrent
-// InvalidateRegion bounds the entry if the mutation lands inside the disk
-// being grown into.
-func (en *cacheEntry) grow(c *GraphCache, s *Session, radius float64) error {
+// entry center so coverage stays a single disk), reading the annulus through
+// the session's obstacle view, which is of the entry's own generation. The
+// caller holds the entry's channel lock (en.held, via acquire).
+func (en *cacheEntry) grow(s *Session, radius float64) error {
 	if radius <= en.coverage() {
 		return nil
 	}
-	c.mu.Lock()
-	en.epochLo = s.epoch
-	if c.epoch > s.epoch && en.dead > s.epoch+1 {
-		en.dead = s.epoch + 1
-	}
-	if radius > en.growTarget {
-		en.growTarget = radius
-	}
-	c.mu.Unlock()
 	if _, err := s.addObstaclesWithin(en.g, disk(en.center, radius)); err != nil {
 		return err
 	}
@@ -301,67 +240,10 @@ func (en *cacheEntry) grow(c *GraphCache, s *Session, radius float64) error {
 	return nil
 }
 
-// InvalidateRegion epoch-bounds every cached graph whose coverage disk (or
-// the disk an in-flight grow is scanning toward) intersects r — the MBR of
-// an added or removed obstacle. The caller must have already bumped the
-// obstacle set's generation: entries touching r become invalid for sessions
-// at the new generation, while sessions pinned to older epochs keep using
-// them — their snapshot of the obstacle set genuinely matches the cached
-// graph. Entries elsewhere survive at every epoch: their graphs never
-// incorporated (and were never required to incorporate) an obstacle outside
-// their disk, so an update that does not touch the disk cannot change any
-// distance they produce.
-//
-// Safe to run concurrently with queries; superseded entries age out of the
-// LRU once no old-epoch session hits them. It returns the number of entries
-// epoch-bounded.
-func (c *GraphCache) InvalidateRegion(r geom.Rect) int {
-	epoch := c.e.obstacles.Generation()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	bounded := 0
-	for _, en := range c.entries {
-		if en.dead <= epoch {
-			continue // already invalid at (or before) this epoch
-		}
-		if r.IntersectsCircle(en.center, max(en.coverage(), en.growTarget)) {
-			en.dead = epoch
-			bounded++
-			c.stats.Invalidations++
-		}
-	}
-	return bounded
-}
-
-// InvalidateObstacleRegion tells the engine's graph cache (when enabled)
-// that the obstacle set changed inside r; cached graphs covering r stop
-// serving the new obstacle generation (older pinned readers keep them), the
-// rest keep serving every epoch.
-func (e *Engine) InvalidateObstacleRegion(r geom.Rect) int {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.InvalidateRegion(r)
-}
-
-// Reset discards every cached graph and raises the cache's epoch floor to
-// epoch. Unlike InvalidateRegion, nothing survives for older pinned sessions:
-// Reset is for recovery swaps, where the obstacle set itself was rebuilt and
-// no cached graph — whatever epoch range it claimed — should outlive the old
-// storage generation. Entries held by in-flight queries stay usable by their
-// holder (the entry is self-contained) and are simply never found again.
-func (c *GraphCache) Reset(epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	c.stats.Evictions += uint64(len(c.entries))
-	c.entries = nil
-}
+// InvalidateObstacleRegion is a no-op that returns 0: cached graphs are per
+// obstacle generation, so an obstacle update never invalidates one. It stays
+// until the benchmark stops calling it.
+func (e *Engine) InvalidateObstacleRegion(geom.Rect) int { return 0 }
 
 // drop removes an entry from the cache.
 func (c *GraphCache) drop(en *cacheEntry) {

@@ -34,8 +34,8 @@ type Session struct {
 	// obst is the obstacle set the session reads — the engine's live set, or
 	// a sealed view when the caller pinned a snapshot (NewSessionAt).
 	obst *ObstacleSet
-	// epoch is obst's generation at session start; the graph cache uses it
-	// to decide whether this session may grow shared cached graphs.
+	// epoch is obst's generation at session start: the graph cache serves
+	// and publishes this session only entries of that generation.
 	epoch uint64
 	// span, when set, is the session's span in the enclosing trace: the
 	// lifecycle stages (graph builds, obstacle scans, growth rounds,

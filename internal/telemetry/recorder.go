@@ -12,9 +12,9 @@ import (
 // the traces worth keeping from being displaced by bulk traffic:
 //
 //   - error traces (the request failed server-side) are always kept;
-//   - slow traces (root duration at or over the slow threshold) are always
-//     kept;
-//   - normal traces are kept with probability SampleRate.
+//   - slow traces (root duration at or over slowThreshold, 250 ms) are
+//     always kept;
+//   - normal traces are kept with the recorder's sample rate.
 //
 // Each tier is its own ring, so a flood of sampled normal traces can never
 // evict an error or slow trace — only newer traces of the same tier do.
@@ -148,35 +148,15 @@ type ActiveTrace struct {
 	OpenSpan string `json:"open_span,omitempty"`
 }
 
-// RecorderOptions tunes a Recorder. Zero values select the defaults.
-type RecorderOptions struct {
-	// SampleRate is the probability a normal-tier trace is retained,
-	// in [0, 1]. Error and slow traces are always retained. Default 0:
-	// only errors and slow traces are kept.
-	SampleRate float64
-	// SlowThreshold is the root duration at or over which a trace is
-	// slow-tier. Default 250ms.
-	SlowThreshold time.Duration
-	// ErrorCapacity, SlowCapacity and NormalCapacity bound each tier's
-	// ring. Defaults 64, 64, 128.
-	ErrorCapacity, SlowCapacity, NormalCapacity int
-}
-
-func (o RecorderOptions) withDefaults() RecorderOptions {
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = 250 * time.Millisecond
-	}
-	if o.ErrorCapacity <= 0 {
-		o.ErrorCapacity = 64
-	}
-	if o.SlowCapacity <= 0 {
-		o.SlowCapacity = 64
-	}
-	if o.NormalCapacity <= 0 {
-		o.NormalCapacity = 128
-	}
-	return o
-}
+// The retention policy: a trace whose root ran at least slowThreshold is
+// slow-tier, and each tier keeps its newest traces in a ring of fixed
+// capacity.
+const (
+	slowThreshold  = 250 * time.Millisecond
+	errorCapacity  = 64
+	slowCapacity   = 64
+	normalCapacity = 128
+)
 
 // RecorderStats counts the recorder's retention decisions since creation.
 type RecorderStats struct {
@@ -187,7 +167,10 @@ type RecorderStats struct {
 
 // Recorder is the flight recorder. Safe for concurrent use.
 type Recorder struct {
-	opts RecorderOptions
+	// sampleRate is the probability, in [0, 1], a normal-tier trace is
+	// retained; error and slow traces always are.
+	sampleRate float64
+	slowAfter  time.Duration // slowThreshold; tests lower it
 
 	mu      sync.Mutex
 	errors  ring
@@ -198,16 +181,17 @@ type Recorder struct {
 	sampler func() float64 // rand.Float64, injectable by tests
 }
 
-// NewRecorder builds a flight recorder.
-func NewRecorder(opts RecorderOptions) *Recorder {
-	opts = opts.withDefaults()
+// NewRecorder builds a flight recorder that retains normal-tier traces with
+// probability sampleRate (0: only errors and slow traces are kept).
+func NewRecorder(sampleRate float64) *Recorder {
 	return &Recorder{
-		opts:    opts,
-		errors:  ring{buf: make([]TraceSnapshot, 0, opts.ErrorCapacity)},
-		slow:    ring{buf: make([]TraceSnapshot, 0, opts.SlowCapacity)},
-		normal:  ring{buf: make([]TraceSnapshot, 0, opts.NormalCapacity)},
-		active:  make(map[TraceID]*Trace),
-		sampler: rand.Float64,
+		sampleRate: sampleRate,
+		slowAfter:  slowThreshold,
+		errors:     ring{buf: make([]TraceSnapshot, 0, errorCapacity)},
+		slow:       ring{buf: make([]TraceSnapshot, 0, slowCapacity)},
+		normal:     ring{buf: make([]TraceSnapshot, 0, normalCapacity)},
+		active:     make(map[TraceID]*Trace),
+		sampler:    rand.Float64,
 	}
 }
 
@@ -232,7 +216,7 @@ func (r *Recorder) EndActive(t *Trace) {
 }
 
 // Record files a completed trace under its retention tier: error traces and
-// slow traces always, normal traces with probability SampleRate. The
+// slow traces always, normal traces with probability sampleRate. The
 // snapshot is taken before any recorder lock, so instrumented paths never
 // serialize behind a scrape.
 func (r *Recorder) Record(t *Trace, isErr bool) {
@@ -244,12 +228,12 @@ func (r *Recorder) Record(t *Trace, isErr bool) {
 	switch {
 	case isErr:
 		tier = TierError
-	case dur >= r.opts.SlowThreshold:
+	case dur >= r.slowAfter:
 		tier = TierSlow
 	default:
 		// Flip the sampling coin before paying for the snapshot.
 		r.mu.Lock()
-		keep := r.sampler() < r.opts.SampleRate
+		keep := r.sampler() < r.sampleRate
 		if !keep {
 			r.stats.SampledOut++
 		}

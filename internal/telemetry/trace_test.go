@@ -182,13 +182,8 @@ func FuzzTraceparent(f *testing.F) {
 // asserts the exact retention decisions: errors and slow always kept, normal
 // traces by the coin flip, each tier evicting only within itself.
 func TestRecorderTiers(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{
-		SampleRate:     0.5,
-		SlowThreshold:  time.Hour, // nothing real is slow; slowness is simulated below
-		ErrorCapacity:  4,
-		SlowCapacity:   4,
-		NormalCapacity: 4,
-	})
+	rec := NewRecorder(0.5)
+	rec.slowAfter = time.Hour // nothing real is slow; slowness is simulated below
 	coin := 0.0
 	rec.sampler = func() float64 { v := coin; coin = 1 - coin; return v }
 
@@ -197,25 +192,27 @@ func TestRecorderTiers(t *testing.T) {
 		tr.Root(name).End()
 		return tr
 	}
-	for i := 0; i < 6; i++ {
+	// Overfill both rings: the coin keeps every other normal trace.
+	const errs, norms = errorCapacity + 2, 2 * (normalCapacity + 2)
+	for i := 0; i < errs; i++ {
 		rec.Record(finished("err"), true)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < norms; i++ {
 		rec.Record(finished("norm"), false)
 	}
 	st := rec.Stats()
-	if st.Errors != 6 || st.Sampled != 4 || st.SampledOut != 4 || st.Slow != 0 {
+	if st.Errors != errs || st.Sampled != norms/2 || st.SampledOut != norms/2 || st.Slow != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	all := rec.Traces("", 0, 0)
-	if len(all) != 8 { // 4 errors retained (ring cap), 4 sampled normals
-		t.Fatalf("retained %d traces, want 8: %+v", len(all), all)
+	if len(all) != errorCapacity+normalCapacity { // each ring holds its capacity
+		t.Fatalf("retained %d traces, want %d", len(all), errorCapacity+normalCapacity)
 	}
-	errs := rec.Traces("err", 0, 0)
-	if len(errs) != 4 {
-		t.Fatalf("err tier: %d, want 4 (ring cap)", len(errs))
+	errTier := rec.Traces("err", 0, 0)
+	if len(errTier) != errorCapacity {
+		t.Fatalf("err tier: %d, want %d (ring cap)", len(errTier), errorCapacity)
 	}
-	for _, s := range errs {
+	for _, s := range errTier {
 		if s.Tier != TierError || !s.Error {
 			t.Fatalf("error trace mis-tiered: %+v", s)
 		}
@@ -227,7 +224,7 @@ func TestRecorderTiers(t *testing.T) {
 	}
 
 	// Get finds a retained trace by id; misses report false.
-	id := errs[0].TraceID
+	id := errTier[0].TraceID
 	if snap, ok := rec.Get(id); !ok || snap.TraceID != id {
 		t.Fatalf("Get(%q) = %+v, %v", id, snap, ok)
 	}
@@ -237,7 +234,8 @@ func TestRecorderTiers(t *testing.T) {
 
 	// A slow trace (simulated by ending the root after the threshold via a
 	// tiny threshold recorder) is always retained regardless of sampling.
-	slow := NewRecorder(RecorderOptions{SampleRate: 0, SlowThreshold: time.Nanosecond})
+	slow := NewRecorder(0)
+	slow.slowAfter = time.Nanosecond
 	slow.sampler = func() float64 { return 1 } // never sample normals
 	tr := finished("q")
 	slow.Record(tr, false)
@@ -247,7 +245,7 @@ func TestRecorderTiers(t *testing.T) {
 }
 
 func TestRecorderActive(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder(0)
 	tr := NewTrace()
 	root := tr.Root("request")
 	root.StartChild("parked")
@@ -269,13 +267,10 @@ func TestRecorderActive(t *testing.T) {
 func TestRecorderConcurrency(t *testing.T) {
 	const (
 		goroutines = 8
-		perG       = 50
+		perG       = 100 // one in ten is an error: 80 overfill the error ring
 	)
-	rec := NewRecorder(RecorderOptions{
-		SampleRate:    1, // every normal trace retained: deterministic counts
-		SlowThreshold: time.Hour,
-		ErrorCapacity: 16, SlowCapacity: 16, NormalCapacity: 16,
-	})
+	rec := NewRecorder(1) // every normal trace retained: deterministic counts
+	rec.slowAfter = time.Hour
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -335,8 +330,8 @@ func TestRecorderConcurrency(t *testing.T) {
 			errs++
 		}
 	}
-	if errs != 16 {
-		t.Fatalf("error ring holds %d, want capacity 16", errs)
+	if errs != errorCapacity {
+		t.Fatalf("error ring holds %d, want capacity %d", errs, errorCapacity)
 	}
 	if act := rec.Active(); len(act) != 0 {
 		t.Fatalf("active leak: %+v", act)

@@ -130,7 +130,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 		verbs:     make(map[string]*verbMetrics, len(queryVerbs)),
 		memMaxAge: time.Second,
 	}
-	m.traces = telemetry.NewRecorder(telemetry.RecorderOptions{SampleRate: db.opts.TraceSampleRate})
+	m.traces = telemetry.NewRecorder(db.opts.TraceSampleRate)
 	for _, verb := range queryVerbs {
 		m.verbs[verb] = &verbMetrics{
 			count:   reg.Counter("obstacles_queries_total", "Queries served, by verb.", telemetry.L("verb", verb)),
@@ -161,7 +161,6 @@ func newDBMetrics(db *Database) *dbMetrics {
 	reg.CounterFunc("obstacles_graph_cache_hits_total", "Visibility-graph cache hits.", cache(func(cs core.CacheStats) uint64 { return cs.Hits }))
 	reg.CounterFunc("obstacles_graph_cache_misses_total", "Visibility-graph cache misses.", cache(func(cs core.CacheStats) uint64 { return cs.Misses }))
 	reg.CounterFunc("obstacles_graph_cache_evictions_total", "Visibility-graph cache LRU evictions.", cache(func(cs core.CacheStats) uint64 { return cs.Evictions }))
-	reg.CounterFunc("obstacles_graph_cache_invalidations_total", "Cached graphs dropped by obstacle updates.", cache(func(cs core.CacheStats) uint64 { return cs.Invalidations }))
 
 	// MVCC read path: open snapshot handles, retired pages pinned by them,
 	// and the copy-on-write page relocations mutators performed.

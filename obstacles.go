@@ -26,10 +26,11 @@ type Options struct {
 	// pages (default 0.10, the paper's setting).
 	BufferFraction float64
 	// GraphCacheSize is the number of expanded visibility-graph states the
-	// engine retains for reuse across pair and batch distance queries and
-	// distance-matrix rows (default 8; negative disables caching).
-	// Concurrent queries on overlapping regions serialize on the shared
-	// cached graph; disjoint regions run fully in parallel.
+	// engine retains for reuse across pair and batch distance queries
+	// (default 8; negative disables caching, and with it the small
+	// call-local cache a DistanceMatrix call keeps for its rows). Concurrent
+	// queries on overlapping regions serialize on the shared cached graph;
+	// disjoint regions run fully in parallel.
 	GraphCacheSize int
 	// WALCheckpointBytes is the write-ahead-log size at which a durable
 	// database (see Open) checkpoints automatically after a commit (default
@@ -752,11 +753,10 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 // freed by RemoveObstacles are reused). Degenerate polygons — fewer than
 // three vertices or a collinear (zero-area) outline — are rejected up
 // front with ErrInvalidPolygon and no partial effect. The update never
-// waits for queries: it copies only the pages it touches, bounds the
-// validity of exactly the cached visibility graphs whose coverage disk
-// intersects a new obstacle's MBR to the old epoch (in-flight queries
-// pinned there keep using them; new queries rebuild), and publishes the
-// new obstacle set atomically.
+// waits for queries: it copies only the pages it touches and publishes the
+// new obstacle set atomically, as a new generation. Cached visibility graphs
+// serve one generation each, so in-flight queries pinned to the old one keep
+// theirs and new queries build graphs of the new one.
 func (db *Database) AddObstacles(polys ...Polygon) ([]int64, error) {
 	return db.AddObstaclesContext(context.Background(), polys...)
 }
@@ -774,9 +774,7 @@ func (db *Database) AddObstaclesContext(ctx context.Context, polys ...Polygon) (
 		db.obstSet.BeginEpoch()
 		ids, err = db.obstSet.Add(polys)
 		for _, id := range ids {
-			pg := db.obstSet.Polygon(id)
-			db.engine.InvalidateObstacleRegion(pg.Bounds())
-			db.noteObstacleAdd(id, pg.Vertices())
+			db.noteObstacleAdd(id, db.obstSet.Polygon(id).Vertices())
 		}
 		if err != nil {
 			return err
@@ -808,9 +806,8 @@ func (db *Database) AddObstacleRectsContext(ctx context.Context, rects ...Rect) 
 
 // RemoveObstacles deletes obstacles by id (initial obstacles are numbered in
 // NewDatabase order; AddObstacles returns the ids it assigned). All ids are
-// validated before any is removed. Cached visibility graphs covering a
-// removed obstacle's MBR are epoch-bounded (stale for new queries, still
-// valid for readers pinned to older generations); the rest survive.
+// validated before any is removed. As with AddObstacles, cached visibility
+// graphs of the old generation keep serving readers pinned to it only.
 func (db *Database) RemoveObstacles(ids ...int64) error {
 	return db.RemoveObstaclesContext(context.Background(), ids...)
 }
@@ -826,11 +823,9 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 	}, func() error {
 		db.obstSet.BeginEpoch()
 		for _, id := range ids {
-			mbr, err := db.obstSet.Remove(id)
-			if err != nil {
+			if _, err := db.obstSet.Remove(id); err != nil {
 				return err
 			}
-			db.engine.InvalidateObstacleRegion(mbr)
 			db.noteObstacleRemove(id)
 		}
 		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"time"
 
@@ -33,13 +34,17 @@ type query struct {
 	sets [2]*core.PointSet
 }
 
-// run is the one entry and exit of every query verb: apply the options,
+// run is the one entry and exit of every query verb: refuse invalid
+// arguments (args, the verb's own check of them), apply the options,
 // acquire a generation, resolve the datasets at it, open the session, run
-// body, record, release. Everything past the session's opening goes through
-// record (which also ends the verb's span), so a body cannot skip it whatever
-// it returns; an unknown dataset or a closed snapshot fails before a session
-// exists and is neither counted nor traced.
-func (r *reader) run(ctx context.Context, verb string, datasets []string, opts []QueryOption, body func(query) (core.Stats, error)) error {
+// body, record, release. Everything past the session's opening goes through record
+// (which also ends the verb's span), so a body cannot skip it whatever it
+// returns; an invalid argument, an unknown dataset or a closed snapshot
+// fails before a session exists and is neither counted nor traced.
+func (r *reader) run(ctx context.Context, verb string, datasets []string, args error, opts []QueryOption, body func(query) (core.Stats, error)) error {
+	if args != nil {
+		return args
+	}
 	q := query{cfg: applyOptions(opts)}
 	start := time.Now()
 	return r.at(func(v *dbVersion) (err error) {
@@ -53,6 +58,22 @@ func (r *reader) run(ctx context.Context, verb string, datasets []string, opts [
 		r.db.record(verb, &q.cfg, q.sess, st, start, err)
 		return err
 	})
+}
+
+// queryArgs refuses a read verb's non-finite points and NaN radius or
+// distance with ErrInvalidArgument: NaN fails every comparison, so such a
+// query would answer NaN or nothing instead of an error. +Inf is a legal
+// radius or distance (everything reachable).
+func queryArgs(pts []Point, lengths ...float64) error {
+	if err := validatePoints(pts); err != nil {
+		return err
+	}
+	for _, l := range lengths {
+		if math.IsNaN(l) {
+			return fmt.Errorf("%w: radius or distance is NaN", ErrInvalidArgument)
+		}
+	}
+	return nil
 }
 
 // at runs fn on the generation the handle reads, held for exactly the call.
@@ -108,7 +129,7 @@ func (r *reader) NumObstacles() (n int) {
 // concurrent mutations neither block it nor change its answer.
 func (r *reader) Range(ctx context.Context, dataset string, q Point, radius float64, opts ...QueryOption) ([]Neighbor, error) {
 	var out []Neighbor
-	err := r.run(ctx, VerbRange, []string{dataset}, opts, func(qr query) (core.Stats, error) {
+	err := r.run(ctx, VerbRange, []string{dataset}, queryArgs([]Point{q}, radius), opts, func(qr query) (core.Stats, error) {
 		res, st, err := qr.sess.Range(qr.sets[0], q, radius)
 		out = qr.cfg.applyNeighborOpts(toNeighbors(res))
 		return st, err
@@ -125,7 +146,7 @@ func (r *reader) Range(ctx context.Context, dataset string, q Point, radius floa
 // k of the incremental Nearest stream instead.
 func (r *reader) NearestNeighbors(ctx context.Context, dataset string, q Point, k int, opts ...QueryOption) ([]Neighbor, error) {
 	var out []Neighbor
-	err := r.run(ctx, VerbNearestNeighbors, []string{dataset}, opts, func(qr query) (core.Stats, error) {
+	err := r.run(ctx, VerbNearestNeighbors, []string{dataset}, queryArgs([]Point{q}), opts, func(qr query) (core.Stats, error) {
 		if qr.cfg.limit >= 0 && qr.cfg.limit < k {
 			k = qr.cfg.limit
 		}
@@ -167,7 +188,7 @@ func (r *reader) NearestNeighbors(ctx context.Context, dataset string, q Point, 
 // stay open for the whole iteration.
 func (r *reader) Nearest(ctx context.Context, dataset string, q Point, opts ...QueryOption) iter.Seq2[Neighbor, error] {
 	return func(yield func(Neighbor, error) bool) {
-		err := r.run(ctx, VerbNearestStream, []string{dataset}, opts, func(qr query) (core.Stats, error) {
+		err := r.run(ctx, VerbNearestStream, []string{dataset}, queryArgs([]Point{q}), opts, func(qr query) (core.Stats, error) {
 			return qr.nearest(q, qr.cfg.limit, func(nb Neighbor) bool { return yield(nb, nil) })
 		})
 		if err != nil {
@@ -214,7 +235,7 @@ func (qr query) nearest(q Point, limit int, emit func(Neighbor) bool) (core.Stat
 // such a pair once.
 func (r *reader) DistanceJoin(ctx context.Context, dataset1, dataset2 string, dist float64, opts ...QueryOption) ([]Pair, error) {
 	var out []Pair
-	err := r.run(ctx, VerbDistanceJoin, []string{dataset1, dataset2}, opts, func(qr query) (core.Stats, error) {
+	err := r.run(ctx, VerbDistanceJoin, []string{dataset1, dataset2}, queryArgs(nil, dist), opts, func(qr query) (core.Stats, error) {
 		res, st, err := qr.sess.DistanceJoin(qr.sets[0], qr.sets[1], dist)
 		out = qr.cfg.applyPairOpts(toPairs(res))
 		return st, err
@@ -231,7 +252,7 @@ func (r *reader) DistanceJoin(ctx context.Context, dataset1, dataset2 string, di
 // incremental Closest stream instead.
 func (r *reader) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k int, opts ...QueryOption) ([]Pair, error) {
 	var out []Pair
-	err := r.run(ctx, VerbClosestPairs, []string{dataset1, dataset2}, opts, func(qr query) (core.Stats, error) {
+	err := r.run(ctx, VerbClosestPairs, []string{dataset1, dataset2}, nil, opts, func(qr query) (core.Stats, error) {
 		if qr.cfg.limit >= 0 && qr.cfg.limit < k {
 			k = qr.cfg.limit
 		}
@@ -262,7 +283,7 @@ func (r *reader) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k 
 // from start to end, so mutations committing mid-stream never disturb it.
 func (r *reader) Closest(ctx context.Context, dataset1, dataset2 string, opts ...QueryOption) iter.Seq2[Pair, error] {
 	return func(yield func(Pair, error) bool) {
-		err := r.run(ctx, VerbClosestStream, []string{dataset1, dataset2}, opts, func(qr query) (core.Stats, error) {
+		err := r.run(ctx, VerbClosestStream, []string{dataset1, dataset2}, nil, opts, func(qr query) (core.Stats, error) {
 			return qr.closest(qr.cfg.limit, func(p Pair) bool { return yield(p, nil) })
 		})
 		if err != nil {
@@ -305,7 +326,7 @@ func (qr query) closest(limit int, emit func(Pair) bool) (core.Stats, error) {
 // ObstructedDistance returns the length of the shortest obstacle-avoiding
 // path from a to b (Unreachable when none exists).
 func (r *reader) ObstructedDistance(ctx context.Context, a, b Point, opts ...QueryOption) (d float64, err error) {
-	err = r.run(ctx, VerbObstructedDistance, nil, opts, func(qr query) (st core.Stats, err error) {
+	err = r.run(ctx, VerbObstructedDistance, nil, queryArgs([]Point{a, b}), opts, func(qr query) (st core.Stats, err error) {
 		d, st, err = qr.sess.ObstructedDistance(a, b)
 		return st, err
 	})
@@ -317,7 +338,7 @@ func (r *reader) ObstructedDistance(ctx context.Context, a, b Point, opts ...Que
 // corners) and its total length. The path is nil and the length Unreachable
 // when no route exists.
 func (r *reader) ObstructedPath(ctx context.Context, a, b Point, opts ...QueryOption) (path []Point, d float64, err error) {
-	err = r.run(ctx, VerbObstructedPath, nil, opts, func(qr query) (st core.Stats, err error) {
+	err = r.run(ctx, VerbObstructedPath, nil, queryArgs([]Point{a, b}), opts, func(qr query) (st core.Stats, err error) {
 		path, d, st, err = qr.sess.ObstructedPath(a, b)
 		return st, err
 	})
@@ -330,7 +351,7 @@ func (r *reader) ObstructedPath(ctx context.Context, a, b Point, opts ...QueryOp
 // per range-enlargement round), which is substantially cheaper than calling
 // ObstructedDistance once per target.
 func (r *reader) ObstructedDistances(ctx context.Context, q Point, targets []Point, opts ...QueryOption) (d []float64, err error) {
-	err = r.run(ctx, VerbBatchDistances, nil, opts, func(qr query) (st core.Stats, err error) {
+	err = r.run(ctx, VerbBatchDistances, nil, queryArgs(append([]Point{q}, targets...)), opts, func(qr query) (st core.Stats, err error) {
 		d, st, err = qr.sess.BatchDistances(q, targets)
 		return st, err
 	})
@@ -342,7 +363,7 @@ func (r *reader) ObstructedDistances(ctx context.Context, q Point, targets []Poi
 // diagonal — by definition, even for a point strictly inside an obstacle,
 // where the pair APIs report Unreachable).
 func (r *reader) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryOption) (m [][]float64, err error) {
-	err = r.run(ctx, VerbDistanceMatrix, nil, opts, func(qr query) (st core.Stats, err error) {
+	err = r.run(ctx, VerbDistanceMatrix, nil, queryArgs(pts), opts, func(qr query) (st core.Stats, err error) {
 		m, st, err = qr.sess.DistanceMatrix(pts)
 		return st, err
 	})
@@ -359,14 +380,11 @@ func (r *reader) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryO
 // Clustering jobs can run long; cancel ctx to abort one mid-flight with
 // ctx.Err().
 func (r *reader) Cluster(ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {
-	if err := copts.validate(); err != nil {
-		return nil, err
-	}
 	var (
 		out    *Clustering
 		jobErr error
 	)
-	err := r.run(ctx, VerbCluster, []string{dataset}, opts, func(qr query) (st core.Stats, _ error) {
+	err := r.run(ctx, VerbCluster, []string{dataset}, copts.validate(), opts, func(qr query) (st core.Stats, _ error) {
 		out, st, jobErr = qr.cluster(copts)
 		return st, jobErr
 	})
@@ -380,6 +398,9 @@ func (r *reader) Cluster(ctx context.Context, dataset string, copts ClusterOptio
 // points can reach nothing: queries from them return no results and their
 // distances are Unreachable.
 func (r *reader) InsideObstacle(p Point) (inside bool, err error) {
+	if err := queryArgs([]Point{p}); err != nil {
+		return false, err
+	}
 	err = r.at(func(v *dbVersion) (err error) {
 		inside, err = r.db.engine.NewSessionAt(context.Background(), v.obst).InsideObstacle(p)
 		return err

@@ -345,19 +345,33 @@ type exitCase struct {
 	ctx     context.Context
 	ds, ds2 string
 	q       Point
-	// invalid hands the verb an out-of-range argument (a negative radius, a
-	// negative k, Eps 0, an empty batch).
-	invalid bool
-	opts    []QueryOption
+	// args selects the kind of argument the verb is handed.
+	args argKind
+	opts []QueryOption
 	// wantErr is the error every verb must report (nil: none); datasetErr
-	// applies to verbs that name a dataset, clusterErr to Cluster.
-	wantErr, datasetErr, clusterErr error
+	// applies to verbs that name a dataset, argErr to verbs that take a
+	// point, radius or distance, clusterErr to Cluster.
+	wantErr, datasetErr, argErr, clusterErr error
 }
+
+// argKind is the kind of argument an exitCase hands a verb.
+type argKind int
+
+const (
+	argGood argKind = iota
+	// argOutOfRange is a negative radius, distance or k, Eps 0 or an empty
+	// batch: answered (empty), except Eps 0.
+	argOutOfRange
+	// argNonFinite is a NaN or infinite point or a NaN radius, distance or
+	// Eps: refused before a session opens.
+	argNonFinite
+)
 
 // exitVerb drives one verb with an exitCase's arguments.
 type exitVerb struct {
 	verb     string // the verb's label in obstacles_queries_total
 	datasets bool   // the verb names a dataset
+	geometry bool   // the verb takes a point, radius or distance
 	call     func(r readVerbs, c exitCase, opts []QueryOption) error
 }
 
@@ -369,54 +383,60 @@ func lastError[T any](seq iter.Seq2[T, error]) error {
 	return last
 }
 
-func pick[T any](invalid bool, bad, good T) T {
-	if invalid {
-		return bad
+// arg picks the argument of c's kind.
+func arg[T any](c exitCase, outOfRange, nonFinite, good T) T {
+	switch c.args {
+	case argOutOfRange:
+		return outOfRange
+	case argNonFinite:
+		return nonFinite
 	}
 	return good
 }
 
+var nan, inf = math.NaN(), math.Inf(1)
+
 var exitVerbs = []exitVerb{
-	{VerbRange, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.Range(c.ctx, c.ds, c.q, pick(c.invalid, -1.0, 40), opts...)
+	{VerbRange, true, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.Range(c.ctx, c.ds, c.q, arg(c, -1.0, nan, 40), opts...)
 		return err
 	}},
-	{VerbNearestNeighbors, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.NearestNeighbors(c.ctx, c.ds, c.q, pick(c.invalid, -1, 3), opts...)
+	{VerbNearestNeighbors, true, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.NearestNeighbors(c.ctx, c.ds, arg(c, c.q, Pt(nan, 5), c.q), arg(c, -1, 3, 3), opts...)
 		return err
 	}},
-	{VerbNearestStream, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		return lastError(r.Nearest(c.ctx, c.ds, c.q, opts...))
+	{VerbNearestStream, true, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		return lastError(r.Nearest(c.ctx, c.ds, arg(c, c.q, Pt(inf, 5), c.q), opts...))
 	}},
-	{VerbDistanceJoin, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.DistanceJoin(c.ctx, c.ds, c.ds2, pick(c.invalid, -1.0, 15), opts...)
+	{VerbDistanceJoin, true, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.DistanceJoin(c.ctx, c.ds, c.ds2, arg(c, -1.0, nan, 15), opts...)
 		return err
 	}},
-	{VerbClosestPairs, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.ClosestPairs(c.ctx, c.ds, c.ds2, pick(c.invalid, -1, 3), opts...)
+	{VerbClosestPairs, true, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.ClosestPairs(c.ctx, c.ds, c.ds2, arg(c, -1, 3, 3), opts...)
 		return err
 	}},
-	{VerbClosestStream, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+	{VerbClosestStream, true, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
 		return lastError(r.Closest(c.ctx, c.ds, c.ds2, opts...))
 	}},
-	{VerbObstructedDistance, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.ObstructedDistance(c.ctx, c.q, Pt(95, 95), opts...)
+	{VerbObstructedDistance, false, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.ObstructedDistance(c.ctx, c.q, arg(c, Pt(95, 95), Pt(nan, 1), Pt(95, 95)), opts...)
 		return err
 	}},
-	{VerbObstructedPath, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, _, err := r.ObstructedPath(c.ctx, c.q, Pt(95, 95), opts...)
+	{VerbObstructedPath, false, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, _, err := r.ObstructedPath(c.ctx, arg(c, c.q, Pt(5, -inf), c.q), Pt(95, 95), opts...)
 		return err
 	}},
-	{VerbBatchDistances, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.ObstructedDistances(c.ctx, c.q, pick(c.invalid, nil, []Point{Pt(95, 95), Pt(5, 95)}), opts...)
+	{VerbBatchDistances, false, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.ObstructedDistances(c.ctx, c.q, arg(c, nil, []Point{Pt(95, 95), Pt(nan, nan)}, []Point{Pt(95, 95), Pt(5, 95)}), opts...)
 		return err
 	}},
-	{VerbDistanceMatrix, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.DistanceMatrix(c.ctx, pick(c.invalid, nil, []Point{c.q, Pt(95, 95), Pt(5, 95)}), opts...)
+	{VerbDistanceMatrix, false, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.DistanceMatrix(c.ctx, arg(c, nil, []Point{c.q, Pt(inf, 95), Pt(5, 95)}, []Point{c.q, Pt(95, 95), Pt(5, 95)}), opts...)
 		return err
 	}},
-	{VerbCluster, true, func(r readVerbs, c exitCase, opts []QueryOption) error {
-		_, err := r.Cluster(c.ctx, c.ds, ClusterOptions{Algorithm: DBSCAN, Eps: pick(c.invalid, 0.0, 12), MinPts: 2}, opts...)
+	{VerbCluster, true, false, func(r readVerbs, c exitCase, opts []QueryOption) error {
+		_, err := r.Cluster(c.ctx, c.ds, ClusterOptions{Algorithm: DBSCAN, Eps: arg(c, 0.0, nan, 12), MinPts: 2}, opts...)
 		return err
 	}},
 }
@@ -426,8 +446,9 @@ var exitVerbs = []exitVerb{
 // that opened a session must have been recorded exactly once — its count
 // moved by one, its WithStats written, its trace out of the in-flight
 // registry behind /debug/active — and a call rejected before a session
-// existed (an unknown dataset, Cluster options no algorithm can run) must
-// have left all three untouched.
+// existed (an unknown dataset, a non-finite point, a NaN radius or
+// distance, Cluster options no algorithm can run) must have left all three
+// untouched.
 func TestEveryVerbExitRecordsOnce(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TraceSampleRate = 1
@@ -454,7 +475,8 @@ func TestEveryVerbExitRecordsOnce(t *testing.T) {
 		{name: "ok", ctx: ctx, ds: "P", ds2: "T", q: free},
 		{name: "unknown dataset", ctx: ctx, ds: "nope", ds2: "T", q: free, datasetErr: ErrUnknownDataset},
 		{name: "unknown second dataset", ctx: ctx, ds: "P", ds2: "nope", q: free},
-		{name: "invalid argument", ctx: ctx, ds: "P", ds2: "T", q: free, invalid: true, clusterErr: ErrInvalidArgument},
+		{name: "out-of-range argument", ctx: ctx, ds: "P", ds2: "T", q: free, args: argOutOfRange, clusterErr: ErrInvalidArgument},
+		{name: "non-finite argument", ctx: ctx, ds: "P", ds2: "T", q: free, args: argNonFinite, argErr: ErrInvalidArgument, clusterErr: ErrInvalidArgument},
 		{name: "inside an obstacle", ctx: ctx, ds: "B", ds2: "B", q: blocked},
 		{name: "inside an obstacle, filtered", ctx: ctx, ds: "B", ds2: "B", q: blocked, opts: []QueryOption{WithFilter(func(Neighbor) bool { return true })}},
 		{name: "cancelled", ctx: cancelled, ds: "P", ds2: "T", q: free, wantErr: context.Canceled},
@@ -474,6 +496,9 @@ func TestEveryVerbExitRecordsOnce(t *testing.T) {
 				}
 				if c.ds2 == "nope" && twoDatasets[v.verb] {
 					wantErr = ErrUnknownDataset
+				}
+				if v.geometry && c.argErr != nil {
+					wantErr = c.argErr
 				}
 				if v.verb == VerbCluster && c.clusterErr != nil {
 					wantErr = c.clusterErr
@@ -517,6 +542,12 @@ func TestEveryVerbExitRecordsOnce(t *testing.T) {
 	for _, o := range [][]QueryOption{nil, {WithFilter(func(Neighbor) bool { return true })}} {
 		if nn, err := db.NearestNeighbors(ctx, "P", blocked, 2, o...); err != nil || len(nn) != 0 {
 			t.Errorf("kNN from inside an obstacle (%d options) = %v, %v", len(o), nn, err)
+		}
+	}
+	// InsideObstacle refuses a non-finite point as the verbs do.
+	for _, h := range []readVerbs{db, snap} {
+		if _, err := h.InsideObstacle(Pt(nan, 5)); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("InsideObstacle(NaN) = %v, want ErrInvalidArgument", err)
 		}
 	}
 	// Every way Cluster's options can be unusable is the caller's mistake.

@@ -36,9 +36,10 @@
 // call, Nearest/Closest streams for the whole iteration — so a mutation
 // committing mid-read neither disturbs the read nor appears in it.
 // Snapshot holds a generation open across calls, and Backup writes a
-// consistent copy of a durable database while it keeps serving. Obstacle
-// updates age out only the cached visibility graphs whose coverage the
-// change touches; point updates never invalidate any graph.
+// consistent copy of a durable database while it keeps serving. A cached
+// visibility graph serves the obstacle generation it was built at, so
+// obstacle updates leave it to readers of that generation; point updates
+// leave every graph in place.
 //
 // Quick start:
 //

@@ -252,98 +252,109 @@ func TestStreamsSurviveConcurrentUpdate(t *testing.T) {
 	}
 }
 
-// TestScopedCacheInvalidation pins the tentpole's cache contract: an
-// obstacle update drops only cached graphs whose coverage disk intersects
-// the changed obstacle's MBR, point updates drop nothing, and queries on
-// the unaffected region keep reusing their warm graph (zero graph builds).
-func TestScopedCacheInvalidation(t *testing.T) {
-	// Region A around the origin, region B far away.
-	rects := []Rect{
-		R(20, -10, 30, 10),    // A: a small wall
-		R(900, 890, 920, 910), // B: a far-away block
-	}
-	db, err := NewDatabaseFromRects(rects, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	qA := Pt(0, 0)
-	targetsA := []Point{Pt(50, 0), Pt(0, 50), Pt(40, 40)}
-
-	// Warm the cache on region A.
-	want, err := db.ObstructedDistances(ctx, qA, targetsA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qs QueryStats
-	if _, err := db.ObstructedDistances(ctx, qA, targetsA, WithStats(&qs)); err != nil {
-		t.Fatal(err)
-	}
-	if qs.GraphBuilds != 0 {
-		t.Fatalf("warm repeat built %d graphs, want 0", qs.GraphBuilds)
-	}
-
-	// A point update never touches the cache.
-	if err := db.AddDataset("p", []Point{Pt(1, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.InsertPoints("p", Pt(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// An obstacle update in region B leaves region A's graph warm.
-	idsB, err := db.AddObstacleRects(R(850, 850, 870, 870))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv := scrape(t, db)["obstacles_graph_cache_invalidations_total"]; inv != 0 {
-		t.Fatalf("update outside every coverage disk invalidated %v entries", inv)
-	}
-	got, err := db.ObstructedDistances(ctx, qA, targetsA, WithStats(&qs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.GraphBuilds != 0 {
-		t.Fatalf("query on unaffected region rebuilt %d graphs after far-away update", qs.GraphBuilds)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("distance %d changed after unrelated update: %v -> %v", i, want[i], got[i])
+// TestCachedDistancesPerGeneration pins the graph cache's contract under
+// MVCC: a cached graph serves exactly the obstacle generation it was built
+// at. Readers on snapshots pinned at alternating generations — two held open
+// for the whole test, the rest taken fresh while a writer adds and removes
+// one wall across their paths — run cached ObstructedDistances, and every
+// answer must equal an uncached database's over that reader's obstacles.
+// Run it under -race.
+func TestCachedDistancesPerGeneration(t *testing.T) {
+	base := []Rect{R(20, 50, 30, 60), R(70, -70, 80, -60), R(-40, -10, -30, 10)}
+	wall := R(45, -40, 55, 40)
+	q := Pt(0, 0)
+	targets := []Point{Pt(100, 0), Pt(100, 30), Pt(50, 80), Pt(-60, 0)}
+	open := func(rects []Rect, graphCache int) *Database {
+		db, err := NewDatabaseFromRects(rects, Options{GraphCacheSize: graphCache})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
-	if err := db.RemoveObstacles(idsB...); err != nil {
-		t.Fatal(err)
+	// want[1] is the walled world's answer, want[0] the open one's.
+	var want [2][]float64
+	for walled, rects := range [][]Rect{base, append(base[:len(base):len(base)], wall)} {
+		d, err := open(rects, -1).ObstructedDistances(ctx, q, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[walled] = d
+	}
+	if !(want[1][0] > want[0][0]) {
+		t.Fatalf("the wall does not lengthen the path to %v: %v vs %v", targets[0], want[1][0], want[0][0])
 	}
 
-	// An obstacle update inside region A invalidates its graph and changes
-	// the answers.
-	if _, err := db.AddObstacleRects(R(-10, 20, 10, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if inv := scrape(t, db)["obstacles_graph_cache_invalidations_total"]; inv == 0 {
-		t.Fatal("update inside the coverage disk invalidated nothing")
-	}
-	got, err = db.ObstructedDistances(ctx, qA, targetsA, WithStats(&qs))
+	db := open(base, 0)
+	opened := db.Snapshot()
+	defer opened.Close()
+	wallIDs, err := db.AddObstacleRects(wall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs.GraphBuilds == 0 {
-		t.Fatal("invalidated region served a stale cached graph (no rebuild)")
-	}
-	if !(got[1] > want[1]+1e-9) {
-		t.Fatalf("new wall above the origin did not lengthen the northern path: %v -> %v", want[1], got[1])
-	}
-	// The rebuilt answers must match a fresh database over the same state.
-	fresh, err := NewDatabaseFromRects([]Rect{rects[0], R(-10, 20, 10, 30)}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := fresh.ObstructedDistances(ctx, qA, targetsA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if math.Abs(got[i]-ref[i]) > 1e-9 {
-			t.Fatalf("distance %d after invalidation: %v, fresh db says %v", i, got[i], ref[i])
+	walled := db.Snapshot()
+	defer walled.Close()
+
+	const readers, rounds = 4, 25
+	done := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := db.RemoveObstacles(wallIDs...); err != nil {
+				t.Error(err)
+				return
+			}
+			ids, err := db.AddObstacleRects(wall)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			wallIDs = ids
 		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				snap := []*Snapshot{opened, walled}[(r+i)%2]
+				if i%3 == 2 {
+					snap = db.Snapshot()
+				}
+				state := 0
+				if snap.NumObstacles() == len(base)+1 {
+					state = 1
+				}
+				got, err := snap.ObstructedDistances(ctx, q, targets)
+				if snap != opened && snap != walled {
+					snap.Close()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range got {
+					if got[j] != want[state][j] {
+						t.Errorf("reader %d round %d (walled %v) to %v: cached %v, uncached %v", r, i, state == 1, targets[j], got[j], want[state][j])
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	writer.Wait()
+	if hits := scrape(t, db)["obstacles_graph_cache_hits_total"]; hits == 0 {
+		t.Fatal("no reader hit the graph cache: the test exercises nothing")
 	}
 }
 
