@@ -523,9 +523,9 @@ func BenchmarkClusterDBSCAN(b *testing.B) {
 }
 
 // BenchmarkClusterKMedoids measures PAM over the full obstructed-distance
-// matrix (one batch expansion per row). The matrix spans the whole
-// universe, so the obstacle count is kept moderate: its cost is dominated
-// by one near-global graph that the cache then reuses for every row.
+// matrix (one expansion per row). The matrix spans the whole universe, so
+// the obstacle count is kept moderate: its cost is dominated by one
+// near-global graph, which the matrix's one field keeps for every row.
 func BenchmarkClusterKMedoids(b *testing.B) {
 	for _, nPts := range []int{60, 120} {
 		b.Run(fmt.Sprintf("pts=%d", nPts), func(b *testing.B) {

@@ -383,6 +383,32 @@ func TestClusterSealedEntityIsNoise(t *testing.T) {
 	}
 }
 
+// TestClusterCoincidentEntitiesKeepClusters: with coincident entities and K
+// equal to the number of distinct locations, k-medoids still puts every
+// medoid in its own cluster and leaves no cluster empty.
+func TestClusterCoincidentEntitiesKeepClusters(t *testing.T) {
+	db, err := NewDatabaseFromRects([]Rect{R(40, 40, 60, 60)}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("P", []Point{Pt(10, 10), Pt(10, 10), Pt(90, 90)}); err != nil {
+		t.Fatal(err)
+	}
+	km, err := db.Cluster(ctx, "P", ClusterOptions{Algorithm: KMedoids, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := make([]int, km.NumClusters)
+	for _, c := range km.Assignments {
+		size[c]++
+	}
+	for c, md := range km.Medoids {
+		if km.Assignments[md] != c || size[c] == 0 {
+			t.Fatalf("cluster %d (medoid %d) has %d members, its medoid is in cluster %d: %+v", c, md, size[c], km.Assignments[md], km)
+		}
+	}
+}
+
 // countdownCtx is a context that reports itself canceled once Err has been
 // asked more than left times: a cancellation that lands at a fixed point
 // inside a job, whatever the machine's speed.
@@ -505,6 +531,50 @@ func TestDBSCANMatchesPerEntityRange(t *testing.T) {
 	}
 	if clustered < 10 {
 		t.Fatalf("only %d of 12 scenes clustered", clustered)
+	}
+}
+
+// TestDistanceMatrixCacheOnOff: the distance matrix walks one query-local
+// field across its points, so the matrix and the k-medoids clustering read
+// from it are the same with the engine's graph cache on and off. The matrix
+// also costs at most one first visibility pass per graph node plus one per
+// point, as the source (every point's target node stays from row to row).
+// World: BenchmarkClusterKMedoids' street map at 60 entities. Run it under
+// -race.
+func TestDistanceMatrixCacheOnOff(t *testing.T) {
+	world := dataset.Generate(dataset.DefaultConfig(9, 500))
+	pts := world.Entities(world.EntityRand(2), 60)
+	var ms [2][][]float64
+	var kms [2]*Clustering
+	for i, cached := range []bool{true, false} {
+		db, err := NewDatabase(world.Polys, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if !cached {
+			db.engine.EnableGraphCache(0)
+		}
+		if err := db.AddDataset("P", pts); err != nil {
+			t.Fatal(err)
+		}
+		var qs QueryStats
+		if ms[i], err = db.DistanceMatrix(ctx, pts, WithStats(&qs)); err != nil {
+			t.Fatal(err)
+		}
+		if qs.Sweeps > uint64(qs.GraphNodes+len(pts)) {
+			t.Errorf("cached=%v: %d visibility passes for %d graph nodes and %d points", cached, qs.Sweeps, qs.GraphNodes, len(pts))
+		}
+		t.Logf("cached=%v: %d sweeps, %d graph nodes, %d page accesses", cached, qs.Sweeps, qs.GraphNodes, qs.PageAccesses)
+		if kms[i], err = db.Cluster(ctx, "P", ClusterOptions{Algorithm: KMedoids, K: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(ms[0], ms[1]) {
+		t.Error("the distance matrix differs with the graph cache on and off")
+	}
+	if !reflect.DeepEqual(kms[0], kms[1]) {
+		t.Errorf("k-medoids differs with the graph cache on and off: %+v vs %+v", kms[0], kms[1])
 	}
 }
 

@@ -237,15 +237,18 @@ func distsEqual(a, b []float64) bool {
 // every detour stays within the cache's reuse radius.
 func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 	world := dataset.Generate(dataset.DefaultConfig(7, 60))
-	open := func(graphCache int) *Database {
-		db, err := NewDatabaseFromRects(world.Rects, Options{GraphCacheSize: graphCache})
+	open := func(cached bool) *Database {
+		db, err := NewDatabaseFromRects(world.Rects, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !cached {
+			db.engine.EnableGraphCache(0)
 		}
 		t.Cleanup(func() { db.Close() })
 		return db
 	}
-	db, uncached := open(0), open(-1)
+	db, uncached := open(true), open(false)
 	bg := context.Background()
 	src := world.Entities(world.EntityRand(1), 1)[0]
 
@@ -335,6 +338,45 @@ func TestConcurrentAddDataset(t *testing.T) {
 	// Duplicate insertion still rejected after the dust settles.
 	if err := db.AddDataset("extra0", nil); err == nil {
 		t.Error("duplicate dataset accepted")
+	}
+}
+
+// TestHasDatasetMeansReadable: once HasDataset reports a dataset, a read
+// verb finds it. A reader waits for each name in turn while a writer adds
+// them one by one, and queries the name as soon as HasDataset says yes; the
+// answer must never be ErrUnknownDataset. Run it under -race.
+func TestHasDatasetMeansReadable(t *testing.T) {
+	db, err := NewDatabaseFromRects([]Rect{R(10, 10, 20, 20)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 3000
+	added := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := db.AddDataset(fmt.Sprintf("D%d", i), []Point{Pt(1, 1)}); err != nil {
+				added <- err
+				return
+			}
+		}
+		added <- nil
+	}()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("D%d", i)
+		for !db.HasDataset(name) {
+			select {
+			case err := <-added:
+				t.Fatalf("the writer stopped before adding %s: %v", name, err)
+			default:
+			}
+		}
+		if _, err := db.NearestNeighbors(ctx, name, Pt(0, 0), 1); err != nil {
+			t.Fatalf("HasDataset(%q) is true, but a query on it fails: %v", name, err)
+		}
+	}
+	if err := <-added; err != nil {
+		t.Fatal(err)
 	}
 }
 

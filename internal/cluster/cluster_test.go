@@ -354,6 +354,22 @@ func TestKMedoidsEdgeCases(t *testing.T) {
 	}
 }
 
+// TestKMedoidsCoincidentMedoidsKeepTheirClusters: a medoid coincident with
+// another (distance 0 between them) is still assigned to its own cluster,
+// so no cluster comes out empty.
+func TestKMedoidsCoincidentMedoidsKeepTheirClusters(t *testing.T) {
+	m := [][]float64{{0, 0, 5}, {0, 0, 5}, {5, 5, 0}}
+	res, err := KMedoids(m, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, md := range res.Medoids {
+		if res.Assignments[md] != c {
+			t.Fatalf("medoid %d of cluster %d is assigned to cluster %d: %+v", md, c, res.Assignments[md], res)
+		}
+	}
+}
+
 // TestDBSCANNeighborOrderIrrelevant: the clustering must not depend on the
 // order of a neighborhood list (a distance join lists pairs by distance).
 func TestDBSCANNeighborOrderIrrelevant(t *testing.T) {

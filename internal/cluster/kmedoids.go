@@ -140,6 +140,8 @@ type assignment struct {
 	total   cost
 }
 
+// assignCost assigns every point to its nearest medoid, and a medoid to its
+// own cluster even when a coincident medoid is as near, so none is empty.
 func assignCost(m [][]float64, medoids []int) assignment {
 	n := len(m)
 	a := assignment{
@@ -154,7 +156,7 @@ func assignCost(m [][]float64, medoids []int) assignment {
 		for ci, md := range medoids {
 			d := m[i][md]
 			switch {
-			case d < a.d1[i]:
+			case d < a.d1[i] || md == i:
 				a.d2[i] = a.d1[i]
 				a.d1[i] = d
 				a.assign[i] = ci

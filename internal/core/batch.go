@@ -17,13 +17,7 @@ import (
 // expanded graph state is reused across calls; otherwise a fresh local graph
 // is built, covering the largest Euclidean source-target distance as in
 // Fig 7, or for one target the obstacles meeting its segment.
-func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) ([]float64, Stats, error) {
-	return s.batchDistances(s.e.cache, source, targets)
-}
-
-// batchDistances is BatchDistances against the given cache's graphs (nil: a
-// query-local graph).
-func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
+func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
 	w := s.snap()
 	defer s.finishCall(&st, w)
 	st.Candidates = len(targets)
@@ -31,7 +25,7 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 	if len(targets) == 0 {
 		return dists, st, nil
 	}
-	f := s.newField(c, source, 0, &st)
+	f := s.newField(s.e.cache, source, 0, &st)
 	f.reserve(len(targets))
 	// idx maps each target to its field target; coincident targets share one
 	// graph node, and a target at the source needs none: dO(p, p) is 0, or
@@ -53,7 +47,7 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 	}
 	// A query-local field with one target grows that target's ellipse; a
 	// cached graph or many targets share the disk.
-	f.ellipse = c == nil && len(f.targets) == 1
+	f.ellipse = f.cache == nil && len(f.targets) == 1
 	err := f.certify(math.Inf(1))
 	self := 0.0
 	if err == nil && atSource {
@@ -87,37 +81,38 @@ func (s *Session) batchDistances(c *GraphCache, source geom.Point, targets []geo
 // diagonal. The diagonal is zero by definition — a point is at distance 0
 // from itself even when it lies strictly inside an obstacle, where the
 // pair APIs (ObstructedDistance, BatchDistances) report +Inf; such a
-// point's off-diagonal entries are all +Inf. One multi-target expansion
-// runs per source point (row i covers columns j > i; the lower triangle is
-// mirrored), against a small call-local graph cache, instead of n(n-1)/2
-// independent pair computations.
-func (s *Session) DistanceMatrix(pts []geom.Point) ([][]float64, Stats, error) {
-	var st Stats
-	out := make([][]float64, len(pts))
+// point's off-diagonal entries are all +Inf. Row i covers columns j > i (the
+// lower triangle is mirrored). One query-local field holds every point as a
+// target and serves every row: before each, reroot makes the next point the
+// source, and the graph and the later points' entity nodes carry over (the
+// add_entity and delete_entity of Section 4), so a point costs one
+// visibility pass as a target and one as the source.
+func (s *Session) DistanceMatrix(pts []geom.Point) (_ [][]float64, st Stats, _ error) {
+	w := s.snap()
+	defer s.finishCall(&st, w)
+	n := len(pts)
+	out := make([][]float64, n)
 	for i := range out {
-		out[i] = make([]float64, len(pts))
+		out[i] = make([]float64, n)
 	}
-	// A matrix call spans the whole point extent, so its graphs grow toward
-	// global coverage; a call-local cache keeps those heavyweight graphs
-	// from being pinned in the engine's long-lived shared cache. With the
-	// engine cache disabled, the matrix runs uncached too (one graph per
-	// row).
-	var local *GraphCache
-	if s.e.cache != nil {
-		local = newGraphCache(4)
+	st.Candidates = n * (n - 1) / 2
+	if n < 2 {
+		return out, st, nil
 	}
-	for i := 0; i < len(pts)-1; i++ {
-		if err := s.err(); err != nil {
+	f := s.newField(nil, pts[0], 0, &st)
+	for _, p := range pts {
+		f.add(p)
+	}
+	for i := range n - 1 {
+		f.reroot()
+		if err := f.certify(math.Inf(1)); err != nil {
 			return nil, st, err
 		}
-		dists, rst, err := s.batchDistances(local, pts[i], pts[i+1:])
-		if err != nil {
-			return nil, st, err
-		}
-		st.Merge(rst)
-		for j, d := range dists {
-			out[i][i+1+j] = d
-			out[i+1+j][i] = d
+		for k, t := range f.targets {
+			out[i][i+1+k], out[i+1+k][i] = t.dist, t.dist
+			if !math.IsInf(t.dist, 1) {
+				st.Results++
+			}
 		}
 	}
 	st.FalseHits = st.Candidates - st.Results

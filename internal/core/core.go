@@ -464,9 +464,9 @@ func (r ObstacleReads) add(o ObstacleReads) ObstacleReads {
 	return ObstacleReads{r.PointQuery + o.PointQuery, r.Scan + o.Scan, r.Enlarge + o.Enlarge}
 }
 
-// Merge folds another call's counters into st — the one merge rule shared
-// by the matrix row loop and a clustering job's range queries. Additive
-// fields sum, GraphNodes/GraphEdges track the largest graph seen.
+// Merge folds another call's counters into st, as the experiment driver
+// totals a figure's queries. Additive fields sum, GraphNodes/GraphEdges
+// track the largest graph seen.
 func (st *Stats) Merge(rst Stats) {
 	st.Candidates += rst.Candidates
 	st.Results += rst.Results
@@ -490,8 +490,7 @@ func (st *Stats) Merge(rst Stats) {
 type Engine struct {
 	obstacles *ObstacleSet
 	// cache, when enabled, retains expanded visibility-graph states for
-	// reuse across distances, batches and distance-matrix rows; see
-	// EnableGraphCache.
+	// reuse across distances and batches; see EnableGraphCache.
 	cache *GraphCache
 }
 

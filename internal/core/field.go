@@ -20,12 +20,14 @@ import (
 // What the graph holds is said per target, as an ellipse: a path of length d
 // from the center to a target never leaves the ellipse with those two foci
 // and sum d, so a target is covered up to sum s when every obstacle meeting
-// that ellipse is in the graph (covered). A disk of radius r around the
-// center covers every target t up to 2r - dE(center, t). Most fields grow
-// such a disk, as the paper does; an ellipse field grows each target's own
+// that ellipse is in the graph (covered). The graph holds the disk of radius
+// searched around hub (the center, a cache entry's, or where a rerooted field
+// opened), so the disk of radius r = searched - |hub center| around the
+// center, which covers every target t up to 2r - dE(center, t). Most fields
+// grow the disk, as the paper does; an ellipse field grows each target's own
 // ellipse instead, which is sqrt(d^2 - dE^2) / 4d of the area of the disk of
-// radius d: 0.13 on average over 800-1,600-unit routes of the default
-// world, whose paths are 1.3 times their straight line.
+// radius d: 0.13 on average over 800-1,600-unit routes of the default world,
+// whose paths are 1.3 times their straight line.
 //
 // A field is lazy: it scans its obstacles the first time an operation needs
 // them, and builds its graph over them only when some target is left to
@@ -44,8 +46,9 @@ type field struct {
 	cache  *GraphCache
 	en     *cacheEntry
 	center geom.Point
-	// searched is the radius around center whose obstacles g holds; before
-	// the scan, the radius it will run with.
+	// hub is the center of the disk whose obstacles g holds, and searched its
+	// radius; before the scan, the radius it will run with.
+	hub      geom.Point
 	searched float64
 	// ellipse marks a query-local field the verb opened for one target at a
 	// time with no radius of its own (path, OCP's per-s field, an uncached
@@ -58,7 +61,7 @@ type field struct {
 	obs     []visgraph.Obstacle // a query-local scan's result, until attach builds g over it
 	g       *visgraph.Graph     // nil until attach (until scan through a cache)
 	src     visgraph.NodeID     // Invalid until attach
-	// cover is the radius around center that holds every obstacle: a search
+	// cover is the radius around hub that holds every obstacle: a search
 	// that wide that still finds no path proves unreachability. Negative
 	// until a target first comes back +Inf, which is the only time it is
 	// needed.
@@ -108,7 +111,7 @@ func (r region) meets(pg geom.Polygon) bool {
 // newField prepares a field around center that will open on the obstacles
 // within r of it, through c when non-nil.
 func (s *Session) newField(c *GraphCache, center geom.Point, r float64, st *Stats) *field {
-	f := &field{s: s, st: st, cache: c, center: center, searched: r, src: visgraph.Invalid, cover: -1}
+	f := &field{s: s, st: st, cache: c, center: center, hub: center, searched: r, src: visgraph.Invalid, cover: -1}
 	f.targets = f.first[:0]
 	return f
 }
@@ -125,9 +128,12 @@ func (f *field) add(pt geom.Point) int {
 
 // covered returns the largest sum s for which the field holds every obstacle
 // meeting the ellipse with foci center and t.pt and sum s: the target's own
-// scans', or the disk of radius searched, whose far point on the ellipse's
-// axis, (s + dE) / 2 from the center, bounds s by 2 searched - dE.
-func (f *field) covered(t *target) float64 { return max(t.cov, 2*f.searched-t.dE) }
+// scans', or the disk of radius r = searched - |hub center| around the
+// center, whose far point on the ellipse's axis, (s + dE) / 2 from the
+// center, bounds s by 2r - dE. With hub == center, r is searched exactly.
+func (f *field) covered(t *target) float64 {
+	return max(t.cov, 2*(f.searched-f.hub.Dist(f.center))-t.dE)
+}
 
 // fail returns err, remembering the first non-nil one for close.
 func (f *field) fail(err error) error {
@@ -139,9 +145,9 @@ func (f *field) fail(err error) error {
 
 // scan is the one way a query opens on its obstacles: those within searched
 // of center, or for an ellipse field those meeting its first open target's
-// segment (scanSegment). Through a cache they come as an entry's graph;
-// every verb that passes no cache runs one obstacle range query for a
-// query-local graph.
+// segment (scanSegment). Through a cache they come as an entry's graph, with
+// its disk; every verb that passes no cache runs one obstacle range query
+// for a query-local graph.
 // Figs 5 and 9 issue that query first and unconditionally, which is what
 // keeps their obstacle R-tree I/O independent of what is left to refine;
 // attach builds the graph over its result only when something is.
@@ -158,15 +164,15 @@ func (f *field) scan() error {
 		}
 	}
 	if f.cache != nil {
-		en, covered, err := f.cache.acquire(f.s, f.center, f.searched)
+		en, err := f.cache.acquire(f.s, f.center, f.searched)
 		if err != nil {
 			return f.fail(err)
 		}
-		f.en, f.g, f.searched = en, en.g, covered
+		f.en, f.g, f.hub, f.searched = en, en.g, en.center, en.coverage()
 		return nil
 	}
 	var err error
-	f.obs, err = f.s.relevantObstacles(disk(f.center, f.searched))
+	f.obs, err = f.s.relevantObstacles(disk(f.hub, f.searched))
 	return f.fail(err)
 }
 
@@ -186,20 +192,6 @@ func (f *field) scanSegment(t *target) error {
 		f.g.AddObstacles(obs)
 	}
 	return nil
-}
-
-// grow extends g to every obstacle meeting r, reporting whether any was new.
-// A cached field grows only by disks around its center.
-func (f *field) grow(r region) (bool, error) {
-	if f.en == nil {
-		return f.s.addObstaclesWithin(f.g, r)
-	}
-	// Cover the disk via the containing entry-centered disk.
-	before := f.g.NumObstacles()
-	if err := f.en.grow(f.s, f.en.center.Dist(f.center)+r.sum/2); err != nil {
-		return false, err
-	}
-	return f.g.NumObstacles() > before, nil
 }
 
 // attach makes the graph searchable: built over the scanned obstacles when it
@@ -272,12 +264,12 @@ func (f *field) settle(bound float64, visit func(i int, d float64)) error {
 }
 
 // buried reports whether p lies strictly inside an obstacle. Once the field
-// has scanned, and p is within searched of the center, the field's own
+// has scanned, and p is within searched of the hub, the field's own
 // obstacles answer (inside): an obstacle that strictly contains such a p
 // intersects the scanned disk, so the field holds it. Any other point costs
 // an obstacle R-tree point query.
 func (f *field) buried(p geom.Point) (bool, error) {
-	if f.scanned && f.center.Dist(p) <= f.searched {
+	if f.scanned && f.hub.Dist(p) <= f.searched {
 		return f.inside(p), nil
 	}
 	inside, err := f.s.InsideObstacle(p)
@@ -474,12 +466,14 @@ func (f *field) certify(bound float64) error {
 // whether it brought in a new obstacle and whether its range grew at all. A
 // finite provisional d asks for every obstacle a path that long can meet: an
 // ellipse field grows the target's own ellipse to sum d, a disk field its
-// disk to (d + dE) / 2, the smallest disk around the center holding that
-// ellipse. A disconnected target (+Inf) doubles the disk enclosing its
-// covered ellipse instead, up to the radius that covers every obstacle; past
-// that nothing is left to bring in, and the range does not grow.
+// disk to hold (d + dE) / 2 around the center, the smallest disk there
+// holding that ellipse. A disconnected target (+Inf) doubles the disk
+// enclosing its covered ellipse instead, up to the radius that covers every
+// obstacle; past that nothing is left to bring in, and the range does not
+// grow. The disk is the hub's, so a radius asked around the center grows by
+// off = |hub center|.
 func (f *field) enlarge() (added, grew bool, err error) {
-	radius := f.searched
+	radius, off := f.searched, f.hub.Dist(f.center)
 	for i := range f.targets {
 		switch t := &f.targets[i]; {
 		case t.final:
@@ -488,23 +482,26 @@ func (f *field) enlarge() (added, grew bool, err error) {
 			if err != nil {
 				return false, false, err
 			}
-			radius = max(radius, min(f.covered(t)+t.dE, cover))
+			radius = max(radius, min(off+f.covered(t)+t.dE, cover))
 		case !f.ellipse:
-			radius = max(radius, (t.dist+t.dE)/2*(1+boundSlack))
+			radius = max(radius, off+(t.dist+t.dE)/2*(1+boundSlack))
 		}
 	}
 	if radius > f.searched {
-		if added, err = f.grow(disk(f.center, radius)); err != nil {
+		if added, err = f.s.addObstaclesWithin(f.g, disk(f.hub, radius)); err != nil {
 			return false, false, err
 		}
 		f.searched, grew = radius, true
+		if f.en != nil {
+			f.en.setCoverage(radius)
+		}
 	}
 	if !f.ellipse {
 		return added, grew, nil
 	}
 	for i := range f.targets {
 		if t := &f.targets[i]; !t.final && !math.IsInf(t.dist, 1) && t.dist > f.covered(t) {
-			more, err := f.grow(region{f.center, t.pt, t.dist * (1 + boundSlack)})
+			more, err := f.s.addObstaclesWithin(f.g, region{f.center, t.pt, t.dist * (1 + boundSlack)})
 			if err != nil {
 				return false, false, err
 			}
@@ -514,7 +511,7 @@ func (f *field) enlarge() (added, grew bool, err error) {
 	return added, grew, nil
 }
 
-// coverRadius returns the radius around center that covers every obstacle,
+// coverRadius returns the radius around hub that covers every obstacle,
 // reading the obstacle tree's root the first time it is asked.
 func (f *field) coverRadius() (float64, error) {
 	if f.cover < 0 {
@@ -524,7 +521,7 @@ func (f *field) coverRadius() (float64, error) {
 		}
 		f.cover = 0
 		if !b.IsEmpty() {
-			f.cover = b.MaxDist(f.center)
+			f.cover = b.MaxDist(f.hub)
 		}
 	}
 	return f.cover, nil
@@ -553,6 +550,25 @@ func (f *field) path() []geom.Point {
 		pts[i] = f.g.Point(n)
 	}
 	return pts
+}
+
+// reroot makes the first target the source, for the next row of a distance
+// matrix: its entity node and the old terminal go, and the hub, its disk,
+// the obstacles and the other targets' entity nodes stay. The targets
+// reopen, measured from the new center. One at the center is measured like
+// any other: its node and the terminal see each other at distance 0.
+func (f *field) reroot() {
+	for _, n := range [2]visgraph.NodeID{f.targets[0].n, f.src} {
+		if n != visgraph.Invalid {
+			f.g.DeleteEntity(n)
+		}
+	}
+	f.center, f.src = f.targets[0].pt, visgraph.Invalid
+	f.targets = f.targets[1:]
+	for i := range f.targets {
+		t := &f.targets[i]
+		t.dist, t.final, t.dE, t.cov = math.Inf(1), false, f.center.Dist(t.pt), 0
+	}
 }
 
 // clear takes every target out of the field and its node out of the graph.

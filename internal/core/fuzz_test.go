@@ -296,5 +296,30 @@ func FuzzVerbsMatchOracle(f *testing.F) {
 				t.Fatalf("ObstructedDistance(%v, %v) = %v, oracle %v", a, b, d, want)
 			}
 		}
+
+		// DistanceMatrix: the entities, a duplicate of the first, and twice a
+		// point strictly inside an obstacle, which reaches nothing, not even
+		// itself. The matrix is symmetric and 0 on the diagonal.
+		buried := s.rects[0].Center()
+		mpts := append(pts[:len(pts):len(pts)], pts[0], buried, buried)
+		m, _, err := bg(eng).DistanceMatrix(mpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mpts {
+			for j := i; j < len(mpts); j++ {
+				var want float64
+				switch {
+				case i == j:
+				case mpts[i] == buried || mpts[j] == buried:
+					want = math.Inf(1)
+				default:
+					want = s.bruteDist(mpts[i], mpts[j])
+				}
+				if !sameDist(m[i][j], want) || m[j][i] != m[i][j] {
+					t.Fatalf("DistanceMatrix[%d][%d] (%v to %v) = %v, oracle %v", i, j, mpts[i], mpts[j], m[i][j], want)
+				}
+			}
+		}
 	})
 }

@@ -11,14 +11,14 @@ import (
 
 // GraphCache is a small LRU of expanded visibility-graph states, keyed by
 // the obstacle generation and the disk of obstacle space each graph
-// incorporates. Batch queries whose
-// initial range falls inside a cached disk reuse that graph (growing it in
-// place when the enlargement loop demands more), so workloads with spatial
-// locality — pair and batch distances around nearby sources, the rows of a
-// distance matrix — skip most graph construction. Range, nearest-neighbour,
-// join and closest-pair verbs open query-local fields, as the paper does.
-// Entity and terminal nodes are removed after each query; cached graphs hold
-// obstacle vertices only.
+// incorporates. Distances and batches whose initial range falls inside a
+// cached disk reuse that graph (growing it in place when the enlargement loop
+// demands more), so pair and batch distances around nearby sources skip most
+// graph construction. A field on an entry is an ordinary field whose hub is
+// the entry's center. Every other verb opens query-local fields, as the paper
+// does; a distance matrix walks its own one across its points. Entity and
+// terminal nodes are removed after each query; cached graphs hold obstacle
+// vertices only.
 //
 // The cache is safe for concurrent sessions: the entry list and traffic
 // counters sit behind one mutex, and each entry carries its own lock held
@@ -106,21 +106,15 @@ func (cs CacheStats) HitRate() float64 {
 	return float64(cs.Hits) / float64(total)
 }
 
-// newGraphCache returns a cache of at most capacity expanded graphs.
-func newGraphCache(capacity int) *GraphCache {
-	return &GraphCache{cap: max(capacity, 1)}
-}
-
 // EnableGraphCache attaches a graph cache of the given capacity to the
 // engine: ObstructedDistance and BatchDistances reuse expanded graph states
 // across calls. Capacity <= 0 detaches the cache. Not safe to call while
 // queries are in flight; configure the engine before serving.
 func (e *Engine) EnableGraphCache(capacity int) {
-	if capacity <= 0 {
-		e.cache = nil
-		return
+	e.cache = nil
+	if capacity > 0 {
+		e.cache = &GraphCache{cap: capacity}
 	}
-	e.cache = newGraphCache(capacity)
 }
 
 // GraphCacheStats returns the engine cache's traffic counters (zero when the
@@ -137,11 +131,10 @@ func (e *Engine) GraphCacheStats() CacheStats {
 // acquire returns a cached entry of the session's obstacle generation whose
 // disk contains the disk (source, r0), growing a nearby entry or building a
 // fresh one if none does. The entry is returned with its lock held; the
-// caller must restore the graph to an obstacles-only state and unlock. The second return is the radius around
-// source the entry's graph is guaranteed to cover.
-func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheEntry, float64, error) {
+// caller must restore the graph to an obstacles-only state and unlock.
+func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheEntry, error) {
 	if err := s.err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	c.mu.Lock()
 	best := -1
@@ -172,7 +165,7 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 		// waiter gives up with ctx.Err() instead of parking behind the
 		// holder.
 		if err := en.lock(s); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if en.g == nil {
 			// The publishing session failed to build the graph and dropped
@@ -184,15 +177,15 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 			c.mu.Unlock()
 			return c.acquire(s, source, r0)
 		}
-		en.g.Retarget(s.metricsHook())
-		off := en.center.Dist(source)
-		if en.coverage()-off < r0 {
-			if err := en.grow(s, off+r0); err != nil {
+		en.g.Retarget(&s.met, s.interrupted)
+		if off := en.center.Dist(source); en.coverage()-off < r0 {
+			if _, err := s.addObstaclesWithin(en.g, disk(en.center, off+r0)); err != nil {
 				en.release()
-				return nil, 0, err
+				return nil, err
 			}
+			en.setCoverage(off + r0)
 		}
-		return en, en.coverage() - off, nil
+		return en, nil
 	}
 	c.stats.Misses++
 	// Publish the entry locked and build its graph outside the cache lock:
@@ -212,32 +205,10 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 	if err != nil {
 		c.drop(en)
 		en.unlock()
-		return nil, 0, err
+		return nil, err
 	}
 	en.g = s.buildGraph(obs)
-	return en, r0, nil
-}
-
-// metricsHook returns the session's work counter and interrupt hook, the
-// arguments Retarget takes.
-func (s *Session) metricsHook() (*visgraph.Metrics, func() bool) {
-	return &s.met, s.interrupted
-}
-
-// grow extends the entry's coverage disk to the given radius around its own
-// center (enlargements requested around other points are translated to the
-// entry center so coverage stays a single disk), reading the annulus through
-// the session's obstacle view, which is of the entry's own generation. The
-// caller holds the entry's channel lock (en.held, via acquire).
-func (en *cacheEntry) grow(s *Session, radius float64) error {
-	if radius <= en.coverage() {
-		return nil
-	}
-	if _, err := s.addObstaclesWithin(en.g, disk(en.center, radius)); err != nil {
-		return err
-	}
-	en.setCoverage(radius)
-	return nil
+	return en, nil
 }
 
 // InvalidateObstacleRegion is a no-op that returns 0: cached graphs are per

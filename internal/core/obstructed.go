@@ -41,7 +41,7 @@ func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st
 // concurrent and repeated queries around the same region share one expanded
 // graph.
 func (s *Session) ObstructedDistance(a, b geom.Point) (float64, Stats, error) {
-	ds, st, err := s.batchDistances(s.e.cache, a, []geom.Point{b})
+	ds, st, err := s.BatchDistances(a, []geom.Point{b})
 	if err != nil {
 		return 0, st, err
 	}

@@ -10,10 +10,10 @@ import "repro/internal/rtree"
 // in). It measures one t at a time, so it is an ellipse field: each t opens
 // on its own segment and grows its own ellipse.
 func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbor, JoinPair], error) {
-	src, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
+	it, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
 	var f *field
-	return candidates[rtree.PairNeighbor, JoinPair]{
-		src: src,
+	c := candidates[rtree.PairNeighbor, JoinPair]{
+		src: it,
 		dE:  func(pr rtree.PairNeighbor) float64 { return pr.Dist },
 		eval: func(pr rtree.PairNeighbor, bound float64) (JoinPair, error) {
 			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
@@ -23,7 +23,22 @@ func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbo
 			d, err := f.distance(pr.B.Rect.Center(), bound)
 			return JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}, err
 		},
-	}, err
+	}
+	if S == T {
+		c.src = distinctPairs{it}
+	}
+	return c, err
+}
+
+// distinctPairs is the stream of S == T: distinct entities, both ways round.
+type distinctPairs struct{ *rtree.CPIterator }
+
+func (p distinctPairs) Next() (rtree.PairNeighbor, bool) {
+	pr, ok := p.CPIterator.Next()
+	for ok && pr.A.Data == pr.B.Data {
+		pr, ok = p.CPIterator.Next()
+	}
+	return pr, ok
 }
 
 // ClosestPairs answers an obstacle closest-pair query (OCP, Fig 11): the k

@@ -25,13 +25,6 @@ type Options struct {
 	// BufferFraction sizes each tree's LRU buffer as a fraction of its
 	// pages (default 0.10, the paper's setting).
 	BufferFraction float64
-	// GraphCacheSize is the number of expanded visibility-graph states the
-	// engine retains for reuse across pair and batch distance queries
-	// (default 8; negative disables caching, and with it the small
-	// call-local cache a DistanceMatrix call keeps for its rows). Concurrent
-	// queries on overlapping regions serialize on the shared cached graph;
-	// disjoint regions run fully in parallel.
-	GraphCacheSize int
 	// WALCheckpointBytes is the write-ahead-log size at which a durable
 	// database (see Open) checkpoints automatically after a commit (default
 	// 4 MiB; negative disables auto-checkpointing, leaving the WAL to grow
@@ -95,15 +88,15 @@ func (o Options) validate() error {
 	return nil
 }
 
+// graphCacheSize is how many graphs a database's engine caches (core.GraphCache).
+const graphCacheSize = 8
+
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = pagefile.DefaultPageSize
 	}
 	if o.BufferFraction == 0 {
 		o.BufferFraction = 0.10
-	}
-	if o.GraphCacheSize == 0 {
-		o.GraphCacheSize = 8
 	}
 	if o.WALCheckpointBytes == 0 {
 		o.WALCheckpointBytes = 4 << 20
@@ -476,9 +469,7 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 	}
 	sizeBuffer(obstSet.Tree(), opts.BufferFraction)
 	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
-	if opts.GraphCacheSize > 0 {
-		eng.EnableGraphCache(opts.GraphCacheSize)
-	}
+	eng.EnableGraphCache(graphCacheSize)
 	db := &Database{
 		opts:     opts,
 		engine:   eng,
@@ -648,11 +639,13 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 	})
 }
 
-// HasDataset reports whether a dataset with the given name exists.
+// HasDataset reports whether the published version, which the next read
+// verb reads, has the named dataset. It takes no pin: AddDataset calls it
+// under the update lock, which releasing a pin may take to free pages.
 func (db *Database) HasDataset(name string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.datasets[name]
+	db.versions.mu.Lock()
+	defer db.versions.mu.Unlock()
+	_, ok := db.versions.current.datasets[name]
 	return ok
 }
 

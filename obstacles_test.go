@@ -1,10 +1,13 @@
 package obstacles
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -148,6 +151,40 @@ func TestJoinAndClosestPairsPublic(t *testing.T) {
 	// straight along the street, distance 30.
 	if cps[0].ID1 != 0 || cps[0].ID2 != 0 || math.Abs(cps[0].Distance-30) > 1e-9 {
 		t.Errorf("top pair = %+v, want home0-cafe0 at 30", cps[0])
+	}
+}
+
+// TestClosestPairsSelfPairsDistinctEntities: closest pairs of a dataset
+// with itself never pair an entity with itself, and list each pair in both
+// orientations, as the self-join does — from ClosestPairs and from the
+// Closest stream alike (which may emit pairs at one distance in any order).
+func TestClosestPairsSelfPairsDistinctEntities(t *testing.T) {
+	db, err := NewDatabaseFromRects([]Rect{R(40, 40, 60, 60)}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("P", []Point{Pt(0, 0), Pt(10, 0), Pt(100, 0), Pt(110, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	want := []Pair{{0, 1, 10}, {1, 0, 10}, {2, 3, 10}, {3, 2, 10}, {1, 2, 90}, {2, 1, 90}}
+	got, err := db.ClosestPairs(ctx, "P", "P", len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []Pair
+	for p, err := range db.Closest(ctx, "P", "P", WithLimit(len(want))) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, p)
+	}
+	slices.SortFunc(streamed, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID1, b.ID1), cmp.Compare(a.ID2, b.ID2))
+	})
+	for name, ps := range map[string][]Pair{"ClosestPairs": got, "Closest": streamed} {
+		if !reflect.DeepEqual(ps, want) {
+			t.Errorf("%s(P, P) = %v, want %v", name, ps, want)
+		}
 	}
 }
 

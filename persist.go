@@ -194,9 +194,7 @@ func Open(path string, opts Options) (*Database, error) {
 		return nil, fmt.Errorf("obstacles: opening %s: %w", path, err)
 	}
 	eng := core.NewEngine(ld.obstSet, core.DefaultEngineOptions())
-	if opts.GraphCacheSize > 0 {
-		eng.EnableGraphCache(opts.GraphCacheSize)
-	}
+	eng.EnableGraphCache(graphCacheSize)
 	db := &Database{
 		opts:     opts,
 		engine:   eng,

@@ -249,7 +249,8 @@ func (r *reader) DistanceJoin(ctx context.Context, dataset1, dataset2 string, di
 // ClosestPairs returns the k pairs from the two datasets with the smallest
 // obstructed distance, sorted by it (the OCP algorithm). With
 // WithPairFilter, the k closest qualifying pairs are the first k of the
-// incremental Closest stream instead.
+// incremental Closest stream instead. A dataset paired with itself pairs
+// distinct entities, in both orientations, as DistanceJoin does.
 func (r *reader) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k int, opts ...QueryOption) ([]Pair, error) {
 	var out []Pair
 	err := r.run(ctx, VerbClosestPairs, []string{dataset1, dataset2}, nil, opts, func(qr query) (core.Stats, error) {
@@ -281,6 +282,7 @@ func (r *reader) ClosestPairs(ctx context.Context, dataset1, dataset2 string, k 
 // in-stream; WithStats is written when the loop ends. Cancelling ctx ends
 // the sequence with ctx.Err(). Like Nearest, the stream reads one generation
 // from start to end, so mutations committing mid-stream never disturb it.
+// A dataset paired with itself pairs distinct entities, as in ClosestPairs.
 func (r *reader) Closest(ctx context.Context, dataset1, dataset2 string, opts ...QueryOption) iter.Seq2[Pair, error] {
 	return func(yield func(Pair, error) bool) {
 		err := r.run(ctx, VerbClosestStream, []string{dataset1, dataset2}, nil, opts, func(qr query) (core.Stats, error) {
@@ -376,7 +378,7 @@ func (r *reader) DistanceMatrix(ctx context.Context, pts []Point, opts ...QueryO
 // distance self-join of the dataset (DistanceJoin(dataset, dataset, Eps):
 // each Euclidean-close pair refined once, an entity with no Euclidean
 // neighbour never touching the obstacles); k-medoids reads the
-// DistanceMatrix (one batch expansion per row), not per-pair distance calls.
+// DistanceMatrix (one graph, one search per row), not per-pair distances.
 // Clustering jobs can run long; cancel ctx to abort one mid-flight with
 // ctx.Err().
 func (r *reader) Cluster(ctx context.Context, dataset string, copts ClusterOptions, opts ...QueryOption) (*Clustering, error) {

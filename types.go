@@ -12,11 +12,11 @@
 // obstacles relevant to each query, refine them.
 //
 // Beyond the paper's query types, the library computes batch obstructed
-// distances (ObstructedDistances, DistanceMatrix) with one shared
-// visibility-graph expansion per source over an LRU of expanded graph
-// states, and clusters datasets by obstructed distance (Cluster): DBSCAN
-// density clustering and k-medoids partitioning, where entities separated
-// by an obstacle wall cluster apart even when they are Euclidean-close.
+// distances with one visibility-graph expansion per source (over an LRU of
+// graph states for ObstructedDistances, one graph for DistanceMatrix), and
+// clusters datasets by obstructed distance (Cluster): DBSCAN density
+// clustering and k-medoids partitioning, where entities separated by an
+// obstacle wall cluster apart even when they are Euclidean-close.
 //
 // A Database is safe for concurrent use: any number of goroutines may query
 // it in parallel, sharing the warm page buffers and the visibility-graph

@@ -25,7 +25,7 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.opts.PageSize != 4096 || db.opts.BufferFraction != 0.10 || db.opts.GraphCacheSize != 8 {
+	if db.opts.PageSize != 4096 || db.opts.BufferFraction != 0.10 {
 		t.Errorf("zero options resolved to %+v", db.opts)
 	}
 	// A tiny positive page size fails in the index layer with a descriptive
@@ -264,10 +264,13 @@ func TestCachedDistancesPerGeneration(t *testing.T) {
 	wall := R(45, -40, 55, 40)
 	q := Pt(0, 0)
 	targets := []Point{Pt(100, 0), Pt(100, 30), Pt(50, 80), Pt(-60, 0)}
-	open := func(rects []Rect, graphCache int) *Database {
-		db, err := NewDatabaseFromRects(rects, Options{GraphCacheSize: graphCache})
+	open := func(rects []Rect, cached bool) *Database {
+		db, err := NewDatabaseFromRects(rects, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !cached {
+			db.engine.EnableGraphCache(0)
 		}
 		t.Cleanup(func() { db.Close() })
 		return db
@@ -275,7 +278,7 @@ func TestCachedDistancesPerGeneration(t *testing.T) {
 	// want[1] is the walled world's answer, want[0] the open one's.
 	var want [2][]float64
 	for walled, rects := range [][]Rect{base, append(base[:len(base):len(base)], wall)} {
-		d, err := open(rects, -1).ObstructedDistances(ctx, q, targets)
+		d, err := open(rects, false).ObstructedDistances(ctx, q, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +288,7 @@ func TestCachedDistancesPerGeneration(t *testing.T) {
 		t.Fatalf("the wall does not lengthen the path to %v: %v vs %v", targets[0], want[1][0], want[0][0])
 	}
 
-	db := open(base, 0)
+	db := open(base, true)
 	opened := db.Snapshot()
 	defer opened.Close()
 	wallIDs, err := db.AddObstacleRects(wall)
