@@ -1,5 +1,5 @@
 // Benchmarks reproducing every figure of the paper's evaluation (Figs
-// 13-22) as testing.B targets, plus the ablations called out in DESIGN.md.
+// 13-22) as testing.B targets, plus ablations of the index and buffer choices.
 // Each figure benchmark has one sub-benchmark per x-axis value; per-query
 // page accesses are attached as custom metrics (data-pages/op,
 // obst-pages/op) alongside the standard ns/op. `obsctl figures` runs the
@@ -347,7 +347,7 @@ func BenchmarkObstructedPathLong(b *testing.B) {
 }
 
 // BenchmarkAblationBulkVsInsert compares STR bulk loading against repeated
-// R* insertion: build cost, and NN query I/O on the resulting trees.
+// insertion (Tree.Insert): build cost, and NN query I/O on the resulting trees.
 func BenchmarkAblationBulkVsInsert(b *testing.B) {
 	lab := benchLab(b, benchObstacles)
 	pts := make([]geom.Point, 0, 5000)

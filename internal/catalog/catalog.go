@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -209,11 +210,7 @@ func EncodeObstacles(o *Obstacles) []byte {
 	for id := range o.Polys {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort: id sets are small or nearly sorted
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	e.u32(uint32(len(ids)))
 	for _, id := range ids {
 		e.u64(uint64(id))

@@ -56,6 +56,22 @@ func TestObstaclesRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeObstacles encodes the obstacle blob of a paper-scale set:
+// 131,461 rectangles, the size of the paper's street-MBR dataset, keyed by a
+// map as the database keeps them.
+func BenchmarkEncodeObstacles(b *testing.B) {
+	const n = 131461
+	in := &Obstacles{Tree: TreeMeta{Root: 1, Height: 3, Size: n}, IDBound: n, Polys: make(map[int64][]geom.Point, n)}
+	for id := int64(0); id < n; id++ {
+		x, y := float64(id%400)*25, float64(id/400)*25
+		in.Polys[id] = []geom.Point{geom.Pt(x, y), geom.Pt(x+10, y), geom.Pt(x+10, y+10), geom.Pt(x, y+10)}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(EncodeObstacles(in))))
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	state := EncodeState(&State{Generation: 1, Datasets: []DatasetMeta{{Name: "P"}}})
 	obst := EncodeObstacles(&Obstacles{

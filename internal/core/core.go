@@ -63,8 +63,7 @@ type table[T boxed] struct {
 }
 
 // newTable indexes a copy of xs. Bulk loading (STR) is used when bulk is
-// true; otherwise items are inserted one by one through the R* insertion
-// path.
+// true; otherwise items are inserted one by one (rtree.Tree.Insert).
 func newTable[T boxed](noun string, opts rtree.Options, xs []T, bulk bool) (table[T], error) {
 	items := make([]T, len(xs))
 	copy(items, xs)
@@ -255,8 +254,7 @@ func (tb *table[T]) kill(id int64) {
 type PointSet struct{ table[geom.Point] }
 
 // NewPointSet indexes pts with an R-tree. Bulk loading (STR) is used when
-// bulk is true; otherwise points are inserted one by one through the R*
-// insertion path.
+// bulk is true; otherwise points are inserted one by one (rtree.Tree.Insert).
 func NewPointSet(opts rtree.Options, pts []geom.Point, bulk bool) (*PointSet, error) {
 	tb, err := newTable("entity", opts, pts, bulk)
 	if err != nil {

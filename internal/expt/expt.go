@@ -179,7 +179,7 @@ func NewLab(cfg Config) (*Lab, error) {
 }
 
 func setBuffer(t *rtree.Tree, frac float64) {
-	pages := int(math.Ceil(float64(t.PageFile().NumPages()) * frac))
+	pages := int(math.Ceil(float64(t.NumPages()) * frac))
 	if pages < 1 {
 		pages = 1
 	}

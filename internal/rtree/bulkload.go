@@ -140,7 +140,7 @@ func (t *Tree) packLevel(entries []entry, level uint16, perNode int) ([]entry, e
 func (t *Tree) newNode(level uint16, entries []entry) (entry, error) {
 	n := &node{level: level, entries: entries}
 	var err error
-	n.id, err = t.pf.Allocate()
+	n.id, err = t.allocPage()
 	if err != nil {
 		return entry{}, err
 	}

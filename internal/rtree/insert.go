@@ -8,8 +8,9 @@ import (
 	"repro/internal/pagefile"
 )
 
-// Insert adds an item with the given bounding rectangle using the R*
-// insertion algorithm (ChooseSubtree, forced reinsert, topological split).
+// Insert adds an item with the given bounding rectangle: it descends by
+// least area enlargement (chooseSubtree), treats the first overflow of a
+// level by R* forced reinsert and later ones by the R* topological split.
 func (t *Tree) Insert(r geom.Rect, data int64) error {
 	if r.IsEmpty() {
 		return fmt.Errorf("rtree: insert of empty rectangle")
@@ -104,36 +105,16 @@ func (t *Tree) insertInto(n *node, e entry, level uint16) (*entry, error) {
 	return t.overflowTreatment(n)
 }
 
-// chooseSubtree implements the R* descent heuristic: for nodes pointing to
-// leaves, minimize overlap enlargement (ties: area enlargement, then area);
-// otherwise minimize area enlargement (ties: area).
+// chooseSubtree picks the child of n that needs the least area enlargement
+// to take r (ties: the smaller area). The rule is the same at every level:
+// R*'s overlap-enlargement test for nodes above leaves is O(M²) per insert
+// and is not used (see the package doc).
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	best := 0
-	if n.level == 1 {
-		bestOverlap, bestEnl, bestArea := inf, inf, inf
-		for i, e := range n.entries {
-			enlarged := e.rect.Union(r)
-			var dOverlap float64
-			for j, f := range n.entries {
-				if j == i {
-					continue
-				}
-				dOverlap += enlarged.OverlapArea(f.rect) - e.rect.OverlapArea(f.rect)
-			}
-			enl := enlarged.Area() - e.rect.Area()
-			area := e.rect.Area()
-			if dOverlap < bestOverlap ||
-				(dOverlap == bestOverlap && (enl < bestEnl ||
-					(enl == bestEnl && area < bestArea))) {
-				best, bestOverlap, bestEnl, bestArea = i, dOverlap, enl, area
-			}
-		}
-		return best
-	}
 	bestEnl, bestArea := inf, inf
 	for i, e := range n.entries {
-		enl := e.rect.Union(r).Area() - e.rect.Area()
 		area := e.rect.Area()
+		enl := e.rect.Union(r).Area() - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}

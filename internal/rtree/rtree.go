@@ -1,8 +1,13 @@
-// Package rtree implements a disk-resident R*-tree [BKSS90] over the
-// simulated page file of package pagefile. Every node occupies exactly one
-// page and all node accesses go through the file's LRU buffer, so the
-// PhysicalReads counter of the page file reproduces the "page accesses"
-// metric of the paper's experiments.
+// Package rtree implements a disk-resident R-tree over the simulated page
+// file of package pagefile. Every node occupies exactly one page and all node
+// accesses go through the file's LRU buffer, so the PhysicalReads counter of
+// the page file reproduces the "page accesses" metric of the paper's
+// experiments.
+//
+// Insertion is the R*-tree's [BKSS90] forced reinsert and topological split
+// under Guttman's descent: the child needing the least area enlargement, at
+// every level. R*'s leaf-level overlap test costs O(M²) rectangle
+// intersections per insert and built no better trees of street MBRs.
 //
 // Beyond insertion and deletion the package provides the Euclidean query
 // algorithms the paper builds on:
@@ -25,7 +30,7 @@
 // Figs 21-22 come out lower than with a one-sided expansion down to the
 // items, while candidates and results are the same.
 //
-// Trees are built either by repeated R* insertion or by STR bulk loading.
+// Trees are built either by repeated insertion or by STR bulk loading.
 package rtree
 
 import (
@@ -111,7 +116,7 @@ func (n *node) mbr() geom.Rect {
 	return r
 }
 
-// Tree is a disk-resident R*-tree. A fully built tree is safe for any number
+// Tree is a disk-resident R-tree. A fully built tree is safe for any number
 // of concurrent readers (the page file serializes buffer traffic); mutation
 // (Insert, Delete) must not run concurrently with anything else on the same
 // tree.
@@ -120,6 +125,7 @@ type Tree struct {
 	root     pagefile.PageID
 	height   int // number of levels; 1 = root is a leaf
 	size     int // number of data items
+	npages   int // number of node pages reachable from root
 	maxE     int
 	minE     int
 	pending  []pendingInsert // forced-reinsert / condense work queue
@@ -187,11 +193,14 @@ func (t *Tree) TakeRetired() []pagefile.PageID {
 // copy-on-write mutation.
 func (t *Tree) COWCopies() uint64 { return t.cowCopies.Load() }
 
-// allocPage reserves a page for a node written this epoch.
+// allocPage reserves a page for a new node (one written this epoch).
 func (t *Tree) allocPage() (pagefile.PageID, error) {
 	id, err := t.pf.Allocate()
-	if err == nil && t.cow {
-		t.owned[id] = struct{}{}
+	if err == nil {
+		t.npages++
+		if t.cow {
+			t.owned[id] = struct{}{}
+		}
 	}
 	return id, err
 }
@@ -200,6 +209,7 @@ func (t *Tree) allocPage() (pagefile.PageID, error) {
 // page file immediately (no published view can reference them), while
 // older pages are retired for the owner to free when safe.
 func (t *Tree) freeNode(id pagefile.PageID) error {
+	t.npages--
 	if t.cow {
 		if _, ok := t.owned[id]; !ok {
 			t.retired = append(t.retired, id)
@@ -211,7 +221,8 @@ func (t *Tree) freeNode(id pagefile.PageID) error {
 }
 
 // Pages appends the ids of every page reachable from the root — the page
-// set a backup must copy — to dst and returns it.
+// set a backup must copy — to dst and returns it. Only internal nodes are
+// read: a level-1 node's entries name its leaves.
 func (t *Tree) Pages(dst []pagefile.PageID) ([]pagefile.PageID, error) {
 	return t.pages(t.root, dst)
 }
@@ -219,14 +230,13 @@ func (t *Tree) Pages(dst []pagefile.PageID) ([]pagefile.PageID, error) {
 func (t *Tree) pages(id pagefile.PageID, dst []pagefile.PageID) ([]pagefile.PageID, error) {
 	dst = append(dst, id)
 	n, err := t.readNode(id)
-	if err != nil {
+	if err != nil || n.isLeaf() {
 		return dst, err
 	}
-	if n.isLeaf() {
-		return dst, nil
-	}
 	for _, e := range n.entries {
-		if dst, err = t.pages(pagefile.PageID(e.ref), dst); err != nil {
+		if n.level == 1 {
+			dst = append(dst, pagefile.PageID(e.ref))
+		} else if dst, err = t.pages(pagefile.PageID(e.ref), dst); err != nil {
 			return dst, err
 		}
 	}
@@ -276,7 +286,7 @@ func New(opts Options) (*Tree, error) {
 	}
 	rootNode := &node{level: 0}
 	var err error
-	rootNode.id, err = t.pf.Allocate()
+	rootNode.id, err = t.allocPage()
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +311,7 @@ func Attach(opts Options, root pagefile.PageID, height, size int) (*Tree, error)
 	}
 	// New allocated a fresh root page for the empty tree; release it and
 	// point at the persisted root instead.
-	if err := t.pf.Free(t.root); err != nil {
+	if err := t.freeNode(t.root); err != nil {
 		return nil, err
 	}
 	if height < 1 || size < 0 {
@@ -315,23 +325,26 @@ func Attach(opts Options, root pagefile.PageID, height, size int) (*Tree, error)
 	if int(n.level) != height-1 {
 		return nil, fmt.Errorf("rtree: attach: root level %d does not match height %d", n.level, height)
 	}
+	ids, err := t.Pages(nil)
+	if err != nil {
+		return nil, fmt.Errorf("rtree: attach: %w", err)
+	}
+	t.npages = len(ids)
 	return t, nil
 }
 
 // Len returns the number of data items in the tree.
 func (t *Tree) Len() int { return t.size }
 
+// NumPages returns the number of node pages reachable from the root: the
+// tree's own size, whatever else shares its page file.
+func (t *Tree) NumPages() int { return t.npages }
+
 // Root returns the page id of the root node, for catalog serialization.
 func (t *Tree) Root() pagefile.PageID { return t.root }
 
 // Height returns the number of levels (1 when the root is a leaf).
 func (t *Tree) Height() int { return t.height }
-
-// Capacity returns the per-node entry capacity (the fanout M).
-func (t *Tree) Capacity() int { return t.maxE }
-
-// MinEntries returns the minimum node occupancy m.
-func (t *Tree) MinEntries() int { return t.minE }
 
 // PageFile exposes the underlying page file, for I/O statistics and buffer
 // sizing.
@@ -446,6 +459,9 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if count != t.size {
 		return fmt.Errorf("rtree: item count %d != size %d", count, t.size)
+	}
+	if ids, err := t.Pages(nil); err != nil || len(ids) != t.npages {
+		return fmt.Errorf("rtree: %d pages reachable (%v), NumPages %d", len(ids), err, t.npages)
 	}
 	return nil
 }

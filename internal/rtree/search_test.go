@@ -197,3 +197,51 @@ func TestSearchAllocsIndependentOfNodesVisited(t *testing.T) {
 		t.Errorf("nested searches found %d outer and %d inner items, linear scan %d and %d", outer, inner, wantOuter, wantInner)
 	}
 }
+
+// TestInsertBuiltWindowReads: a tree built by Insert over the 10⁴-obstacle
+// street map keeps its invariants and answers circular windows with at most
+// 5 % more logical page reads than the STR-packed tree of the same MBRs.
+func TestInsertBuiltWindowReads(t *testing.T) {
+	w := dataset.Generate(dataset.DefaultConfig(1, 10000))
+	items := make([]Item, len(w.Rects))
+	for i, r := range w.Rects {
+		items[i] = Item{Rect: r, Data: int64(i)}
+	}
+	packed, err := BulkLoad(Options{BufferPages: 1}, items, STR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted, err := New(Options{BufferPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if err := inserted.Insert(it.Rect, it.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inserted.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	queries := w.Queries(rand.New(rand.NewSource(7)), 300)
+	reads := func(tr *Tree) (reads uint64, found int) {
+		tr.PageFile().ResetStats()
+		for _, q := range queries {
+			if err := tr.SearchCircle(q, 200, func(Item) bool { found++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.PageFile().Stats().LogicalReads, found
+	}
+	strReads, strFound := reads(packed)
+	insReads, insFound := reads(inserted)
+	if insFound != strFound {
+		t.Fatalf("inserted tree found %d items, STR tree %d", insFound, strFound)
+	}
+	ratio := float64(insReads) / float64(strReads)
+	t.Logf("pages %d (STR %d); window reads %d (STR %d), %.3fx",
+		inserted.NumPages(), packed.NumPages(), insReads, strReads, ratio)
+	if ratio > 1.05 {
+		t.Errorf("inserted tree reads %.3fx the STR tree's pages per window, want <= 1.05x", ratio)
+	}
+}

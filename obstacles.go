@@ -144,7 +144,7 @@ type Pair struct {
 var Unreachable = math.Inf(1)
 
 // Database holds one obstacle set and any number of named point datasets,
-// all indexed by R*-trees over simulated disk pages with LRU buffers. It is
+// all indexed by R-trees over simulated disk pages with LRU buffers. It is
 // safe for concurrent use: any number of goroutines may query it in
 // parallel (sharing the warm page buffers and the visibility-graph cache),
 // and AddDataset may run alongside queries on other datasets. Every query
@@ -495,7 +495,7 @@ func NewDatabaseFromRects(rects []Rect, opts Options) (*Database, error) {
 }
 
 func sizeBuffer(t *rtree.Tree, fraction float64) {
-	pages := int(math.Ceil(float64(t.PageFile().NumPages()) * fraction))
+	pages := int(math.Ceil(float64(t.NumPages()) * fraction))
 	if pages < 1 {
 		pages = 1
 	}

@@ -323,7 +323,7 @@ func TestNewDatabaseValidation(t *testing.T) {
 	}
 }
 
-// TestInsertBuiltTree: a dataset tree grown by repeated R* insertion (an
+// TestInsertBuiltTree: a dataset tree grown by repeated insertion (an
 // empty AddDataset, then InsertPoints) answers like a bulk-loaded one.
 func TestInsertBuiltTree(t *testing.T) {
 	db := cityDB(t, DefaultOptions())

@@ -10,7 +10,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/pagefile"
+	"repro/internal/rtree"
 )
 
 // persistLoc is a location+distance key for id-free result comparison (the
@@ -910,4 +912,62 @@ func TestDurableDuplicateDatasetNoLeak(t *testing.T) {
 	if after.Seq != before.Seq {
 		t.Fatalf("duplicate add committed: seq %d -> %d", before.Seq, after.Seq)
 	}
+}
+
+// TestBufferSizedFromOwnPages: every tree's LRU buffer holds
+// ceil(BufferFraction × its own pages), the same rule whether the tree has an
+// in-memory page file of its own or shares one durable file with the other
+// trees — before and after a reopen.
+func TestBufferSizedFromOwnPages(t *testing.T) {
+	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
+	ents := world.Entities(world.EntityRand(1), 2000)
+	check := func(what string, db *Database) {
+		t.Helper()
+		trees := map[string]*rtree.Tree{"obstacle": db.obstSet.Tree()}
+		for name, ps := range db.datasets {
+			trees["dataset "+name] = ps.Tree()
+		}
+		for name, tr := range trees {
+			ids, err := tr.Pages(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int(math.Ceil(float64(len(ids)) * db.opts.BufferFraction))
+			if got := tr.PageFile().BufferPages(); got != want {
+				t.Errorf("%s: the %s tree has %d pages and a %d-page buffer, want %d",
+					what, name, len(ids), got, want)
+			}
+		}
+	}
+
+	mem, err := NewDatabaseFromRects(world.Rects, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	if err := mem.AddDataset("P", ents); err != nil {
+		t.Fatal(err)
+	}
+	check("in memory", mem)
+
+	path := filepath.Join(t.TempDir(), "w.obs")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddObstacleRects(world.Rects...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("P", ents); err != nil {
+		t.Fatal(err)
+	}
+	check("durable", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check("reopened", db)
 }

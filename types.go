@@ -3,7 +3,7 @@
 // (Zhang, Papadias, Mouratidis, Zhu — EDBT 2004).
 //
 // Given a set of polygonal obstacles and one or more point datasets — all
-// disk-resident and indexed by R*-trees — the library answers range, k
+// disk-resident and indexed by R-trees — the library answers range, k
 // nearest neighbor, e-distance join and closest-pair queries under the
 // obstructed distance metric: the length of the shortest path connecting
 // two points without crossing any obstacle's interior. Euclidean R-tree
