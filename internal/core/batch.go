@@ -100,6 +100,7 @@ func (s *Session) DistanceMatrix(pts []geom.Point) (_ [][]float64, st Stats, _ e
 		return out, st, nil
 	}
 	f := s.newField(nil, pts[0], 0, &st)
+	defer f.close()
 	for _, p := range pts {
 		f.add(p)
 	}

@@ -31,7 +31,9 @@ import (
 //
 // A field is lazy: it scans its obstacles the first time an operation needs
 // them, and builds its graph over them only when some target is left to
-// measure. It is per-call state, owned by one session.
+// measure. It is per-call state, owned by one session, and its verb closes it
+// when done, which hands a query-local graph back for the next field to build
+// in (visgraph.Graph.Release).
 //
 // Whether a point is buried — strictly inside an obstacle, so it reaches
 // nothing — is decided from the obstacles the field already holds whenever
@@ -583,9 +585,17 @@ func (f *field) clear() {
 
 // close ends the field's use of its graph. A cached graph must be back to
 // obstacles only before the next query can reuse it; a query-local one is
-// garbage either way.
+// released, for the next field's graph to be built in its storage. Nothing
+// may read the field afterwards. Idempotent, and a no-op on nil.
 func (f *field) close() {
+	if f == nil {
+		return
+	}
 	if f.en == nil {
+		if f.g != nil {
+			f.g.Release()
+			f.g = nil
+		}
 		return
 	}
 	f.clear()

@@ -22,6 +22,7 @@ func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st
 	defer s.finishCall(&st, w)
 	st.Candidates = 1
 	f := s.newField(nil, a, 0, &st)
+	defer f.close() // after f.path() has copied the route out of the graph
 	f.routed, f.ellipse = true, true
 	f.add(b)
 	if err := f.certify(math.Inf(1)); err != nil {

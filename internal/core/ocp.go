@@ -8,7 +8,8 @@ import "repro/internal/rtree"
 // consecutive pairs, so the field around the most recent s-side point is
 // kept and reused (including any obstacles the iterative enlargement pulled
 // in). It measures one t at a time, so it is an ellipse field: each t opens
-// on its own segment and grows its own ellipse.
+// on its own segment and grows its own ellipse. A field is closed when the
+// next s replaces it, and the last one when the stream is.
 func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbor, JoinPair], error) {
 	it, err := rtree.NewClosestPairIterator(s.pointTree(S), s.pointTree(T))
 	var f *field
@@ -17,11 +18,16 @@ func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbo
 		dE:  func(pr rtree.PairNeighbor) float64 { return pr.Dist },
 		eval: func(pr rtree.PairNeighbor, bound float64) (JoinPair, error) {
 			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
+				f.close()
 				f = s.newField(nil, sp, 0, st)
 				f.ellipse = true
 			}
 			d, err := f.distance(pr.B.Rect.Center(), bound)
 			return JoinPair{SID: pr.A.Data, TID: pr.B.Data, Dist: d}, err
+		},
+		close: func() {
+			it.Close()
+			f.close()
 		},
 	}
 	if S == T {

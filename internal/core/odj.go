@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/hilbert"
@@ -59,17 +58,24 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 	if err != nil {
 		return nil, st, err
 	}
-	hv := func(id int64) uint64 {
-		p := seedSet.Point(id)
-		return hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY)
+	// Each seed's key is computed once, not once per comparison.
+	type hilbertSeed struct {
+		key uint64
+		id  int64
 	}
-	seeds := slices.SortedFunc(maps.Keys(partners), func(a, b int64) int {
-		return cmp.Or(cmp.Compare(hv(a), hv(b)), cmp.Compare(a, b))
+	seeds := make([]hilbertSeed, 0, len(partners))
+	for id := range partners {
+		p := seedSet.Point(id)
+		seeds = append(seeds, hilbertSeed{hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY), id})
+	}
+	slices.SortFunc(seeds, func(a, b hilbertSeed) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
 	})
 	// Step 4: per-seed false-hit elimination (the OR refinement of Fig 5) on a
 	// query-local field, as in the paper.
 	var out []JoinPair
-	for _, seed := range seeds {
+	for _, hs := range seeds {
+		seed := hs.id
 		if err := s.err(); err != nil {
 			return nil, st, err
 		}
@@ -91,6 +97,7 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 				}
 			})
 		}
+		f.close()
 		if err != nil {
 			return nil, st, err
 		}

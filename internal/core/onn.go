@@ -7,15 +7,20 @@ import (
 
 // neighbors is the ONN candidate stream: the entities of P in ascending
 // Euclidean distance from f's source [HS99], each refined by its distance
-// on f.
+// on f. Closing it closes f.
 func (s *Session) neighbors(P *PointSet, f *field) candidates[rtree.Neighbor, Result] {
+	it := s.pointTree(P).NearestIterator(f.center)
 	return candidates[rtree.Neighbor, Result]{
-		src: s.pointTree(P).NearestIterator(f.center),
+		src: it,
 		dE:  func(nb rtree.Neighbor) float64 { return nb.Dist },
 		eval: func(nb rtree.Neighbor, bound float64) (Result, error) {
 			pt := nb.Item.Rect.Center()
 			d, err := f.distance(pt, bound)
 			return Result{ID: nb.Item.Data, Pt: pt, Dist: d}, err
+		},
+		close: func() {
+			it.Close()
+			f.close()
 		},
 	}
 }

@@ -35,6 +35,7 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 	// runs unconditionally (even for an empty candidate set), which is what
 	// keeps the obstacle R-tree I/O independent of |P| in Fig 13.
 	f := s.newField(nil, q, radius, &st)
+	defer f.close()
 	if err := f.scan(); err != nil || len(cands) == 0 {
 		return nil, st, err
 	}

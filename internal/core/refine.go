@@ -68,14 +68,17 @@ func (h *rankHeap[R]) Pop() any {
 // (rtree's incremental nearest-neighbour [HS99] and closest-pair [HS98,
 // CMTV00] iterators) with the step that refines one into a result R by its
 // obstructed distance. eval measures the distance exactly when it is below
-// bound, and may report +Inf for any distance that is not.
+// bound, and may report +Inf for any distance that is not. close hands back
+// what the stream holds — the iterator's scratch, the fields eval measured on
+// — once no more candidates will be drawn or evaluated.
 type candidates[C any, R ranked] struct {
 	src interface {
 		Next() (C, bool)
 		Err() error
 	}
-	dE   func(C) float64
-	eval func(c C, bound float64) (R, error)
+	dE    func(C) float64
+	eval  func(c C, bound float64) (R, error)
+	close func()
 }
 
 // topK returns the k candidates with the smallest obstructed distance, sorted
@@ -87,6 +90,7 @@ type candidates[C any, R ranked] struct {
 // of one that is not never reaches the result. begin sees the seeds before
 // any is evaluated.
 func topK[C any, R ranked](s *Session, st *Stats, k int, c candidates[C, R], begin func(seed []C) error) ([]R, error) {
+	defer c.close()
 	var seed []C
 	for len(seed) < k {
 		cand, ok := c.src.Next()
@@ -186,6 +190,7 @@ func (it *emitter[C, R]) Next() (R, bool) {
 				break
 			}
 			it.srcDone = true
+			it.close()
 			it.finish()
 			continue
 		}
@@ -194,6 +199,7 @@ func (it *emitter[C, R]) Next() (R, bool) {
 		r, err := it.eval(cand, math.Inf(1))
 		if err == errSourceBuried {
 			it.ready, it.srcDone = nil, true
+			it.close()
 			it.finish()
 			continue
 		}
@@ -209,6 +215,7 @@ func (it *emitter[C, R]) Next() (R, bool) {
 
 func (it *emitter[C, R]) fail(err error) {
 	it.err = err
+	it.close()
 	it.finish()
 }
 

@@ -21,6 +21,12 @@
 // An Injector installed on a FileStorage (SetInjector) fails programmed
 // reads, writes and fsyncs, driving the crash-recovery and fault-injection
 // tests.
+//
+// A read lends the caller a buffer frame instead of copying the page out:
+// ReadCounted hands it to a callback that runs under the file's lock, and the
+// frame is recycled for the next page admitted once it is evicted, so a query
+// that misses the buffer allocates nothing. Read hands the frame out for good
+// and marks it so that it is never recycled.
 package pagefile
 
 import (
@@ -163,17 +169,22 @@ type frame struct {
 	id    PageID
 	data  []byte
 	dirty bool
-	prev  *frame
-	next  *frame
+	// kept marks a frame Read handed out: its data stays with the caller
+	// after eviction instead of being reused for another page.
+	kept bool
+	prev *frame
+	next *frame
 }
 
 // File is a page file with an LRU buffer pool. All operations are guarded by
 // one mutex, so any number of goroutines may read concurrently — parallel
-// queries share the warm buffer instead of corrupting the LRU chain. A slice
-// returned by Read stays stable under concurrent reads (frames are never
-// recycled for another page), but writers must not race readers of the same
-// page; the query engine only writes while building trees, before queries
-// start.
+// queries share the warm buffer instead of corrupting the LRU chain. Frames
+// lent by ReadCounted are recycled: an evicted frame holds the next page
+// admitted, which is why ReadCounted's callback runs under the lock. A slice
+// returned by Read stays stable under concurrent reads and evictions (its
+// frame is never recycled), but writers must not race readers of the same
+// page; the query engine only writes pages no published reader can reach
+// (copy-on-write epochs) or while building trees, before queries start.
 type File struct {
 	mu       sync.Mutex
 	st       Storage
@@ -248,20 +259,44 @@ func (f *File) Free(id PageID) error {
 }
 
 // Read returns the contents of a page. The returned slice aliases the buffer
-// frame; it stays valid under concurrent reads and evictions (frames are not
-// recycled), but a Write to the same page would race it — consume the slice
-// before writing.
+// frame, which Read marks as never to be recycled: it stays valid under
+// concurrent reads and evictions, but a Write to the same page would race it
+// — consume the slice before writing. Backups copy pages out this way, with
+// no copy of their own.
 func (f *File) Read(id PageID) ([]byte, error) {
-	return f.ReadCounted(id, nil)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fr, err := f.lookup(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !fr.kept { // a hit on a kept frame stores nothing into it
+		fr.kept = true
+	}
+	return fr.data, nil
 }
 
-// ReadCounted is Read with an optional per-query accumulator: when extra is
+// ReadCounted lends the page's buffer frame to use, which runs under the
+// file's lock and must neither keep the slice nor call back into the file:
+// once use returns, the frame may be recycled for another page. When extra is
 // non-nil the read is additionally counted there, attributing I/O to the one
 // query that issued it even while other queries hammer the same file. The
 // accumulator must not be shared between goroutines.
-func (f *File) ReadCounted(id PageID, extra *Stats) ([]byte, error) {
+func (f *File) ReadCounted(id PageID, extra *Stats, use func(page []byte)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	fr, err := f.lookup(id, extra)
+	if err != nil {
+		return err
+	}
+	use(fr.data)
+	return nil
+}
+
+// lookup is the one read path under Read and ReadCounted: it counts the read
+// and returns the page's frame, admitting and filling one on a miss. The
+// caller holds the lock.
+func (f *File) lookup(id PageID, extra *Stats) (*frame, error) {
 	f.stats.LogicalReads++
 	if extra != nil {
 		extra.LogicalReads++
@@ -272,7 +307,7 @@ func (f *File) ReadCounted(id PageID, extra *Stats) ([]byte, error) {
 			extra.BufferHits++
 		}
 		f.touch(fr)
-		return fr.data, nil
+		return fr, nil
 	}
 	f.stats.PhysicalReads++
 	if extra != nil {
@@ -287,7 +322,7 @@ func (f *File) ReadCounted(id PageID, extra *Stats) ([]byte, error) {
 		delete(f.frames, id)
 		return nil, err
 	}
-	return fr.data, nil
+	return fr, nil
 }
 
 // Write replaces the contents of a page. The page becomes dirty in the
@@ -339,7 +374,7 @@ func (f *File) SetBufferPages(n int) error {
 	}
 	f.capacity = n
 	for len(f.frames) > f.capacity {
-		if err := f.evict(); err != nil {
+		if _, err := f.evict(); err != nil {
 			return err
 		}
 	}
@@ -352,38 +387,47 @@ func (f *File) DropBuffer() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for len(f.frames) > 0 {
-		if err := f.evict(); err != nil {
+		if _, err := f.evict(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// admit makes room for page id and returns its frame, at the front of the
+// LRU chain, with unspecified contents: the frame it evicted last, unless Read
+// kept that one, or a new one.
 func (f *File) admit(id PageID) (*frame, error) {
+	var fr *frame
 	for len(f.frames) >= f.capacity {
-		if err := f.evict(); err != nil {
+		var err error
+		if fr, err = f.evict(); err != nil {
 			return nil, err
 		}
 	}
-	fr := &frame{id: id, data: make([]byte, f.PageSize())}
+	if fr == nil || fr.kept {
+		fr = &frame{data: make([]byte, f.PageSize())}
+	}
+	*fr = frame{id: id, data: fr.data}
 	f.frames[id] = fr
 	f.pushFront(fr)
 	return fr, nil
 }
 
-func (f *File) evict() error {
+// evict writes back and drops the least recently used frame, returning it.
+func (f *File) evict() (*frame, error) {
 	fr := f.tail
 	if fr == nil {
-		return errors.New("pagefile: evict from empty buffer")
+		return nil, errors.New("pagefile: evict from empty buffer")
 	}
 	if fr.dirty {
 		if err := f.writeBack(fr); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	f.unlink(fr)
 	delete(f.frames, fr.id)
-	return nil
+	return fr, nil
 }
 
 func (f *File) writeBack(fr *frame) error {

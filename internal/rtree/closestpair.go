@@ -50,14 +50,25 @@ func (x cpEntry) before(y cpEntry) bool {
 // least the popped one, and the re-queued leaf pair is a lower bound on every
 // item pair it has not queued yet.
 type CPIterator struct {
-	t    [2]*Tree
+	t          [2]*Tree
+	*cpScratch // nil once closed
+	err        error
+}
+
+// cpScratch is what a CPIterator grows while it runs: its queue, the node it
+// decoded last per side and level, the sweep's keys, and a buffer for the
+// roots. Closed iterators leave it in cpScratches for the next one, unless its
+// queue outgrew maxKeptQueue.
+type cpScratch struct {
 	h    minHeap[cpEntry]
 	kept [2][]cpNode // per side and level: the node decoded last
 	sw   sweeper
-	err  error
+	root []entry
 }
 
-// cpNode is a decoded node and the page it came from.
+var cpScratches = make(freeList[cpScratch], scratchKept)
+
+// cpNode is a decoded node and the page it came from (InvalidPage: none).
 type cpNode struct {
 	id      pagefile.PageID
 	entries []entry
@@ -66,27 +77,38 @@ type cpNode struct {
 // NewClosestPairIterator starts an incremental closest-pair search over the
 // two trees.
 func NewClosestPairIterator(ta, tb *Tree) (*CPIterator, error) {
-	it := &CPIterator{t: [2]*Tree{ta, tb}}
-	ra, err := ta.readNode(ta.root)
-	if err != nil {
-		return nil, err
+	sc := cpScratches.get()
+	sc.h = sc.h[:0]
+	for side := range sc.kept {
+		for i := range sc.kept[side] {
+			sc.kept[side][i].id = pagefile.InvalidPage
+		}
 	}
-	rb, err := tb.readNode(tb.root)
-	if err != nil {
-		return nil, err
+	it := &CPIterator{t: [2]*Tree{ta, tb}, cpScratch: sc}
+	var roots [2]entry
+	var levels [2]int32
+	empty := false
+	for side, t := range it.t {
+		n, err := t.readNodeInto(t.root, sc.root)
+		if err != nil {
+			it.Close()
+			return nil, err
+		}
+		sc.root = n.entries
+		empty = empty || len(n.entries) == 0
+		roots[side], levels[side] = entry{n.mbr(), uint64(t.root)}, int32(n.level)
 	}
-	if len(ra.entries) == 0 || len(rb.entries) == 0 {
+	if empty {
 		return it, nil // empty iterator
 	}
-	a, b := entry{ra.mbr(), uint64(ta.root)}, entry{rb.mbr(), uint64(tb.root)}
-	it.h = minHeap[cpEntry]{{dist: a.rect.MinDistRect(b.rect), side: [2]entry{a, b}, level: [2]int32{int32(ra.level), int32(rb.level)}}}
+	sc.h.push(cpEntry{dist: roots[0].rect.MinDistRect(roots[1].rect), side: roots, level: levels})
 	return it, nil
 }
 
 // Next returns the next closest pair. ok is false when exhausted or on I/O
-// error (check Err).
+// error (check Err); the iterator is closed then.
 func (it *CPIterator) Next() (PairNeighbor, bool) {
-	for it.err == nil && len(it.h) > 0 {
+	for it.err == nil && it.cpScratch != nil && len(it.h) > 0 {
 		e := it.h.pop()
 		a, b, la, lb := e.side[0], e.side[1], e.level[0], e.level[1]
 		switch {
@@ -100,7 +122,17 @@ func (it *CPIterator) Next() (PairNeighbor, bool) {
 			it.expand(e, 1)
 		}
 	}
+	it.Close()
 	return PairNeighbor{}, false
+}
+
+// Close ends the search early and hands its scratch to the next iterator;
+// Next reports nothing after it. Idempotent.
+func (it *CPIterator) Close() {
+	if it.cpScratch != nil && cap(it.h) <= maxKeptQueue {
+		cpScratches.put(it.cpScratch)
+	}
+	it.cpScratch = nil
 }
 
 // node returns the entries of the node that e's given side points to, read
@@ -113,7 +145,7 @@ func (it *CPIterator) node(e cpEntry, side int) []entry {
 		it.kept[side] = append(it.kept[side], cpNode{})
 	}
 	k := &it.kept[side][level]
-	if k.entries == nil || k.id != id {
+	if k.id != id {
 		n, err := it.t[side].readNodeInto(id, k.entries)
 		if err != nil {
 			it.err = err
@@ -177,6 +209,7 @@ func ClosestPairs(ta, tb *Tree, k int) ([]PairNeighbor, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer it.Close()
 	out := make([]PairNeighbor, 0, k)
 	for len(out) < k {
 		pr, ok := it.Next()

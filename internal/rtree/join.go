@@ -15,14 +15,18 @@ import (
 // candidate entries are matched with a plane sweep along x, as in the
 // original algorithm. The callback returns false to stop early.
 func JoinDistance(ta, tb *Tree, e float64, fn func(a, b Item) bool) error {
-	j := joiner{ta: ta, tb: tb, e: e, fn: fn}
+	j := joiners.get()
+	j.ta, j.tb, j.e, j.fn = ta, tb, e, fn
 	_, err := j.nodes(ta.root, tb.root, 0)
+	j.ta, j.tb, j.fn = nil, nil, nil
+	joiners.put(j)
 	return err
 }
 
 // joiner is one JoinDistance call. The recursion runs inside the sweep's
 // callback, so every depth keeps its own decoded node pair and its own sweep,
-// allocated the first time the join gets that deep.
+// allocated the first time a join gets that deep and kept, in joiners, for the
+// joins after it.
 type joiner struct {
 	ta, tb *Tree
 	e      float64
@@ -30,6 +34,8 @@ type joiner struct {
 	as, bs nodeStack
 	sw     []*sweeper
 }
+
+var joiners = make(freeList[joiner], scratchKept)
 
 func (j *joiner) nodes(pa, pb pagefile.PageID, depth int) (cont bool, err error) {
 	na, err := j.as.read(j.ta, pa, depth)

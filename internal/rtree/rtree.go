@@ -371,38 +371,44 @@ func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 // readNodeInto is readNode decoding into buf's backing array (replaced when
 // too small): the read-only traversals visit many nodes per call and keep one
 // buffer per node they hold at a time instead of allocating one per visit.
-// The entries are still copied out of the page buffer's frame, which may be
-// evicted while the caller works on them.
+// The page file lends its buffer frame only while the decode runs, so the
+// entries are copied out of it there: the frame holds another page once it is
+// evicted.
 func (t *Tree) readNodeInto(id pagefile.PageID, buf []entry) (node, error) {
-	p, err := t.pf.ReadCounted(id, t.ioExtra)
+	n, count := node{id: id}, 0
+	err := t.pf.ReadCounted(id, t.ioExtra, func(p []byte) {
+		n.level = binary.LittleEndian.Uint16(p[0:2])
+		count = int(binary.LittleEndian.Uint16(p[2:4]))
+		if nodeHeaderSize+count*entrySize > len(p) {
+			return
+		}
+		if cap(buf) < count {
+			// A first buffer fits its node (most searches see a small root
+			// and a leaf or two); one that has to grow is made to fit any.
+			size := count
+			if cap(buf) > 0 {
+				size = max(count, t.maxE)
+			}
+			buf = make([]entry, size)
+		}
+		n.entries = buf[:count]
+		off := nodeHeaderSize
+		for i := range n.entries {
+			n.entries[i] = entry{
+				rect: geom.Rect{
+					MinX: f64(p[off:]), MinY: f64(p[off+8:]),
+					MaxX: f64(p[off+16:]), MaxY: f64(p[off+24:]),
+				},
+				ref: binary.LittleEndian.Uint64(p[off+32:]),
+			}
+			off += entrySize
+		}
+	})
 	if err != nil {
 		return node{}, fmt.Errorf("rtree: read node %d: %w", id, err)
 	}
-	level := binary.LittleEndian.Uint16(p[0:2])
-	count := int(binary.LittleEndian.Uint16(p[2:4]))
-	if count < 0 || nodeHeaderSize+count*entrySize > len(p) {
+	if len(n.entries) != count {
 		return node{}, fmt.Errorf("rtree: corrupt node %d: count %d", id, count)
-	}
-	if cap(buf) < count {
-		// A first buffer fits its node (most searches see a small root and a
-		// leaf or two); one that has to grow is made to fit any node.
-		size := count
-		if cap(buf) > 0 {
-			size = max(count, t.maxE)
-		}
-		buf = make([]entry, size)
-	}
-	n := node{id: id, level: level, entries: buf[:count]}
-	off := nodeHeaderSize
-	for i := range n.entries {
-		n.entries[i] = entry{
-			rect: geom.Rect{
-				MinX: f64(p[off:]), MinY: f64(p[off+8:]),
-				MaxX: f64(p[off+16:]), MaxY: f64(p[off+24:]),
-			},
-			ref: binary.LittleEndian.Uint64(p[off+32:]),
-		}
-		off += entrySize
 	}
 	return n, nil
 }

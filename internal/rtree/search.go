@@ -5,16 +5,44 @@ import (
 	"repro/internal/pagefile"
 )
 
+// freeList holds the scratch that finished read-only traversals hand back,
+// for the next ones to take: up to its capacity, and unlike a sync.Pool
+// without dropping any, so that a warm traversal allocates nothing, under the
+// race detector too. What does not fit is left to the garbage collector.
+type freeList[T any] chan *T
+
+// scratchKept is how many scratch values of each kind a free list keeps:
+// enough for the traversals a few cores run at once.
+const scratchKept = 8
+
+func (l freeList[T]) get() *T {
+	select {
+	case x := <-l:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+func (l freeList[T]) put(x *T) {
+	select {
+	case l <- x:
+	default:
+	}
+}
+
 // nodeStack is the scratch of one recursive read-only descent: the decoded
-// node at each depth of the current path. It belongs to the call, not the
-// tree, so concurrent searches, and searches started from inside a callback,
-// never share it; a call allocates once per level instead of once per node it
-// visits.
+// node at each depth of the current path. The descent takes it from stacks
+// and puts it back when it returns, buffers and all, so concurrent searches,
+// and searches started from inside a callback, never share one, and a warm
+// search allocates nothing however many nodes it visits.
 type nodeStack [][]entry
+
+var stacks = make(freeList[nodeStack], scratchKept)
 
 // read decodes page id into the buffer of the given depth. The entries are a
 // copy of the page buffer's frame, so recursing while iterating over them is
-// safe even though the frame may be evicted.
+// safe even though the frame may be evicted and recycled.
 func (s *nodeStack) read(t *Tree, id pagefile.PageID, depth int) (node, error) {
 	if depth == len(*s) {
 		*s = append(*s, nil)
@@ -29,8 +57,9 @@ func (s *nodeStack) read(t *Tree, id pagefile.PageID, depth int) (node, error) {
 // SearchRect reports every item whose rectangle intersects r, in no
 // particular order. The callback returns false to stop the search early.
 func (t *Tree) SearchRect(r geom.Rect, fn func(Item) bool) error {
-	s := make(nodeStack, 0, t.height)
-	_, err := t.searchRect(&s, t.root, 0, r, fn)
+	s := stacks.get()
+	defer stacks.put(s)
+	_, err := t.searchRect(s, t.root, 0, r, fn)
 	return err
 }
 
@@ -77,8 +106,9 @@ func (t *Tree) SearchCircle(center geom.Point, radius float64, fn func(Item) boo
 // refinement is left to the caller. A path of length d between a and b stays
 // inside the ellipse of sum d, which is the range Fig 8 needs.
 func (t *Tree) SearchEllipse(a, b geom.Point, sum float64, fn func(Item) bool) error {
-	s := make(nodeStack, 0, t.height)
-	_, err := t.searchEllipse(&s, t.root, 0, a, b, sum, fn)
+	s := stacks.get()
+	defer stacks.put(s)
+	_, err := t.searchEllipse(s, t.root, 0, a, b, sum, fn)
 	return err
 }
 

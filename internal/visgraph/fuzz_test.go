@@ -110,7 +110,13 @@ func newDiff(t *testing.T, seed int64, scene uint8) *diff {
 		d.pts = append(d.pts, freeOf(rng, polys, size))
 	}
 	first := rng.Intn(6)
-	d.lazy = Build(Options{UseSweep: true}, d.pool[:first])
+	// The lazy graph is built in the storage the previous input's released
+	// (what Release hands Build), so a grid, stamp, slot or adjacency array
+	// that reset leaves stale answers wrong here.
+	if recycled == nil {
+		recycled = &Graph{obstIDs: make(map[int64]int), edgeSet: make(map[uint64]bool)}
+	}
+	d.lazy, recycled = recycled.build(Options{UseSweep: true}, d.pool[:first]), nil
 	d.oracle = Build(Options{UseSweep: false}, d.pool[:first])
 	d.added, d.pool = d.pool[:first:first], d.pool[first:]
 	materialise(d.oracle)
@@ -351,5 +357,10 @@ func FuzzLazyMatchesOracle(f *testing.F) {
 		for i := 0; i+2 < len(prog) && i < 3*48; i += 3 {
 			d.step(prog[i], prog[i+1], prog[i+2])
 		}
+		recycled = d.lazy.reset()
 	})
 }
+
+// recycled is the lazy graph of the fuzzer's previous input, reset as
+// Release resets it, for the next input to build on.
+var recycled *Graph

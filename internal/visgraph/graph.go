@@ -35,6 +35,15 @@
 // immediately), and DeleteEntity removes a point once its distance
 // computation is done.
 //
+// A graph's storage outlives the graph. Release hands it to the next Build,
+// which reuses the node array with every node's adjacency array, the id and
+// edge maps, the vertex list, the obstacle grid and the search scratch, so
+// queries that build one small graph after another — a join's seeds, the
+// requests of a server — allocate no graph storage once warm. Only a graph's
+// owner releases it, once nothing reads it any more: a query releases its
+// local graphs when its answer has been read out of them, and a graph kept
+// for other queries (a graph-cache entry) is never released.
+//
 // There is one visibility pass: every live bitangent candidate is tested with
 // the exact predicate Visible (geom.Polygon.BlocksSegment against the
 // obstacles near the segment), which is right for touching and for
@@ -53,6 +62,8 @@ package visgraph
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -196,17 +207,57 @@ type Obstacle struct {
 // Build starts the visibility graph of a static obstacle set: every vertex
 // becomes a node and no visibility is computed — searches materialise
 // adjacency at the nodes they expand. Further obstacles and points can still
-// be added dynamically.
+// be added dynamically. The graph is built in the storage of one released
+// earlier (Release) when there is one.
 func Build(opts Options, obstacles []Obstacle) *Graph {
-	g := &Graph{
-		opts:    opts,
-		obstIDs: make(map[int64]int),
-		edgeSet: make(map[uint64]bool),
+	g, _ := released.Get().(*Graph)
+	if g == nil {
+		g = &Graph{obstIDs: make(map[int64]int), edgeSet: make(map[uint64]bool)}
 	}
+	return g.build(opts, obstacles)
+}
+
+// build starts g, empty (new or reset), as Build's graph.
+func (g *Graph) build(opts Options, obstacles []Obstacle) *Graph {
+	g.opts = opts
 	if opts.Metrics != nil {
 		opts.Metrics.Builds++
 	}
 	g.AddObstacles(obstacles)
+	return g
+}
+
+// released holds graphs their owners are done with, for Build to reuse.
+var released sync.Pool
+
+// maxReleasedNodes caps the graphs Release keeps: a near-global graph (a
+// sealed-off target's proof, a k-medoids matrix) would otherwise hold its
+// storage for the small graphs after it and make every reset clear it.
+const maxReleasedNodes = 1 << 14
+
+// Release hands the graph's storage to a later Build (see the package doc);
+// the graph must not be used after it. A graph of more than maxReleasedNodes
+// nodes is left to the garbage collector.
+func (g *Graph) Release() {
+	if len(g.nodes) <= maxReleasedNodes {
+		released.Put(g.reset())
+	}
+}
+
+// reset empties the graph, keeping its storage, and returns it. The grid is
+// rebuilt in its arrays at the next Visible; search and grid generations
+// carry on, so no old stamp looks current, and the slots are cut to zero
+// length so that Path finds no settled node before the next search.
+func (g *Graph) reset() *Graph {
+	g.opts = Options{}
+	g.nodes = g.nodes[:0] // newNode empties the adjacency array of a slot it takes
+	clear(g.obstacles)    // drop the polygons' vertex arrays
+	g.obstacles = g.obstacles[:0]
+	clear(g.obstIDs)
+	clear(g.edgeSet)
+	g.verts, g.free, g.slots = g.verts[:0], g.free[:0], g.slots[:0]
+	g.numEdges, g.live = 0, 0
+	g.grid.cell = 0
 	return g
 }
 
@@ -236,17 +287,21 @@ func (g *Graph) HasObstacle(id int64) bool {
 // Point returns the location of a node.
 func (g *Graph) Point(n NodeID) geom.Point { return g.nodes[n].pt }
 
+// newNode adds a node at p, in the slot of a deleted one or the next one,
+// keeping the adjacency array of the node that held the slot before.
 func (g *Graph) newNode(p geom.Point, kind Kind) NodeID {
-	n := gnode{pt: p, kind: kind, alive: true, seen: -1}
 	g.live++
+	var id NodeID
 	if len(g.free) > 0 {
-		id := g.free[len(g.free)-1]
+		id = g.free[len(g.free)-1]
 		g.free = g.free[:len(g.free)-1]
-		g.nodes[id] = n
-		return id
+	} else {
+		id = NodeID(len(g.nodes))
+		g.nodes = slices.Grow(g.nodes, 1)[:id+1]
 	}
-	g.nodes = append(g.nodes, n)
-	return NodeID(len(g.nodes) - 1)
+	n := &g.nodes[id]
+	*n = gnode{pt: p, kind: kind, alive: true, seen: -1, adj: n.adj[:0]}
+	return id
 }
 
 func (g *Graph) addEdge(u, v NodeID) {
@@ -468,7 +523,7 @@ func (g *Graph) DeleteEntity(id NodeID) {
 		delete(g.edgeSet, edgeKey(id, he.To))
 		g.numEdges--
 	}
-	n.adj = nil
+	n.adj = n.adj[:0]
 	n.alive = false
 	g.live--
 	g.free = append(g.free, id)
