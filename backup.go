@@ -48,16 +48,20 @@ func (s *Snapshot) Backup(ctx context.Context, path string) error {
 }
 
 // backupTo copies the pinned version's reachable pages (ids preserved, so
-// child references inside node pages stay valid), regenerates the catalog
-// blobs from the version's sealed views, and writes a fresh superblock —
-// the same file layout a checkpoint produces, minus the WAL.
+// child references inside node pages stay valid) — the obstacle polygons
+// among them, since the obstacle trees are their store — then writes one
+// state blob from the version's sealed views and a fresh superblock: the
+// same file layout a checkpoint produces, minus the WAL.
 func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) error {
 	type namedTree struct {
 		name  string
 		t     *rtree.Tree
 		pages []pagefile.PageID
 	}
-	trees := []*namedTree{{t: v.obst.Tree()}}
+	var trees []*namedTree
+	for _, t := range v.obst.Trees() {
+		trees = append(trees, &namedTree{name: "obstacles", t: t})
+	}
 	names := make([]string, 0, len(v.datasets))
 	for name := range v.datasets {
 		names = append(names, name)
@@ -118,8 +122,8 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 		}
 	}
 
-	// Catalog blobs go past the copied pages; the gaps below maxUsed become
-	// the new file's free list.
+	// The state blob goes past the copied pages; the gaps below maxUsed
+	// become the new file's free list.
 	next := maxUsed + 1
 	free := make([]pagefile.PageID, 0)
 	for id := pagefile.PageID(1); id < next; id++ {
@@ -127,23 +131,6 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 			free = append(free, id)
 		}
 	}
-	pageSize := dest.PageSize()
-	allocAt := func(n int) []pagefile.PageID {
-		ids := make([]pagefile.PageID, n)
-		for i := range ids {
-			ids[i] = next
-			next++
-		}
-		return ids
-	}
-
-	obstData := encodeObstacleSet(v.obst)
-	obstPages := allocAt(catalog.BlobPages(pageSize, len(obstData)))
-	obstRef, err := catalog.WriteBlob(dest, obstPages, obstData)
-	if err != nil {
-		return fail(fmt.Errorf("writing obstacle blob: %w", err))
-	}
-
 	metas := make([]catalog.DatasetMeta, 0, len(names))
 	for _, name := range names {
 		metas = append(metas, datasetMeta(name, v.datasets[name]))
@@ -151,9 +138,14 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 	stateData := catalog.EncodeState(&catalog.State{
 		Generation: v.gen,
 		PageFree:   free,
+		Obstacles:  obstacleMeta(v.obst),
 		Datasets:   metas,
 	})
-	statePages := allocAt(catalog.BlobPages(pageSize, len(stateData)))
+	statePages := make([]pagefile.PageID, catalog.BlobPages(dest.PageSize(), len(stateData)))
+	for i := range statePages {
+		statePages[i] = next
+		next++
+	}
 	stateRef, err := catalog.WriteBlob(dest, statePages, stateData)
 	if err != nil {
 		return fail(fmt.Errorf("writing state blob: %w", err))
@@ -163,11 +155,9 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 		return fail(err)
 	}
 	if err := dest.WriteSuperblock(pagefile.Superblock{
-		PageSize:  pageSize,
-		Next:      next,
-		Seq:       0,
-		State:     stateRef,
-		Obstacles: obstRef,
+		PageSize: dest.PageSize(),
+		Next:     next,
+		State:    stateRef,
 	}); err != nil {
 		return fail(err)
 	}

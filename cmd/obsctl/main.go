@@ -1,5 +1,5 @@
 // Command obsctl is obsd's offline companion: it creates, inspects,
-// checkpoints, verifies, scrubs and backs up durable database files (see
+// checkpoints, scrubs and backs up durable database files (see
 // obstacles.Open), generates the evaluation's CSV datasets, reproduces the
 // paper's figures, and sends one request to a database file through obsd's
 // own HTTP handler.
@@ -10,7 +10,6 @@
 //	obsctl create -db city.obs -obstacles-csv obstacles.csv -entities-csv entities.csv
 //	obsctl inspect -db city.obs
 //	obsctl checkpoint -db city.obs
-//	obsctl verify -db city.obs
 //	obsctl scrub -db city.obs
 //	obsctl backup -db city.obs -to city-copy.obs
 //	obsctl gen [-obstacles 131461] [-entities 131461] [-queries 200] [-seed 1] [-out data/]
@@ -22,12 +21,13 @@
 // byte-for-byte from -seed) or from the two CSV files gen writes; a world
 // comes whole from one source, so the two CSV flags go together. inspect
 // prints the superblock-level stats and the catalog contents. checkpoint
-// applies the WAL to the data file and truncates it. verify reopens the file
-// and checks that a nearest-neighbor query from an unblocked point surfaces
-// every entity in ascending distance order. scrub reads every allocated page
-// and verifies its checksum (see obstacles.Database.Scrub), reporting
-// corrupt pages and quarantining corrupt free ones so they are never handed
-// out again — an error when live data is damaged. backup writes a
+// applies the WAL to the data file and truncates it. scrub cross-checks
+// every tree against its table — each tree's invariants, and leaves that
+// hold exactly the live ids under their items' bounds, the obstacle polygons
+// included, since the obstacle trees are their store — then reads every
+// allocated page and verifies its checksum (see obstacles.Database.Scrub),
+// quarantining corrupt free pages so they are never handed out again; it is
+// an error when live data is damaged or an index disagrees. backup writes a
 // consistent point-in-time copy to a fresh file (the file lock keeps tools
 // out of a file a daemon holds open — back up a live obsd with its
 // POST /v1/admin/backup verb instead).
@@ -65,7 +65,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -87,7 +86,7 @@ func main() {
 	}
 }
 
-var errUsage = errors.New("usage: obsctl {create|inspect|checkpoint|verify|scrub|backup|gen|figures|request} [flags]")
+var errUsage = errors.New("usage: obsctl {create|inspect|checkpoint|scrub|backup|gen|figures|request} [flags]")
 
 // run executes one subcommand, args[0], writing its report to stdout.
 func run(args []string, stdout io.Writer) error {
@@ -98,7 +97,6 @@ func run(args []string, stdout io.Writer) error {
 		"create":     create,
 		"inspect":    inspect,
 		"checkpoint": checkpoint,
-		"verify":     verify,
 		"scrub":      scrub,
 		"backup":     backup,
 		"gen":        gen,
@@ -232,66 +230,6 @@ func checkpoint(args []string, stdout io.Writer) error {
 	return db.Close()
 }
 
-func verify(args []string, stdout io.Writer) error {
-	db, path, err := openDB(flag.NewFlagSet("verify", flag.ContinueOnError), args, nil)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	ctx := context.Background()
-	// Query from a point outside every obstacle (a blocked query point
-	// legitimately returns nothing, which would mask index damage).
-	q := obstacles.Pt(0, 0)
-	for try := 0; ; try++ {
-		inside, err := db.InsideObstacle(q)
-		if err != nil {
-			return err
-		}
-		if !inside {
-			break
-		}
-		if try == 64 {
-			return fmt.Errorf("verify: could not find a query point outside all obstacles")
-		}
-		q = obstacles.Pt(q.X+137.5, q.Y+89.25)
-	}
-	checked := 0
-	for _, name := range db.Datasets() {
-		n, err := db.DatasetLen(name)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			continue
-		}
-		// An n-nearest-neighbors query from an unblocked point must surface
-		// every entity — reachable ones in ascending obstructed-distance
-		// order, sealed-off ones at +Inf — pinning the recovered index
-		// against the recovered point table: a leaf lost in recovery means
-		// fewer than n results.
-		nn, err := db.NearestNeighbors(ctx, name, q, n)
-		if err != nil {
-			return err
-		}
-		if len(nn) != n {
-			return fmt.Errorf("verify: dataset %q returned %d of %d entities — recovered index and point table disagree", name, len(nn), n)
-		}
-		prev := 0.0
-		for _, nb := range nn {
-			if math.IsNaN(nb.Distance) || nb.Distance < prev {
-				return fmt.Errorf("verify: dataset %q entity %d has distance %v after %v", name, nb.ID, nb.Distance, prev)
-			}
-			if !math.IsInf(nb.Distance, 1) {
-				prev = nb.Distance
-			}
-		}
-		checked += len(nn)
-	}
-	fmt.Fprintf(stdout, "verified %s: %d obstacles, %d entities queried, no inconsistencies\n",
-		path, db.NumObstacles(), checked)
-	return nil
-}
-
 func scrub(args []string, stdout io.Writer) error {
 	db, path, err := openDB(flag.NewFlagSet("scrub", flag.ContinueOnError), args, nil)
 	if err != nil {
@@ -306,10 +244,16 @@ func scrub(args []string, stdout io.Writer) error {
 	if len(rep.CorruptFree) > 0 {
 		fmt.Fprintf(stdout, "  %d corrupt free page(s) quarantined: %v\n", len(rep.Quarantined), rep.CorruptFree)
 	}
+	for _, msg := range rep.Inconsistent {
+		fmt.Fprintf(stdout, "  inconsistent: %s\n", msg)
+	}
 	if len(rep.CorruptLive) > 0 {
 		return fmt.Errorf("scrub: %d live page(s) corrupt: %v — restore from a backup", len(rep.CorruptLive), rep.CorruptLive)
 	}
-	fmt.Fprintln(stdout, "  all checksums good")
+	if len(rep.Inconsistent) > 0 {
+		return fmt.Errorf("scrub: %d index check(s) failed — restore from a backup", len(rep.Inconsistent))
+	}
+	fmt.Fprintln(stdout, "  every tree matches its table, all checksums good")
 	return db.Close()
 }
 

@@ -62,7 +62,8 @@
 // -recover-backoff), replaying the WAL and resuming the write path without
 // a restart; GET /healthz reports "degraded" with recovery progress, and
 // GET /healthz?ready=1 turns 503 so load balancers rotate the daemon out.
-// POST /v1/admin/scrub verifies every page checksum online. -chaos installs
+// POST /v1/admin/scrub cross-checks the trees against their tables and
+// verifies every page checksum online. -chaos installs
 // programmable faults (e.g. "wal-sync:after=20:count=1") for drills.
 package main
 

@@ -527,7 +527,7 @@ func TestDurableDeltaBytesIndependentOfObstacles(t *testing.T) {
 	if d := bigPt - smallPt; d < -1024 || d > 1024 {
 		t.Fatalf("point-insert WAL bytes scale with |O|: %d at 100 obstacles, %d at 2000", smallPt, bigPt)
 	}
-	// An obstacle add logs its tree path and a one-polygon delta — a few
+	// An obstacle add logs its tree path and the obstacle record — a few
 	// pages regardless of |O|. The old blob rewrite alone would be >150 KB
 	// at 2000 obstacles.
 	if bigObst > 32<<10 {

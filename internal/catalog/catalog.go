@@ -1,18 +1,18 @@
-// Package catalog serializes database metadata into page-chain blobs so
-// the whole Database state lives in one page file. Two blobs hang off the
-// superblock:
+// Package catalog serializes database metadata into the one blob that hangs
+// off the superblock, so the whole Database state lives in one page file.
+// The state blob holds the commit generation, the page-file free list, the
+// obstacle record (the obstacle R-tree and vertex tree root/height/size, the
+// obstacle id space and mutation counter) and one record per dataset (name,
+// R-tree root/height/size, id-space bound). Checkpoints rewrite it; each
+// commit in between logs a Delta instead.
 //
-//   - the state blob: commit generation, the page-file free list, and one
-//     record per dataset (name, R-tree root/height/size, id-space bound) —
-//     rewritten on every commit;
-//   - the obstacle blob: the obstacle R-tree root/height/size, the obstacle
-//     id space, and every live obstacle polygon — rewritten only when
-//     obstacles change.
-//
-// Point coordinates are deliberately absent: a dataset's points are
-// recovered on open by scanning its tree's leaves (every leaf entry is a
-// degenerate rectangle plus the entity id), and the id free list is the
-// complement of the scanned ids in [0, IDBound).
+// No coordinates are stored here: the trees are the store. A dataset's
+// points are recovered on open by scanning its tree's leaves (every leaf
+// entry is a degenerate rectangle plus the entity id), and the obstacle
+// polygons the same way from the obstacle tree, whose leaf is a rectangle's
+// whole polygon, plus the vertex tree that holds any other polygon's
+// vertices. The id free lists are the complements of the scanned ids in
+// [0, IDBound).
 //
 // A blob is stored as a chain of pages, each holding a next-page pointer in
 // its first four bytes; the superblock's BlobRef records the chain root,
@@ -25,10 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
-	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -51,25 +48,25 @@ type DatasetMeta struct {
 	IDBound int64 // exclusive upper bound of ids ever assigned
 }
 
-// State is the per-commit metadata blob.
+// ObstacleMeta locates the obstacle set: its R-tree, whose leaves are the
+// obstacles, and the vertex tree of its non-rectangle polygons.
+type ObstacleMeta struct {
+	Tree, Verts TreeMeta
+	IDBound     int64  // exclusive upper bound of ids ever assigned
+	Generation  uint64 // the obstacle set's mutation counter
+}
+
+// State is the metadata blob.
 type State struct {
 	Generation uint64 // the database's committed-mutation counter
 	PageFree   []pagefile.PageID
+	Obstacles  *ObstacleMeta // nil in a file that never checkpointed
 	Datasets   []DatasetMeta
-}
-
-// Obstacles is the obstacle metadata blob.
-type Obstacles struct {
-	Tree       TreeMeta
-	IDBound    int64
-	Generation uint64                 // the obstacle set's mutation counter
-	Polys      map[int64][]geom.Point // live obstacle id -> vertices
 }
 
 const (
 	stateMagic  = uint32(0x4f425354) // "OBST"
-	obstMagic   = uint32(0x4f424f42) // "OBOB"
-	blobVersion = 1
+	blobVersion = 2
 )
 
 type encoder struct{ buf bytes.Buffer }
@@ -84,8 +81,7 @@ func (e *encoder) u64(v uint64) {
 	binary.LittleEndian.PutUint64(b[:], v)
 	e.buf.Write(b[:])
 }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) str(s string)  { e.u32(uint32(len(s))); e.buf.WriteString(s) }
+func (e *encoder) str(s string) { e.u32(uint32(len(s))); e.buf.WriteString(s) }
 
 type decoder struct {
 	b   []byte
@@ -119,8 +115,6 @@ func (d *decoder) u64(what string) uint64 {
 	return v
 }
 
-func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
-
 func (d *decoder) str(what string) string {
 	n := int(d.u32(what))
 	if d.err != nil || n < 0 || d.off+n > len(d.b) {
@@ -146,6 +140,57 @@ func (d *decoder) tree(what string) TreeMeta {
 	}
 }
 
+func (e *encoder) datasets(ds []DatasetMeta) {
+	e.u32(uint32(len(ds)))
+	for _, m := range ds {
+		e.str(m.Name)
+		e.tree(m.Tree)
+		e.u64(uint64(m.IDBound))
+	}
+}
+
+func (d *decoder) datasets() []DatasetMeta {
+	var out []DatasetMeta
+	n := int(d.u32("dataset count"))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, DatasetMeta{
+			Name:    d.str("dataset name"),
+			Tree:    d.tree("dataset tree"),
+			IDBound: int64(d.u64("dataset id bound")),
+		})
+	}
+	return out
+}
+
+// obst writes an optional obstacle record behind a presence flag.
+func (e *encoder) obst(o *ObstacleMeta) {
+	if o == nil {
+		e.u32(0)
+		return
+	}
+	e.u32(1)
+	e.tree(o.Tree)
+	e.tree(o.Verts)
+	e.u64(uint64(o.IDBound))
+	e.u64(o.Generation)
+}
+
+func (d *decoder) obst() *ObstacleMeta {
+	switch flag := d.u32("obstacle flag"); {
+	case d.err != nil || flag == 0:
+		return nil
+	case flag > 1:
+		d.err = fmt.Errorf("%w: obstacle flag %d", ErrCorrupt, flag)
+		return nil
+	}
+	return &ObstacleMeta{
+		Tree:       d.tree("obstacle tree"),
+		Verts:      d.tree("vertex tree"),
+		IDBound:    int64(d.u64("obstacle id bound")),
+		Generation: d.u64("obstacle generation"),
+	}
+}
+
 // EncodeState serializes s.
 func EncodeState(s *State) []byte {
 	var e encoder
@@ -156,12 +201,8 @@ func EncodeState(s *State) []byte {
 	for _, id := range s.PageFree {
 		e.u32(uint32(id))
 	}
-	e.u32(uint32(len(s.Datasets)))
-	for _, ds := range s.Datasets {
-		e.str(ds.Name)
-		e.tree(ds.Tree)
-		e.u64(uint64(ds.IDBound))
-	}
+	e.obst(s.Obstacles)
+	e.datasets(s.Datasets)
 	return e.buf.Bytes()
 }
 
@@ -182,13 +223,8 @@ func DecodeState(b []byte) (*State, error) {
 	for i := 0; i < nFree && d.err == nil; i++ {
 		s.PageFree = append(s.PageFree, pagefile.PageID(d.u32("free entry")))
 	}
-	nDS := int(d.u32("dataset count"))
-	for i := 0; i < nDS && d.err == nil; i++ {
-		ds := DatasetMeta{Name: d.str("dataset name")}
-		ds.Tree = d.tree("dataset tree")
-		ds.IDBound = int64(d.u64("dataset id bound"))
-		s.Datasets = append(s.Datasets, ds)
-	}
+	s.Obstacles = d.obst()
+	s.Datasets = d.datasets()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -196,70 +232,6 @@ func DecodeState(b []byte) (*State, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in state blob", ErrCorrupt, len(b)-d.off)
 	}
 	return s, nil
-}
-
-// EncodeObstacles serializes o with polygons in ascending id order.
-func EncodeObstacles(o *Obstacles) []byte {
-	var e encoder
-	e.u32(obstMagic)
-	e.u32(blobVersion)
-	e.tree(o.Tree)
-	e.u64(uint64(o.IDBound))
-	e.u64(o.Generation)
-	ids := make([]int64, 0, len(o.Polys))
-	for id := range o.Polys {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.u32(uint32(len(ids)))
-	for _, id := range ids {
-		e.u64(uint64(id))
-		v := o.Polys[id]
-		e.u32(uint32(len(v)))
-		for _, p := range v {
-			e.f64(p.X)
-			e.f64(p.Y)
-		}
-	}
-	return e.buf.Bytes()
-}
-
-// DecodeObstacles parses an obstacle blob.
-func DecodeObstacles(b []byte) (*Obstacles, error) {
-	d := &decoder{b: b}
-	if m := d.u32("magic"); d.err == nil && m != obstMagic {
-		return nil, fmt.Errorf("%w: obstacle magic %#x", ErrCorrupt, m)
-	}
-	if v := d.u32("version"); d.err == nil && v != blobVersion {
-		return nil, fmt.Errorf("%w: obstacle version %d", ErrCorrupt, v)
-	}
-	o := &Obstacles{Polys: make(map[int64][]geom.Point)}
-	o.Tree = d.tree("obstacle tree")
-	o.IDBound = int64(d.u64("obstacle id bound"))
-	o.Generation = d.u64("obstacle generation")
-	n := int(d.u32("obstacle count"))
-	for i := 0; i < n && d.err == nil; i++ {
-		id := int64(d.u64("obstacle id"))
-		nv := int(d.u32("vertex count"))
-		if d.err == nil && (nv < 3 || d.off+nv*16 > len(b)) {
-			return nil, fmt.Errorf("%w: obstacle %d has vertex count %d", ErrCorrupt, id, nv)
-		}
-		v := make([]geom.Point, nv)
-		for j := 0; j < nv; j++ {
-			v[j] = geom.Pt(d.f64("vertex x"), d.f64("vertex y"))
-		}
-		if _, dup := o.Polys[id]; dup && d.err == nil {
-			return nil, fmt.Errorf("%w: duplicate obstacle id %d", ErrCorrupt, id)
-		}
-		o.Polys[id] = v
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in obstacle blob", ErrCorrupt, len(b)-d.off)
-	}
-	return o, nil
 }
 
 // chainPayload is the per-page payload capacity: the first four bytes of a

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -15,6 +14,12 @@ func TestStateRoundTrip(t *testing.T) {
 	in := &State{
 		Generation: 42,
 		PageFree:   []pagefile.PageID{9, 3, 17},
+		Obstacles: &ObstacleMeta{
+			Tree:       TreeMeta{Root: 2, Height: 3, Size: 2},
+			Verts:      TreeMeta{Root: 4, Height: 1, Size: 3},
+			IDBound:    7,
+			Generation: 5,
+		},
 		Datasets: []DatasetMeta{
 			{Name: "P", Tree: TreeMeta{Root: 5, Height: 2, Size: 1000}, IDBound: 1024},
 			{Name: "towers", Tree: TreeMeta{Root: 88, Height: 1, Size: 0}, IDBound: 0},
@@ -32,52 +37,16 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Generation != 0 || len(empty.PageFree) != 0 || len(empty.Datasets) != 0 {
+	if empty.Generation != 0 || len(empty.PageFree) != 0 || empty.Obstacles != nil || len(empty.Datasets) != 0 {
 		t.Fatalf("empty state decoded to %+v", empty)
-	}
-}
-
-func TestObstaclesRoundTrip(t *testing.T) {
-	in := &Obstacles{
-		Tree:       TreeMeta{Root: 2, Height: 3, Size: 2},
-		IDBound:    7,
-		Generation: 5,
-		Polys: map[int64][]geom.Point{
-			0: {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)},
-			6: {geom.Pt(2, 2), geom.Pt(4, 2), geom.Pt(4, 4), geom.Pt(2, 4)},
-		},
-	}
-	out, err := DecodeObstacles(EncodeObstacles(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip:\n in  %+v\n out %+v", in, out)
-	}
-}
-
-// BenchmarkEncodeObstacles encodes the obstacle blob of a paper-scale set:
-// 131,461 rectangles, the size of the paper's street-MBR dataset, keyed by a
-// map as the database keeps them.
-func BenchmarkEncodeObstacles(b *testing.B) {
-	const n = 131461
-	in := &Obstacles{Tree: TreeMeta{Root: 1, Height: 3, Size: n}, IDBound: n, Polys: make(map[int64][]geom.Point, n)}
-	for id := int64(0); id < n; id++ {
-		x, y := float64(id%400)*25, float64(id/400)*25
-		in.Polys[id] = []geom.Point{geom.Pt(x, y), geom.Pt(x+10, y), geom.Pt(x+10, y+10), geom.Pt(x, y+10)}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.SetBytes(int64(len(EncodeObstacles(in))))
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	state := EncodeState(&State{Generation: 1, Datasets: []DatasetMeta{{Name: "P"}}})
-	obst := EncodeObstacles(&Obstacles{
-		IDBound: 1,
-		Polys:   map[int64][]geom.Point{0: {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}},
-	})
+	delta := EncodeDelta(&Delta{Generation: 1})
+	badFlag := EncodeState(&State{Obstacles: &ObstacleMeta{}})
+	badFlag[20] = 2 // magic, version, generation, free count, then the obstacle flag
 	cases := []struct {
 		name string
 		blob []byte
@@ -85,9 +54,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}{
 		{"state truncated", state[:len(state)-3], func(b []byte) error { _, err := DecodeState(b); return err }},
 		{"state trailing", append(append([]byte{}, state...), 0), func(b []byte) error { _, err := DecodeState(b); return err }},
-		{"state wrong magic", obst, func(b []byte) error { _, err := DecodeState(b); return err }},
-		{"obst truncated", obst[:len(obst)-9], func(b []byte) error { _, err := DecodeObstacles(b); return err }},
-		{"obst wrong magic", state, func(b []byte) error { _, err := DecodeObstacles(b); return err }},
+		{"state wrong magic", delta, func(b []byte) error { _, err := DecodeState(b); return err }},
+		{"state obstacle flag", badFlag, func(b []byte) error { _, err := DecodeState(b); return err }},
+		{"delta wrong magic", state, func(b []byte) error { _, err := DecodeDelta(b); return err }},
 		{"empty", nil, func(b []byte) error { _, err := DecodeState(b); return err }},
 	}
 	for _, c := range cases {

@@ -3,23 +3,22 @@ package catalog
 import (
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
 // Delta is the incremental catalog record one commit appends to the WAL in
-// place of rewriting the state and obstacle blobs. It carries only what the
-// commit changed: the new generation and allocation frontier always (they
-// are a few bytes), the ordered free-list ops of the commit, the metadata
-// of just the datasets the commit touched, and — only when obstacles
-// changed — the obstacle-set header plus the individual polygons added and
-// ids removed. Encoded size is therefore independent of the total obstacle
-// and dataset population; full blobs are rewritten only at checkpoints.
+// place of rewriting the state blob. It carries only what the commit
+// changed: the new generation and allocation frontier always (they are a few
+// bytes), the ordered free-list ops of the commit, the metadata of just the
+// datasets the commit touched, and — only when obstacles changed — the
+// obstacle record. The obstacles themselves are tree pages, logged as page
+// images like every other page, so the encoded size is independent of the
+// obstacle and dataset populations.
 //
-// Recovery starts from the checkpoint blobs referenced by the data file's
-// superblock and applies, in commit order, the deltas of every WAL
+// Recovery starts from the checkpoint state blob referenced by the data
+// file's superblock and applies, in commit order, the deltas of every WAL
 // transaction whose sequence number exceeds the superblock's — deltas at or
-// below it are already folded into the blobs (a crash can land between the
+// below it are already folded into the blob (a crash can land between the
 // checkpoint's superblock write and its WAL truncation, so Apply must be
 // guarded by that sequence check to stay idempotent).
 type Delta struct {
@@ -27,22 +26,7 @@ type Delta struct {
 	Next       pagefile.PageID    // allocation frontier after the commit
 	FreeOps    []pagefile.AllocOp // ordered free-list mutations of the commit
 	Datasets   []DatasetMeta      // upserts for datasets the commit touched
-	Obst       *ObstacleDelta     // nil when the commit changed no obstacles
-}
-
-// ObstacleDelta is the obstacle-set part of a commit's delta.
-type ObstacleDelta struct {
-	Tree       TreeMeta // obstacle R-tree location after the commit
-	IDBound    int64
-	Generation uint64
-	Added      []ObstacleAdd
-	Removed    []int64
-}
-
-// ObstacleAdd is one polygon indexed by the commit.
-type ObstacleAdd struct {
-	ID    int64
-	Verts []geom.Point
+	Obst       *ObstacleMeta      // nil when the commit changed no obstacles
 }
 
 const deltaMagic = uint32(0x4f42444c) // "OBDL"
@@ -63,34 +47,8 @@ func EncodeDelta(d *Delta) []byte {
 		e.u32(kind)
 		e.u32(uint32(op.ID))
 	}
-	e.u32(uint32(len(d.Datasets)))
-	for _, ds := range d.Datasets {
-		e.str(ds.Name)
-		e.tree(ds.Tree)
-		e.u64(uint64(ds.IDBound))
-	}
-	if d.Obst == nil {
-		e.u32(0)
-		return e.buf.Bytes()
-	}
-	e.u32(1)
-	o := d.Obst
-	e.tree(o.Tree)
-	e.u64(uint64(o.IDBound))
-	e.u64(o.Generation)
-	e.u32(uint32(len(o.Added)))
-	for _, add := range o.Added {
-		e.u64(uint64(add.ID))
-		e.u32(uint32(len(add.Verts)))
-		for _, p := range add.Verts {
-			e.f64(p.X)
-			e.f64(p.Y)
-		}
-	}
-	e.u32(uint32(len(o.Removed)))
-	for _, id := range o.Removed {
-		e.u64(uint64(id))
-	}
+	e.datasets(d.Datasets)
+	e.obst(d.Obst)
 	return e.buf.Bytes()
 }
 
@@ -118,44 +76,8 @@ func DecodeDelta(b []byte) (*Delta, error) {
 			ID:   pagefile.PageID(d.u32("free op id")),
 		})
 	}
-	nDS := int(d.u32("dataset count"))
-	for i := 0; i < nDS && d.err == nil; i++ {
-		ds := DatasetMeta{Name: d.str("dataset name")}
-		ds.Tree = d.tree("dataset tree")
-		ds.IDBound = int64(d.u64("dataset id bound"))
-		out.Datasets = append(out.Datasets, ds)
-	}
-	switch hasObst := d.u32("obstacle flag"); {
-	case d.err != nil:
-	case hasObst > 1:
-		return nil, fmt.Errorf("%w: obstacle flag %d", ErrCorrupt, hasObst)
-	case hasObst == 1:
-		o := &ObstacleDelta{}
-		o.Tree = d.tree("obstacle tree")
-		o.IDBound = int64(d.u64("obstacle id bound"))
-		o.Generation = d.u64("obstacle generation")
-		nAdd := int(d.u32("obstacle add count"))
-		for i := 0; i < nAdd && d.err == nil; i++ {
-			add := ObstacleAdd{ID: int64(d.u64("obstacle id"))}
-			nv := int(d.u32("vertex count"))
-			if d.err == nil && (nv < 3 || d.off+nv*16 > len(b)) {
-				return nil, fmt.Errorf("%w: obstacle %d has vertex count %d", ErrCorrupt, add.ID, nv)
-			}
-			add.Verts = make([]geom.Point, nv)
-			for j := 0; j < nv; j++ {
-				add.Verts[j] = geom.Pt(d.f64("vertex x"), d.f64("vertex y"))
-			}
-			o.Added = append(o.Added, add)
-		}
-		nRem := int(d.u32("obstacle remove count"))
-		if d.err == nil && nRem > len(b) {
-			return nil, fmt.Errorf("%w: obstacle remove count %d", ErrCorrupt, nRem)
-		}
-		for i := 0; i < nRem && d.err == nil; i++ {
-			o.Removed = append(o.Removed, int64(d.u64("removed obstacle id")))
-		}
-		out.Obst = o
-	}
+	out.Datasets = d.datasets()
+	out.Obst = d.obst()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -165,15 +87,12 @@ func DecodeDelta(b []byte) (*Delta, error) {
 	return out, nil
 }
 
-// Apply folds the delta into a recovered catalog state: st is mutated in
-// place, and the returned obstacle state is ob with the obstacle part
-// applied (ob may be nil when no obstacle blob existed yet; a fresh one is
-// created on the first obstacle-bearing delta). Apply validates against the
-// running state — taking a page that is not free, re-adding a live obstacle
-// id, removing a dead one — and reports ErrCorrupt, because a delta that
-// does not match the state it claims to follow means the log and the
-// checkpoint disagree.
-func (d *Delta) Apply(st *State, ob *Obstacles) (*Obstacles, error) {
+// Apply folds the delta into a recovered catalog state, mutating st in
+// place. Apply validates the free-list ops against the running state —
+// taking a page that is not free, freeing one twice — and reports
+// ErrCorrupt, because a delta that does not match the state it claims to
+// follow means the log and the checkpoint disagree.
+func (d *Delta) Apply(st *State) error {
 	st.Generation = d.Generation
 	if len(d.FreeOps) > 0 {
 		free := st.PageFree
@@ -185,7 +104,7 @@ func (d *Delta) Apply(st *State, ob *Obstacles) (*Obstacles, error) {
 			if op.Take {
 				i, ok := inFree[op.ID]
 				if !ok {
-					return ob, fmt.Errorf("%w: delta takes page %d, which is not free", ErrCorrupt, op.ID)
+					return fmt.Errorf("%w: delta takes page %d, which is not free", ErrCorrupt, op.ID)
 				}
 				last := len(free) - 1
 				free[i] = free[last]
@@ -194,7 +113,7 @@ func (d *Delta) Apply(st *State, ob *Obstacles) (*Obstacles, error) {
 				delete(inFree, op.ID)
 			} else {
 				if _, dup := inFree[op.ID]; dup {
-					return ob, fmt.Errorf("%w: delta frees page %d twice", ErrCorrupt, op.ID)
+					return fmt.Errorf("%w: delta frees page %d twice", ErrCorrupt, op.ID)
 				}
 				inFree[op.ID] = len(free)
 				free = append(free, op.ID)
@@ -215,26 +134,8 @@ func (d *Delta) Apply(st *State, ob *Obstacles) (*Obstacles, error) {
 			st.Datasets = append(st.Datasets, ds)
 		}
 	}
-	if d.Obst == nil {
-		return ob, nil
+	if d.Obst != nil {
+		st.Obstacles = d.Obst
 	}
-	if ob == nil {
-		ob = &Obstacles{Polys: make(map[int64][]geom.Point)}
-	}
-	ob.Tree = d.Obst.Tree
-	ob.IDBound = d.Obst.IDBound
-	ob.Generation = d.Obst.Generation
-	for _, id := range d.Obst.Removed {
-		if _, live := ob.Polys[id]; !live {
-			return ob, fmt.Errorf("%w: delta removes obstacle %d, which is not live", ErrCorrupt, id)
-		}
-		delete(ob.Polys, id)
-	}
-	for _, add := range d.Obst.Added {
-		if _, dup := ob.Polys[add.ID]; dup {
-			return ob, fmt.Errorf("%w: delta re-adds live obstacle %d", ErrCorrupt, add.ID)
-		}
-		ob.Polys[add.ID] = add.Verts
-	}
-	return ob, nil
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -23,14 +22,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		Datasets: []DatasetMeta{
 			{Name: "P", Tree: TreeMeta{Root: 7, Height: 2, Size: 120}, IDBound: 130},
 		},
-		Obst: &ObstacleDelta{
+		Obst: &ObstacleMeta{
 			Tree:       TreeMeta{Root: 3, Height: 1, Size: 9},
+			Verts:      TreeMeta{Root: 6, Height: 1, Size: 3},
 			IDBound:    10,
 			Generation: 6,
-			Added: []ObstacleAdd{
-				{ID: 9, Verts: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}},
-			},
-			Removed: []int64{2},
 		},
 	}
 	back, err := DecodeDelta(EncodeDelta(d))
@@ -60,14 +56,6 @@ func TestDeltaApply(t *testing.T) {
 			{Name: "P", Tree: TreeMeta{Root: 7, Height: 2, Size: 100}, IDBound: 100},
 		},
 	}
-	ob := &Obstacles{
-		Tree:    TreeMeta{Root: 3, Height: 1, Size: 2},
-		IDBound: 2,
-		Polys: map[int64][]geom.Point{
-			0: {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)},
-			1: {geom.Pt(5, 5), geom.Pt(6, 5), geom.Pt(5, 6)},
-		},
-	}
 	d := &Delta{
 		Generation: 11,
 		Next:       50,
@@ -80,16 +68,14 @@ func TestDeltaApply(t *testing.T) {
 			{Name: "P", Tree: TreeMeta{Root: 8, Height: 2, Size: 101}, IDBound: 101},
 			{Name: "Q", Tree: TreeMeta{Root: 30, Height: 1, Size: 5}, IDBound: 5},
 		},
-		Obst: &ObstacleDelta{
+		Obst: &ObstacleMeta{
 			Tree:       TreeMeta{Root: 3, Height: 1, Size: 2},
+			Verts:      TreeMeta{Root: 5, Height: 1, Size: 0},
 			IDBound:    3,
 			Generation: 3,
-			Added:      []ObstacleAdd{{ID: 2, Verts: []geom.Point{geom.Pt(9, 9), geom.Pt(10, 9), geom.Pt(9, 10)}}},
-			Removed:    []int64{0},
 		},
 	}
-	ob2, err := d.Apply(st, ob)
-	if err != nil {
+	if err := d.Apply(st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Generation != 11 {
@@ -103,37 +89,17 @@ func TestDeltaApply(t *testing.T) {
 	if len(st.Datasets) != 2 || st.Datasets[0].Tree.Root != 8 || st.Datasets[1].Name != "Q" {
 		t.Fatalf("datasets = %+v", st.Datasets)
 	}
-	if len(ob2.Polys) != 2 {
-		t.Fatalf("obstacle polys = %v", ob2.Polys)
+	if st.Obstacles != d.Obst {
+		t.Fatalf("obstacle record = %+v, want the delta's", st.Obstacles)
 	}
-	if _, live := ob2.Polys[0]; live {
-		t.Fatal("removed obstacle 0 still live")
-	}
-	if _, live := ob2.Polys[2]; !live {
-		t.Fatal("added obstacle 2 missing")
+	// A delta that changed no obstacles keeps the record.
+	if err := (&Delta{Generation: 12}).Apply(st); err != nil || st.Obstacles != d.Obst {
+		t.Fatalf("obstacle-free delta: err %v, record %+v", err, st.Obstacles)
 	}
 
 	// A delta against a state it does not match is corrupt, not absorbed.
 	bad := &Delta{FreeOps: []pagefile.AllocOp{{Take: true, ID: 777}}}
-	if _, err := bad.Apply(st, ob2); !errors.Is(err, ErrCorrupt) {
+	if err := bad.Apply(st); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("taking a non-free page: %v", err)
-	}
-	badObst := &Delta{Obst: &ObstacleDelta{Removed: []int64{55}}}
-	if _, err := badObst.Apply(st, ob2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("removing a dead obstacle: %v", err)
-	}
-
-	// The first obstacle-bearing delta over a file with no obstacle blob
-	// creates the obstacle state from scratch.
-	fresh := &Delta{Obst: &ObstacleDelta{
-		IDBound: 1, Generation: 1,
-		Added: []ObstacleAdd{{ID: 0, Verts: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}}},
-	}}
-	ob3, err := fresh.Apply(&State{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ob3 == nil || len(ob3.Polys) != 1 {
-		t.Fatalf("fresh obstacle state = %+v", ob3)
 	}
 }

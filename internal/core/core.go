@@ -24,7 +24,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -114,11 +117,53 @@ func attach[T boxed](noun string, t *rtree.Tree, items []T, live []bool) table[T
 // multi-terabyte allocation before the tree scan can cross-check anything.
 const maxAttachSlack = 1 << 24
 
-// validAttachBound sanity-checks a file-supplied id bound against the
-// attached tree's item count before any allocation sized by it.
-func validAttachBound(what string, idBound int64, items int) error {
-	if idBound < int64(items) || idBound > int64(items)+maxAttachSlack {
-		return fmt.Errorf("core: corrupt catalog: %s id bound %d for %d live items", what, idBound, items)
+// scanLeaves reads every leaf entry of a tree recovered from durable
+// storage: the bounds under which each id in [0, idBound) is indexed, and
+// which ids have a leaf at all.
+func scanLeaves(noun string, t *rtree.Tree, idBound int64) ([]geom.Rect, []bool, error) {
+	if n := int64(t.Len()); idBound < n || idBound > n+maxAttachSlack {
+		return nil, nil, fmt.Errorf("core: %s id bound %d does not fit the tree's %d items", noun, idBound, n)
+	}
+	items, err := t.All()
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: scanning %s tree: %w", noun, err)
+	}
+	if len(items) != t.Len() {
+		return nil, nil, fmt.Errorf("core: %s tree scan found %d items, tree says %d", noun, len(items), t.Len())
+	}
+	rects := make([]geom.Rect, idBound)
+	live := make([]bool, idBound)
+	for _, it := range items {
+		id := it.Data
+		if id < 0 || id >= idBound {
+			return nil, nil, fmt.Errorf("core: %s tree has id %d outside [0, %d)", noun, id, idBound)
+		}
+		if live[id] {
+			return nil, nil, fmt.Errorf("core: %s tree has duplicate id %d", noun, id)
+		}
+		rects[id], live[id] = it.Rect, true
+	}
+	return rects, live, nil
+}
+
+// Check cross-checks the table against its tree in O(pages): the tree's
+// structural invariants, then the leaf scan an attach runs, which must find
+// exactly the live ids, each once and under its item's bounds.
+func (tb *table[T]) Check() error {
+	if err := tb.tree.CheckInvariants(); err != nil {
+		return fmt.Errorf("core: %s tree: %w", tb.noun, err)
+	}
+	rects, live, err := scanLeaves(tb.noun, tb.tree, tb.IDBound())
+	if err != nil {
+		return err
+	}
+	for id := range live {
+		if alive := tb.Alive(int64(id)); live[id] != alive {
+			return fmt.Errorf("core: %s %d: live in the table: %v, in the tree: %v", tb.noun, id, alive, live[id])
+		}
+		if live[id] && rects[id] != tb.items[id].Bounds() {
+			return fmt.Errorf("core: %s %d is indexed under %v, its bounds are %v", tb.noun, id, rects[id], tb.items[id].Bounds())
+		}
 	}
 	return nil
 }
@@ -269,30 +314,15 @@ func NewPointSet(opts rtree.Options, pts []geom.Point, bulk bool) (*PointSet, er
 // id, so one scan of the tree rebuilds the id -> point table, and the free
 // list is the complement of the scanned ids in [0, idBound).
 func AttachPointSet(t *rtree.Tree, idBound int64) (*PointSet, error) {
-	if err := validAttachBound("dataset", idBound, t.Len()); err != nil {
+	rects, live, err := scanLeaves("entity", t, idBound)
+	if err != nil {
 		return nil, err
 	}
 	pts := make([]geom.Point, idBound)
-	seen := make([]bool, idBound)
-	items, err := t.All()
-	if err != nil {
-		return nil, fmt.Errorf("core: scanning point tree: %w", err)
+	for id, r := range rects {
+		pts[id] = geom.Pt(r.MinX, r.MinY)
 	}
-	if len(items) != t.Len() {
-		return nil, fmt.Errorf("core: point tree scan found %d items, tree says %d", len(items), t.Len())
-	}
-	for _, it := range items {
-		id := it.Data
-		if id < 0 || id >= idBound {
-			return nil, fmt.Errorf("core: point tree has entity id %d outside [0, %d)", id, idBound)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("core: point tree has duplicate entity id %d", id)
-		}
-		seen[id] = true
-		pts[id] = geom.Pt(it.Rect.MinX, it.Rect.MinY)
-	}
-	return &PointSet{attach("entity", t, pts, seen)}, nil
+	return &PointSet{attach("entity", t, pts, live)}, nil
 }
 
 // Seal returns a frozen read-only view of the set. Len/Alive/Point answer
@@ -314,14 +344,36 @@ func (s *PointSet) Delete(id int64) error {
 }
 
 // ObstacleSet is an obstacle dataset: a table of polygons, indexed by their
-// MBRs. Every Add or Remove bumps the set's generation counter, which keys
-// the visibility-graph cache's entries.
+// MBRs. Its trees are also its durable store. A rectangle — a polygon whose
+// vertices are exactly geom.RectPolygon(bounds) — is its own leaf entry; any
+// other polygon also keeps its vertices as point entries of a second tree,
+// verts, keyed by vertexKey(id, index). Every Add or Remove bumps the set's
+// generation counter, which keys the visibility-graph cache's entries.
 type ObstacleSet struct {
 	table[geom.Polygon]
+	verts *rtree.Tree
 	// gen counts mutations. Read atomically (sync/atomic functions on a plain
 	// word, so Seal's struct copy stays legal) by sessions that may start
 	// outside the writer's critical section.
 	gen uint64
+}
+
+// vertexKey is the verts entry of vertex i of obstacle id. Ids index an
+// in-memory slice, so they stay far below 2^31.
+func vertexKey(id int64, i int) int64 { return id<<32 | int64(i) }
+
+// isLeafRect reports whether p is geom.RectPolygon(p.Bounds()) bit for bit,
+// so that its leaf entry alone restores it.
+func isLeafRect(p geom.Polygon) bool {
+	c := p.Bounds().Vertices()
+	return sameVertices(p.Vertices(), c[:])
+}
+
+// sameVertices compares two vertex lists bit for bit.
+func sameVertices(a, b []geom.Point) bool {
+	return slices.EqualFunc(a, b, func(p, q geom.Point) bool {
+		return math.Float64bits(p.X) == math.Float64bits(q.X) && math.Float64bits(p.Y) == math.Float64bits(q.Y)
+	})
 }
 
 // NewObstacleSet indexes polys by their MBRs.
@@ -330,33 +382,132 @@ func NewObstacleSet(opts rtree.Options, polys []geom.Polygon, bulk bool) (*Obsta
 	if err != nil {
 		return nil, err
 	}
-	return &ObstacleSet{table: tb}, nil
-}
-
-// AttachObstacleSet reconstructs an ObstacleSet around a recovered tree and
-// the catalog's live-polygon table (id -> vertices). Ids absent from the
-// table inside [0, idBound) become the free list; gen restores the mutation
-// counter so generations keep increasing across restarts.
-func AttachObstacleSet(t *rtree.Tree, polys map[int64][]geom.Point, idBound int64, gen uint64) (*ObstacleSet, error) {
-	if t.Len() != len(polys) {
-		return nil, fmt.Errorf("core: obstacle tree has %d items, catalog has %d polygons", t.Len(), len(polys))
+	var vs []rtree.Item
+	for id, p := range polys {
+		if !isLeafRect(p) {
+			for i, v := range p.Vertices() {
+				vs = append(vs, rtree.PointItem(v, vertexKey(int64(id), i)))
+			}
+		}
 	}
-	if err := validAttachBound("obstacle", idBound, len(polys)); err != nil {
+	verts, err := rtree.BulkLoad(opts, vs, rtree.STR)
+	if err != nil {
 		return nil, err
 	}
-	items := make([]geom.Polygon, idBound)
-	live := make([]bool, idBound)
-	for id, v := range polys {
-		if id < 0 || id >= idBound {
-			return nil, fmt.Errorf("core: obstacle id %d outside [0, %d)", id, idBound)
-		}
-		pg, err := geom.NewPolygon(v)
-		if err != nil {
-			return nil, fmt.Errorf("core: obstacle %d: %w", id, err)
-		}
-		items[id], live[id] = pg, true
+	return &ObstacleSet{table: tb, verts: verts}, nil
+}
+
+// AttachObstacleSet reconstructs an ObstacleSet around its two recovered
+// trees, as AttachPointSet does around one: each leaf of t is an obstacle's
+// id and MBR, and verts holds the vertices of the obstacles that are not
+// their MBR (see polygons). Ids without a leaf inside [0, idBound) become
+// the free list; gen restores the mutation counter so generations keep
+// increasing across restarts.
+func AttachObstacleSet(t, verts *rtree.Tree, idBound int64, gen uint64) (*ObstacleSet, error) {
+	rects, live, err := scanLeaves("obstacle", t, idBound)
+	if err != nil {
+		return nil, err
 	}
-	return &ObstacleSet{table: attach("obstacle", t, items, live), gen: gen}, nil
+	items, err := polygons(verts, rects, live)
+	if err != nil {
+		return nil, err
+	}
+	return &ObstacleSet{table: attach("obstacle", t, items, live), verts: verts, gen: gen}, nil
+}
+
+// polygons rebuilds the obstacle polygons from a leaf scan of the obstacle
+// tree (each live id's MBR) and the vertex tree: an obstacle with vertex
+// entries is the polygon of those vertices in index order, which must span
+// its MBR and must not be a rectangle its leaf restores; any other live
+// obstacle is geom.RectPolygon of its MBR.
+func polygons(verts *rtree.Tree, rects []geom.Rect, live []bool) ([]geom.Polygon, error) {
+	vs, err := verts.All()
+	if err != nil {
+		return nil, fmt.Errorf("core: scanning vertex tree: %w", err)
+	}
+	slices.SortFunc(vs, func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) })
+	items := make([]geom.Polygon, len(rects))
+	for len(vs) > 0 {
+		id := vs[0].Data >> 32
+		n := 1
+		for n < len(vs) && vs[n].Data>>32 == id {
+			n++
+		}
+		ring := make([]geom.Point, n)
+		for i, it := range vs[:n] {
+			if it.Data != vertexKey(id, i) {
+				return nil, fmt.Errorf("core: vertex tree has key %#x where obstacle %d's vertex %d belongs", it.Data, id, i)
+			}
+			ring[i] = geom.Pt(it.Rect.MinX, it.Rect.MinY)
+		}
+		vs = vs[n:]
+		if id < 0 || id >= int64(len(rects)) || !live[id] {
+			return nil, fmt.Errorf("core: vertex tree holds obstacle %d, which has no leaf", id)
+		}
+		pg, err := geom.NewPolygon(ring)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("core: obstacle %d: %w", id, err)
+		case pg.Bounds() != rects[id]:
+			return nil, fmt.Errorf("core: obstacle %d is indexed under %v, its vertices span %v", id, rects[id], pg.Bounds())
+		case isLeafRect(pg):
+			return nil, fmt.Errorf("core: vertex tree holds rectangle obstacle %d", id)
+		}
+		items[id] = pg
+	}
+	for id, ok := range live {
+		if ok && items[id].NumVertices() == 0 {
+			items[id] = geom.RectPolygon(rects[id])
+		}
+	}
+	return items, nil
+}
+
+// Trees returns the set's R-trees, the obstacle index first and the vertex
+// tree second, for callers that handle every page of the set: buffer
+// sizing, write-back, backup and scrub.
+func (o *ObstacleSet) Trees() []*rtree.Tree { return []*rtree.Tree{o.tree, o.verts} }
+
+// EnableCOW switches both trees to copy-on-write mutation.
+func (o *ObstacleSet) EnableCOW() {
+	o.table.EnableCOW()
+	o.verts.EnableCOW()
+}
+
+// BeginEpoch starts a mutation epoch on both trees.
+func (o *ObstacleSet) BeginEpoch() {
+	o.table.BeginEpoch()
+	if o.cow {
+		o.verts.BeginEpoch()
+	}
+}
+
+// Check is table.Check plus the vertex tree: its own invariants, then the
+// rebuild an attach runs, which must give back every live polygon bit for
+// bit.
+func (o *ObstacleSet) Check() error {
+	if err := o.table.Check(); err != nil {
+		return err
+	}
+	if err := o.verts.CheckInvariants(); err != nil {
+		return fmt.Errorf("core: vertex tree: %w", err)
+	}
+	rects := make([]geom.Rect, len(o.items))
+	live := make([]bool, len(o.items))
+	ids := o.Live(nil)
+	for _, id := range ids {
+		rects[id], live[id] = o.items[id].Bounds(), true
+	}
+	polys, err := polygons(o.verts, rects, live)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if !sameVertices(polys[id].Vertices(), o.items[id].Vertices()) {
+			return fmt.Errorf("core: the trees give obstacle %d as %v, the table has %v", id, polys[id].Vertices(), o.items[id].Vertices())
+		}
+	}
+	return nil
 }
 
 // Seal returns a frozen read-only view of the obstacle set at its current
@@ -364,6 +515,7 @@ func AttachObstacleSet(t *rtree.Tree, polys map[int64][]geom.Point, idBound int6
 func (o *ObstacleSet) Seal() *ObstacleSet {
 	cp := *o
 	cp.table = o.sealed()
+	cp.verts = o.verts.View()
 	return &cp
 }
 
@@ -377,9 +529,22 @@ func (o *ObstacleSet) Generation() uint64 { return atomic.LoadUint64(&o.gen) }
 
 // Add indexes new obstacles, reusing ids freed by earlier removals, and
 // returns the assigned ids. The generation moves on, so cached graphs of the
-// old one no longer match new sessions.
+// old one no longer match new sessions. A polygon whose vertices fail to
+// index is taken out again, with every obstacle added after it.
 func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
 	ids, err := o.add(polys)
+	for i, id := range ids {
+		if verr := o.vertices(id, polys[i], o.verts.Insert); verr != nil {
+			// The inserted vertices are a prefix: dropping stops at the first
+			// one that is missing.
+			_ = o.vertices(id, polys[i], o.dropVertex)
+			for _, undo := range ids[i:] {
+				_, _ = o.remove(undo)
+			}
+			ids, err = ids[:i], verr
+			break
+		}
+	}
 	if err != nil || len(ids) > 0 {
 		atomic.AddUint64(&o.gen, 1)
 	}
@@ -390,10 +555,35 @@ func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
 // becomes reusable, and the generation moves on as in Add.
 func (o *ObstacleSet) Remove(id int64) (geom.Rect, error) {
 	mbr, err := o.remove(id)
-	if err == nil {
-		atomic.AddUint64(&o.gen, 1)
+	if err != nil {
+		return mbr, err
 	}
-	return mbr, err
+	atomic.AddUint64(&o.gen, 1)
+	// remove leaves the dead item in place.
+	return mbr, o.vertices(id, o.items[id], o.dropVertex)
+}
+
+// dropVertex deletes one vertex-tree entry, which must be there.
+func (o *ObstacleSet) dropVertex(r geom.Rect, key int64) error {
+	found, err := o.verts.Delete(r, key)
+	if err == nil && !found {
+		err = fmt.Errorf("missing from the vertex tree")
+	}
+	return err
+}
+
+// vertices runs op on the vertex-tree entries of obstacle id, polygon p —
+// none for a rectangle, which its leaf restores.
+func (o *ObstacleSet) vertices(id int64, p geom.Polygon, op func(geom.Rect, int64) error) error {
+	if isLeafRect(p) {
+		return nil
+	}
+	for i, v := range p.Vertices() {
+		if err := op(geom.PointRect(v), vertexKey(id, i)); err != nil {
+			return fmt.Errorf("core: vertex %d of obstacle %d: %w", i, id, err)
+		}
+	}
+	return nil
 }
 
 // Result is one entity qualified by a query, with its obstructed distance.

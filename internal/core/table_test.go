@@ -18,6 +18,7 @@ type sealedTable interface {
 	Alive(id int64) bool
 	Live(dst []int64) []int64
 	Tree() *rtree.Tree
+	Check() error
 }
 
 // tableKind drives one dataset kind through its exported mutators. Items
@@ -83,7 +84,11 @@ func obstacleKind() *tableKind {
 		},
 		newItem: func(rng *rand.Rand) any {
 			x, y := rng.Float64()*1000, rng.Float64()*1000
-			return geom.RectPolygon(geom.R(x, y, x+1+rng.Float64()*20, y+1+rng.Float64()*20))
+			w, h := 1+rng.Float64()*20, 1+rng.Float64()*20
+			if rng.Intn(3) == 0 { // a triangle, stored by its vertices
+				return geom.MustPolygon([]geom.Point{geom.Pt(x, y), geom.Pt(x+w, y), geom.Pt(x, y+h)})
+			}
+			return geom.RectPolygon(geom.R(x, y, x+w, y+h))
 		},
 		add: func(items []any) ([]int64, error) { return o.Add(polys(items)) },
 		remove: func(id int64) error {
@@ -201,6 +206,9 @@ func checkSeal(t *testing.T, k *tableKind, i int, s sealedTable, m tableModel) {
 		if r, ok := found[id]; !ok || r != k.box(it) {
 			t.Fatalf("seal %d: tree has %v for id %d, model %v", i, r, id, k.box(it))
 		}
+	}
+	if err := s.Check(); err != nil {
+		t.Fatalf("seal %d: %v", i, err)
 	}
 	if o, ok := s.(*ObstacleSet); ok && o.Generation() != m.calls {
 		t.Fatalf("seal %d: Generation %d, want %d Add/Remove calls", i, o.Generation(), m.calls)

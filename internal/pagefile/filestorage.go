@@ -13,16 +13,15 @@ import (
 
 // Superblock is the fixed-size header at offset 0 of a durable page file.
 // It records the page size, the allocation frontier, the commit sequence
-// number, and the roots of the two catalog blob chains; the encoding adds
+// number, and the root of the catalog's state blob chain; the encoding adds
 // the format version (always superVersion). The free list itself lives
 // inside the state blob (it is unbounded), so the superblock always fits
 // well within one page.
 type Superblock struct {
-	PageSize  int
-	Next      PageID // lowest never-allocated page id
-	Seq       uint64 // commit sequence number
-	State     BlobRef
-	Obstacles BlobRef
+	PageSize int
+	Next     PageID // lowest never-allocated page id
+	Seq      uint64 // commit sequence number
+	State    BlobRef
 }
 
 // BlobRef locates a catalog blob: the first page of its chain, its exact
@@ -37,11 +36,17 @@ const (
 	superMagic = "OBSDBF1\n"
 	// superVersion is the one supported on-disk format: every page slot is
 	// PageSize+pageTrailerSize bytes, the trailer storing a CRC over the
-	// page's content. (Version 1 packed pages at PageSize stride with no
-	// checksums; it is refused at open, see ErrUnsupportedVersion.)
-	superVersion = 2
+	// page's content, and the obstacle polygons live in the obstacle R-tree
+	// (and its vertex tree) rather than in a catalog blob. Both older formats
+	// are refused at open, see ErrUnsupportedVersion: version 1 packed pages
+	// at PageSize stride with no checksums, version 2 kept a second blob of
+	// every obstacle polygon.
+	superVersion = 3
 	// superblockSize is the encoded size: magic(8) + version(4) + pageSize(4)
-	// + next(4) + seq(8) + 2*blobRef(16) + crc(4).
+	// + next(4) + seq(8) + blobRef(16) + reserved(16) + crc(4). The reserved
+	// bytes held version 2's obstacle blob reference; they stay zero, so the
+	// CRC sits where every version put it and an older file is recognised
+	// intact and refused by its version.
 	superblockSize = 8 + 4 + 4 + 4 + 8 + 2*16 + 4
 	// pageTrailerSize is the per-page trailer: content CRC (4),
 	// a written flag (1), and 3 reserved zero bytes.
@@ -101,7 +106,6 @@ func EncodeSuperblock(sb Superblock) []byte {
 	binary.LittleEndian.PutUint32(b[16:20], uint32(sb.Next))
 	binary.LittleEndian.PutUint64(b[20:28], sb.Seq)
 	putBlobRef(b[28:44], sb.State)
-	putBlobRef(b[44:60], sb.Obstacles)
 	binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[:60], crcTable))
 	return b
 }
@@ -123,11 +127,10 @@ func DecodeSuperblock(b []byte) (Superblock, error) {
 		return Superblock{}, fmt.Errorf("%w: file is version %d, this build reads version %d", ErrUnsupportedVersion, v, superVersion)
 	}
 	return Superblock{
-		PageSize:  int(binary.LittleEndian.Uint32(b[12:16])),
-		Next:      PageID(binary.LittleEndian.Uint32(b[16:20])),
-		Seq:       binary.LittleEndian.Uint64(b[20:28]),
-		State:     getBlobRef(b[28:44]),
-		Obstacles: getBlobRef(b[44:60]),
+		PageSize: int(binary.LittleEndian.Uint32(b[12:16])),
+		Next:     PageID(binary.LittleEndian.Uint32(b[16:20])),
+		Seq:      binary.LittleEndian.Uint64(b[20:28]),
+		State:    getBlobRef(b[28:44]),
 	}, nil
 }
 

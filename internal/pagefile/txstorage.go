@@ -227,7 +227,7 @@ func (t *TxStorage) PendingPages() int {
 
 // Apply writes every pending image through to the backing store and clears
 // the overlay — the data-file half of a checkpoint. The dirty set clears
-// too: pages the checkpoint itself wrote (fresh catalog blob chains) are
+// too: pages the checkpoint itself wrote (the fresh state blob chain) are
 // durable via the data file, not the WAL, and must not leak into the next
 // commit's capture. On error both maps are retained: every committed image
 // is also in the WAL, so a partially applied checkpoint is repaired by

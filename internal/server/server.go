@@ -29,8 +29,8 @@
 // Administrative verbs live under /v1/admin: POST /v1/admin/backup writes a
 // consistent point-in-time copy of a durable database to a fresh file while
 // queries and mutations keep running (Database.Backup); POST /v1/admin/scrub
-// verifies every page checksum online and quarantines corrupt free pages
-// (Database.Scrub).
+// cross-checks every tree against its table, verifies every page checksum
+// online and quarantines corrupt free pages (Database.Scrub).
 //
 // The daemon's /metrics, /debug/vars, /debug/traces, /debug/active and
 // /debug/pprof/ endpoints are the Database's own observability mux

@@ -324,11 +324,9 @@ func (db *Database) TraceRecorder() *telemetry.Recorder {
 
 // cowCopies sums the copy-on-write page relocations across every tree.
 func (db *Database) cowCopies() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	total := db.obstSet.Tree().COWCopies()
-	for _, ps := range db.datasets {
-		total += ps.Tree().COWCopies()
+	var total uint64
+	for _, t := range db.trees() {
+		total += t.COWCopies()
 	}
 	return total
 }

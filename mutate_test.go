@@ -150,28 +150,31 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 	inj.Clear() // let Close release the files without tripping the rule again
 }
 
-// TestOpenRefusesVersion1File: a data file in the retired version-1 layout
-// must be refused with the typed error rather than misread, and the refusal
-// must leave its bytes alone.
+// TestOpenRefusesVersion1File: a data file in a retired layout — version 1
+// (no page checksums) or version 2 (a catalog blob of every obstacle
+// polygon beside the obstacle tree) — must be refused with the typed error
+// rather than misread, and the refusal must leave its bytes alone.
 func TestOpenRefusesVersion1File(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.obs")
-	db, err := Open(path, Options{PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	img := stampSuperblockVersion(t, path, 1)
-	if _, err := Open(path, Options{}); !errors.Is(err, pagefile.ErrUnsupportedVersion) {
-		t.Fatalf("Open of a version-1 file = %v, want pagefile.ErrUnsupportedVersion", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, img) {
-		t.Fatal("refused Open modified the file")
+	for _, version := range []uint32{1, 2} {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.obs", version))
+		db, err := Open(path, Options{PageSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		img := stampSuperblockVersion(t, path, version)
+		if _, err := Open(path, Options{}); !errors.Is(err, pagefile.ErrUnsupportedVersion) {
+			t.Fatalf("Open of a version-%d file = %v, want pagefile.ErrUnsupportedVersion", version, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, img) {
+			t.Fatalf("refused Open modified the version-%d file", version)
+		}
 	}
 }
 

@@ -325,6 +325,18 @@ func freeBatches(frees []pendingFree) {
 	}
 }
 
+// trees lists the R-trees of the live sets: the obstacle set's two, then
+// every dataset's.
+func (db *Database) trees() []*rtree.Tree {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	trees := db.obstSet.Trees()
+	for _, ps := range db.datasets {
+		trees = append(trees, ps.Tree())
+	}
+	return trees
+}
+
 // initVersions switches every live set to copy-on-write mutation, publishes
 // the initial version and points the read verbs at the version table. Called
 // once construction (or durable attach) completes, before the database is
@@ -352,18 +364,15 @@ func (db *Database) initVersions() {
 func (db *Database) publishVersion() {
 	db.mu.RLock()
 	ds := make(map[string]*core.PointSet, len(db.datasets))
-	trees := make([]*rtree.Tree, 0, len(db.datasets)+1)
 	for name, ps := range db.datasets {
 		ds[name] = ps.Seal()
-		trees = append(trees, ps.Tree())
 	}
 	db.mu.RUnlock()
-	trees = append(trees, db.obstSet.Tree())
 	v := &dbVersion{gen: db.gen.Load(), obst: db.obstSet.Seal(), datasets: ds}
 	vt := &db.versions
 	vt.mu.Lock()
 	vt.current = v
-	for _, t := range trees {
+	for _, t := range db.trees() {
 		ids := t.TakeRetired()
 		if len(ids) > 0 {
 			vt.pending = append(vt.pending, pendingFree{limit: v.gen, pf: t.PageFile(), ids: ids})
@@ -467,7 +476,7 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obstacles: building obstacle index: %w", err)
 	}
-	sizeBuffer(obstSet.Tree(), opts.BufferFraction)
+	sizeBuffer(opts.BufferFraction, obstSet.Trees()...)
 	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
 	eng.EnableGraphCache(graphCacheSize)
 	db := &Database{
@@ -494,14 +503,14 @@ func NewDatabaseFromRects(rects []Rect, opts Options) (*Database, error) {
 	return NewDatabase(polys, opts)
 }
 
-func sizeBuffer(t *rtree.Tree, fraction float64) {
-	pages := int(math.Ceil(float64(t.NumPages()) * fraction))
-	if pages < 1 {
-		pages = 1
+// sizeBuffer sizes each tree's LRU buffer to fraction of its own pages.
+func sizeBuffer(fraction float64, trees ...*rtree.Tree) {
+	for _, t := range trees {
+		pages := max(1, int(math.Ceil(float64(t.NumPages())*fraction)))
+		// SetBufferPages only errors on write-back failures, impossible while
+		// shrinking a read-only tree's clean buffer.
+		_ = t.PageFile().SetBufferPages(pages)
 	}
-	// SetBufferPages only errors on write-back failures, impossible while
-	// shrinking a read-only tree's clean buffer.
-	_ = t.PageFile().SetBufferPages(pages)
 }
 
 // treeOptions returns the R-tree configuration for this database's trees;
@@ -599,7 +608,7 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 		if ps, err = core.NewPointSet(db.treeOptions(), pts, true); err != nil {
 			return fmt.Errorf("obstacles: building dataset %q: %w", name, err)
 		}
-		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		sizeBuffer(db.opts.BufferFraction, ps.Tree())
 		return nil
 	}
 	if db.store == nil {
@@ -699,7 +708,7 @@ func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ..
 		if ids, err = ps.Insert(pts); err != nil {
 			return err
 		}
-		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		sizeBuffer(db.opts.BufferFraction, ps.Tree())
 		return nil
 	})
 	return ids, err
@@ -737,7 +746,7 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 				return err
 			}
 		}
-		sizeBuffer(ps.Tree(), db.opts.BufferFraction)
+		sizeBuffer(db.opts.BufferFraction, ps.Tree())
 		return nil
 	})
 }
@@ -766,13 +775,10 @@ func (db *Database) AddObstaclesContext(ctx context.Context, polys ...Polygon) (
 	err = db.mutate(ctx, OpAddObstacles, true, nil, func() (err error) {
 		db.obstSet.BeginEpoch()
 		ids, err = db.obstSet.Add(polys)
-		for _, id := range ids {
-			db.noteObstacleAdd(id, db.obstSet.Polygon(id).Vertices())
-		}
 		if err != nil {
 			return err
 		}
-		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
+		sizeBuffer(db.opts.BufferFraction, db.obstSet.Trees()...)
 		return nil
 	})
 	return ids, err
@@ -819,9 +825,8 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 			if _, err := db.obstSet.Remove(id); err != nil {
 				return err
 			}
-			db.noteObstacleRemove(id)
 		}
-		sizeBuffer(db.obstSet.Tree(), db.opts.BufferFraction)
+		sizeBuffer(db.opts.BufferFraction, db.obstSet.Trees()...)
 		return nil
 	})
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/rtree"
 	"repro/internal/telemetry"
@@ -92,20 +91,14 @@ type durableStore struct {
 	seq               uint64              // last assigned commit sequence number
 	lastCheckpointErr error
 	closed            bool
-	// obstDirty records that obstacles changed since the last checkpoint
-	// (or that no obstacle blob exists yet), forcing an obstacle-blob
-	// rewrite at the next checkpoint.
-	obstDirty bool
 	// logged is the set of pages with images in the live WAL. Checkpoint
 	// blob chains must avoid them: replay re-applies those images, and a
 	// crash between the checkpoint's superblock write and its WAL
 	// truncation must not let an old page image land on a live blob page.
 	logged map[pagefile.PageID]struct{}
-	// Per-commit change tracking, reset by each stage: the datasets the
-	// current mutation touched and the obstacle ops it performed.
+	// dirtyDatasets is per-commit change tracking, reset by each stage: the
+	// datasets the current mutation touched.
 	dirtyDatasets map[string]struct{}
-	obstAdds      []catalog.ObstacleAdd
-	obstRemoves   []int64
 
 	// The commit queue, with its own lock: mutators enqueue while holding
 	// updateMu, the committer drains after they release it.
@@ -150,9 +143,10 @@ const maxCommitBatch = 64
 
 // Open opens (creating if missing) a durable Database stored in the file at
 // path, with its write-ahead log at path + ".wal". Opening an existing file
-// skips bulk-loading entirely: trees re-attach to their pages, point sets
-// are recovered by scanning leaves, and obstacle polygons come from the
-// catalog. Any transactions committed to the WAL but not yet checkpointed —
+// skips bulk-loading entirely: trees re-attach to their pages, and point
+// sets and obstacle polygons are recovered by scanning leaves (a rectangle
+// is its obstacle-tree leaf, any other polygon is also a run of vertex-tree
+// leaves). Any transactions committed to the WAL but not yet checkpointed —
 // a crash between WAL fsync and write-back — are replayed first (page
 // images onto the data file, catalog deltas onto the recovered metadata),
 // so the database reopens at the last acknowledged mutation.
@@ -212,7 +206,6 @@ func Open(path string, opts Options) (*Database, error) {
 		autoCheckpoint: opts.WALCheckpointBytes,
 		super:          sb,
 		seq:            seq,
-		obstDirty:      ld.rs.obst == nil || ld.rs.obstChanged,
 		logged:         ld.rs.logged,
 		dirtyDatasets:  make(map[string]struct{}),
 		leaderTok:      make(chan struct{}, 1),
@@ -226,8 +219,8 @@ func Open(path string, opts Options) (*Database, error) {
 	if created || ld.rs.replayed > 0 || sb.State.Root == pagefile.InvalidPage {
 		// A fresh file checkpoints the empty state so a crash right after
 		// Open reopens it; a replayed file finishes recovery with a full
-		// checkpoint, folding the WAL's deltas into fresh catalog blobs
-		// and truncating the log.
+		// checkpoint, folding the WAL's deltas into a fresh state blob and
+		// truncating the log.
 		db.updateMu.Lock()
 		err := db.checkpointLocked()
 		db.updateMu.Unlock()
@@ -281,22 +274,22 @@ func load(path string, fs *pagefile.FileStorage, sb pagefile.Superblock, opts Op
 	ld.tx = pagefile.NewTxStorage(fs)
 	topts := rtree.Options{PageSize: sb.PageSize, Storage: ld.tx}
 
-	var tree *rtree.Tree
-	polys, idBound, gen := map[int64][]geom.Point{}, int64(0), genFloor
-	if obst := ld.rs.obst; obst == nil {
-		if tree, err = rtree.New(topts); err != nil {
-			return nil, fmt.Errorf("building obstacle index: %w", err)
-		}
-	} else {
-		if tree, err = rtree.Attach(topts, obst.Tree.Root, obst.Tree.Height, obst.Tree.Size); err != nil {
-			return nil, fmt.Errorf("attaching obstacle tree: %w", err)
-		}
-		polys, idBound, gen = obst.Polys, obst.IDBound, max(gen, obst.Generation)
+	// A file that never checkpointed has no obstacle record: its obstacle
+	// set starts as two empty trees.
+	metas, idBound, gen := []*catalog.TreeMeta{nil, nil}, int64(0), genFloor
+	if o := ld.rs.state.Obstacles; o != nil {
+		metas, idBound, gen = []*catalog.TreeMeta{&o.Tree, &o.Verts}, o.IDBound, max(gen, o.Generation)
 	}
-	if ld.obstSet, err = core.AttachObstacleSet(tree, polys, idBound, gen); err != nil {
+	trees := make([]*rtree.Tree, len(metas))
+	for i, m := range metas {
+		if trees[i], err = openTree(topts, m); err != nil {
+			return nil, fmt.Errorf("opening obstacle trees: %w", err)
+		}
+	}
+	if ld.obstSet, err = core.AttachObstacleSet(trees[0], trees[1], idBound, gen); err != nil {
 		return nil, err
 	}
-	sizeBuffer(tree, opts.BufferFraction)
+	sizeBuffer(opts.BufferFraction, trees...)
 	if ld.datasets, err = attachDatasets(topts, ld.rs.state, opts.BufferFraction); err != nil {
 		return nil, err
 	}
@@ -307,19 +300,14 @@ func load(path string, fs *pagefile.FileStorage, sb pagefile.Superblock, opts Op
 // the WAL.
 type redoState struct {
 	// state is the checkpoint catalog with every replayed delta folded in
-	// (empty for a file that never checkpointed); obst the obstacle catalog,
-	// nil when no obstacle blob exists yet.
+	// (empty for a file that never checkpointed).
 	state *catalog.State
-	obst  *catalog.Obstacles
 	// logged is the set of pages with images in the WAL.
 	logged map[pagefile.PageID]struct{}
 	// replayed counts the WAL transactions applied; lastSeq is the sequence
 	// number of the last one (zero when none).
 	replayed int
 	lastSeq  uint64
-	// obstChanged reports that a folded delta changed the obstacle set, so
-	// the checkpointed obstacle blob is stale.
-	obstChanged bool
 }
 
 // redo is the recovery pass shared by Open and in-place recovery. It applies
@@ -373,19 +361,10 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 			return nil, err
 		}
 	}
-	if sb.Obstacles.Root != pagefile.InvalidPage {
-		blob, err := catalog.ReadBlob(fs, sb.Obstacles)
-		if err != nil {
-			return nil, fmt.Errorf("reading obstacle catalog: %w", err)
-		}
-		if rs.obst, err = catalog.DecodeObstacles(blob); err != nil {
-			return nil, err
-		}
-	}
 
 	// Fold the replayed deltas into the checkpoint state. Groups whose
 	// (last) sequence number is at or below the superblock's are already
-	// inside the blobs — a crash between a checkpoint's superblock write
+	// inside the blob — a crash between a checkpoint's superblock write
 	// and its WAL truncation leaves exactly that overlap, and checkpoints
 	// only run with the queue drained, so a group never straddles the
 	// boundary — and must be skipped to keep recovery idempotent.
@@ -399,17 +378,23 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 			if err != nil {
 				return nil, fmt.Errorf("decoding group %d delta: %w", g.seq, err)
 			}
-			if rs.obst, err = d.Apply(rs.state, rs.obst); err != nil {
+			if err := d.Apply(rs.state); err != nil {
 				return nil, fmt.Errorf("applying group %d delta: %w", g.seq, err)
 			}
 			next = d.Next
-			if d.Obst != nil {
-				rs.obstChanged = true
-			}
 		}
 	}
 	fs.SetAllocState(next, rs.state.PageFree)
 	return rs, nil
+}
+
+// openTree re-attaches the tree m locates, or makes an empty one when m is
+// nil.
+func openTree(topts rtree.Options, m *catalog.TreeMeta) (*rtree.Tree, error) {
+	if m == nil {
+		return rtree.New(topts)
+	}
+	return rtree.Attach(topts, m.Root, m.Height, m.Size)
 }
 
 // attachDatasets re-attaches every dataset the recovered catalog names to its
@@ -417,7 +402,7 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 func attachDatasets(topts rtree.Options, state *catalog.State, bufferFraction float64) (map[string]*core.PointSet, error) {
 	sets := make(map[string]*core.PointSet, len(state.Datasets))
 	for _, ds := range state.Datasets {
-		tree, err := rtree.Attach(topts, ds.Tree.Root, ds.Tree.Height, ds.Tree.Size)
+		tree, err := openTree(topts, &ds.Tree)
 		if err != nil {
 			return nil, fmt.Errorf("attaching dataset %q: %w", ds.Name, err)
 		}
@@ -425,7 +410,7 @@ func attachDatasets(topts rtree.Options, state *catalog.State, bufferFraction fl
 		if err != nil {
 			return nil, fmt.Errorf("recovering dataset %q: %w", ds.Name, err)
 		}
-		sizeBuffer(tree, bufferFraction)
+		sizeBuffer(bufferFraction, tree)
 		sets[ds.Name] = set
 	}
 	return sets, nil
@@ -470,8 +455,10 @@ func (db *Database) PersistStats() PersistStats {
 }
 
 // Checkpoint writes every committed page back to the data file, rewrites
-// the catalog blobs, fsyncs, and truncates the write-ahead log, bounding
-// recovery time and WAL size. It is a no-op on an in-memory database. A
+// the state blob, fsyncs, and truncates the write-ahead log, bounding
+// recovery time and WAL size. Obstacles cost it nothing beyond their dirty
+// tree pages: their polygons live in the trees, and the state blob carries
+// only the obstacle record. It is a no-op on an in-memory database. A
 // failed checkpoint leaves the database fully usable: the WAL still covers
 // everything, and the checkpoint can simply be retried.
 func (db *Database) Checkpoint() error {
@@ -564,8 +551,8 @@ func (db *Database) awaitCommit(tk *commitTicket) error {
 // stageCommitLocked builds the commit for everything the current mutation
 // changed — flushing tree buffers, capturing the dirty page images, and
 // encoding the catalog delta (generation, allocation frontier, free-list
-// ops, touched dataset metas, obstacle ops) — assigns it the next sequence
-// number, and enqueues it. Callers hold the updateMu write side, which is
+// ops, touched dataset metas, the obstacle record) — assigns it the next
+// sequence number, and enqueues it. Callers hold the updateMu write side, which is
 // what orders staging: queue order equals sequence order equals WAL order.
 func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*commitTicket, error) {
 	s := db.store
@@ -594,8 +581,7 @@ func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*co
 		Datasets:   db.dirtyDatasetMetas(),
 	}
 	if obstChanged {
-		delta.Obst = db.obstacleDeltaLocked()
-		s.obstDirty = true
+		delta.Obst = obstacleMeta(db.obstSet)
 	}
 	s.seq++
 	tk := &commitTicket{
@@ -648,21 +634,15 @@ func datasetMeta(name string, ps *core.PointSet) catalog.DatasetMeta {
 	return catalog.DatasetMeta{Name: name, Tree: treeMeta(ps.Tree()), IDBound: ps.IDBound()}
 }
 
-// obstacleDeltaLocked snapshots the obstacle-set header plus the obstacle
-// ops of the current mutation and clears the tracking lists. Callers hold
-// the updateMu write side.
-func (db *Database) obstacleDeltaLocked() *catalog.ObstacleDelta {
-	s := db.store
-	o := db.obstSet
-	od := &catalog.ObstacleDelta{
-		Tree:       treeMeta(o.Tree()),
+// obstacleMeta is the catalog record locating an obstacle set.
+func obstacleMeta(o *core.ObstacleSet) *catalog.ObstacleMeta {
+	trees := o.Trees()
+	return &catalog.ObstacleMeta{
+		Tree:       treeMeta(trees[0]),
+		Verts:      treeMeta(trees[1]),
 		IDBound:    o.IDBound(),
 		Generation: o.Generation(),
-		Added:      s.obstAdds,
-		Removed:    s.obstRemoves,
 	}
-	s.obstAdds, s.obstRemoves = nil, nil
-	return od
 }
 
 // noteDatasetDirty records that the current mutation touched a dataset, so
@@ -671,20 +651,6 @@ func (db *Database) obstacleDeltaLocked() *catalog.ObstacleDelta {
 func (db *Database) noteDatasetDirty(name string) {
 	if s := db.store; s != nil {
 		s.dirtyDatasets[name] = struct{}{}
-	}
-}
-
-// noteObstacleAdd records one polygon the current mutation indexed.
-func (db *Database) noteObstacleAdd(id int64, verts []geom.Point) {
-	if s := db.store; s != nil {
-		s.obstAdds = append(s.obstAdds, catalog.ObstacleAdd{ID: id, Verts: verts})
-	}
-}
-
-// noteObstacleRemove records one obstacle id the current mutation removed.
-func (db *Database) noteObstacleRemove(id int64) {
-	if s := db.store; s != nil {
-		s.obstRemoves = append(s.obstRemoves, id)
 	}
 }
 
@@ -887,16 +853,16 @@ func (db *Database) maybeAutoCheckpoint(sp *telemetry.Span) {
 }
 
 // checkpointLocked folds the WAL into the data file: every committed page
-// image is written back, the catalog blobs are rewritten from the live
-// state, the superblock is updated, and the WAL is truncated. Callers hold
-// the updateMu write side. The protocol, ordered so that a crash at any
-// point recovers (old superblock + old blobs + WAL before the new
-// superblock is durable; new superblock + new blobs after):
+// image is written back, the state blob is rewritten from the live state,
+// the superblock is updated, and the WAL is truncated. Callers hold the
+// updateMu write side. The protocol, ordered so that a crash at any point
+// recovers (old superblock + old blob + WAL before the new superblock is
+// durable; new superblock + new blob after):
 //
 //  1. drain the commit queue, so every staged commit is durable and the
 //     WAL is quiescent;
-//  2. write the new catalog blobs through the transactional overlay into
-//     freshly allocated pages — never pages of the old chains, and never
+//  2. write the new state blob through the transactional overlay into
+//     freshly allocated pages — never pages of the old chain, and never
 //     pages with images in the live WAL (shadow paging: the old catalog
 //     must stay readable until the new superblock is durable, and a
 //     replayed page image must never land on a live blob page);
@@ -906,7 +872,7 @@ func (db *Database) maybeAutoCheckpoint(sp *telemetry.Span) {
 //  6. release the old chain pages to the free list.
 //
 // A failure before step 4 is harmless and retryable — the freshly
-// allocated chains are rolled back, the WAL still covers everything. A
+// allocated chain is rolled back, the WAL still covers everything. A
 // failed WAL truncation (step 5) leaves the checkpoint in force; replay
 // skips the already-folded deltas by sequence number and re-applies page
 // images, which is idempotent.
@@ -933,7 +899,7 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 
 	// held collects allocated-but-unusable pages (their ids have images in
 	// the live WAL); they stay free across the checkpoint.
-	var held, newObstPages, newStatePages []pagefile.PageID
+	var held, newStatePages []pagefile.PageID
 	allocClean := func() (pagefile.PageID, error) {
 		for {
 			id, err := s.tx.Allocate()
@@ -948,11 +914,8 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 	}
 	fail := func(err error) error {
 		// Roll back this checkpoint's allocations so retries do not leak
-		// pages: nothing references the fresh chains yet.
+		// pages: nothing references the fresh chain yet.
 		for _, id := range held {
-			_ = s.tx.Free(id)
-		}
-		for _, id := range newObstPages {
 			_ = s.tx.Free(id)
 		}
 		for _, id := range newStatePages {
@@ -961,35 +924,16 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		return err
 	}
 
-	// Walk the old chains up front: they are retired (freed) only after
-	// the new superblock is durable, and their pages are excluded from the
-	// new chains by construction (they are still allocated here).
-	oldState, err := catalog.BlobChain(s.tx, s.super.State)
+	// Walk the old chain up front: it is retired (freed) only after the new
+	// superblock is durable, and its pages are excluded from the new chain by
+	// construction (they are still allocated here).
+	retired, err := catalog.BlobChain(s.tx, s.super.State)
 	if err != nil {
 		return fmt.Errorf("obstacles: checkpoint reading old state chain: %w", err)
 	}
-	obstRef := s.super.Obstacles
-	var oldObst []pagefile.PageID
-	if s.obstDirty || s.super.Obstacles.Root == pagefile.InvalidPage {
-		if oldObst, err = catalog.BlobChain(s.tx, s.super.Obstacles); err != nil {
-			return fmt.Errorf("obstacles: checkpoint reading old obstacle chain: %w", err)
-		}
-		data := encodeObstacleSet(db.obstSet)
-		for len(newObstPages) < catalog.BlobPages(pageSize, len(data)) {
-			id, err := allocClean()
-			if err != nil {
-				return fail(err)
-			}
-			newObstPages = append(newObstPages, id)
-		}
-		if obstRef, err = catalog.WriteBlob(s.tx, newObstPages, data); err != nil {
-			return fail(fmt.Errorf("obstacles: checkpoint obstacle blob: %w", err))
-		}
-	}
-	retired := append(append([]pagefile.PageID(nil), oldState...), oldObst...)
 
 	// The state blob contains the full page free list — including the
-	// held pages and the chains being retired, which are free in the
+	// held pages and the chain being retired, which are free in the
 	// post-checkpoint world — and storing the blob itself allocates pages,
 	// shrinking that list; grow the chain until the encoding fits. Each
 	// allocation shrinks the encoded list or leaves it unchanged (frontier
@@ -1002,6 +946,7 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		data = catalog.EncodeState(&catalog.State{
 			Generation: db.gen.Load(),
 			PageFree:   free,
+			Obstacles:  obstacleMeta(db.obstSet),
 			Datasets:   db.datasetMetas(),
 		})
 		need := catalog.BlobPages(pageSize, len(data))
@@ -1023,11 +968,10 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 
 	next, _ := s.fs.AllocState()
 	sb := pagefile.Superblock{
-		PageSize:  pageSize,
-		Next:      next,
-		Seq:       s.seq,
-		State:     stateRef,
-		Obstacles: obstRef,
+		PageSize: pageSize,
+		Next:     next,
+		Seq:      s.seq,
+		State:    stateRef,
 	}
 	if err := s.tx.Apply(); err != nil {
 		return fail(fmt.Errorf("obstacles: checkpoint write-back: %w", err))
@@ -1042,11 +986,11 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		return fail(fmt.Errorf("obstacles: checkpoint superblock sync: %w", err))
 	}
 
-	// Point of no return: the superblock references the new blobs. Retire
-	// the old chains and release the held pages; from here a failure to
+	// Point of no return: the superblock references the new blob. Retire
+	// the old chain and release the held pages; from here a failure to
 	// truncate the WAL is retryable and replay stays correct (deltas at or
 	// below sb.Seq are skipped, page images are idempotent and the new
-	// chains avoided every logged page).
+	// chain avoided every logged page).
 	s.super = sb
 	for _, id := range retired {
 		_ = s.tx.Free(id)
@@ -1055,7 +999,6 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		_ = s.tx.Free(id)
 	}
 	s.fs.DrainAllocLog() // folded into the full free list just written
-	s.obstDirty = false
 	if err := s.log.Load().Reset(); err != nil {
 		return fmt.Errorf("obstacles: truncating WAL: %w", err)
 	}
@@ -1069,14 +1012,9 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 // flushTreeBuffers pushes every tree's dirty buffer frames into the
 // transactional overlay so the commit captures them.
 func (db *Database) flushTreeBuffers() error {
-	if err := db.obstSet.Tree().PageFile().Flush(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for name, ps := range db.datasets {
-		if err := ps.Tree().PageFile().Flush(); err != nil {
-			return fmt.Errorf("flushing dataset %q: %w", name, err)
+	for _, t := range db.trees() {
+		if err := t.PageFile().Flush(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1093,19 +1031,4 @@ func (db *Database) datasetMetas() []catalog.DatasetMeta {
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
 	return metas
-}
-
-// encodeObstacleSet serializes an obstacle set's live polygons and tree
-// location.
-func encodeObstacleSet(o *core.ObstacleSet) []byte {
-	polys := make(map[int64][]geom.Point)
-	for _, id := range o.Live(nil) {
-		polys[id] = o.Polygon(id).Vertices()
-	}
-	return catalog.EncodeObstacles(&catalog.Obstacles{
-		Tree:       treeMeta(o.Tree()),
-		IDBound:    o.IDBound(),
-		Generation: o.Generation(),
-		Polys:      polys,
-	})
 }

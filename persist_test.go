@@ -1,12 +1,15 @@
 package obstacles
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,9 +200,9 @@ func crashDB(db *Database) {
 
 // rebuildReference builds a fresh in-memory Database from a committed-state
 // snapshot.
-func rebuildReference(t *testing.T, rects []Rect, pts, tPts []Point) *Database {
+func rebuildReference(t *testing.T, polys []Polygon, pts, tPts []Point) *Database {
 	t.Helper()
-	ref, err := NewDatabaseFromRects(rects, DefaultOptions())
+	ref, err := NewDatabase(polys, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,7 @@ func TestOpenCreateMutateReopen(t *testing.T) {
 	for i := range queries {
 		queries[i] = randPt()
 	}
-	ref := rebuildReference(t, liveRects, livePts, tPts)
+	ref := rebuildReference(t, rectPolygons(liveRects), livePts, tPts)
 	assertVerbsMatch(t, "reopen", back, ref, queries, true)
 
 	// The reopened handle keeps mutating durably: freed ids are reusable and
@@ -369,12 +372,86 @@ func removePoints(pts []Point, kill ...Point) []Point {
 	return out
 }
 
+// rectPolygons is RectPolygon over rects.
+func rectPolygons(rects []Rect) []Polygon {
+	polys := make([]Polygon, len(rects))
+	for i, r := range rects {
+		polys[i] = RectPolygon(r)
+	}
+	return polys
+}
+
+// cellObstacle returns an obstacle inside the 50-unit square at (x, y), one
+// of each form the obstacle store keeps: kind 0 is a rectangle (its own
+// leaf entry), 1 a triangle, 2 an L-shape, and 3 a rectangle listed from
+// another corner, which is not RectPolygon's vertex list and so is stored
+// by its vertices like the others.
+func cellObstacle(kind int, x, y float64) Polygon {
+	var v []Point
+	switch kind % 4 {
+	case 0:
+		return RectPolygon(R(x, y, x+50, y+50))
+	case 1:
+		v = []Point{Pt(x, y), Pt(x+50, y+10), Pt(x+20, y+50)}
+	case 2:
+		v = []Point{Pt(x, y), Pt(x+50, y), Pt(x+50, y+15), Pt(x+15, y+15), Pt(x+15, y+50), Pt(x, y+50)}
+	default:
+		v = []Point{Pt(x+50, y+50), Pt(x+50, y), Pt(x, y), Pt(x, y+50)}
+	}
+	pg, err := NewPolygon(v)
+	if err != nil {
+		panic(err)
+	}
+	return pg
+}
+
 // committedState is the model of everything durably committed after each
 // mutation of the crash-recovery scripts.
 type committedState struct {
-	rects    []Rect
+	obst     map[int64]Polygon
 	pts      []Point
 	walBytes int64
+}
+
+// polys lists the model's obstacles in id order.
+func (st committedState) polys() []Polygon {
+	var out []Polygon
+	for _, id := range slices.Sorted(maps.Keys(st.obst)) {
+		out = append(out, st.obst[id])
+	}
+	return out
+}
+
+// assertObstacles checks that db holds exactly the model's obstacles under
+// the model's ids, every vertex bit-identical.
+func assertObstacles(t *testing.T, label string, db *Database, want map[int64]Polygon) {
+	t.Helper()
+	o := db.obstSet
+	if o.Len() != len(want) {
+		t.Fatalf("%s: %d obstacles, model has %d", label, o.Len(), len(want))
+	}
+	for id, pg := range want {
+		if !o.Alive(id) {
+			t.Fatalf("%s: obstacle %d is not live", label, id)
+		}
+		got, exp := o.Polygon(id).Vertices(), pg.Vertices()
+		if !slices.EqualFunc(got, exp, func(a, b Point) bool {
+			return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+		}) {
+			t.Fatalf("%s: obstacle %d has vertices %v, model %v", label, id, got, exp)
+		}
+	}
+}
+
+// pickKey draws one key of m with rng, in key order so that a seed always
+// draws the same one (Go's map order is random).
+func pickKey[K cmp.Ordered, V any](rng *rand.Rand, m map[K]V) (K, bool) {
+	if len(m) == 0 {
+		var zero K
+		return zero, false
+	}
+	keys := slices.Sorted(maps.Keys(m))
+	return keys[rng.Intn(len(keys))], true
 }
 
 // runCrashScript drives a deterministic churn script against db, recording
@@ -386,35 +463,31 @@ func runCrashScript(t *testing.T, db *Database, seed int64, ops int) (states []c
 	rng := rand.New(rand.NewSource(seed))
 	randPt := func() Point { return Pt(rng.Float64()*1000, rng.Float64()*1000) }
 
-	record := func(rects map[int64]Rect, pts map[int64]Point) {
-		st := committedState{walBytes: db.PersistStats().WALBytes}
-		for _, r := range rects {
-			st.rects = append(st.rects, r)
-		}
+	record := func(obst map[int64]Polygon, pts map[int64]Point) {
+		st := committedState{obst: maps.Clone(obst), walBytes: db.PersistStats().WALBytes}
 		for _, p := range pts {
 			st.pts = append(st.pts, p)
 		}
 		states = append(states, st)
 	}
 
-	liveRects := make(map[int64]Rect)
+	liveObst := make(map[int64]Polygon)
 	livePts := make(map[int64]Point)
 
-	// Obstacles on a grid (non-overlapping), initial points, a fixed T set.
-	var initRects []Rect
+	// Obstacles of every stored form on a grid (non-overlapping), initial
+	// points, a fixed T set.
+	var initObst []Polygon
 	for cell := 0; cell < 100; cell += 7 {
-		x := float64(cell%10)*100 + 25
-		y := float64(cell/10)*100 + 25
-		initRects = append(initRects, R(x, y, x+50, y+50))
+		initObst = append(initObst, cellObstacle(len(initObst), float64(cell%10)*100+25, float64(cell/10)*100+25))
 	}
-	ids, err := db.AddObstacleRects(initRects...)
+	ids, err := db.AddObstacles(initObst...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		liveRects[id] = initRects[i]
+		liveObst[id] = initObst[i]
 	}
-	record(liveRects, livePts)
+	record(liveObst, livePts)
 	var initPts []Point
 	for i := 0; i < 60; i++ {
 		initPts = append(initPts, randPt())
@@ -425,14 +498,14 @@ func runCrashScript(t *testing.T, db *Database, seed int64, ops int) (states []c
 	for i, p := range initPts {
 		livePts[int64(i)] = p
 	}
-	record(liveRects, livePts)
+	record(liveObst, livePts)
 	for i := 0; i < 20; i++ {
 		tPts = append(tPts, randPt())
 	}
 	if err := db.AddDataset("T", tPts); err != nil {
 		t.Fatal(err)
 	}
-	record(liveRects, livePts)
+	record(liveObst, livePts)
 
 	freeCells := map[int]bool{}
 	for cell := 0; cell < 100; cell++ {
@@ -456,43 +529,35 @@ func runCrashScript(t *testing.T, db *Database, seed int64, ops int) (states []c
 				livePts[id] = pts[i]
 			}
 		case 2: // delete a point
-			for id := range livePts {
+			if id, ok := pickKey(rng, livePts); ok {
 				if err := db.DeletePoints("P", id); err != nil {
 					t.Fatal(err)
 				}
 				delete(livePts, id)
-				break
 			}
-		case 3: // add an obstacle in a free grid cell
-			var cell int = -1
-			for c := range freeCells {
-				cell = c
-				break
-			}
-			if cell < 0 {
+		case 3: // add an obstacle of any stored form in a free grid cell
+			cell, ok := pickKey(rng, freeCells)
+			if !ok {
 				continue
 			}
 			delete(freeCells, cell)
-			x := float64(cell%10)*100 + 25
-			y := float64(cell/10)*100 + 25
-			r := R(x, y, x+50, y+50)
-			ids, err := db.AddObstacleRects(r)
+			pg := cellObstacle(rng.Intn(4), float64(cell%10)*100+25, float64(cell/10)*100+25)
+			ids, err := db.AddObstacles(pg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			liveRects[ids[0]] = r
+			liveObst[ids[0]] = pg
 		default: // remove an obstacle
-			for id, r := range liveRects {
+			if id, ok := pickKey(rng, liveObst); ok {
 				if err := db.RemoveObstacles(id); err != nil {
 					t.Fatal(err)
 				}
-				delete(liveRects, id)
-				cell := int(r.MinX-25)/100 + int(r.MinY-25)/100*10
-				freeCells[cell] = true
-				break
+				r := liveObst[id].Bounds()
+				delete(liveObst, id)
+				freeCells[int(r.MinX-25)/100+int(r.MinY-25)/100*10] = true
 			}
 		}
-		record(liveRects, livePts)
+		record(liveObst, livePts)
 	}
 	return states, tPts
 }
@@ -553,9 +618,7 @@ func TestCrashRecoveryAtEveryWALBoundary(t *testing.T) {
 	for i, st := range states {
 		label := fmt.Sprintf("boundary %d/%d", i, len(states)-1)
 		back := reopenAt(label, walFull[:st.walBytes])
-		if n := back.NumObstacles(); n != len(st.rects) {
-			t.Fatalf("%s: %d obstacles, model has %d", label, n, len(st.rects))
-		}
+		assertObstacles(t, label, back, st.obst)
 		if i == 0 {
 			// Before the first AddDataset commit: no dataset may surface.
 			if back.HasDataset("P") {
@@ -571,7 +634,7 @@ func TestCrashRecoveryAtEveryWALBoundary(t *testing.T) {
 		if i >= 2 {
 			refT = tPts
 		}
-		ref := rebuildReference(t, st.rects, st.pts, refT)
+		ref := rebuildReference(t, st.polys(), st.pts, refT)
 		full := i >= 2 && (i%8 == 0 || i == len(states)-1)
 		assertVerbsMatch(t, label, back, ref, queries, full)
 
@@ -598,9 +661,7 @@ func TestCrashRecoveryAtEveryWALBoundary(t *testing.T) {
 		label := fmt.Sprintf("torn cut before boundary %d", i)
 		back := reopenAt(label, walFull[:cut])
 		st := states[i-1]
-		if n := back.NumObstacles(); n != len(st.rects) {
-			t.Fatalf("%s: %d obstacles, previous boundary has %d", label, n, len(st.rects))
-		}
+		assertObstacles(t, label, back, st.obst)
 		if i-1 > 0 {
 			if n, err := back.DatasetLen("P"); err != nil || n != len(st.pts) {
 				t.Fatalf("%s: DatasetLen = %d (%v), want %d", label, n, err, len(st.pts))
@@ -661,13 +722,11 @@ func TestFaultInjectionCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: reopen: %v", n, err)
 		}
-		if nObst := back.NumObstacles(); nObst != len(final.rects) {
-			t.Fatalf("n=%d: %d obstacles, want %d", n, nObst, len(final.rects))
-		}
+		assertObstacles(t, fmt.Sprintf("n=%d", n), back, final.obst)
 		if cnt, err := back.DatasetLen("P"); err != nil || cnt != len(final.pts) {
 			t.Fatalf("n=%d: DatasetLen = %d (%v), want %d", n, cnt, err, len(final.pts))
 		}
-		ref := rebuildReference(t, final.rects, final.pts, nil)
+		ref := rebuildReference(t, final.polys(), final.pts, nil)
 		assertVerbsMatch(t, fmt.Sprintf("fault n=%d", n), back, ref, []Point{Pt(500, 180)}, false)
 		back.Close()
 
@@ -790,7 +849,8 @@ func TestDurableConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	ref := rebuildReference(t, final.rects, final.pts, nil)
+	assertObstacles(t, "concurrent churn", back, final.obst)
+	ref := rebuildReference(t, final.polys(), final.pts, nil)
 	assertVerbsMatch(t, "concurrent churn", back, ref, []Point{Pt(111, 222), Pt(880, 640)}, false)
 }
 

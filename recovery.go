@@ -238,8 +238,6 @@ func (db *Database) recoverLocked() error {
 	s.seq = seq
 	s.logged = ld.rs.logged
 	s.dirtyDatasets = make(map[string]struct{})
-	s.obstAdds, s.obstRemoves = nil, nil
-	s.obstDirty = true
 	s.lastCheckpointErr = nil
 	s.cmu.Lock()
 	s.durableSeq = seq

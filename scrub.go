@@ -14,7 +14,7 @@ import (
 // ScrubReport is the result of one Scrub pass over the data file.
 type ScrubReport struct {
 	// Scanned is the number of pages verified; Live how many of them are
-	// reachable from the live trees and catalog blobs.
+	// reachable from the live trees and the state blob.
 	Scanned int `json:"scanned"`
 	Live    int `json:"live"`
 	// CorruptLive are live pages whose bytes fail verification — real data
@@ -25,13 +25,19 @@ type ScrubReport struct {
 	CorruptLive []pagefile.PageID `json:"corrupt_live,omitempty"`
 	CorruptFree []pagefile.PageID `json:"corrupt_free,omitempty"`
 	Quarantined []pagefile.PageID `json:"quarantined,omitempty"`
+	// Inconsistent lists what the structural cross-check found: a tree that
+	// breaks its own invariants, or whose leaves disagree with its table —
+	// an id missing, extra or twice, an entry under other bounds than its
+	// item's, a vertex that does not belong to a live non-rectangle. Pages
+	// can all pass their checksums while an index is wrong like this.
+	Inconsistent []string `json:"inconsistent,omitempty"`
 	// Duration is the wall time of the pass.
 	Duration time.Duration `json:"duration"`
 }
 
 // Clean reports whether the pass found no corruption at all.
 func (r ScrubReport) Clean() bool {
-	return len(r.CorruptLive) == 0 && len(r.CorruptFree) == 0
+	return len(r.CorruptLive) == 0 && len(r.CorruptFree) == 0 && len(r.Inconsistent) == 0
 }
 
 // scrubBatch is how many pages one read-locked scan step verifies before
@@ -42,12 +48,15 @@ const scrubBatch = 256
 // Scrub verifies every allocated page of the data file against its stored
 // checksum, online: the database keeps serving queries and mutations
 // throughout, and the scrubber yields the update lock between batches. Pages
-// reachable from the live trees and catalog blobs that fail verification are
-// reported as CorruptLive (replay cannot fix them — the WAL is truncated at
-// each checkpoint — so the report is the alarm); corrupt pages on the free
-// list are quarantined so they are never handed to fresh data. Works on a
-// degraded database (it only reads, and quarantining touches no device
-// state).
+// reachable from the live trees and the state blob that fail verification
+// are reported as CorruptLive (replay cannot fix them — the WAL is truncated
+// at each checkpoint — so the report is the alarm); corrupt pages on the
+// free list are quarantined so they are never handed to fresh data. Before
+// the page pass, every set of the current version is cross-checked against
+// its trees in O(pages) (core's Check: each tree's invariants, then the leaf
+// scan a reopen would run); what disagrees is reported as Inconsistent.
+// Works on a degraded database (it only reads, and quarantining touches no
+// device state).
 func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 	s := db.store
 	if s == nil {
@@ -68,16 +77,6 @@ func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 	frontier := s.fs.Frontier()
 	live := make(map[pagefile.PageID]struct{})
-	addChain := func(ref pagefile.BlobRef) error {
-		ids, err := catalog.BlobChain(s.tx, ref)
-		if err != nil {
-			return err
-		}
-		for _, id := range ids {
-			live[id] = struct{}{}
-		}
-		return nil
-	}
 	var walkErr error
 	note := func(err error) {
 		var ce pagefile.ErrCorruptPage
@@ -90,15 +89,7 @@ func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 			walkErr = err
 		}
 	}
-	db.mu.RLock()
-	trees := []interface {
-		Pages([]pagefile.PageID) ([]pagefile.PageID, error)
-	}{db.obstSet.Tree()}
-	for _, ps := range db.datasets {
-		trees = append(trees, ps.Tree())
-	}
-	db.mu.RUnlock()
-	for _, t := range trees {
+	for _, t := range db.trees() {
 		ids, err := t.Pages(nil)
 		for _, id := range ids {
 			live[id] = struct{}{}
@@ -107,17 +98,33 @@ func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 			note(err)
 		}
 	}
-	if err := addChain(s.super.State); err != nil {
+	if ids, err := catalog.BlobChain(s.tx, s.super.State); err != nil {
 		note(err)
-	}
-	if err := addChain(s.super.Obstacles); err != nil {
-		note(err)
+	} else {
+		for _, id := range ids {
+			live[id] = struct{}{}
+		}
 	}
 	db.updateMu.RUnlock()
 	if walkErr != nil {
 		return rep, fmt.Errorf("obstacles: scrub walking live pages: %w", walkErr)
 	}
 	rep.Live = len(live)
+
+	// The cross-check only reads trees, so it runs on a pinned version, as
+	// queries and backups do, and holds off no mutator.
+	v := db.pin()
+	checks := map[string]func() error{"obstacles": v.obst.Check}
+	for name, ps := range v.datasets {
+		checks[fmt.Sprintf("dataset %q", name)] = ps.Check
+	}
+	for what, check := range checks {
+		// A corrupt page fails its checksum in the pass below.
+		if err := check(); err != nil && !errors.As(err, new(pagefile.ErrCorruptPage)) {
+			rep.Inconsistent = append(rep.Inconsistent, fmt.Sprintf("%s: %v", what, err))
+		}
+	}
+	db.unpin(v)
 
 	// Scan the whole allocated range in batches, re-verifying each page's
 	// stored checksum. Data-file bytes only change under the updateMu write
@@ -180,6 +187,7 @@ func (db *Database) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 
 	sort.Slice(rep.CorruptLive, func(i, j int) bool { return rep.CorruptLive[i] < rep.CorruptLive[j] })
+	sort.Strings(rep.Inconsistent)
 	rep.Duration = time.Since(start)
 	db.tel.scrubs.Inc()
 	db.tel.scrubPages.Add(uint64(rep.Scanned))
