@@ -307,7 +307,9 @@ func BenchmarkFig22OCPK(b *testing.B) {
 // apart on the default world (seed 1, |O| = 1000), one large local graph per
 // query. sweeps/op is where the time goes: against nodes/op (what eager
 // construction swept) it shows what laziness saves, against settled/op how
-// many settled nodes were already up to date.
+// many settled nodes were already up to date. walks/op counts the grid walks
+// of those passes; QueryStats does not carry it, so it comes from the same
+// pairs replayed through a core session over the same world.
 func BenchmarkObstructedPathLong(b *testing.B) {
 	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
 	db, err := obstacles.NewDatabaseFromRects(world.Rects, obstacles.DefaultOptions())
@@ -341,9 +343,24 @@ func BenchmarkObstructedPathLong(b *testing.B) {
 		settled += qs.SettledNodes
 		nodes += uint64(qs.GraphNodes)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	obst, err := core.NewObstacleSet(rtree.Options{PageSize: 4096}, world.Polys, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := core.NewEngine(obst, core.DefaultEngineOptions())
+	var total core.Stats
+	for _, pq := range pairs {
+		_, _, st, err := eng.NewSession(bctx).ObstructedPath(pq[0], pq[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		total.Merge(st)
+	}
+	b.ReportMetric(float64(total.Walks)/float64(len(pairs)), "walks/op")
 }
 
 // BenchmarkAblationBulkVsInsert compares STR bulk loading against repeated

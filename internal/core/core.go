@@ -620,11 +620,10 @@ type Stats struct {
 	// DistComputations counts invocations of the obstructed distance
 	// computation (Fig 8).
 	DistComputations int
-	// SettledNodes, Expansions, GraphBuilds and Sweeps are this query's own
-	// visibility-graph work (settled nodes, searches, graph constructions,
-	// per-node visibility passes) — per-query counters, valid under
-	// concurrency, unlike the engine-wide cumulative Metrics.
-	SettledNodes, Expansions, GraphBuilds, Sweeps uint64
+	// SettledNodes, Expansions, GraphBuilds, Sweeps and Walks are this
+	// query's own visibility-graph work (see visgraph.Metrics) — per-query
+	// counters, valid under concurrency, unlike the engine-wide Metrics.
+	SettledNodes, Expansions, GraphBuilds, Sweeps, Walks uint64
 	// IO is this query's R-tree page traffic across the obstacle tree and
 	// every dataset tree it touched (PhysicalReads are the paper's "page
 	// accesses").
@@ -664,6 +663,7 @@ func (st *Stats) Merge(rst Stats) {
 	st.Expansions += rst.Expansions
 	st.GraphBuilds += rst.GraphBuilds
 	st.Sweeps += rst.Sweeps
+	st.Walks += rst.Walks
 	st.IO = st.IO.Add(rst.IO)
 	st.ObstReads = st.ObstReads.add(rst.ObstReads)
 	if rst.GraphNodes > st.GraphNodes {

@@ -90,9 +90,10 @@ func TestObstructedPathOneSearchPerIteration(t *testing.T) {
 //	obstacle page reads  <= 20   (disk: 58.5)
 //	searches             <= 2.2  (disk: 1.91)
 //	sweeps               <= 30.3 at one decimal, the disk's
+//	grid walks           <= 450  (each pair asked from both ends: 1,330.2)
 func TestPathWorkGate(t *testing.T) {
 	eng, pairs := standardWorld(t, 300)
-	var nodes, reads, searches, sweeps float64
+	var nodes, reads, searches, sweeps, walks float64
 	for _, pq := range pairs {
 		_, d, st, err := eng.NewSession(context.Background()).ObstructedPath(pq[0], pq[1])
 		if err != nil || math.IsInf(d, 1) {
@@ -102,13 +103,15 @@ func TestPathWorkGate(t *testing.T) {
 		reads += float64(st.ObstReads.PointQuery + st.ObstReads.Scan + st.ObstReads.Enlarge)
 		searches += float64(st.Expansions)
 		sweeps += float64(st.Sweeps)
+		walks += float64(st.Walks)
 	}
 	n := float64(len(pairs))
-	nodes, reads, searches, sweeps = nodes/n, reads/n, searches/n, sweeps/n
-	t.Logf("per path: %.1f graph nodes, %.1f obstacle page reads, %.2f searches, %.2f sweeps", nodes, reads, searches, sweeps)
-	if nodes > 100 || reads > 20 || searches > 2.2 || sweeps >= 30.35 {
-		t.Errorf("per path: %.1f graph nodes (gate 100), %.1f obstacle page reads (20), %.2f searches (2.2), %.2f sweeps (30.3)",
-			nodes, reads, searches, sweeps)
+	nodes, reads, searches, sweeps, walks = nodes/n, reads/n, searches/n, sweeps/n, walks/n
+	t.Logf("per path: %.1f graph nodes, %.1f obstacle page reads, %.2f searches, %.2f sweeps, %.1f grid walks",
+		nodes, reads, searches, sweeps, walks)
+	if nodes > 100 || reads > 20 || searches > 2.2 || sweeps >= 30.35 || walks > 450 {
+		t.Errorf("per path: %.1f graph nodes (gate 100), %.1f obstacle page reads (20), %.2f searches (2.2), %.2f sweeps (30.3), %.1f grid walks (450)",
+			nodes, reads, searches, sweeps, walks)
 	}
 }
 

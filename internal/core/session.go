@@ -154,6 +154,7 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 	st.Expansions += d.Expansions
 	st.GraphBuilds += d.Builds
 	st.Sweeps += d.Sweeps
+	st.Walks += d.Walks
 	st.IO = st.IO.Add(s.io.Sub(w.io))
 	var obst [obstCallers]uint64
 	for i := range s.obstIO {

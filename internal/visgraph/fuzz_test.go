@@ -81,11 +81,13 @@ type diff struct {
 	points       []NodeID     // live entities and terminals
 }
 
-func newDiff(t *testing.T, seed int64, scene uint8) *diff {
-	rng := rand.New(rand.NewSource(seed))
+// scene returns the obstacles of a scene of the given kind and the points
+// entities and terminals may take in it: a vertex (coincident with a vertex
+// node) and a side midpoint of every polygon, and free points.
+func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 	var polys []geom.Polygon
 	size := 100.0
-	switch scene % numScenes {
+	switch kind % numScenes {
 	case sceneRandom:
 		for _, r := range disjointRects(rng, 16, size) {
 			polys = append(polys, geom.RectPolygon(r))
@@ -98,23 +100,29 @@ func newDiff(t *testing.T, seed int64, scene uint8) *diff {
 	case sceneConcave:
 		polys = lShapes(rng, 12, size)
 	}
-	d := &diff{t: t}
+	var obs []Obstacle
+	var pts []geom.Point
 	for i, pg := range polys {
-		d.pool = append(d.pool, Obstacle{ID: int64(i), Poly: pg})
-		// Points on the boundary: a vertex (coincident with a vertex node) and
-		// a side midpoint.
+		obs = append(obs, Obstacle{ID: int64(i), Poly: pg})
 		e := pg.Edge(2)
-		d.pts = append(d.pts, pg.Vertex(0), e.A.Add(e.B).Scale(0.5))
+		pts = append(pts, pg.Vertex(0), e.A.Add(e.B).Scale(0.5))
 	}
 	for i := 0; i < 12; i++ {
-		d.pts = append(d.pts, freeOf(rng, polys, size))
+		pts = append(pts, freeOf(rng, polys, size))
 	}
+	return obs, pts
+}
+
+func newDiff(t *testing.T, seed int64, kind uint8) *diff {
+	rng := rand.New(rand.NewSource(seed))
+	d := &diff{t: t}
+	d.pool, d.pts = scene(rng, kind)
 	first := rng.Intn(6)
 	// The lazy graph is built in the storage the previous input's released
 	// (what Release hands Build), so a grid, stamp, slot or adjacency array
 	// that reset leaves stale answers wrong here.
 	if recycled == nil {
-		recycled = &Graph{obstIDs: make(map[int64]int), edgeSet: make(map[uint64]bool)}
+		recycled = &Graph{obstIDs: make(map[int64]int)}
 	}
 	d.lazy, recycled = recycled.build(Options{UseSweep: true}, d.pool[:first]), nil
 	d.oracle = Build(Options{UseSweep: false}, d.pool[:first])
@@ -331,6 +339,26 @@ func (d *diff) checkAdjacency() {
 	}
 }
 
+// checkSymmetric requires Visible and visibleLinear to give every pair of
+// live nodes the same answer in both directions: a pass asks a pair from one
+// end only, so an answer that depended on the direction would make the edge
+// set depend on which end completed first.
+func (d *diff) checkSymmetric() {
+	g := d.lazy
+	for i := range g.nodes {
+		for j := i + 1; j < len(g.nodes); j++ {
+			if !g.nodes[i].alive || !g.nodes[j].alive {
+				continue
+			}
+			a, b := g.nodes[i].pt, g.nodes[j].pt
+			if g.Visible(a, b) != g.Visible(b, a) || g.visibleLinear(a, b) != g.visibleLinear(b, a) {
+				d.t.Fatalf("visibility of %v-%v depends on the direction: grid %v/%v, linear %v/%v",
+					a, b, g.Visible(a, b), g.Visible(b, a), g.visibleLinear(a, b), g.visibleLinear(b, a))
+			}
+		}
+	}
+}
+
 // FuzzLazyMatchesOracle interleaves Build / AddObstacles / AddTerminal /
 // AddEntity / DeleteEntity (freed slots are reused by whatever node comes
 // next) with ObstructedDist, ShortestPath and bounded Expand, on random,
@@ -339,6 +367,7 @@ func (d *diff) checkAdjacency() {
 // where a terminal is at one end and no bare vertex at the other — equal
 // distances, equal Expand visit order among those nodes — and never closer
 // anywhere; its paths' legs are mutually visible and sum to their length.
+// Visibility between the final graph's live nodes is the same both ways.
 func FuzzLazyMatchesOracle(f *testing.F) {
 	// One program per seed scene: grow-search-grow-search with deletions in
 	// between, then sweeps of every query kind.
@@ -348,15 +377,16 @@ func FuzzLazyMatchesOracle(f *testing.F) {
 		0, 3, 3, 4, 1, 5, 7, 4, 90, 6, 3, 0, 0, 2, 1, 5, 6, 9, 4, 12, 2,
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		for scene := uint8(0); scene < numScenes; scene++ {
-			f.Add(seed, scene, program)
+		for kind := uint8(0); kind < numScenes; kind++ {
+			f.Add(seed, kind, program)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, scene uint8, prog []byte) {
-		d := newDiff(t, seed, scene)
+	f.Fuzz(func(t *testing.T, seed int64, kind uint8, prog []byte) {
+		d := newDiff(t, seed, kind)
 		for i := 0; i+2 < len(prog) && i < 3*48; i += 3 {
 			d.step(prog[i], prog[i+1], prog[i+2])
 		}
+		d.checkSymmetric()
 		recycled = d.lazy.reset()
 	})
 }

@@ -23,10 +23,11 @@
 // Adjacency is lazy. Build and AddObstacles only create vertex nodes; a
 // node's visible set is computed by one visibility pass the first time a
 // search expands it, so a search pays for the nodes it reaches and not for
-// the O(n^2 log n) graph the paper builds up front. Edges are inserted
-// symmetrically and every node remembers how many obstacle vertices its
-// adjacency accounts for: when the graph has grown since, only the vertices
-// added in between are tested, never the whole node again.
+// the O(n^2 log n) graph the paper builds up front. Each unordered pair is
+// decided once, by the first pass to reach it from either end (gnode.born
+// says how a pass knows), and its edge goes into both adjacencies. Every node
+// remembers how many obstacle vertices its adjacency accounts for: when the
+// graph has grown since, only the vertices added in between are tested.
 //
 // The graph is dynamic, mirroring the operations the paper defines:
 // AddObstacle incorporates a newly discovered obstacle (removing the
@@ -36,8 +37,8 @@
 // computation is done.
 //
 // A graph's storage outlives the graph. Release hands it to the next Build,
-// which reuses the node array with every node's adjacency array, the id and
-// edge maps, the vertex list, the obstacle grid and the search scratch, so
+// which reuses the node array with every node's adjacency array, the id map,
+// the vertex list, the obstacle grid and the search scratch, so
 // queries that build one small graph after another — a join's seeds, the
 // requests of a server — allocate no graph storage once warm. Only a graph's
 // owner releases it, once nothing reads it any more: a query releases its
@@ -48,16 +49,15 @@
 // the exact predicate Visible (geom.Polygon.BlocksSegment against the
 // obstacles near the segment), which is right for touching and for
 // overlapping obstacles. Visible finds those obstacles in a uniform grid over
-// their bounding boxes (grid.go), sized from the obstacle set itself. This is
-// a stated deviation
-// from the paper, which builds its graphs with the rotational plane sweep of
-// [SS84]: entities sit on obstacle boundaries, so every pair a sweep accepts
-// has to be confirmed by the exact test anyway, and once that test is cheap
-// (a slab clip per rectangle, a grid walk per segment) asking it directly
-// costs a third to a fifth of the sweep at every local-graph size measured —
-// 38 vs 104 us per pass at 265 vertices, 127 vs 429 at 1,025, 400 vs 1,717 at
-// 3,641, 880 vs 4,793 at 8,401 (CHANGES.md, PR 23) — so the sweep was deleted
-// rather than kept beside it.
+// their bounding boxes (grid.go), sized from the obstacle set itself; a pass
+// asks the obstacle that blocked its last candidate before it walks the grid.
+// This is a stated deviation from the paper, which builds its graphs with the
+// rotational plane sweep of [SS84]: entities sit on obstacle boundaries, so
+// every pair a sweep accepts has to be confirmed by the exact test anyway,
+// and once that test is cheap (a slab clip per rectangle, a grid walk per
+// segment) asking it directly costs a third to a fifth of the sweep at every
+// local-graph size measured (README's table; CHANGES.md, PR 23), so the sweep
+// was deleted rather than kept beside it.
 package visgraph
 
 import (
@@ -125,9 +125,12 @@ type Metrics struct {
 	Builds uint64
 	// Sweeps counts visibility passes: one per node the first time a search
 	// expands it, one per AddEntity/AddTerminal — the dominant cost of
-	// distance computation. A pass tests every live candidate against the
+	// distance computation. A pass tests the undecided pairs against the
 	// tangent filter and asks Visible only about those that pass (complete).
 	Sweeps uint64
+	// Walks counts the passes' visibility tests that their last blocker did
+	// not settle: grid walks, or linear scans in the reference pass.
+	Walks uint64
 }
 
 // Sub returns the work done between an earlier reading o and m.
@@ -137,6 +140,7 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		Expansions:   m.Expansions - o.Expansions,
 		Builds:       m.Builds - o.Builds,
 		Sweeps:       m.Sweeps - o.Sweeps,
+		Walks:        m.Walks - o.Walks,
 	}
 }
 
@@ -154,6 +158,16 @@ type gnode struct {
 	// adj holds exactly the edges (see complete) among entities, terminals and
 	// verts[:seen]. -1 until the node's first visibility pass.
 	seen int32
+	// born is len(g.verts) when the node arrived: a vertex's own index there.
+	// A pass of u skips a candidate v with v.seen > u.born, as some pass of v
+	// has decided the pair: a first pass that set v.seen above u.born ran
+	// after u arrived and tested every live node, and a top-up that raised it
+	// from at most u.born tested verts[old seen:], u included if a vertex (a
+	// point u never meets that case: its first pass runs as it arrives, its
+	// top-ups meet only vertices born later). u asks the rule in its first
+	// pass and its top-ups, the passes in which it has not decided the pair
+	// itself; once u has asked v, v's passes skip u or never test it.
+	born int32
 	adj  []HalfEdge
 	// prev and next are an obstacle vertex's two boundary directions, toward
 	// the polygon's previous and next vertex, scaled to unit L1 length; zero
@@ -170,9 +184,7 @@ type Graph struct {
 	// verts lists the obstacle-vertex nodes in the order they arrived, which
 	// is what lets a node record how much of the graph it has been tested
 	// against as one number.
-	verts []NodeID
-	// edgeSet tracks undirected visibility edges for O(1) duplicate checks.
-	edgeSet  map[uint64]bool
+	verts    []NodeID
 	numEdges int
 	live     int // nodes currently alive
 	free     []NodeID
@@ -212,7 +224,7 @@ type Obstacle struct {
 func Build(opts Options, obstacles []Obstacle) *Graph {
 	g, _ := released.Get().(*Graph)
 	if g == nil {
-		g = &Graph{obstIDs: make(map[int64]int), edgeSet: make(map[uint64]bool)}
+		g = &Graph{obstIDs: make(map[int64]int)}
 	}
 	return g.build(opts, obstacles)
 }
@@ -254,18 +266,10 @@ func (g *Graph) reset() *Graph {
 	clear(g.obstacles)    // drop the polygons' vertex arrays
 	g.obstacles = g.obstacles[:0]
 	clear(g.obstIDs)
-	clear(g.edgeSet)
 	g.verts, g.free, g.slots = g.verts[:0], g.free[:0], g.slots[:0]
 	g.numEdges, g.live = 0, 0
 	g.grid.cell = 0
 	return g
-}
-
-func edgeKey(u, v NodeID) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
 // NumNodes returns the number of live nodes.
@@ -300,19 +304,11 @@ func (g *Graph) newNode(p geom.Point, kind Kind) NodeID {
 		g.nodes = slices.Grow(g.nodes, 1)[:id+1]
 	}
 	n := &g.nodes[id]
-	*n = gnode{pt: p, kind: kind, alive: true, seen: -1, adj: n.adj[:0]}
+	*n = gnode{pt: p, kind: kind, alive: true, seen: -1, born: int32(len(g.verts)), adj: n.adj[:0]}
 	return id
 }
 
 func (g *Graph) addEdge(u, v NodeID) {
-	if u == v {
-		return
-	}
-	k := edgeKey(u, v)
-	if g.edgeSet[k] {
-		return
-	}
-	g.edgeSet[k] = true
 	w := g.nodes[u].pt.Dist(g.nodes[v].pt)
 	g.nodes[u].adj = append(g.nodes[u].adj, HalfEdge{To: v, Weight: w})
 	g.nodes[v].adj = append(g.nodes[v].adj, HalfEdge{To: u, Weight: w})
@@ -328,17 +324,6 @@ func (g *Graph) dropHalf(u, v NodeID) {
 			return
 		}
 	}
-}
-
-func (g *Graph) removeEdge(u, v NodeID) {
-	k := edgeKey(u, v)
-	if !g.edgeSet[k] {
-		return
-	}
-	delete(g.edgeSet, k)
-	g.dropHalf(u, v)
-	g.dropHalf(v, u)
-	g.numEdges--
 }
 
 // AddObstacles incorporates a batch of obstacles (the add_obstacle operation
@@ -381,7 +366,7 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 	// the grid asking only the new obstacles; the reference pass tests every
 	// edge against every new polygon's box and then the polygon, the oracle
 	// the walk is checked against.
-	blocked := func(a, b geom.Point) bool { return !g.visibleAmong(a, b, first) }
+	blocked := func(a, b geom.Point) bool { return g.blocker(a, b, first, -1) >= 0 }
 	if !g.opts.UseSweep {
 		blocked = func(a, b geom.Point) bool {
 			sb := geom.Seg(a, b).Bounds()
@@ -400,7 +385,9 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 		}
 		for i := 0; i < len(un.adj); {
 			if v := un.adj[i].To; NodeID(u) < v && blocked(un.pt, g.nodes[v].pt) {
-				g.removeEdge(NodeID(u), v)
+				un.adj = slices.Delete(un.adj, i, i+1)
+				g.dropHalf(v, NodeID(u))
+				g.numEdges--
 				continue // adj shifted; re-check index i
 			}
 			i++
@@ -434,21 +421,18 @@ func (g *Graph) AddTerminal(p geom.Point) NodeID {
 // complete brings u's adjacency up to date with the graph: a node never
 // expanded before gets one visibility pass over every live candidate; a node
 // the graph has grown under is tested against just the vertices added since
-// (blocked edges were already removed when the obstacles arrived). Edges go
-// in symmetrically, so completing u never leaves a completed neighbour
-// incomplete.
+// (blocked edges were already removed when the obstacles arrived). A pass
+// skips the pairs decided from their other end (gnode.born) and puts an edge
+// into both adjacencies, so no completed neighbour is left incomplete.
 //
 // The production pass asks Visible only about bitangent candidates (the
 // tangent test at both ends, written out in the loop because a call per
 // candidate costs more than the test), so its edges are the pairs that are
 // mutually visible and tangent at every vertex end; the reference pass asks
-// about every candidate and keeps the full visibility graph. See the package
-// doc for which distances that keeps exact.
+// about every candidate by linear scan and keeps the full visibility graph.
+// See the package doc for which distances that keeps exact. The production
+// pass asks its last blocker first: neighbouring candidates hide behind it.
 func (g *Graph) complete(u NodeID) {
-	visible, prune := g.visibleLinear, false
-	if g.opts.UseSweep {
-		visible, prune = g.Visible, true
-	}
 	n := &g.nodes[u]
 	// The candidates: every node on a first pass, verts[lo:] on a top-up.
 	top := n.seen >= 0
@@ -458,29 +442,42 @@ func (g *Graph) complete(u NodeID) {
 	} else if g.opts.Metrics != nil {
 		g.opts.Metrics.Sweeps++
 	}
+	last, walks := -1, uint64(0)
 	for k := lo; k < hi; k++ {
 		id := NodeID(k)
 		if top {
 			id = g.verts[k]
 		}
 		v := &g.nodes[id]
-		// A shortest path never bends at an entity, so entities skip each
-		// other.
-		if !v.alive || id == u || (n.kind == EntityNode && v.kind == EntityNode) {
+		// Skipped: pairs decided from v's end (gnode.born), and entity pairs,
+		// since a shortest path never bends at an entity.
+		if !v.alive || id == u || v.seen > n.born || (n.kind == EntityNode && v.kind == EntityNode) {
 			continue
 		}
-		if prune {
-			d := v.pt.Sub(n.pt)
-			m := tangentSlack * (math.Abs(d.X) + math.Abs(d.Y))
-			if !n.tangent(d, m) || !v.tangent(d, m) {
-				continue
+		if !g.opts.UseSweep {
+			if walks++; g.visibleLinear(n.pt, v.pt) {
+				g.addEdge(u, id)
 			}
+			continue
 		}
-		if visible(n.pt, v.pt) {
+		d := v.pt.Sub(n.pt)
+		m := tangentSlack * (math.Abs(d.X) + math.Abs(d.Y))
+		if !n.tangent(d, m) || !v.tangent(d, m) {
+			continue
+		}
+		switch b := g.blocker(n.pt, v.pt, 0, last); {
+		case b < 0:
+			walks++
 			g.addEdge(u, id)
+		case b != last: // b == last: the last blocker settled it, no walk
+			walks++
+			last = b
 		}
 	}
 	n.seen = int32(len(g.verts))
+	if g.opts.Metrics != nil {
+		g.opts.Metrics.Walks += walks
+	}
 }
 
 // tangentSlack is the tangent test's margin relative to the two directions'
@@ -520,7 +517,6 @@ func (g *Graph) DeleteEntity(id NodeID) {
 	}
 	for _, he := range n.adj {
 		g.dropHalf(he.To, id)
-		delete(g.edgeSet, edgeKey(id, he.To))
 		g.numEdges--
 	}
 	n.adj = n.adj[:0]

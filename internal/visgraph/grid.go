@@ -111,28 +111,31 @@ func (gr *obstGrid) extend(obstacles []geom.Polygon, first int) bool {
 // It walks the grid cells the segment crosses from a toward b, asks each
 // obstacle chained there once, and returns at the first blocker — which, seen
 // from an expanding node, is usually one of the nearest obstacles.
-func (g *Graph) Visible(a, b geom.Point) bool { return g.visibleAmong(a, b, 0) }
+func (g *Graph) Visible(a, b geom.Point) bool { return g.blocker(a, b, 0, -1) < 0 }
 
-// visibleAmong is Visible asking only obstacles[lo:], the walk AddObstacles
-// runs for each materialised edge against the obstacles it adds.
-func (g *Graph) visibleAmong(a, b geom.Point, lo int) bool {
+// blocker returns an obstacle of obstacles[lo:] blocking the open segment ab
+// (hint first, if it is one of them, else the first the grid walk meets), or
+// -1 when none does; AddObstacles asks it with lo > 0 about each kept edge.
+func (g *Graph) blocker(a, b geom.Point, lo, hint int) int {
 	if len(g.obstacles) == lo {
-		return true
+		return -1
+	}
+	sb, d := geom.Seg(a, b).Bounds().Expand(geom.Eps), b.Sub(a)
+	margin := clearMargin(d)
+	if hint >= lo && g.blocks(hint, a, b, sb, d, margin) {
+		return hint
 	}
 	gr := &g.grid
 	if gr.cell == 0 {
 		gr.build(g.obstacles)
 	}
-	sb := geom.Seg(a, b).Bounds().Expand(geom.Eps)
 	if !sb.Intersects(gr.bounds) {
-		return true
+		return -1
 	}
 	if gr.gen++; gr.gen == 0 { // wrapped: no stamp may look current
 		clear(gr.stamps)
 		gr.gen = 1
 	}
-	d := b.Sub(a)
-	margin := clearMargin(d)
 
 	// Walk along the axis the segment moves most in, so that between two
 	// lines of cells the other coordinate changes by at most a cell and a
@@ -175,7 +178,7 @@ func (g *Graph) visibleAmong(a, b geom.Point, lo int) bool {
 				}
 				gr.stamps[i] = gr.gen
 				if g.blocks(int(i), a, b, sb, d, margin) {
-					return false
+					return int(i)
 				}
 			}
 			iv += stepV
@@ -183,7 +186,7 @@ func (g *Graph) visibleAmong(a, b geom.Point, lo int) bool {
 		iu += stepU
 		vIn = vOut
 	}
-	return true
+	return -1
 }
 
 // Inside reports whether p lies strictly inside one of the graph's obstacles.

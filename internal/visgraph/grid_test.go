@@ -2,6 +2,7 @@ package visgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -167,10 +168,12 @@ func TestAddObstaclesRemovesBlockedEdges(t *testing.T) {
 				kept := 0
 				for _, e := range before {
 					a, b := g.nodes[e.u].pt, g.nodes[e.v].pt
-					if has, want := g.edgeSet[edgeKey(e.u, e.v)], g.visibleLinear(a, b); has != want {
-						t.Fatalf("trial %d production=%v batch %d: edge %v-%v kept %v, visible by linear scan %v", trial, production, i, a, b, has, want)
+					has, back := hasEdge(g, e.u, e.v), hasEdge(g, e.v, e.u)
+					if want := g.visibleLinear(a, b); has != want || back != has {
+						t.Fatalf("trial %d production=%v batch %d: edge %v-%v kept %v at one end and %v at the other, visible by linear scan %v",
+							trial, production, i, a, b, has, back, want)
 					}
-					if g.edgeSet[edgeKey(e.u, e.v)] {
+					if has {
 						kept++
 					}
 				}
@@ -180,6 +183,21 @@ func TestAddObstaclesRemovesBlockedEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hasEdge reports whether u's adjacency lists v.
+func hasEdge(g *Graph, u, v NodeID) bool {
+	return slices.ContainsFunc(g.nodes[u].adj, func(he HalfEdge) bool { return he.To == v })
+}
+
+// unlink removes every edge at u from both ends, leaving u alive, so that a
+// test can run u's first pass again.
+func unlink(g *Graph, u NodeID) {
+	for _, he := range g.nodes[u].adj {
+		g.dropHalf(he.To, u)
+		g.numEdges--
+	}
+	g.nodes[u].adj = g.nodes[u].adj[:0]
 }
 
 // TestGridStreetScene runs the probe set on touching, collinear street
@@ -193,7 +211,8 @@ func TestGridStreetScene(t *testing.T) {
 
 // TestPassAllocatesNothing: the grid, its stamps and the general clip's
 // parameter buffer are reused, so a visibility test allocates nothing and a
-// pass allocates only for the edges it finds — none when they are known.
+// pass allocates only to grow adjacency arrays — none when it finds again the
+// edges it had before they were unlinked.
 func TestPassAllocatesNothing(t *testing.T) {
 	g, a, b := bigGraph(t)
 	pa, pb := g.Point(a), g.Point(b)
@@ -202,7 +221,7 @@ func TestPassAllocatesNothing(t *testing.T) {
 	}
 	var m Metrics
 	g.Retarget(&m, nil)
-	if n := testing.AllocsPerRun(50, func() { g.nodes[a].seen = -1; g.complete(a) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { unlink(g, a); g.nodes[a].seen = -1; g.complete(a) }); n != 0 {
 		t.Errorf("a first pass over known edges allocates %v times per run on a %d-node graph", n, g.NumNodes())
 	}
 	if m.Sweeps == 0 {

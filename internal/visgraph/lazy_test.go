@@ -197,3 +197,211 @@ func TestInterruptPolledBeforeEverySweep(t *testing.T) {
 		}
 	}
 }
+
+// TestEachPairDecidedOnce: a pass skips the pairs its partner's pass has
+// decided, so over any history — nodes completed in random order, obstacle
+// batches in between, entities deleted and their slots reused, the graph
+// reset and built again in its own storage as Release and Build do — no
+// unordered pair is asked twice, no adjacency lists a neighbour twice, and
+// the adjacency is the reference pass's edge set, of bitangent pairs for the
+// production pass. Both passes share the rule; the reference pass asks every
+// pair it decides by linear scan, so there the count is exact.
+func TestEachPairDecidedOnce(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		for kind := uint8(0); kind < numScenes; kind++ {
+			for _, production := range []bool{true, false} {
+				rng := rand.New(rand.NewSource(seed))
+				o := &once{t: t, production: production, verdicts: make(map[[2]int]bool)}
+				o.pool, o.pts = scene(rng, kind)
+				o.run(rng)
+			}
+		}
+	}
+}
+
+// once drives one graph and keeps its own account, by node incarnation, of
+// the pairs some pass has decided.
+type once struct {
+	t          *testing.T
+	g          *Graph
+	m          Metrics
+	production bool
+	pool       []Obstacle // not yet added
+	added      []Obstacle
+	pts        []geom.Point
+	points     []NodeID // live entities and terminals
+	inc        []int    // inc[id]: the incarnation of the node in slot id
+	n          int      // incarnations handed out
+	decided    map[[2]int]bool
+	verdicts   map[[2]int]bool // the reference edge set, until obstacles arrive
+}
+
+func (o *once) run(rng *rand.Rand) {
+	o.build()
+	for op := 0; op < 60; op++ {
+		switch r := rng.Intn(10); {
+		case op == 30:
+			o.g.reset()
+			o.build()
+		case r < 2 && len(o.pool) > 0:
+			k := min(1+rng.Intn(4), len(o.pool))
+			first := len(o.g.verts)
+			o.g.AddObstacles(o.pool[:k])
+			o.added, o.pool = append(o.added, o.pool[:k]...), o.pool[k:]
+			for _, id := range o.g.verts[first:] {
+				o.born(id)
+			}
+			clear(o.verdicts)
+		case r < 4:
+			add := o.g.AddTerminal
+			if r == 3 {
+				add = o.g.AddEntity
+			}
+			cands, walks := o.candidates(Invalid), o.m.Walks
+			id := add(o.pts[rng.Intn(len(o.pts))])
+			o.born(id)
+			o.points = append(o.points, id)
+			o.asked(id, cands, o.m.Walks-walks)
+		case r == 4 && len(o.points) > 0:
+			i := rng.Intn(len(o.points))
+			o.g.DeleteEntity(o.points[i])
+			o.points = append(o.points[:i], o.points[i+1:]...)
+		case len(o.g.nodes) > 0:
+			o.complete(NodeID(rng.Intn(len(o.g.nodes))))
+		}
+		o.check()
+	}
+	for _, id := range rng.Perm(len(o.g.nodes)) {
+		o.complete(NodeID(id))
+	}
+	o.check()
+}
+
+// build starts the graph over the obstacles added so far, in the storage of
+// the one before it when there was one; no pair is decided yet.
+func (o *once) build() {
+	opts := Options{UseSweep: o.production, Metrics: &o.m}
+	if o.g == nil {
+		o.g = Build(opts, o.added)
+	} else {
+		o.g.build(opts, o.added)
+	}
+	o.points, o.decided = nil, make(map[[2]int]bool)
+	clear(o.verdicts)
+	for _, id := range o.g.verts {
+		o.born(id)
+	}
+}
+
+func (o *once) born(id NodeID) {
+	for len(o.inc) <= int(id) {
+		o.inc = append(o.inc, -1)
+	}
+	o.inc[id] = o.n
+	o.n++
+}
+
+func (o *once) key(u, v NodeID) [2]int {
+	a, b := o.inc[u], o.inc[v]
+	return [2]int{min(a, b), max(a, b)}
+}
+
+// candidates lists the nodes a pass of u tests by the meaning of seen: every
+// other live node on a first pass (and for a node about to be added, u ==
+// Invalid), the vertices added since on a top-up.
+func (o *once) candidates(u NodeID) []NodeID {
+	var out []NodeID
+	if u != Invalid && o.g.nodes[u].seen >= 0 {
+		return append(out, o.g.verts[o.g.nodes[u].seen:]...)
+	}
+	for id := range o.g.nodes {
+		if o.g.nodes[id].alive && NodeID(id) != u {
+			out = append(out, NodeID(id))
+		}
+	}
+	return out
+}
+
+func (o *once) complete(u NodeID) {
+	if !o.g.nodes[u].alive {
+		return
+	}
+	cands, walks := o.candidates(u), o.m.Walks
+	o.g.complete(u)
+	o.asked(u, cands, o.m.Walks-walks)
+}
+
+// asked checks the visibility tests u's pass made over cands against the
+// pairs among them no pass had decided: as many in the reference pass, no
+// more (the last blocker settles some without a walk) among the bitangent
+// ones in the production pass.
+func (o *once) asked(u NodeID, cands []NodeID, walks uint64) {
+	want := uint64(0)
+	un := &o.g.nodes[u]
+	for _, v := range cands {
+		vn := &o.g.nodes[v]
+		if v == u || un.kind == EntityNode && vn.kind == EntityNode || o.decided[o.key(u, v)] {
+			continue
+		}
+		o.decided[o.key(u, v)] = true
+		if !o.production || bitangent(un, vn) {
+			want++
+		}
+	}
+	if walks > want || !o.production && walks != want {
+		o.t.Fatalf("production=%v: the pass of %d made %d visibility tests for %d undecided pairs", o.production, u, walks, want)
+	}
+}
+
+// edge is the reference verdict on a pair: not two entities, visible by
+// linear scan and, for the production pass, bitangent.
+func (o *once) edge(u, v NodeID) bool {
+	un, vn := &o.g.nodes[u], &o.g.nodes[v]
+	if un.kind == EntityNode && vn.kind == EntityNode || o.production && !bitangent(un, vn) {
+		return false
+	}
+	k := o.key(u, v)
+	e, ok := o.verdicts[k]
+	if !ok {
+		e = o.g.visibleLinear(un.pt, vn.pt)
+		o.verdicts[k] = e
+	}
+	return e
+}
+
+// check: every adjacency lists each neighbour once, its edges are reference
+// edges listed at both ends, and a node up to date with the graph has every
+// reference edge.
+func (o *once) check() {
+	g, halves := o.g, 0
+	for u := range g.nodes {
+		n := &g.nodes[u]
+		if !n.alive {
+			continue
+		}
+		has := make(map[NodeID]bool)
+		for _, he := range n.adj {
+			if has[he.To] {
+				o.t.Fatalf("production=%v: node %d lists neighbour %d twice", o.production, u, he.To)
+			}
+			has[he.To] = true
+			if !g.nodes[he.To].alive || !hasEdge(g, he.To, NodeID(u)) {
+				o.t.Fatalf("production=%v: edge %d-%d is listed at one end only", o.production, u, he.To)
+			}
+		}
+		halves += len(n.adj)
+		for v := range g.nodes {
+			if v == u || !g.nodes[v].alive {
+				continue
+			}
+			want := o.edge(NodeID(u), NodeID(v))
+			if has[NodeID(v)] && !want || !has[NodeID(v)] && want && int(n.seen) == len(g.verts) {
+				o.t.Fatalf("production=%v: node %d (seen %d of %d) has edge to %d: %v, reference %v",
+					o.production, u, n.seen, len(g.verts), v, has[NodeID(v)], want)
+			}
+		}
+	}
+	if halves != 2*g.NumEdges() {
+		o.t.Fatalf("production=%v: %d half edges, %d edges counted", o.production, halves, g.NumEdges())
+	}
+}

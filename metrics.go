@@ -141,7 +141,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 	m.pageAccesses = reg.Counter("obstacles_query_page_accesses_total", "R-tree page reads that missed the LRU buffers, summed over all queries.")
 	m.settledNodes = reg.Counter("obstacles_query_settled_nodes_total", "Dijkstra-settled visibility-graph nodes, summed over all queries.")
 	m.graphBuilds = reg.Counter("obstacles_query_graph_builds_total", "Visibility-graph constructions, summed over all queries.")
-	m.graphSweeps = reg.Counter("obstacles_graph_sweeps_total", "Per-node visibility passes (rotational sweeps), summed over all queries.")
+	m.graphSweeps = reg.Counter("obstacles_graph_sweeps_total", "Per-node visibility passes, summed over all queries.")
 	m.falseHits = reg.Counter("obstacles_query_false_hits_total", "Euclidean candidates eliminated by the obstructed metric.")
 	m.candidates = reg.Counter("obstacles_query_candidates_total", "Euclidean candidates examined.")
 	m.results = reg.Counter("obstacles_query_results_total", "Qualifying answers produced by the engine.")
