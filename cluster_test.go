@@ -578,20 +578,21 @@ func TestDistanceMatrixCacheOnOff(t *testing.T) {
 	}
 }
 
-// TestClusterObstaclePageGate pins the obstacle I/O of a DBSCAN job, the
+// TestClusterObstaclePageGate pins the page accesses of a DBSCAN job, the
 // cost the self-join removes: an entity with no Euclidean neighbour within ε
-// never reads an obstacle page, and each close pair is refined once. World:
-// the generated street map, |O| = 1000, 300 entities, seed 1, MinPts 4, a
-// fresh database per ε. The bounds are the page counts before clustering
-// moved onto range queries; the join reads about a tenth to a quarter of
-// them.
+// never reads an obstacle page, each close pair is refined once, and a run of
+// seeds whose disks meet reads its obstacles once. World: the generated
+// street map, |O| = 1000, 300 entities, seed 1, MinPts 4, a fresh database
+// per ε. The bounds are the counts with one obstacle window per run (88, 120
+// and 91 pages) plus 10 %; with one obstacle scan per seed they were 99, 231
+// and 536.
 func TestClusterObstaclePageGate(t *testing.T) {
 	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
 	pts := world.Entities(world.EntityRand(1), 300)
 	for _, c := range []struct {
 		eps   float64
 		pages uint64
-	}{{150, 914}, {300, 1343}, {600, 2046}} {
+	}{{150, 97}, {300, 132}, {600, 100}} {
 		db, err := NewDatabaseFromRects(world.Rects, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -604,10 +605,53 @@ func TestClusterObstaclePageGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("eps %g: %d obstacle pages (gate %d), %d close pairs, %d within eps, %d clusters, %d noise",
+		t.Logf("eps %g: %d page accesses (gate %d), %d close pairs, %d within eps, %d clusters, %d noise",
 			c.eps, qs.PageAccesses, c.pages, qs.Candidates, qs.Results, cl.NumClusters, cl.NoiseCount)
 		if qs.PageAccesses > c.pages {
-			t.Errorf("eps %g: %d obstacle pages, gate %d", c.eps, qs.PageAccesses, c.pages)
+			t.Errorf("eps %g: %d page accesses, gate %d", c.eps, qs.PageAccesses, c.pages)
+		}
+	}
+}
+
+// TestJoinWorkGate pins the work of P ⋈ Q on the benchmark world (the
+// generated street map, |O| = 1000, seed 1, |P| = 2000, |Q| = 500) at
+// e = 25, 50 and 75: its results and false hits, and its obstacle logical
+// reads, which unlike page accesses do not depend on what the buffers hold.
+// The bounds are the reads with one obstacle window per run of adjacent
+// seeds (265, 493 and 562) plus 10 %; with one obstacle scan per seed they
+// were 295, 597 and 770.
+func TestJoinWorkGate(t *testing.T) {
+	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
+	db, err := NewDatabaseFromRects(world.Rects, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.AddDataset("P", world.Entities(world.EntityRand(1), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("Q", world.Entities(world.EntityRand(2), 500)); err != nil {
+		t.Fatal(err)
+	}
+	obst := db.engine.Obstacles().Tree().PageFile()
+	for _, c := range []struct {
+		e                  float64
+		results, falseHits int
+		reads              uint64
+	}{{25, 142, 19, 291}, {50, 289, 129, 542}, {75, 450, 169, 618}} {
+		before := obst.Stats().LogicalReads
+		var qs QueryStats
+		pairs, err := db.DistanceJoin(ctx, "P", "Q", c.e, WithStats(&qs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := obst.Stats().LogicalReads - before
+		t.Logf("e %g: %d pairs, %d false hits, %d obstacle logical reads (gate %d)", c.e, len(pairs), qs.FalseHits, reads, c.reads)
+		if len(pairs) != c.results || qs.Results != c.results || qs.FalseHits != c.falseHits {
+			t.Errorf("e %g: %d pairs, %d results, %d false hits; want %d results, %d false hits", c.e, len(pairs), qs.Results, qs.FalseHits, c.results, c.falseHits)
+		}
+		if reads > c.reads {
+			t.Errorf("e %g: %d obstacle logical reads, gate %d", c.e, reads, c.reads)
 		}
 	}
 }

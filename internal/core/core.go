@@ -635,8 +635,8 @@ type Stats struct {
 
 // ObstacleReads splits a query's obstacle-tree page accesses by caller.
 type ObstacleReads struct {
-	// PointQuery is InsideObstacle: ONN's check of its query point, and a
-	// field's buried check of a point outside the disk it has scanned.
+	// PointQuery is InsideObstacle: a field's buried check of a point
+	// outside the disk it has scanned.
 	PointQuery uint64
 	// Scan is a field's opening range query: the initial obstacle range of
 	// Figs 5, 7 and 9, or the segment to each target of a field that grows

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 	"repro/internal/visgraph"
 )
 
@@ -68,6 +69,9 @@ type field struct {
 	// until a target first comes back +Inf, which is the only time it is
 	// needed.
 	cover float64
+	// win is the window of nodes that a join's run of seeds reads the
+	// obstacle tree through (DistanceJoin), or nil.
+	win *rtree.Window
 	// routed marks the field of a point-to-point verb, which reports the route
 	// of the final search from the source to its one target (path).
 	routed  bool
@@ -149,7 +153,7 @@ func (f *field) fail(err error) error {
 // of center, or for an ellipse field those meeting its first open target's
 // segment (scanSegment). Through a cache they come as an entry's graph, with
 // its disk; every verb that passes no cache runs one obstacle range query
-// for a query-local graph.
+// for a query-local graph, a join seed's through its run's window.
 // Figs 5 and 9 issue that query first and unconditionally, which is what
 // keeps their obstacle R-tree I/O independent of what is left to refine;
 // attach builds the graph over its result only when something is.
@@ -174,7 +178,7 @@ func (f *field) scan() error {
 		return nil
 	}
 	var err error
-	f.obs, err = f.s.relevantObstacles(disk(f.hub, f.searched))
+	f.obs, err = f.s.relevantObstacles(disk(f.hub, f.searched), f.win)
 	return f.fail(err)
 }
 
@@ -183,7 +187,7 @@ func (f *field) scan() error {
 // the scan's result or, once the graph is built, into the graph. t then lies
 // in its covered ellipse, so its buried check reads the field alone.
 func (f *field) scanSegment(t *target) error {
-	obs, err := f.s.relevantObstacles(region{f.center, t.pt, t.dE * (1 + boundSlack)})
+	obs, err := f.s.relevantObstacles(region{f.center, t.pt, t.dE * (1 + boundSlack)}, nil)
 	if err != nil {
 		return f.fail(err)
 	}

@@ -201,7 +201,7 @@ func (c *GraphCache) acquire(s *Session, source geom.Point, r0 float64) (*cacheE
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
-	obs, err := s.relevantObstacles(disk(source, r0))
+	obs, err := s.relevantObstacles(disk(source, r0), nil)
 	if err != nil {
 		c.drop(en)
 		en.unlock()

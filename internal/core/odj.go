@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/hilbert"
 	"repro/internal/rtree"
 )
@@ -14,8 +15,15 @@ import (
 // Euclidean join [BKS93] produces candidate pairs; the side with fewer
 // distinct members provides the "seeds", and each seed opens one query-local
 // field and eliminates its partners' false hits with an OR-style expansion
-// (Fig 5). Seeds are processed in Hilbert order to maximize buffer locality
-// across consecutive obstacle R-tree probes.
+// (Fig 5). Seeds are processed in Hilbert order, so that consecutive seeds
+// lie close together. Consecutive seeds whose disks of radius dist meet form
+// a run, and a run reads each obstacle-tree page once: its seeds' range
+// queries read the tree through one rtree.Window, which keeps the nodes they
+// have read, each pruned to the entries within dist of the run's bounding
+// box. Each seed's query visits the same nodes and finds the same obstacles,
+// in the same order, as it would alone; what goes is the page reads of the
+// nodes an earlier seed of the run visited, and the tests of entries no seed
+// of the run can reach.
 //
 // S == T is a self-join, the form the ε-neighbourhoods of DBSCAN take: it
 // pairs distinct entities only, refines each unordered pair once, from
@@ -62,45 +70,58 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 	type hilbertSeed struct {
 		key uint64
 		id  int64
+		pt  geom.Point
 	}
 	seeds := make([]hilbertSeed, 0, len(partners))
 	for id := range partners {
 		p := seedSet.Point(id)
-		seeds = append(seeds, hilbertSeed{hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY), id})
+		seeds = append(seeds, hilbertSeed{hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY), id, p})
 	}
 	slices.SortFunc(seeds, func(a, b hilbertSeed) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
 	})
 	// Step 4: per-seed false-hit elimination (the OR refinement of Fig 5) on a
-	// query-local field, as in the paper.
+	// query-local field, as in the paper, run by run: the seeds up to the
+	// first whose disk misses its predecessor's read the obstacle tree
+	// through one window, which keeps what lies within dist of their
+	// bounding box.
 	var out []JoinPair
-	for _, hs := range seeds {
-		seed := hs.id
-		if err := s.err(); err != nil {
-			return nil, st, err
+	var win rtree.Window
+	for len(seeds) > 0 {
+		box, n := geom.PointRect(seeds[0].pt), 1
+		for ; n < len(seeds) && seeds[n-1].pt.Dist(seeds[n].pt) <= 2*dist; n++ {
+			box = box.ExtendPoint(seeds[n].pt)
 		}
-		// The seed's buried check reads the obstacles its field scanned: a
-		// buried seed reaches none of its partners.
-		f := s.newField(nil, seedSet.Point(seed), dist, &st)
-		buried, err := f.sourceBuried()
-		if err == nil && !buried {
-			ps := partners[seed]
-			f.reserve(len(ps))
-			for _, pid := range ps {
-				f.add(otherSet.Point(pid))
+		win.Reset(box, dist)
+		for _, hs := range seeds[:n] {
+			if err := s.err(); err != nil {
+				return nil, st, err
 			}
-			err = f.settle(dist, func(i int, d float64) {
-				st.Results++
-				out = append(out, makePair(seedsFromS, seed, ps[i], d))
-				if self {
-					out = append(out, makePair(!seedsFromS, seed, ps[i], d))
+			// The seed's buried check reads the obstacles its field scanned: a
+			// buried seed reaches none of its partners.
+			f := s.newField(nil, hs.pt, dist, &st)
+			f.win = &win
+			buried, err := f.sourceBuried()
+			if err == nil && !buried {
+				ps := partners[hs.id]
+				f.reserve(len(ps))
+				for _, pid := range ps {
+					f.add(otherSet.Point(pid))
 				}
-			})
+				err = f.settle(dist, func(i int, d float64) {
+					st.Results++
+					out = append(out, makePair(seedsFromS, hs.id, ps[i], d))
+					if self {
+						out = append(out, makePair(!seedsFromS, hs.id, ps[i], d))
+					}
+				})
+			}
+			f.close()
+			if err != nil {
+				return nil, st, err
+			}
 		}
-		f.close()
-		if err != nil {
-			return nil, st, err
-		}
+		seeds = seeds[n:]
 	}
 	st.FalseHits = st.Candidates - st.Results
 	sortRanked(out)

@@ -41,9 +41,6 @@ func (s *Session) NearestNeighbors(P *PointSet, q geom.Point, k int) (_ []Result
 	if err := s.err(); err != nil {
 		return nil, st, err
 	}
-	if inside, err := s.InsideObstacle(q); err != nil || inside {
-		return nil, st, err // a blocked query point reaches nothing
-	}
 	f := s.newField(nil, q, 0, &st)
 	var euclidIDs map[int64]bool
 	R, err := topK(s, &st, k, s.neighbors(P, f), func(seed []rtree.Neighbor) error {
@@ -52,10 +49,21 @@ func (s *Session) NearestNeighbors(P *PointSet, q geom.Point, k int) (_ []Result
 			euclidIDs[nb.Item.Data] = true
 		}
 		// The initial graph holds the obstacles within the k-th Euclidean
-		// distance; the field enlarges it on demand.
+		// distance; the field enlarges it on demand. That opening scan also
+		// decides whether q is buried.
 		f.searched = seed[len(seed)-1].Dist
-		return f.scan()
+		buried, err := f.sourceBuried()
+		if err == nil && buried {
+			err = errSourceBuried
+		}
+		return err
 	})
+	if err == errSourceBuried {
+		// A blocked query point reaches nothing: every Euclidean kNN is a
+		// false hit.
+		st.FalseHits = st.Candidates
+		return nil, st, nil
+	}
 	if err != nil {
 		return nil, st, err
 	}

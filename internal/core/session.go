@@ -167,15 +167,15 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 
 // relevantObstacles returns the obstacles whose polygons meet the region —
 // the filter (R-tree ellipse range on MBRs) plus refinement (region.meets)
-// steps.
-func (s *Session) relevantObstacles(r region) ([]visgraph.Obstacle, error) {
+// steps — reading the tree through w when it is not nil.
+func (s *Session) relevantObstacles(r region, w *rtree.Window) ([]visgraph.Obstacle, error) {
 	if err := s.err(); err != nil {
 		return nil, err
 	}
 	defer s.span.StartSpan("obstacle-scan")()
 	polys := s.obst.items
 	var out []visgraph.Obstacle
-	err := s.obstTree[obstScan].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
+	err := s.obstTree[obstScan].SearchEllipseIn(w, r.a, r.b, r.sum, func(it rtree.Item) bool {
 		pg := polys[it.Data]
 		if r.meets(pg) {
 			out = append(out, visgraph.Obstacle{ID: it.Data, Poly: pg})

@@ -211,6 +211,29 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
+// TestGapsWithinKeepsEveryRectWithinDist: GapsWithin never rejects a
+// rectangle that MinDistRect puts within d, at distances equal to the
+// rectangles' mindist and one ulp either side of it, for rectangles that
+// overlap, touch along an edge or at a corner, or lie apart along one axis or
+// both.
+func TestGapsWithinKeepsEveryRectWithinDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	coord := func() float64 { return float64(rng.Intn(9)) + []float64{0, 0.1, 1.0 / 3}[rng.Intn(3)] }
+	rect := func() Rect {
+		x, y := coord(), coord()
+		return R(x, y, x+float64(rng.Intn(3))*coord()/2, y+float64(rng.Intn(3))*coord()/2)
+	}
+	for i := 0; i < 20000; i++ {
+		r, s := rect(), rect()
+		m := r.MinDistRect(s)
+		for _, d := range []float64{m, math.Nextafter(m, 0), math.Nextafter(m, 10), 0, coord(), math.Inf(1)} {
+			if !r.GapsWithin(s, d) && m <= d {
+				t.Fatalf("%v GapsWithin(%v, %v) rejects a rectangle at %v", r, s, d, m)
+			}
+		}
+	}
+}
+
 func TestRectOf(t *testing.T) {
 	r := RectOf(Pt(3, 1), Pt(0, 5), Pt(2, 2))
 	if r != R(0, 1, 3, 5) {

@@ -154,6 +154,14 @@ func (r Rect) MinDistRect(s Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// GapsWithin reports whether r's gaps to s along x and along y are both at
+// most d. It never rejects a rectangle within d of s: MinDistRect is
+// math.Hypot of the two gaps, and Hypot(dx, dy) >= max(dx, dy) holds in
+// floating point too. So it filters without a square root, exactly.
+func (r Rect) GapsWithin(s Rect, d float64) bool {
+	return max(s.MinX-r.MaxX, r.MinX-s.MaxX) <= d && max(s.MinY-r.MaxY, r.MinY-s.MaxY) <= d
+}
+
 // MaxDistRect returns the maximum Euclidean distance between any point of r
 // and any point of s: no pair of items under two entry MBRs is farther apart.
 func (r Rect) MaxDistRect(s Rect) float64 {

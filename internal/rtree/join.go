@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -13,31 +14,43 @@ import (
 // distance e of each other, by traversing the two trees synchronously and
 // following only entry pairs with mindist <= e. Within each node pair the
 // candidate entries are matched with a plane sweep along x, as in the
-// original algorithm. The callback returns false to stop early.
+// original algorithm, after its search-space restriction: only the entries
+// of each node that lie within e of the other node's rectangle on both axes
+// enter the sweep (near). The callback returns false to stop early.
 func JoinDistance(ta, tb *Tree, e float64, fn func(a, b Item) bool) error {
 	j := joiners.get()
 	j.ta, j.tb, j.e, j.fn = ta, tb, e, fn
-	_, err := j.nodes(ta.root, tb.root, 0)
+	_, err := j.nodes(ta.root, tb.root, geom.Rect{}, geom.Rect{}, 0)
 	j.ta, j.tb, j.fn = nil, nil, nil
 	joiners.put(j)
 	return err
 }
 
 // joiner is one JoinDistance call. The recursion runs inside the sweep's
-// callback, so every depth keeps its own decoded node pair and its own sweep,
-// allocated the first time a join gets that deep and kept, in joiners, for the
-// joins after it.
+// callback, so every depth keeps its own decoded node pair, its own sweep and
+// its own restricted entry lists, allocated the first time a join gets that
+// deep and kept, in joiners, for the joins after it.
 type joiner struct {
 	ta, tb *Tree
 	e      float64
 	fn     func(a, b Item) bool
 	as, bs nodeStack
-	sw     []*sweeper
+	sw     []*joinSweep
+}
+
+// joinSweep is one depth's sweep and the entries of its two nodes that enter
+// it.
+type joinSweep struct {
+	sweeper
+	as, bs []entry
 }
 
 var joiners = make(freeList[joiner], scratchKept)
 
-func (j *joiner) nodes(pa, pb pagefile.PageID, depth int) (cont bool, err error) {
+// nodes joins the subtrees at pa and pb, whose rectangles ra and rb are the
+// ones the parent entries that led to them record; the roots, which no entry
+// records, get theirs from their entries.
+func (j *joiner) nodes(pa, pb pagefile.PageID, ra, rb geom.Rect, depth int) (cont bool, err error) {
 	na, err := j.as.read(j.ta, pa, depth)
 	if err != nil {
 		return false, err
@@ -46,44 +59,68 @@ func (j *joiner) nodes(pa, pb pagefile.PageID, depth int) (cont bool, err error)
 	if err != nil {
 		return false, err
 	}
+	if depth == 0 {
+		ra, rb = na.mbr(), nb.mbr()
+	}
 	if na.level != nb.level {
-		// Descend the deeper tree only, against the other node's MBR.
-		deep, other, aDeeper := na, nb.mbr(), true
+		// Descend the deeper tree only, against the other node's rectangle.
+		deep, other, aDeeper := na, rb, true
 		if nb.level > na.level {
-			deep, other, aDeeper = nb, na.mbr(), false
+			deep, other, aDeeper = nb, ra, false
 		}
 		for _, c := range deep.entries {
 			if c.rect.MinDistRect(other) > j.e {
 				continue
 			}
-			ca, cb := pagefile.PageID(c.ref), pb
+			ca, cb, rca, rcb := pagefile.PageID(c.ref), pb, c.rect, rb
 			if !aDeeper {
-				ca, cb = pa, pagefile.PageID(c.ref)
+				ca, cb, rca, rcb = pa, pagefile.PageID(c.ref), ra, c.rect
 			}
-			if cont, err := j.nodes(ca, cb, depth+1); err != nil || !cont {
+			if cont, err := j.nodes(ca, cb, rca, rcb, depth+1); err != nil || !cont {
 				return cont, err
 			}
 		}
 		return true, nil
 	}
-	// Equal levels: sweep both entry lists along x. mindist <= e is the
-	// half-open interval that ends at the next float above e.
+	// Equal levels: sweep the entries near the other node along x. mindist
+	// <= e is the half-open interval that ends at the next float above e.
 	for depth >= len(j.sw) { // depths that only descended one tree have none yet
-		j.sw = append(j.sw, new(sweeper))
+		j.sw = append(j.sw, new(joinSweep))
 	}
-	cont = j.sw[depth].pairs(na.entries, nb.entries, 0, math.Nextafter(j.e, math.Inf(1)), func(a, b entry, _ float64) bool {
+	sw := j.sw[depth]
+	sw.as, sw.bs = near(sw.as, na.entries, rb, j.e), near(sw.bs, nb.entries, ra, j.e)
+	if len(sw.as) == 0 || len(sw.bs) == 0 {
+		return true, nil
+	}
+	cont = sw.pairs(sw.as, sw.bs, 0, math.Nextafter(j.e, math.Inf(1)), func(a, b entry, _ float64) bool {
 		if na.isLeaf() {
 			return j.fn(a.item(), b.item())
 		}
-		cont, err = j.nodes(pagefile.PageID(a.ref), pagefile.PageID(b.ref), depth+1)
+		cont, err = j.nodes(pagefile.PageID(a.ref), pagefile.PageID(b.ref), a.rect, b.rect, depth+1)
 		return cont && err == nil
 	})
 	return cont, err
 }
 
+// near is [BKS93]'s search-space restriction: it returns, in dst's storage,
+// the entries whose x-gap and y-gap to r are both at most e. Every entry the
+// sweep could pair with one inside r is kept, exactly and not only up to
+// rounding: the gap to r is no larger than the gap to any partner inside r,
+// and no pair whose gaps exceed e has mindist <= e (geom.Rect.GapsWithin).
+func near(dst, entries []entry, r geom.Rect, e float64) []entry {
+	dst = dst[:0]
+	for _, c := range entries {
+		if c.rect.GapsWithin(r, e) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
 // sweeper is the forward plane sweep of [BKS93] over the entries of two nodes,
 // the one primitive under the e-distance join and the closest-pair stream.
-// keys is its scratch, reused from one sweep to the next.
+// The join hands it only the entries its search-space restriction keeps
+// (near). keys is its scratch, reused from one sweep to the next.
 type sweeper struct {
 	keys []sweepKey
 }

@@ -446,6 +446,94 @@ func TestJoinDistanceMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+	t.Run("edge cases", testJoinEdgeCases)
+}
+
+// itemTree inserts the items one by one, each with its index as its datum.
+func itemTree(t *testing.T, items []geom.Rect) *Tree {
+	t.Helper()
+	tr, err := New(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range items {
+		if err := tr.Insert(r, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// checkJoin compares JoinDistance's pair set with every pair of rectangles
+// within e, each reported once.
+func checkJoin(t *testing.T, name string, ta, tb *Tree, ra, rb []geom.Rect, e float64) {
+	t.Helper()
+	got := map[[2]int64]int{}
+	if err := JoinDistance(ta, tb, e, func(a, b Item) bool {
+		got[[2]int64{a.Data, b.Data}]++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i, a := range ra {
+		for j, b := range rb {
+			if a.MinDistRect(b) > e {
+				continue
+			}
+			want++
+			if n := got[[2]int64{int64(i), int64(j)}]; n != 1 {
+				t.Fatalf("%s e=%v: pair (%d, %d) at %v reported %d times", name, e, i, j, a.MinDistRect(b), n)
+			}
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("%s e=%v: %d pairs, brute force %d", name, e, len(got), want)
+	}
+}
+
+// testJoinEdgeCases: the search-space restriction and the sweep keep every
+// pair on the boundaries their tests draw — coincident points at e = 0,
+// rectangles touching at a corner, pairs exactly e apart along one axis — in
+// a self-join, and between trees of different heights either way round.
+func testJoinEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var grid, stacked, rects []geom.Rect
+	// A lattice of step 10: every neighbour is exactly 10 apart along one
+	// axis, and every point has a twin at the same place.
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			p := geom.PointRect(geom.Pt(float64(10*i), float64(10*j)))
+			grid = append(grid, p)
+			stacked = append(stacked, p, p)
+		}
+	}
+	// Cells of the same lattice, so that diagonal neighbours touch at a
+	// corner and others share an edge, plus random rectangles.
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			if (i+j)%2 == 0 {
+				rects = append(rects, geom.R(float64(10*i), float64(10*j), float64(10*i+10), float64(10*j+10)))
+			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		x, y := rng.Float64()*120, rng.Float64()*120
+		rects = append(rects, geom.R(x, y, x+rng.Float64()*15, y+rng.Float64()*15))
+	}
+	few := grid[:5]
+	tGrid, tStacked, tRects, tFew := itemTree(t, grid), itemTree(t, stacked), itemTree(t, rects), itemTree(t, few)
+	if tFew.Height() >= tStacked.Height() {
+		t.Fatalf("heights %d and %d: want the second deeper", tFew.Height(), tStacked.Height())
+	}
+	for _, e := range []float64{0, 10, math.Nextafter(10, 0), 10 * math.Sqrt2, 25} {
+		checkJoin(t, "coincident points", tGrid, tStacked, grid, stacked, e)
+		checkJoin(t, "self-join", tStacked, tStacked, stacked, stacked, e)
+		checkJoin(t, "touching rectangles", tRects, tRects, rects, rects, e)
+		checkJoin(t, "rectangles and points", tRects, tGrid, rects, grid, e)
+		checkJoin(t, "shallow and deep", tFew, tStacked, few, stacked, e)
+		checkJoin(t, "deep and shallow", tStacked, tFew, stacked, few, e)
+	}
 }
 
 func TestJoinDifferentHeights(t *testing.T) {

@@ -106,9 +106,17 @@ func (t *Tree) SearchCircle(center geom.Point, radius float64, fn func(Item) boo
 // refinement is left to the caller. A path of length d between a and b stays
 // inside the ellipse of sum d, which is the range Fig 8 needs.
 func (t *Tree) SearchEllipse(a, b geom.Point, sum float64, fn func(Item) bool) error {
+	return t.SearchEllipseIn(nil, a, b, sum, fn)
+}
+
+// SearchEllipseIn is SearchEllipse reading the tree's nodes through w (see
+// Window), or from the page file as SearchEllipse does when w is nil. It
+// visits the same nodes and reports the same items in the same order either
+// way; through w, a node an earlier search through w read costs no page read.
+func (t *Tree) SearchEllipseIn(w *Window, a, b geom.Point, sum float64, fn func(Item) bool) error {
 	s := stacks.get()
 	defer stacks.put(s)
-	_, err := t.searchEllipse(s, t.root, 0, a, b, sum, fn)
+	_, err := t.searchEllipse(s, w, t.root, 0, a, b, sum, fn)
 	return err
 }
 
@@ -122,8 +130,14 @@ func withinEllipse(r geom.Rect, a, b geom.Point, sum float64) bool {
 	return da+r.MinDist(b) <= sum
 }
 
-func (t *Tree) searchEllipse(s *nodeStack, id pagefile.PageID, depth int, a, b geom.Point, sum float64, fn func(Item) bool) (bool, error) {
-	n, err := s.read(t, id, depth)
+func (t *Tree) searchEllipse(s *nodeStack, w *Window, id pagefile.PageID, depth int, a, b geom.Point, sum float64, fn func(Item) bool) (bool, error) {
+	var n node
+	var err error
+	if w != nil {
+		n, err = w.read(t, id)
+	} else {
+		n, err = s.read(t, id, depth)
+	}
 	if err != nil {
 		return false, err
 	}
@@ -139,13 +153,80 @@ func (t *Tree) searchEllipse(s *nodeStack, id pagefile.PageID, depth int, a, b g
 	}
 	for _, e := range n.entries {
 		if withinEllipse(e.rect, a, b, sum) {
-			cont, err := t.searchEllipse(s, pagefile.PageID(e.ref), depth+1, a, b, sum, fn)
+			cont, err := t.searchEllipse(s, w, pagefile.PageID(e.ref), depth+1, a, b, sum, fn)
 			if err != nil || !cont {
 				return cont, err
 			}
 		}
 	}
 	return true, nil
+}
+
+// A Window keeps, decoded, the nodes of one tree that the searches through it
+// have read, so that a later search through it finds them in memory: each
+// page is read once per window, however many of its searches visit it. A run
+// of searches whose ranges overlap, such as the disks around a distance join's
+// nearby seeds, shares one and reads the union of their nodes once.
+//
+// The searches of a run are confined to one region (Reset), and of each node
+// the window keeps only the entries that lie in it, so that a search through
+// it tests those alone. A search still descends into the same nodes and
+// reports the same items in the same order as it would without the window,
+// since what it dropped no search of the run could pass.
+//
+// A window serves one tree, while that tree does not change, and one
+// goroutine. It must be Reset before its first search.
+type Window struct {
+	near    geom.Rect
+	dist    float64
+	nodes   map[pagefile.PageID]windowNode
+	entries []entry // the nodes' kept entries, back to back
+	scratch []entry // the page a read decodes, before its entries are kept
+}
+
+// windowNode is a node of a Window: its level and where entries holds it.
+type windowNode struct {
+	level  uint16
+	lo, hi int
+}
+
+// Reset empties w, keeping its storage, for a run of searches that each
+// report only items within dist of near along both axes, as a disk of radius
+// at most dist around a point of near does: an item it reports is within
+// dist of the center, so each of its gaps to the center, and so to near, is
+// at most dist (geom.Rect.GapsWithin). The window keeps only such entries.
+func (w *Window) Reset(near geom.Rect, dist float64) {
+	if w.nodes == nil {
+		w.nodes = make(map[pagefile.PageID]windowNode)
+	}
+	clear(w.nodes)
+	w.near, w.dist, w.entries = near, dist, w.entries[:0]
+}
+
+// read returns page id from w, reading it from t's page file the first time.
+// The entries stay where they are while w grows, so a search may recurse
+// while it iterates over them.
+func (w *Window) read(t *Tree, id pagefile.PageID) (node, error) {
+	if w.nodes == nil {
+		panic("rtree: search through a Window that was never Reset")
+	}
+	if c, ok := w.nodes[id]; ok {
+		return node{id: id, level: c.level, entries: w.entries[c.lo:c.hi:c.hi]}, nil
+	}
+	n, err := t.readNodeInto(id, w.scratch)
+	if err != nil {
+		return n, err
+	}
+	w.scratch = n.entries
+	lo := len(w.entries)
+	for _, e := range n.entries {
+		if e.rect.GapsWithin(w.near, w.dist) {
+			w.entries = append(w.entries, e)
+		}
+	}
+	w.nodes[id] = windowNode{n.level, lo, len(w.entries)}
+	n.entries = w.entries[lo:len(w.entries):len(w.entries)]
+	return n, nil
 }
 
 // All returns every item in the tree (test and tooling helper).

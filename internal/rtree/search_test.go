@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -128,6 +129,99 @@ func TestSearchEllipseMatchesLinearScan(t *testing.T) {
 				t.Fatalf("disk %v r %v: rectangle %v: ellipse %v, circle %v", c, radius, r, got[int64(i)], circle[int64(i)])
 			}
 		}
+	}
+}
+
+// TestSearchEllipseInWindow: a run of disk searches through a Window, each
+// of radius at most the window's distance around a point of its region,
+// reports what SearchEllipse does, item for item and in the same order, also
+// when a search through the window starts inside another's callback. The
+// window reads each page once however many of its searches visit it, never
+// more than the searches do alone, and none on a second pass; a Reset window
+// reads as a fresh one.
+func TestSearchEllipseInWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tr, err := New(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		p := randPoint(rng)
+		r := geom.R(p.X, p.Y, p.X+rng.Float64()*40, p.Y+rng.Float64()*40)
+		if i%5 == 0 {
+			r = geom.PointRect(p)
+		}
+		if err := tr.Insert(r, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := func(w *Window, c geom.Point, radius float64) ([]int64, uint64) {
+		var io pagefile.Stats
+		var got []int64
+		if err := tr.Counted(&io).SearchEllipseIn(w, c, c, 2*radius, func(it Item) bool { got = append(got, it.Data); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return got, io.LogicalReads
+	}
+	type disk struct {
+		c      geom.Point
+		radius float64
+	}
+	var w Window
+	saved := uint64(0)
+	for trial := 0; trial < 60; trial++ {
+		dist := rng.Float64() * 120
+		// A run: each center within 2*dist of the one before, radii up to
+		// dist, and every other run a single disk of radius dist.
+		run := []disk{{randPoint(rng), dist}}
+		for n := (trial % 2) * (2 + rng.Intn(10)); len(run) < n; {
+			p := run[len(run)-1].c
+			run = append(run, disk{p.Add(geom.Pt((rng.Float64()*2-1)*dist, (rng.Float64()*2-1)*dist)), dist * []float64{1, rng.Float64()}[rng.Intn(2)]})
+		}
+		near := geom.PointRect(run[0].c)
+		for _, d := range run {
+			near = near.ExtendPoint(d.c)
+		}
+		w.Reset(near, dist)
+		var winReads, alone uint64
+		for i, d := range run {
+			want, reads := search(nil, d.c, d.radius)
+			got, wreads := search(&w, d.c, d.radius)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d search %d: through the window %v, alone %v", trial, i, got, want)
+			}
+			if i == 0 && wreads != reads {
+				t.Fatalf("trial %d: a fresh window read %d pages, the search alone %d", trial, wreads, reads)
+			}
+			if wreads > reads {
+				t.Fatalf("trial %d search %d: %d page reads through the window, %d alone", trial, i, wreads, reads)
+			}
+			winReads, alone = winReads+wreads, alone+reads
+		}
+		if winReads != uint64(len(w.nodes)) || winReads > alone {
+			t.Fatalf("trial %d: the window read %d pages for %d nodes; the searches alone %d", trial, winReads, len(w.nodes), alone)
+		}
+		saved += alone - winReads
+		for i, d := range run {
+			if _, again := search(&w, d.c, d.radius); again != 0 {
+				t.Fatalf("trial %d search %d: %d page reads on the second pass", trial, i, again)
+			}
+		}
+		// A search through the window from inside another's callback.
+		first, last := run[0], run[len(run)-1]
+		want, _ := search(nil, last.c, last.radius)
+		err := tr.SearchEllipseIn(&w, first.c, first.c, 2*first.radius, func(Item) bool {
+			if got, _ := search(&w, last.c, last.radius); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: a nested search found %v, alone %v", trial, got, want)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if saved == 0 {
+		t.Fatal("no run shared a page; the test checks nothing")
 	}
 }
 
