@@ -36,30 +36,52 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 		return nil, st, err
 	}
 	self := S == T
-	// Step 1: Euclidean e-distance join (no false misses). A self-join keeps
-	// each unordered pair of distinct entities once, as (lower id, higher id).
-	partnersS := make(map[int64][]int64) // s id -> t ids
-	partnersT := make(map[int64][]int64) // t id -> s ids
+	// Step 1: Euclidean e-distance join (no false misses), one list of
+	// candidate pairs {s id, t id}. A self-join keeps each unordered pair of
+	// distinct entities once, as (lower id, higher id).
+	var cands [][2]int64
 	err := rtree.JoinDistance(s.pointTree(S), s.pointTree(T), dist, func(a, b rtree.Item) bool {
 		if !self || a.Data < b.Data {
-			partnersS[a.Data] = append(partnersS[a.Data], b.Data)
-			partnersT[b.Data] = append(partnersT[b.Data], a.Data)
-			st.Candidates++
+			cands = append(cands, [2]int64{a.Data, b.Data})
 		}
 		return true
 	})
 	if err != nil {
 		return nil, st, fmt.Errorf("core: euclidean join: %w", err)
 	}
+	st.Candidates = len(cands)
 	if st.Candidates == 0 {
 		return nil, st, nil
 	}
 	// Step 2: the side with fewer distinct joined objects seeds the fields
-	// (one per object instead of one per pair).
-	seedsFromS := len(partnersS) <= len(partnersT)
-	seedSet, otherSet, partners := S, T, partnersS
-	if !seedsFromS {
-		seedSet, otherSet, partners = T, S, partnersT
+	// (one per object instead of one per pair). count[side][id] is how many
+	// candidates hold id on that side.
+	var count [2][]int
+	var held [2]int
+	for side, set := range []*PointSet{S, T} {
+		count[side] = make([]int, set.IDBound()+1)
+		for _, c := range cands {
+			if count[side][c[side]] == 0 {
+				held[side]++
+			}
+			count[side][c[side]]++
+		}
+	}
+	side, seedSet, otherSet := 0, S, T
+	if held[1] < held[0] {
+		side, seedSet, otherSet = 1, T, S
+	}
+	seedsFromS := side == 0
+	// Group the partners by seed, each group in the join's order (a counting
+	// sort on the seed id): seed id's are then partners[at[id]:at[id+1]].
+	at := count[side]
+	for id := 1; id < len(at); id++ {
+		at[id] += at[id-1]
+	}
+	partners := make([]int64, len(cands))
+	for i := len(cands) - 1; i >= 0; i-- {
+		at[cands[i][side]]--
+		partners[at[cands[i][side]]] = cands[i][1-side]
 	}
 	// Step 3: Hilbert ordering of the seeds.
 	bounds, err := s.pointTree(seedSet).Bounds()
@@ -68,14 +90,17 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 	}
 	// Each seed's key is computed once, not once per comparison.
 	type hilbertSeed struct {
-		key uint64
-		id  int64
-		pt  geom.Point
+		key      uint64
+		id       int64
+		pt       geom.Point
+		partners []int64
 	}
-	seeds := make([]hilbertSeed, 0, len(partners))
-	for id := range partners {
-		p := seedSet.Point(id)
-		seeds = append(seeds, hilbertSeed{hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY), id, p})
+	seeds := make([]hilbertSeed, 0, held[side])
+	for id := range int64(len(at) - 1) {
+		if at[id] < at[id+1] {
+			p := seedSet.Point(id)
+			seeds = append(seeds, hilbertSeed{hilbert.EncodePoint(p.X, p.Y, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY), id, p, partners[at[id]:at[id+1]]})
+		}
 	}
 	slices.SortFunc(seeds, func(a, b hilbertSeed) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
@@ -103,16 +128,15 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 			f.win = &win
 			buried, err := f.sourceBuried()
 			if err == nil && !buried {
-				ps := partners[hs.id]
-				f.reserve(len(ps))
-				for _, pid := range ps {
+				f.reserve(len(hs.partners))
+				for _, pid := range hs.partners {
 					f.add(otherSet.Point(pid))
 				}
 				err = f.settle(dist, func(i int, d float64) {
 					st.Results++
-					out = append(out, makePair(seedsFromS, hs.id, ps[i], d))
+					out = append(out, makePair(seedsFromS, hs.id, hs.partners[i], d))
 					if self {
-						out = append(out, makePair(!seedsFromS, hs.id, ps[i], d))
+						out = append(out, makePair(!seedsFromS, hs.id, hs.partners[i], d))
 					}
 				})
 			}

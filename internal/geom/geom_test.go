@@ -197,13 +197,13 @@ func TestRectMinDist(t *testing.T) {
 	if got := r.MinDistRect(R(2, 1, 3, 3)); got != 0 {
 		t.Errorf("overlapping MinDistRect = %v, want 0", got)
 	}
-	if a, b := r.MaxDistRect(R(7, 6, 9, 9)), R(7, 6, 9, 9).MaxDistRect(r); a != math.Hypot(9, 9) || b != a {
-		t.Errorf("MaxDistRect = %v and %v, want %v", a, b, math.Hypot(9, 9))
+	if a, b := r.MaxDistRect(R(7, 6, 9, 9)), R(7, 6, 9, 9).MaxDistRect(r); a != math.Sqrt(9*9+9*9) || b != a {
+		t.Errorf("MaxDistRect = %v and %v, want %v", a, b, math.Sqrt(9*9+9*9))
 	}
-	if got := r.MaxDistRect(R(1, 1, 2, 1.5)); got != math.Hypot(3, 1.5) {
-		t.Errorf("MaxDistRect of a contained rectangle = %v, want %v", got, math.Hypot(3, 1.5))
+	if got := r.MaxDistRect(R(1, 1, 2, 1.5)); got != math.Sqrt(3*3+1.5*1.5) {
+		t.Errorf("MaxDistRect of a contained rectangle = %v, want %v", got, math.Sqrt(3*3+1.5*1.5))
 	}
-	if got := r.MaxDist(Pt(0, 0)); math.Abs(got-math.Hypot(4, 2)) > 1e-9 {
+	if got := r.MaxDist(Pt(0, 0)); math.Abs(got-math.Sqrt(4*4+2*2)) > 1e-9 {
 		t.Errorf("MaxDist = %v", got)
 	}
 	if !r.IntersectsCircle(Pt(6, 1), 2) || r.IntersectsCircle(Pt(6, 1), 1.9) {
@@ -230,6 +230,36 @@ func TestGapsWithinKeepsEveryRectWithinDist(t *testing.T) {
 			if !r.GapsWithin(s, d) && m <= d {
 				t.Fatalf("%v GapsWithin(%v, %v) rejects a rectangle at %v", r, s, d, m)
 			}
+		}
+	}
+}
+
+// TestRectDistancesMonotone: a rectangle's distances never fall when one of
+// its gaps grows by an ulp. math.Hypot fails this at p, q below: Hypot(p, q)
+// = 6.643615143341115 but Hypot(Nextafter(p, +Inf), q) = 6.643615143341114,
+// so a node's mindist could exceed that of a point under it.
+func TestRectDistancesMonotone(t *testing.T) {
+	p, q := 6.563701921747622, 1.0273457330801274
+	near, far := R(p, q, p, q), R(math.Nextafter(p, math.Inf(1)), q, 10, 10)
+	o := Pt(0, 0)
+	if a, b := near.MinDist(o), far.MinDist(o); a > b {
+		t.Errorf("MinDist = %v at gap %v, %v at one ulp more", a, p, b)
+	}
+	if a, b := near.MinDistRect(PointRect(o)), far.MinDistRect(PointRect(o)); a > b {
+		t.Errorf("MinDistRect = %v at gap %v, %v at one ulp more", a, p, b)
+	}
+	short, long := R(0, 0, p, q), R(0, 0, math.Nextafter(p, math.Inf(1)), q)
+	if a, b := short.MaxDist(o), long.MaxDist(o); a > b {
+		t.Errorf("MaxDist = %v at extent %v, %v at one ulp more", a, p, b)
+	}
+	if a, b := short.MaxDistRect(PointRect(o)), long.MaxDistRect(PointRect(o)); a > b {
+		t.Errorf("MaxDistRect = %v at extent %v, %v at one ulp more", a, p, b)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		p, q := rng.Float64()*100, rng.Float64()*100
+		if a, b := R(p, q, 200, 200).MinDist(o), R(math.Nextafter(p, 200), q, 200, 200).MinDist(o); a > b {
+			t.Fatalf("MinDist falls from %v to %v when gap %v grows by an ulp (other gap %v)", a, b, p, q)
 		}
 	}
 }

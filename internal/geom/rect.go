@@ -138,11 +138,13 @@ func (r Rect) Expand(d float64) Rect {
 }
 
 // MinDist returns the minimum Euclidean distance from p to any point of r
-// (0 when p is inside r). This is the mindist metric of [HS99].
+// (0 when p is inside r). This is the mindist metric of [HS99]. Like the
+// other rectangle distances it is sqrt(dx² + dy²), which never falls as a
+// gap grows, as R-tree pruning needs; math.Hypot can.
 func (r Rect) MinDist(p Point) float64 {
 	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
 	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
-	return math.Hypot(dx, dy)
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // MinDistRect returns the minimum Euclidean distance between any point of r
@@ -151,13 +153,15 @@ func (r Rect) MinDist(p Point) float64 {
 func (r Rect) MinDistRect(s Rect) float64 {
 	dx := math.Max(math.Max(s.MinX-r.MaxX, 0), r.MinX-s.MaxX)
 	dy := math.Max(math.Max(s.MinY-r.MaxY, 0), r.MinY-s.MaxY)
-	return math.Hypot(dx, dy)
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // GapsWithin reports whether r's gaps to s along x and along y are both at
 // most d. It never rejects a rectangle within d of s: MinDistRect is
-// math.Hypot of the two gaps, and Hypot(dx, dy) >= max(dx, dy) holds in
-// floating point too. So it filters without a square root, exactly.
+// sqrt(dx² + dy²) of the two gaps, which in floating point is at least
+// sqrt(dx²) = |dx|, and likewise |dy|, since rounding is monotone and
+// sqrt(fl(x²)) = |x| while x² neither underflows nor overflows. So it
+// filters without a square root, exactly.
 func (r Rect) GapsWithin(s Rect, d float64) bool {
 	return max(s.MinX-r.MaxX, r.MinX-s.MaxX) <= d && max(s.MinY-r.MaxY, r.MinY-s.MaxY) <= d
 }
@@ -167,14 +171,14 @@ func (r Rect) GapsWithin(s Rect, d float64) bool {
 func (r Rect) MaxDistRect(s Rect) float64 {
 	dx := math.Max(s.MaxX-r.MinX, r.MaxX-s.MinX)
 	dy := math.Max(s.MaxY-r.MinY, r.MaxY-s.MinY)
-	return math.Hypot(dx, dy)
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point of r.
 func (r Rect) MaxDist(p Point) float64 {
 	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
 	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // IntersectsCircle reports whether r intersects the closed disk with the

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -138,6 +139,50 @@ func TestSearchCircleMatchesLinearScan(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
 		}
+	}
+}
+
+// TestSearchCirclePrunesMonotone: a node is never pruned while a point under
+// it passes the same entry test. The leaf holding (p, 50) and (p⁺, q), with p⁺
+// one ulp above p, has its corner at (p, q); math.Hypot put that corner
+// farther from the origin than (p⁺, q) itself, so a search whose radius was
+// that point's own mindist skipped it.
+func TestSearchCirclePrunesMonotone(t *testing.T) {
+	p, q := 6.563701921747622, 1.0273457330801274
+	pts := []geom.Point{geom.Pt(p, 50), geom.Pt(math.Nextafter(p, math.Inf(1)), q)}
+	for i := 0; i < 6; i++ {
+		pts = append(pts, geom.Pt(900+float64(i), 900+float64(7*i)))
+	}
+	tr, err := New(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range pts {
+		if err := tr.InsertPoint(pt, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := tr.readNode(tr.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 2 || !slices.ContainsFunc(root.entries, func(e entry) bool { return e.rect.MinX == p && e.rect.MinY == q }) {
+		t.Fatalf("height %d, root entries %v: want two levels and a leaf whose corner is (p, q)", tr.Height(), root.entries)
+	}
+	o := geom.Pt(0, 0)
+	r := geom.PointRect(pts[1]).MinDist(o)
+	var want, got []int64
+	for i, pt := range pts {
+		if withinEllipse(geom.PointRect(pt), o, o, 2*r) {
+			want = append(want, int64(i))
+		}
+	}
+	if err := tr.SearchCircle(o, r, func(it Item) bool { got = append(got, it.Data); return true }); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("SearchCircle(origin, %v) = %v, linear scan %v", r, got, want)
 	}
 }
 
