@@ -656,6 +656,84 @@ func TestJoinWorkGate(t *testing.T) {
 	}
 }
 
+// TestRefineWorkGate pins the refinement work of the paper's queries on the
+// benchmark world (as TestJoinWorkGate's): OR at r = 300 and ONN at k = 8
+// from 300 street points, and P ⋈ Q at e = 25, 50 and 75. Results,
+// candidates and false hits are exact; the work is the grid walks
+// (QueryStats.Walks) and, for OR, the visibility passes (QueryStats.Sweeps).
+// The ceilings are the counts with points passed lazily, targets in plain
+// sight left out of the graph and bounded passes stopped at the bound
+// (13,905 OR walks in 3,455 passes, 116,084 ONN walks, 257 / 881 / 1,555
+// join walks) plus 10 %. Passing every point as it arrived, building a graph
+// for every target and passing in full, they were 51,606 OR walks in 5,951
+// passes, 138,562 ONN walks and 881 / 2,715 / 4,949 join walks.
+func TestRefineWorkGate(t *testing.T) {
+	world := dataset.Generate(dataset.DefaultConfig(1, 1000))
+	db, err := NewDatabaseFromRects(world.Rects, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.AddDataset("P", world.Entities(world.EntityRand(1), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDataset("Q", world.Entities(world.EntityRand(2), 500)); err != nil {
+		t.Fatal(err)
+	}
+	type work struct {
+		candidates, results, falseHits int
+		walks, sweeps                  uint64
+	}
+	check := func(name string, got, want work) {
+		t.Helper()
+		t.Logf("%s: %d candidates, %d results, %d false hits, %d walks (gate %d), %d passes (gate %d)",
+			name, got.candidates, got.results, got.falseHits, got.walks, want.walks, got.sweeps, want.sweeps)
+		if got.candidates != want.candidates || got.results != want.results || got.falseHits != want.falseHits {
+			t.Errorf("%s: %d candidates, %d results, %d false hits; want %d, %d, %d",
+				name, got.candidates, got.results, got.falseHits, want.candidates, want.results, want.falseHits)
+		}
+		if got.walks > want.walks || want.sweeps > 0 && got.sweeps > want.sweeps {
+			t.Errorf("%s: %d walks, %d passes; gates %d, %d", name, got.walks, got.sweeps, want.walks, want.sweeps)
+		}
+	}
+	var or, onn work
+	for _, q := range world.Queries(world.EntityRand(3), 300) {
+		for _, c := range []struct {
+			w   *work
+			run func(*QueryStats) error
+		}{
+			{&or, func(qs *QueryStats) error { _, err := db.Range(ctx, "P", q, 300, WithStats(qs)); return err }},
+			{&onn, func(qs *QueryStats) error { _, err := db.NearestNeighbors(ctx, "P", q, 8, WithStats(qs)); return err }},
+		} {
+			var qs QueryStats
+			if err := c.run(&qs); err != nil {
+				t.Fatal(err)
+			}
+			c.w.candidates += qs.Candidates
+			c.w.results += qs.Results
+			c.w.falseHits += qs.FalseHits
+			c.w.walks += qs.Walks
+			c.w.sweeps += qs.Sweeps
+		}
+	}
+	check("OR r=300", or, work{2442, 1552, 890, 15295, 3800})
+	check("ONN k=8", onn, work{4368, 2400, 583, 127692, 0})
+	for _, c := range []struct {
+		e    float64
+		want work
+	}{{25, work{161, 142, 19, 282, 0}}, {50, work{418, 289, 129, 969, 0}}, {75, work{619, 450, 169, 1710, 0}}} {
+		var qs QueryStats
+		pairs, err := db.DistanceJoin(ctx, "P", "Q", c.e, WithStats(&qs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) != qs.Results {
+			t.Errorf("e %g: %d pairs, %d results", c.e, len(pairs), qs.Results)
+		}
+		check(fmt.Sprintf("P ⋈ Q e=%g", c.e), work{qs.Candidates, qs.Results, qs.FalseHits, qs.Walks, 0}, c.want)
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	db := cityDB(t, DefaultOptions())
 	if err := db.AddDataset("P", []Point{Pt(1, 1), Pt(2, 2)}); err != nil {

@@ -101,6 +101,7 @@ func (s *Session) DistanceMatrix(pts []geom.Point) (_ [][]float64, st Stats, _ e
 	}
 	f := s.newField(nil, pts[0], 0, &st)
 	defer f.close()
+	f.passTargets = true
 	for _, p := range pts {
 		f.add(p)
 	}

@@ -27,6 +27,8 @@ type scene struct {
 	polys  []geom.Polygon
 	obst   *ObstacleSet
 	oracle *visgraph.Graph
+	// graze, when not empty, is where freePoint puts three points in four.
+	graze []geom.Point
 }
 
 func newScene(t *testing.T, rng *rand.Rand, nObst int, size float64) *scene {
@@ -75,6 +77,9 @@ func sceneOf(t *testing.T, rects []geom.Rect) *scene {
 // probability 1/2 it lies exactly on an obstacle boundary, as the paper's
 // entity datasets do.
 func (s *scene) freePoint(rng *rand.Rand, size float64) geom.Point {
+	if len(s.graze) > 0 && rng.Intn(4) != 0 {
+		return s.graze[rng.Intn(len(s.graze))]
+	}
 	if len(s.rects) > 0 && rng.Intn(2) == 0 {
 		r := s.rects[rng.Intn(len(s.rects))]
 		switch rng.Intn(4) {

@@ -74,7 +74,16 @@ type field struct {
 	win *rtree.Window
 	// routed marks the field of a point-to-point verb, which reports the route
 	// of the final search from the source to its one target (path).
-	routed  bool
+	routed bool
+	// passTargets has every expansion pass its open targets first
+	// (visgraph.Graph.PassFirst): a distance matrix's rows pass nearly all
+	// of its near-global graph, where scattered targets cost fewer walks
+	// from their own passes than from the vertices'.
+	passTargets bool
+	// blocker is the obstacle (by its index in the graph, or in obs before
+	// the graph is built over them in order) that blocked the last target's
+	// segment (inSight), or -1.
+	blocker int
 	targets []target
 	first   [1]target // backs targets while there is one: the per-candidate verbs never have more
 	err     error     // the first error of any operation
@@ -117,7 +126,7 @@ func (r region) meets(pg geom.Polygon) bool {
 // newField prepares a field around center that will open on the obstacles
 // within r of it, through c when non-nil.
 func (s *Session) newField(c *GraphCache, center geom.Point, r float64, st *Stats) *field {
-	f := &field{s: s, st: st, cache: c, center: center, hub: center, searched: r, src: visgraph.Invalid, cover: -1}
+	f := &field{s: s, st: st, cache: c, center: center, hub: center, searched: r, src: visgraph.Invalid, cover: -1, blocker: -1}
 	f.targets = f.first[:0]
 	return f
 }
@@ -242,6 +251,9 @@ func (f *field) expand(bound float64, visit func(i int, d float64)) error {
 	for i := range f.targets {
 		if t := &f.targets[i]; !t.final {
 			open[t.n] = i
+			if f.passTargets {
+				f.g.PassFirst(t.n)
+			}
 		}
 	}
 	return f.search(func() {
@@ -258,15 +270,63 @@ func (f *field) expand(bound float64, visit func(i int, d float64)) error {
 // settle refines every target with one expansion around the source, bounded
 // by bound — the refinement of OR and ODJ (Fig 5), which need no enlargement:
 // the graph already holds every obstacle a path that short can touch. visit
-// gets each target within bound once, in ascending distance; the rest are
-// false hits. A target strictly inside an obstacle sees nothing and is never
-// reached, so it needs no check of its own.
+// gets each target within bound once; the rest are false hits. A target in
+// plain sight (inSight) is visited at its Euclidean distance first, and only
+// the others get graph nodes: a field whose targets are all in plain sight
+// builds no graph. A target strictly inside an obstacle sees nothing and is
+// never reached, so it needs no check of its own.
 func (f *field) settle(bound float64, visit func(i int, d float64)) error {
-	if err := f.attach(); err != nil {
+	if err := f.scan(); err != nil {
 		return err
 	}
 	f.st.DistComputations++
+	open := 0
+	for i := range f.targets {
+		switch t := &f.targets[i]; {
+		case t.final:
+		case f.inSight(t):
+			t.dist, t.final = t.dE, true
+			if t.dE <= bound {
+				visit(i, t.dE)
+			}
+		default:
+			open++
+		}
+	}
+	if open == 0 {
+		return nil
+	}
+	if err := f.attach(); err != nil {
+		return err
+	}
 	return f.expand(bound, visit)
+}
+
+// inSight reports whether t is in plain sight: the field holds every
+// obstacle that can meet t's segment from the center, and none of them
+// blocks it, by the test a visibility pass makes. Such a target is final at
+// its Euclidean distance dE and needs no graph node: no path is shorter
+// than dE, and dE is the same Dist that weighs the direct edge a search
+// would have found. The tests are counted as a pass counts its own (Walks):
+// the obstacle that blocked the last one is asked first, and a test it
+// settles is no walk.
+func (f *field) inSight(t *target) bool {
+	if f.covered(t) < t.dE {
+		return false
+	}
+	var b int
+	if f.g != nil {
+		b = f.g.Blocker(f.center, t.pt, f.blocker)
+	} else {
+		b = visgraph.Blocker(f.obs, f.center, t.pt, f.blocker)
+	}
+	if b < 0 || b != f.blocker {
+		f.s.met.Walks++
+	}
+	if b >= 0 {
+		f.blocker = b
+	}
+	return b < 0
 }
 
 // buried reports whether p lies strictly inside an obstacle. Once the field
@@ -347,6 +407,11 @@ const boundSlack = 1e-9
 // buries it, the bounded search still rejects it, since a path found within
 // bound is at least dE long, so Fig 8 enlarges the disk to at least dE, which
 // brings in that obstacle and cuts the target off.
+//
+// A target in plain sight (inSight) is final at its Euclidean distance
+// before any search, with no graph node, and a field whose open targets all
+// are builds no graph. Under a finite bound its distance may be at or above
+// the bound: it is exact all the same.
 func (f *field) certify(bound float64) error {
 	bounded := !math.IsInf(bound, 1)
 	pending := 0
@@ -367,6 +432,7 @@ func (f *field) certify(bound float64) error {
 	if err != nil {
 		return err
 	}
+	measured := false // some target is not buried: Fig 8 runs, if only to see it
 	for i := range f.targets {
 		t := &f.targets[i]
 		if t.final {
@@ -390,10 +456,19 @@ func (f *field) certify(bound float64) error {
 				return err
 			}
 		}
-		if buried {
-			t.final = true
-			pending--
+		measured = measured || !buried
+		switch {
+		case buried:
+		case f.inSight(t):
+			t.dist = t.dE
+		default:
+			continue
 		}
+		t.final = true
+		pending--
+	}
+	if measured {
+		f.st.DistComputations++
 	}
 	if pending == 0 {
 		return nil
@@ -401,7 +476,6 @@ func (f *field) certify(bound float64) error {
 	if err := f.attach(); err != nil {
 		return err
 	}
-	f.st.DistComputations++
 	reach := bound * (1 + boundSlack)
 	for pending > 0 {
 		// One search per round. With several targets open it is one expansion
@@ -424,7 +498,7 @@ func (f *field) certify(bound float64) error {
 			if f.routed {
 				from, to = to, from
 			}
-			err = f.search(func() { one.dist = f.g.ObstructedDist(from, to, reach) })
+			err = f.search(func() { one.dist = f.g.BoundedDist(from, to, reach) })
 		}
 		if err != nil {
 			return err
@@ -548,9 +622,13 @@ func (f *field) distance(pt geom.Point, bound float64) (float64, error) {
 // path returns the route of a routed field's last search — of its single
 // target, certified reachable, so goal-directed and ended there — as a point
 // sequence from the source to that target, bending only at obstacle vertices
-// [LW79].
+// [LW79]. A target in plain sight had no search: its route is the segment.
 func (f *field) path() []geom.Point {
-	nodes := f.g.Path(f.targets[0].n)
+	t := &f.targets[0]
+	if t.n == visgraph.Invalid {
+		return []geom.Point{f.center, t.pt}
+	}
+	nodes := f.g.Path(t.n)
 	pts := make([]geom.Point, len(nodes))
 	for i, n := range nodes {
 		pts[i] = f.g.Point(n)

@@ -14,6 +14,7 @@ const (
 	sceneRandom  = iota // disjoint random rectangles (newScene)
 	sceneLattice        // integer-lattice street blocks sharing edges and corners
 	sceneSealed         // random rectangles around courtyards walled in by overlapping rectangles
+	sceneGraze          // lattice blocks, points on lines that graze their corners and run along their sides
 	sceneKinds
 )
 
@@ -34,6 +35,38 @@ func latticeScene(t *testing.T, rng *rand.Rand) *scene {
 		}
 	}
 	return sceneOf(t, rects)
+}
+
+// grazeScene is a lattice scene whose points lie mostly on a few lines: the
+// diagonal through a block's corner, which touches the block there only,
+// and the line of a block's side, beyond both ends. Two points on one line
+// see each other along a segment that grazes the corner or runs along the
+// side, which no obstacle blocks.
+func grazeScene(t *testing.T, rng *rand.Rand) *scene {
+	s := latticeScene(t, rng)
+	for _, r := range s.rects[:min(4, len(s.rects))] {
+		for _, k := range []float64{1, 2, 3} {
+			for _, p := range []geom.Point{
+				geom.Pt(r.MinX-k, r.MinY+k), geom.Pt(r.MinX+k, r.MinY-k),
+				geom.Pt(r.MinX-k, r.MinY), geom.Pt(r.MaxX+k, r.MinY),
+			} {
+				if !s.buried(p) {
+					s.graze = append(s.graze, p)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// buried reports whether p lies strictly inside one of the scene's obstacles.
+func (s *scene) buried(p geom.Point) bool {
+	for _, r := range s.rects {
+		if r.ContainsStrict(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // sealedScene puts one or two courtyards — four walls overlapping at the
@@ -98,6 +131,8 @@ func FuzzVerbsMatchOracle(f *testing.F) {
 			s = latticeScene(t, rng)
 		case sceneSealed:
 			s = sealedScene(t, rng)
+		case sceneGraze:
+			s = grazeScene(t, rng)
 		}
 		eng := NewEngine(s.obst, DefaultEngineOptions())
 		if seed&1 == 1 {
@@ -147,6 +182,26 @@ func FuzzVerbsMatchOracle(f *testing.F) {
 		}
 		if st.FalseHits != st.Candidates-st.Results {
 			t.Fatalf("Range stats inconsistent: %+v", st)
+		}
+		// Range again at exactly a result's distance, and one ulp either
+		// side: the bounded search keeps it, at the same distance, at and
+		// above that radius, and drops it below (a radius below 0 is none).
+		if len(res) > 0 {
+			if r := res[rng.Intn(len(res))]; r.Dist > 0 {
+				for i, bound := range []float64{math.Nextafter(r.Dist, 0), r.Dist, math.Nextafter(r.Dist, math.Inf(1))} {
+					again, _, err := bg(eng).Range(P, q, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					found := false
+					for _, a := range again {
+						found = found || a.ID == r.ID && a.Dist == r.Dist
+					}
+					if found != (i > 0) {
+						t.Fatalf("Range(q=%v, r=%v): entity %d at %v found %v", q, bound, r.ID, r.Dist, found)
+					}
+				}
+			}
 		}
 
 		// NearestNeighbors: the k smallest distances, rank by rank.
@@ -284,8 +339,20 @@ func FuzzVerbsMatchOracle(f *testing.F) {
 			}
 		}
 
-		// ObstructedDistance: three pairs from different sources, so on odd
-		// seeds they meet the cache's entries from more than one center.
+		// ObstructedDistance: three pairs from q, whose cached graph on odd
+		// seeds has passed its vertices before the points arrive, and three
+		// from different sources, so on odd seeds they meet the cache's
+		// entries from more than one center.
+		for i := 0; i < 3; i++ {
+			j := rng.Intn(len(pts))
+			d, _, err := bg(eng).ObstructedDistance(q, pts[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDist(d, fromQ[j]) {
+				t.Fatalf("ObstructedDistance(%v, %v) = %v, oracle %v", q, pts[j], d, fromQ[j])
+			}
+		}
 		for i := 0; i < 3; i++ {
 			a, b := spts[rng.Intn(len(spts))], pts[rng.Intn(len(pts))]
 			d, _, err := bg(eng).ObstructedDistance(a, b)

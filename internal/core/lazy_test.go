@@ -37,7 +37,7 @@ func standardWorld(tb testing.TB, pairs int) (*Engine, [][2]geom.Point) {
 // Fig 8 iteration's search, so a path query runs one search per iteration
 // (each iteration grows the graph at most once) and no more searches than
 // the distance query over the same pair; and every sweep the query made is
-// attributed, to a dijkstra span or to one of the two terminals.
+// inside a dijkstra span: adding the two points sweeps nothing.
 func TestObstructedPathOneSearchPerIteration(t *testing.T) {
 	eng, pairs := standardWorld(t, 6)
 	for _, pq := range pairs {
@@ -62,8 +62,8 @@ func TestObstructedPathOneSearchPerIteration(t *testing.T) {
 		if st.Expansions != searches || searches < grows || searches > grows+1 {
 			t.Errorf("path %v: %d searches (%d under dijkstra spans) for %d graph growths", pq, st.Expansions, searches, grows)
 		}
-		if st.Sweeps != sweeps+2 {
-			t.Errorf("path %v: %d sweeps, %d of them inside dijkstra spans, want all but the two terminals'", pq, st.Sweeps, sweeps)
+		if st.Sweeps != sweeps {
+			t.Errorf("path %v: %d sweeps, %d of them inside dijkstra spans, want all", pq, st.Sweeps, sweeps)
 		}
 		if int(st.Sweeps) >= st.GraphNodes {
 			t.Errorf("path %v: swept %d of %d nodes: the search was not goal-directed or not lazy", pq, st.Sweeps, st.GraphNodes)

@@ -31,6 +31,29 @@ func newTracingTestDB(t *testing.T) *obstacles.Database {
 
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{32}$`)
 
+// blockedPair returns two free points of newTracingTestDB's world, one unit
+// to either side of an obstacle, whose segment crosses it.
+func blockedPair(t *testing.T, db *obstacles.Database) (obstacles.Point, obstacles.Point) {
+	t.Helper()
+	for _, r := range dataset.Generate(dataset.DefaultConfig(7, 60)).Rects {
+		y := (r.MinY + r.MaxY) / 2
+		a, b := obstacles.Pt(r.MinX-1, y), obstacles.Pt(r.MaxX+1, y)
+		ina, err := db.InsideObstacle(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inb, err := db.InsideObstacle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ina && !inb {
+			return a, b
+		}
+	}
+	t.Fatal("no obstacle with free points on both sides")
+	return obstacles.Point{}, obstacles.Point{}
+}
+
 // fetchTrace pulls one retained trace's span tree from /debug/traces/{id}.
 func fetchTrace(t *testing.T, baseURL, id string) telemetry.TraceSnapshot {
 	t.Helper()
@@ -133,8 +156,11 @@ func TestTraceSpanTree(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	q := freePoint(t, db)
+	// The distance runs across an obstacle: a pair in plain sight is settled
+	// at its straight-line distance with no search at all.
+	a, b := blockedPair(t, db)
 
-	body, _ := json.Marshal(DistanceRequest{A: Pt{q.X, q.Y}, B: Pt{q.X + 400, q.Y + 250}})
+	body, _ := json.Marshal(DistanceRequest{A: Pt{a.X, a.Y}, B: Pt{b.X, b.Y}})
 	resp, err := http.Post(ts.URL+"/v1/distance", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -85,9 +85,12 @@ const interruptEvery = 64
 // search is the one shortest-path loop. It settles nodes in ascending key,
 // calling visit (when non-nil) on each; visit returns false to stop. A
 // relaxation whose key exceeds bound is dropped. Duplicates in the queue are
-// skipped on dequeue, as in Fig 5 of the paper. A settled node's adjacency is
-// brought up to date (complete) before it is relaxed, which is the only place
-// obstacle-vertex visibility is ever computed.
+// skipped on dequeue, as in Fig 5 of the paper. Only the source and obstacle
+// vertices are expanded: a shortest path never bends at a point [LW79]. An
+// expanded node's adjacency is brought up to date (complete) before it is
+// relaxed, within the bound left to it, which is the only place
+// obstacle-vertex visibility is ever computed; the points that decide their
+// own pairs (see the package doc) are brought up to the bound first.
 //
 // Without a target the key is the distance from source, so the search settles
 // exactly the nodes within bound. With a target (not Invalid) the search is
@@ -104,6 +107,9 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 	m := g.opts.Metrics
 	if m != nil {
 		m.Expansions++
+	}
+	if !g.passLate(reach(0, bound)) {
+		return math.Inf(1)
 	}
 	if g.gen++; g.gen == 0 { // wrapped: no slot may look current
 		clear(g.slots)
@@ -131,17 +137,22 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 		if u == target {
 			return it.dist
 		}
+		n := &g.nodes[u]
+		if n.kind != VertexNode && u != source {
+			continue
+		}
 		sinceCheck++
-		if stale := int(g.nodes[u].seen) != len(g.verts); stale || sinceCheck >= interruptEvery {
+		cover := reach(it.dist, bound)
+		if stale := int(n.seen) != len(g.verts) || n.cover < cover; stale || sinceCheck >= interruptEvery {
 			sinceCheck = 0
 			if g.opts.Interrupt != nil && g.opts.Interrupt() {
 				break
 			}
 			if stale {
-				g.complete(u)
+				g.complete(u, cover)
 			}
 		}
-		for _, he := range g.nodes[u].adj {
+		for _, he := range n.adj {
 			s := &g.slots[he.To]
 			if s.gen != g.gen {
 				*s = slot{gen: g.gen, best: math.Inf(1)}
@@ -167,6 +178,29 @@ func (g *Graph) search(source, target NodeID, bound float64, visit func(n NodeID
 	return math.Inf(1)
 }
 
+// passLate brings every late point (Graph.late) to the squared radius cover
+// before a search, polling Interrupt before each pass; it reports false when
+// the search is to abort. A point whose pass covered everything needs none
+// again: the vertices added after it test it themselves.
+func (g *Graph) passLate(cover float64) bool {
+	keep := g.late[:0]
+	for i, id := range g.late {
+		n := &g.nodes[id]
+		if n.cover < cover {
+			if g.opts.Interrupt != nil && g.opts.Interrupt() {
+				g.late = append(keep, g.late[i:]...)
+				return false
+			}
+			g.complete(id, cover)
+		}
+		if !math.IsInf(n.cover, 1) {
+			keep = append(keep, id)
+		}
+	}
+	g.late = keep
+	return true
+}
+
 // Expand runs Dijkstra's algorithm from source, visiting settled nodes in
 // ascending distance order while the distance does not exceed bound. The
 // visit callback returns false to stop the expansion. This is the traversal
@@ -179,22 +213,16 @@ func (g *Graph) Expand(source NodeID, bound float64, visit func(n NodeID, dist f
 }
 
 // ObstructedDist returns the shortest obstructed distance between two nodes
-// (+Inf when disconnected, or when Options.Interrupt fired). An optional
-// bound makes the A* search drop every node whose key — distance so far plus
-// Euclidean distance left — exceeds it; +Inf then also means "no path of
-// length <= bound". Omitting it is the same as passing +Inf. At most one
-// bound is read: the parameter is variadic only so that two-argument calls
-// keep compiling, and a call with more than one bound panics.
-func (g *Graph) ObstructedDist(from, to NodeID, bound ...float64) float64 {
-	b := math.Inf(1)
-	switch len(bound) {
-	case 0:
-	case 1:
-		b = bound[0]
-	default:
-		panic("visgraph: ObstructedDist takes at most one bound")
-	}
-	return g.search(from, to, b, nil)
+// (+Inf when disconnected, or when Options.Interrupt fired).
+func (g *Graph) ObstructedDist(from, to NodeID) float64 {
+	return g.search(from, to, math.Inf(1), nil)
+}
+
+// BoundedDist is ObstructedDist under a bound: the A* search drops every node
+// whose key — distance so far plus Euclidean distance left — exceeds it, and
+// +Inf also means "no path of length <= bound".
+func (g *Graph) BoundedDist(from, to NodeID, bound float64) float64 {
+	return g.search(from, to, bound, nil)
 }
 
 // ShortestPath returns a shortest node sequence from source to target and

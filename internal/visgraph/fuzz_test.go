@@ -63,6 +63,7 @@ const (
 	sceneRandom  = iota // disjoint rectangles
 	sceneStreet         // streetRects: touching, collinear, shared corners
 	sceneConcave        // lShapes: reflex vertices
+	sceneGraze          // disjoint rectangles, points whose segments graze corners and run along sides
 	numScenes
 )
 
@@ -99,6 +100,15 @@ func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 		}
 	case sceneConcave:
 		polys = lShapes(rng, 12, size)
+	case sceneGraze:
+		for _, r := range disjointRects(rng, 12, size) {
+			// Integer corners, so that the points below lie exactly on the
+			// lines they are meant to.
+			r = geom.R(math.Floor(r.MinX), math.Floor(r.MinY), math.Ceil(r.MaxX), math.Ceil(r.MaxY))
+			if !overlapsAny(polys, r) {
+				polys = append(polys, geom.RectPolygon(r))
+			}
+		}
 	}
 	var obs []Obstacle
 	var pts []geom.Point
@@ -106,6 +116,20 @@ func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 		obs = append(obs, Obstacle{ID: int64(i), Poly: pg})
 		e := pg.Edge(2)
 		pts = append(pts, pg.Vertex(0), e.A.Add(e.B).Scale(0.5))
+		if kind%numScenes == sceneGraze {
+			// Both ends of a diagonal through the min corner, which only
+			// touches the box there, and two points on the line of its
+			// bottom side, beyond either end.
+			b := pg.Bounds()
+			for _, p := range []geom.Point{
+				geom.Pt(b.MinX-3, b.MinY+3), geom.Pt(b.MinX+2, b.MinY-2),
+				geom.Pt(b.MinX-2, b.MinY), geom.Pt(b.MaxX+4, b.MinY),
+			} {
+				if !containsAny(polys, p) {
+					pts = append(pts, p)
+				}
+			}
+		}
 	}
 	for i := 0; i < 12; i++ {
 		pts = append(pts, freeOf(rng, polys, size))
@@ -134,18 +158,30 @@ func newDiff(t *testing.T, seed int64, kind uint8) *diff {
 // freeOf samples a point in [0,size]^2 not strictly inside any polygon.
 func freeOf(rng *rand.Rand, polys []geom.Polygon, size float64) geom.Point {
 	for {
-		p := geom.Pt(rng.Float64()*size, rng.Float64()*size)
-		inside := false
-		for _, pg := range polys {
-			if pg.ContainsStrict(p) {
-				inside = true
-				break
-			}
-		}
-		if !inside {
+		if p := geom.Pt(rng.Float64()*size, rng.Float64()*size); !containsAny(polys, p) {
 			return p
 		}
 	}
+}
+
+// containsAny reports whether p lies strictly inside one of polys.
+func containsAny(polys []geom.Polygon, p geom.Point) bool {
+	for _, pg := range polys {
+		if pg.ContainsStrict(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// overlapsAny reports whether r comes within 1 of one of polys' boxes.
+func overlapsAny(polys []geom.Polygon, r geom.Rect) bool {
+	for _, pg := range polys {
+		if pg.Bounds().Expand(1).Intersects(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // node picks a live node, point nodes twice as often as obstacle vertices.
@@ -247,6 +283,16 @@ func (d *diff) step(op, a, b byte) {
 		bound := math.Inf(1)
 		if op%8 == 7 {
 			bound = 5 + float64(b)/2
+		} else if b >= 128 {
+			// A bound at exactly the oracle's distance to a node, or one ulp
+			// either side: the node must be reached at and above it.
+			to := d.node(b)
+			d.oracle.Expand(from, math.Inf(1), func(n NodeID, dist float64) bool {
+				if n == to {
+					bound = []float64{dist, math.Nextafter(dist, 0), math.Nextafter(dist, math.Inf(1))}[b%3]
+				}
+				return n != to
+			})
 		}
 		type visit struct {
 			n    NodeID
@@ -314,8 +360,8 @@ func bitangent(a, b *gnode) bool {
 }
 
 // checkAdjacency is the lazy invariant: every materialised edge is an oracle
-// edge that passes the tangent test, and a node whose stamp says it is up to
-// date has exactly the oracle's neighbours that pass it.
+// edge that passes the tangent test, and every pair some pass has decided
+// (gnode.tested) has its edge exactly when the oracle has it.
 func (d *diff) checkAdjacency() {
 	for id := range d.lazy.nodes {
 		n := &d.lazy.nodes[id]
@@ -328,13 +374,17 @@ func (d *diff) checkAdjacency() {
 				want[he.To] = true
 			}
 		}
+		has := make(map[NodeID]bool, len(n.adj))
 		for _, he := range n.adj {
 			if !want[he.To] {
 				d.t.Fatalf("lazy edge %d-%d (%v-%v) is not a bitangent oracle edge", id, he.To, n.pt, d.lazy.nodes[he.To].pt)
 			}
+			has[he.To] = true
 		}
-		if int(n.seen) == len(d.lazy.verts) && len(n.adj) != len(want) {
-			d.t.Fatalf("node %d is stamped complete with %d neighbours, oracle has %d bitangent ones", id, len(n.adj), len(want))
+		for v := range want {
+			if !has[v] && decided(d.lazy, NodeID(id), v) {
+				d.t.Fatalf("pair %d-%d is decided, yet its bitangent oracle edge is missing", id, v)
+			}
 		}
 	}
 }

@@ -23,18 +23,31 @@
 // Adjacency is lazy. Build and AddObstacles only create vertex nodes; a
 // node's visible set is computed by one visibility pass the first time a
 // search expands it, so a search pays for the nodes it reaches and not for
-// the O(n^2 log n) graph the paper builds up front. Each unordered pair is
-// decided once, by the first pass to reach it from either end (gnode.born
-// says how a pass knows), and its edge goes into both adjacencies. Every node
-// remembers how many obstacle vertices its adjacency accounts for: when the
-// graph has grown since, only the vertices added in between are tested.
+// the O(n^2 log n) graph the paper builds up front. A search expands only
+// obstacle vertices and its own source: a shortest path never bends at a
+// point [LW79], so a point a search reaches is settled and not expanded.
+// Each unordered pair is decided once, by the first pass to reach it from
+// either end (gnode.tested says how a pass knows), and its edge goes into
+// both adjacencies. Every node remembers how many obstacle vertices its
+// adjacency accounts for: when the graph has grown since, only the vertices
+// added in between are tested.
+//
+// A bounded search's passes stop at its bound: a pass at a node the search
+// settled at distance g tests only the candidates within bound - g of it,
+// the only ones relaxation could keep, and the node records the radius its
+// passes have covered. A later pass with a larger bound tests the ring
+// beyond that radius. An unbounded search's passes cover everything.
 //
 // The graph is dynamic, mirroring the operations the paper defines:
 // AddObstacle incorporates a newly discovered obstacle (removing the
-// materialised edges it blocks), AddEntity/AddTerminal incorporate points
-// (these are searched from at once, so they compute their visible set
-// immediately), and DeleteEntity removes a point once its distance
-// computation is done.
+// materialised edges it blocks), AddEntity/AddTerminal incorporate points,
+// and DeleteEntity removes a point once its distance computation is done.
+// Adding a point computes nothing. A point that arrives before any pass is a
+// sink: every pass tests it, and it needs no pass of its own unless a search
+// starts there. A point that arrives later is one that the passes before it
+// never tested and later top-ups, which test new vertices only, never will:
+// it decides those pairs itself, in a pass at the start of the next search,
+// before anything can relax into it. PassFirst asks the same for a sink.
 //
 // A graph's storage outlives the graph. Release hands it to the next Build,
 // which reuses the node array with every node's adjacency array, the id map,
@@ -124,9 +137,12 @@ type Metrics struct {
 	// Builds counts graph constructions via Build.
 	Builds uint64
 	// Sweeps counts visibility passes: one per node the first time a search
-	// expands it, one per AddEntity/AddTerminal — the dominant cost of
-	// distance computation. A pass tests the undecided pairs against the
-	// tangent filter and asks Visible only about those that pass (complete).
+	// expands it or, for a point that arrived after some pass, the first time
+	// a search starts with it in the graph — the dominant cost of distance
+	// computation. A pass tests the undecided pairs within its radius against
+	// the tangent filter and asks Visible only about those that pass
+	// (complete). The later passes that widen a node's radius or bring it up
+	// to date with new vertices are not counted.
 	Sweeps uint64
 	// Walks counts the passes' visibility tests that their last blocker did
 	// not settle: grid walks, or linear scans in the reference pass.
@@ -151,28 +167,43 @@ type HalfEdge struct {
 }
 
 type gnode struct {
-	pt    geom.Point
+	pt geom.Point
+	// cover is the squared radius the node's passes have covered, -1 until
+	// its first pass: every pair with a candidate that close (see tested) has
+	// been decided.
+	cover float64
+	// born is when the node arrived: a vertex's index in g.verts, a point's
+	// tick on g.clock.
+	born int64
+	// first is the g.clock tick of the node's first pass.
+	first int64
+	// seen is how many obstacle vertices (in g.verts order) the node's passes
+	// have tested: -1 until its first pass.
+	seen  int32
 	kind  Kind
 	alive bool
-	// seen is how many obstacle vertices (in g.verts order) adj accounts for:
-	// adj holds exactly the edges (see complete) among entities, terminals and
-	// verts[:seen]. -1 until the node's first visibility pass.
-	seen int32
-	// born is len(g.verts) when the node arrived: a vertex's own index there.
-	// A pass of u skips a candidate v with v.seen > u.born, as some pass of v
-	// has decided the pair: a first pass that set v.seen above u.born ran
-	// after u arrived and tested every live node, and a top-up that raised it
-	// from at most u.born tested verts[old seen:], u included if a vertex (a
-	// point u never meets that case: its first pass runs as it arrives, its
-	// top-ups meet only vertices born later). u asks the rule in its first
-	// pass and its top-ups, the passes in which it has not decided the pair
-	// itself; once u has asked v, v's passes skip u or never test it.
-	born int32
-	adj  []HalfEdge
+	adj   []HalfEdge
 	// prev and next are an obstacle vertex's two boundary directions, toward
 	// the polygon's previous and next vertex, scaled to unit L1 length; zero
 	// for a point node, which makes every line tangent to it.
 	prev, next geom.Point
+}
+
+// tested reports whether a pass of n has decided the pair with v, whose
+// squared distance from n is d2: v lies within n's cover and is among the
+// nodes n's passes test, the vertices up to n.seen and the points that
+// arrived before n's first pass. The points that arrived after it decide
+// the pair themselves (complete). Both ends' answers together say whether a
+// pair is decided, so a pass asks neither about a pair its partner decided
+// nor about one it decided itself.
+func (n *gnode) tested(v *gnode, d2 float64) bool { return d2 <= n.cover && n.has(v) }
+
+// has reports whether v is among the nodes n's passes test.
+func (n *gnode) has(v *gnode) bool {
+	if v.kind == VertexNode {
+		return v.born < int64(n.seen)
+	}
+	return v.born < n.first
 }
 
 // Graph is a dynamic visibility graph. It is not safe for concurrent use.
@@ -184,7 +215,14 @@ type Graph struct {
 	// verts lists the obstacle-vertex nodes in the order they arrived, which
 	// is what lets a node record how much of the graph it has been tested
 	// against as one number.
-	verts    []NodeID
+	verts []NodeID
+	// clock ticks once per point arrival and once per first pass, which
+	// orders the two (gnode.born, gnode.first). late lists the points that
+	// arrived after some pass (swept), or were named to PassFirst, until a
+	// pass of theirs covers everything.
+	clock    int64
+	swept    bool
+	late     []NodeID
 	numEdges int
 	live     int // nodes currently alive
 	free     []NodeID
@@ -266,8 +304,8 @@ func (g *Graph) reset() *Graph {
 	clear(g.obstacles)    // drop the polygons' vertex arrays
 	g.obstacles = g.obstacles[:0]
 	clear(g.obstIDs)
-	g.verts, g.free, g.slots = g.verts[:0], g.free[:0], g.slots[:0]
-	g.numEdges, g.live = 0, 0
+	g.verts, g.free, g.slots, g.late = g.verts[:0], g.free[:0], g.slots[:0], g.late[:0]
+	g.numEdges, g.live, g.clock, g.swept = 0, 0, 0, false
 	g.grid.cell = 0
 	return g
 }
@@ -303,8 +341,16 @@ func (g *Graph) newNode(p geom.Point, kind Kind) NodeID {
 		id = NodeID(len(g.nodes))
 		g.nodes = slices.Grow(g.nodes, 1)[:id+1]
 	}
+	born := int64(len(g.verts))
+	if kind != VertexNode {
+		born = g.clock
+		g.clock++
+		if g.swept {
+			g.late = append(g.late, id)
+		}
+	}
 	n := &g.nodes[id]
-	*n = gnode{pt: p, kind: kind, alive: true, seen: -1, born: int32(len(g.verts)), adj: n.adj[:0]}
+	*n = gnode{pt: p, kind: kind, alive: true, seen: -1, cover: -1, born: born, adj: n.adj[:0]}
 	return id
 }
 
@@ -396,34 +442,41 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 	return len(fresh)
 }
 
+// PassFirst has point n passed at the start of the next search, as a late
+// point is. Where a search will pass most of the graph, scattered points'
+// pairs cost fewer walks from their own passes, whose consecutive candidates
+// hide behind the same obstacles, than from the vertices' passes.
+func (g *Graph) PassFirst(n NodeID) {
+	if !math.IsInf(g.nodes[n].cover, 1) && !slices.Contains(g.late, n) {
+		g.late = append(g.late, n)
+	}
+}
+
 // AddEntity adds a data point, connecting it to visible obstacle vertices
 // and terminals but not to other entities (a shortest path never bends at an
 // entity, so entity-entity edges cannot change any terminal's distance). Its
 // edges to vertices are the bitangent ones, which keeps its distance from
 // every terminal exact; its graph distance to another entity is a detour
-// through vertices, not an obstructed distance.
-func (g *Graph) AddEntity(p geom.Point) NodeID {
-	id := g.newNode(p, EntityNode)
-	g.complete(id)
-	return id
-}
+// through vertices, not an obstructed distance. Its edges are computed by
+// the searches that use it (see the package doc).
+func (g *Graph) AddEntity(p geom.Point) NodeID { return g.newNode(p, EntityNode) }
 
 // AddTerminal adds a query endpoint, connecting it to every visible node
 // including entities (paths start or end here, so direct edges matter) —
 // to a vertex only where the edge is tangent at that vertex. Distances from
-// a terminal to terminals and entities are exact.
-func (g *Graph) AddTerminal(p geom.Point) NodeID {
-	id := g.newNode(p, TerminalNode)
-	g.complete(id)
-	return id
-}
+// a terminal to terminals and entities are exact. Like AddEntity, it
+// computes nothing until a search uses the point.
+func (g *Graph) AddTerminal(p geom.Point) NodeID { return g.newNode(p, TerminalNode) }
 
-// complete brings u's adjacency up to date with the graph: a node never
-// expanded before gets one visibility pass over every live candidate; a node
-// the graph has grown under is tested against just the vertices added since
-// (blocked edges were already removed when the obstacles arrived). A pass
-// skips the pairs decided from their other end (gnode.born) and puts an edge
-// into both adjacencies, so no completed neighbour is left incomplete.
+// complete brings u's adjacency up to date with the graph within the squared
+// radius cover: a node never passed before gets one visibility pass over the
+// live candidates that close; a later pass tests the vertices added since
+// (blocked edges were already removed when the obstacles arrived) and, when
+// cover exceeds what its passes covered, the ring of every node beyond. A
+// pass skips the pairs decided already, from either end (gnode.tested), and
+// puts an edge into both adjacencies, so no neighbour is left incomplete.
+// Points that arrived after u's first pass are no candidates of u's: they
+// decide the pair themselves.
 //
 // The production pass asks Visible only about bitangent candidates (the
 // tangent test at both ends, written out in the loop because a call per
@@ -432,26 +485,42 @@ func (g *Graph) AddTerminal(p geom.Point) NodeID {
 // about every candidate by linear scan and keeps the full visibility graph.
 // See the package doc for which distances that keeps exact. The production
 // pass asks its last blocker first: neighbouring candidates hide behind it.
-func (g *Graph) complete(u NodeID) {
+func (g *Graph) complete(u NodeID, cover float64) {
 	n := &g.nodes[u]
-	// The candidates: every node on a first pass, verts[lo:] on a top-up.
-	top := n.seen >= 0
-	lo, hi := 0, len(g.nodes)
-	if top {
-		lo, hi = int(n.seen), len(g.verts)
-	} else if g.opts.Metrics != nil {
-		g.opts.Metrics.Sweeps++
+	if n.seen < 0 {
+		n.first, g.swept = g.clock, true
+		g.clock++
+		if g.opts.Metrics != nil {
+			g.opts.Metrics.Sweeps++
+		}
+	}
+	cover = max(cover, n.cover)
+	// The candidates: every node when the radius grows, verts[seen:] when
+	// only new vertices are left to test.
+	ring := cover > n.cover
+	lo, hi := int(n.seen), len(g.verts)
+	if ring {
+		lo, hi = 0, len(g.nodes)
 	}
 	last, walks := -1, uint64(0)
 	for k := lo; k < hi; k++ {
 		id := NodeID(k)
-		if top {
+		if !ring {
 			id = g.verts[k]
 		}
 		v := &g.nodes[id]
-		// Skipped: pairs decided from v's end (gnode.born), and entity pairs,
-		// since a shortest path never bends at an entity.
-		if !v.alive || id == u || v.seen > n.born || (n.kind == EntityNode && v.kind == EntityNode) {
+		// Skipped: entity pairs, since a shortest path never bends at an
+		// entity, and points that arrived after u's first pass.
+		if !v.alive || id == u || n.kind == EntityNode && v.kind == EntityNode || v.kind != VertexNode && v.born > n.first {
+			continue
+		}
+		// Skipped: pairs already decided (a pass of v that covered everything
+		// needs no distance to tell), and candidates beyond the radius.
+		if math.IsInf(v.cover, 1) && v.has(n) {
+			continue
+		}
+		d := v.pt.Sub(n.pt)
+		if d2 := d.X*d.X + d.Y*d.Y; d2 > cover || n.tested(v, d2) || v.tested(n, d2) {
 			continue
 		}
 		if !g.opts.UseSweep {
@@ -460,7 +529,6 @@ func (g *Graph) complete(u NodeID) {
 			}
 			continue
 		}
-		d := v.pt.Sub(n.pt)
 		m := tangentSlack * (math.Abs(d.X) + math.Abs(d.Y))
 		if !n.tangent(d, m) || !v.tangent(d, m) {
 			continue
@@ -474,10 +542,28 @@ func (g *Graph) complete(u NodeID) {
 			last = b
 		}
 	}
-	n.seen = int32(len(g.verts))
+	n.seen, n.cover = int32(len(g.verts)), cover
 	if g.opts.Metrics != nil {
 		g.opts.Metrics.Walks += walks
 	}
+}
+
+// coverSlack is how far, relative to the bound, a bounded pass reaches
+// beyond the bound left to it (reach).
+const coverSlack = 1e-12
+
+// reach returns the squared radius a pass at a node settled at dist must
+// cover in a search bounded by bound: every candidate that relaxation could
+// keep, dist + |uv| <= bound. The radius is rounded up by coverSlack of the
+// bound, thousands of times the rounding of the subtraction and of the
+// relaxation's sum, so rounding never loses an edge; the few candidates it
+// admits beyond are tested needlessly, never wrongly.
+func reach(dist, bound float64) float64 {
+	if math.IsInf(bound, 1) {
+		return bound
+	}
+	r := max(bound-dist+bound*coverSlack, 0)
+	return r * r
 }
 
 // tangentSlack is the tangent test's margin relative to the two directions'
@@ -523,4 +609,7 @@ func (g *Graph) DeleteEntity(id NodeID) {
 	n.alive = false
 	g.live--
 	g.free = append(g.free, id)
+	if i := slices.Index(g.late, id); i >= 0 {
+		g.late = slices.Delete(g.late, i, i+1)
+	}
 }

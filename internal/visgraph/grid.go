@@ -107,6 +107,30 @@ func (gr *obstGrid) extend(obstacles []geom.Polygon, first int) bool {
 	return true
 }
 
+// blocks reports whether pg blocks the segment ab, whose padded bounds are
+// sb and direction d. A polygon lies within its bounding box, and a box that
+// clears the line through a and b cannot block the segment: of the box's
+// corners, two diagonal ones are extreme for the side-of-line cross
+// product. Most boxes near a long segment clear its line and skip the exact
+// polygon test.
+func blocks(pg *geom.Polygon, a, b geom.Point, sb geom.Rect, d geom.Point, margin float64) bool {
+	ob := pg.Bounds()
+	if !ob.Intersects(sb) {
+		return false
+	}
+	x0, x1, y0, y1 := ob.MinX, ob.MaxX, ob.MinY, ob.MaxY
+	if d.Y < 0 {
+		x0, x1 = x1, x0
+	}
+	if d.X < 0 {
+		y0, y1 = y1, y0
+	}
+	if d.X*(y1-a.Y)-d.Y*(x0-a.X) < -margin || d.X*(y0-a.Y)-d.Y*(x1-a.X) > margin {
+		return false
+	}
+	return pg.BlocksSegment(a, b)
+}
+
 // Visible reports whether the open segment ab crosses no obstacle interior.
 // It walks the grid cells the segment crosses from a toward b, asks each
 // obstacle chained there once, and returns at the first blocker — which, seen
@@ -122,7 +146,7 @@ func (g *Graph) blocker(a, b geom.Point, lo, hint int) int {
 	}
 	sb, d := geom.Seg(a, b).Bounds().Expand(geom.Eps), b.Sub(a)
 	margin := clearMargin(d)
-	if hint >= lo && g.blocks(hint, a, b, sb, d, margin) {
+	if hint >= lo && blocks(&g.obstacles[hint], a, b, sb, d, margin) {
 		return hint
 	}
 	gr := &g.grid
@@ -177,7 +201,7 @@ func (g *Graph) blocker(a, b geom.Point, lo, hint int) int {
 					continue
 				}
 				gr.stamps[i] = gr.gen
-				if g.blocks(int(i), a, b, sb, d, margin) {
+				if blocks(&g.obstacles[i], a, b, sb, d, margin) {
 					return int(i)
 				}
 			}
@@ -221,28 +245,30 @@ func clearMargin(d geom.Point) float64 {
 	return 1e-6 * (math.Abs(d.X) + math.Abs(d.Y) + 1)
 }
 
-// blocks reports whether obstacle i blocks the segment ab, whose padded
-// bounds are sb and direction d. A polygon lies within its bounding box, and
-// a box that clears the line through a and b cannot block the segment: of the
-// box's corners, two diagonal ones are extreme for the side-of-line cross
-// product. Most boxes near a long segment clear its line and skip the exact
-// polygon test.
-func (g *Graph) blocks(i int, a, b geom.Point, sb geom.Rect, d geom.Point, margin float64) bool {
-	ob := g.obstacles[i].Bounds()
-	if !ob.Intersects(sb) {
-		return false
+// Blocker returns the index of an obstacle of obs blocking the open segment
+// ab (hint first, if it is one of them), or -1 when none does: the test a
+// pass makes, for a caller that holds the obstacles and no graph.
+func Blocker(obs []Obstacle, a, b geom.Point, hint int) int {
+	sb, d := geom.Seg(a, b).Bounds().Expand(geom.Eps), b.Sub(a)
+	margin := clearMargin(d)
+	if hint >= 0 && hint < len(obs) && blocks(&obs[hint].Poly, a, b, sb, d, margin) {
+		return hint
 	}
-	x0, x1, y0, y1 := ob.MinX, ob.MaxX, ob.MinY, ob.MaxY
-	if d.Y < 0 {
-		x0, x1 = x1, x0
+	for i := range obs {
+		if blocks(&obs[i].Poly, a, b, sb, d, margin) {
+			return i
+		}
 	}
-	if d.X < 0 {
-		y0, y1 = y1, y0
+	return -1
+}
+
+// Blocker is Blocker over the graph's obstacles, in the order they arrived,
+// asked through its grid.
+func (g *Graph) Blocker(a, b geom.Point, hint int) int {
+	if hint >= len(g.obstacles) {
+		hint = -1
 	}
-	if d.X*(y1-a.Y)-d.Y*(x0-a.X) < -margin || d.X*(y0-a.Y)-d.Y*(x1-a.X) > margin {
-		return false
-	}
-	return g.obstacles[i].BlocksSegment(a, b)
+	return g.blocker(a, b, 0, hint)
 }
 
 // visibleLinear is Visible by definition — every obstacle is asked, through

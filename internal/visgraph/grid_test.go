@@ -1,6 +1,7 @@
 package visgraph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -190,14 +191,18 @@ func hasEdge(g *Graph, u, v NodeID) bool {
 	return slices.ContainsFunc(g.nodes[u].adj, func(he HalfEdge) bool { return he.To == v })
 }
 
-// unlink removes every edge at u from both ends, leaving u alive, so that a
-// test can run u's first pass again.
-func unlink(g *Graph, u NodeID) {
-	for _, he := range g.nodes[u].adj {
+// forget removes every edge at point u from both ends, leaving u alive, and
+// makes it a point that arrived just now and has not passed, so that a test
+// can run u's first pass again over every pair of its.
+func forget(g *Graph, u NodeID) {
+	n := &g.nodes[u]
+	for _, he := range n.adj {
 		g.dropHalf(he.To, u)
 		g.numEdges--
 	}
-	g.nodes[u].adj = g.nodes[u].adj[:0]
+	n.adj = n.adj[:0]
+	n.seen, n.cover, n.born = -1, -1, g.clock
+	g.clock++
 }
 
 // TestGridStreetScene runs the probe set on touching, collinear street
@@ -221,7 +226,7 @@ func TestPassAllocatesNothing(t *testing.T) {
 	}
 	var m Metrics
 	g.Retarget(&m, nil)
-	if n := testing.AllocsPerRun(50, func() { unlink(g, a); g.nodes[a].seen = -1; g.complete(a) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { forget(g, a); g.complete(a, math.Inf(1)) }); n != 0 {
 		t.Errorf("a first pass over known edges allocates %v times per run on a %d-node graph", n, g.NumNodes())
 	}
 	if m.Sweeps == 0 {

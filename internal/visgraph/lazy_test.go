@@ -14,9 +14,17 @@ import (
 func materialise(g *Graph) {
 	for id := range g.nodes {
 		if g.nodes[id].alive {
-			g.complete(NodeID(id))
+			g.complete(NodeID(id), math.Inf(1))
 		}
 	}
+}
+
+// decided reports whether some pass has decided the pair u, v (gnode.tested).
+func decided(g *Graph, u, v NodeID) bool {
+	a, b := &g.nodes[u], &g.nodes[v]
+	d := b.pt.Sub(a.pt)
+	d2 := d.X*d.X + d.Y*d.Y
+	return a.tested(b, d2) || b.tested(a, d2)
 }
 
 // swept returns the nodes that have had their visibility pass.
@@ -48,17 +56,17 @@ func TestBuildComputesNoVisibility(t *testing.T) {
 	}
 	a := g.AddTerminal(freePoint(rng, rects, 200))
 	b := g.AddTerminal(freePoint(rng, rects, 200))
-	if m.Sweeps != 2 {
-		t.Fatalf("two terminals cost %d sweeps, want 2", m.Sweeps)
+	if m.Sweeps != 0 {
+		t.Fatalf("two terminals cost %d sweeps, want 0", m.Sweeps)
 	}
 	g.ObstructedDist(a, b)
 	if got, want := m.Sweeps, uint64(len(swept(g))); got != want {
 		t.Fatalf("%d sweeps for %d swept nodes", got, want)
 	}
-	// Each terminal cost its sweep when added and none when settled; every
-	// vertex settled on the way was swept exactly once.
-	if m.Sweeps != m.SettledNodes {
-		t.Fatalf("%d sweeps, %d settled nodes", m.Sweeps, m.SettledNodes)
+	// The source and every vertex settled on the way were swept exactly once;
+	// the target, a sink, was settled and never swept.
+	if m.Sweeps != m.SettledNodes-1 || swept(g)[b] {
+		t.Fatalf("%d sweeps, %d settled nodes, target swept: %v", m.Sweeps, m.SettledNodes, swept(g)[b])
 	}
 	if int(m.Sweeps) >= g.NumNodes() {
 		t.Fatalf("a point-to-point search swept all %d nodes", g.NumNodes())
@@ -199,13 +207,15 @@ func TestInterruptPolledBeforeEverySweep(t *testing.T) {
 }
 
 // TestEachPairDecidedOnce: a pass skips the pairs its partner's pass has
-// decided, so over any history — nodes completed in random order, obstacle
-// batches in between, entities deleted and their slots reused, the graph
-// reset and built again in its own storage as Release and Build do — no
-// unordered pair is asked twice, no adjacency lists a neighbour twice, and
-// the adjacency is the reference pass's edge set, of bitangent pairs for the
-// production pass. Both passes share the rule; the reference pass asks every
-// pair it decides by linear scan, so there the count is exact.
+// decided, so over any history — nodes completed in random order and to
+// random radii, obstacle batches in between, points added before and after
+// passes, entities deleted and their slots reused, the graph reset and built
+// again in its own storage as Release and Build do — no unordered pair is
+// asked twice, no adjacency lists a neighbour twice, and the adjacency of
+// every decided pair is the reference pass's verdict on it, of bitangent
+// pairs for the production pass. Once every node has passed without a bound,
+// every pair is decided. Both passes share the rule; the reference pass asks
+// every pair it decides by linear scan, so there the count is exact.
 func TestEachPairDecidedOnce(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for kind := uint8(0); kind < numScenes; kind++ {
@@ -257,24 +267,33 @@ func (o *once) run(rng *rand.Rand) {
 			if r == 3 {
 				add = o.g.AddEntity
 			}
-			cands, walks := o.candidates(Invalid), o.m.Walks
+			walks := o.m.Walks
 			id := add(o.pts[rng.Intn(len(o.pts))])
 			o.born(id)
 			o.points = append(o.points, id)
-			o.asked(id, cands, o.m.Walks-walks)
+			if o.m.Walks != walks {
+				o.t.Fatalf("adding point %d made %d visibility tests", id, o.m.Walks-walks)
+			}
 		case r == 4 && len(o.points) > 0:
 			i := rng.Intn(len(o.points))
 			o.g.DeleteEntity(o.points[i])
 			o.points = append(o.points[:i], o.points[i+1:]...)
 		case len(o.g.nodes) > 0:
-			o.complete(NodeID(rng.Intn(len(o.g.nodes))))
+			// Half the passes are bounded, to a radius of up to a third of
+			// the scene.
+			cover := math.Inf(1)
+			if rng.Intn(2) == 0 {
+				r := rng.Float64() * 35
+				cover = r * r
+			}
+			o.complete(NodeID(rng.Intn(len(o.g.nodes))), cover)
 		}
-		o.check()
+		o.check(false)
 	}
 	for _, id := range rng.Perm(len(o.g.nodes)) {
-		o.complete(NodeID(id))
+		o.complete(NodeID(id), math.Inf(1))
 	}
-	o.check()
+	o.check(true)
 }
 
 // build starts the graph over the obstacles added so far, in the storage of
@@ -306,50 +325,41 @@ func (o *once) key(u, v NodeID) [2]int {
 	return [2]int{min(a, b), max(a, b)}
 }
 
-// candidates lists the nodes a pass of u tests by the meaning of seen: every
-// other live node on a first pass (and for a node about to be added, u ==
-// Invalid), the vertices added since on a top-up.
-func (o *once) candidates(u NodeID) []NodeID {
-	var out []NodeID
-	if u != Invalid && o.g.nodes[u].seen >= 0 {
-		return append(out, o.g.verts[o.g.nodes[u].seen:]...)
-	}
-	for id := range o.g.nodes {
-		if o.g.nodes[id].alive && NodeID(id) != u {
-			out = append(out, NodeID(id))
-		}
-	}
-	return out
-}
-
-func (o *once) complete(u NodeID) {
-	if !o.g.nodes[u].alive {
+// complete runs a pass of u to the squared radius cover and checks the
+// visibility tests it made against the pairs it newly decided: none the
+// model had seen decided before, as many as it made in the reference pass,
+// no more (the last blocker settles some without a walk) among the
+// bitangent ones in the production pass.
+func (o *once) complete(u NodeID, cover float64) {
+	g := o.g
+	if !g.nodes[u].alive {
 		return
 	}
-	cands, walks := o.candidates(u), o.m.Walks
-	o.g.complete(u)
-	o.asked(u, cands, o.m.Walks-walks)
-}
-
-// asked checks the visibility tests u's pass made over cands against the
-// pairs among them no pass had decided: as many in the reference pass, no
-// more (the last blocker settles some without a walk) among the bitangent
-// ones in the production pass.
-func (o *once) asked(u NodeID, cands []NodeID, walks uint64) {
+	before := make([]bool, len(g.nodes))
+	for v := range g.nodes {
+		before[v] = g.nodes[v].alive && NodeID(v) != u && decided(g, u, NodeID(v))
+	}
+	walks := o.m.Walks
+	g.complete(u, cover)
+	walks = o.m.Walks - walks
 	want := uint64(0)
-	un := &o.g.nodes[u]
-	for _, v := range cands {
-		vn := &o.g.nodes[v]
-		if v == u || un.kind == EntityNode && vn.kind == EntityNode || o.decided[o.key(u, v)] {
+	un := &g.nodes[u]
+	for v := range g.nodes {
+		vn := &g.nodes[v]
+		if !vn.alive || NodeID(v) == u || before[v] || !decided(g, u, NodeID(v)) || un.kind == EntityNode && vn.kind == EntityNode {
 			continue
 		}
-		o.decided[o.key(u, v)] = true
+		if k := o.key(u, NodeID(v)); o.decided[k] {
+			o.t.Fatalf("production=%v: the pass of %d decided the pair with %d again", o.production, u, v)
+		} else {
+			o.decided[k] = true
+		}
 		if !o.production || bitangent(un, vn) {
 			want++
 		}
 	}
 	if walks > want || !o.production && walks != want {
-		o.t.Fatalf("production=%v: the pass of %d made %d visibility tests for %d undecided pairs", o.production, u, walks, want)
+		o.t.Fatalf("production=%v: the pass of %d made %d visibility tests for %d pairs it decided", o.production, u, walks, want)
 	}
 }
 
@@ -370,9 +380,9 @@ func (o *once) edge(u, v NodeID) bool {
 }
 
 // check: every adjacency lists each neighbour once, its edges are reference
-// edges listed at both ends, and a node up to date with the graph has every
-// reference edge.
-func (o *once) check() {
+// edges listed at both ends, every decided pair has its reference edge, and
+// with all set every pair is decided.
+func (o *once) check(all bool) {
 	g, halves := o.g, 0
 	for u := range g.nodes {
 		n := &g.nodes[u]
@@ -394,10 +404,10 @@ func (o *once) check() {
 			if v == u || !g.nodes[v].alive {
 				continue
 			}
-			want := o.edge(NodeID(u), NodeID(v))
-			if has[NodeID(v)] && !want || !has[NodeID(v)] && want && int(n.seen) == len(g.verts) {
-				o.t.Fatalf("production=%v: node %d (seen %d of %d) has edge to %d: %v, reference %v",
-					o.production, u, n.seen, len(g.verts), v, has[NodeID(v)], want)
+			want, dec := o.edge(NodeID(u), NodeID(v)), decided(g, NodeID(u), NodeID(v))
+			if has[NodeID(v)] && !want || !has[NodeID(v)] && want && dec || all && !dec {
+				o.t.Fatalf("production=%v: node %d has edge to %d: %v, reference %v, decided %v",
+					o.production, u, v, has[NodeID(v)], want, dec)
 			}
 		}
 	}

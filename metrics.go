@@ -66,6 +66,7 @@ type dbMetrics struct {
 	settledNodes     *telemetry.Counter
 	graphBuilds      *telemetry.Counter
 	graphSweeps      *telemetry.Counter
+	graphWalks       *telemetry.Counter
 	falseHits        *telemetry.Counter
 	candidates       *telemetry.Counter
 	results          *telemetry.Counter
@@ -142,6 +143,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 	m.settledNodes = reg.Counter("obstacles_query_settled_nodes_total", "Dijkstra-settled visibility-graph nodes, summed over all queries.")
 	m.graphBuilds = reg.Counter("obstacles_query_graph_builds_total", "Visibility-graph constructions, summed over all queries.")
 	m.graphSweeps = reg.Counter("obstacles_graph_sweeps_total", "Per-node visibility passes, summed over all queries.")
+	m.graphWalks = reg.Counter("obstacles_graph_walks_total", "Visibility tests the passes' last blocker did not settle (grid walks), summed over all queries.")
 	m.falseHits = reg.Counter("obstacles_query_false_hits_total", "Euclidean candidates eliminated by the obstructed metric.")
 	m.candidates = reg.Counter("obstacles_query_candidates_total", "Euclidean candidates examined.")
 	m.results = reg.Counter("obstacles_query_results_total", "Qualifying answers produced by the engine.")
@@ -348,6 +350,7 @@ func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st
 	m.settledNodes.Add(st.SettledNodes)
 	m.graphBuilds.Add(st.GraphBuilds)
 	m.graphSweeps.Add(st.Sweeps)
+	m.graphWalks.Add(st.Walks)
 	m.falseHits.Add(uint64(st.FalseHits))
 	m.candidates.Add(uint64(st.Candidates))
 	m.results.Add(uint64(st.Results))

@@ -40,9 +40,14 @@ type QueryStats struct {
 	// GraphBuilds counts visibility-graph constructions (nodes only).
 	GraphBuilds uint64
 	// Sweeps counts per-node visibility passes — the dominant refinement
-	// cost: one per node a search expands for the first time, one per query
-	// or data point added to a graph.
+	// cost: one per node a search expands for the first time, and one per
+	// query or data point added to a graph after some pass, the first time a
+	// search uses it.
 	Sweeps uint64
+	// Walks counts the visibility tests the passes made that the last
+	// obstacle to block one did not settle: grid walks. Unlike time, it does
+	// not depend on the host.
+	Walks uint64
 	// Elapsed is the query's wall-clock duration.
 	Elapsed time.Duration
 }
@@ -128,6 +133,7 @@ func (cfg *queryConfig) record(st core.Stats, start time.Time) {
 		Expansions:       st.Expansions,
 		GraphBuilds:      st.GraphBuilds,
 		Sweeps:           st.Sweeps,
+		Walks:            st.Walks,
 		Elapsed:          time.Since(start),
 	}
 }
