@@ -43,8 +43,9 @@
 // with {"error":{"code":"overloaded",...}}, status 429, and a Retry-After
 // header. During shutdown new requests get code "draining" and 503.
 //
-// Warm graphs: /v1/distance requests around the same region share one
-// expanded visibility graph through the database's graph cache.
+// Distances: /v1/distance builds no visibility graph for a pair in plain
+// sight or one a detour round the few obstacles in its way decides, and a
+// small one of its own for the rest; requests share none.
 //
 // Request logging: -log-requests emits one structured JSON line to stderr
 // per request — route, dataset, status, duration and trace id.

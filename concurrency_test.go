@@ -229,26 +229,23 @@ func distsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestConcurrentDistancesShareCachedGraph: concurrent ObstructedDistance
-// calls from one source share the graph cache's warm graph — 24 requests
-// cost at most two graph builds, not 24 — and answer bit for bit what a
-// database without a graph cache computes. The source sits on a street
-// obstacle's edge, so the ring of targets holds detours and buried points;
-// every detour stays within the cache's reuse radius.
-func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
+// TestConcurrentDistancesMatchSerial: concurrent ObstructedDistance calls
+// from one source answer bit for bit what the same calls answer one after
+// another on a second database, and each builds a graph only for a target
+// that neither plain sight nor a detour decides. The source sits
+// on a street obstacle's edge, so the ring of targets holds detours and
+// buried points.
+func TestConcurrentDistancesMatchSerial(t *testing.T) {
 	world := dataset.Generate(dataset.DefaultConfig(7, 60))
-	open := func(cached bool) *Database {
+	open := func() *Database {
 		db, err := NewDatabaseFromRects(world.Rects, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cached {
-			db.engine.EnableGraphCache(0)
-		}
 		t.Cleanup(func() { db.Close() })
 		return db
 	}
-	db, uncached := open(true), open(false)
+	db, serial := open(), open()
 	bg := context.Background()
 	src := world.Entities(world.EntityRand(1), 1)[0]
 
@@ -261,7 +258,7 @@ func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 	want := make([]float64, N)
 	detours := 0
 	for i, tgt := range targets {
-		d, err := uncached.ObstructedDistance(bg, src, tgt)
+		d, err := serial.ObstructedDistance(bg, src, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +271,7 @@ func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 		t.Fatal("no target needs a detour: the scene tests nothing")
 	}
 
-	before := scrape(t, db)["obstacles_query_graph_builds_total"]
+	before := scrape(t, db)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	got := make([]float64, N)
@@ -294,11 +291,16 @@ func TestConcurrentDistancesShareCachedGraph(t *testing.T) {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 		if got[i] != want[i] {
-			t.Fatalf("request %d to %v: cached %v, uncached %v", i, targets[i], got[i], want[i])
+			t.Fatalf("request %d to %v: concurrent %v, serial %v", i, targets[i], got[i], want[i])
 		}
 	}
-	if builds := scrape(t, db)["obstacles_query_graph_builds_total"] - before; builds > 2 {
-		t.Fatalf("%v graph builds for %d concurrent same-source distances, want <= 2", builds, N)
+	after := scrape(t, db)
+	delta := func(name string) float64 { return after[name] - before[name] }
+	builds, byGraph := delta("obstacles_query_graph_builds_total"), delta(`obstacles_refine_targets_total{by="graph"}`)
+	byDetour := delta(`obstacles_refine_targets_total{by="detour"}`)
+	t.Logf("%d distances, %d detours: %v decided by a detour, %v searched on %v graphs", N, detours, byDetour, byGraph, builds)
+	if byDetour == 0 || builds != byGraph {
+		t.Fatalf("%v detour certificates, %v graph builds for %v targets searched on a graph", byDetour, builds, byGraph)
 	}
 }
 

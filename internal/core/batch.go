@@ -13,10 +13,9 @@ import (
 
 // BatchDistances computes the obstructed distance from source to every
 // target. Unreachable targets (sealed off, or strictly inside an obstacle)
-// get +Inf. When the engine's graph cache is enabled (EnableGraphCache) an
-// expanded graph state is reused across calls; otherwise a fresh local graph
-// is built, covering the largest Euclidean source-target distance as in
-// Fig 7, or for one target the obstacles meeting its segment.
+// get +Inf. The field opens on the obstacles within the largest Euclidean
+// source-target distance, as in Fig 7, or for one target on those meeting
+// its segment.
 func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) (_ []float64, st Stats, _ error) {
 	w := s.snap()
 	defer s.finishCall(&st, w)
@@ -25,7 +24,7 @@ func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) (_ []f
 	if len(targets) == 0 {
 		return dists, st, nil
 	}
-	f := s.newField(s.e.cache, source, 0, &st)
+	f := s.newField(source, 0, &st)
 	f.reserve(len(targets))
 	// idx maps each target to its field target; coincident targets share one
 	// graph node, and a target at the source needs none: dO(p, p) is 0, or
@@ -45,9 +44,8 @@ func (s *Session) BatchDistances(source geom.Point, targets []geom.Point) (_ []f
 		}
 		idx[i] = j
 	}
-	// A query-local field with one target grows that target's ellipse; a
-	// cached graph or many targets share the disk.
-	f.ellipse = f.cache == nil && len(f.targets) == 1
+	// One target grows its own ellipse; many share the disk.
+	f.ellipse = len(f.targets) == 1
 	err := f.certify(math.Inf(1))
 	self := 0.0
 	if err == nil && atSource {
@@ -99,7 +97,7 @@ func (s *Session) DistanceMatrix(pts []geom.Point) (_ [][]float64, st Stats, _ e
 	if n < 2 {
 		return out, st, nil
 	}
-	f := s.newField(nil, pts[0], 0, &st)
+	f := s.newField(pts[0], 0, &st)
 	defer f.close()
 	f.passTargets = true
 	for _, p := range pts {

@@ -31,7 +31,7 @@ func exactNearest(s *Session, P *PointSet, q geom.Point, k int) (_ []Result, st 
 	if err != nil {
 		return nil, st, err
 	}
-	f := s.newField(nil, q, 0, &st)
+	f := s.newField(q, 0, &st)
 	R, err := topK(s, &st, k, unbounded(s.neighbors(P, f)), func(seed []rtree.Neighbor) error {
 		f.searched = seed[len(seed)-1].Dist
 		if err := f.scan(); err != nil || !buried {
@@ -271,7 +271,7 @@ var buriedProbes = []geom.Point{
 
 // TestBuriedMatchesPointQuery: Graph.Inside and field.buried decide every
 // probe as Session.InsideObstacle does — inside the scanned disk from the
-// field's own obstacles (scan result, graph, cached graph) at no point-query
+// field's own obstacles (scan result or graph) at no point-query
 // read, outside it through the point query.
 func TestBuriedMatchesPointQuery(t *testing.T) {
 	polys := make([]geom.Polygon, len(buriedScene))
@@ -285,8 +285,6 @@ func TestBuriedMatchesPointQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(obst, DefaultEngineOptions())
-	cached := NewEngine(obst, DefaultEngineOptions())
-	cached.EnableGraphCache(4)
 	g := visgraph.Build(visgraph.Options{UseSweep: true}, obs)
 	far := geom.Pt(500, 500) // a center whose small disk holds none of the probes
 	for _, p := range buriedProbes {
@@ -299,22 +297,19 @@ func TestBuriedMatchesPointQuery(t *testing.T) {
 		}
 		for _, c := range []struct {
 			name     string
-			cache    *GraphCache
 			center   geom.Point
 			r        float64
 			attach   bool
 			pointQry bool // the probe is outside the scanned disk
 		}{
-			{"local scan", nil, geom.Pt(45, 20), 45, false, false},
-			{"local graph", nil, geom.Pt(45, 20), 45, true, false},
-			{"local, probe outside", nil, far, 5, false, true},
-			{"local graph, probe outside", nil, far, 5, true, true},
-			{"cached", cached.cache, geom.Pt(45, 20), 45, false, false},
-			{"cached, probe outside", cached.cache, far, 5, false, true},
+			{"scan", geom.Pt(45, 20), 45, false, false},
+			{"graph", geom.Pt(45, 20), 45, true, false},
+			{"scan, probe outside", far, 5, false, true},
+			{"graph, probe outside", far, 5, true, true},
 		} {
 			s := bg(eng)
 			var st Stats
-			f := s.newField(c.cache, c.center, c.r, &st)
+			f := s.newField(c.center, c.r, &st)
 			if err := f.scan(); err != nil {
 				t.Fatal(err)
 			}
@@ -359,9 +354,8 @@ func TestObstacleReadsSumToObstacleIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := world.Queries(rng, 4)
-	for _, cache := range []int{0, 4} {
+	{
 		eng := NewEngine(obst, DefaultEngineOptions())
-		eng.EnableGraphCache(cache)
 		verbs := map[string]func(s *Session, q geom.Point) (Stats, error){
 			"Range": func(s *Session, q geom.Point) (Stats, error) {
 				_, st, err := s.Range(P, q, 150)
@@ -408,11 +402,11 @@ func TestObstacleReadsSumToObstacleIO(t *testing.T) {
 				dataReads := P.Tree().PageFile().Stats().PhysicalReads + S.Tree().PageFile().Stats().PhysicalReads - dataBefore
 				split := st.ObstReads.PointQuery + st.ObstReads.Scan + st.ObstReads.Enlarge
 				if split != obstReads || st.IO.PhysicalReads-dataReads != obstReads {
-					t.Errorf("cache=%d %s(%v): split %+v sums to %d; the obstacle tree read %d, Stats.IO %d less %d data pages",
-						cache, name, q, st.ObstReads, split, obstReads, st.IO.PhysicalReads, dataReads)
+					t.Errorf("%s(%v): split %+v sums to %d; the obstacle tree read %d, Stats.IO %d less %d data pages",
+						name, q, st.ObstReads, split, obstReads, st.IO.PhysicalReads, dataReads)
 				}
 				if got := s.obstIO[obstPointQuery].LogicalReads; name == "NearestNeighbors" && got != 0 {
-					t.Errorf("cache=%d ONN(%v): %d point-query reads over %d candidates, want none", cache, q, got, st.Candidates)
+					t.Errorf("ONN(%v): %d point-query reads over %d candidates, want none", q, got, st.Candidates)
 				}
 			}
 		}

@@ -13,10 +13,11 @@
 //     Figs 9 and 11, or the incremental emitter of Fig 12; OR, ODJ and the
 //     batch verbs refine their whole candidate set at once and need none;
 //   - the field (field.go): obstructed distances from one source point to
-//     target points on one local visibility graph, by a bounded expansion
-//     (settle, Fig 5) or by the iterative range enlargement (certify, Fig 8).
-//     It is the only code that adds or removes graph nodes, searches, and
-//     acquires graphs, query-local or from the graph cache (graphcache.go);
+//     target points, in plain sight, by a detour round the obstacles in the
+//     way, or on one query-local visibility graph by a bounded expansion
+//     (settle, Fig 5) or by the iterative range enlargement (certify,
+//     Fig 8). It is the only code that adds or removes graph nodes and
+//     searches;
 //   - the on-line local visibility graph itself (package visgraph).
 //
 // The verbs keep what the paper makes theirs: which stream, which initial
@@ -348,7 +349,7 @@ func (s *PointSet) Delete(id int64) error {
 // vertices are exactly geom.RectPolygon(bounds) — is its own leaf entry; any
 // other polygon also keeps its vertices as point entries of a second tree,
 // verts, keyed by vertexKey(id, index). Every Add or Remove bumps the set's
-// generation counter, which keys the visibility-graph cache's entries.
+// generation counter, which the catalog records.
 type ObstacleSet struct {
 	table[geom.Polygon]
 	verts *rtree.Tree
@@ -523,14 +524,12 @@ func (o *ObstacleSet) Seal() *ObstacleSet {
 func (o *ObstacleSet) Polygon(id int64) geom.Polygon { return o.items[id] }
 
 // Generation returns the mutation counter: it increases on every Add or
-// Remove, so two views at one generation hold the same obstacles and a
-// visibility graph built at one generation serves exactly that generation.
+// Remove, so two views at one generation hold the same obstacles.
 func (o *ObstacleSet) Generation() uint64 { return atomic.LoadUint64(&o.gen) }
 
-// Add indexes new obstacles, reusing ids freed by earlier removals, and
-// returns the assigned ids. The generation moves on, so cached graphs of the
-// old one no longer match new sessions. A polygon whose vertices fail to
-// index is taken out again, with every obstacle added after it.
+// Add indexes new obstacles, reusing ids freed by earlier removals, returns
+// the assigned ids and moves the generation on. A polygon whose vertices fail
+// to index is taken out again, with every obstacle added after it.
 func (o *ObstacleSet) Add(polys []geom.Polygon) ([]int64, error) {
 	ids, err := o.add(polys)
 	for i, id := range ids {
@@ -612,14 +611,14 @@ type Stats struct {
 	// GraphNodes and GraphEdges describe the (largest) visibility graph
 	// the query worked on; GraphEdges counts materialised edges, those at
 	// the nodes some search expanded (adjacency is lazy), not the full
-	// visibility graph's. With the engine's graph cache enabled these count
-	// the shared cached graph — whose obstacles and adjacency accrete across
-	// queries — not a per-query local graph, so they are history-dependent
-	// there.
+	// visibility graph's.
 	GraphNodes, GraphEdges int
 	// DistComputations counts invocations of the obstructed distance
 	// computation (Fig 8).
 	DistComputations int
+	// Decided counts the targets refinement decided, by the certificate that
+	// decided each (field.decide).
+	Decided Decisions
 	// SettledNodes, Expansions, GraphBuilds, Sweeps and Walks are this
 	// query's own visibility-graph work (see visgraph.Metrics) — per-query
 	// counters, valid under concurrency, unlike the engine-wide Metrics.
@@ -651,6 +650,12 @@ func (r ObstacleReads) add(o ObstacleReads) ObstacleReads {
 	return ObstacleReads{r.PointQuery + o.PointQuery, r.Scan + o.Scan, r.Enlarge + o.Enlarge}
 }
 
+// Decisions counts refinement targets by certificate: in plain sight (final
+// at the Euclidean distance), by a detour round the obstacles in the way
+// (final at its length, or at +Inf past a bound), and by a graph search. A
+// buried target needs none of them and is not counted.
+type Decisions struct{ Sight, Detour, Graph int }
+
 // Merge folds another call's counters into st, as the experiment driver
 // totals a figure's queries. Additive fields sum, GraphNodes/GraphEdges
 // track the largest graph seen.
@@ -659,6 +664,9 @@ func (st *Stats) Merge(rst Stats) {
 	st.Results += rst.Results
 	st.FalseHits += rst.FalseHits
 	st.DistComputations += rst.DistComputations
+	st.Decided.Sight += rst.Decided.Sight
+	st.Decided.Detour += rst.Decided.Detour
+	st.Decided.Graph += rst.Decided.Graph
 	st.SettledNodes += rst.SettledNodes
 	st.Expansions += rst.Expansions
 	st.GraphBuilds += rst.GraphBuilds
@@ -672,14 +680,12 @@ func (st *Stats) Merge(rst Stats) {
 }
 
 // Engine executes obstructed queries against one obstacle dataset. An engine
-// holds only shared state — obstacle data, page buffers, the graph cache —
-// all safe for concurrent use, so any number of query sessions (NewSession)
-// or convenience calls may run against it in parallel.
+// holds only shared state — obstacle data and page buffers — all safe for
+// concurrent use, so any number of query sessions (NewSession) or
+// convenience calls may run against it in parallel. Every query builds its
+// own local graphs; none outlives it.
 type Engine struct {
 	obstacles *ObstacleSet
-	// cache, when enabled, retains expanded visibility-graph states for
-	// reuse across distances and batches; see EnableGraphCache.
-	cache *GraphCache
 }
 
 // EngineOptions has no fields; NewEngine still takes it for its callers.
@@ -703,9 +709,19 @@ func (e *Engine) Obstacles() *ObstacleSet { return e.obstacles }
 // recovered file rather than mutating the live set. The caller must hold the
 // database update lock (no obstacle mutation or new default session may race
 // the swap) and give o a generation above every one published before, so no
-// cached graph of the old set is ever matched again; sessions already pinned
-// to an older snapshot keep their own ObstacleSet reference and are
-// unaffected.
+// reader can confuse a generation of the old set with one of the new;
+// sessions already pinned to an older snapshot keep their own ObstacleSet
+// reference and are unaffected.
 func (e *Engine) ReplaceObstacles(o *ObstacleSet) {
 	e.obstacles = o
 }
+
+// The engine kept a cache of visibility graphs until detours made short
+// distances cheap without it (field.decide). The benchmark still calls
+// these stubs: they do nothing and count nothing (ROADMAP item 1).
+type CacheStats struct{ Hits, Misses, Evictions, Invalidations uint64 }
+
+func (CacheStats) HitRate() float64                      { return 0 }
+func (e *Engine) EnableGraphCache(int)                   {}
+func (e *Engine) GraphCacheStats() CacheStats            { return CacheStats{} }
+func (e *Engine) InvalidateObstacleRegion(geom.Rect) int { return 0 }

@@ -22,18 +22,20 @@ import (
 // from the center to a target never leaves the ellipse with those two foci
 // and sum d, so a target is covered up to sum s when every obstacle meeting
 // that ellipse is in the graph (covered). The graph holds the disk of radius
-// searched around hub (the center, a cache entry's, or where a rerooted field
-// opened), so the disk of radius r = searched - |hub center| around the
-// center, which covers every target t up to 2r - dE(center, t). Most fields
-// grow the disk, as the paper does; an ellipse field grows each target's own
-// ellipse instead, which is sqrt(d^2 - dE^2) / 4d of the area of the disk of
-// radius d: 0.13 on average over 800-1,600-unit routes of the default world,
-// whose paths are 1.3 times their straight line.
+// searched around hub (the center, or where a rerooted field opened), so the
+// disk of radius r = searched - |hub center| around the center, which covers
+// every target t up to 2r - dE(center, t). Most fields grow the disk, as the
+// paper does; an ellipse field grows each target's own ellipse instead, which
+// is sqrt(d^2 - dE^2) / 4d of the area of the disk of radius d: 0.13 on
+// average over 800-1,600-unit routes of the default world, whose paths are
+// 1.3 times their straight line.
 //
-// A field is lazy: it scans its obstacles the first time an operation needs
-// them, and builds its graph over them only when some target is left to
-// measure. It is per-call state, owned by one session, and its verb closes it
-// when done, which hands a query-local graph back for the next field to build
+// Each target is decided by the cheapest certificate that holds (decide):
+// plain sight, then a detour round the obstacles in the way, then a
+// graph search. A field is lazy: it scans its obstacles the first time an
+// operation needs them, and builds its graph over them only when some target
+// is left to search. It is per-call state, owned by one session, and its verb
+// closes it when done, which hands its graph back for the next field to build
 // in (visgraph.Graph.Release).
 //
 // Whether a point is buried — strictly inside an obstacle, so it reaches
@@ -42,27 +44,22 @@ import (
 // paper has no such check; here it reads only what the field lacks, so a
 // buried source costs the opening scan, not an R-tree point query.
 type field struct {
-	s  *Session
-	st *Stats // the verb's counters: Fig 8 invocations and the graph-size high-water land here
-	// cache is where the graph comes from: one of its entries (en), held
-	// exclusively until close, or nil for a query-local graph.
-	cache  *GraphCache
-	en     *cacheEntry
+	s      *Session
+	st     *Stats // the verb's counters: Fig 8 invocations, certificates and the graph-size high-water land here
 	center geom.Point
 	// hub is the center of the disk whose obstacles g holds, and searched its
 	// radius; before the scan, the radius it will run with.
 	hub      geom.Point
 	searched float64
-	// ellipse marks a query-local field the verb opened for one target at a
-	// time with no radius of its own (path, OCP's per-s field, an uncached
-	// batch of one): it opens on the obstacles meeting each target's segment
-	// and grows that target's ellipse. Fields whose graph serves many
-	// candidates at once (ONN, many-target batches, cached graphs) grow the
-	// disk, which every candidate shares.
+	// ellipse marks a field the verb opened for one target at a time with no
+	// radius of its own (path, OCP's per-s field, a batch of one): it opens
+	// on the obstacles meeting each target's segment and grows that target's
+	// ellipse. Fields whose graph serves many candidates at once (ONN,
+	// many-target batches) grow the disk, which every candidate shares.
 	ellipse bool
 	scanned bool
-	obs     []visgraph.Obstacle // a query-local scan's result, until attach builds g over it
-	g       *visgraph.Graph     // nil until attach (until scan through a cache)
+	obs     []visgraph.Obstacle // the obstacles scanned, until attach builds g over them
+	g       *visgraph.Graph     // nil until attach
 	src     visgraph.NodeID     // Invalid until attach
 	// cover is the radius around hub that holds every obstacle: a search
 	// that wide that still finds no path proves unreachability. Negative
@@ -80,13 +77,13 @@ type field struct {
 	// of its near-global graph, where scattered targets cost fewer walks
 	// from their own passes than from the vertices'.
 	passTargets bool
-	// blocker is the obstacle (by its index in the graph, or in obs before
-	// the graph is built over them in order) that blocked the last target's
-	// segment (inSight), or -1.
-	blocker int
-	targets []target
-	first   [1]target // backs targets while there is one: the per-candidate verbs never have more
-	err     error     // the first error of any operation
+	// blockers, set and detour are decide's scratch: the obstacles blocking
+	// a segment, those a detour goes round, and its path.
+	blockers, set []*geom.Polygon
+	detour        []geom.Point
+	targets       []target
+	first         [1]target // backs targets while there is one: the per-candidate verbs never have more
+	err           error     // the first error of any operation
 }
 
 // target is one point the field measures the distance to.
@@ -124,9 +121,9 @@ func (r region) meets(pg geom.Polygon) bool {
 }
 
 // newField prepares a field around center that will open on the obstacles
-// within r of it, through c when non-nil.
-func (s *Session) newField(c *GraphCache, center geom.Point, r float64, st *Stats) *field {
-	f := &field{s: s, st: st, cache: c, center: center, hub: center, searched: r, src: visgraph.Invalid, cover: -1, blocker: -1}
+// within r of it.
+func (s *Session) newField(center geom.Point, r float64, st *Stats) *field {
+	f := &field{s: s, st: st, center: center, hub: center, searched: r, src: visgraph.Invalid, cover: -1}
 	f.targets = f.first[:0]
 	return f
 }
@@ -158,11 +155,10 @@ func (f *field) fail(err error) error {
 	return err
 }
 
-// scan is the one way a query opens on its obstacles: those within searched
-// of center, or for an ellipse field those meeting its first open target's
-// segment (scanSegment). Through a cache they come as an entry's graph, with
-// its disk; every verb that passes no cache runs one obstacle range query
-// for a query-local graph, a join seed's through its run's window.
+// scan is the one way a query opens on its obstacles: one obstacle range
+// query over those within searched of center, a join seed's through its
+// run's window, or for an ellipse field over those meeting its first open
+// target's segment (scanSegment).
 // Figs 5 and 9 issue that query first and unconditionally, which is what
 // keeps their obstacle R-tree I/O independent of what is left to refine;
 // attach builds the graph over its result only when something is.
@@ -178,35 +174,48 @@ func (f *field) scan() error {
 			}
 		}
 	}
-	if f.cache != nil {
-		en, err := f.cache.acquire(f.s, f.center, f.searched)
-		if err != nil {
-			return f.fail(err)
-		}
-		f.en, f.g, f.hub, f.searched = en, en.g, en.center, en.coverage()
-		return nil
-	}
 	var err error
-	f.obs, err = f.s.relevantObstacles(disk(f.hub, f.searched), f.win)
+	f.obs, err = f.s.relevantObstacles(disk(f.hub, f.searched), f.win, obstScan)
 	return f.fail(err)
 }
 
 // scanSegment brings in the obstacles meeting the segment from the center to
-// t, the ellipse of sum dE: an ellipse field's opening range for t, read into
-// the scan's result or, once the graph is built, into the graph. t then lies
-// in its covered ellipse, so its buried check reads the field alone.
+// t, the ellipse of sum dE: an ellipse field's opening range for t. t then
+// lies in its covered ellipse, so its buried check reads the field alone.
 func (f *field) scanSegment(t *target) error {
-	obs, err := f.s.relevantObstacles(region{f.center, t.pt, t.dE * (1 + boundSlack)}, nil)
+	obs, err := f.s.relevantObstacles(region{f.center, t.pt, t.dE * (1 + boundSlack)}, nil, obstScan)
 	if err != nil {
 		return f.fail(err)
 	}
 	t.cov = t.dE
-	if f.g == nil {
-		f.obs = append(f.obs, obs...)
-	} else {
-		f.g.AddObstacles(obs)
-	}
+	f.hold(obs)
 	return nil
+}
+
+// hold adds to the field the obstacles of obs it does not hold yet, reporting
+// whether there were any: into the graph once it is built, into the scan's
+// result before.
+func (f *field) hold(obs []visgraph.Obstacle) bool {
+	if f.g != nil {
+		return f.g.AddObstacles(obs) > 0
+	}
+	n := len(f.obs)
+	for _, ob := range obs {
+		if !slices.ContainsFunc(f.obs, func(o visgraph.Obstacle) bool { return o.ID == ob.ID }) {
+			f.obs = append(f.obs, ob)
+		}
+	}
+	return len(f.obs) > n
+}
+
+// addWithin brings into the field every obstacle meeting the region that it
+// does not hold yet (Fig 8's enlargement), reporting whether there were any.
+func (f *field) addWithin(r region) (bool, error) {
+	obs, err := f.s.relevantObstacles(r, nil, obstEnlarge)
+	if err != nil {
+		return false, f.fail(err)
+	}
+	return f.hold(obs), nil
 }
 
 // attach makes the graph searchable: built over the scanned obstacles when it
@@ -270,11 +279,11 @@ func (f *field) expand(bound float64, visit func(i int, d float64)) error {
 // settle refines every target with one expansion around the source, bounded
 // by bound — the refinement of OR and ODJ (Fig 5), which need no enlargement:
 // the graph already holds every obstacle a path that short can touch. visit
-// gets each target within bound once; the rest are false hits. A target in
-// plain sight (inSight) is visited at its Euclidean distance first, and only
-// the others get graph nodes: a field whose targets are all in plain sight
-// builds no graph. A target strictly inside an obstacle sees nothing and is
-// never reached, so it needs no check of its own.
+// gets each target within bound once; the rest are false hits. A target that
+// a certificate decides (decide) is visited first, and only the others get
+// graph nodes: a field whose targets are all decided builds no graph. A
+// target strictly inside an obstacle sees nothing and is never reached, so it
+// needs no check of its own.
 func (f *field) settle(bound float64, visit func(i int, d float64)) error {
 	if err := f.scan(); err != nil {
 		return err
@@ -282,51 +291,142 @@ func (f *field) settle(bound float64, visit func(i int, d float64)) error {
 	f.st.DistComputations++
 	open := 0
 	for i := range f.targets {
-		switch t := &f.targets[i]; {
-		case t.final:
-		case f.inSight(t):
-			t.dist, t.final = t.dE, true
-			if t.dE <= bound {
-				visit(i, t.dE)
-			}
-		default:
+		t := &f.targets[i]
+		if t.final {
+			continue
+		}
+		switch ok, err := f.decide(t, bound, false); {
+		case err != nil:
+			return err
+		case !ok:
 			open++
+			continue
+		}
+		t.final = true
+		if t.dist <= bound {
+			visit(i, t.dist)
 		}
 	}
 	if open == 0 {
 		return nil
 	}
+	f.st.Decided.Graph += open
 	if err := f.attach(); err != nil {
 		return err
 	}
 	return f.expand(bound, visit)
 }
 
-// inSight reports whether t is in plain sight: the field holds every
-// obstacle that can meet t's segment from the center, and none of them
-// blocks it, by the test a visibility pass makes. Such a target is final at
-// its Euclidean distance dE and needs no graph node: no path is shorter
-// than dE, and dE is the same Dist that weighs the direct edge a search
-// would have found. The tests are counted as a pass counts its own (Walks):
-// the obstacle that blocked the last one is asked first, and a test it
-// settles is no walk.
-func (f *field) inSight(t *target) bool {
+// decide settles t without a graph search when a certificate holds, and
+// reports whether one did. It needs the field to hold every obstacle that
+// can meet t's segment from the center. Removing obstacles never lengthens
+// a path, so the shortest path round any obstacles the field holds, taken
+// alone (visgraph.Detour), is a lower bound LB on t's distance. decide
+// starts from those that block the segment and decides t when
+//   - there is none (plain sight): t is final at its Euclidean distance, no
+//     path being shorter;
+//   - LB exceeds bound by more than boundSlack: t is final at +Inf, read as
+//     ">= bound", as a bounded search would have found it;
+//   - the path that attains LB is clear of every obstacle the field holds,
+//     and the field covers t up to LB: the path is feasible and lies where
+//     the field holds every obstacle, so t's distance is LB exactly.
+//
+// While the path is blocked, the obstacles that block its first blocked leg
+// join the set and LB is taken again, up to maxDetour obstacles; past that,
+// or when the set leaves no path, a graph search decides t.
+//
+// An ellipse field that does not yet cover t up to LB grows t's ellipse to
+// LB, but only once the path is clear of what the field held: a search over
+// the field's obstacles would then have returned LB and led to this same
+// Fig 8 enlargement, so the obstacle pages read are the same, round after
+// round. A disk field takes the detour only where it covers LB already. A
+// routed field reports its route from a search, so it takes plain sight
+// alone. LB is summed along the path as the search it stands in for sums
+// it: from the target when fromTarget is set (certify's goal-directed
+// search for a lone target), else from the center.
+func (f *field) decide(t *target, bound float64, fromTarget bool) (bool, error) {
 	if f.covered(t) < t.dE {
-		return false
+		return false, nil
 	}
-	var b int
+	if len(f.blocking(f.center, t.pt)) == 0 {
+		t.dist = t.dE
+		f.st.Decided.Sight++
+		return true, nil
+	}
+	if f.routed {
+		return false, nil
+	}
+	f.set = f.set[:0]
+	for {
+		held := len(f.set)
+		for _, pg := range f.blockers {
+			if !slices.Contains(f.set, pg) {
+				f.set = append(f.set, pg)
+			}
+		}
+		if len(f.set) == held || len(f.set) > maxDetour {
+			return false, nil
+		}
+		var lb float64
+		if fromTarget {
+			f.detour, lb = visgraph.Detour(f.set, t.pt, f.center, f.detour[:0])
+		} else {
+			f.detour, lb = visgraph.Detour(f.set, f.center, t.pt, f.detour[:0])
+		}
+		switch {
+		case lb > bound*(1+boundSlack):
+			t.dist = math.Inf(1)
+		case math.IsInf(lb, 1):
+			return false, nil
+		case !f.passable(f.detour):
+			continue
+		case f.covered(t) < lb:
+			if !f.ellipse {
+				return false, nil
+			}
+			if _, err := f.addWithin(region{f.center, t.pt, lb * (1 + boundSlack)}); err != nil {
+				return false, err
+			}
+			if t.cov = lb; !f.passable(f.detour) {
+				continue
+			}
+			fallthrough
+		default:
+			t.dist = lb
+		}
+		f.st.Decided.Detour++
+		return true, nil
+	}
+}
+
+// maxDetour is the most obstacles decide takes a detour round before it
+// leaves a target to a graph search. It keeps visgraph.Detour's queue-less
+// Dijkstra, quadratic in its nodes, small: four rectangles are 18 nodes,
+// which it holds on the stack.
+const maxDetour = 4
+
+// blocking sets blockers to every obstacle the field holds that blocks the
+// segment ab, by the test a visibility pass makes, and counts the test as a
+// pass counts its own (Walks).
+func (f *field) blocking(a, b geom.Point) []*geom.Polygon {
+	f.s.met.Walks++
 	if f.g != nil {
-		b = f.g.Blocker(f.center, t.pt, f.blocker)
+		f.blockers = f.g.Blockers(a, b, f.blockers[:0])
 	} else {
-		b = visgraph.Blocker(f.obs, f.center, t.pt, f.blocker)
+		f.blockers = visgraph.Blockers(f.obs, a, b, f.blockers[:0])
 	}
-	if b < 0 || b != f.blocker {
-		f.s.met.Walks++
+	return f.blockers
+}
+
+// passable reports whether no obstacle the field holds blocks a leg of path;
+// if one does, blockers holds those that block the first such leg.
+func (f *field) passable(path []geom.Point) bool {
+	for k := 1; k < len(path); k++ {
+		if len(f.blocking(path[k-1], path[k])) > 0 {
+			return false
+		}
 	}
-	if b >= 0 {
-		f.blocker = b
-	}
-	return b < 0
+	return true
 }
 
 // buried reports whether p lies strictly inside an obstacle. Once the field
@@ -408,10 +508,10 @@ const boundSlack = 1e-9
 // bound is at least dE long, so Fig 8 enlarges the disk to at least dE, which
 // brings in that obstacle and cuts the target off.
 //
-// A target in plain sight (inSight) is final at its Euclidean distance
-// before any search, with no graph node, and a field whose open targets all
-// are builds no graph. Under a finite bound its distance may be at or above
-// the bound: it is exact all the same.
+// A target that a certificate decides (decide) is final before any search,
+// with no graph node, and a field whose open targets all are builds no
+// graph. Under a finite bound a distance so found may be at or above the
+// bound: it is exact all the same.
 func (f *field) certify(bound float64) error {
 	bounded := !math.IsInf(bound, 1)
 	pending := 0
@@ -428,6 +528,7 @@ func (f *field) certify(bound float64) error {
 	if pending == 0 {
 		return nil
 	}
+	alone := pending == 1 // a lone target's search runs from it to the source
 	buriedSrc, err := f.sourceBuried()
 	if err != nil {
 		return err
@@ -457,12 +558,13 @@ func (f *field) certify(bound float64) error {
 			}
 		}
 		measured = measured || !buried
-		switch {
-		case buried:
-		case f.inSight(t):
-			t.dist = t.dE
-		default:
-			continue
+		if !buried {
+			switch ok, err := f.decide(t, bound, alone); {
+			case err != nil:
+				return err
+			case !ok:
+				continue
+			}
 		}
 		t.final = true
 		pending--
@@ -473,6 +575,7 @@ func (f *field) certify(bound float64) error {
 	if pending == 0 {
 		return nil
 	}
+	f.st.Decided.Graph += pending
 	if err := f.attach(); err != nil {
 		return err
 	}
@@ -568,20 +671,17 @@ func (f *field) enlarge() (added, grew bool, err error) {
 		}
 	}
 	if radius > f.searched {
-		if added, err = f.s.addObstaclesWithin(f.g, disk(f.hub, radius)); err != nil {
+		if added, err = f.addWithin(disk(f.hub, radius)); err != nil {
 			return false, false, err
 		}
 		f.searched, grew = radius, true
-		if f.en != nil {
-			f.en.setCoverage(radius)
-		}
 	}
 	if !f.ellipse {
 		return added, grew, nil
 	}
 	for i := range f.targets {
 		if t := &f.targets[i]; !t.final && !math.IsInf(t.dist, 1) && t.dist > f.covered(t) {
-			more, err := f.s.addObstaclesWithin(f.g, region{f.center, t.pt, t.dist * (1 + boundSlack)})
+			more, err := f.addWithin(region{f.center, t.pt, t.dist * (1 + boundSlack)})
 			if err != nil {
 				return false, false, err
 			}
@@ -665,34 +765,12 @@ func (f *field) clear() {
 	f.targets = f.targets[:0]
 }
 
-// close ends the field's use of its graph. A cached graph must be back to
-// obstacles only before the next query can reuse it; a query-local one is
-// released, for the next field's graph to be built in its storage. Nothing
-// may read the field afterwards. Idempotent, and a no-op on nil.
+// close releases the field's graph, for the next field's graph to be built
+// in its storage. Nothing may read the field afterwards. Idempotent, and a
+// no-op on nil.
 func (f *field) close() {
-	if f == nil {
-		return
+	if f != nil && f.g != nil {
+		f.g.Release()
+		f.g = nil
 	}
-	if f.en == nil {
-		if f.g != nil {
-			f.g.Release()
-			f.g = nil
-		}
-		return
-	}
-	f.clear()
-	if f.src != visgraph.Invalid {
-		f.g.DeleteEntity(f.src)
-	}
-	// The enlargement loop may legitimately outgrow the reuse cap (proving a
-	// sealed-off target unreachable expands to the full obstacle extent) — and
-	// may have done so even when it then failed. Such a graph must not stay
-	// resident and soak up every future query, so it is dropped instead of
-	// cached. A failed or canceled query also drops its entry: the graph may
-	// be mid-growth relative to its recorded coverage.
-	if f.err != nil || f.en.coverage() > growLimit*f.en.base {
-		f.cache.drop(f.en)
-	}
-	f.en.release()
-	f.en = nil
 }

@@ -21,7 +21,7 @@ func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st
 	w := s.snap()
 	defer s.finishCall(&st, w)
 	st.Candidates = 1
-	f := s.newField(nil, a, 0, &st)
+	f := s.newField(a, 0, &st)
 	defer f.close() // after f.path() has copied the route out of the graph
 	f.routed, f.ellipse = true, true
 	f.add(b)
@@ -38,9 +38,7 @@ func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st
 }
 
 // ObstructedDistance computes dO(a, b); +Inf when b is unreachable from a. It
-// is BatchDistances with one target, so with the engine's graph cache enabled
-// concurrent and repeated queries around the same region share one expanded
-// graph.
+// is BatchDistances with one target.
 func (s *Session) ObstructedDistance(a, b geom.Point) (float64, Stats, error) {
 	ds, st, err := s.BatchDistances(a, []geom.Point{b})
 	if err != nil {

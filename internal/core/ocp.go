@@ -19,7 +19,7 @@ func (s *Session) pairs(S, T *PointSet, st *Stats) (candidates[rtree.PairNeighbo
 		eval: func(pr rtree.PairNeighbor, bound float64) (JoinPair, error) {
 			if sp := pr.A.Rect.Center(); f == nil || !f.center.Eq(sp) {
 				f.close()
-				f = s.newField(nil, sp, 0, st)
+				f = s.newField(sp, 0, st)
 				f.ellipse = true
 			}
 			d, err := f.distance(pr.B.Rect.Center(), bound)

@@ -124,7 +124,7 @@ func (s *Session) DistanceJoin(S, T *PointSet, dist float64) (_ []JoinPair, st S
 			}
 			// The seed's buried check reads the obstacles its field scanned: a
 			// buried seed reaches none of its partners.
-			f := s.newField(nil, hs.pt, dist, &st)
+			f := s.newField(hs.pt, dist, &st)
 			f.win = &win
 			buried, err := f.sourceBuried()
 			if err == nil && !buried {

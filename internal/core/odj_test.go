@@ -39,7 +39,7 @@ func diskJoin(s *Session, S, T *PointSet, dist float64) (_ []JoinPair, st Stats,
 	}
 	var out []JoinPair
 	for _, seed := range slices.Sorted(maps.Keys(partners)) {
-		f := s.newField(nil, seedSet.Point(seed), dist, &st)
+		f := s.newField(seedSet.Point(seed), dist, &st)
 		buried, err := f.sourceBuried()
 		if err == nil && !buried {
 			ps := partners[seed]
@@ -127,13 +127,13 @@ func TestJoinWindowMatchesDiskScans(t *testing.T) {
 				var winReads, diskReads, maxDisk uint64
 				for _, p := range run {
 					before := s.obstIO[obstScan].LogicalReads
-					f := s.newField(nil, p, e, &Stats{})
+					f := s.newField(p, e, &Stats{})
 					f.win = &win
 					if err := f.scan(); err != nil {
 						t.Fatal(err)
 					}
 					mid := s.obstIO[obstScan].LogicalReads
-					want, err := s.relevantObstacles(disk(p, e), nil)
+					want, err := s.relevantObstacles(disk(p, e), nil, obstScan)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +154,7 @@ func TestJoinWindowMatchesDiskScans(t *testing.T) {
 				// scans again read none.
 				before := s.obstIO[obstScan].LogicalReads
 				for _, p := range run {
-					if _, err := s.relevantObstacles(disk(p, e), &win); err != nil {
+					if _, err := s.relevantObstacles(disk(p, e), &win, obstScan); err != nil {
 						t.Fatal(err)
 					}
 				}

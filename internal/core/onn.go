@@ -41,7 +41,7 @@ func (s *Session) NearestNeighbors(P *PointSet, q geom.Point, k int) (_ []Result
 	if err := s.err(); err != nil {
 		return nil, st, err
 	}
-	f := s.newField(nil, q, 0, &st)
+	f := s.newField(q, 0, &st)
 	var euclidIDs map[int64]bool
 	R, err := topK(s, &st, k, s.neighbors(P, f), func(seed []rtree.Neighbor) error {
 		euclidIDs = make(map[int64]bool, len(seed))
@@ -92,7 +92,7 @@ func (s *Session) NearestIterator(P *PointSet, q geom.Point) *NNIterator {
 	// the first candidate's range. That opening scan also decides whether q
 	// is buried, and a buried q reaches nothing: the stream ends there, empty,
 	// as NearestNeighbors and Range answer.
-	f := s.newField(nil, q, 0, &it.stats)
+	f := s.newField(q, 0, &it.stats)
 	it.candidates = s.neighbors(P, f)
 	eval := it.eval
 	it.eval = func(nb rtree.Neighbor, bound float64) (Result, error) {

@@ -34,7 +34,7 @@ func (s *Session) Range(P *PointSet, q geom.Point, radius float64) (_ []Result, 
 	// influence paths of length <= radius. As in Fig 5, this range query
 	// runs unconditionally (even for an empty candidate set), which is what
 	// keeps the obstacle R-tree I/O independent of |P| in Fig 13.
-	f := s.newField(nil, q, radius, &st)
+	f := s.newField(q, radius, &st)
 	defer f.close()
 	if err := f.scan(); err != nil || len(cands) == 0 {
 		return nil, st, err

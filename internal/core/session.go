@@ -14,16 +14,16 @@ import (
 // Session is the per-call mutable state of query execution: the context that
 // can cancel it, the visibility-graph work counters it accrues, and counted
 // R-tree views attributing page I/O to this one query. The Engine itself
-// holds only shared, concurrency-safe state (obstacle data, page buffers,
-// the graph cache), so any number of Sessions may run in parallel against
-// one Engine — one Session per concurrent query.
+// holds only shared, concurrency-safe state (obstacle data, page buffers),
+// so any number of Sessions may run in parallel against one Engine — one
+// Session per concurrent query.
 //
 // A Session itself is confined to a single goroutine.
 type Session struct {
 	e   *Engine
 	ctx context.Context
 	// met accrues this session's visibility-graph work; graphs the session
-	// builds (and cached graphs while this session holds them) point here.
+	// builds point here.
 	met visgraph.Metrics
 	// io accrues this session's page traffic on every dataset tree it
 	// touches; obstIO the obstacle tree's, by caller (obstPointQuery,
@@ -34,9 +34,6 @@ type Session struct {
 	// obst is the obstacle set the session reads — the engine's live set, or
 	// a sealed view when the caller pinned a snapshot (NewSessionAt).
 	obst *ObstacleSet
-	// epoch is obst's generation at session start: the graph cache serves
-	// and publishes this session only entries of that generation.
-	epoch uint64
 	// span, when set, is the session's span in the enclosing trace: the
 	// lifecycle stages (graph builds, obstacle scans, growth rounds,
 	// Dijkstra expansions) are recorded as its children. All recording is
@@ -49,7 +46,7 @@ type Session struct {
 const (
 	obstPointQuery = iota // InsideObstacle
 	obstScan              // a field's opening range query (relevantObstacles)
-	obstEnlarge           // Fig 8 enlargement: addObstaclesWithin and the cover radius
+	obstEnlarge           // Fig 8 enlargement (field.addWithin) and the cover radius
 	obstCallers
 )
 
@@ -107,7 +104,7 @@ func (e *Engine) NewSessionAt(ctx context.Context, obst *ObstacleSet) *Session {
 	if obst == nil {
 		obst = e.obstacles
 	}
-	s := &Session{e: e, ctx: ctx, obst: obst, epoch: obst.Generation()}
+	s := &Session{e: e, ctx: ctx, obst: obst}
 	for i := range s.obstTree {
 		s.obstTree[i] = obst.tree.Counted(&s.obstIO[i])
 	}
@@ -167,15 +164,16 @@ func (s *Session) finishCall(st *Stats, w workSnap) {
 
 // relevantObstacles returns the obstacles whose polygons meet the region —
 // the filter (R-tree ellipse range on MBRs) plus refinement (region.meets)
-// steps — reading the tree through w when it is not nil.
-func (s *Session) relevantObstacles(r region, w *rtree.Window) ([]visgraph.Obstacle, error) {
+// steps — reading the tree through w when it is not nil, as a field's
+// opening scan (obstScan) or a Fig 8 enlargement (obstEnlarge).
+func (s *Session) relevantObstacles(r region, w *rtree.Window, caller int) ([]visgraph.Obstacle, error) {
 	if err := s.err(); err != nil {
 		return nil, err
 	}
-	defer s.span.StartSpan("obstacle-scan")()
+	defer s.span.StartSpan([obstCallers]string{obstScan: "obstacle-scan", obstEnlarge: "graph-grow"}[caller])()
 	polys := s.obst.items
 	var out []visgraph.Obstacle
-	err := s.obstTree[obstScan].SearchEllipseIn(w, r.a, r.b, r.sum, func(it rtree.Item) bool {
+	err := s.obstTree[caller].SearchEllipseIn(w, r.a, r.b, r.sum, func(it rtree.Item) bool {
 		pg := polys[it.Data]
 		if r.meets(pg) {
 			out = append(out, visgraph.Obstacle{ID: it.Data, Poly: pg})
@@ -186,31 +184,6 @@ func (s *Session) relevantObstacles(r region, w *rtree.Window) ([]visgraph.Obsta
 		return nil, fmt.Errorf("core: obstacle range: %w", err)
 	}
 	return out, nil
-}
-
-// addObstaclesWithin incorporates into g every obstacle meeting the region
-// that is not present yet, reporting whether any was added.
-func (s *Session) addObstaclesWithin(g *visgraph.Graph, r region) (bool, error) {
-	if err := s.err(); err != nil {
-		return false, err
-	}
-	defer s.span.StartSpan("graph-grow")()
-	polys := s.obst.items
-	var batch []visgraph.Obstacle
-	err := s.obstTree[obstEnlarge].SearchEllipse(r.a, r.b, r.sum, func(it rtree.Item) bool {
-		if g.HasObstacle(it.Data) {
-			return true
-		}
-		pg := polys[it.Data]
-		if r.meets(pg) {
-			batch = append(batch, visgraph.Obstacle{ID: it.Data, Poly: pg})
-		}
-		return true
-	})
-	if err != nil {
-		return false, fmt.Errorf("core: obstacle range: %w", err)
-	}
-	return g.AddObstacles(batch) > 0, nil
 }
 
 // InsideObstacle reports whether p lies strictly inside some obstacle's

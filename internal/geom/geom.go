@@ -97,8 +97,8 @@ func OnSegment(p, a, b Point) bool {
 	if Orientation(a, b, p) != 0 {
 		return false
 	}
-	return p.X >= math.Min(a.X, b.X)-Eps && p.X <= math.Max(a.X, b.X)+Eps &&
-		p.Y >= math.Min(a.Y, b.Y)-Eps && p.Y <= math.Max(a.Y, b.Y)+Eps
+	return p.X >= min(a.X, b.X)-Eps && p.X <= max(a.X, b.X)+Eps &&
+		p.Y >= min(a.Y, b.Y)-Eps && p.Y <= max(a.Y, b.Y)+Eps
 }
 
 // Segment is the closed line segment between A and B.

@@ -106,16 +106,16 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX), MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX), MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
 // Intersection returns the common region of r and s (possibly empty).
 func (r Rect) Intersection(s Rect) Rect {
 	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX), MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX), MaxY: min(r.MaxY, s.MaxY),
 	}
 	return out
 }
@@ -142,8 +142,8 @@ func (r Rect) Expand(d float64) Rect {
 // other rectangle distances it is sqrt(dx² + dy²), which never falls as a
 // gap grows, as R-tree pruning needs; math.Hypot can.
 func (r Rect) MinDist(p Point) float64 {
-	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
-	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
+	dx := max(r.MinX-p.X, 0, p.X-r.MaxX)
+	dy := max(r.MinY-p.Y, 0, p.Y-r.MaxY)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
@@ -151,8 +151,8 @@ func (r Rect) MinDist(p Point) float64 {
 // and any point of s (0 when they intersect), the mindist metric between
 // entry MBRs used by closest-pair algorithms [CMTV00].
 func (r Rect) MinDistRect(s Rect) float64 {
-	dx := math.Max(math.Max(s.MinX-r.MaxX, 0), r.MinX-s.MaxX)
-	dy := math.Max(math.Max(s.MinY-r.MaxY, 0), r.MinY-s.MaxY)
+	dx := max(s.MinX-r.MaxX, 0, r.MinX-s.MaxX)
+	dy := max(s.MinY-r.MaxY, 0, r.MinY-s.MaxY)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
@@ -169,15 +169,15 @@ func (r Rect) GapsWithin(s Rect, d float64) bool {
 // MaxDistRect returns the maximum Euclidean distance between any point of r
 // and any point of s: no pair of items under two entry MBRs is farther apart.
 func (r Rect) MaxDistRect(s Rect) float64 {
-	dx := math.Max(s.MaxX-r.MinX, r.MaxX-s.MinX)
-	dy := math.Max(s.MaxY-r.MinY, r.MaxY-s.MinY)
+	dx := max(s.MaxX-r.MinX, r.MaxX-s.MinX)
+	dy := max(s.MaxY-r.MinY, r.MaxY-s.MinY)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point of r.
 func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
+	dx := max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
+	dy := max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
 	return math.Sqrt(dx*dx + dy*dy)
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -31,27 +32,49 @@ func newTracingTestDB(t *testing.T) *obstacles.Database {
 
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{32}$`)
 
-// blockedPair returns two free points of newTracingTestDB's world, one unit
-// to either side of an obstacle, whose segment crosses it.
-func blockedPair(t *testing.T, db *obstacles.Database) (obstacles.Point, obstacles.Point) {
+// graphPair returns two free points of newTracingTestDB's world whose
+// distance takes a graph search: one unit left of an obstacle, and far enough
+// to its right that neither plain sight nor a detour round the few obstacles
+// in the way decides it.
+func graphPair(t *testing.T, db *obstacles.Database) (obstacles.Point, obstacles.Point) {
 	t.Helper()
 	for _, r := range dataset.Generate(dataset.DefaultConfig(7, 60)).Rects {
 		y := (r.MinY + r.MaxY) / 2
-		a, b := obstacles.Pt(r.MinX-1, y), obstacles.Pt(r.MaxX+1, y)
-		ina, err := db.InsideObstacle(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inb, err := db.InsideObstacle(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ina && !inb {
-			return a, b
+		a := obstacles.Pt(r.MinX-1, y)
+		for dx := 50.0; dx <= 1000; dx += 50 {
+			b := obstacles.Pt(r.MaxX+dx, y)
+			var qs obstacles.QueryStats
+			if _, err := db.ObstructedDistance(context.Background(), a, b, obstacles.WithStats(&qs)); err != nil {
+				t.Fatal(err)
+			}
+			if qs.Expansions > 0 {
+				return a, b
+			}
 		}
 	}
-	t.Fatal("no obstacle with free points on both sides")
+	t.Fatal("no pair needs a graph search")
 	return obstacles.Point{}, obstacles.Point{}
+}
+
+// graphRangePoint returns a free point of newTracingTestDB's world, stepping
+// as freePoint does, whose range query of the given radius leaves some
+// candidate to a graph search.
+func graphRangePoint(t *testing.T, db *obstacles.Database, radius float64) obstacles.Point {
+	t.Helper()
+	for q, try := obstacles.Pt(0, 0), 0; try < 64; q, try = obstacles.Pt(q.X+137.5, q.Y+89.25), try+1 {
+		var qs obstacles.QueryStats
+		if inside, err := db.InsideObstacle(q); err != nil || inside {
+			continue
+		}
+		if _, err := db.Range(context.Background(), "P", q, radius, obstacles.WithStats(&qs)); err != nil {
+			t.Fatal(err)
+		}
+		if qs.Expansions > 0 {
+			return q
+		}
+	}
+	t.Fatal("no range query needs a graph search")
+	return obstacles.Point{}
 }
 
 // fetchTrace pulls one retained trace's span tree from /debug/traces/{id}.
@@ -155,10 +178,10 @@ func TestTraceSpanTree(t *testing.T) {
 	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	q := freePoint(t, db)
-	// The distance runs across an obstacle: a pair in plain sight is settled
-	// at its straight-line distance with no search at all.
-	a, b := blockedPair(t, db)
+	// The distance and the range need a graph: a target in plain sight, or
+	// one that a detour decides, is settled with no search at all.
+	a, b := graphPair(t, db)
+	q := graphRangePoint(t, db, 2500)
 
 	body, _ := json.Marshal(DistanceRequest{A: Pt{a.X, a.Y}, B: Pt{b.X, b.Y}})
 	resp, err := http.Post(ts.URL+"/v1/distance", "application/json", bytes.NewReader(body))

@@ -64,6 +64,7 @@ const (
 	sceneStreet         // streetRects: touching, collinear, shared corners
 	sceneConcave        // lShapes: reflex vertices
 	sceneGraze          // disjoint rectangles, points whose segments graze corners and run along sides
+	sceneDetour         // detourScene: a wall, its twin, and blocks on the ways round
 	numScenes
 )
 
@@ -87,6 +88,7 @@ type diff struct {
 // node) and a side midpoint of every polygon, and free points.
 func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 	var polys []geom.Polygon
+	var around []geom.Point // a detour scene's points
 	size := 100.0
 	switch kind % numScenes {
 	case sceneRandom:
@@ -100,6 +102,8 @@ func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 		}
 	case sceneConcave:
 		polys = lShapes(rng, 12, size)
+	case sceneDetour:
+		polys, around = detourScene(rng)
 	case sceneGraze:
 		for _, r := range disjointRects(rng, 12, size) {
 			// Integer corners, so that the points below lie exactly on the
@@ -111,7 +115,7 @@ func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 		}
 	}
 	var obs []Obstacle
-	var pts []geom.Point
+	pts := around
 	for i, pg := range polys {
 		obs = append(obs, Obstacle{ID: int64(i), Poly: pg})
 		e := pg.Edge(2)
@@ -137,11 +141,49 @@ func scene(rng *rand.Rand, kind uint8) ([]Obstacle, []geom.Point) {
 	return obs, pts
 }
 
+// detourScene returns a wall and its twin further along a street, and
+// points on both sides, so that most segments between the points are blocked
+// by one wall or both. The two ways round a wall tie for a pair level with
+// its middle, and the detours around the two walls tie for a pair placed
+// symmetrically about the street between them; the detour around one wall
+// alone is blocked by the other for a pair across both. A block has its
+// corner on the leg from one point to the wall's corner, which it grazes,
+// and a stone sits on the leg down from the wall's far corner.
+func detourScene(rng *rand.Rand) ([]geom.Polygon, []geom.Point) {
+	x, y := float64(20+rng.Intn(20)), float64(20+rng.Intn(20))
+	w, h := float64(4+rng.Intn(10)), float64(12+2*rng.Intn(8))
+	gap, k := float64(6+rng.Intn(10)), float64(2+rng.Intn(4))
+	twinX := x + w + gap
+	rects := []geom.Rect{
+		geom.R(x, y, x+w, y+h),
+		geom.R(twinX, y, twinX+w, y+h),
+		// The leg from (x-2k, y+h-2k) to the wall's corner (x, y+h) touches
+		// this block at its corner (x-k, y+h-k) only.
+		geom.R(x-k, y+h-k-float64(1+rng.Intn(3)), x-k+float64(1+rng.Intn(int(k))), y+h-k),
+		geom.R(x+w+1, y+h-1, x+w+3, y+h+2),
+	}
+	polys := make([]geom.Polygon, len(rects))
+	for i, r := range rects {
+		polys[i] = geom.RectPolygon(r)
+	}
+	var pts []geom.Point
+	for _, p := range []geom.Point{
+		geom.Pt(x-2*k, y+h-2*k), geom.Pt(x-k, y+h/2), geom.Pt(x+w+gap/2, y+h-2*k),
+		geom.Pt(twinX+w+k, y+h/2), geom.Pt(twinX+w+2*k, y+h-2*k),
+		geom.Pt(x+w/2, y-k), geom.Pt(x+w/2, y+h+k),
+	} {
+		if !containsAny(polys, p) {
+			pts = append(pts, p)
+		}
+	}
+	return polys, pts
+}
+
 func newDiff(t *testing.T, seed int64, kind uint8) *diff {
 	rng := rand.New(rand.NewSource(seed))
 	d := &diff{t: t}
 	d.pool, d.pts = scene(rng, kind)
-	first := rng.Intn(6)
+	first := rng.Intn(min(6, len(d.pool)+1)) // a detour scene has 4 polygons
 	// The lazy graph is built in the storage the previous input's released
 	// (what Release hands Build), so a grid, stamp, slot or adjacency array
 	// that reset leaves stale answers wrong here.
@@ -252,6 +294,7 @@ func (d *diff) step(op, a, b byte) {
 			path, got = d.lazy.ShortestPath(from, to)
 		}
 		d.checkDist(from, to, got, want)
+		d.checkDetours(d.lazy.Point(from), d.lazy.Point(to), want)
 		if op%8 == 4 {
 			return
 		}
@@ -351,6 +394,60 @@ func (d *diff) checkDist(from, to NodeID, got, want float64) {
 	}
 }
 
+// checkDetours holds Detour, around each obstacle the graphs hold that blocks
+// the segment ab and around all of them together, to the reference graph
+// over those obstacles alone, and to a lower bound on want, the distance
+// among all the graphs hold: its path runs from a to b, its legs clear of
+// those obstacles, and they sum to its length.
+func (d *diff) checkDetours(a, b geom.Point, want float64) {
+	var blockers []Obstacle
+	for _, ob := range d.added {
+		if ob.Poly.BlocksSegment(a, b) {
+			blockers = append(blockers, ob)
+			d.checkDetour(a, b, want, []Obstacle{ob})
+		}
+	}
+	if len(blockers) > 1 {
+		d.checkDetour(a, b, want, blockers)
+	}
+}
+
+func (d *diff) checkDetour(a, b geom.Point, want float64, set []Obstacle) {
+	t := d.t
+	pgs := make([]*geom.Polygon, len(set))
+	for i := range set {
+		pgs[i] = &set[i].Poly
+	}
+	path, got := Detour(pgs, a, b, nil)
+	ref := Build(Options{}, set)
+	alone := ref.ObstructedDist(ref.AddTerminal(a), ref.AddTerminal(b))
+	ref.Release()
+	if math.IsInf(got, 1) != math.IsInf(alone, 1) || math.Abs(got-alone) > 1e-9*math.Max(1, alone) {
+		t.Fatalf("Detour(%v, %v) around %d obstacles = %v, reference graph %v", a, b, len(set), got, alone)
+	}
+	if got > want*(1+1e-9) {
+		t.Fatalf("Detour(%v, %v) around %d obstacles = %v exceeds the distance %v", a, b, len(set), got, want)
+	}
+	if math.IsInf(got, 1) {
+		if len(path) != 0 {
+			t.Fatalf("Detour(%v, %v): no way round, yet path %v", a, b, path)
+		}
+		return
+	}
+	sum := 0.0
+	for i := 1; i < len(path); i++ {
+		for _, pg := range pgs {
+			if pg.BlocksSegment(path[i-1], path[i]) {
+				t.Fatalf("Detour(%v, %v) leg %v-%v crosses %v", a, b, path[i-1], path[i], pg.Vertices())
+			}
+		}
+		sum += path[i-1].Dist(path[i])
+	}
+	if path[0] != a || path[len(path)-1] != b || math.Abs(sum-got) > 1e-9*math.Max(1, got) {
+		t.Fatalf("Detour(%v, %v) = %v: legs sum to %v, length %v", a, b, path, sum, got)
+	}
+}
+
 // bitangent is the production pass's filter as complete writes it out: the
 // tangent test at both ends of the segment between a and b.
 func bitangent(a, b *gnode) bool {
@@ -412,12 +509,14 @@ func (d *diff) checkSymmetric() {
 // FuzzLazyMatchesOracle interleaves Build / AddObstacles / AddTerminal /
 // AddEntity / DeleteEntity (freed slots are reused by whatever node comes
 // next) with ObstructedDist, ShortestPath and bounded Expand, on random,
-// street and concave scenes. The lazy indexed graph holds only bitangent
+// street, concave, graze and detour scenes. The lazy indexed graph holds only bitangent
 // edges, so it must answer exactly as the fully materialised reference one
 // where a terminal is at one end and no bare vertex at the other — equal
 // distances, equal Expand visit order among those nodes — and never closer
 // anywhere; its paths' legs are mutually visible and sum to their length.
-// Visibility between the final graph's live nodes is the same both ways.
+// Visibility between the final graph's live nodes is the same both ways. The
+// detour around each obstacle blocking a searched pair is checked on the way
+// (checkDetours).
 func FuzzLazyMatchesOracle(f *testing.F) {
 	// One program per seed scene: grow-search-grow-search with deletions in
 	// between, then sweeps of every query kind.

@@ -55,8 +55,7 @@
 // queries that build one small graph after another — a join's seeds, the
 // requests of a server — allocate no graph storage once warm. Only a graph's
 // owner releases it, once nothing reads it any more: a query releases its
-// local graphs when its answer has been read out of them, and a graph kept
-// for other queries (a graph-cache entry) is never released.
+// local graphs when its answer has been read out of them.
 //
 // There is one visibility pass: every live bitangent candidate is tested with
 // the exact predicate Visible (geom.Polygon.BlocksSegment against the
@@ -237,16 +236,6 @@ type Graph struct {
 	queue minHeap
 }
 
-// Retarget rebinds the graph's per-query hooks: subsequent work counts into
-// m (may be nil) and searches poll interrupt (may be nil). Graphs cached
-// across queries are retargeted to each acquiring query in turn, so work and
-// cancellation attribute to the query actually running, not the one that
-// originally built the graph.
-func (g *Graph) Retarget(m *Metrics, interrupt func() bool) {
-	g.opts.Metrics = m
-	g.opts.Interrupt = interrupt
-}
-
 // Obstacle couples a polygon with the caller's identifier (typically the
 // R-tree data id), so incremental additions can be deduplicated.
 type Obstacle struct {
@@ -312,9 +301,6 @@ func (g *Graph) reset() *Graph {
 
 // NumNodes returns the number of live nodes.
 func (g *Graph) NumNodes() int { return g.live }
-
-// NumObstacles returns the number of obstacles incorporated so far.
-func (g *Graph) NumObstacles() int { return len(g.obstacles) }
 
 // NumEdges returns the number of undirected visibility edges materialised so
 // far (adjacency is lazy: edges at nodes no search has expanded are absent).
@@ -412,7 +398,7 @@ func (g *Graph) AddObstacles(batch []Obstacle) int {
 	// the grid asking only the new obstacles; the reference pass tests every
 	// edge against every new polygon's box and then the polygon, the oracle
 	// the walk is checked against.
-	blocked := func(a, b geom.Point) bool { return g.blocker(a, b, first, -1) >= 0 }
+	blocked := func(a, b geom.Point) bool { return g.blocker(a, b, first, -1, nil) >= 0 }
 	if !g.opts.UseSweep {
 		blocked = func(a, b geom.Point) bool {
 			sb := geom.Seg(a, b).Bounds()
@@ -533,7 +519,7 @@ func (g *Graph) complete(u NodeID, cover float64) {
 		if !n.tangent(d, m) || !v.tangent(d, m) {
 			continue
 		}
-		switch b := g.blocker(n.pt, v.pt, 0, last); {
+		switch b := g.blocker(n.pt, v.pt, 0, last, nil); {
 		case b < 0:
 			walks++
 			g.addEdge(u, id)

@@ -135,12 +135,14 @@ func blocks(pg *geom.Polygon, a, b geom.Point, sb geom.Rect, d geom.Point, margi
 // It walks the grid cells the segment crosses from a toward b, asks each
 // obstacle chained there once, and returns at the first blocker — which, seen
 // from an expanding node, is usually one of the nearest obstacles.
-func (g *Graph) Visible(a, b geom.Point) bool { return g.blocker(a, b, 0, -1) < 0 }
+func (g *Graph) Visible(a, b geom.Point) bool { return g.blocker(a, b, 0, -1, nil) < 0 }
 
 // blocker returns an obstacle of obstacles[lo:] blocking the open segment ab
 // (hint first, if it is one of them, else the first the grid walk meets), or
 // -1 when none does; AddObstacles asks it with lo > 0 about each kept edge.
-func (g *Graph) blocker(a, b geom.Point, lo, hint int) int {
+// With all non-nil the walk goes on to the end, appending every blocker to
+// *all, and returns -1.
+func (g *Graph) blocker(a, b geom.Point, lo, hint int, all *[]*geom.Polygon) int {
 	if len(g.obstacles) == lo {
 		return -1
 	}
@@ -202,7 +204,10 @@ func (g *Graph) blocker(a, b geom.Point, lo, hint int) int {
 				}
 				gr.stamps[i] = gr.gen
 				if blocks(&g.obstacles[i], a, b, sb, d, margin) {
-					return int(i)
+					if all == nil {
+						return int(i)
+					}
+					*all = append(*all, &g.obstacles[i])
 				}
 			}
 			iv += stepV
@@ -245,30 +250,24 @@ func clearMargin(d geom.Point) float64 {
 	return 1e-6 * (math.Abs(d.X) + math.Abs(d.Y) + 1)
 }
 
-// Blocker returns the index of an obstacle of obs blocking the open segment
-// ab (hint first, if it is one of them), or -1 when none does: the test a
-// pass makes, for a caller that holds the obstacles and no graph.
-func Blocker(obs []Obstacle, a, b geom.Point, hint int) int {
+// Blockers appends to out every obstacle of obs blocking the open segment ab,
+// by the test a pass makes: for a caller that holds the obstacles and no
+// graph.
+func Blockers(obs []Obstacle, a, b geom.Point, out []*geom.Polygon) []*geom.Polygon {
 	sb, d := geom.Seg(a, b).Bounds().Expand(geom.Eps), b.Sub(a)
 	margin := clearMargin(d)
-	if hint >= 0 && hint < len(obs) && blocks(&obs[hint].Poly, a, b, sb, d, margin) {
-		return hint
-	}
 	for i := range obs {
 		if blocks(&obs[i].Poly, a, b, sb, d, margin) {
-			return i
+			out = append(out, &obs[i].Poly)
 		}
 	}
-	return -1
+	return out
 }
 
-// Blocker is Blocker over the graph's obstacles, in the order they arrived,
-// asked through its grid.
-func (g *Graph) Blocker(a, b geom.Point, hint int) int {
-	if hint >= len(g.obstacles) {
-		hint = -1
-	}
-	return g.blocker(a, b, 0, hint)
+// Blockers is Blockers over the graph's obstacles, asked through its grid.
+func (g *Graph) Blockers(a, b geom.Point, out []*geom.Polygon) []*geom.Polygon {
+	g.blocker(a, b, 0, -1, &out)
+	return out
 }
 
 // visibleLinear is Visible by definition — every obstacle is asked, through

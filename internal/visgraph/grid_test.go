@@ -121,9 +121,9 @@ func TestGridGrowth(t *testing.T) {
 	check("rebuilt for new bounds", 12)
 
 	// Grow without leaving the bounds until the count doubles.
-	for i := 0; g.NumObstacles() < 23; i++ {
+	for i := 0; len(g.obstacles) < 23; i++ {
 		if g.AddObstacles(at([2]int{i % 6, 1 + i/6})); g.grid.cell == 0 {
-			t.Fatalf("the grid built for 12 was dropped at %d obstacles", g.NumObstacles())
+			t.Fatalf("the grid built for 12 was dropped at %d obstacles", len(g.obstacles))
 		}
 	}
 	check("still the grid built for 12", 12)
@@ -225,7 +225,7 @@ func TestPassAllocatesNothing(t *testing.T) {
 		t.Errorf("Visible allocates %v times per run", n)
 	}
 	var m Metrics
-	g.Retarget(&m, nil)
+	g.opts.Metrics = &m
 	if n := testing.AllocsPerRun(50, func() { forget(g, a); g.complete(a, math.Inf(1)) }); n != 0 {
 		t.Errorf("a first pass over known edges allocates %v times per run on a %d-node graph", n, g.NumNodes())
 	}

@@ -74,7 +74,7 @@ func TestBuildComputesNoVisibility(t *testing.T) {
 }
 
 // TestGrowthNeverResweeps is the incremental-completion invariant on one
-// shared graph, the shape ONN and the graph cache use: after AddObstacles, a
+// shared graph, the shape ONN's field uses: after AddObstacles, a
 // second search sweeps only nodes no search had expanded before, brings the
 // others up to date against the new vertices alone, and still finds the
 // distance a fresh graph finds.
@@ -157,7 +157,7 @@ func TestSearchAllocatesNothing(t *testing.T) {
 func TestGoalDirectedSettlesFewer(t *testing.T) {
 	g, a, b := bigGraph(t)
 	var m Metrics
-	g.Retarget(&m, nil)
+	g.opts.Metrics = &m
 	want := math.Inf(1)
 	g.Expand(a, math.Inf(1), func(n NodeID, d float64) bool {
 		if n == b {
@@ -193,7 +193,7 @@ func TestInterruptPolledBeforeEverySweep(t *testing.T) {
 		var m Metrics
 		polls := 0
 		g := buildWith(true, rects)
-		g.Retarget(&m, func() bool { polls++; return polls > allowed })
+		g.opts.Metrics, g.opts.Interrupt = &m, func() bool { polls++; return polls > allowed }
 		a := g.AddTerminal(geom.Pt(20, 20))
 		b := g.AddTerminal(geom.Pt(20, 180))
 		m = Metrics{}

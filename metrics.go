@@ -71,6 +71,7 @@ type dbMetrics struct {
 	candidates       *telemetry.Counter
 	results          *telemetry.Counter
 	distComputations *telemetry.Counter
+	refined          [3]*telemetry.Counter // by certificate: sight, detour, graph
 
 	// Mutation path.
 	mutations map[string]*telemetry.Counter
@@ -154,15 +155,9 @@ func newDBMetrics(db *Database) *dbMetrics {
 		m.mutations[op] = reg.Counter("obstacles_mutations_total", "Committed mutations, by op.", telemetry.L("op", op))
 	}
 
-	// Graph cache: the cache already maintains exact counters under its own
-	// lock, so expose them as read-at-scrape series instead of
-	// double-counting on the query path.
-	cache := func(get func(core.CacheStats) uint64) func() uint64 {
-		return func() uint64 { return get(db.engine.GraphCacheStats()) }
+	for i, by := range [...]string{"sight", "detour", "graph"} {
+		m.refined[i] = reg.Counter("obstacles_refine_targets_total", "Refinement targets decided, by certificate: plain sight, a detour round the obstacles in the way, or a graph search.", telemetry.L("by", by))
 	}
-	reg.CounterFunc("obstacles_graph_cache_hits_total", "Visibility-graph cache hits.", cache(func(cs core.CacheStats) uint64 { return cs.Hits }))
-	reg.CounterFunc("obstacles_graph_cache_misses_total", "Visibility-graph cache misses.", cache(func(cs core.CacheStats) uint64 { return cs.Misses }))
-	reg.CounterFunc("obstacles_graph_cache_evictions_total", "Visibility-graph cache LRU evictions.", cache(func(cs core.CacheStats) uint64 { return cs.Evictions }))
 
 	// MVCC read path: open snapshot handles, retired pages pinned by them,
 	// and the copy-on-write page relocations mutators performed.
@@ -355,6 +350,9 @@ func (db *Database) record(verb string, cfg *queryConfig, sess *core.Session, st
 	m.candidates.Add(uint64(st.Candidates))
 	m.results.Add(uint64(st.Results))
 	m.distComputations.Add(uint64(st.DistComputations))
+	for i, n := range [...]int{st.Decided.Sight, st.Decided.Detour, st.Decided.Graph} {
+		m.refined[i].Add(uint64(n))
+	}
 	if sp := sess.Span(); sp != nil {
 		sp.SetAttr("settled_nodes", st.SettledNodes)
 		sp.SetAttr("page_reads", st.IO.PhysicalReads)

@@ -15,8 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // metricsDB is cityDB plus a loaded dataset, the shared fixture of the
@@ -210,36 +208,39 @@ func TestMetricsZeroCommitSnapshot(t *testing.T) {
 	}
 }
 
-// TestGraphCacheCountersOnScrape: repeated batch distances from one source
-// hit the graph cache, and /metrics carries exactly the engine cache's
-// counters — hits / (hits + misses) is the hit rate.
-func TestGraphCacheCountersOnScrape(t *testing.T) {
-	var zero core.CacheStats
-	if got := zero.HitRate(); got != 0 {
-		t.Fatalf("zero-traffic HitRate = %v, want 0", got)
-	}
-
+// TestRefineTargetCountersOnScrape: /metrics counts every refinement target
+// by the certificate that decided it. In the city world, blocks of 20 at 10,
+// 40 and 70 along each axis, (0, 20) sees (5, 5) in plain sight and reaches
+// (35, 20) by the detour round the first block and (65, 20) by the detour
+// round two; a path to (35, 20) reports its route from a graph search.
+func TestRefineTargetCountersOnScrape(t *testing.T) {
 	db := metricsDB(t, DefaultOptions())
-	// The graph cache serves batch-distance queries: the first from a source
-	// misses and populates, repeats hit.
-	q := Pt(0, 0)
-	targets := []Point{Pt(45, 5), Pt(95, 95)}
-	for i := 0; i < 4; i++ {
-		if _, err := db.ObstructedDistances(ctx, q, targets); err != nil {
+	for _, c := range []struct {
+		to   Point
+		by   string
+		path bool
+	}{{Pt(5, 5), "sight", false}, {Pt(35, 20), "detour", false}, {Pt(65, 20), "detour", false}, {Pt(35, 20), "graph", true}} {
+		before := scrape(t, db)
+		var err error
+		if c.path {
+			_, _, err = db.ObstructedPath(ctx, Pt(0, 20), c.to)
+		} else {
+			_, err = db.ObstructedDistance(ctx, Pt(0, 20), c.to)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	m := scrape(t, db)
-	hits, misses := m["obstacles_graph_cache_hits_total"], m["obstacles_graph_cache_misses_total"]
-	if hits == 0 {
-		t.Fatalf("repeated identical queries should hit the graph cache (misses %v)", misses)
-	}
-	cs := db.engine.GraphCacheStats()
-	if float64(cs.Hits) != hits || float64(cs.Misses) != misses {
-		t.Errorf("scrape hits/misses %v/%v, engine cache %+v", hits, misses, cs)
-	}
-	if got, want := cs.HitRate(), hits/(hits+misses); got != want {
-		t.Errorf("HitRate = %v, want hits/(hits+misses) = %v", got, want)
+		after := scrape(t, db)
+		for _, by := range []string{"sight", "detour", "graph"} {
+			key := fmt.Sprintf("obstacles_refine_targets_total{by=%q}", by)
+			want := 0.0
+			if by == c.by {
+				want = 1
+			}
+			if got := after[key] - before[key]; got != want {
+				t.Errorf("distance to %v: %s rose by %v, want %v", c.to, key, got, want)
+			}
+		}
 	}
 }
 

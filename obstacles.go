@@ -88,9 +88,6 @@ func (o Options) validate() error {
 	return nil
 }
 
-// graphCacheSize is how many graphs a database's engine caches (core.GraphCache).
-const graphCacheSize = 8
-
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = pagefile.DefaultPageSize
@@ -146,11 +143,11 @@ var Unreachable = math.Inf(1)
 // Database holds one obstacle set and any number of named point datasets,
 // all indexed by R-trees over simulated disk pages with LRU buffers. It is
 // safe for concurrent use: any number of goroutines may query it in
-// parallel (sharing the warm page buffers and the visibility-graph cache),
-// and AddDataset may run alongside queries on other datasets. Every query
-// verb takes a context whose cancellation aborts the query promptly with
-// ctx.Err(), and accepts functional options (WithStats, WithLimit,
-// WithFilter, WithPairFilter).
+// parallel (sharing the warm page buffers; each query builds its own local
+// visibility graphs), and AddDataset may run alongside queries on other
+// datasets. Every query verb takes a context whose cancellation aborts the
+// query promptly with ctx.Err(), and accepts functional options (WithStats,
+// WithLimit, WithFilter, WithPairFilter).
 //
 // Points and obstacles can be mutated in place (InsertPoints, DeletePoints,
 // AddObstacles, RemoveObstacles). The database is multi-versioned: mutators
@@ -477,11 +474,9 @@ func NewDatabase(polys []Polygon, opts Options) (*Database, error) {
 		return nil, fmt.Errorf("obstacles: building obstacle index: %w", err)
 	}
 	sizeBuffer(opts.BufferFraction, obstSet.Trees()...)
-	eng := core.NewEngine(obstSet, core.DefaultEngineOptions())
-	eng.EnableGraphCache(graphCacheSize)
 	db := &Database{
 		opts:     opts,
-		engine:   eng,
+		engine:   core.NewEngine(obstSet, core.DefaultEngineOptions()),
 		obstSet:  obstSet,
 		datasets: make(map[string]*core.PointSet),
 	}
@@ -673,8 +668,7 @@ func (db *Database) dataset(name string) (*core.PointSet, error) {
 // grows, so sustained churn keeps ids (and the page file) bounded. The
 // insert copies only the tree pages it touches and publishes a new version
 // atomically: in-flight queries and open streams keep answering from the
-// generation they pinned, unaffected. Point changes never invalidate cached
-// visibility graphs: graphs hold obstacle geometry only. On a durable
+// generation they pinned, unaffected. On a durable
 // database the insert reaches the write-ahead log (fsynced) before
 // returning; concurrent mutators stage their commits while holding the
 // update lock but share fsyncs after releasing it, so N parallel inserts
@@ -756,9 +750,8 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 // three vertices or a collinear (zero-area) outline — are rejected up
 // front with ErrInvalidPolygon and no partial effect. The update never
 // waits for queries: it copies only the pages it touches and publishes the
-// new obstacle set atomically, as a new generation. Cached visibility graphs
-// serve one generation each, so in-flight queries pinned to the old one keep
-// theirs and new queries build graphs of the new one.
+// new obstacle set atomically, as a new generation: in-flight queries keep
+// the one they pinned.
 func (db *Database) AddObstacles(polys ...Polygon) ([]int64, error) {
 	return db.AddObstaclesContext(context.Background(), polys...)
 }
@@ -805,8 +798,8 @@ func (db *Database) AddObstacleRectsContext(ctx context.Context, rects ...Rect) 
 
 // RemoveObstacles deletes obstacles by id (initial obstacles are numbered in
 // NewDatabase order; AddObstacles returns the ids it assigned). All ids are
-// validated before any is removed. As with AddObstacles, cached visibility
-// graphs of the old generation keep serving readers pinned to it only.
+// validated before any is removed. As with AddObstacles, readers pinned to
+// the old generation keep it.
 func (db *Database) RemoveObstacles(ids ...int64) error {
 	return db.RemoveObstaclesContext(context.Background(), ids...)
 }

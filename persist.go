@@ -187,11 +187,9 @@ func Open(path string, opts Options) (*Database, error) {
 		fs.Close()
 		return nil, fmt.Errorf("obstacles: opening %s: %w", path, err)
 	}
-	eng := core.NewEngine(ld.obstSet, core.DefaultEngineOptions())
-	eng.EnableGraphCache(graphCacheSize)
 	db := &Database{
 		opts:     opts,
-		engine:   eng,
+		engine:   core.NewEngine(ld.obstSet, core.DefaultEngineOptions()),
 		obstSet:  ld.obstSet,
 		datasets: ld.datasets,
 	}

@@ -202,9 +202,8 @@ func (db *Database) recoverLocked() error {
 	// appended by commits that reported failure, and replaying them would
 	// resurrect mutations their callers were told did not happen. And the
 	// obstacle set comes back at a generation strictly above every epoch the
-	// old in-memory state ever published, so pinned readers (and the graph
-	// cache's epoch bookkeeping) can never confuse a pre-fault epoch with a
-	// post-recovery one.
+	// old in-memory state ever published, so pinned readers can never confuse
+	// a pre-fault epoch with a post-recovery one.
 	_ = s.log.Load().Close()
 	s.cmu.Lock()
 	ackSeq := s.durableSeq

@@ -12,17 +12,17 @@
 // obstacles relevant to each query, refine them.
 //
 // Beyond the paper's query types, the library computes batch obstructed
-// distances with one visibility-graph expansion per source (over an LRU of
-// graph states for ObstructedDistances, one graph for DistanceMatrix), and
-// clusters datasets by obstructed distance (Cluster): DBSCAN density
-// clustering and k-medoids partitioning, where entities separated by an
-// obstacle wall cluster apart even when they are Euclidean-close.
+// distances with one visibility-graph expansion per source (one graph for
+// DistanceMatrix), and clusters datasets by obstructed distance (Cluster):
+// DBSCAN density clustering and k-medoids partitioning, where entities
+// separated by an obstacle wall cluster apart even when they are
+// Euclidean-close.
 //
 // A Database is safe for concurrent use: any number of goroutines may query
-// it in parallel, sharing the warm page buffers and the visibility-graph
-// cache. Every query verb is context-first — cancellation or a deadline
-// aborts long Dijkstra expansions mid-flight and returns ctx.Err() — and
-// accepts functional options: WithStats collects per-query work counters
+// it in parallel, sharing the warm page buffers; every query builds its own
+// local visibility graphs. Every query verb is context-first — cancellation
+// or a deadline aborts long Dijkstra expansions mid-flight and returns
+// ctx.Err() — and accepts functional options: WithStats collects per-query work counters
 // (page accesses, settled nodes, graph builds, wall time), WithLimit caps
 // result counts, WithFilter / WithPairFilter push predicates into the
 // incremental streams. Incremental retrieval uses Go range-over-func
@@ -36,10 +36,7 @@
 // call, Nearest/Closest streams for the whole iteration — so a mutation
 // committing mid-read neither disturbs the read nor appears in it.
 // Snapshot holds a generation open across calls, and Backup writes a
-// consistent copy of a durable database while it keeps serving. A cached
-// visibility graph serves the obstacle generation it was built at, so
-// obstacle updates leave it to readers of that generation; point updates
-// leave every graph in place.
+// consistent copy of a durable database while it keeps serving.
 //
 // Quick start:
 //
