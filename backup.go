@@ -123,7 +123,9 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 	}
 
 	// The state blob goes past the copied pages; the gaps below maxUsed
-	// become the new file's free list.
+	// become the new file's free list. The frontier's value does not change
+	// the record's length, so the blob is sized before the frontier is set
+	// past it.
 	next := maxUsed + 1
 	free := make([]pagefile.PageID, 0)
 	for id := pagefile.PageID(1); id < next; id++ {
@@ -131,22 +133,14 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 			free = append(free, id)
 		}
 	}
-	metas := make([]catalog.DatasetMeta, 0, len(names))
-	for _, name := range names {
-		metas = append(metas, datasetMeta(name, v.datasets[name]))
-	}
-	stateData := catalog.EncodeState(&catalog.State{
-		Generation: v.gen,
-		PageFree:   free,
-		Obstacles:  obstacleMeta(v.obst),
-		Datasets:   metas,
-	})
-	statePages := make([]pagefile.PageID, catalog.BlobPages(dest.PageSize(), len(stateData)))
+	state := v.catalogState(next, free)
+	statePages := make([]pagefile.PageID, catalog.BlobPages(dest.PageSize(), len(catalog.EncodeState(state))))
 	for i := range statePages {
 		statePages[i] = next
 		next++
 	}
-	stateRef, err := catalog.WriteBlob(dest, statePages, stateData)
+	state.Next = next
+	stateRef, err := catalog.WriteBlob(dest, statePages, catalog.EncodeState(state))
 	if err != nil {
 		return fail(fmt.Errorf("writing state blob: %w", err))
 	}
@@ -154,11 +148,7 @@ func (db *Database) backupTo(ctx context.Context, v *dbVersion, path string) err
 	if err := dest.Sync(); err != nil {
 		return fail(err)
 	}
-	if err := dest.WriteSuperblock(pagefile.Superblock{
-		PageSize: dest.PageSize(),
-		Next:     next,
-		State:    stateRef,
-	}); err != nil {
+	if err := dest.WriteSuperblock(pagefile.Superblock{PageSize: dest.PageSize(), State: stateRef}); err != nil {
 		return fail(err)
 	}
 	if err := dest.Sync(); err != nil {

@@ -179,8 +179,7 @@ func TestChaosPermanentFaultStaysDegraded(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Chaos = inj
 	opts.AutoRecover = true
-	opts.RecoverBackoff = 2 * time.Millisecond
-	opts.RecoverMaxBackoff = 10 * time.Millisecond
+	opts.RecoverBackoff = 2 * time.Millisecond // retries capped at 60 × 2ms = 120ms
 	path := filepath.Join(t.TempDir(), "permfault.obs")
 	db, err := Open(path, opts)
 	if err != nil {

@@ -105,7 +105,7 @@ func main() {
 		traceSample  = flag.Float64("trace-sample", 0.1, "probability a normal request's trace is retained (errors and slow always are)")
 
 		autoRecover    = flag.Bool("auto-recover", false, "retry in-place recovery automatically after a durable fault degrades the database")
-		recoverBackoff = flag.Duration("recover-backoff", 0, "initial recovery retry backoff (0 = default 500ms; doubles per failure, capped at 30s)")
+		recoverBackoff = flag.Duration("recover-backoff", 0, "initial recovery retry backoff (0 = default 500ms; doubles per failure, capped at 60 times itself)")
 		chaosSpec      = flag.String("chaos", "", `inject I/O faults for resilience drills, e.g. "wal-sync:after=20:count=1"`)
 	)
 	flag.Parse()

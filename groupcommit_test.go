@@ -474,11 +474,12 @@ func TestDurableCommitterFsyncFault(t *testing.T) {
 	}
 }
 
-// TestDurableDeltaBytesIndependentOfObstacles pins the incremental-catalog
-// win: the WAL bytes a commit costs no longer scale with the obstacle
-// population. The old protocol rewrote the whole obstacle blob on every
-// obstacle mutation (~76 bytes per rectangle — >150 KB at 2000 obstacles)
-// and the whole state blob on every commit.
+// TestDurableDeltaBytesIndependentOfObstacles pins that the WAL bytes a
+// commit costs do not scale with the obstacle population. An older protocol
+// rewrote a blob of every obstacle polygon on every obstacle mutation (~76
+// bytes per rectangle — >150 KB at 2000 obstacles). The catalog state each
+// commit logs holds one fixed-size obstacle record, however many obstacles
+// there are.
 func TestDurableDeltaBytesIndependentOfObstacles(t *testing.T) {
 	growth := func(nObst int) (pointIns, obstAdd int64) {
 		t.Helper()

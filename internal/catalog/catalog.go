@@ -1,10 +1,11 @@
-// Package catalog serializes database metadata into the one blob that hangs
-// off the superblock, so the whole Database state lives in one page file.
-// The state blob holds the commit generation, the page-file free list, the
+// Package catalog serializes database metadata into one record, the State,
+// so the whole Database state lives in one page file. The state holds the
+// commit generation, the page allocator's frontier and free list, the
 // obstacle record (the obstacle R-tree and vertex tree root/height/size, the
 // obstacle id space and mutation counter) and one record per dataset (name,
-// R-tree root/height/size, id-space bound). Checkpoints rewrite it; each
-// commit in between logs a Delta instead.
+// R-tree root/height/size, id-space bound). A checkpoint writes it as the
+// blob that hangs off the superblock, and every commit logs the same record
+// in the WAL; recovery takes the last replayed one.
 //
 // No coordinates are stored here: the trees are the store. A dataset's
 // points are recovered on open by scanning its tree's leaves (every leaf
@@ -56,9 +57,10 @@ type ObstacleMeta struct {
 	Generation  uint64 // the obstacle set's mutation counter
 }
 
-// State is the metadata blob.
+// State is the catalog record.
 type State struct {
-	Generation uint64 // the database's committed-mutation counter
+	Generation uint64          // the database's committed-mutation counter
+	Next       pagefile.PageID // the allocation frontier: lowest never-allocated page
 	PageFree   []pagefile.PageID
 	Obstacles  *ObstacleMeta // nil in a file that never checkpointed
 	Datasets   []DatasetMeta
@@ -66,7 +68,7 @@ type State struct {
 
 const (
 	stateMagic  = uint32(0x4f425354) // "OBST"
-	blobVersion = 2
+	blobVersion = 3
 )
 
 type encoder struct{ buf bytes.Buffer }
@@ -140,73 +142,37 @@ func (d *decoder) tree(what string) TreeMeta {
 	}
 }
 
-func (e *encoder) datasets(ds []DatasetMeta) {
-	e.u32(uint32(len(ds)))
-	for _, m := range ds {
-		e.str(m.Name)
-		e.tree(m.Tree)
-		e.u64(uint64(m.IDBound))
-	}
-}
-
-func (d *decoder) datasets() []DatasetMeta {
-	var out []DatasetMeta
-	n := int(d.u32("dataset count"))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, DatasetMeta{
-			Name:    d.str("dataset name"),
-			Tree:    d.tree("dataset tree"),
-			IDBound: int64(d.u64("dataset id bound")),
-		})
-	}
-	return out
-}
-
-// obst writes an optional obstacle record behind a presence flag.
-func (e *encoder) obst(o *ObstacleMeta) {
-	if o == nil {
-		e.u32(0)
-		return
-	}
-	e.u32(1)
-	e.tree(o.Tree)
-	e.tree(o.Verts)
-	e.u64(uint64(o.IDBound))
-	e.u64(o.Generation)
-}
-
-func (d *decoder) obst() *ObstacleMeta {
-	switch flag := d.u32("obstacle flag"); {
-	case d.err != nil || flag == 0:
-		return nil
-	case flag > 1:
-		d.err = fmt.Errorf("%w: obstacle flag %d", ErrCorrupt, flag)
-		return nil
-	}
-	return &ObstacleMeta{
-		Tree:       d.tree("obstacle tree"),
-		Verts:      d.tree("vertex tree"),
-		IDBound:    int64(d.u64("obstacle id bound")),
-		Generation: d.u64("obstacle generation"),
-	}
-}
-
-// EncodeState serializes s.
+// EncodeState serializes s. The obstacle record sits behind a presence flag.
 func EncodeState(s *State) []byte {
 	var e encoder
 	e.u32(stateMagic)
 	e.u32(blobVersion)
 	e.u64(s.Generation)
+	e.u32(uint32(s.Next))
 	e.u32(uint32(len(s.PageFree)))
 	for _, id := range s.PageFree {
 		e.u32(uint32(id))
 	}
-	e.obst(s.Obstacles)
-	e.datasets(s.Datasets)
+	if o := s.Obstacles; o == nil {
+		e.u32(0)
+	} else {
+		e.u32(1)
+		e.tree(o.Tree)
+		e.tree(o.Verts)
+		e.u64(uint64(o.IDBound))
+		e.u64(o.Generation)
+	}
+	e.u32(uint32(len(s.Datasets)))
+	for _, m := range s.Datasets {
+		e.str(m.Name)
+		e.tree(m.Tree)
+		e.u64(uint64(m.IDBound))
+	}
 	return e.buf.Bytes()
 }
 
-// DecodeState parses a state blob.
+// DecodeState parses a state record; any malformed input is an error
+// wrapping ErrCorrupt.
 func DecodeState(b []byte) (*State, error) {
 	d := &decoder{b: b}
 	if m := d.u32("magic"); d.err == nil && m != stateMagic {
@@ -215,7 +181,7 @@ func DecodeState(b []byte) (*State, error) {
 	if v := d.u32("version"); d.err == nil && v != blobVersion {
 		return nil, fmt.Errorf("%w: state version %d", ErrCorrupt, v)
 	}
-	s := &State{Generation: d.u64("generation")}
+	s := &State{Generation: d.u64("generation"), Next: pagefile.PageID(d.u32("next"))}
 	nFree := int(d.u32("free count"))
 	if d.err == nil && nFree > len(b) { // cheap sanity bound: each entry is 4 bytes
 		return nil, fmt.Errorf("%w: free list count %d", ErrCorrupt, nFree)
@@ -223,13 +189,31 @@ func DecodeState(b []byte) (*State, error) {
 	for i := 0; i < nFree && d.err == nil; i++ {
 		s.PageFree = append(s.PageFree, pagefile.PageID(d.u32("free entry")))
 	}
-	s.Obstacles = d.obst()
-	s.Datasets = d.datasets()
+	switch flag := d.u32("obstacle flag"); {
+	case d.err != nil || flag == 0:
+	case flag > 1:
+		return nil, fmt.Errorf("%w: obstacle flag %d", ErrCorrupt, flag)
+	default:
+		s.Obstacles = &ObstacleMeta{
+			Tree:       d.tree("obstacle tree"),
+			Verts:      d.tree("vertex tree"),
+			IDBound:    int64(d.u64("obstacle id bound")),
+			Generation: d.u64("obstacle generation"),
+		}
+	}
+	nSets := int(d.u32("dataset count"))
+	for i := 0; i < nSets && d.err == nil; i++ {
+		s.Datasets = append(s.Datasets, DatasetMeta{
+			Name:    d.str("dataset name"),
+			Tree:    d.tree("dataset tree"),
+			IDBound: int64(d.u64("dataset id bound")),
+		})
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in state blob", ErrCorrupt, len(b)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing bytes in state record", ErrCorrupt, len(b)-d.off)
 	}
 	return s, nil
 }

@@ -13,6 +13,7 @@ import (
 func TestStateRoundTrip(t *testing.T) {
 	in := &State{
 		Generation: 42,
+		Next:       90,
 		PageFree:   []pagefile.PageID{9, 3, 17},
 		Obstacles: &ObstacleMeta{
 			Tree:       TreeMeta{Root: 2, Height: 3, Size: 2},
@@ -37,16 +38,17 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Generation != 0 || len(empty.PageFree) != 0 || empty.Obstacles != nil || len(empty.Datasets) != 0 {
+	if empty.Generation != 0 || empty.Next != 0 || len(empty.PageFree) != 0 || empty.Obstacles != nil || len(empty.Datasets) != 0 {
 		t.Fatalf("empty state decoded to %+v", empty)
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	state := EncodeState(&State{Generation: 1, Datasets: []DatasetMeta{{Name: "P"}}})
-	delta := EncodeDelta(&Delta{Generation: 1})
+	wrongMagic := append([]byte{}, state...)
+	wrongMagic[0] ^= 0xff
 	badFlag := EncodeState(&State{Obstacles: &ObstacleMeta{}})
-	badFlag[20] = 2 // magic, version, generation, free count, then the obstacle flag
+	badFlag[24] = 2 // magic, version, generation, next, free count, then the obstacle flag
 	cases := []struct {
 		name string
 		blob []byte
@@ -54,9 +56,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}{
 		{"state truncated", state[:len(state)-3], func(b []byte) error { _, err := DecodeState(b); return err }},
 		{"state trailing", append(append([]byte{}, state...), 0), func(b []byte) error { _, err := DecodeState(b); return err }},
-		{"state wrong magic", delta, func(b []byte) error { _, err := DecodeState(b); return err }},
+		{"state wrong magic", wrongMagic, func(b []byte) error { _, err := DecodeState(b); return err }},
 		{"state obstacle flag", badFlag, func(b []byte) error { _, err := DecodeState(b); return err }},
-		{"delta wrong magic", state, func(b []byte) error { _, err := DecodeDelta(b); return err }},
 		{"empty", nil, func(b []byte) error { _, err := DecodeState(b); return err }},
 	}
 	for _, c := range cases {
@@ -64,6 +65,34 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
 		}
 	}
+}
+
+// FuzzDecodeState: recovery decodes the checkpoint blob and every replayed
+// commit's record, so DecodeState must survive any bytes. The result is a
+// State or an error wrapping ErrCorrupt, never a panic, and a State that
+// decodes re-encodes to the bytes it came from.
+func FuzzDecodeState(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeState(&State{}))
+	f.Add(EncodeState(&State{
+		Generation: 3,
+		Next:       40,
+		PageFree:   []pagefile.PageID{7, 9},
+		Obstacles:  &ObstacleMeta{Tree: TreeMeta{Root: 2, Height: 1, Size: 4}, IDBound: 4, Generation: 2},
+		Datasets:   []DatasetMeta{{Name: "P", Tree: TreeMeta{Root: 5, Height: 2, Size: 100}, IDBound: 100}},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeState(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		if again := EncodeState(s); !bytes.Equal(again, b) {
+			t.Fatalf("decoded %+v re-encodes to %x, want %x", s, again, b)
+		}
+	})
 }
 
 func TestBlobChainRoundTrip(t *testing.T) {

@@ -200,7 +200,7 @@ func TestVersion1FilesRefused(t *testing.T) {
 	// A version-1 file as the pre-checksum code laid it out: superblock at
 	// offset 0, one page packed at PageSize stride right behind it.
 	img := make([]byte, 2*128)
-	copy(img, v1Superblock(Superblock{PageSize: 128, Next: 2}))
+	copy(img, v1Superblock(Superblock{PageSize: 128}))
 	copy(img[128:], bytes.Repeat([]byte{0x42}, 128))
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)

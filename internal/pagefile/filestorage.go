@@ -12,14 +12,13 @@ import (
 )
 
 // Superblock is the fixed-size header at offset 0 of a durable page file.
-// It records the page size, the allocation frontier, the commit sequence
-// number, and the root of the catalog's state blob chain; the encoding adds
-// the format version (always superVersion). The free list itself lives
-// inside the state blob (it is unbounded), so the superblock always fits
-// well within one page.
+// It records the page size, the commit sequence number, and the root of the
+// catalog's state blob chain; the encoding adds the format version (always
+// superVersion). The allocation state — the frontier and the free list —
+// lives inside the state blob (the free list is unbounded), so the
+// superblock always fits well within one page.
 type Superblock struct {
 	PageSize int
-	Next     PageID // lowest never-allocated page id
 	Seq      uint64 // commit sequence number
 	State    BlobRef
 }
@@ -37,16 +36,19 @@ const (
 	// superVersion is the one supported on-disk format: every page slot is
 	// PageSize+pageTrailerSize bytes, the trailer storing a CRC over the
 	// page's content, and the obstacle polygons live in the obstacle R-tree
-	// (and its vertex tree) rather than in a catalog blob. Both older formats
-	// are refused at open, see ErrUnsupportedVersion: version 1 packed pages
-	// at PageSize stride with no checksums, version 2 kept a second blob of
-	// every obstacle polygon.
-	superVersion = 3
+	// (and its vertex tree) rather than in a catalog blob, and the
+	// allocation frontier is in the catalog's state. The older formats are
+	// refused at open, see ErrUnsupportedVersion: version 1 packed pages at
+	// PageSize stride with no checksums, version 2 kept a second blob of
+	// every obstacle polygon, and version 3 logged catalog deltas and kept
+	// the frontier here.
+	superVersion = 4
 	// superblockSize is the encoded size: magic(8) + version(4) + pageSize(4)
-	// + next(4) + seq(8) + blobRef(16) + reserved(16) + crc(4). The reserved
-	// bytes held version 2's obstacle blob reference; they stay zero, so the
-	// CRC sits where every version put it and an older file is recognised
-	// intact and refused by its version.
+	// + reserved(4) + seq(8) + blobRef(16) + reserved(16) + crc(4). The
+	// reserved bytes held version 3's allocation frontier and version 2's
+	// obstacle blob reference; they stay zero, so the CRC sits where every
+	// version put it and an older file is recognised intact and refused by
+	// its version.
 	superblockSize = 8 + 4 + 4 + 4 + 8 + 2*16 + 4
 	// pageTrailerSize is the per-page trailer: content CRC (4),
 	// a written flag (1), and 3 reserved zero bytes.
@@ -103,7 +105,6 @@ func EncodeSuperblock(sb Superblock) []byte {
 	copy(b[0:8], superMagic)
 	binary.LittleEndian.PutUint32(b[8:12], superVersion)
 	binary.LittleEndian.PutUint32(b[12:16], uint32(sb.PageSize))
-	binary.LittleEndian.PutUint32(b[16:20], uint32(sb.Next))
 	binary.LittleEndian.PutUint64(b[20:28], sb.Seq)
 	putBlobRef(b[28:44], sb.State)
 	binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[:60], crcTable))
@@ -128,21 +129,9 @@ func DecodeSuperblock(b []byte) (Superblock, error) {
 	}
 	return Superblock{
 		PageSize: int(binary.LittleEndian.Uint32(b[12:16])),
-		Next:     PageID(binary.LittleEndian.Uint32(b[16:20])),
 		Seq:      binary.LittleEndian.Uint64(b[20:28]),
 		State:    getBlobRef(b[28:44]),
 	}, nil
-}
-
-// AllocOp is one free-list mutation recorded by FileStorage's allocation
-// journal: a page taken from the free list (Take) or a page returned to it.
-// Frontier allocations are not journaled — the commit's delta record carries
-// the new frontier instead. The ops are ordered: a page can be freed, taken
-// and freed again within one journal span, and replaying the ops in order
-// reconstructs the free list exactly.
-type AllocOp struct {
-	Take bool
-	ID   PageID
 }
 
 // FileStorage is a Storage over a real file: page id N lives at byte offset
@@ -151,11 +140,11 @@ type AllocOp struct {
 // over the page content, computed on every write and verified on every read
 // (a mismatch returns ErrCorruptPage).
 // Allocation state — the frontier and the free list — is kept in memory and
-// persisted by the durability layer: the frontier in the superblock and
-// commit deltas, the free list in the catalog's state blob at checkpoints
-// with per-commit delta ops in between (see DrainAllocLog). FileStorage
-// alone is therefore crash-unsafe; the WAL-coordinated layer above it
-// (TxStorage plus the database commit protocol) provides atomicity.
+// persisted by the durability layer inside the catalog's state, which every
+// commit logs and every checkpoint writes; until SetAllocState installs the
+// recovered state, an opened file allocates from page 1. FileStorage alone
+// is therefore crash-unsafe; the WAL-coordinated layer above it (TxStorage
+// plus the database commit protocol) provides atomicity.
 //
 // Unlike MemStorage, FileStorage does not validate that a read or written
 // page was allocated — WAL replay writes committed page images into a file
@@ -170,7 +159,6 @@ type FileStorage struct {
 	free        []PageID
 	freeSet     map[PageID]struct{}
 	quarantined map[PageID]struct{}
-	allocLog    []AllocOp
 	// inj, when set, injects programmed faults into page reads, page writes
 	// and data-file fsyncs (see Injector); nil in production.
 	inj atomic.Pointer[Injector]
@@ -224,7 +212,7 @@ func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool,
 		f.Close()
 		return nil, Superblock{}, false, err
 	}
-	fs := &FileStorage{f: f, path: path, freeSet: make(map[PageID]struct{})}
+	fs := &FileStorage{f: f, path: path, next: 1, freeSet: make(map[PageID]struct{})}
 	if st.Size() == 0 {
 		if pageSize == 0 {
 			pageSize = DefaultPageSize
@@ -234,8 +222,7 @@ func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool,
 			return nil, Superblock{}, false, fmt.Errorf("pagefile: page size %d smaller than superblock", pageSize)
 		}
 		fs.setPageSize(pageSize)
-		fs.next = 1
-		sb := Superblock{PageSize: pageSize, Next: 1}
+		sb := Superblock{PageSize: pageSize}
 		if err := fs.WriteSuperblock(sb); err != nil {
 			f.Close()
 			return nil, Superblock{}, false, err
@@ -261,7 +248,6 @@ func OpenFileStorage(path string, pageSize int) (*FileStorage, Superblock, bool,
 		return nil, Superblock{}, false, fmt.Errorf("pagefile: file %s has page size %d, options ask for %d", path, sb.PageSize, pageSize)
 	}
 	fs.setPageSize(sb.PageSize)
-	fs.next = sb.Next
 	return fs, sb, false, nil
 }
 
@@ -312,12 +298,11 @@ func (fs *FileStorage) Sync() error {
 // Close closes the data file.
 func (fs *FileStorage) Close() error { return fs.f.Close() }
 
-// SetAllocState installs the recovered allocation state: the frontier from
-// the superblock and the free list from the catalog's state blob (with any
-// replayed delta ops already applied). The allocation journal is cleared —
-// the installed state is by definition the durable baseline. Quarantined
-// pages are filtered out of the installed free list, so a recovery never
-// resurrects a page the scrubber found corrupt.
+// SetAllocState installs the recovered allocation state, the frontier and
+// free list of the catalog state recovery took (the last replayed commit's,
+// or the checkpoint blob's). Quarantined pages are filtered out of the
+// installed free list, so a recovery never resurrects a page the scrubber
+// found corrupt.
 func (fs *FileStorage) SetAllocState(next PageID, free []PageID) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -337,11 +322,10 @@ func (fs *FileStorage) SetAllocState(next PageID, free []PageID) {
 		fs.free = append(fs.free, id)
 		fs.freeSet[id] = struct{}{}
 	}
-	fs.allocLog = nil
 }
 
 // AllocState returns a snapshot of the allocation state for serialization
-// into a commit's superblock and state blob.
+// into a catalog state.
 func (fs *FileStorage) AllocState() (next PageID, free []PageID) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -357,11 +341,11 @@ func (fs *FileStorage) Frontier() PageID {
 
 // Quarantine takes a page out of allocation circulation: it is removed from
 // the free list (if present) and never handed out by Allocate again for the
-// life of this handle. The next checkpoint serializes the free list without
-// it, making the quarantine durable. The scrubber quarantines free pages
-// whose bytes fail checksum verification, so fresh data is never written
-// over a disk region known to corrupt it. Reports whether the page was on
-// the free list.
+// life of this handle. The next commit or checkpoint records the free list
+// without it, making the quarantine durable. The scrubber quarantines free
+// pages whose bytes fail checksum verification, so fresh data is never
+// written over a disk region known to corrupt it. Reports whether the page
+// was on the free list.
 func (fs *FileStorage) Quarantine(id PageID) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -382,9 +366,6 @@ func (fs *FileStorage) Quarantine(id PageID) bool {
 			break
 		}
 	}
-	// Journal the take so the commit delta keeps the replayed free list in
-	// step with the in-memory one.
-	fs.allocLog = append(fs.allocLog, AllocOp{Take: true, ID: id})
 	return true
 }
 
@@ -393,19 +374,6 @@ func (fs *FileStorage) Quarantined() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return len(fs.quarantined)
-}
-
-// DrainAllocLog returns the ordered free-list mutations since the previous
-// drain (or SetAllocState) and clears the journal. The durability layer
-// drains once per commit, turning the span's ops into that commit's catalog
-// delta, and once per checkpoint, where the ops are discarded because the
-// checkpoint serializes the full free list instead.
-func (fs *FileStorage) DrainAllocLog() []AllocOp {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ops := fs.allocLog
-	fs.allocLog = nil
-	return ops
 }
 
 // PageSize implements Storage.
@@ -427,7 +395,6 @@ func (fs *FileStorage) Allocate() (PageID, error) {
 		id := fs.free[n-1]
 		fs.free = fs.free[:n-1]
 		delete(fs.freeSet, id)
-		fs.allocLog = append(fs.allocLog, AllocOp{Take: true, ID: id})
 		return id, nil
 	}
 	id := fs.next
@@ -451,7 +418,6 @@ func (fs *FileStorage) Free(id PageID) error {
 	}
 	fs.free = append(fs.free, id)
 	fs.freeSet[id] = struct{}{}
-	fs.allocLog = append(fs.allocLog, AllocOp{ID: id})
 	return nil
 }
 

@@ -13,7 +13,7 @@ func TestFileStorageCreateReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created || sb.PageSize != 128 || sb.Next != 1 {
+	if !created || sb.PageSize != 128 {
 		t.Fatalf("create: created=%v sb=%+v", created, sb)
 	}
 	a, _ := fs.Allocate()
@@ -25,7 +25,6 @@ func TestFileStorageCreateReopen(t *testing.T) {
 	if err := fs.WritePage(a, pa); err != nil {
 		t.Fatal(err)
 	}
-	sb.Next, _ = fs.AllocState()
 	sb.Seq = 7
 	if err := fs.WriteSuperblock(sb); err != nil {
 		t.Fatal(err)
@@ -45,8 +44,17 @@ func TestFileStorageCreateReopen(t *testing.T) {
 	if created {
 		t.Fatal("reopen reported created")
 	}
-	if sb2.PageSize != 128 || sb2.Next != 3 || sb2.Seq != 7 {
+	if sb2.PageSize != 128 || sb2.Seq != 7 {
 		t.Fatalf("reopened superblock %+v", sb2)
+	}
+	// The frontier is the catalog state's (State.Next), not the superblock's:
+	// a reopened file allocates from page 1 until SetAllocState installs it.
+	if next := fs2.Frontier(); next != 1 {
+		t.Fatalf("reopened frontier = %d, want 1 before SetAllocState", next)
+	}
+	fs2.SetAllocState(3, nil)
+	if id, _ := fs2.Allocate(); id != 3 {
+		t.Fatalf("Allocate after SetAllocState(3) = %d, want 3", id)
 	}
 	got := make([]byte, 128)
 	if err := fs2.ReadPage(a, got); err != nil {
@@ -110,7 +118,7 @@ func TestFileStorageAllocState(t *testing.T) {
 }
 
 func TestSuperblockRejectsDamage(t *testing.T) {
-	sb := Superblock{PageSize: 4096, Next: 9, Seq: 3, State: BlobRef{Root: 5, Len: 100, CRC: 1}}
+	sb := Superblock{PageSize: 4096, Seq: 3, State: BlobRef{Root: 5, Len: 100, CRC: 1}}
 	b := EncodeSuperblock(sb)
 	if got, err := DecodeSuperblock(b); err != nil || got != sb {
 		t.Fatalf("round trip: %+v, %v", got, err)
@@ -122,6 +130,29 @@ func TestSuperblockRejectsDamage(t *testing.T) {
 	if _, err := DecodeSuperblock(b[:10]); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("short superblock: %v", err)
 	}
+}
+
+// FuzzDecodeSuperblock: Open decodes whatever sits at offset 0, so
+// DecodeSuperblock must survive any bytes. The result is a superblock or an
+// error wrapping ErrBadSuperblock or ErrUnsupportedVersion, never a panic,
+// and a decoded superblock re-encodes to one that decodes to itself.
+func FuzzDecodeSuperblock(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeSuperblock(Superblock{PageSize: 4096, Seq: 3, State: BlobRef{Root: 5, Len: 100, CRC: 1}}))
+	f.Add(v1Superblock(Superblock{PageSize: 128}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sb, err := DecodeSuperblock(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadSuperblock) && !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("error %v wraps neither ErrBadSuperblock nor ErrUnsupportedVersion", err)
+			}
+			return
+		}
+		again, err := DecodeSuperblock(EncodeSuperblock(sb))
+		if err != nil || again != sb {
+			t.Fatalf("%+v re-decodes to %+v, %v", sb, again, err)
+		}
+	})
 }
 
 func TestTxStorageOverlay(t *testing.T) {

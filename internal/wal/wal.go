@@ -1,11 +1,13 @@
 // Package wal implements the write-ahead log of the durable storage
 // backend. A Log is an append-only file of CRC-protected records grouped
-// into transactions: any number of page-image and catalog-delta records
-// followed by one commit record.
+// into transactions: any number of page-image and catalog records followed
+// by one commit record. A catalog record is opaque here; the database logs
+// its whole catalog state with every commit. BatchTx.Delta and Tx.Deltas
+// carry it.
 //
 // Commits reach the disk in groups: AppendGroup writes a whole batch of
 // member commits as one WAL transaction — deduplicated page images, every
-// member's catalog delta in order, one shared commit record — then flushes
+// member's catalog record in order, one shared commit record — then flushes
 // and fsyncs once. This is the group-commit primitive that lets N
 // concurrent mutators share one fsync (and one image per hot page). A
 // commit is durable exactly when the AppendGroup call that covered it
@@ -15,7 +17,7 @@
 //
 // Recovery is redo-only: Replay scans the log from the start and hands each
 // fully committed transaction to the caller, which re-applies the page
-// images to the data file and the catalog deltas to the recovered metadata.
+// images to the data file and takes the catalog from the last record.
 // A torn tail (a partial record, a record whose CRC does not match, or
 // records not followed by a commit) is discarded and truncated away.
 // Because a group shares one commit record, cutting anywhere inside it
@@ -41,7 +43,7 @@ import (
 const (
 	recPage   = 1 // payload: page id (u32) + page image
 	recCommit = 3 // payload: transaction sequence number (u64)
-	recDelta  = 4 // payload: opaque catalog delta blob
+	recDelta  = 4 // payload: opaque catalog record
 )
 
 // recHeaderSize is type (u8) + payload length (u32) + payload CRC (u32).
@@ -74,12 +76,12 @@ type Page struct {
 // Tx is one committed transaction — a whole fsync group — as seen by
 // Replay. A group written by AppendGroup carries the page images of all its
 // member commits (deduplicated: one image per page) and their catalog
-// deltas in commit order; Seq is the sequence number of the group's last
+// records in commit order; Seq is the sequence number of the group's last
 // member.
 type Tx struct {
 	Seq    uint64
 	Pages  []Page
-	Deltas [][]byte // the catalog deltas of the group's commits, in order
+	Deltas [][]byte // the catalog records of the group's commits, in order
 	// End is the byte offset just past this transaction's commit record —
 	// the crash-cut boundary at which replaying a prefix of the log
 	// recovers exactly the transactions up to and including this one.
@@ -87,7 +89,8 @@ type Tx struct {
 }
 
 // BatchTx is one member commit of a group append: its commit sequence
-// number plus the records it carries. Delta is optional.
+// number plus the records it carries. Delta, the commit's catalog record, is
+// optional.
 type BatchTx struct {
 	Seq   uint64
 	Pages []Page

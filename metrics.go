@@ -177,7 +177,7 @@ func newDBMetrics(db *Database) *dbMetrics {
 	m.groupCommits = reg.Counter("obstacles_group_commits_total", "Fsyncs that covered two or more commits.")
 	m.checkpoints = reg.Counter("obstacles_checkpoints_total", "Completed checkpoints.")
 	m.commitFailures = reg.Counter("obstacles_commit_failures_total", "Commit batches that failed (the handle poisons on the first).")
-	m.stageSeconds = reg.Histogram("obstacles_commit_stage_seconds", "Time staging a commit under the update lock (buffer flush, dirty-page capture, delta encoding).", telemetry.LatencyBuckets)
+	m.stageSeconds = reg.Histogram("obstacles_commit_stage_seconds", "Time staging a commit under the update lock (buffer flush, dirty-page capture, catalog encoding).", telemetry.LatencyBuckets)
 	m.ackSeconds = reg.Histogram("obstacles_commit_ack_seconds", "Time a mutator parks on its commit ticket, from unlock to durable acknowledgment.", telemetry.LatencyBuckets)
 	m.fsyncSeconds = reg.Histogram("obstacles_wal_fsync_seconds", "WAL fsync syscall latency.", telemetry.LatencyBuckets)
 	m.batchSize = reg.Histogram("obstacles_commit_batch_size", "Commits covered by one WAL fsync.", telemetry.SizeBuckets)

@@ -151,11 +151,12 @@ func TestRejectedMutationChangesNothing(t *testing.T) {
 }
 
 // TestOpenRefusesVersion1File: a data file in a retired layout — version 1
-// (no page checksums) or version 2 (a catalog blob of every obstacle
-// polygon beside the obstacle tree) — must be refused with the typed error
-// rather than misread, and the refusal must leave its bytes alone.
+// (no page checksums), version 2 (a catalog blob of every obstacle polygon
+// beside the obstacle tree) or version 3 (catalog deltas in the WAL and the
+// allocation frontier in the superblock) — must be refused with the typed
+// error rather than misread, and the refusal must leave its bytes alone.
 func TestOpenRefusesVersion1File(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.obs", version))
 		db, err := Open(path, Options{PageSize: 512})
 		if err != nil {

@@ -45,11 +45,10 @@ type Options struct {
 	// with a *DegradedError. Ignored by in-memory databases.
 	AutoRecover bool
 	// RecoverBackoff is the supervisor's initial retry delay (default
-	// 500ms); RecoverMaxBackoff caps the exponential growth (default 30s).
-	// Each scheduled retry is jittered on [backoff/2, backoff]. Negative
-	// values are rejected.
-	RecoverBackoff    time.Duration
-	RecoverMaxBackoff time.Duration
+	// 500ms). It doubles per failed attempt, capped at 60 times itself (30s
+	// at the default). Each scheduled retry is jittered on [backoff/2,
+	// backoff]. A negative value is rejected.
+	RecoverBackoff time.Duration
 	// Chaos, when non-nil, arms a programmable fault injector across the
 	// whole durable path of an Open database: page reads/writes and data
 	// fsyncs on the data file, writes and fsyncs on the write-ahead log.
@@ -82,9 +81,6 @@ func (o Options) validate() error {
 	if o.RecoverBackoff < 0 {
 		return fmt.Errorf("obstacles: Options.RecoverBackoff %v is negative; use 0 for the default (500ms)", o.RecoverBackoff)
 	}
-	if o.RecoverMaxBackoff < 0 {
-		return fmt.Errorf("obstacles: Options.RecoverMaxBackoff %v is negative; use 0 for the default (30s)", o.RecoverMaxBackoff)
-	}
 	return nil
 }
 
@@ -100,12 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RecoverBackoff == 0 {
 		o.RecoverBackoff = 500 * time.Millisecond
-	}
-	if o.RecoverMaxBackoff == 0 {
-		o.RecoverMaxBackoff = 30 * time.Second
-	}
-	if o.RecoverMaxBackoff < o.RecoverBackoff {
-		o.RecoverMaxBackoff = o.RecoverBackoff
 	}
 	return o
 }
@@ -293,6 +283,13 @@ func (db *Database) pin() *dbVersion {
 	return v
 }
 
+// published returns the read head without pinning it.
+func (db *Database) published() *dbVersion {
+	db.versions.mu.Lock()
+	defer db.versions.mu.Unlock()
+	return db.versions.current
+}
+
 // unpin releases a pin taken by pin. When the release unblocks deferred
 // page frees (the last reader of an old generation closing), they are
 // processed here, under the update lock, so they ride the next commit.
@@ -357,7 +354,7 @@ func (db *Database) initVersions() {
 // once when no older reader is pinned, and deferred into the version table
 // otherwise. Runs under updateMu (deferred by every mutator, after the
 // generation bump and before the commit is staged, so frees reach the same
-// commit delta as the mutation).
+// commit as the mutation).
 func (db *Database) publishVersion() {
 	db.mu.RLock()
 	ds := make(map[string]*core.PointSet, len(db.datasets))
@@ -530,7 +527,7 @@ func (db *Database) treeOptions() rtree.Options {
 //     mutation with no effect: no generation bump, no new version, no commit.
 //  3. apply changes the live sets. Even when it fails part-way the sets have
 //     moved, so the generation is bumped, the new version is published
-//     (before staging, so the COW pages it frees reach this commit's delta)
+//     (before staging, so the COW pages it frees reach this commit's catalog)
 //     and the commit is staged into the group-commit queue — all still under
 //     updateMu, which is what makes queue order = sequence order = WAL order.
 //  4. Release updateMu, then park on the staged ticket until a committer's
@@ -542,7 +539,7 @@ func (db *Database) treeOptions() rtree.Options {
 // commit stages (stage, park, and — when this mutator leads its fsync batch —
 // wal-append and fsync) as children. The mutation runs to completion once
 // started.
-func (db *Database) mutate(ctx context.Context, op string, obstChanged bool, prepare, apply func() error) error {
+func (db *Database) mutate(ctx context.Context, op string, prepare, apply func() error) error {
 	var tk *commitTicket
 	err := func() error {
 		db.updateMu.Lock()
@@ -560,7 +557,7 @@ func (db *Database) mutate(ctx context.Context, op string, obstChanged bool, pre
 		db.publishVersion()
 		if db.store != nil {
 			var stageErr error
-			if tk, stageErr = db.stageCommitLocked(obstChanged, telemetry.SpanFromContext(ctx)); err == nil {
+			if tk, stageErr = db.stageCommitLocked(telemetry.SpanFromContext(ctx)); err == nil {
 				err = stageErr
 			}
 		}
@@ -611,7 +608,7 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 			return err
 		}
 	}
-	return db.mutate(ctx, OpAddDataset, false, func() error {
+	return db.mutate(ctx, OpAddDataset, func() error {
 		// Adds serialize here, so no racing add can slip past this re-check.
 		if db.HasDataset(name) {
 			return errExists
@@ -626,8 +623,8 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 			// file with nothing referencing them, a permanent leak. Every
 			// page dirtied since the last stage belongs to this build
 			// (mutators stage before releasing updateMu), so freeing the
-			// dirty set rolls the allocation back; the alloc/free churn nets
-			// out through the next commit's delta ops.
+			// dirty set rolls the allocation back; the next commit records
+			// the free list that results.
 			for _, w := range db.store.tx.CaptureDirty() {
 				_ = db.store.tx.Free(w.ID)
 			}
@@ -638,7 +635,6 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 		ps.EnableCOW()
 		db.datasets[name] = ps
 		db.mu.Unlock()
-		db.noteDatasetDirty(name)
 		return nil
 	})
 }
@@ -647,9 +643,7 @@ func (db *Database) AddDatasetContext(ctx context.Context, name string, pts []Po
 // verb reads, has the named dataset. It takes no pin: AddDataset calls it
 // under the update lock, which releasing a pin may take to free pages.
 func (db *Database) HasDataset(name string) bool {
-	db.versions.mu.Lock()
-	defer db.versions.mu.Unlock()
-	_, ok := db.versions.current.datasets[name]
+	_, ok := db.published().datasets[name]
 	return ok
 }
 
@@ -690,7 +684,7 @@ func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ..
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	err = db.mutate(ctx, OpInsertPoints, false, func() (err error) {
+	err = db.mutate(ctx, OpInsertPoints, func() (err error) {
 		// Re-resolve under the lock: in-place recovery swaps the dataset map,
 		// and a write into a pre-swap tree would land on a detached overlay
 		// and be silently lost.
@@ -698,7 +692,6 @@ func (db *Database) InsertPointsContext(ctx context.Context, name string, pts ..
 		return err
 	}, func() (err error) {
 		ps.BeginEpoch()
-		db.noteDatasetDirty(name)
 		if ids, err = ps.Insert(pts); err != nil {
 			return err
 		}
@@ -726,7 +719,7 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 	if len(ids) == 0 {
 		return nil
 	}
-	return db.mutate(ctx, OpDeletePoints, false, func() (err error) {
+	return db.mutate(ctx, OpDeletePoints, func() (err error) {
 		// Re-resolve under the lock (see InsertPointsContext).
 		if ps, err = db.dataset(name); err != nil {
 			return err
@@ -734,7 +727,6 @@ func (db *Database) DeletePointsContext(ctx context.Context, name string, ids ..
 		return checkIDs(fmt.Sprintf("entity of dataset %q", name), ids, ps.Alive)
 	}, func() error {
 		ps.BeginEpoch()
-		db.noteDatasetDirty(name)
 		for _, id := range ids {
 			if err := ps.Delete(id); err != nil {
 				return err
@@ -765,7 +757,7 @@ func (db *Database) AddObstaclesContext(ctx context.Context, polys ...Polygon) (
 	if len(polys) == 0 {
 		return nil, nil
 	}
-	err = db.mutate(ctx, OpAddObstacles, true, nil, func() (err error) {
+	err = db.mutate(ctx, OpAddObstacles, nil, func() (err error) {
 		db.obstSet.BeginEpoch()
 		ids, err = db.obstSet.Add(polys)
 		if err != nil {
@@ -810,7 +802,7 @@ func (db *Database) RemoveObstaclesContext(ctx context.Context, ids ...int64) er
 	if len(ids) == 0 {
 		return nil
 	}
-	return db.mutate(ctx, OpRemoveObstacles, true, func() error {
+	return db.mutate(ctx, OpRemoveObstacles, func() error {
 		return checkIDs("obstacle", ids, db.obstSet.Alive)
 	}, func() error {
 		db.obstSet.BeginEpoch()

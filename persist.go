@@ -96,9 +96,6 @@ type durableStore struct {
 	// crash between the checkpoint's superblock write and its WAL
 	// truncation must not let an old page image land on a live blob page.
 	logged map[pagefile.PageID]struct{}
-	// dirtyDatasets is per-commit change tracking, reset by each stage: the
-	// datasets the current mutation touched.
-	dirtyDatasets map[string]struct{}
 
 	// The commit queue, with its own lock: mutators enqueue while holding
 	// updateMu, the committer drains after they release it.
@@ -148,13 +145,13 @@ const maxCommitBatch = 64
 // is its obstacle-tree leaf, any other polygon is also a run of vertex-tree
 // leaves). Any transactions committed to the WAL but not yet checkpointed —
 // a crash between WAL fsync and write-back — are replayed first (page
-// images onto the data file, catalog deltas onto the recovered metadata),
+// images onto the data file, and the catalog state the last of them logged),
 // so the database reopens at the last acknowledged mutation.
 //
 // A Database from Open behaves like one from NewDatabase, except that every
 // mutator (InsertPoints, DeletePoints, AddObstacles, RemoveObstacles,
 // AddDataset) is durable before it returns: the mutation's dirty pages and
-// catalog delta are staged to a commit queue, and a committer batches
+// catalog state are staged to a commit queue, and a committer batches
 // queued commits from concurrent mutators into one WAL write and one fsync
 // (group commit; see mutate and drainQueue).
 // Close checkpoints and releases the files; Checkpoint bounds the WAL and
@@ -205,7 +202,6 @@ func Open(path string, opts Options) (*Database, error) {
 		super:          sb,
 		seq:            seq,
 		logged:         ld.rs.logged,
-		dirtyDatasets:  make(map[string]struct{}),
 		leaderTok:      make(chan struct{}, 1),
 		autoRecover:    opts.AutoRecover,
 		degradedCh:     make(chan struct{}, 1),
@@ -217,7 +213,7 @@ func Open(path string, opts Options) (*Database, error) {
 	if created || ld.rs.replayed > 0 || sb.State.Root == pagefile.InvalidPage {
 		// A fresh file checkpoints the empty state so a crash right after
 		// Open reopens it; a replayed file finishes recovery with a full
-		// checkpoint, folding the WAL's deltas into a fresh state blob and
+		// checkpoint, writing the replayed state as a fresh state blob and
 		// truncating the log.
 		db.updateMu.Lock()
 		err := db.checkpointLocked()
@@ -297,8 +293,9 @@ func load(path string, fs *pagefile.FileStorage, sb pagefile.Superblock, opts Op
 // redoState is the durable state redo reconstructs from the data file and
 // the WAL.
 type redoState struct {
-	// state is the checkpoint catalog with every replayed delta folded in
-	// (empty for a file that never checkpointed).
+	// state is the catalog of the last replayed commit, or the checkpoint's
+	// when no commit above it was replayed (empty for a file that never
+	// checkpointed).
 	state *catalog.State
 	// logged is the set of pages with images in the WAL.
 	logged map[pagefile.PageID]struct{}
@@ -310,17 +307,17 @@ type redoState struct {
 
 // redo is the recovery pass shared by Open and in-place recovery. It applies
 // every committed page image to the data file (Replay truncates the torn
-// tail past the last commit record), loads the checkpoint catalog sb points
-// at, folds the replayed catalog deltas into it in commit order, and installs
-// the resulting allocation state. Transactions above maxSeq are skipped:
-// in-place recovery passes the last acknowledged sequence number so commits
-// whose callers were told they failed are not resurrected.
+// tail past the last commit record), reads the checkpoint catalog sb points
+// at, takes the catalog state logged by the last group above sb.Seq in its
+// place, and installs that state's allocation state. Groups at or below
+// sb.Seq are already in the blob: a crash between a checkpoint's superblock
+// write and its WAL truncation leaves exactly that overlap, and checkpoints
+// run with the queue drained, so a group never straddles the boundary.
+// Transactions above maxSeq are skipped: in-place recovery passes the last
+// acknowledged sequence number so commits whose callers were told they
+// failed are not resurrected.
 func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq uint64) (*redoState, error) {
-	type group struct {
-		seq    uint64
-		deltas [][]byte
-	}
-	var groups []group
+	var last []byte // the catalog record of the last group above sb.Seq
 	rs := &redoState{state: &catalog.State{}, logged: make(map[pagefile.PageID]struct{})}
 	err := log.Replay(func(tx wal.Tx) error {
 		if tx.Seq > maxSeq {
@@ -335,11 +332,9 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 			}
 			rs.logged[pagefile.PageID(p.ID)] = struct{}{}
 		}
-		g := group{seq: tx.Seq}
-		for _, d := range tx.Deltas {
-			g.deltas = append(g.deltas, append([]byte(nil), d...))
+		if n := len(tx.Deltas); tx.Seq > sb.Seq && n > 0 {
+			last = append(last[:0], tx.Deltas[n-1]...)
 		}
-		groups = append(groups, g)
 		rs.replayed++
 		rs.lastSeq = tx.Seq
 		return nil
@@ -348,8 +343,9 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 		return nil, fmt.Errorf("replaying WAL: %w", err)
 	}
 
-	// Load the checkpoint catalog. A root of zero means the file was
-	// created but never checkpointed: start from an empty state.
+	// Read the checkpoint catalog even when a commit supersedes it: its
+	// chain is retired by the next checkpoint, so it must be intact. A root
+	// of zero means the file was created but never checkpointed.
 	if sb.State.Root != pagefile.InvalidPage {
 		blob, err := catalog.ReadBlob(fs, sb.State)
 		if err != nil {
@@ -359,30 +355,12 @@ func redo(fs *pagefile.FileStorage, log *wal.Log, sb pagefile.Superblock, maxSeq
 			return nil, err
 		}
 	}
-
-	// Fold the replayed deltas into the checkpoint state. Groups whose
-	// (last) sequence number is at or below the superblock's are already
-	// inside the blob — a crash between a checkpoint's superblock write
-	// and its WAL truncation leaves exactly that overlap, and checkpoints
-	// only run with the queue drained, so a group never straddles the
-	// boundary — and must be skipped to keep recovery idempotent.
-	next := sb.Next
-	for _, g := range groups {
-		if g.seq <= sb.Seq {
-			continue
-		}
-		for _, raw := range g.deltas {
-			d, err := catalog.DecodeDelta(raw)
-			if err != nil {
-				return nil, fmt.Errorf("decoding group %d delta: %w", g.seq, err)
-			}
-			if err := d.Apply(rs.state); err != nil {
-				return nil, fmt.Errorf("applying group %d delta: %w", g.seq, err)
-			}
-			next = d.Next
+	if last != nil {
+		if rs.state, err = catalog.DecodeState(last); err != nil {
+			return nil, fmt.Errorf("decoding the catalog of commit %d: %w", rs.lastSeq, err)
 		}
 	}
-	fs.SetAllocState(next, rs.state.PageFree)
+	fs.SetAllocState(rs.state.Next, rs.state.PageFree)
 	return rs, nil
 }
 
@@ -548,11 +526,11 @@ func (db *Database) awaitCommit(tk *commitTicket) error {
 
 // stageCommitLocked builds the commit for everything the current mutation
 // changed — flushing tree buffers, capturing the dirty page images, and
-// encoding the catalog delta (generation, allocation frontier, free-list
-// ops, touched dataset metas, the obstacle record) — assigns it the next
-// sequence number, and enqueues it. Callers hold the updateMu write side, which is
-// what orders staging: queue order equals sequence order equals WAL order.
-func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*commitTicket, error) {
+// encoding the catalog state of the version the mutation just published —
+// assigns it the next sequence number, and enqueues it. Callers hold the
+// updateMu write side, which is what orders staging: queue order equals
+// sequence order equals WAL order.
+func (db *Database) stageCommitLocked(sp *telemetry.Span) (*commitTicket, error) {
 	s := db.store
 	if s.closed {
 		return nil, ErrDatabaseClosed
@@ -571,19 +549,10 @@ func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*co
 		pages[i] = wal.Page{ID: uint32(w.ID), Data: w.Data}
 		s.logged[w.ID] = struct{}{}
 	}
-	next, _ := s.fs.AllocState()
-	delta := &catalog.Delta{
-		Generation: db.gen.Load(),
-		Next:       next,
-		FreeOps:    s.fs.DrainAllocLog(),
-		Datasets:   db.dirtyDatasetMetas(),
-	}
-	if obstChanged {
-		delta.Obst = obstacleMeta(db.obstSet)
-	}
+	next, free := s.fs.AllocState()
 	s.seq++
 	tk := &commitTicket{
-		tx:   wal.BatchTx{Seq: s.seq, Pages: pages, Delta: catalog.EncodeDelta(delta)},
+		tx:   wal.BatchTx{Seq: s.seq, Pages: pages, Delta: catalog.EncodeState(db.published().catalogState(next, free))},
 		done: make(chan struct{}),
 		span: sp,
 	}
@@ -595,31 +564,18 @@ func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*co
 	return tk, nil
 }
 
-// dirtyDatasetMetas snapshots the catalog records of the datasets the
-// current mutation touched and clears the tracking set. Callers hold the
-// updateMu write side.
-func (db *Database) dirtyDatasetMetas() []catalog.DatasetMeta {
-	s := db.store
-	if len(s.dirtyDatasets) == 0 {
-		return nil
+// catalogState is v's catalog record with the allocation state next, free:
+// the one record every commit logs and every checkpoint and backup writes.
+// Commits and checkpoints take the published version under the updateMu
+// write side, where it is the live state. Datasets are sorted by name, so
+// equal states encode to equal bytes.
+func (v *dbVersion) catalogState(next pagefile.PageID, free []pagefile.PageID) *catalog.State {
+	st := &catalog.State{Generation: v.gen, Next: next, PageFree: free, Obstacles: obstacleMeta(v.obst)}
+	for name, ps := range v.datasets {
+		st.Datasets = append(st.Datasets, datasetMeta(name, ps))
 	}
-	names := make([]string, 0, len(s.dirtyDatasets))
-	for name := range s.dirtyDatasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	clear(s.dirtyDatasets)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	metas := make([]catalog.DatasetMeta, 0, len(names))
-	for _, name := range names {
-		ps, ok := db.datasets[name]
-		if !ok {
-			continue
-		}
-		metas = append(metas, datasetMeta(name, ps))
-	}
-	return metas
+	sort.Slice(st.Datasets, func(i, j int) bool { return st.Datasets[i].Name < st.Datasets[j].Name })
+	return st
 }
 
 // treeMeta is the catalog record locating one tree.
@@ -640,15 +596,6 @@ func obstacleMeta(o *core.ObstacleSet) *catalog.ObstacleMeta {
 		Verts:      treeMeta(trees[1]),
 		IDBound:    o.IDBound(),
 		Generation: o.Generation(),
-	}
-}
-
-// noteDatasetDirty records that the current mutation touched a dataset, so
-// the staged delta carries its updated catalog record. Callers hold the
-// updateMu write side. No-op on in-memory databases.
-func (db *Database) noteDatasetDirty(name string) {
-	if s := db.store; s != nil {
-		s.dirtyDatasets[name] = struct{}{}
 	}
 }
 
@@ -872,8 +819,8 @@ func (db *Database) maybeAutoCheckpoint(sp *telemetry.Span) {
 // A failure before step 4 is harmless and retryable — the freshly
 // allocated chain is rolled back, the WAL still covers everything. A
 // failed WAL truncation (step 5) leaves the checkpoint in force; replay
-// skips the already-folded deltas by sequence number and re-applies page
-// images, which is idempotent.
+// ignores the catalog records at or below its sequence number and
+// re-applies page images, which is idempotent.
 func (db *Database) checkpointLocked() error {
 	s := db.store
 	if s.closed {
@@ -936,17 +883,13 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 	// shrinking that list; grow the chain until the encoding fits. Each
 	// allocation shrinks the encoded list or leaves it unchanged (frontier
 	// growth, or a held page moving between two encoded sets), so the need
-	// is non-increasing and this converges.
+	// is non-increasing and this converges. The last encoding follows the
+	// last allocation, so its frontier is the file's.
 	var data []byte
 	for {
-		_, free := s.fs.AllocState()
+		next, free := s.fs.AllocState()
 		free = append(append(free, held...), retired...)
-		data = catalog.EncodeState(&catalog.State{
-			Generation: db.gen.Load(),
-			PageFree:   free,
-			Obstacles:  obstacleMeta(db.obstSet),
-			Datasets:   db.datasetMetas(),
-		})
+		data = catalog.EncodeState(db.published().catalogState(next, free))
 		need := catalog.BlobPages(pageSize, len(data))
 		if need <= len(newStatePages) {
 			break
@@ -964,13 +907,7 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 		return fail(fmt.Errorf("obstacles: checkpoint state blob: %w", err))
 	}
 
-	next, _ := s.fs.AllocState()
-	sb := pagefile.Superblock{
-		PageSize: pageSize,
-		Next:     next,
-		Seq:      s.seq,
-		State:    stateRef,
-	}
+	sb := pagefile.Superblock{PageSize: pageSize, Seq: s.seq, State: stateRef}
 	if err := s.tx.Apply(); err != nil {
 		return fail(fmt.Errorf("obstacles: checkpoint write-back: %w", err))
 	}
@@ -986,9 +923,9 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 
 	// Point of no return: the superblock references the new blob. Retire
 	// the old chain and release the held pages; from here a failure to
-	// truncate the WAL is retryable and replay stays correct (deltas at or
-	// below sb.Seq are skipped, page images are idempotent and the new
-	// chain avoided every logged page).
+	// truncate the WAL is retryable and replay stays correct (catalog
+	// records at or below sb.Seq are ignored, page images are idempotent and
+	// the new chain avoided every logged page).
 	s.super = sb
 	for _, id := range retired {
 		_ = s.tx.Free(id)
@@ -996,7 +933,6 @@ func (db *Database) foldWALLocked(ckptStart time.Time) error {
 	for _, id := range held {
 		_ = s.tx.Free(id)
 	}
-	s.fs.DrainAllocLog() // folded into the full free list just written
 	if err := s.log.Load().Reset(); err != nil {
 		return fmt.Errorf("obstacles: truncating WAL: %w", err)
 	}
@@ -1016,17 +952,4 @@ func (db *Database) flushTreeBuffers() error {
 		}
 	}
 	return nil
-}
-
-// datasetMetas snapshots the catalog records of every dataset, sorted by
-// name for deterministic blobs.
-func (db *Database) datasetMetas() []catalog.DatasetMeta {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	metas := make([]catalog.DatasetMeta, 0, len(db.datasets))
-	for name, ps := range db.datasets {
-		metas = append(metas, datasetMeta(name, ps))
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
-	return metas
 }

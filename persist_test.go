@@ -13,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/pagefile"
 	"repro/internal/rtree"
@@ -668,6 +669,86 @@ func TestCrashRecoveryAtEveryWALBoundary(t *testing.T) {
 			}
 		}
 		back.Close()
+	}
+}
+
+// TestRecoverIgnoresCatalogsInsideCheckpoint: a crash between a
+// checkpoint's superblock write and its WAL truncation leaves a WAL whose
+// commits the checkpoint already holds. Their catalog records predate the
+// checkpoint's own allocations (its new blob chain, the old chain it
+// retired), so recovery must take the checkpoint's state instead; taking a
+// stale record would hand the live blob's pages out again. The recovered
+// file must keep working through mutations, a checkpoint and a reopen.
+func TestRecoverIgnoresCatalogsInsideCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overlap.obs")
+	opts := DefaultOptions()
+	opts.WALCheckpointBytes = -1
+	db, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, _ := runCrashScript(t, db, 29, 12)
+	final := states[len(states)-1]
+	stale, err := os.ReadFile(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crashDB(db)
+	if err := os.WriteFile(path+".wal", stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		back, err := Open(path, opts)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		assertObstacles(t, fmt.Sprintf("round %d", round), back, final.obst)
+		if n, err := back.DatasetLen("P"); err != nil || n != len(final.pts) {
+			t.Fatalf("round %d: DatasetLen = %d (%v), want %d", round, n, err, len(final.pts))
+		}
+		if rep, err := back.Scrub(ctx); err != nil || !rep.Clean() {
+			t.Fatalf("round %d: scrub = %+v, %v", round, rep, err)
+		}
+		assertPagesAccounted(t, fmt.Sprintf("round %d", round), back)
+		for i := 0; i < 40; i++ {
+			p := Pt(float64(100+i), 900)
+			if _, err := back.InsertPoints("P", p); err != nil {
+				t.Fatalf("round %d: insert: %v", round, err)
+			}
+			final.pts = append(final.pts, p)
+		}
+		if err := back.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+	}
+}
+
+// assertPagesAccounted checks the allocator against what the file reaches:
+// every page a tree or the state blob reaches is allocated, and every
+// allocated page is reached.
+func assertPagesAccounted(t *testing.T, label string, db *Database) {
+	t.Helper()
+	s := db.store
+	live, err := catalog.BlobChain(s.tx, s.super.State)
+	if err != nil {
+		t.Fatalf("%s: state chain: %v", label, err)
+	}
+	for _, tr := range db.trees() {
+		if live, err = tr.Pages(live); err != nil {
+			t.Fatalf("%s: tree pages: %v", label, err)
+		}
+	}
+	_, free := s.fs.AllocState()
+	for _, id := range free {
+		if slices.Contains(live, id) {
+			t.Fatalf("%s: page %d is reachable and on the free list", label, id)
+		}
+	}
+	if n := s.fs.NumPages(); n != len(live) {
+		t.Fatalf("%s: %d pages allocated, %d reachable", label, n, len(live))
 	}
 }
 

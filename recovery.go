@@ -236,7 +236,6 @@ func (db *Database) recoverLocked() error {
 	s.super = sb
 	s.seq = seq
 	s.logged = ld.rs.logged
-	s.dirtyDatasets = make(map[string]struct{})
 	s.lastCheckpointErr = nil
 	s.cmu.Lock()
 	s.durableSeq = seq
@@ -275,6 +274,10 @@ func (db *Database) stopRecovery() {
 	}
 }
 
+// maxBackoffFactor caps the supervisor's retry delay at this multiple of
+// Options.RecoverBackoff: 30s at the default 500ms.
+const maxBackoffFactor = 60
+
 // recoveryLoop is the auto-recovery supervisor: woken by the first durable
 // fault, it retries in-place recovery under capped exponential backoff with
 // jitter until the database is writable again, then goes back to sleep until
@@ -310,10 +313,7 @@ func (db *Database) recoveryLoop() {
 			if errors.Is(err, ErrDatabaseClosed) {
 				return
 			}
-			backoff *= 2
-			if backoff > db.opts.RecoverMaxBackoff {
-				backoff = db.opts.RecoverMaxBackoff
-			}
+			backoff = min(2*backoff, maxBackoffFactor*db.opts.RecoverBackoff)
 		}
 	}
 }

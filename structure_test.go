@@ -21,7 +21,7 @@ import (
 
 // nonTestLines is the ceiling on the non-test Go lines outside bench/ (the
 // ROADMAP's size target is ≤ 17k).
-const nonTestLines = 17708
+const nonTestLines = 17425
 
 // commands is the ceiling on cmd/'s directories: obsd serves, obsctl does
 // the rest.
@@ -180,6 +180,14 @@ var gates = []gate{
 	// included. Only the no-op stubs bench/ calls stay
 	// (internal/core/core.go).
 	{"the graph cache", `\bGraphCache\b|cacheEntry|growLimit|setCoverage|Retarget`, func(p string) bool { return !strings.HasPrefix(p, "bench/") }, false, 0},
+
+	// Every commit logs the whole catalog state that a checkpoint writes, so
+	// nothing reconciles a commit with its checkpoint: the delta codec, the
+	// page file's allocation journal and the per-commit dataset tracking are
+	// 0 at their floor in every file outside bench/, tests included, and so
+	// is the retry cap option that became a constant multiple of
+	// RecoverBackoff.
+	{"catalog deltas and their journals", `catalog\.Delta|EncodeDelta|DecodeDelta|AllocOp|DrainAllocLog|allocLog|dirtyDatasets|noteDatasetDirty|RecoverMaxBackoff`, func(p string) bool { return !strings.HasPrefix(p, "bench/") }, false, 0},
 }
 
 // goFiles reads every Go file under the module root except this one, which
